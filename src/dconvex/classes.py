@@ -6,6 +6,14 @@ genuine violation through :func:`verify_witness`.  Scanning is done in
 lexicographic order and stops at the first violation, so verdicts are
 deterministic.
 
+Each axiom is written once, as a predicate in the table ``_AXIOMS`` keyed by
+witness kind.  A predicate reads the object through a value getter in which
+a set is its indicator function (0 on its points, +infinity elsewhere), so a
+set class and its function class share one predicate and one scanner and
+differ only in the witness kind they report.  :func:`verify_witness` looks
+the kind up in the same table, checks that the witness points lie in the
+object, and calls the same predicate.
+
 Conventions for infinite values inside axioms: an inequality with +infinity
 on the left-hand side holds; +infinity on the right-hand side is only
 satisfied by +infinity on the left.  Internally the recognizers use ``None``
@@ -17,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property, partial
 from typing import List, Optional, Sequence, Tuple
 
 from .core import (
@@ -151,6 +160,11 @@ def _less(a, b) -> bool:
     return a < b
 
 
+def _bump(p: Point, i: int, d: int) -> Point:
+    """p + d * e_i."""
+    return p[:i] + (p[i] + d,) + p[i + 1 :]
+
+
 def increments(x: Point, y: Point) -> List[Point]:
     """All signed unit steps s with x + s inside the box [x ^ y, x v y],
     sorted lexicographically."""
@@ -164,439 +178,310 @@ def increments(x: Point, y: Point) -> List[Point]:
     return sorted(out)
 
 
-def _ordered_pairs(pts: Sequence[Point]):
-    for x in pts:
-        for y in pts:
-            if x != y:
-                yield x, y
+class _View:
+    """A set or function as the axioms read it.
 
+    ``vals`` maps the stored points (representatives, when lifted) to their
+    values, and ``get(p)`` is the value at any point, None meaning
+    +infinity.  A set reads as its indicator function: 0 on its points.
+    """
 
-def _unordered_pairs(pts: Sequence[Point]):
-    for i, x in enumerate(pts):
-        for y in pts[i + 1 :]:
-            yield x, y
+    def __init__(self, obj):
+        self.obj = obj
+        self.is_set = isinstance(obj, LatticeSet)
+        if self.is_set:
+            self.vals, self.ramp = dict.fromkeys(obj.points, 0), 0
+        else:
+            self.vals, self.ramp = obj.values, obj.ramp
+        self.get = self._lifted_get if obj.lifted else self.vals.get
+
+    def _lifted_get(self, p: Point):
+        base = self.vals.get(vshift(p, -p[-1]))
+        return None if base is None else base + p[-1] * self.ramp
+
+    @cached_property
+    def box(self) -> Window:
+        """Bounding box of the stored points."""
+        cols = list(zip(*self.vals))
+        return Window(tuple(map(min, cols)), tuple(map(max, cols)))
 
 
 # ---------------------------------------------------------------------------
-# set recognizers
+# the axioms
+#
+# violated(v, lhs, *witness.points, *witness.indices) -> bool, where lhs is
+# the sum of the values at the witness points that must lie in the object
+# (the first ``members`` of them).  Scanners pass the lhs they already hold;
+# replay checks those points and computes it.
 
 
-def _check_integer_box(s: LatticeSet) -> Verdict:
-    box = s.bounding_box()
-    for p in box.points():
-        if p not in s.points:
+def _midpoint(v: _View, lhs, x: Point, y: Point) -> bool:
+    up, down = midpoint_round(x, y)
+    return _less(lhs, _add(v.get(up), v.get(down)))
+
+
+def _submodular(v: _View, lhs, x: Point, y: Point) -> bool:
+    jn, mt = join_meet(x, y)
+    return _less(lhs, _add(v.get(jn), v.get(mt)))
+
+
+def _hull_midpoint(v: _View, lhs, x: Point, y: Point) -> bool:
+    mid = half_midpoint(x, y)
+    if v.is_set:
+        return not in_local_hull(v.obj, mid)
+    ext = local_extension_value(v.obj, mid)
+    return not is_finite(ext) or 2 * ext > lhs
+
+
+def _exchange(v: _View, lhs, x: Point, y: Point, i: int, nat: bool = True) -> bool:
+    """Every exchange (x - e_i + e_j, y + e_i - e_j) with j in supp-(x - y),
+    and with j = 0 when ``nat``, exceeds lhs."""
+    get = v.get
+    xi, yi = _bump(x, i, -1), _bump(y, i, 1)
+    if nat and not _less(lhs, _add(get(xi), get(yi))):
+        return False
+    for j in range(len(x)):
+        if x[j] < y[j] and not _less(lhs, _add(get(_bump(xi, j, 1)), get(_bump(yi, j, -1)))):
+            return False
+    return True
+
+
+def _jump_exchange(v: _View, lhs, x: Point, y: Point, s: Point, nat: bool = True) -> bool:
+    """Every two-step exchange (x + s + t, y - s - t) with t an increment
+    from x + s toward y, and the one-step (x + s, y - s) when ``nat``,
+    exceeds lhs."""
+    get = v.get
+    xs, ys = vadd(x, s), vsub(y, s)
+    if nat and not _less(lhs, _add(get(xs), get(ys))):
+        return False
+    for t in increments(xs, y):
+        if not _less(lhs, _add(get(vadd(xs, t)), get(vsub(ys, t)))):
+            return False
+    return True
+
+
+def _jump_two_step(v: _View, lhs, x: Point, y: Point, s: Point) -> bool:
+    """Neither x + s nor any x + s + t (t toward y) lies in the set."""
+    xs = vadd(x, s)
+    return v.get(xs) is None and all(v.get(vadd(xs, t)) is None for t in increments(xs, y))
+
+
+def _box_gap(v: _View, lhs, p: Point) -> bool:
+    return v.box.contains(p) and v.get(p) is None
+
+
+def _ones_shift(v: _View, lhs, x: Point, t: Point) -> bool:
+    return v.box.contains(t) and v.get(t) is None
+
+
+def _ramp(v: _View, lhs, x: Point, y: Point) -> bool:
+    get = v.get
+    fx1, fy1 = get(vshift(x, 1)), get(vshift(y, 1))
+    return fx1 is not None and fy1 is not None and fx1 - get(x) != fy1 - get(y)
+
+
+def _axis_convexity(v: _View, lhs, x: Point, i: int) -> bool:
+    lo, hi = v.get(_bump(x, i, -1)), v.get(_bump(x, i, 1))
+    return lo is not None and hi is not None and lo + hi < 2 * lhs
+
+
+def _modularity(v: _View, lhs, x: Point, i: int, j: int) -> bool:
+    get = v.get
+    xi, xj = _bump(x, i, 1), _bump(x, j, 1)
+    a, b, c = get(xi), get(xj), get(_bump(xi, j, 1))
+    return a is not None and b is not None and c is not None and lhs + c != a + b
+
+
+def _far(x: Point, y: Point) -> bool:
+    return linf_distance(x, y) >= 2
+
+
+def _toward(x: Point, y: Point, i: int) -> bool:
+    return i in supports(vsub(x, y))[0]
+
+
+def _step_toward(x: Point, y: Point, s: Point) -> bool:
+    return s in increments(x, y)
+
+
+# kind -> (members, violated, keep): ``keep`` says which candidates the
+# axiom applies to (None: all); scanners that enumerate only such
+# candidates skip it, replay always applies it.
+_AXIOMS = {
+    "box-gap": (0, _box_gap, None),
+    "axis-convexity": (1, _axis_convexity, lambda x, i: 0 <= i < len(x)),
+    "modularity": (1, _modularity, lambda x, i, j: 0 <= i < j < len(x)),
+    "midpoint": (2, _midpoint, None),
+    "midpoint-far": (2, _midpoint, _far),
+    "midpoint-two": (2, _midpoint, lambda x, y: linf_distance(x, y) == 2),
+    "hull-midpoint": (2, _hull_midpoint, _far),
+    "submodular": (2, _submodular, None),
+    "ones-shift": (1, _ones_shift, lambda x, t: t in (vshift(x, 1), vshift(x, -1))),
+    "ramp": (2, _ramp, None),
+    "exchange-mnat": (2, _exchange, _toward),
+    "exchange-mnat-fn": (2, _exchange, _toward),
+    "exchange-m": (2, partial(_exchange, nat=False), _toward),
+    "exchange-m-fn": (2, partial(_exchange, nat=False), _toward),
+    "jump-2step": (2, _jump_two_step, _step_toward),
+    "jump-exc": (2, partial(_jump_exchange, nat=False), _step_toward),
+    "jump-m-fn": (2, partial(_jump_exchange, nat=False), _step_toward),
+    "jump-exc-nat": (2, _jump_exchange, _step_toward),
+    "jump-mnat-fn": (2, _jump_exchange, _step_toward),
+}
+
+# kinds replayed on another object: kind -> (object map, point map, kind there)
+_MAPPED = {
+    "domain-not-dmc": (LatticeFn.domain, lambda p: p, "midpoint-far"),
+    "multimodular-midpoint": (prefix_transform, prefix_point, "midpoint"),
+}
+
+
+# ---------------------------------------------------------------------------
+# scanners
+
+
+def _scan_pairs(v: _View, kind: str) -> Verdict:
+    """Unordered pairs x < y of stored points."""
+    _, violated, keep = _AXIOMS[kind]
+    vals = v.vals
+    pts = sorted(vals)
+    for a, x in enumerate(pts):
+        fx = vals[x]
+        for y in pts[a + 1 :]:
+            if (keep is None or keep(x, y)) and violated(v, fx + vals[y], x, y):
+                return _fail(kind, (x, y))
+    return _OK
+
+
+def _scan_exchanges(v: _View, kind: str) -> Verdict:
+    """Ordered pairs x != y, then each i in supp+(x - y)."""
+    violated = _AXIOMS[kind][1]
+    vals = v.vals
+    pts = sorted(vals)
+    for x in pts:
+        for y in pts:
+            if x != y:
+                lhs = vals[x] + vals[y]
+                for i in supports(vsub(x, y))[0]:
+                    if violated(v, lhs, x, y, i):
+                        return _fail(kind, (x, y), (i,))
+    return _OK
+
+
+def _scan_jumps(v: _View, kind: str) -> Verdict:
+    """Ordered pairs x != y, then each increment s from x toward y."""
+    violated = _AXIOMS[kind][1]
+    vals = v.vals
+    pts = sorted(vals)
+    for x in pts:
+        for y in pts:
+            if x != y:
+                lhs = vals[x] + vals[y]
+                for s in increments(x, y):
+                    if violated(v, lhs, x, y, s):
+                        return _fail(kind, (x, y, s))
+    return _OK
+
+
+def _scan_box(v: _View) -> Verdict:
+    for p in v.box.points():
+        if _box_gap(v, 0, p):
             return _fail("box-gap", (p,))
     return _OK
 
 
-def _check_lnat_set(s: LatticeSet) -> Verdict:
-    pts = s.sorted_points()
-    for x, y in _unordered_pairs(pts):
-        up, down = midpoint_round(x, y)
-        if up not in s.points or down not in s.points:
-            return _fail("midpoint", (x, y))
+def _check_separable(v: _View) -> Verdict:
+    """A box domain, convexity along every axis and modularity in every
+    coordinate pair: together, a sum of univariate convex functions."""
+    verdict = _scan_box(v)
+    if not verdict.member:
+        return verdict
+    n = v.obj.dim
+    for x, fx in sorted(v.vals.items()):
+        for i in range(n):
+            if _axis_convexity(v, fx, x, i):
+                return _fail("axis-convexity", (x,), (i,))
+        for i in range(n):
+            for j in range(i + 1, n):
+                if _modularity(v, fx, x, i, j):
+                    return _fail("modularity", (x,), (i, j))
     return _OK
 
 
-def _check_global_dmc_set(s: LatticeSet) -> Verdict:
-    pts = s.sorted_points()
-    for x, y in _unordered_pairs(pts):
-        if linf_distance(x, y) < 2:
-            continue
-        up, down = midpoint_round(x, y)
-        if up not in s.points or down not in s.points:
-            return _fail("midpoint-far", (x, y))
-    return _OK
-
-
-def _check_ic_set(s: LatticeSet) -> Verdict:
-    pts = s.sorted_points()
-    for x, y in _unordered_pairs(pts):
-        if linf_distance(x, y) <= 1:
-            continue  # both endpoints lie in N((x+y)/2), so the midpoint is covered
-        if not in_local_hull(s, half_midpoint(x, y)):
-            return _fail("hull-midpoint", (x, y))
-    return _OK
-
-
-def _check_mnat_set(s: LatticeSet) -> Verdict:
-    pts = s.sorted_points()
-    n = s.dim
-    for x, y in _ordered_pairs(pts):
-        d = vsub(x, y)
-        plus, minus = supports(d)
-        for i in plus:
-            ei = unit(n, i)
-            if vsub(x, ei) in s.points and vadd(y, ei) in s.points:
-                continue
-            if any(
-                vadd(vsub(x, ei), unit(n, j)) in s.points
-                and vsub(vadd(y, ei), unit(n, j)) in s.points
-                for j in minus
-            ):
-                continue
-            return _fail("exchange-mnat", (x, y), (i,))
-    return _OK
-
-
-def _check_m_set(s: LatticeSet) -> Verdict:
-    pts = s.sorted_points()
-    n = s.dim
-    for x, y in _ordered_pairs(pts):
-        d = vsub(x, y)
-        plus, minus = supports(d)
-        for i in plus:
-            ei = unit(n, i)
-            if any(
-                vadd(vsub(x, ei), unit(n, j)) in s.points
-                and vsub(vadd(y, ei), unit(n, j)) in s.points
-                for j in minus
-            ):
-                continue
-            return _fail("exchange-m", (x, y), (i,))
-    return _OK
-
-
-def _check_jump_system(s: LatticeSet) -> Verdict:
-    pts = s.sorted_points()
-    for x, y in _ordered_pairs(pts):
-        for step in increments(x, y):
-            xs = vadd(x, step)
-            if xs in s.points:
-                continue
-            if any(vadd(xs, t) in s.points for t in increments(xs, y)):
-                continue
-            return _fail("jump-2step", (x, y, step))
-    return _OK
-
-
-def _check_const_parity_jump(s: LatticeSet) -> Verdict:
-    pts = s.sorted_points()
-    for x, y in _ordered_pairs(pts):
-        for step in increments(x, y):
-            xs = vadd(x, step)
-            ys = vsub(y, step)
-            if any(
-                vadd(xs, t) in s.points and vsub(ys, t) in s.points
-                for t in increments(xs, y)
-            ):
-                continue
-            return _fail("jump-exc", (x, y, step))
-    return _OK
-
-
-def _check_simult_exch_jump(s: LatticeSet) -> Verdict:
-    pts = s.sorted_points()
-    for x, y in _ordered_pairs(pts):
-        for step in increments(x, y):
-            xs = vadd(x, step)
-            ys = vsub(y, step)
-            if xs in s.points and ys in s.points:
-                continue
-            if any(
-                vadd(xs, t) in s.points and vsub(ys, t) in s.points
-                for t in increments(xs, y)
-            ):
-                continue
-            return _fail("jump-exc-nat", (x, y, step))
-    return _OK
-
-
-def _lifted_shift_span(r: Point, r2: Point):
-    deltas = [a - b for a, b in zip(r, r2)]
-    return min(deltas) - 1, max(deltas) + 1
-
-
-def _check_l_set(s: LatticeSet) -> Verdict:
-    if s.lifted:
+def _check_l(v: _View) -> Verdict:
+    vals, get = v.vals, v.get
+    pts = sorted(vals)
+    if v.obj.lifted:
         # Exact: relative shifts outside the coordinate spread give a
-        # comparable pair, for which closure under join/meet is automatic.
-        reps = s.sorted_points()
-        for i, r in enumerate(reps):
-            for r2 in reps[i:]:
-                lo, hi = _lifted_shift_span(r, r2)
-                for a in range(lo, hi + 1):
-                    y = vshift(r2, a)
-                    if y == r:
-                        continue
-                    jn, mt = join_meet(r, y)
-                    if jn not in s or mt not in s:
+        # comparable pair, for which submodularity is automatic.
+        for a, r in enumerate(pts):
+            for r2 in pts[a:]:
+                deltas = [p - q for p, q in zip(r, r2)]
+                for s in range(min(deltas) - 1, max(deltas) + 2):
+                    y = vshift(r2, s)
+                    if y != r and _submodular(v, vals[r] + vals[r2] + s * v.ramp, r, y):
                         return _fail("submodular", (r, y))
         return _OK
     # Finite input: treated as a windowed sample over its bounding box.
     # Negative verdicts are sound; a pass is only a necessary condition.
-    pts = s.sorted_points()
-    for x, y in _unordered_pairs(pts):
-        jn, mt = join_meet(x, y)
-        if jn not in s.points or mt not in s.points:
-            return _fail("submodular", (x, y))
-    box = s.bounding_box()
-    for p in pts:
-        for step in (1, -1):
-            t = vshift(p, step)
-            if box.contains(t) and t not in s.points:
-                return _fail("ones-shift", (p, t))
-    return _OK
-
-
-def _check_multimodular_set(s: LatticeSet) -> Verdict:
-    inner = _check_lnat_set(prefix_transform(s))
-    if inner.member:
-        return _OK
-    p, q = inner.witness.points
-    return _fail("multimodular-midpoint", (difference_point(p), difference_point(q)))
-
-
-# ---------------------------------------------------------------------------
-# function recognizers
-
-
-def _check_separable(f: LatticeFn) -> Verdict:
-    dom = f.domain()
-    box_verdict = _check_integer_box(dom)
-    if not box_verdict.member:
-        return box_verdict
-    vals = f.values
-    box = dom.bounding_box()
-    n = f.dim
-    for x in sorted(vals):
-        for i in range(n):
-            lo = vsub(x, unit(n, i))
-            hi = vadd(x, unit(n, i))
-            if box.contains(lo) and box.contains(hi):
-                if vals[lo] + vals[hi] < 2 * vals[x]:
-                    return _fail("axis-convexity", (x,), (i,))
-        for i in range(n):
-            for j in range(i + 1, n):
-                xi = vadd(x, unit(n, i))
-                xj = vadd(x, unit(n, j))
-                xij = vadd(xi, unit(n, j))
-                if box.contains(xij):
-                    if vals[x] + vals[xij] != vals[xi] + vals[xj]:
-                        return _fail("modularity", (x,), (i, j))
-    return _OK
-
-
-def _check_lnat_fn(f: LatticeFn) -> Verdict:
-    vals = f.values
-    get = vals.get
-    pts = sorted(vals)
-    for x, y in _unordered_pairs(pts):
-        up, down = midpoint_round(x, y)
-        if _less(vals[x] + vals[y], _add(get(up), get(down))):
-            return _fail("midpoint", (x, y))
-    return _OK
-
-
-def _check_global_dmc_fn(f: LatticeFn) -> Verdict:
-    vals = f.values
-    get = vals.get
-    pts = sorted(vals)
-    for x, y in _unordered_pairs(pts):
-        if linf_distance(x, y) < 2:
-            continue
-        up, down = midpoint_round(x, y)
-        if _less(vals[x] + vals[y], _add(get(up), get(down))):
-            return _fail("midpoint-far", (x, y))
-    return _OK
-
-
-def _check_local_dmc_fn(f: LatticeFn) -> Verdict:
-    dom_verdict = _check_global_dmc_set(f.domain())
-    if not dom_verdict.member:
-        return _fail("domain-not-dmc", dom_verdict.witness.points)
-    vals = f.values
-    get = vals.get
-    pts = sorted(vals)
-    for x, y in _unordered_pairs(pts):
-        if linf_distance(x, y) != 2:
-            continue
-        up, down = midpoint_round(x, y)
-        if _less(vals[x] + vals[y], _add(get(up), get(down))):
-            return _fail("midpoint-two", (x, y))
-    return _OK
-
-
-def _check_ic_fn(f: LatticeFn) -> Verdict:
-    vals = f.values
-    pts = sorted(vals)
-    for x, y in _unordered_pairs(pts):
-        if linf_distance(x, y) <= 1:
-            continue  # lambda = (1/2, 1/2) on x, y already meets the bound
-        mid = half_midpoint(x, y)
-        ext = local_extension_value(f, mid)
-        if not is_finite(ext) or 2 * ext > vals[x] + vals[y]:
-            return _fail("hull-midpoint", (x, y))
-    return _OK
-
-
-def _check_mnat_fn(f: LatticeFn) -> Verdict:
-    vals = f.values
-    get = vals.get
-    pts = sorted(vals)
-    n = f.dim
-    for x, y in _ordered_pairs(pts):
-        d = vsub(x, y)
-        plus, minus = supports(d)
-        lhs = vals[x] + vals[y]
-        for i in plus:
-            ei = unit(n, i)
-            xi = vsub(x, ei)
-            yi = vadd(y, ei)
-            best = _add(get(xi), get(yi))  # the j = 0 option
-            for j in minus:
-                ej = unit(n, j)
-                cand = _add(get(vadd(xi, ej)), get(vsub(yi, ej)))
-                if _less(cand, best):
-                    best = cand
-            if _less(lhs, best):
-                return _fail("exchange-mnat-fn", (x, y), (i,))
-    return _OK
-
-
-def _check_m_fn(f: LatticeFn) -> Verdict:
-    vals = f.values
-    get = vals.get
-    pts = sorted(vals)
-    n = f.dim
-    for x, y in _ordered_pairs(pts):
-        d = vsub(x, y)
-        plus, minus = supports(d)
-        lhs = vals[x] + vals[y]
-        for i in plus:
-            ei = unit(n, i)
-            xi = vsub(x, ei)
-            yi = vadd(y, ei)
-            best = None
-            for j in minus:
-                ej = unit(n, j)
-                cand = _add(get(vadd(xi, ej)), get(vsub(yi, ej)))
-                if _less(cand, best):
-                    best = cand
-            if _less(lhs, best):
-                return _fail("exchange-m-fn", (x, y), (i,))
-    return _OK
-
-
-def _check_jump_m_fn(f: LatticeFn) -> Verdict:
-    vals = f.values
-    get = vals.get
-    pts = sorted(vals)
-    for x, y in _ordered_pairs(pts):
-        lhs = vals[x] + vals[y]
-        for step in increments(x, y):
-            xs = vadd(x, step)
-            ys = vsub(y, step)
-            best = None
-            for t in increments(xs, y):
-                cand = _add(get(vadd(xs, t)), get(vsub(ys, t)))
-                if _less(cand, best):
-                    best = cand
-            if _less(lhs, best):
-                return _fail("jump-m-fn", (x, y, step))
-    return _OK
-
-
-def _check_jump_mnat_fn(f: LatticeFn) -> Verdict:
-    vals = f.values
-    get = vals.get
-    pts = sorted(vals)
-    for x, y in _ordered_pairs(pts):
-        lhs = vals[x] + vals[y]
-        for step in increments(x, y):
-            xs = vadd(x, step)
-            ys = vsub(y, step)
-            one = _add(get(xs), get(ys))
-            if not _less(lhs, one):
-                continue
-            best = None
-            for t in increments(xs, y):
-                cand = _add(get(vadd(xs, t)), get(vsub(ys, t)))
-                if _less(cand, best):
-                    best = cand
-            if _less(lhs, best):
-                return _fail("jump-mnat-fn", (x, y, step))
-    return _OK
-
-
-def _check_l_fn(f: LatticeFn) -> Verdict:
-    if f.lifted:
-        reps = sorted(f.values)
-        for i, r in enumerate(reps):
-            for r2 in reps[i:]:
-                lo, hi = _lifted_shift_span(r, r2)
-                for a in range(lo, hi + 1):
-                    y = vshift(r2, a)
-                    if y == r:
-                        continue
-                    jn, mt = join_meet(r, y)
-                    lhs = f.values[r] + _fn_get(f, y)
-                    if _less(lhs, _add(_fn_get(f, jn), _fn_get(f, mt))):
-                        return _fail("submodular", (r, y))
-        return _OK
-    # Finite sample: necessary conditions only (sound negatives).
-    vals = f.values
-    get = vals.get
-    pts = sorted(vals)
-    for x, y in _unordered_pairs(pts):
-        jn, mt = join_meet(x, y)
-        if _less(vals[x] + vals[y], _add(get(jn), get(mt))):
-            return _fail("submodular", (x, y))
-    box = f.domain().bounding_box()
-    delta = None
+    verdict = _scan_pairs(v, "submodular")
+    if not verdict.member:
+        return verdict
     anchor = None
     for p in pts:
-        for step in (1, -1):
-            t = vshift(p, step)
-            if box.contains(t) and t not in vals:
+        for t in (vshift(p, 1), vshift(p, -1)):
+            if _ones_shift(v, vals[p], p, t):
                 return _fail("ones-shift", (p, t))
-        t = vshift(p, 1)
-        if t in vals:
-            d = vals[t] - vals[p]
-            if delta is None:
-                delta, anchor = d, p
-            elif d != delta:
+        if get(vshift(p, 1)) is not None:
+            if anchor is None:
+                anchor = p
+            elif _ramp(v, vals[anchor] + vals[p], anchor, p):
                 return _fail("ramp", (anchor, p))
     return _OK
 
 
-def _check_multimodular_fn(f: LatticeFn) -> Verdict:
-    inner = _check_lnat_fn(prefix_transform(f))
+def _check_local_dmc(v: _View) -> Verdict:
+    dom = _scan_pairs(_View(v.obj.domain()), "midpoint-far")
+    if not dom.member:
+        return _fail("domain-not-dmc", dom.witness.points)
+    return _scan_pairs(v, "midpoint-two")
+
+
+def _check_multimodular(v: _View) -> Verdict:
+    """Midpoint convexity after the change of coordinates to prefix sums;
+    the witness is mapped back to the original coordinates."""
+    inner = _scan_pairs(_View(prefix_transform(v.obj)), "midpoint")
     if inner.member:
         return _OK
-    p, q = inner.witness.points
-    return _fail("multimodular-midpoint", (difference_point(p), difference_point(q)))
+    return _fail("multimodular-midpoint", map(difference_point, inner.witness.points))
 
 
 # ---------------------------------------------------------------------------
 # public entry points
 
-_SET_DISPATCH = {
-    ClassLabel.INTEGER_BOX: _check_integer_box,
-    ClassLabel.IC_SET: _check_ic_set,
-    ClassLabel.LNAT_SET: _check_lnat_set,
-    ClassLabel.L_SET: _check_l_set,
-    ClassLabel.MNAT_SET: _check_mnat_set,
-    ClassLabel.M_SET: _check_m_set,
-    ClassLabel.MULTIMODULAR_SET: _check_multimodular_set,
-    ClassLabel.GLOBAL_DMC_SET: _check_global_dmc_set,
-    ClassLabel.JUMP_SYSTEM: _check_jump_system,
-    ClassLabel.CONST_PARITY_JUMP: _check_const_parity_jump,
-    ClassLabel.SIMULT_EXCH_JUMP: _check_simult_exch_jump,
-}
-
-_FN_DISPATCH = {
+_RECOGNIZERS = {
+    ClassLabel.INTEGER_BOX: _scan_box,
     ClassLabel.SEPARABLE_CONVEX: _check_separable,
-    ClassLabel.IC_FN: _check_ic_fn,
-    ClassLabel.LNAT_FN: _check_lnat_fn,
-    ClassLabel.L_FN: _check_l_fn,
-    ClassLabel.MNAT_FN: _check_mnat_fn,
-    ClassLabel.M_FN: _check_m_fn,
-    ClassLabel.MULTIMODULAR_FN: _check_multimodular_fn,
-    ClassLabel.GLOBAL_DMC_FN: _check_global_dmc_fn,
-    ClassLabel.LOCAL_DMC_FN: _check_local_dmc_fn,
-    ClassLabel.JUMP_M_FN: _check_jump_m_fn,
-    ClassLabel.JUMP_MNAT_FN: _check_jump_mnat_fn,
+    ClassLabel.IC_SET: partial(_scan_pairs, kind="hull-midpoint"),
+    ClassLabel.IC_FN: partial(_scan_pairs, kind="hull-midpoint"),
+    ClassLabel.LNAT_SET: partial(_scan_pairs, kind="midpoint"),
+    ClassLabel.LNAT_FN: partial(_scan_pairs, kind="midpoint"),
+    ClassLabel.L_SET: _check_l,
+    ClassLabel.L_FN: _check_l,
+    ClassLabel.MNAT_SET: partial(_scan_exchanges, kind="exchange-mnat"),
+    ClassLabel.MNAT_FN: partial(_scan_exchanges, kind="exchange-mnat-fn"),
+    ClassLabel.M_SET: partial(_scan_exchanges, kind="exchange-m"),
+    ClassLabel.M_FN: partial(_scan_exchanges, kind="exchange-m-fn"),
+    ClassLabel.MULTIMODULAR_SET: _check_multimodular,
+    ClassLabel.MULTIMODULAR_FN: _check_multimodular,
+    ClassLabel.GLOBAL_DMC_SET: partial(_scan_pairs, kind="midpoint-far"),
+    ClassLabel.GLOBAL_DMC_FN: partial(_scan_pairs, kind="midpoint-far"),
+    ClassLabel.LOCAL_DMC_FN: _check_local_dmc,
+    ClassLabel.JUMP_SYSTEM: partial(_scan_jumps, kind="jump-2step"),
+    ClassLabel.CONST_PARITY_JUMP: partial(_scan_jumps, kind="jump-exc"),
+    ClassLabel.SIMULT_EXCH_JUMP: partial(_scan_jumps, kind="jump-exc-nat"),
+    ClassLabel.JUMP_M_FN: partial(_scan_jumps, kind="jump-m-fn"),
+    ClassLabel.JUMP_MNAT_FN: partial(_scan_jumps, kind="jump-mnat-fn"),
 }
 
 
@@ -610,7 +495,7 @@ def check_set(s: LatticeSet, label: ClassLabel) -> Verdict:
         raise ValueError("membership is undefined for the empty set")
     if s.lifted and label is not ClassLabel.L_SET:
         raise LiftedInputError(f"{label.value} needs a finite set")
-    return _SET_DISPATCH[label](s)
+    return _RECOGNIZERS[label](_View(s))
 
 
 def check_fn(f: LatticeFn, label: ClassLabel) -> Verdict:
@@ -621,13 +506,34 @@ def check_fn(f: LatticeFn, label: ClassLabel) -> Verdict:
         raise LabelKindError(f"{label.value} is a set label")
     if f.lifted and label is not ClassLabel.L_FN:
         raise LiftedInputError(f"{label.value} needs a finite function")
-    return _FN_DISPATCH[label](f)
+    return _RECOGNIZERS[label](_View(f))
 
 
 def check(obj, label: ClassLabel) -> Verdict:
     if isinstance(obj, LatticeSet):
         return check_set(obj, label)
     return check_fn(obj, label)
+
+
+def verify_witness(obj, witness: Witness) -> bool:
+    """Replay a witness through the axiom it claims to violate.
+
+    Returns True iff the recorded data is a genuine violation for this
+    object, independently of how the witness was found.
+    """
+    kind = witness.kind
+    if kind in _MAPPED:
+        to_obj, to_point, inner = _MAPPED[kind]
+        return verify_witness(to_obj(obj), Witness(inner, tuple(map(to_point, witness.points))))
+    if kind not in _AXIOMS:
+        raise ValueError(f"unknown witness kind {kind!r}")
+    members, violated, keep = _AXIOMS[kind]
+    v = _View(obj)
+    args = witness.points + witness.indices
+    held = [v.get(p) for p in witness.points[:members]]
+    if any(h is None for h in held) or (keep is not None and not keep(*args)):
+        return False
+    return violated(v, sum(held), *args)
 
 
 # ---------------------------------------------------------------------------
@@ -644,27 +550,17 @@ def argmin_perturbed(f: LatticeFn, c: Sequence) -> LatticeSet:
     cvec = [Fraction(v) for v in c]
     if len(cvec) != f.dim:
         raise ValueError("perturbation dimension mismatch")
-    if f.lifted:
-        if sum(cvec) != f.ramp:
-            raise ValueError("perturbed lifted function has no minimizer (unbounded along the lift)")
-        best = None
-        arg: List[Point] = []
-        for p, v in f.sorted_items():
-            score = v - sum((ci * pi for ci, pi in zip(cvec, p)), Fraction(0))
-            if best is None or score < best:
-                best, arg = score, [p]
-            elif score == best:
-                arg.append(p)
-        return LatticeSet(f.dim, frozenset(arg), lifted=True)
+    if f.lifted and sum(cvec) != f.ramp:
+        raise ValueError("perturbed lifted function has no minimizer (unbounded along the lift)")
     best = None
-    arg = []
+    arg: List[Point] = []
     for p, v in f.sorted_items():
         score = v - sum((ci * pi for ci, pi in zip(cvec, p)), Fraction(0))
         if best is None or score < best:
             best, arg = score, [p]
         elif score == best:
             arg.append(p)
-    return LatticeSet(f.dim, frozenset(arg))
+    return LatticeSet(f.dim, frozenset(arg), lifted=f.lifted)
 
 
 def multimodular_polyhedral_check(s: LatticeSet, w: Window) -> bool:
@@ -696,207 +592,3 @@ def multimodular_polyhedral_check(s: LatticeSet, w: Window) -> bool:
         if ok:
             candidate.add(p)
     return candidate == set(s.points)
-
-
-# ---------------------------------------------------------------------------
-# witness replay
-
-
-def _fn_get(f: LatticeFn, p: Point):
-    if f.lifted:
-        v = f.value(p)
-        return None if not is_finite(v) else v
-    return f.values.get(p)
-
-
-def _member(obj, p: Point) -> bool:
-    if isinstance(obj, LatticeSet):
-        return p in obj
-    return _fn_get(obj, p) is not None
-
-
-def verify_witness(obj, witness: Witness) -> bool:
-    """Replay a witness through the axiom it claims to violate.
-
-    Returns True iff the recorded data is a genuine violation for this
-    object, independently of how the witness was found.
-    """
-    kind = witness.kind
-    pts = witness.points
-
-    if kind == "box-gap":
-        (p,) = pts
-        dom = obj if isinstance(obj, LatticeSet) else obj.domain()
-        return dom.bounding_box().contains(p) and p not in dom.points
-
-    if kind in ("midpoint", "midpoint-far", "midpoint-two"):
-        x, y = pts
-        if kind == "midpoint-far" and linf_distance(x, y) < 2:
-            return False
-        if kind == "midpoint-two" and linf_distance(x, y) != 2:
-            return False
-        up, down = midpoint_round(x, y)
-        if isinstance(obj, LatticeSet):
-            return (
-                x in obj.points
-                and y in obj.points
-                and (up not in obj.points or down not in obj.points)
-            )
-        fx, fy = _fn_get(obj, x), _fn_get(obj, y)
-        if fx is None or fy is None:
-            return False
-        return _less(fx + fy, _add(_fn_get(obj, up), _fn_get(obj, down)))
-
-    if kind == "domain-not-dmc":
-        x, y = pts
-        dom = obj.domain()
-        if linf_distance(x, y) < 2:
-            return False
-        up, down = midpoint_round(x, y)
-        return (
-            x in dom.points
-            and y in dom.points
-            and (up not in dom.points or down not in dom.points)
-        )
-
-    if kind == "hull-midpoint":
-        x, y = pts
-        mid = half_midpoint(x, y)
-        if isinstance(obj, LatticeSet):
-            return x in obj.points and y in obj.points and not in_local_hull(obj, mid)
-        fx, fy = _fn_get(obj, x), _fn_get(obj, y)
-        if fx is None or fy is None:
-            return False
-        ext = local_extension_value(obj, mid)
-        return not is_finite(ext) or 2 * ext > fx + fy
-
-    if kind == "submodular":
-        x, y = pts
-        jn, mt = join_meet(x, y)
-        if isinstance(obj, LatticeSet):
-            return x in obj and y in obj and (jn not in obj or mt not in obj)
-        fx, fy = _fn_get(obj, x), _fn_get(obj, y)
-        if fx is None or fy is None:
-            return False
-        return _less(fx + fy, _add(_fn_get(obj, jn), _fn_get(obj, mt)))
-
-    if kind == "ones-shift":
-        x, t = pts
-        if vsub(t, x) not in ((1,) * len(x), (-1,) * len(x)):
-            return False
-        dom = obj if isinstance(obj, LatticeSet) else obj.domain()
-        return x in dom.points and dom.bounding_box().contains(t) and t not in dom.points
-
-    if kind == "ramp":
-        x, y = pts
-        fx, fx1 = _fn_get(obj, x), _fn_get(obj, vshift(x, 1))
-        fy, fy1 = _fn_get(obj, y), _fn_get(obj, vshift(y, 1))
-        if None in (fx, fx1, fy, fy1):
-            return False
-        return fx1 - fx != fy1 - fy
-
-    if kind == "axis-convexity":
-        (x,) = pts
-        (i,) = witness.indices
-        ei = unit(obj.dim, i)
-        lo, hi, mi = _fn_get(obj, vsub(x, ei)), _fn_get(obj, vadd(x, ei)), _fn_get(obj, x)
-        if None in (lo, hi, mi):
-            return False
-        return lo + hi < 2 * mi
-
-    if kind == "modularity":
-        (x,) = pts
-        i, j = witness.indices
-        ei, ej = unit(obj.dim, i), unit(obj.dim, j)
-        a = _fn_get(obj, x)
-        b = _fn_get(obj, vadd(vadd(x, ei), ej))
-        c1 = _fn_get(obj, vadd(x, ei))
-        c2 = _fn_get(obj, vadd(x, ej))
-        if None in (a, b, c1, c2):
-            return False
-        return a + b != c1 + c2
-
-    if kind in ("exchange-mnat", "exchange-m"):
-        x, y = pts
-        (i,) = witness.indices
-        n = obj.dim
-        if x not in obj.points or y not in obj.points:
-            return False
-        plus, minus = supports(vsub(x, y))
-        if i not in plus:
-            return False
-        ei = unit(n, i)
-        if kind == "exchange-mnat":
-            if vsub(x, ei) in obj.points and vadd(y, ei) in obj.points:
-                return False
-        return not any(
-            vadd(vsub(x, ei), unit(n, j)) in obj.points
-            and vsub(vadd(y, ei), unit(n, j)) in obj.points
-            for j in minus
-        )
-
-    if kind in ("exchange-mnat-fn", "exchange-m-fn"):
-        x, y = pts
-        (i,) = witness.indices
-        n = obj.dim
-        fx, fy = _fn_get(obj, x), _fn_get(obj, y)
-        if fx is None or fy is None:
-            return False
-        plus, minus = supports(vsub(x, y))
-        if i not in plus:
-            return False
-        ei = unit(n, i)
-        xi, yi = vsub(x, ei), vadd(y, ei)
-        best = _add(_fn_get(obj, xi), _fn_get(obj, yi)) if kind == "exchange-mnat-fn" else None
-        for j in minus:
-            ej = unit(n, j)
-            cand = _add(_fn_get(obj, vadd(xi, ej)), _fn_get(obj, vsub(yi, ej)))
-            if _less(cand, best):
-                best = cand
-        return _less(fx + fy, best)
-
-    if kind in ("jump-2step", "jump-exc", "jump-exc-nat"):
-        x, y, step = pts
-        if x not in obj.points or y not in obj.points:
-            return False
-        if step not in increments(x, y):
-            return False
-        xs, ys = vadd(x, step), vsub(y, step)
-        if kind == "jump-2step":
-            if xs in obj.points:
-                return False
-            return not any(vadd(xs, t) in obj.points for t in increments(xs, y))
-        if kind == "jump-exc-nat" and xs in obj.points and ys in obj.points:
-            return False
-        return not any(
-            vadd(xs, t) in obj.points and vsub(ys, t) in obj.points
-            for t in increments(xs, y)
-        )
-
-    if kind in ("jump-m-fn", "jump-mnat-fn"):
-        x, y, step = pts
-        fx, fy = _fn_get(obj, x), _fn_get(obj, y)
-        if fx is None or fy is None:
-            return False
-        if step not in increments(x, y):
-            return False
-        xs, ys = vadd(x, step), vsub(y, step)
-        lhs = fx + fy
-        if kind == "jump-mnat-fn":
-            one = _add(_fn_get(obj, xs), _fn_get(obj, ys))
-            if not _less(lhs, one):
-                return False
-        best = None
-        for t in increments(xs, y):
-            cand = _add(_fn_get(obj, vadd(xs, t)), _fn_get(obj, vsub(ys, t)))
-            if _less(cand, best):
-                best = cand
-        return _less(lhs, best)
-
-    if kind == "multimodular-midpoint":
-        x, y = pts
-        pulled = prefix_transform(obj)
-        inner = Witness("midpoint", (prefix_point(x), prefix_point(y)))
-        return verify_witness(pulled, inner)
-
-    raise ValueError(f"unknown witness kind {kind!r}")

@@ -92,6 +92,12 @@ def _int(v, what: str) -> int:
     return v
 
 
+def _lifted(doc: Dict[str, Any]) -> bool:
+    v = doc.get("lifted", False)
+    _require(isinstance(v, bool), "lifted must be a JSON boolean")
+    return v
+
+
 def _capacity(v, what: str) -> int:
     if isinstance(v, str) or v in (float("inf"), float("-inf")) or v is None:
         raise DocumentError(
@@ -109,7 +115,7 @@ def from_document(doc: Dict[str, Any]) -> Any:
         dim = _int(doc["dim"], "dim")
         pts = [tuple(_int(c, "coordinate") for c in p) for p in doc["points"]]
         _require(all(len(p) == dim for p in pts), "point dimension disagrees with dim")
-        return LatticeSet(dim, frozenset(pts), bool(doc.get("lifted", False)))
+        return LatticeSet(dim, frozenset(pts), _lifted(doc))
 
     if kind == "fn":
         dim = _int(doc["dim"], "dim")
@@ -122,7 +128,7 @@ def from_document(doc: Dict[str, Any]) -> Any:
             vals[p] = v
         ramp = parse_value(doc.get("ramp", "0"))
         _require(isinstance(ramp, Fraction), "ramp must be finite")
-        return LatticeFn(dim, vals, bool(doc.get("lifted", False)), ramp)
+        return LatticeFn(dim, vals, _lifted(doc), ramp)
 
     if kind == "window":
         dim = _int(doc["dim"], "dim")

@@ -238,77 +238,9 @@ def aggregate_fn(f: LatticeFn, spec: PartitionSpec) -> LatticeFn:
 
 
 # ---------------------------------------------------------------------------
-# elementary decompositions (every splitting is a chain of elementary
-# splittings, every aggregation a chain of elementary aggregations)
-
-
-def split_set_elementary(s: LatticeSet, spec: SplitSpec, w: Window) -> LatticeSet:
-    """Same result as :func:`split_set`, computed as a chain of elementary
-    one-coordinate splittings.  Kept as an independent code path."""
-    _require_finite(s, "splitting")
-    cur = s
-    sizes = [1] * s.dim  # current block size per original coordinate
-    spans = spec.offsets()
-    while True:
-        # leftmost original coordinate still short of its target block size
-        idx = next((i for i, b in enumerate(spec.blocks) if sizes[i] < b), None)
-        if idx is None:
-            break
-        pos = sum(sizes[:idx])  # output position of the coordinate to split
-        a, _ = spans[idx]
-        # final window slots already produced for this block: a .. a+sizes[idx]-1
-        # the split peels one more slot; intermediate bounds are slot sums
-        done = sizes[idx]
-        lo_first, hi_first = w.lo[a + done - 1], w.hi[a + done - 1]
-        lo_rest = sum(w.lo[a + done : a + spec.blocks[idx]])
-        hi_rest = sum(w.hi[a + done : a + spec.blocks[idx]])
-        new_pts = set()
-        for p in cur.points:
-            t = p[pos + done - 1]  # running remainder for this block
-            first_lo = max(lo_first, t - hi_rest)
-            first_hi = min(hi_first, t - lo_rest)
-            for v in range(first_lo, first_hi + 1):
-                q = p[: pos + done - 1] + (v, t - v) + p[pos + done :]
-                new_pts.add(q)
-        sizes[idx] += 1
-        if not new_pts:
-            return LatticeSet(spec.output_dim, frozenset())
-        cur = LatticeSet(cur.dim + 1, frozenset(new_pts))
-    # out-of-window intermediates were kept loose; clamp now
-    pts = frozenset(p for p in cur.points if w.contains(p))
-    return LatticeSet(spec.output_dim, pts)
-
-
-def aggregate_set_elementary(s: LatticeSet, spec: PartitionSpec) -> LatticeSet:
-    """Same result as :func:`aggregate_set` via repeated pairwise merges.
-
-    Groups are first brought to consecutive positions by a coordinate
-    permutation, then merged left to right two coordinates at a time.
-    """
-    _require_finite(s, "aggregation")
-    perm = [i for g in spec.groups for i in g]
-    cur = LatticeSet(s.dim, frozenset(tuple(p[i] for i in perm) for p in s.points))
-    sizes = [len(g) for g in spec.groups]
-    while any(b > 1 for b in sizes):
-        # groups left of idx are single slots already, so the group being
-        # merged starts at position idx
-        idx = next(i for i, b in enumerate(sizes) if b > 1)
-        new_pts = frozenset(
-            p[:idx] + (p[idx] + p[idx + 1],) + p[idx + 2 :] for p in cur.points
-        )
-        sizes[idx] -= 1
-        cur = LatticeSet(cur.dim - 1, new_pts)
-    return cur
-
-
-# ---------------------------------------------------------------------------
-# Minkowski sum and convolution, each computed twice: directly and through
-# direct sum + aggregation with the pairing partition.  The two routes must
-# agree; a mismatch would be an internal defect, so it raises.
-
-
-def _pairing_partition(n: int) -> PartitionSpec:
-    return PartitionSpec(tuple((i, n + i) for i in range(n)))
+# Minkowski sum and convolution.  Each equals the aggregation of a direct
+# sum by the pairing partition {i, n + i}; that identity is checked in the
+# tests, so production computes only the direct route.
 
 
 def minkowski_sum_set(s1: LatticeSet, s2: LatticeSet) -> LatticeSet:
@@ -316,13 +248,7 @@ def minkowski_sum_set(s1: LatticeSet, s2: LatticeSet) -> LatticeSet:
     _require_finite(s2, "Minkowski sum")
     if s1.dim != s2.dim:
         raise ValueError("dimension mismatch")
-    direct = LatticeSet(
-        s1.dim, frozenset(vadd(x, y) for x in s1.points for y in s2.points)
-    )
-    routed = aggregate_set(direct_sum_set(s1, s2), _pairing_partition(s1.dim))
-    if direct != routed:
-        raise AssertionError("Minkowski sum routes disagree")
-    return direct
+    return LatticeSet(s1.dim, frozenset(vadd(x, y) for x in s1.points for y in s2.points))
 
 
 def convolution_fn(f1: LatticeFn, f2: LatticeFn) -> LatticeFn:
@@ -338,8 +264,4 @@ def convolution_fn(f1: LatticeFn, f2: LatticeFn) -> LatticeFn:
             c = v + w
             if x not in vals or c < vals[x]:
                 vals[x] = c
-    direct = LatticeFn(f1.dim, vals)
-    routed = aggregate_fn(direct_sum_fn(f1, f2), _pairing_partition(f1.dim))
-    if direct != routed:
-        raise AssertionError("convolution routes disagree")
-    return direct
+    return LatticeFn(f1.dim, vals)

@@ -1,13 +1,17 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
 from dconvex.classes import (
+    _AXIOMS,
+    _MAPPED,
     ClassLabel,
     LabelKindError,
     Witness,
     argmin_perturbed,
+    check,
     check_fn,
     check_set,
     increments,
@@ -341,6 +345,11 @@ def test_verify_witness_rejects_non_violations():
     even = LatticeSet.of([(a, b) for a in range(4) for b in range(4) if (a + b) % 2 == 0])
     # a legal exchange step is not a violation
     assert not verify_witness(even, Witness("jump-exc", ((0, 0), (2, 2), (1, 0))))
+    # modularity pairs two distinct coordinates; (0, 0) would compare
+    # f(x) + f(x + 2e_0) with 2 f(x + e_0), which convexity allows to differ
+    quad = LatticeFn.of({(a, b): a * a + b * b for a in range(3) for b in range(3)})
+    assert check_fn(quad, ClassLabel.SEPARABLE_CONVEX).member
+    assert not verify_witness(quad, Witness("modularity", ((0, 0),), (0, 0)))
     with pytest.raises(ValueError):
         verify_witness(box, Witness("no-such-kind", ()))
 
@@ -379,3 +388,65 @@ def test_separable_acceptance_implies_axis_decomposition():
                 axis_sum += f.values[probe] - base
             assert f.values[x] == axis_sum, (sorted(f.values.items()), x)
     assert accepted >= 30
+
+
+_BOX = LatticeSet.of([(0, 0), (0, 1), (1, 0), (1, 1)])
+_DIAGONAL = LatticeSet.of([(0, 0), (1, 1)])
+_GAP = LatticeSet.of([(0,), (3,)])
+_BUMP = LatticeFn.of({(0,): 0, (1,): 5, (2,): 0})
+_NOT_MULTIMODULAR = LatticeSet.of([(0, 0, 0), (0, 1, 0), (1, 0, -1), (1, 1, -1)])
+
+# (witness kind, object, label whose scan reports that kind)
+WITNESS_CASES = [
+    ("box-gap", _DIAGONAL, ClassLabel.INTEGER_BOX),
+    ("axis-convexity", LatticeFn.of({(a,): -a * a for a in range(-2, 3)}), ClassLabel.SEPARABLE_CONVEX),
+    ("modularity", LatticeFn.of({(a, b): a * b for a in range(2) for b in range(2)}), ClassLabel.SEPARABLE_CONVEX),
+    ("midpoint", LatticeSet.of([(0, 0, 0), (0, 1, 1), (1, 1, 0), (1, 2, 1)]), ClassLabel.LNAT_SET),
+    ("midpoint-far", LatticeSet.of([(0, 0), (2, 0)]), ClassLabel.GLOBAL_DMC_SET),
+    ("midpoint-two", _BUMP, ClassLabel.LOCAL_DMC_FN),
+    ("hull-midpoint", LatticeSet.of([(1, 0), (0, 1), (2, 1), (1, 2)]), ClassLabel.IC_SET),
+    ("hull-midpoint", _BUMP, ClassLabel.IC_FN),
+    ("submodular", LatticeSet.of([(0, 1), (1, 0)]), ClassLabel.L_SET),
+    ("submodular", LatticeSet(2, frozenset({(0, 0), (2, 0)}), lifted=True), ClassLabel.L_SET),
+    ("ones-shift", LatticeSet.of([(0, 0), (2, 2)]), ClassLabel.L_SET),
+    ("ramp", LatticeFn.of({(0, 0): 0, (1, 1): 1, (2, 2): 3}), ClassLabel.L_FN),
+    ("exchange-mnat", _DIAGONAL, ClassLabel.MNAT_SET),
+    ("exchange-mnat-fn", indicator_fn(_DIAGONAL), ClassLabel.MNAT_FN),
+    ("exchange-m", _BOX, ClassLabel.M_SET),
+    ("exchange-m-fn", indicator_fn(_BOX), ClassLabel.M_FN),
+    ("jump-2step", _GAP, ClassLabel.JUMP_SYSTEM),
+    ("jump-exc", LatticeSet.of([(0,), (1,)]), ClassLabel.CONST_PARITY_JUMP),
+    ("jump-exc-nat", _GAP, ClassLabel.SIMULT_EXCH_JUMP),
+    ("jump-m-fn", indicator_fn(_BOX), ClassLabel.JUMP_M_FN),
+    ("jump-mnat-fn", indicator_fn(_GAP), ClassLabel.JUMP_MNAT_FN),
+    ("domain-not-dmc", LatticeFn.of({(0,): 0, (2,): 0}), ClassLabel.LOCAL_DMC_FN),
+    ("multimodular-midpoint", _NOT_MULTIMODULAR, ClassLabel.MULTIMODULAR_SET),
+    ("multimodular-midpoint", indicator_fn(_NOT_MULTIMODULAR), ClassLabel.MULTIMODULAR_FN),
+]
+
+
+def test_witness_cases_cover_every_kind():
+    assert {kind for kind, _, _ in WITNESS_CASES} == set(_AXIOMS) | set(_MAPPED)
+
+
+@pytest.mark.parametrize(
+    "kind, obj, label", WITNESS_CASES, ids=[f"{k}:{label.value}" for k, _, label in WITNESS_CASES]
+)
+def test_witness_replay_per_kind(kind, obj, label):
+    v = check(obj, label)
+    assert not v.member and v.witness.kind == kind
+    w = v.witness
+    assert verify_witness(obj, w)
+    # a witness point moved outside the object
+    outside = (99,) * obj.dim
+    assert not verify_witness(obj, dataclasses.replace(w, points=(outside,) + w.points[1:]))
+    # an index no candidate of the axiom uses
+    if w.indices:
+        assert not verify_witness(obj, dataclasses.replace(w, indices=(obj.dim,) * len(w.indices)))
+    # a step that does not lead from x toward y
+    if kind.startswith("jump-"):
+        x, y, step = w.points
+        assert not verify_witness(obj, dataclasses.replace(w, points=(x, y, tuple(-c for c in step))))
+    if kind == "ones-shift":
+        x, _ = w.points
+        assert not verify_witness(obj, dataclasses.replace(w, points=(x, tuple(c + 2 for c in x))))

@@ -1,17 +1,20 @@
 """Differential checks between independent code paths.
 
-The set recognizers and the function recognizers applied to indicator
-functions decide the same predicate through different implementations, so
-they must agree on every input, member or not.  Likewise the pruned
-depth-first flow enumeration must agree with a naive product-space scan.
+Production decides every set class through the axiom table it shares with
+the function classes, so the set verdicts are compared, witness and all,
+with the per-class set scanners kept in ``set_oracles``.  The function
+recognizers applied to indicator functions must agree with the set
+recognizers on every input, member or not.  Likewise the pruned depth-first
+flow enumeration must agree with a naive product-space scan.
 """
 
 import itertools
 import random
 
-from dconvex.classes import ClassLabel, check_fn, check_set
+from dconvex.classes import SET_LABELS, ClassLabel, check_fn, check_set
 from dconvex.core import LatticeSet, indicator_fn
 from dconvex.network import Arc, ArcCost, Network, boundary, transform_set
+from set_oracles import SET_ORACLES
 
 INDICATOR_PAIRS = (
     (ClassLabel.INTEGER_BOX, ClassLabel.SEPARABLE_CONVEX),
@@ -26,28 +29,45 @@ INDICATOR_PAIRS = (
 )
 
 
-def test_set_and_indicator_recognizers_agree():
-    rng = random.Random(31415)
+def _random_sets(seed):
+    rng = random.Random(seed)
     for _ in range(250):
         n = rng.randint(1, 3)
         pts = frozenset(
             tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(1, 7))
         )
-        s = LatticeSet(n, pts)
-        f = indicator_fn(s)
-        for set_label, fn_label in INDICATOR_PAIRS:
-            sv = check_set(s, set_label).member
-            fv = check_fn(f, fn_label).member
-            assert sv == fv, (set_label, fn_label, sorted(pts))
+        yield LatticeSet(n, pts)
 
 
-def test_lifted_indicator_agreement():
-    rng = random.Random(2718)
+def _random_lifted_sets(seed):
+    rng = random.Random(seed)
     for _ in range(60):
         reps = frozenset(
             tuple(rng.randint(-1, 1) for _ in range(3)) for _ in range(rng.randint(1, 4))
         )
-        s = LatticeSet(3, reps, lifted=True)
+        yield LatticeSet(3, reps, lifted=True)
+
+
+def test_set_recognizers_match_oracle():
+    assert set(SET_ORACLES) == SET_LABELS
+    for s in _random_sets(31415):
+        for label, oracle in SET_ORACLES.items():
+            assert check_set(s, label) == oracle(s), (label, sorted(s.points))
+    for s in _random_lifted_sets(2718):
+        assert check_set(s, ClassLabel.L_SET) == SET_ORACLES[ClassLabel.L_SET](s), sorted(s.points)
+
+
+def test_set_and_indicator_recognizers_agree():
+    for s in _random_sets(31415):
+        f = indicator_fn(s)
+        for set_label, fn_label in INDICATOR_PAIRS:
+            sv = check_set(s, set_label).member
+            fv = check_fn(f, fn_label).member
+            assert sv == fv, (set_label, fn_label, sorted(s.points))
+
+
+def test_lifted_indicator_agreement():
+    for s in _random_lifted_sets(2718):
         f = indicator_fn(s)
         assert check_set(s, ClassLabel.L_SET).member == check_fn(f, ClassLabel.L_FN).member
 

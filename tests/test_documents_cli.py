@@ -77,6 +77,20 @@ def test_parse_rejects_bad_documents():
         )
 
 
+@pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
+def test_lifted_flag_must_be_a_json_boolean(tmp_path, flag):
+    set_doc = {"kind": "set", "version": 1, "dim": 2, "points": [[0, 0]], "lifted": flag}
+    fn_doc = {"kind": "fn", "version": 1, "dim": 2, "entries": [{"x": [0, 0], "v": "1"}], "lifted": flag}
+    for doc in (set_doc, fn_doc):
+        with pytest.raises(DocumentError):
+            documents.from_document(doc)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(set_doc))
+    assert main(["check", str(path), "--class", "l-set"]) == 2
+    set_doc["lifted"] = False
+    assert documents.from_document(set_doc).lifted is False
+
+
 def test_nonconvex_cost_rejected_at_parse(tmp_path):
     doc = {
         "kind": "network",

@@ -3,13 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from dconvex.core import LatticeFn, LatticeSet, LiftedInputError, cube, indicator_fn
+from dconvex.core import LatticeFn, LatticeSet, LiftedInputError, Window, cube, indicator_fn
 from dconvex.ops import (
     PartitionSpec,
     SplitSpec,
     aggregate_fn,
     aggregate_set,
-    aggregate_set_elementary,
     convolution_fn,
     direct_sum_fn,
     direct_sum_lifted_set,
@@ -17,7 +16,6 @@ from dconvex.ops import (
     minkowski_sum_set,
     split_fn,
     split_set,
-    split_set_elementary,
 )
 
 F = Fraction
@@ -107,6 +105,68 @@ def test_aggregate_laminar_composes():
     got = aggregate_fn(f, PartitionSpec(((0, 1), (2,))))
     for (y1, y2), v in got.values.items():
         assert v == abs(y1 + y2) + y1 * y1 + y2 * y2
+
+
+# Independent oracles for split_set / aggregate_set: every splitting is a
+# chain of elementary splittings, every aggregation a chain of elementary
+# aggregations.
+
+
+def split_set_elementary(s: LatticeSet, spec: SplitSpec, w: Window) -> LatticeSet:
+    """Same result as :func:`split_set`, computed as a chain of elementary
+    one-coordinate splittings.  Kept as an independent code path."""
+    cur = s
+    sizes = [1] * s.dim  # current block size per original coordinate
+    spans = spec.offsets()
+    while True:
+        # leftmost original coordinate still short of its target block size
+        idx = next((i for i, b in enumerate(spec.blocks) if sizes[i] < b), None)
+        if idx is None:
+            break
+        pos = sum(sizes[:idx])  # output position of the coordinate to split
+        a, _ = spans[idx]
+        # final window slots already produced for this block: a .. a+sizes[idx]-1
+        # the split peels one more slot; intermediate bounds are slot sums
+        done = sizes[idx]
+        lo_first, hi_first = w.lo[a + done - 1], w.hi[a + done - 1]
+        lo_rest = sum(w.lo[a + done : a + spec.blocks[idx]])
+        hi_rest = sum(w.hi[a + done : a + spec.blocks[idx]])
+        new_pts = set()
+        for p in cur.points:
+            t = p[pos + done - 1]  # running remainder for this block
+            first_lo = max(lo_first, t - hi_rest)
+            first_hi = min(hi_first, t - lo_rest)
+            for v in range(first_lo, first_hi + 1):
+                q = p[: pos + done - 1] + (v, t - v) + p[pos + done :]
+                new_pts.add(q)
+        sizes[idx] += 1
+        if not new_pts:
+            return LatticeSet(spec.output_dim, frozenset())
+        cur = LatticeSet(cur.dim + 1, frozenset(new_pts))
+    # out-of-window intermediates were kept loose; clamp now
+    pts = frozenset(p for p in cur.points if w.contains(p))
+    return LatticeSet(spec.output_dim, pts)
+
+
+def aggregate_set_elementary(s: LatticeSet, spec: PartitionSpec) -> LatticeSet:
+    """Same result as :func:`aggregate_set` via repeated pairwise merges.
+
+    Groups are first brought to consecutive positions by a coordinate
+    permutation, then merged left to right two coordinates at a time.
+    """
+    perm = [i for g in spec.groups for i in g]
+    cur = LatticeSet(s.dim, frozenset(tuple(p[i] for i in perm) for p in s.points))
+    sizes = [len(g) for g in spec.groups]
+    while any(b > 1 for b in sizes):
+        # groups left of idx are single slots already, so the group being
+        # merged starts at position idx
+        idx = next(i for i, b in enumerate(sizes) if b > 1)
+        new_pts = frozenset(
+            p[:idx] + (p[idx] + p[idx + 1],) + p[idx + 2 :] for p in cur.points
+        )
+        sizes[idx] -= 1
+        cur = LatticeSet(cur.dim - 1, new_pts)
+    return cur
 
 
 def test_elementary_chains_match():
