@@ -36,6 +36,7 @@ from .core import (
     Window,
     difference_point,
     join_meet,
+    keeps_values,
     linf_distance,
     midpoint_round,
     prefix_point,
@@ -43,6 +44,7 @@ from .core import (
     supports,
     unit,
     vadd,
+    value_map,
     vshift,
     vsub,
 )
@@ -188,11 +190,8 @@ class _View:
 
     def __init__(self, obj):
         self.obj = obj
-        self.is_set = isinstance(obj, LatticeSet)
-        if self.is_set:
-            self.vals, self.ramp = dict.fromkeys(obj.points, 0), 0
-        else:
-            self.vals, self.ramp = obj.values, obj.ramp
+        self.is_set = not keeps_values(obj)
+        self.vals, self.ramp = value_map(obj), obj.ramp
         self.get = self._lifted_get if obj.lifted else self.vals.get
 
     def _lifted_get(self, p: Point):
@@ -485,34 +484,24 @@ _RECOGNIZERS = {
 }
 
 
-def check_set(s: LatticeSet, label: ClassLabel) -> Verdict:
-    if not isinstance(s, LatticeSet):
-        raise LabelKindError(f"check_set needs a LatticeSet, got {type(s).__name__}")
-    label = ClassLabel(label)
-    if label not in SET_LABELS:
-        raise LabelKindError(f"{label.value} is a function label")
-    if not s.points:
-        raise ValueError("membership is undefined for the empty set")
-    if s.lifted and label is not ClassLabel.L_SET:
-        raise LiftedInputError(f"{label.value} needs a finite set")
-    return _RECOGNIZERS[label](_View(s))
-
-
-def check_fn(f: LatticeFn, label: ClassLabel) -> Verdict:
-    if not isinstance(f, LatticeFn):
-        raise LabelKindError(f"check_fn needs a LatticeFn, got {type(f).__name__}")
-    label = ClassLabel(label)
-    if label not in FN_LABELS:
-        raise LabelKindError(f"{label.value} is a set label")
-    if f.lifted and label is not ClassLabel.L_FN:
-        raise LiftedInputError(f"{label.value} needs a finite function")
-    return _RECOGNIZERS[label](_View(f))
-
-
 def check(obj, label: ClassLabel) -> Verdict:
-    if isinstance(obj, LatticeSet):
-        return check_set(obj, label)
-    return check_fn(obj, label)
+    """Membership of a set or a function in a class of its own kind."""
+    if not isinstance(obj, (LatticeSet, LatticeFn)):
+        raise LabelKindError(f"cannot check a {type(obj).__name__}")
+    label = ClassLabel(label)
+    kind, labels = ("set", SET_LABELS) if isinstance(obj, LatticeSet) else ("function", FN_LABELS)
+    if label not in labels:
+        raise LabelKindError(f"{label.value} is not a {kind} label")
+    if not len(obj):
+        raise ValueError("membership is undefined for the empty set")
+    if obj.lifted and label not in (ClassLabel.L_SET, ClassLabel.L_FN):
+        raise LiftedInputError(f"{label.value} needs a finite {kind}")
+    return _RECOGNIZERS[label](_View(obj))
+
+
+# A set is checked through its indicator function (``_View``), so both names
+# are the one entry point.
+check_set = check_fn = check
 
 
 def verify_witness(obj, witness: Witness) -> bool:

@@ -30,18 +30,17 @@ from .core import (
     restrict_to_window,
 )
 from .documents import DocumentError
-from .network import Network, induce_fn, transform_set
+# transform_set (the same function as induce_fn) stays a module attribute,
+# which perfbench's traced run wraps by name.
+from .network import Network, induce_fn, transform_set  # noqa: F401
 from .ops import (
     PartitionSpec,
     SplitSpec,
     aggregate_fn,
-    aggregate_set,
     convolution_fn,
     direct_sum_fn,
-    direct_sum_set,
     minkowski_sum_set,
     split_fn,
-    split_set,
 )
 
 
@@ -92,48 +91,31 @@ def _cmd_op(args) -> int:
     arity = 1 if name in ("split", "aggregate") else 2
     if len(args.inputs) != arity:
         raise CliError(f"op {name} takes exactly {arity} input document(s)")
+    kinds = {"minkowski": (LatticeSet,), "convolve": (LatticeFn,)}.get(name, (LatticeSet, LatticeFn))
+    objs = [_load(path, kinds) for path in args.inputs]
     if name == "direct-sum":
-        a = _load(args.inputs[0], (LatticeSet, LatticeFn))
-        b = _load(args.inputs[1], (LatticeSet, LatticeFn))
-        if isinstance(a, LatticeSet) != isinstance(b, LatticeSet):
-            raise CliError("direct-sum needs two documents of the same kind")
-        res = direct_sum_set(a, b) if isinstance(a, LatticeSet) else direct_sum_fn(a, b)
+        res = direct_sum_fn(*objs)
     elif name == "split":
-        a = _load(args.inputs[0], (LatticeSet, LatticeFn))
         if not args.spec or not args.window:
             raise CliError("split needs --spec (split-spec) and --window")
-        spec = _load(args.spec, (SplitSpec,))
-        w = _load(args.window, (Window,))
-        res = split_set(a, spec, w) if isinstance(a, LatticeSet) else split_fn(a, spec, w)
+        res = split_fn(*objs, _load(args.spec, (SplitSpec,)), _load(args.window, (Window,)))
     elif name == "aggregate":
-        a = _load(args.inputs[0], (LatticeSet, LatticeFn))
         if not args.spec:
             raise CliError("aggregate needs --spec (partition-spec)")
-        spec = _load(args.spec, (PartitionSpec,))
-        res = aggregate_set(a, spec) if isinstance(a, LatticeSet) else aggregate_fn(a, spec)
+        res = aggregate_fn(*objs, _load(args.spec, (PartitionSpec,)))
     elif name == "minkowski":
-        a = _load(args.inputs[0], (LatticeSet,))
-        b = _load(args.inputs[1], (LatticeSet,))
-        res = minkowski_sum_set(a, b)
-    elif name == "convolve":
-        a = _load(args.inputs[0], (LatticeFn,))
-        b = _load(args.inputs[1], (LatticeFn,))
-        res = convolution_fn(a, b)
-    else:  # pragma: no cover - argparse restricts choices
-        raise CliError(f"unknown op {name!r}")
+        res = minkowski_sum_set(*objs)
+    else:
+        res = convolution_fn(*objs)
     _emit(res, args.out)
     return 0
 
 
 def _cmd_induce(args) -> int:
     net = _load(args.network, (Network,))
-    obj = _load(args.input, (LatticeSet, LatticeFn))
-    if isinstance(obj, LatticeSet):
-        res = transform_set(obj, net)
-        if not res.points:
-            sys.stderr.write("warning: transformed set is empty\n")
-    else:
-        res = induce_fn(obj, net)
+    res = induce_fn(_load(args.input, (LatticeSet, LatticeFn)), net)
+    if not len(res):
+        sys.stderr.write("warning: transformed set is empty\n")
     _emit(res, args.out)
     return 0
 

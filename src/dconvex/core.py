@@ -8,6 +8,8 @@ Conventions used throughout the package:
   ``{p + a*1 : p stored, a in Z}``; stored representatives are normalized so
   the last coordinate is 0, which makes equality of lifted objects decidable.
   Lifted functions carry a ``ramp`` r with f(x + 1) = f(x) + r;
+* coordinates are ``int`` and values ``int`` or ``Fraction``; anything else
+  (bools, floats, strings) is rejected rather than coerced;
 * every type is immutable after construction and safe to share across
   threads.
 """
@@ -17,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, Mapping, Tuple
+from typing import ClassVar, Dict, Iterable, Iterator, Mapping, Tuple
 
 from .rationals import INF, Value
 
@@ -54,10 +56,6 @@ def vadd(p: Point, q: Point) -> Point:
 
 def vsub(p: Point, q: Point) -> Point:
     return tuple(a - b for a, b in zip(p, q))
-
-
-def vneg(p: Point) -> Point:
-    return tuple(-a for a in p)
 
 
 def vshift(p: Point, a: int) -> Point:
@@ -117,6 +115,25 @@ def difference_point(p: Point) -> Point:
     return tuple(out)
 
 
+def _point(p: Iterable, dim: int) -> Point:
+    """p as a tuple of ``dim`` ints; any other coordinate type is an error."""
+    q = tuple(p)
+    if len(q) != dim:
+        raise ValueError(f"point {q} does not have dimension {dim}")
+    if not all(type(c) is int for c in q):
+        raise ValueError(f"point {q} must have int coordinates")
+    return q
+
+
+def as_rational(v, what: str = "value") -> Fraction:
+    """v as a Fraction; only ints and Fractions are accepted."""
+    if type(v) is Fraction:
+        return v
+    if type(v) is int:
+        return Fraction(v)
+    raise ValueError(f"{what} {v!r} must be an int or a Fraction")
+
+
 # ---------------------------------------------------------------------------
 # windows
 
@@ -131,6 +148,8 @@ class Window:
     def __post_init__(self):
         if len(self.lo) != len(self.hi):
             raise ValueError("window bounds disagree in dimension")
+        object.__setattr__(self, "lo", _point(self.lo, len(self.lo)))
+        object.__setattr__(self, "hi", _point(self.hi, len(self.hi)))
         if any(a > b for a, b in zip(self.lo, self.hi)):
             raise ValueError(f"window has lo > hi: {self.lo} vs {self.hi}")
 
@@ -144,12 +163,6 @@ class Window:
     def points(self) -> Iterator[Point]:
         ranges = [range(a, b + 1) for a, b in zip(self.lo, self.hi)]
         return itertools.product(*ranges)
-
-    def size(self) -> int:
-        n = 1
-        for a, b in zip(self.lo, self.hi):
-            n *= b - a + 1
-        return n
 
 
 def cube(n: int, lo: int, hi: int) -> Window:
@@ -173,21 +186,19 @@ class LatticeSet:
     dim: int
     points: frozenset = field(default_factory=frozenset)
     lifted: bool = False
+    ramp: ClassVar[int] = 0  # the ramp of its indicator function
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dimension must be >= 1")
-        pts = frozenset(tuple(int(c) for c in p) for p in self.points)
-        for p in pts:
-            if len(p) != self.dim:
-                raise ValueError(f"point {p} does not have dimension {self.dim}")
+        pts = frozenset(_point(p, self.dim) for p in self.points)
         if self.lifted:
             pts = frozenset(_normalize_rep(p) for p in pts)
         object.__setattr__(self, "points", pts)
 
     @staticmethod
     def of(points: Iterable[Iterable[int]], lifted: bool = False) -> "LatticeSet":
-        pts = [tuple(int(c) for c in p) for p in points]
+        pts = [tuple(p) for p in points]
         if not pts:
             raise ValueError("cannot infer dimension of an empty set")
         return LatticeSet(len(pts[0]), frozenset(pts), lifted)
@@ -206,13 +217,8 @@ class LatticeSet:
     def bounding_box(self) -> Window:
         if not self.points:
             raise EmptyResultError("empty set has no bounding box")
-        pts = self.points
-        lo = tuple(min(p[i] for p in pts) for i in range(self.dim))
-        hi = tuple(max(p[i] for p in pts) for i in range(self.dim))
-        return Window(lo, hi)
-
-    def translate(self, t: Point) -> "LatticeSet":
-        return LatticeSet(self.dim, frozenset(vadd(p, t) for p in self.points), self.lifted)
+        cols = list(zip(*self.points))
+        return Window(tuple(map(min, cols)), tuple(map(max, cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -235,31 +241,32 @@ class LatticeFn:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dimension must be >= 1")
+        ramp = as_rational(self.ramp, "ramp")
+        if ramp and not self.lifted:
+            raise ValueError("only a lifted function can have a nonzero ramp")
         vals: Dict[Point, Fraction] = {}
         for p, v in self.values.items():
-            q = tuple(int(c) for c in p)
-            if len(q) != self.dim:
-                raise ValueError(f"point {q} does not have dimension {self.dim}")
-            v = Fraction(v)
+            q = _point(p, self.dim)
+            v = as_rational(v)
             if self.lifted:
                 shift = q[-1]
                 q = _normalize_rep(q)
-                v = v - shift * Fraction(self.ramp)
+                v = v - shift * ramp
             if q in vals and vals[q] != v:
                 raise ValueError(f"conflicting values for representative {q}")
             vals[q] = v
         if not vals:
             raise ValueError("function domain must be nonempty")
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "ramp", Fraction(self.ramp))
+        object.__setattr__(self, "ramp", ramp)
 
     @staticmethod
     def of(entries: Mapping, lifted: bool = False, ramp=Fraction(0)) -> "LatticeFn":
-        items = {tuple(int(c) for c in p): Fraction(v) for p, v in dict(entries).items()}
+        items = dict(entries)
         if not items:
             raise ValueError("function domain must be nonempty")
         n = len(next(iter(items)))
-        return LatticeFn(n, items, lifted, Fraction(ramp))
+        return LatticeFn(n, items, lifted, ramp)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LatticeFn):
@@ -285,6 +292,9 @@ class LatticeFn:
     def domain(self) -> LatticeSet:
         return LatticeSet(self.dim, frozenset(self.values), self.lifted)
 
+    def bounding_box(self) -> Window:
+        return self.domain().bounding_box()
+
     def sorted_items(self) -> list:
         return sorted(self.values.items())
 
@@ -294,7 +304,39 @@ class LatticeFn:
 
 def indicator_fn(s: LatticeSet) -> LatticeFn:
     """0 on the set, +infinity elsewhere; preserves the lift (ramp 0)."""
-    return LatticeFn(s.dim, {p: Fraction(0) for p in s.points}, s.lifted, Fraction(0))
+    return LatticeFn(s.dim, value_map(s), s.lifted)
+
+
+# ---------------------------------------------------------------------------
+# a set is its indicator function
+#
+# Every operation is written once over a value map and rebuilds its result
+# as the input's kind through these helpers, so no operation tests the kind
+# itself.
+
+
+def value_map(obj) -> Mapping[Point, Value]:
+    """Stored points to values; a set maps its points to 0, a plain int so
+    that set arithmetic stays off Fraction."""
+    if isinstance(obj, LatticeSet):
+        return dict.fromkeys(obj.points, 0)
+    return obj.values
+
+
+def keeps_values(obj) -> bool:
+    """False for a set, whose rebuilt results keep only their domain."""
+    return not isinstance(obj, LatticeSet)
+
+
+def rebuild(like, dim: int, values: Mapping[Point, Value], lifted: bool = False, ramp=0,
+            empty: str = "the result has an empty domain"):
+    """``values`` as an object of ``like``'s kind: a set keeps the domain and
+    may be empty, an empty function raises ``EmptyResultError(empty)``."""
+    if isinstance(like, LatticeSet):
+        return LatticeSet(dim, frozenset(values), lifted)
+    if not values:
+        raise EmptyResultError(empty)
+    return LatticeFn(dim, values, lifted, ramp)
 
 
 # ---------------------------------------------------------------------------
@@ -307,23 +349,21 @@ def indicator_fn(s: LatticeSet) -> LatticeFn:
 # convexity.
 
 
+def _map_points(obj, move, what: str):
+    if obj.lifted:
+        raise LiftedInputError(f"{what} is only defined for finite objects")
+    return rebuild(obj, obj.dim, {move(p): v for p, v in value_map(obj).items()})
+
+
 def prefix_transform(obj):
     """Map every domain point to its prefix sums.  Rejects lifted inputs:
     the all-ones direction is not preserved by the coordinate change."""
-    if obj.lifted:
-        raise LiftedInputError("prefix transform is only defined for finite objects")
-    if isinstance(obj, LatticeSet):
-        return LatticeSet(obj.dim, frozenset(prefix_point(p) for p in obj.points))
-    return LatticeFn(obj.dim, {prefix_point(p): v for p, v in obj.values.items()})
+    return _map_points(obj, prefix_point, "prefix transform")
 
 
 def difference_transform(obj):
     """Exact inverse of :func:`prefix_transform` (first differences)."""
-    if obj.lifted:
-        raise LiftedInputError("difference transform is only defined for finite objects")
-    if isinstance(obj, LatticeSet):
-        return LatticeSet(obj.dim, frozenset(difference_point(p) for p in obj.points))
-    return LatticeFn(obj.dim, {difference_point(p): v for p, v in obj.values.items()})
+    return _map_points(obj, difference_point, "difference transform")
 
 
 # ---------------------------------------------------------------------------
@@ -346,28 +386,15 @@ def restrict_to_window(obj, w: Window):
     """
     if w.dim != obj.dim:
         raise ValueError(f"window dimension {w.dim} != object dimension {obj.dim}")
-    if isinstance(obj, LatticeSet):
-        if obj.lifted:
-            pts = set()
-            for p in obj.points:
-                lo, hi = _lift_shift_range(p, w)
-                for a in range(lo, hi + 1):
-                    pts.add(vshift(p, a))
-        else:
-            pts = {p for p in obj.points if w.contains(p)}
-        if not pts:
-            raise EmptyResultError("restriction produced an empty set")
-        return LatticeSet(obj.dim, frozenset(pts))
-    if isinstance(obj, LatticeFn):
-        vals: Dict[Point, Fraction] = {}
-        if obj.lifted:
-            for p, v in obj.values.items():
-                lo, hi = _lift_shift_range(p, w)
-                for a in range(lo, hi + 1):
-                    vals[vshift(p, a)] = v + a * obj.ramp
-        else:
-            vals = {p: v for p, v in obj.values.items() if w.contains(p)}
-        if not vals:
-            raise EmptyResultError("restriction produced an empty domain")
-        return LatticeFn(obj.dim, vals)
-    raise TypeError(f"cannot restrict object of type {type(obj)!r}")
+    vals = value_map(obj)
+    if obj.lifted:
+        out: Dict[Point, Value] = {}
+        for p, v in vals.items():
+            lo, hi = _lift_shift_range(p, w)
+            for a in range(lo, hi + 1):
+                out[vshift(p, a)] = v + a * obj.ramp
+    else:
+        out = {p: v for p, v in vals.items() if w.contains(p)}
+    if not out:
+        raise EmptyResultError("restriction produced an empty domain")
+    return rebuild(obj, obj.dim, out)

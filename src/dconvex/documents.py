@@ -128,7 +128,9 @@ def from_document(doc: Dict[str, Any]) -> Any:
             vals[p] = v
         ramp = parse_value(doc.get("ramp", "0"))
         _require(isinstance(ramp, Fraction), "ramp must be finite")
-        return LatticeFn(dim, vals, _lifted(doc), ramp)
+        lifted = _lifted(doc)
+        _require(lifted or ramp == 0, "only a lifted function can have a nonzero ramp")
+        return LatticeFn(dim, vals, lifted, ramp)
 
     if kind == "window":
         dim = _int(doc["dim"], "dim")

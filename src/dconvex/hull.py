@@ -3,9 +3,11 @@
 The integral neighborhood of x collects the integer points within open unit
 distance of x in every coordinate, i.e. the floor/ceiling box around x.  The
 local convex extension of a function at x is the cheapest convex combination
-of neighborhood points hitting x.  Both questions are decided exactly: the
-main route is a rational simplex, and an independent brute-force route
-enumerates basic solutions for cross-checking.
+of neighborhood points hitting x.  Both questions are decided exactly by a
+rational simplex, with closed forms for one or two half-integral
+coordinates.  An independent brute-force route that enumerates basic
+solutions is kept in the tests (``tests/hull_oracle.py``) for
+cross-checking.
 """
 
 from __future__ import annotations
@@ -13,21 +15,13 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .core import LatticeFn, LatticeSet, LiftedInputError, Point
 from .rationals import INF, Value
-from .simplex import OPTIMAL, solve_exact_linear, solve_lp
+from .simplex import OPTIMAL, solve_lp
 
 HalfPoint = Tuple[Fraction, ...]
-
-
-def as_half_point(coords: Sequence) -> HalfPoint:
-    x = tuple(Fraction(c) for c in coords)
-    for c in x:
-        if c.denominator not in (1, 2):
-            raise ValueError(f"coordinate {c} is not half-integral")
-    return x
 
 
 def half_midpoint(x: Point, y: Point) -> HalfPoint:
@@ -130,54 +124,3 @@ def local_extension_value(f: LatticeFn, x: HalfPoint) -> Value:
     if status != OPTIMAL:
         return INF
     return value
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracle
-#
-# x lies in conv(V) iff it lies in the convex hull of some affinely
-# independent subset of V with at most n+1 points, so enumerating subsets and
-# solving each square-ish system exactly is a complete (if slow) decision
-# procedure, independent of the simplex code path.
-
-
-def _subset_combination(subset: Sequence[Point], x: HalfPoint) -> Optional[List[Fraction]]:
-    rows, rhs = _combination_system(subset, x)
-    lam = solve_exact_linear(rows, rhs)
-    if lam is None:
-        return None
-    if any(v < 0 for v in lam):
-        return None
-    return lam
-
-
-def in_local_hull_bruteforce(s: LatticeSet, x: HalfPoint) -> bool:
-    if s.lifted:
-        raise LiftedInputError("local hull membership needs a finite set")
-    if is_integral(x):
-        return tuple(int(c) for c in x) in s.points
-    candidates = [p for p in neighborhood(x) if p in s.points]
-    n = len(x)
-    for size in range(1, min(len(candidates), n + 1) + 1):
-        for subset in itertools.combinations(candidates, size):
-            if _subset_combination(subset, x) is not None:
-                return True
-    return False
-
-
-def local_extension_value_bruteforce(f: LatticeFn, x: HalfPoint) -> Value:
-    if f.lifted:
-        raise LiftedInputError("local extension needs a finite function")
-    if is_integral(x):
-        return f.value(tuple(int(c) for c in x))
-    candidates = [p for p in neighborhood(x) if p in f.values]
-    n = len(x)
-    best: Value = INF
-    for size in range(1, min(len(candidates), n + 1) + 1):
-        for subset in itertools.combinations(candidates, size):
-            lam = _subset_combination(subset, x)
-            if lam is not None:
-                val = sum((l * f.values[p] for l, p in zip(lam, subset)), Fraction(0))
-                if val < best:
-                    best = val
-    return best

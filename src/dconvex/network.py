@@ -1,6 +1,10 @@
 """Transformation of sets and induction of functions through arc-capacitated
 networks with convex arc costs.
 
+One routine, :func:`induce_fn`, serves both kinds: a set is induced as its
+indicator function and its image keeps only the domain, so
+``transform_set`` is the same function.
+
 The ground truth here is exhaustive enumeration of integral conservative
 flows: arc values are assigned depth-first in input order, pruning a branch
 as soon as some vertex can no longer balance (internal vertices must reach
@@ -15,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .core import EmptyResultError, LatticeFn, LatticeSet, Point, Window
+from .core import LiftedInputError, Point, Window, as_rational, keeps_values, rebuild, value_map
 from .rationals import Value
 
 MAX_ARCS = 12
@@ -35,12 +39,15 @@ class ArcCost:
 
     @staticmethod
     def from_table(entries: Mapping[int, Fraction]) -> "ArcCost":
-        items = tuple(sorted((int(t), Fraction(v)) for t, v in dict(entries).items()))
+        entries = dict(entries)
+        if not all(type(t) is int for t in entries):
+            raise ValueError("cost abscissas must be ints")
+        items = tuple(sorted((t, as_rational(v, "arc cost")) for t, v in entries.items()))
         return ArcCost(items)
 
     @staticmethod
     def from_callable(lo: int, hi: int, fn) -> "ArcCost":
-        return ArcCost.from_table({t: Fraction(fn(t)) for t in range(lo, hi + 1)})
+        return ArcCost.from_table({t: fn(t) for t in range(lo, hi + 1)})
 
     def is_zero(self) -> bool:
         return self.table is None
@@ -55,11 +62,6 @@ class ArcCost:
         for t in range(lower + 1, upper):
             if vals[t - 1] + vals[t + 1] < 2 * vals[t]:
                 raise ValueError(f"cost table is not convex at t={t}")
-
-    def __call__(self, t: int) -> Fraction:
-        if self.table is None:
-            return Fraction(0)
-        return dict(self.table)[t]
 
 
 @dataclass(frozen=True)
@@ -189,48 +191,45 @@ def _enumerate_flows(
         yield from rec(0)
 
 
-def _entrance_range_from(dom: LatticeSet, net: Network) -> Dict[str, Tuple[int, int]]:
-    if dom.dim != len(net.entrance):
+def _entrance_range_from(obj, net: Network) -> Dict[str, Tuple[int, int]]:
+    if obj.dim != len(net.entrance):
         raise ValueError(
-            f"input dimension {dom.dim} != entrance size {len(net.entrance)}"
+            f"input dimension {obj.dim} != entrance size {len(net.entrance)}"
         )
-    box = dom.bounding_box()
+    box = obj.bounding_box()
     return {v: (box.lo[i], box.hi[i]) for i, v in enumerate(net.entrance)}
 
 
-def transform_set(s: LatticeSet, net: Network) -> LatticeSet:
-    """Exit vectors y realizable by a feasible flow whose entrance supply
-    lies in the set.  May be empty; emptiness is the caller's signal."""
-    if s.lifted:
-        raise ValueError("network transformation needs a finite set")
-    targets = set()
-    for _, on_u, on_w in _enumerate_flows(net, _entrance_range_from(s, net)):
-        if on_u in s.points:
-            targets.add(tuple(-c for c in on_w))
-    return LatticeSet(len(net.exit), frozenset(targets))
-
-
-def induce_fn(f: LatticeFn, net: Network) -> LatticeFn:
+def induce_fn(f, net: Network):
     """g(y) = min { f(x) + sum of arc costs : flow realizes supply x and
-    demand y }; +infinity (absent) where no flow exists."""
+    demand y }; +infinity (absent) where no flow exists.
+
+    A set is transformed: the result is the set of exit vectors realizable
+    by a feasible flow whose entrance supply lies in the set.  It may be
+    empty; emptiness is the caller's signal.  A set's image keeps only the
+    domain, so arc costs are never read for it.
+    """
     if f.lifted:
-        raise ValueError("network induction needs a finite function")
-    best: Dict[Point, Fraction] = {}
-    tables = [dict(a.cost.table) if a.cost.table is not None else None for a in net.arcs]
-    for flow, on_u, on_w in _enumerate_flows(net, _entrance_range_from(f.domain(), net)):
-        fx = f.values.get(on_u)
-        if fx is None:
+        raise LiftedInputError("network induction needs a finite input")
+    vals = value_map(f)
+    costed = []
+    if keeps_values(f):
+        costed = [(k, dict(a.cost.table)) for k, a in enumerate(net.arcs) if a.cost.table is not None]
+    best: Dict[Point, Value] = {}
+    for flow, on_u, on_w in _enumerate_flows(net, _entrance_range_from(f, net)):
+        total = vals.get(on_u)
+        if total is None:
             continue
-        total = fx
-        for value, table in zip(flow, tables):
-            if table is not None:
-                total += table[value]
+        for k, table in costed:
+            total += table[flow[k]]
         y = tuple(-c for c in on_w)
         if y not in best or total < best[y]:
             best[y] = total
-    if not best:
-        raise EmptyResultError("induced function has an empty domain")
-    return LatticeFn(len(net.exit), best)
+    return rebuild(f, len(net.exit), best, empty="induced function has an empty domain")
+
+
+# A set transformation is the induction of its indicator function.
+transform_set = induce_fn
 
 
 # ---------------------------------------------------------------------------

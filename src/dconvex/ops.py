@@ -1,6 +1,10 @@
 """Transformations of lattice sets and functions: direct sum, splitting,
 aggregation, and the Minkowski sum / infimal convolution derived from them.
 
+Each operation is written once, for functions: a set is read as its
+indicator function and its result keeps only the domain (``core.value_map``
+and ``core.rebuild``), so the set names are bound to the same code.
+
 Splitting images are infinite, so the splitting operations take an explicit
 window; aggregation of a finite object is finite and needs none.  Coordinate
 order is preserved everywhere (direct sum concatenates, splitting expands a
@@ -12,19 +16,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .core import (
-    EmptyResultError,
-    LatticeFn,
-    LatticeSet,
     LiftedInputError,
     Point,
     Window,
+    keeps_values,
+    rebuild,
     vadd,
+    value_map,
     vshift,
 )
+from .rationals import Value
 
 
 @dataclass(frozen=True)
@@ -89,61 +93,58 @@ class PartitionSpec:
         return PartitionSpec(tuple((i,) for i in range(n)))
 
 
-def _require_finite(obj, what: str):
-    if obj.lifted:
-        raise LiftedInputError(f"{what} needs finite inputs; materialize lifted objects through a window first")
+def _value_maps(what: str, *objs, lifted: bool = False) -> List[Mapping[Point, Value]]:
+    """Value maps of operands that are all sets or all functions, and all
+    finite (all lifted when ``lifted``)."""
+    if len({keeps_values(obj) for obj in objs}) > 1:
+        raise ValueError(f"{what} cannot combine a set with a function")
+    if any(obj.lifted != lifted for obj in objs):
+        raise LiftedInputError(
+            f"{what} needs lifted inputs" if lifted
+            else f"{what} needs finite inputs; materialize lifted objects through a window first"
+        )
+    return [value_map(obj) for obj in objs]
+
+
+def _fiber_min(pairs) -> Dict[Point, Value]:
+    """Least value per point over (point, value) pairs."""
+    out: Dict[Point, Value] = {}
+    for y, v in pairs:
+        if y not in out or v < out[y]:
+            out[y] = v
+    return out
 
 
 # ---------------------------------------------------------------------------
 # direct sum
 
 
-def direct_sum_set(s1: LatticeSet, s2: LatticeSet) -> LatticeSet:
-    """All concatenations (x, y) with x in s1, y in s2."""
-    _require_finite(s1, "direct sum")
-    _require_finite(s2, "direct sum")
-    pts = frozenset(x + y for x in s1.points for y in s2.points)
-    return LatticeSet(s1.dim + s2.dim, pts)
+def direct_sum_fn(f1, f2):
+    """(f1 (+) f2)(x, y) = f1(x) + f2(y); for sets, all concatenations
+    (x, y) with x in s1, y in s2."""
+    v1, v2 = _value_maps("direct sum", f1, f2)
+    vals = {x + y: v + w for x, v in v1.items() for y, w in v2.items()}
+    return rebuild(f1, f1.dim + f2.dim, vals)
 
 
-def direct_sum_fn(f1: LatticeFn, f2: LatticeFn) -> LatticeFn:
-    """(f1 (+) f2)(x, y) = f1(x) + f2(y)."""
-    _require_finite(f1, "direct sum")
-    _require_finite(f2, "direct sum")
-    vals = {x + y: v + w for x, v in f1.values.items() for y, w in f2.values.items()}
-    return LatticeFn(f1.dim + f2.dim, vals)
-
-
-def direct_sum_lifted_set(s1: LatticeSet, s2: LatticeSet, shift_bound: int = 2) -> LatticeSet:
-    """Direct sum of two lifted sets, materialized in the one direction a
+def direct_sum_lifted_fn(f1, f2, shift_bound: int = 2):
+    """Direct sum of two lifted objects, materialized in the one direction a
     single lift flag cannot absorb.
 
     The true direct sum carries two independent all-ones periods; after
     normalizing the global one, representatives are (p + g*1, q) for all
-    integers g.  This keeps |g| <= shift_bound, which is itself a lifted set
-    and closed under join/meet whenever the inputs are.
+    integers g.  This keeps |g| <= shift_bound, which is itself a lifted
+    object (a lifted set stays closed under join/meet whenever the inputs
+    are); a function ramps by ramp1 + ramp2 along the global all-ones
+    direction.
     """
-    if not (s1.lifted and s2.lifted):
-        raise LiftedInputError("both inputs must be lifted")
-    pts = set()
-    for p in s1.points:
-        for q in s2.points:
-            for g in range(-shift_bound, shift_bound + 1):
-                pts.add(vshift(p, g) + q)
-    return LatticeSet(s1.dim + s2.dim, frozenset(pts), lifted=True)
-
-
-def direct_sum_lifted_fn(f1: LatticeFn, f2: LatticeFn, shift_bound: int = 2) -> LatticeFn:
-    """Function counterpart of :func:`direct_sum_lifted_set`; the result
-    ramps by ramp1 + ramp2 along the global all-ones direction."""
-    if not (f1.lifted and f2.lifted):
-        raise LiftedInputError("both inputs must be lifted")
-    vals: Dict[Point, Fraction] = {}
-    for p, v in f1.values.items():
-        for q, w in f2.values.items():
+    v1, v2 = _value_maps("lifted direct sum", f1, f2, lifted=True)
+    vals: Dict[Point, Value] = {}
+    for p, v in v1.items():
+        for q, w in v2.items():
             for g in range(-shift_bound, shift_bound + 1):
                 vals[vshift(p, g) + q] = v + g * f1.ramp + w
-    return LatticeFn(f1.dim + f2.dim, vals, lifted=True, ramp=f1.ramp + f2.ramp)
+    return rebuild(f1, f1.dim + f2.dim, vals, lifted=True, ramp=f1.ramp + f2.ramp)
 
 
 # ---------------------------------------------------------------------------
@@ -179,33 +180,18 @@ def _split_point(x: Point, spec: SplitSpec, w: Window):
         yield tuple(c for block in combo for c in block)
 
 
-def split_set(s: LatticeSet, spec: SplitSpec, w: Window) -> LatticeSet:
-    """All window points whose block sums recover some point of the input."""
-    _require_finite(s, "splitting")
-    if spec.input_dim != s.dim:
-        raise ValueError("split spec dimension mismatch")
-    if w.dim != spec.output_dim:
-        raise ValueError("window dimension must equal the split output dimension")
-    pts = set()
-    for x in s.points:
-        pts.update(_split_point(x, spec, w))
-    return LatticeSet(spec.output_dim, frozenset(pts))
-
-
-def split_fn(f: LatticeFn, spec: SplitSpec, w: Window) -> LatticeFn:
-    """g(y) = f(block sums of y) on the window."""
-    _require_finite(f, "splitting")
+def split_fn(f, spec: SplitSpec, w: Window):
+    """g(y) = f(block sums of y) on the window; for a set, all window points
+    whose block sums recover some point of the set (possibly none)."""
+    (vals,) = _value_maps("splitting", f)
     if spec.input_dim != f.dim:
         raise ValueError("split spec dimension mismatch")
     if w.dim != spec.output_dim:
         raise ValueError("window dimension must equal the split output dimension")
-    vals: Dict[Point, Fraction] = {}
-    for x, v in f.values.items():
-        for y in _split_point(x, spec, w):
-            vals[y] = v
-    if not vals:
-        raise EmptyResultError("split produced an empty domain; widen the window")
-    return LatticeFn(spec.output_dim, vals)
+    out: Dict[Point, Value] = {}
+    for x, v in vals.items():
+        out.update(dict.fromkeys(_split_point(x, spec, w), v))
+    return rebuild(f, spec.output_dim, out, empty="split produced an empty domain; widen the window")
 
 
 # ---------------------------------------------------------------------------
@@ -216,25 +202,14 @@ def _aggregate_point(x: Point, spec: PartitionSpec) -> Point:
     return tuple(sum(x[i] for i in g) for g in spec.groups)
 
 
-def aggregate_set(s: LatticeSet, spec: PartitionSpec) -> LatticeSet:
-    """Image of the set under group sums; finite, no window needed."""
-    _require_finite(s, "aggregation")
-    if spec.input_dim != s.dim:
-        raise ValueError("partition dimension mismatch")
-    return LatticeSet(spec.output_dim, frozenset(_aggregate_point(x, spec) for x in s.points))
-
-
-def aggregate_fn(f: LatticeFn, spec: PartitionSpec) -> LatticeFn:
-    """g(y) = min f over the fiber of points aggregating to y."""
-    _require_finite(f, "aggregation")
+def aggregate_fn(f, spec: PartitionSpec):
+    """g(y) = min f over the fiber of points aggregating to y; for a set,
+    its image under group sums.  Finite, so no window is needed."""
+    (vals,) = _value_maps("aggregation", f)
     if spec.input_dim != f.dim:
         raise ValueError("partition dimension mismatch")
-    vals: Dict[Point, Fraction] = {}
-    for x, v in sorted(f.values.items()):
-        y = _aggregate_point(x, spec)
-        if y not in vals or v < vals[y]:
-            vals[y] = v
-    return LatticeFn(spec.output_dim, vals)
+    out = _fiber_min((_aggregate_point(x, spec), v) for x, v in sorted(vals.items()))
+    return rebuild(f, spec.output_dim, out)
 
 
 # ---------------------------------------------------------------------------
@@ -243,25 +218,21 @@ def aggregate_fn(f: LatticeFn, spec: PartitionSpec) -> LatticeFn:
 # tests, so production computes only the direct route.
 
 
-def minkowski_sum_set(s1: LatticeSet, s2: LatticeSet) -> LatticeSet:
-    _require_finite(s1, "Minkowski sum")
-    _require_finite(s2, "Minkowski sum")
-    if s1.dim != s2.dim:
-        raise ValueError("dimension mismatch")
-    return LatticeSet(s1.dim, frozenset(vadd(x, y) for x in s1.points for y in s2.points))
-
-
-def convolution_fn(f1: LatticeFn, f2: LatticeFn) -> LatticeFn:
-    """(f1 [] f2)(x) = min { f1(y) + f2(z) : x = y + z }."""
-    _require_finite(f1, "convolution")
-    _require_finite(f2, "convolution")
+def convolution_fn(f1, f2):
+    """(f1 [] f2)(x) = min { f1(y) + f2(z) : x = y + z }; for sets, the
+    Minkowski sum."""
+    v1, v2 = _value_maps("convolution", f1, f2)
     if f1.dim != f2.dim:
         raise ValueError("dimension mismatch")
-    vals: Dict[Point, Fraction] = {}
-    for y, v in sorted(f1.values.items()):
-        for z, w in sorted(f2.values.items()):
-            x = vadd(y, z)
-            c = v + w
-            if x not in vals or c < vals[x]:
-                vals[x] = c
-    return LatticeFn(f1.dim, vals)
+    items2 = sorted(v2.items())
+    out = _fiber_min((vadd(y, z), v + w) for y, v in sorted(v1.items()) for z, w in items2)
+    return rebuild(f1, f1.dim, out)
+
+
+# Each set operation is the function operation on indicator functions, so
+# the set names are bound to the same code.
+direct_sum_set = direct_sum_fn
+direct_sum_lifted_set = direct_sum_lifted_fn
+split_set = split_fn
+aggregate_set = aggregate_fn
+minkowski_sum_set = convolution_fn

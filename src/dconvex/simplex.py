@@ -113,44 +113,3 @@ def solve_lp(
         x[j] = tableau[r][-1]
     value = sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))
     return OPTIMAL, x, value
-
-
-def solve_exact_linear(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> Optional[List[Fraction]]:
-    """Unique exact solution of rows.x = rhs, or None when the system is
-    inconsistent or does not pin x down (rank < number of unknowns).
-
-    Independent of the simplex above; used as the brute-force oracle side of
-    hull membership checks.
-    """
-    m = len(rows)
-    if m == 0:
-        return None
-    k = len(rows[0])
-    aug = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    pivots = []
-    r = 0
-    for col in range(k):
-        piv = next((i for i in range(r, m) if aug[i][col] != 0), None)
-        if piv is None:
-            return None  # free column: solution not unique
-        aug[r], aug[piv] = aug[piv], aug[r]
-        aug[r] = [v / aug[r][col] for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    if r < k:
-        return None
-    for i in range(r, m):
-        if aug[i][-1] != 0:
-            return None  # inconsistent
-    x = [Fraction(0)] * k
-    for i, col in enumerate(pivots):
-        x[col] = aug[i][-1]
-    return x

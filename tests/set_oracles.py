@@ -1,10 +1,17 @@
-"""Brute-force set recognizers kept as an independent test oracle.
+"""Brute-force set recognizers and set operations kept as an independent
+test oracle.
 
-These are the per-class set scanners that production decided sets with
-before every axiom moved into one table shared by sets and functions
+The recognizers are the per-class set scanners that production decided sets
+with before every axiom moved into one table shared by sets and functions
 (``dconvex.classes``).  Each tests its class axiom directly on point
 membership, so comparing them with ``check_set`` checks the axiom table
 through a second implementation.
+
+The set operations (direct sums, splitting, aggregation, Minkowski sum) are
+the point-set bodies production used before each operation was written once
+over value maps (``dconvex.ops``), where a set is its indicator function.
+They build point sets directly, so comparing them with the production set
+names checks the indicator reading and the rebuilding of set results.
 """
 
 from __future__ import annotations
@@ -14,6 +21,8 @@ from typing import List, Sequence
 from dconvex.classes import ClassLabel, Verdict, Witness
 from dconvex.core import (
     LatticeSet,
+    LiftedInputError,
+    Window,
     Point,
     difference_point,
     join_meet,
@@ -27,6 +36,7 @@ from dconvex.core import (
     vsub,
 )
 from dconvex.hull import half_midpoint, in_local_hull
+from dconvex.ops import PartitionSpec, SplitSpec, _aggregate_point, _split_point
 
 _OK = Verdict(True, None)
 
@@ -241,3 +251,62 @@ SET_ORACLES = {
     ClassLabel.CONST_PARITY_JUMP: _check_const_parity_jump,
     ClassLabel.SIMULT_EXCH_JUMP: _check_simult_exch_jump,
 }
+
+
+# ---------------------------------------------------------------------------
+# set operations on point sets
+
+
+def _require_finite(obj, what: str):
+    if obj.lifted:
+        raise LiftedInputError(f"{what} needs finite inputs; materialize lifted objects through a window first")
+
+
+def direct_sum_set(s1: LatticeSet, s2: LatticeSet) -> LatticeSet:
+    """All concatenations (x, y) with x in s1, y in s2."""
+    _require_finite(s1, "direct sum")
+    _require_finite(s2, "direct sum")
+    pts = frozenset(x + y for x in s1.points for y in s2.points)
+    return LatticeSet(s1.dim + s2.dim, pts)
+
+
+def direct_sum_lifted_set(s1: LatticeSet, s2: LatticeSet, shift_bound: int = 2) -> LatticeSet:
+    """Representatives (p + g*1, q) of the direct sum of two lifted sets,
+    for |g| <= shift_bound."""
+    if not (s1.lifted and s2.lifted):
+        raise LiftedInputError("both inputs must be lifted")
+    pts = set()
+    for p in s1.points:
+        for q in s2.points:
+            for g in range(-shift_bound, shift_bound + 1):
+                pts.add(vshift(p, g) + q)
+    return LatticeSet(s1.dim + s2.dim, frozenset(pts), lifted=True)
+
+
+def split_set(s: LatticeSet, spec: SplitSpec, w: Window) -> LatticeSet:
+    """All window points whose block sums recover some point of the input."""
+    _require_finite(s, "splitting")
+    if spec.input_dim != s.dim:
+        raise ValueError("split spec dimension mismatch")
+    if w.dim != spec.output_dim:
+        raise ValueError("window dimension must equal the split output dimension")
+    pts = set()
+    for x in s.points:
+        pts.update(_split_point(x, spec, w))
+    return LatticeSet(spec.output_dim, frozenset(pts))
+
+
+def aggregate_set(s: LatticeSet, spec: PartitionSpec) -> LatticeSet:
+    """Image of the set under group sums; finite, no window needed."""
+    _require_finite(s, "aggregation")
+    if spec.input_dim != s.dim:
+        raise ValueError("partition dimension mismatch")
+    return LatticeSet(spec.output_dim, frozenset(_aggregate_point(x, spec) for x in s.points))
+
+
+def minkowski_sum_set(s1: LatticeSet, s2: LatticeSet) -> LatticeSet:
+    _require_finite(s1, "Minkowski sum")
+    _require_finite(s2, "Minkowski sum")
+    if s1.dim != s2.dim:
+        raise ValueError("dimension mismatch")
+    return LatticeSet(s1.dim, frozenset(vadd(x, y) for x in s1.points for y in s2.points))

@@ -28,7 +28,7 @@ from dconvex.core import (
     prefix_transform,
     vadd,
 )
-from dconvex.hull import in_local_hull, in_local_hull_bruteforce
+from dconvex.hull import in_local_hull
 from dconvex.network import aggregation_network, induce_fn, splitting_network, transform_set
 from dconvex.ops import (
     PartitionSpec,
@@ -39,6 +39,7 @@ from dconvex.ops import (
     direct_sum_set,
     split_set,
 )
+from hull_oracle import in_local_hull_bruteforce
 
 F = Fraction
 

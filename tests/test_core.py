@@ -21,6 +21,7 @@ from dconvex.core import (
     supports,
     vadd,
 )
+from dconvex.network import ArcCost
 
 points = st.lists(st.integers(-8, 8), min_size=1, max_size=5).map(tuple)
 
@@ -194,3 +195,41 @@ def test_infinity_semantics():
     assert format_value(INF) == "inf"
     assert format_value(Fraction(3, 4)) == "3/4"
     assert parse_value(format_value(Fraction(-9))) == Fraction(-9)
+
+
+@pytest.mark.parametrize("coord", [0.7, 1.0, True, "1", Fraction(1)])
+def test_coordinates_must_be_ints(coord):
+    with pytest.raises(ValueError):
+        LatticeSet.of([(coord, 1)])
+    with pytest.raises(ValueError):
+        LatticeSet(2, frozenset({(coord, 1)}))
+    with pytest.raises(ValueError):
+        LatticeFn.of({(coord, 1): 0})
+    with pytest.raises(ValueError):
+        Window((coord, 0), (2, 2))
+
+
+@pytest.mark.parametrize("value", [0.1, 1.0, True, "1/2", None])
+def test_values_must_be_ints_or_fractions(value):
+    with pytest.raises(ValueError):
+        LatticeFn.of({(0,): value})
+    with pytest.raises(ValueError):
+        LatticeFn(1, {(0,): 0}, lifted=True, ramp=value)
+    with pytest.raises(ValueError):
+        ArcCost.from_table({0: value, 1: 1})
+    with pytest.raises(ValueError):
+        ArcCost.from_table({value: 0})
+
+
+def test_exact_inputs_are_kept():
+    f = LatticeFn.of({(0,): 1, (1,): Fraction(1, 3)})
+    assert f.values == {(0,): Fraction(1), (1,): Fraction(1, 3)}
+    assert all(type(v) is Fraction for v in f.values.values())
+    assert LatticeSet.of([[0, 1]]).points == frozenset({(0, 1)})
+
+
+def test_ramp_needs_a_lifted_function():
+    with pytest.raises(ValueError):
+        LatticeFn.of({(0,): 1}, ramp=3)
+    assert LatticeFn.of({(0,): 1}, ramp=0).ramp == 0
+    assert LatticeFn.of({(0, 0): 1}, lifted=True, ramp=3).ramp == 3

@@ -91,6 +91,34 @@ def test_lifted_flag_must_be_a_json_boolean(tmp_path, flag):
     assert documents.from_document(set_doc).lifted is False
 
 
+def test_ramp_on_a_finite_function_is_a_document_error(tmp_path):
+    doc = {"kind": "fn", "version": 1, "dim": 1, "entries": [{"x": [0], "v": "1"}], "ramp": "3"}
+    with pytest.raises(DocumentError):
+        documents.from_document(doc)
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path), "--class", "lnat-fn"]) == 2
+    doc["lifted"] = True
+    assert documents.from_document(doc).ramp == 3
+
+
+@pytest.mark.parametrize("bad", [0.5, True])
+def test_float_or_bool_coordinates_are_rejected(tmp_path, bad):
+    doc = {"kind": "set", "version": 1, "dim": 2, "points": [[bad, 0]]}
+    with pytest.raises(DocumentError):
+        documents.from_document(doc)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path), "--class", "lnat-set"]) == 2
+
+
+def test_cli_op_rejects_a_set_with_a_function(docs, tmp_path, capsys):
+    documents.dump(LatticeFn.of({(0,): 1}), tmp_path / "f.json")
+    rc = main(["op", "direct-sum", str(docs / "origin.json"), str(tmp_path / "f.json")])
+    assert rc == 2
+    assert "set with a function" in capsys.readouterr().err
+
+
 def test_nonconvex_cost_rejected_at_parse(tmp_path):
     doc = {
         "kind": "network",

@@ -4,15 +4,10 @@ from fractions import Fraction
 import pytest
 
 from dconvex.core import LatticeFn, LatticeSet, cube
-from dconvex.hull import (
-    in_local_hull,
-    in_local_hull_bruteforce,
-    local_extension_value,
-    local_extension_value_bruteforce,
-    neighborhood,
-)
+from dconvex.hull import in_local_hull, local_extension_value, neighborhood
 from dconvex.rationals import INF
 from dconvex.simplex import OPTIMAL, solve_lp
+from hull_oracle import in_local_hull_bruteforce, local_extension_value_bruteforce
 
 F = Fraction
 

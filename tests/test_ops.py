@@ -3,7 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from dconvex.core import LatticeFn, LatticeSet, LiftedInputError, Window, cube, indicator_fn
+from dconvex import lab, ops
+from dconvex.core import (
+    EmptyResultError,
+    LatticeFn,
+    LatticeSet,
+    LiftedInputError,
+    Window,
+    cube,
+    indicator_fn,
+)
+from dconvex.network import induce_fn, transform_set
 from dconvex.ops import (
     PartitionSpec,
     SplitSpec,
@@ -11,12 +21,14 @@ from dconvex.ops import (
     aggregate_set,
     convolution_fn,
     direct_sum_fn,
+    direct_sum_lifted_fn,
     direct_sum_lifted_set,
     direct_sum_set,
     minkowski_sum_set,
     split_fn,
     split_set,
 )
+import set_oracles
 
 F = Fraction
 
@@ -225,3 +237,72 @@ def test_direct_sum_lifted_set_is_all_ones_invariant():
     got = direct_sum_lifted_set(s1, s2, shift_bound=1)
     assert got.lifted and got.dim == 4
     assert (1, 0, 0, 0) in got and (2, 1, 1, 1) in got
+
+
+# Each set operation is the function operation on indicator functions; the
+# point-set bodies in ``set_oracles`` are an independent second route.
+
+
+def _random_set(rng, n):
+    pts = frozenset(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(1, 6)))
+    return LatticeSet(n, pts)
+
+
+def test_set_operations_match_oracle():
+    rng = random.Random(41)
+    empty_splits = 0
+    for _ in range(60):
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        s1, s2, t = _random_set(rng, n), _random_set(rng, m), _random_set(rng, n)
+        assert direct_sum_set(s1, s2) == set_oracles.direct_sum_set(s1, s2)
+        assert minkowski_sum_set(s1, t) == set_oracles.minkowski_sum_set(s1, t)
+        l1 = LatticeSet(n + 1, frozenset(p + (0,) for p in s1.points), lifted=True)
+        l2 = LatticeSet(m + 1, frozenset(p + (0,) for p in s2.points), lifted=True)
+        bound = rng.randint(0, 2)
+        got = direct_sum_lifted_set(l1, l2, shift_bound=bound)
+        assert got == set_oracles.direct_sum_lifted_set(l1, l2, shift_bound=bound)
+        blocks = tuple(rng.randint(1, 2) for _ in range(n))
+        spec = SplitSpec(blocks)
+        lo = rng.randint(-3, 2)  # windows above the points give empty images
+        w = cube(spec.output_dim, lo, lo + rng.randint(0, 3))
+        got = split_set(s1, spec, w)
+        assert got == set_oracles.split_set(s1, spec, w)
+        empty_splits += not got.points
+        pspec = PartitionSpec.identity(1) if n == 1 else lab._random_partition(rng, n)
+        assert aggregate_set(s1, pspec) == set_oracles.aggregate_set(s1, pspec)
+    assert empty_splits > 0
+
+
+def test_set_names_are_the_function_code():
+    assert ops.direct_sum_set is ops.direct_sum_fn
+    assert ops.direct_sum_lifted_set is ops.direct_sum_lifted_fn
+    assert ops.split_set is ops.split_fn
+    assert ops.aggregate_set is ops.aggregate_fn
+    assert ops.minkowski_sum_set is ops.convolution_fn
+    assert transform_set is induce_fn
+    assert lab._set_trial is lab._fn_trial
+    assert lab.check_set is lab.check_fn is lab.check
+
+
+def test_mixing_sets_and_functions_is_rejected():
+    s = LatticeSet.of([(0,), (1,)])
+    f = LatticeFn.of({(0,): 1})
+    ls = LatticeSet(2, frozenset({(0, 0)}), lifted=True)
+    lf = LatticeFn(2, {(0, 0): F(1)}, lifted=True)
+    for op, a, b in (
+        (direct_sum_fn, s, f),
+        (direct_sum_set, f, s),
+        (convolution_fn, s, f),
+        (minkowski_sum_set, f, s),
+        (direct_sum_lifted_fn, ls, lf),
+    ):
+        with pytest.raises(ValueError, match="set with a function"):
+            op(a, b)
+
+
+def test_empty_split_image_is_returned_and_empty_domain_raises():
+    s = LatticeSet.of([(5,)])
+    w = cube(2, 0, 1)
+    assert split_set(s, SplitSpec((2,)), w) == LatticeSet(2, frozenset())
+    with pytest.raises(EmptyResultError):
+        split_fn(indicator_fn(s), SplitSpec((2,)), w)
