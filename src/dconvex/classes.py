@@ -36,7 +36,6 @@ from .core import (
     Window,
     difference_point,
     join_meet,
-    keeps_values,
     linf_distance,
     midpoint_round,
     prefix_point,
@@ -48,6 +47,7 @@ from .core import (
     vshift,
     vsub,
 )
+# in_local_hull is unused here but stays importable from this module
 from .hull import half_midpoint, in_local_hull, local_extension_value
 from .rationals import is_finite
 
@@ -93,21 +93,7 @@ SET_LABELS = frozenset(
     }
 )
 
-FN_LABELS = frozenset(
-    {
-        ClassLabel.SEPARABLE_CONVEX,
-        ClassLabel.IC_FN,
-        ClassLabel.LNAT_FN,
-        ClassLabel.L_FN,
-        ClassLabel.MNAT_FN,
-        ClassLabel.M_FN,
-        ClassLabel.MULTIMODULAR_FN,
-        ClassLabel.GLOBAL_DMC_FN,
-        ClassLabel.LOCAL_DMC_FN,
-        ClassLabel.JUMP_M_FN,
-        ClassLabel.JUMP_MNAT_FN,
-    }
-)
+FN_LABELS = frozenset(ClassLabel) - SET_LABELS
 
 
 class LabelKindError(ValueError):
@@ -190,7 +176,6 @@ class _View:
 
     def __init__(self, obj):
         self.obj = obj
-        self.is_set = not keeps_values(obj)
         self.vals, self.ramp = value_map(obj), obj.ramp
         self.get = self._lifted_get if obj.lifted else self.vals.get
 
@@ -201,8 +186,7 @@ class _View:
     @cached_property
     def box(self) -> Window:
         """Bounding box of the stored points."""
-        cols = list(zip(*self.vals))
-        return Window(tuple(map(min, cols)), tuple(map(max, cols)))
+        return self.obj.bounding_box()
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +209,7 @@ def _submodular(v: _View, lhs, x: Point, y: Point) -> bool:
 
 
 def _hull_midpoint(v: _View, lhs, x: Point, y: Point) -> bool:
-    mid = half_midpoint(x, y)
-    if v.is_set:
-        return not in_local_hull(v.obj, mid)
-    ext = local_extension_value(v.obj, mid)
+    ext = local_extension_value(v.obj, half_midpoint(x, y))
     return not is_finite(ext) or 2 * ext > lhs
 
 
@@ -296,7 +277,7 @@ def _far(x: Point, y: Point) -> bool:
 
 
 def _toward(x: Point, y: Point, i: int) -> bool:
-    return i in supports(vsub(x, y))[0]
+    return i in _plus_support(x, y)
 
 
 def _step_toward(x: Point, y: Point, s: Point) -> bool:
@@ -330,7 +311,7 @@ _AXIOMS = {
 
 # kinds replayed on another object: kind -> (object map, point map, kind there)
 _MAPPED = {
-    "domain-not-dmc": (LatticeFn.domain, lambda p: p, "midpoint-far"),
+    "domain-not-dmc": (lambda obj: obj.domain(), lambda p: p, "midpoint-far"),
     "multimodular-midpoint": (prefix_transform, prefix_point, "midpoint"),
 }
 
@@ -352,8 +333,10 @@ def _scan_pairs(v: _View, kind: str) -> Verdict:
     return _OK
 
 
-def _scan_exchanges(v: _View, kind: str) -> Verdict:
-    """Ordered pairs x != y, then each i in supp+(x - y)."""
+def _scan_ordered(v: _View, kind: str, steps, indexed: bool = False) -> Verdict:
+    """Ordered pairs x != y, then each step in ``steps(x, y)``.  The step is
+    recorded in the witness's indices when ``indexed``, else after its
+    points."""
     violated = _AXIOMS[kind][1]
     vals = v.vals
     pts = sorted(vals)
@@ -361,25 +344,19 @@ def _scan_exchanges(v: _View, kind: str) -> Verdict:
         for y in pts:
             if x != y:
                 lhs = vals[x] + vals[y]
-                for i in supports(vsub(x, y))[0]:
-                    if violated(v, lhs, x, y, i):
-                        return _fail(kind, (x, y), (i,))
-    return _OK
-
-
-def _scan_jumps(v: _View, kind: str) -> Verdict:
-    """Ordered pairs x != y, then each increment s from x toward y."""
-    violated = _AXIOMS[kind][1]
-    vals = v.vals
-    pts = sorted(vals)
-    for x in pts:
-        for y in pts:
-            if x != y:
-                lhs = vals[x] + vals[y]
-                for s in increments(x, y):
+                for s in steps(x, y):
                     if violated(v, lhs, x, y, s):
-                        return _fail(kind, (x, y, s))
+                        return _fail(kind, (x, y), (s,)) if indexed else _fail(kind, (x, y, s))
     return _OK
+
+
+def _plus_support(x: Point, y: Point) -> Tuple[int, ...]:
+    """supp+(x - y)."""
+    return supports(vsub(x, y))[0]
+
+
+_scan_exchanges = partial(_scan_ordered, steps=_plus_support, indexed=True)
+_scan_jumps = partial(_scan_ordered, steps=increments)
 
 
 def _scan_box(v: _View) -> Verdict:
@@ -508,7 +485,8 @@ def verify_witness(obj, witness: Witness) -> bool:
     """Replay a witness through the axiom it claims to violate.
 
     Returns True iff the recorded data is a genuine violation for this
-    object, independently of how the witness was found.
+    object, independently of how the witness was found.  An empty object
+    violates nothing.
     """
     kind = witness.kind
     if kind in _MAPPED:
@@ -516,6 +494,8 @@ def verify_witness(obj, witness: Witness) -> bool:
         return verify_witness(to_obj(obj), Witness(inner, tuple(map(to_point, witness.points))))
     if kind not in _AXIOMS:
         raise ValueError(f"unknown witness kind {kind!r}")
+    if not len(obj):
+        return False
     members, violated, keep = _AXIOMS[kind]
     v = _View(obj)
     args = witness.points + witness.indices

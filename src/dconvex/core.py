@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import ClassVar, Dict, Iterable, Iterator, Mapping, Tuple
 
@@ -115,14 +116,28 @@ def difference_point(p: Point) -> Point:
     return tuple(out)
 
 
+def as_ints(entries: Iterable, what: str) -> Tuple[int, ...]:
+    """entries as a tuple of ints; bools, floats and strings are errors."""
+    q = tuple(entries)
+    if not all(type(c) is int for c in q):
+        raise ValueError(f"{what} {q} must have int entries")
+    return q
+
+
 def _point(p: Iterable, dim: int) -> Point:
-    """p as a tuple of ``dim`` ints; any other coordinate type is an error."""
-    q = tuple(p)
+    """p as a tuple of ``dim`` int coordinates."""
+    q = as_ints(p, "point")
     if len(q) != dim:
         raise ValueError(f"point {q} does not have dimension {dim}")
-    if not all(type(c) is int for c in q):
-        raise ValueError(f"point {q} must have int coordinates")
     return q
+
+
+def bounding_box(points: Iterable[Point]) -> "Window":
+    """Smallest window holding the (nonempty) collection of points."""
+    cols = list(zip(*points))
+    if not cols:
+        raise EmptyResultError("empty set has no bounding box")
+    return Window(tuple(map(min, cols)), tuple(map(max, cols)))
 
 
 def as_rational(v, what: str = "value") -> Fraction:
@@ -214,11 +229,17 @@ class LatticeSet:
     def sorted_points(self) -> list:
         return sorted(self.points)
 
+    def domain(self) -> "LatticeSet":
+        """The set itself: the domain of its indicator function."""
+        return self
+
     def bounding_box(self) -> Window:
-        if not self.points:
-            raise EmptyResultError("empty set has no bounding box")
-        cols = list(zip(*self.points))
-        return Window(tuple(map(min, cols)), tuple(map(max, cols)))
+        return bounding_box(self.points)
+
+    @cached_property
+    def indicator_values(self) -> Dict[Point, int]:
+        """Each stored point mapped to 0, built once (see :func:`value_map`)."""
+        return dict.fromkeys(self.points, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +314,7 @@ class LatticeFn:
         return LatticeSet(self.dim, frozenset(self.values), self.lifted)
 
     def bounding_box(self) -> Window:
-        return self.domain().bounding_box()
+        return bounding_box(self.values)
 
     def sorted_items(self) -> list:
         return sorted(self.values.items())
@@ -317,9 +338,10 @@ def indicator_fn(s: LatticeSet) -> LatticeFn:
 
 def value_map(obj) -> Mapping[Point, Value]:
     """Stored points to values; a set maps its points to 0, a plain int so
-    that set arithmetic stays off Fraction."""
+    that set arithmetic stays off Fraction.  The map is shared: callers
+    read it and never change it."""
     if isinstance(obj, LatticeSet):
-        return dict.fromkeys(obj.points, 0)
+        return obj.indicator_values
     return obj.values
 
 
@@ -370,12 +392,6 @@ def difference_transform(obj):
 # windowed restriction
 
 
-def _lift_shift_range(p: Point, w: Window):
-    lo = max(a - c for a, c in zip(w.lo, p))
-    hi = min(b - c for b, c in zip(w.hi, p))
-    return lo, hi
-
-
 def restrict_to_window(obj, w: Window):
     """Intersect a set or function with the box [w.lo, w.hi].
 
@@ -390,7 +406,8 @@ def restrict_to_window(obj, w: Window):
     if obj.lifted:
         out: Dict[Point, Value] = {}
         for p, v in vals.items():
-            lo, hi = _lift_shift_range(p, w)
+            lo = max(a - c for a, c in zip(w.lo, p))  # shifts a with p + a*1 in w
+            hi = min(b - c for b, c in zip(w.hi, p))
             for a in range(lo, hi + 1):
                 out[vshift(p, a)] = v + a * obj.ramp
     else:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import documents
@@ -187,12 +188,18 @@ def gen_box_set(rng: random.Random, n: int, window: Window) -> LatticeSet:
     return LatticeSet(n, frozenset(box.points()))
 
 
-def gen_lnat_set(rng: random.Random, n: int, window: Window) -> LatticeSet:
+def _closure_set(rng: random.Random, n: int, window: Window, seeds: int, far_only: bool) -> LatticeSet:
+    """The midpoint closure of 2..``seeds`` random points, redrawn while it
+    exceeds 60 points, else a box (a box is midpoint-closed)."""
     for _ in range(40):
-        pts = _midpoint_closure(_random_points(rng, window, rng.randint(2, 3)))
+        pts = _midpoint_closure(_random_points(rng, window, rng.randint(2, seeds)), far_only)
         if len(pts) <= 60:
             return LatticeSet(n, pts)
-    return gen_box_set(rng, n, window)  # a box is midpoint-closed
+    return gen_box_set(rng, n, window)
+
+
+gen_lnat_set = partial(_closure_set, seeds=3, far_only=False)
+gen_dmc_set = partial(_closure_set, seeds=4, far_only=True)
 
 
 def gen_l_set(rng: random.Random, n: int, window: Window) -> LatticeSet:
@@ -221,16 +228,6 @@ def gen_m_set(rng: random.Random, n: int, window: Window) -> LatticeSet:
 
 def gen_multimodular_set(rng: random.Random, n: int, window: Window) -> LatticeSet:
     return difference_transform(gen_lnat_set(rng, n, window))
-
-
-def gen_dmc_set(rng: random.Random, n: int, window: Window) -> LatticeSet:
-    for _ in range(40):
-        pts = _midpoint_closure(
-            _random_points(rng, window, rng.randint(2, 4)), far_only=True
-        )
-        if len(pts) <= 60:
-            return LatticeSet(n, pts)
-    return gen_box_set(rng, n, window)
 
 
 def gen_cpj_set(rng: random.Random, n: int, window: Window) -> LatticeSet:
@@ -360,20 +357,18 @@ def _quadratic_fn(rng: random.Random, n: int, window: Window) -> LatticeFn:
     return LatticeFn(n, vals)
 
 
-def gen_gdmc_fn(rng: random.Random, n: int, window: Window) -> LatticeFn:
+def _quadratic_member(rng: random.Random, n: int, window: Window, label: ClassLabel) -> LatticeFn:
+    """A random quadratic in ``label`` within 60 draws, else an L-natural
+    function."""
     for _ in range(60):
         f = _quadratic_fn(rng, n, window)
-        if check_fn(f, ClassLabel.GLOBAL_DMC_FN).member:
+        if check_fn(f, label).member:
             return f
     return gen_lnat_fn(rng, n, window)
 
 
-def gen_ldmc_fn(rng: random.Random, n: int, window: Window) -> LatticeFn:
-    for _ in range(60):
-        f = _quadratic_fn(rng, n, window)
-        if check_fn(f, ClassLabel.LOCAL_DMC_FN).member:
-            return f
-    return gen_lnat_fn(rng, n, window)
+gen_gdmc_fn = partial(_quadratic_member, label=ClassLabel.GLOBAL_DMC_FN)
+gen_ldmc_fn = partial(_quadratic_member, label=ClassLabel.LOCAL_DMC_FN)
 
 
 def gen_jump_m_fn(rng: random.Random, n: int, window: Window) -> LatticeFn:
@@ -466,8 +461,9 @@ def _structured_instance(config: GeneratorConfig, label: ClassLabel):
 
 
 def generate(config: GeneratorConfig):
-    """Random instance of the requested class; the class recognizer is
-    asserted on every emitted instance."""
+    """Random instance of the requested class, drawn from a stream seeded by
+    the request; the class recognizer is asserted on every emitted
+    instance."""
     label = ClassLabel(config.label)
     if config.params is not None:
         obj = _structured_instance(config, label)
@@ -477,15 +473,8 @@ def generate(config: GeneratorConfig):
                 f"requested structure is not {label.value}; witness {verdict.witness}"
             )
         return obj
-    gen = _SET_GENERATORS.get(label) or _FN_GENERATORS.get(label)
-    if gen is None:
-        raise ValueError(f"no generator for label {label.value}")
     rng = _rng(config.seed, "gen", label.value, config.dim)
-    for _ in range(config.budget):
-        obj = gen(rng, config.dim, config.window)
-        if check(obj, label).member:
-            return obj
-    raise RejectionBudgetError(label.value, config.budget)
+    return draw(label, rng, config.dim, config.window, config.budget)
 
 
 def draw(
@@ -496,8 +485,10 @@ def draw(
     budget: int = 200,
     size_cap: Optional[int] = None,
 ):
-    """Like :func:`generate` but reusing a live Random stream; ``size_cap``
-    rejects instances with more stored points, keeping trials cheap."""
+    """Rejection sampling of a class member from a live Random stream:
+    candidates that fail the class recognizer are redrawn, up to ``budget``
+    attempts; ``size_cap`` rejects instances with more stored points,
+    keeping trials cheap."""
     label = ClassLabel(label)
     gen = _SET_GENERATORS.get(label) or _FN_GENERATORS.get(label)
     for _ in range(budget):
@@ -841,17 +832,21 @@ def _run_ex41() -> RecordResult:
     return c.result
 
 
-def laminar_tree_network(root_bound: int = 6, mid_bound: int = 4, leaf_bound: int = 2) -> Network:
+# capacity bounds of the laminar tree: root arc, middle arc, leaf arcs
+_ROOT_BOUND, _MID_BOUND, _LEAF_BOUND = 6, 4, 2
+
+
+def laminar_tree_network() -> Network:
     """Rooted tree whose induced function is
     |y1+y2+y3| + (y1+y2)^2 + y3^2."""
-    absf = lambda t: abs(t)
+    root, mid, leaf = _ROOT_BOUND, _MID_BOUND, _LEAF_BOUND
     sq = lambda t: t * t
     arcs = (
-        Arc("u", "a", -root_bound, root_bound, ArcCost.from_callable(-root_bound, root_bound, absf)),
-        Arc("a", "b", -mid_bound, mid_bound, ArcCost.from_callable(-mid_bound, mid_bound, sq)),
-        Arc("a", "w3", -leaf_bound, leaf_bound, ArcCost.from_callable(-leaf_bound, leaf_bound, sq)),
-        Arc("b", "w1", -leaf_bound, leaf_bound),
-        Arc("b", "w2", -leaf_bound, leaf_bound),
+        Arc("u", "a", -root, root, ArcCost.from_callable(-root, root, abs)),
+        Arc("a", "b", -mid, mid, ArcCost.from_callable(-mid, mid, sq)),
+        Arc("a", "w3", -leaf, leaf, ArcCost.from_callable(-leaf, leaf, sq)),
+        Arc("b", "w1", -leaf, leaf),
+        Arc("b", "w2", -leaf, leaf),
     )
     return Network(("u", "a", "b", "w1", "w2", "w3"), arcs, ("u",), ("w1", "w2", "w3"))
 

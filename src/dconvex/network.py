@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .core import LiftedInputError, Point, Window, as_rational, keeps_values, rebuild, value_map
+from .core import LiftedInputError, Point, Window, as_ints, as_rational, keeps_values, rebuild, value_map
 from .rationals import Value
 
 MAX_ARCS = 12
@@ -40,8 +40,7 @@ class ArcCost:
     @staticmethod
     def from_table(entries: Mapping[int, Fraction]) -> "ArcCost":
         entries = dict(entries)
-        if not all(type(t) is int for t in entries):
-            raise ValueError("cost abscissas must be ints")
+        as_ints(entries, "cost abscissas")
         items = tuple(sorted((t, as_rational(v, "arc cost")) for t, v in entries.items()))
         return ArcCost(items)
 
@@ -73,6 +72,7 @@ class Arc:
     cost: ArcCost = field(default_factory=ArcCost.zero)
 
     def __post_init__(self):
+        as_ints((self.lower, self.upper), f"arc {self.tail}->{self.head} bounds")
         if self.lower > self.upper:
             raise ValueError(f"arc {self.tail}->{self.head} has lower > upper")
         if self.upper - self.lower > MAX_CAPACITY_WIDTH:

@@ -22,6 +22,7 @@ from .core import (
     LiftedInputError,
     Point,
     Window,
+    as_ints,
     keeps_values,
     rebuild,
     vadd,
@@ -39,7 +40,7 @@ class SplitSpec:
     blocks: Tuple[int, ...]
 
     def __post_init__(self):
-        blocks = tuple(int(b) for b in self.blocks)
+        blocks = as_ints(self.blocks, "block sizes")
         if not blocks or any(b < 1 for b in blocks):
             raise ValueError("block sizes must be positive")
         object.__setattr__(self, "blocks", blocks)
@@ -70,7 +71,7 @@ class PartitionSpec:
     groups: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self):
-        groups = tuple(tuple(int(i) for i in g) for g in self.groups)
+        groups = tuple(as_ints(g, "group") for g in self.groups)
         if not groups or any(not g for g in groups):
             raise ValueError("groups must be nonempty")
         seen = [i for g in groups for i in g]

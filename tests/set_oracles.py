@@ -5,7 +5,9 @@ The recognizers are the per-class set scanners that production decided sets
 with before every axiom moved into one table shared by sets and functions
 (``dconvex.classes``).  Each tests its class axiom directly on point
 membership, so comparing them with ``check_set`` checks the axiom table
-through a second implementation.
+through a second implementation.  The integrally convex one decides local
+hull membership by the brute-force hull oracle (``hull_oracle``), not by
+the local extension production reads a set through.
 
 The set operations (direct sums, splitting, aggregation, Minkowski sum) are
 the point-set bodies production used before each operation was written once
@@ -35,8 +37,9 @@ from dconvex.core import (
     vshift,
     vsub,
 )
-from dconvex.hull import half_midpoint, in_local_hull
+from dconvex.hull import half_midpoint
 from dconvex.ops import PartitionSpec, SplitSpec, _aggregate_point, _split_point
+from hull_oracle import in_local_hull_bruteforce
 
 _OK = Verdict(True, None)
 
@@ -104,7 +107,7 @@ def _check_ic_set(s: LatticeSet) -> Verdict:
     for x, y in _unordered_pairs(pts):
         if linf_distance(x, y) <= 1:
             continue  # both endpoints lie in N((x+y)/2), so the midpoint is covered
-        if not in_local_hull(s, half_midpoint(x, y)):
+        if not in_local_hull_bruteforce(s, half_midpoint(x, y)):
             return _fail("hull-midpoint", (x, y))
     return _OK
 

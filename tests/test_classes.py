@@ -352,6 +352,11 @@ def test_verify_witness_rejects_non_violations():
     assert not verify_witness(quad, Witness("modularity", ((0, 0),), (0, 0)))
     with pytest.raises(ValueError):
         verify_witness(box, Witness("no-such-kind", ()))
+    # an empty set has no violations, not even a box gap
+    empty = LatticeSet(2, frozenset())
+    assert not verify_witness(empty, Witness("box-gap", ((0, 0),)))
+    with pytest.raises(ValueError):
+        verify_witness(empty, Witness("no-such-kind", ()))
 
 
 def test_verify_witness_checks_increment_validity():
@@ -450,3 +455,12 @@ def test_witness_replay_per_kind(kind, obj, label):
     if kind == "ones-shift":
         x, _ = w.points
         assert not verify_witness(obj, dataclasses.replace(w, points=(x, tuple(c + 2 for c in x))))
+    # the empty set of the same dimension
+    assert not verify_witness(LatticeSet(obj.dim, frozenset()), w)
+
+
+def test_domain_witness_replays_on_a_set():
+    # a set is its own domain, so the replay answers instead of failing
+    gap = LatticeSet.of([(0,), (2,)])
+    assert verify_witness(gap, Witness("domain-not-dmc", ((0,), (2,))))
+    assert not verify_witness(LatticeSet.of([(0,), (1,), (2,)]), Witness("domain-not-dmc", ((0,), (2,))))

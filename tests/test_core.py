@@ -20,6 +20,7 @@ from dconvex.core import (
     restrict_to_window,
     supports,
     vadd,
+    value_map,
 )
 from dconvex.network import ArcCost
 
@@ -233,3 +234,12 @@ def test_ramp_needs_a_lifted_function():
         LatticeFn.of({(0,): 1}, ramp=3)
     assert LatticeFn.of({(0,): 1}, ramp=0).ramp == 0
     assert LatticeFn.of({(0, 0): 1}, lifted=True, ramp=3).ramp == 3
+
+
+def test_set_value_map_is_built_once():
+    # recognizers read a set through this map on every hull query, so it is
+    # cached on the set rather than rebuilt per call
+    s = LatticeSet.of([(0, 1), (2, 3)])
+    assert value_map(s) == {(0, 1): 0, (2, 3): 0}
+    assert value_map(s) is value_map(s)
+    assert s == LatticeSet.of([(2, 3), (0, 1)])  # the cache is not part of equality

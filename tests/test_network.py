@@ -161,3 +161,9 @@ def test_laminar_tree_example():
     assert set(g.values) == set(cube(3, -2, 2).points())
     assert all(g.values[y] == laminar_closed_form(y) for y in g.values)
     assert check_fn(g, ClassLabel.MNAT_FN).member
+
+
+@pytest.mark.parametrize("lower, upper", [(0.5, 2), (0, 2.0), (False, 1), (0, "2")])
+def test_arc_bounds_must_be_ints(lower, upper):
+    with pytest.raises(ValueError):
+        Arc("u", "w", lower, upper)

@@ -306,3 +306,18 @@ def test_empty_split_image_is_returned_and_empty_domain_raises():
     assert split_set(s, SplitSpec((2,)), w) == LatticeSet(2, frozenset())
     with pytest.raises(EmptyResultError):
         split_fn(indicator_fn(s), SplitSpec((2,)), w)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SplitSpec((1.7, True)),
+        lambda: SplitSpec((2, "1")),
+        lambda: PartitionSpec(((0.9,), (True,))),
+        lambda: PartitionSpec(((0, 1.0),)),
+    ],
+    ids=["split-float-bool", "split-str", "partition-float-bool", "partition-float"],
+)
+def test_specs_reject_non_int_entries(build):
+    with pytest.raises(ValueError):
+        build()
