@@ -14,10 +14,20 @@ differ only in the witness kind they report.  :func:`verify_witness` looks
 the kind up in the same table, checks that the witness points lie in the
 object, and calls the same predicate.
 
+Values are exact integers inside a check.  The view scales every stored
+value and the ramp once, by the least common multiple of their
+denominators, to plain ``int``s.  This changes no verdict: every axiom
+compares weighted sums of values with equal total weight on both sides
+(the hull axiom compares twice the local extension, itself such a sum,
+with a sum of two values), so one positive factor cancels, and witnesses
+carry points, not values.  The view also memoizes the local extension by
+x + y, so each distinct half-integral midpoint (x + y)/2 is solved once per
+check.  The memo lives and dies with the view.
+
 Conventions for infinite values inside axioms: an inequality with +infinity
 on the left-hand side holds; +infinity on the right-hand side is only
 satisfied by +infinity on the left.  Internally the recognizers use ``None``
-for +infinity on top of plain ``Fraction`` values.
+for +infinity on top of the scaled ``int`` values.
 """
 
 from __future__ import annotations
@@ -25,8 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, partial
-from typing import List, Optional, Sequence, Tuple
+from functools import cached_property, lru_cache, partial
+from math import lcm
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (
     LatticeFn,
@@ -34,12 +45,12 @@ from .core import (
     LiftedInputError,
     Point,
     Window,
+    bounding_box,
     difference_point,
     join_meet,
     linf_distance,
     midpoint_round,
     prefix_point,
-    prefix_transform,
     supports,
     unit,
     vadd,
@@ -48,7 +59,7 @@ from .core import (
     vsub,
 )
 # in_local_hull is unused here but stays importable from this module
-from .hull import half_midpoint, in_local_hull, local_extension_value
+from .hull import half_midpoint, in_local_hull, local_extension_value, neighborhood
 from .rationals import is_finite
 
 
@@ -150,34 +161,61 @@ def _less(a, b) -> bool:
 
 def _bump(p: Point, i: int, d: int) -> Point:
     """p + d * e_i."""
-    return p[:i] + (p[i] + d,) + p[i + 1 :]
+    q = list(p)
+    q[i] += d
+    return tuple(q)
+
+
+def _moves(x: Point, y: Point) -> List[Tuple[int, int]]:
+    """(i, d) for each unit step d * e_i from x toward y."""
+    return [(i, 1 if a < b else -1) for i, (a, b) in enumerate(zip(x, y)) if a != b]
+
+
+@lru_cache(maxsize=None)
+def _unit_steps(n: int) -> Tuple[Tuple[Point, ...], Tuple[Point, ...]]:
+    """(-e_0, ..., -e_{n-1}) and (e_0, ..., e_{n-1}) in Z^n."""
+    ups = tuple(unit(n, i) for i in range(n))
+    return tuple(tuple(-c for c in e) for e in ups), ups
 
 
 def increments(x: Point, y: Point) -> List[Point]:
     """All signed unit steps s with x + s inside the box [x ^ y, x v y],
-    sorted lexicographically."""
+    in lexicographic order: -e_i by ascending i, then e_i by descending i."""
+    downs, ups = _unit_steps(len(x))
     n = len(x)
-    out = []
-    for i in range(n):
-        if x[i] < y[i]:
-            out.append(unit(n, i))
-        elif x[i] > y[i]:
-            out.append(tuple(-c for c in unit(n, i)))
-    return sorted(out)
+    return [downs[i] for i in range(n) if x[i] > y[i]] + [
+        ups[i] for i in range(n - 1, -1, -1) if x[i] < y[i]
+    ]
+
+
+def _scaled(vals, ramp) -> Tuple[Dict[Point, int], int]:
+    """Values and ramp times the least common multiple of their
+    denominators: plain ints in the same order and sums."""
+    scale = lcm(ramp.denominator, *{v.denominator for v in vals.values()})
+    return (
+        {p: v.numerator * (scale // v.denominator) for p, v in vals.items()},
+        ramp.numerator * (scale // ramp.denominator),
+    )
 
 
 class _View:
     """A set or function as the axioms read it.
 
     ``vals`` maps the stored points (representatives, when lifted) to their
-    values, and ``get(p)`` is the value at any point, None meaning
-    +infinity.  A set reads as its indicator function: 0 on its points.
+    scaled int values, and ``get(p)`` is the value at any point, None
+    meaning +infinity.  A set reads as its indicator function: 0 on its
+    points.  ``get`` may be given instead, for a view read only through it.
     """
 
-    def __init__(self, obj):
-        self.obj = obj
-        self.vals, self.ramp = value_map(obj), obj.ramp
-        self.get = self._lifted_get if obj.lifted else self.vals.get
+    def __init__(self, dim: int, vals: Dict[Point, int], lifted: bool = False, ramp: int = 0, get=None):
+        self.dim, self.vals, self.lifted, self.ramp = dim, vals, lifted, ramp
+        self.get = get or (self._lifted_get if lifted else vals.get)
+        self.extensions: Dict[Point, object] = {}
+
+    @classmethod
+    def of(cls, obj) -> "_View":
+        vals, ramp = _scaled(value_map(obj), obj.ramp)
+        return cls(obj.dim, vals, obj.lifted, ramp)
 
     def _lifted_get(self, p: Point):
         base = self.vals.get(vshift(p, -p[-1]))
@@ -186,7 +224,33 @@ class _View:
     @cached_property
     def box(self) -> Window:
         """Bounding box of the stored points."""
-        return self.obj.bounding_box()
+        return bounding_box(self.vals)
+
+    def domain(self) -> "_View":
+        """The indicator of the domain."""
+        return _View(self.dim, dict.fromkeys(self.vals, 0), self.lifted)
+
+    def prefixed(self) -> "_View":
+        """The pull-back to prefix sums, where multimodularity is midpoint
+        convexity (``core.prefix_transform``).  A lifted object has no
+        finite pull-back; it is read through its getter alone."""
+        if self.lifted:
+            return _View(self.dim, {}, get=lambda z: self.get(difference_point(z)))
+        return _View(self.dim, {prefix_point(p): v for p, v in self.vals.items()})
+
+    def extension(self, x: Point, y: Point):
+        """Twice the local extension at (x + y)/2, None meaning +infinity;
+        solved once per x + y.  A lifted object is read on the integral
+        neighborhood of the midpoint only."""
+        key = vadd(x, y)
+        if key not in self.extensions:
+            half = half_midpoint(x, y)
+            vals = self.vals
+            if self.lifted:
+                vals = {p: v for p in neighborhood(half) if (v := self.get(p)) is not None}
+            ext = local_extension_value(vals, half)
+            self.extensions[key] = 2 * ext if is_finite(ext) else None
+        return self.extensions[key]
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +273,8 @@ def _submodular(v: _View, lhs, x: Point, y: Point) -> bool:
 
 
 def _hull_midpoint(v: _View, lhs, x: Point, y: Point) -> bool:
-    ext = local_extension_value(v.obj, half_midpoint(x, y))
-    return not is_finite(ext) or 2 * ext > lhs
+    twice = v.extension(x, y)
+    return twice is None or twice > lhs
 
 
 def _exchange(v: _View, lhs, x: Point, y: Point, i: int, nat: bool = True) -> bool:
@@ -234,8 +298,8 @@ def _jump_exchange(v: _View, lhs, x: Point, y: Point, s: Point, nat: bool = True
     xs, ys = vadd(x, s), vsub(y, s)
     if nat and not _less(lhs, _add(get(xs), get(ys))):
         return False
-    for t in increments(xs, y):
-        if not _less(lhs, _add(get(vadd(xs, t)), get(vsub(ys, t)))):
+    for i, d in _moves(xs, y):
+        if not _less(lhs, _add(get(_bump(xs, i, d)), get(_bump(ys, i, -d)))):
             return False
     return True
 
@@ -243,7 +307,7 @@ def _jump_exchange(v: _View, lhs, x: Point, y: Point, s: Point, nat: bool = True
 def _jump_two_step(v: _View, lhs, x: Point, y: Point, s: Point) -> bool:
     """Neither x + s nor any x + s + t (t toward y) lies in the set."""
     xs = vadd(x, s)
-    return v.get(xs) is None and all(v.get(vadd(xs, t)) is None for t in increments(xs, y))
+    return v.get(xs) is None and all(v.get(_bump(xs, i, d)) is None for i, d in _moves(xs, y))
 
 
 def _box_gap(v: _View, lhs, p: Point) -> bool:
@@ -309,10 +373,10 @@ _AXIOMS = {
     "jump-mnat-fn": (2, _jump_exchange, _step_toward),
 }
 
-# kinds replayed on another object: kind -> (object map, point map, kind there)
+# kinds replayed on another view: kind -> (view map, point map, kind there)
 _MAPPED = {
-    "domain-not-dmc": (lambda obj: obj.domain(), lambda p: p, "midpoint-far"),
-    "multimodular-midpoint": (prefix_transform, prefix_point, "midpoint"),
+    "domain-not-dmc": (_View.domain, lambda p: p, "midpoint-far"),
+    "multimodular-midpoint": (_View.prefixed, prefix_point, "midpoint"),
 }
 
 
@@ -372,7 +436,7 @@ def _check_separable(v: _View) -> Verdict:
     verdict = _scan_box(v)
     if not verdict.member:
         return verdict
-    n = v.obj.dim
+    n = v.dim
     for x, fx in sorted(v.vals.items()):
         for i in range(n):
             if _axis_convexity(v, fx, x, i):
@@ -387,7 +451,7 @@ def _check_separable(v: _View) -> Verdict:
 def _check_l(v: _View) -> Verdict:
     vals, get = v.vals, v.get
     pts = sorted(vals)
-    if v.obj.lifted:
+    if v.lifted:
         # Exact: relative shifts outside the coordinate spread give a
         # comparable pair, for which submodularity is automatic.
         for a, r in enumerate(pts):
@@ -417,7 +481,7 @@ def _check_l(v: _View) -> Verdict:
 
 
 def _check_local_dmc(v: _View) -> Verdict:
-    dom = _scan_pairs(_View(v.obj.domain()), "midpoint-far")
+    dom = _scan_pairs(v.domain(), "midpoint-far")
     if not dom.member:
         return _fail("domain-not-dmc", dom.witness.points)
     return _scan_pairs(v, "midpoint-two")
@@ -426,7 +490,7 @@ def _check_local_dmc(v: _View) -> Verdict:
 def _check_multimodular(v: _View) -> Verdict:
     """Midpoint convexity after the change of coordinates to prefix sums;
     the witness is mapped back to the original coordinates."""
-    inner = _scan_pairs(_View(prefix_transform(v.obj)), "midpoint")
+    inner = _scan_pairs(v.prefixed(), "midpoint")
     if inner.member:
         return _OK
     return _fail("multimodular-midpoint", map(difference_point, inner.witness.points))
@@ -473,7 +537,7 @@ def check(obj, label: ClassLabel) -> Verdict:
         raise ValueError("membership is undefined for the empty set")
     if obj.lifted and label not in (ClassLabel.L_SET, ClassLabel.L_FN):
         raise LiftedInputError(f"{label.value} needs a finite {kind}")
-    return _RECOGNIZERS[label](_View(obj))
+    return _RECOGNIZERS[label](_View.of(obj))
 
 
 # A set is checked through its indicator function (``_View``), so both names
@@ -488,18 +552,20 @@ def verify_witness(obj, witness: Witness) -> bool:
     object, independently of how the witness was found.  An empty object
     violates nothing.
     """
-    kind = witness.kind
-    if kind in _MAPPED:
-        to_obj, to_point, inner = _MAPPED[kind]
-        return verify_witness(to_obj(obj), Witness(inner, tuple(map(to_point, witness.points))))
-    if kind not in _AXIOMS:
-        raise ValueError(f"unknown witness kind {kind!r}")
+    if witness.kind not in _AXIOMS and witness.kind not in _MAPPED:
+        raise ValueError(f"unknown witness kind {witness.kind!r}")
     if not len(obj):
         return False
+    return _replay(_View.of(obj), witness.kind, witness.points, witness.indices)
+
+
+def _replay(v: _View, kind: str, points: Tuple[Point, ...], indices: Tuple[int, ...]) -> bool:
+    if kind in _MAPPED:
+        to_view, to_point, inner = _MAPPED[kind]
+        return _replay(to_view(v), inner, tuple(map(to_point, points)), ())
     members, violated, keep = _AXIOMS[kind]
-    v = _View(obj)
-    args = witness.points + witness.indices
-    held = [v.get(p) for p in witness.points[:members]]
+    args = points + indices
+    held = [v.get(p) for p in points[:members]]
     if any(h is None for h in held) or (keep is not None and not keep(*args)):
         return False
     return violated(v, sum(held), *args)

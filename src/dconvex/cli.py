@@ -131,8 +131,9 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_examples(args) -> int:
-    ids = None if args.run == "all" else [args.run]
-    results = lab.run_counterexamples(ids)
+    if args.run != "all" and args.run not in lab.REGISTRY:
+        raise CliError(f"unknown counterexample id {args.run!r}")
+    results = lab.run_counterexamples(None if args.run == "all" else [args.run])
     ok = True
     for r in results:
         status = "pass" if r.passed else "FAIL"
@@ -189,7 +190,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, DocumentError, LabelKindError, LiftedInputError, EmptyResultError, KeyError, ValueError, OSError) as e:
+    except (CliError, DocumentError, LabelKindError, LiftedInputError, EmptyResultError, ValueError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
 

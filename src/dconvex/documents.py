@@ -87,9 +87,47 @@ def _require(cond: bool, msg: str) -> None:
         raise DocumentError(msg)
 
 
+_MISSING = object()
+_SHAPES = {list: "an array", dict: "an object", str: "a string"}
+
+
+def _field(doc: Dict[str, Any], key: str, shape: type = object, where: str = "", default=_MISSING):
+    """doc[key], which must be present (unless a default is given) and of
+    the JSON shape ``shape``; otherwise a DocumentError names the field."""
+    v = doc.get(key, default)
+    if v is _MISSING or not isinstance(v, shape):
+        name = f"{where}.{key}" if where else key
+        raise DocumentError(f"missing field {name!r}" if v is _MISSING else f"field {name!r} must be {_SHAPES[shape]}")
+    return v
+
+
 def _int(v, what: str) -> int:
     _require(isinstance(v, int) and not isinstance(v, bool), f"{what} must be an integer")
     return v
+
+
+def _ints(v, what: str) -> tuple:
+    _require(isinstance(v, list), f"{what} must be an array of integers")
+    return tuple(_int(c, what) for c in v)
+
+
+def _objects(v: list, what: str) -> list:
+    _require(all(isinstance(e, dict) for e in v), f"each {what} must be an object")
+    return v
+
+
+def _finite(v: str, what: str) -> Fraction:
+    try:
+        value = parse_value(v)
+    except (ValueError, ZeroDivisionError):
+        raise DocumentError(f"{what} {v!r} is not a rational 'p' or 'p/q'") from None
+    _require(isinstance(value, Fraction), f"{what} must be finite")
+    return value
+
+
+def _names(v: list, what: str) -> tuple:
+    _require(all(isinstance(c, str) for c in v), f"{what} must be strings")
+    return tuple(v)
 
 
 def _lifted(doc: Dict[str, Any]) -> bool:
@@ -107,66 +145,65 @@ def _capacity(v, what: str) -> int:
 
 
 def from_document(doc: Dict[str, Any]) -> Any:
+    """The object a document describes.  A missing field or a value of the
+    wrong JSON shape raises DocumentError naming the field."""
     _require(isinstance(doc, dict), "document must be a JSON object")
     _require(doc.get("version") == VERSION, f"unsupported document version {doc.get('version')!r}")
     kind = doc.get("kind")
 
     if kind == "set":
-        dim = _int(doc["dim"], "dim")
-        pts = [tuple(_int(c, "coordinate") for c in p) for p in doc["points"]]
+        dim = _int(_field(doc, "dim"), "dim")
+        pts = [_ints(p, "point") for p in _field(doc, "points", list)]
         _require(all(len(p) == dim for p in pts), "point dimension disagrees with dim")
         return LatticeSet(dim, frozenset(pts), _lifted(doc))
 
     if kind == "fn":
-        dim = _int(doc["dim"], "dim")
+        dim = _int(_field(doc, "dim"), "dim")
         vals = {}
-        for e in doc["entries"]:
-            p = tuple(_int(c, "coordinate") for c in e["x"])
+        for e in _objects(_field(doc, "entries", list), "entry"):
+            p = _ints(_field(e, "x", list, "entries"), "point")
             _require(len(p) == dim, "point dimension disagrees with dim")
-            v = parse_value(e["v"])
-            _require(isinstance(v, Fraction), "stored function values must be finite")
-            vals[p] = v
-        ramp = parse_value(doc.get("ramp", "0"))
-        _require(isinstance(ramp, Fraction), "ramp must be finite")
+            vals[p] = _finite(_field(e, "v", str, "entries"), "stored function value")
+        ramp = _finite(_field(doc, "ramp", str, default="0"), "ramp")
         lifted = _lifted(doc)
         _require(lifted or ramp == 0, "only a lifted function can have a nonzero ramp")
         return LatticeFn(dim, vals, lifted, ramp)
 
     if kind == "window":
-        dim = _int(doc["dim"], "dim")
-        lo = tuple(_int(c, "lo") for c in doc["lo"])
-        hi = tuple(_int(c, "hi") for c in doc["hi"])
+        dim = _int(_field(doc, "dim"), "dim")
+        lo = _ints(_field(doc, "lo", list), "lo")
+        hi = _ints(_field(doc, "hi", list), "hi")
         _require(len(lo) == dim and len(hi) == dim, "window bounds disagree with dim")
         return Window(lo, hi)
 
     if kind == "split-spec":
-        return SplitSpec(tuple(_int(b, "block") for b in doc["blocks"]))
+        return SplitSpec(_ints(_field(doc, "blocks", list), "block"))
 
     if kind == "partition-spec":
-        return PartitionSpec(tuple(tuple(_int(i, "index") for i in g) for g in doc["groups"]))
+        return PartitionSpec(tuple(_ints(g, "group") for g in _field(doc, "groups", list)))
 
     if kind == "network":
         arcs = []
-        for a in doc["arcs"]:
-            lower = _capacity(a["lower"], f"arc {a['tail']}->{a['head']} lower bound")
-            upper = _capacity(a["upper"], f"arc {a['tail']}->{a['head']} upper bound")
-            cost_doc = a.get("cost", "zero")
+        for a in _objects(_field(doc, "arcs", list), "arc"):
+            tail, head = _field(a, "tail", str, "arcs"), _field(a, "head", str, "arcs")
+            lower = _capacity(_field(a, "lower", where="arcs"), f"arc {tail}->{head} lower bound")
+            upper = _capacity(_field(a, "upper", where="arcs"), f"arc {tail}->{head} upper bound")
+            cost_doc = _field(a, "cost", where="arcs", default="zero")
             if cost_doc == "zero":
                 cost = ArcCost.zero()
             else:
+                _require(isinstance(cost_doc, list), "field 'arcs.cost' must be \"zero\" or an array")
                 table = {}
-                for entry in cost_doc:
-                    v = parse_value(entry["v"])
-                    _require(isinstance(v, Fraction), "arc cost values must be finite")
-                    table[_int(entry["t"], "cost abscissa")] = v
+                for entry in _objects(cost_doc, "cost entry"):
+                    t = _int(_field(entry, "t", where="arcs.cost"), "cost abscissa")
+                    table[t] = _finite(_field(entry, "v", str, "arcs.cost"), "arc cost value")
                 cost = ArcCost.from_table(table)
-            arcs.append(Arc(a["tail"], a["head"], lower, upper, cost))
-        return Network(
-            tuple(doc["vertices"]), tuple(arcs), tuple(doc["entrance"]), tuple(doc["exit"])
-        )
+            arcs.append(Arc(tail, head, lower, upper, cost))
+        vertices, entrance, exit_ = (_names(_field(doc, k, list), k) for k in ("vertices", "entrance", "exit"))
+        return Network(vertices, tuple(arcs), entrance, exit_)
 
     if kind == "report":
-        return dict(doc["payload"])
+        return dict(_field(doc, "payload", dict))
 
     raise DocumentError(f"unknown document kind {kind!r}")
 

@@ -10,6 +10,12 @@ decided exactly by a rational simplex, with closed forms for one or two
 half-integral coordinates.  An independent brute-force route that
 enumerates basic solutions is kept in the tests (``tests/hull_oracle.py``)
 for cross-checking.
+
+Besides a set or a finite function, the routine takes a finite function's
+value map: the recognizers (``classes``) pass their values scaled to plain
+ints, or for a lifted object the values on the integral neighborhood of x
+alone, and memoize the answer per midpoint for the length of one check, so
+the LP gets int costs and runs once per distinct half-integral midpoint.
 """
 
 from __future__ import annotations
@@ -67,17 +73,21 @@ def local_extension_value(obj, x: HalfPoint) -> Value:
     """Minimum of sum(lambda_v * f(v)) over convex combinations of
     neighborhood points v hitting x; +infinity when no combination exists.
     A set is read as its indicator: 0 inside its local hull, +infinity
-    outside.
+    outside.  ``obj`` may also be a finite function's value map (a dict of
+    points to values), as the recognizers pass their scaled int values.
 
     With one or two half-integral coordinates the answer has a closed form
     (x is the center of a segment or square: it needs the two endpoints, or
     one full diagonal); the LP only runs beyond that.
     """
-    if obj.lifted:
-        raise LiftedInputError("local extension needs a finite object")
-    if len(x) != obj.dim:
-        raise ValueError("dimension mismatch")
-    vals = value_map(obj)
+    if isinstance(obj, dict):
+        vals = obj
+    else:
+        if obj.lifted:
+            raise LiftedInputError("local extension needs a finite object")
+        if len(x) != obj.dim:
+            raise ValueError("dimension mismatch")
+        vals = value_map(obj)
     if is_integral(x):
         return vals.get(tuple(int(c) for c in x), INF)
     candidates = [p for p in neighborhood(x) if p in vals]

@@ -9,6 +9,12 @@ through a second implementation.  The integrally convex one decides local
 hull membership by the brute-force hull oracle (``hull_oracle``), not by
 the local extension production reads a set through.
 
+One function recognizer sits beside them: ``check_ic_fn`` decides
+integrally convex functions by the definition, over the stored ``Fraction``
+values, with the brute-force local extension (``hull_oracle``) and no memo,
+so it checks the int-scaled, memoized production kernel through a second
+implementation.
+
 The set operations (direct sums, splitting, aggregation, Minkowski sum) are
 the point-set bodies production used before each operation was written once
 over value maps (``dconvex.ops``), where a set is its indicator function.
@@ -22,6 +28,7 @@ from typing import List, Sequence
 
 from dconvex.classes import ClassLabel, Verdict, Witness
 from dconvex.core import (
+    LatticeFn,
     LatticeSet,
     LiftedInputError,
     Window,
@@ -39,7 +46,8 @@ from dconvex.core import (
 )
 from dconvex.hull import half_midpoint
 from dconvex.ops import PartitionSpec, SplitSpec, _aggregate_point, _split_point
-from hull_oracle import in_local_hull_bruteforce
+from dconvex.rationals import is_finite
+from hull_oracle import in_local_hull_bruteforce, local_extension_value_bruteforce
 
 _OK = Verdict(True, None)
 
@@ -108,6 +116,19 @@ def _check_ic_set(s: LatticeSet) -> Verdict:
         if linf_distance(x, y) <= 1:
             continue  # both endpoints lie in N((x+y)/2), so the midpoint is covered
         if not in_local_hull_bruteforce(s, half_midpoint(x, y)):
+            return _fail("hull-midpoint", (x, y))
+    return _OK
+
+
+def check_ic_fn(f: LatticeFn) -> Verdict:
+    """f((x + y)/2)'s local extension is at most (f(x) + f(y))/2 for every
+    pair at l-inf distance >= 2 (closer pairs hold trivially)."""
+    pts = sorted(f.values)
+    for x, y in _unordered_pairs(pts):
+        if linf_distance(x, y) <= 1:
+            continue
+        ext = local_extension_value_bruteforce(f, half_midpoint(x, y))
+        if not is_finite(ext) or 2 * ext > f.values[x] + f.values[y]:
             return _fail("hull-midpoint", (x, y))
     return _OK
 

@@ -7,6 +7,7 @@ import pytest
 from dconvex.classes import (
     _AXIOMS,
     _MAPPED,
+    _View,
     ClassLabel,
     LabelKindError,
     Witness,
@@ -22,9 +23,13 @@ from dconvex.core import (
     LatticeFn,
     LatticeSet,
     LiftedInputError,
+    Window,
     cube,
     indicator_fn,
     prefix_transform,
+    restrict_to_window,
+    value_map,
+    vshift,
 )
 from dconvex import lab
 
@@ -464,3 +469,55 @@ def test_domain_witness_replays_on_a_set():
     gap = LatticeSet.of([(0,), (2,)])
     assert verify_witness(gap, Witness("domain-not-dmc", ((0,), (2,))))
     assert not verify_witness(LatticeSet.of([(0,), (1,), (2,)]), Witness("domain-not-dmc", ((0,), (2,))))
+
+
+def test_lifted_hull_witness_replays():
+    # (2, 2) = (0, 0) + 2 * (1, 1) lies in the set, and so does the
+    # midpoint (1, 1): no violation
+    s = LatticeSet(2, frozenset({(0, 0), (1, 0)}), lifted=True)
+    assert verify_witness(s, Witness("hull-midpoint", ((0, 0), (2, 2)))) is False
+    # neither neighbor (1, 0, 0), (1, 1, 0) of the midpoint (1, 1/2, 0) is
+    # in the set: a genuine local-hull gap
+    gap = LatticeSet(3, frozenset({(0, 0, 0), (2, 1, 0)}), lifted=True)
+    assert verify_witness(gap, Witness("hull-midpoint", ((0, 0, 0), (2, 1, 0)))) is True
+
+
+def _random_lifted(rng):
+    n = rng.randint(2, 3)
+    reps = {tuple(rng.randint(-1, 1) for _ in range(n - 1)) + (0,) for _ in range(rng.randint(1, 5))}
+    if rng.random() < 0.5:
+        return LatticeSet(n, frozenset(reps), lifted=True)
+    ramp = F(rng.randint(-3, 3), rng.randint(1, 4))
+    return LatticeFn(n, {p: F(rng.randint(-4, 4), rng.randint(1, 3)) for p in reps}, lifted=True, ramp=ramp)
+
+
+@pytest.mark.parametrize("kind", ["hull-midpoint", "multimodular-midpoint"])
+def test_lifted_replay_matches_a_finite_window(kind):
+    # both axioms read finitely many points, all within one of the witness
+    # points, so a window around them answers the same
+    rng = random.Random(kind)
+    answers = set()
+    for _ in range(300):
+        obj = _random_lifted(rng)
+        reps = sorted(value_map(obj))
+        x = vshift(rng.choice(reps), rng.randint(-2, 2))
+        if rng.random() < 0.8:
+            y = vshift(rng.choice(reps), rng.randint(-2, 2))
+        else:
+            y = tuple(rng.randint(-3, 3) for _ in range(obj.dim))
+        w = Witness(kind, (x, y))
+        window = Window(tuple(min(a, b) - 1 for a, b in zip(x, y)), tuple(max(a, b) + 1 for a, b in zip(x, y)))
+        got = verify_witness(obj, w)
+        assert got == verify_witness(restrict_to_window(obj, window), w), (obj, w)
+        answers.add(got)
+    assert answers == {True, False}
+
+
+def test_view_scales_values_and_ramp_to_ints():
+    # one positive factor for every value and the ramp, the least that
+    # makes them all ints
+    f = LatticeFn(2, {(0, 0): F(1, 6), (1, 0): F(-3, 4), (2, 0): F(5)}, lifted=True, ramp=F(2, 9))
+    v = _View.of(f)
+    assert v.vals == {(0, 0): 6, (1, 0): -27, (2, 0): 180} and v.ramp == 8
+    assert all(type(c) is int for c in v.vals.values())
+    assert _View.of(LatticeSet.of([(0, 1)])).vals == {(0, 1): 0}

@@ -6,15 +6,23 @@ with the per-class set scanners kept in ``set_oracles``.  The function
 recognizers applied to indicator functions must agree with the set
 recognizers on every input, member or not.  Likewise the pruned depth-first
 flow enumeration must agree with a naive product-space scan.
+
+The recognizers read values scaled to ints and memoize the local
+extension, so the integrally convex function verdicts are compared with a
+Fraction-valued oracle scan, and every function label must give the same
+verdict and witness on f and on k * f.
 """
 
 import itertools
+import math
 import random
+from fractions import Fraction
 
-from dconvex.classes import SET_LABELS, ClassLabel, check_fn, check_set
-from dconvex.core import LatticeSet, indicator_fn
+from dconvex import lab
+from dconvex.classes import FN_LABELS, SET_LABELS, ClassLabel, check, check_fn, check_set
+from dconvex.core import LatticeFn, LatticeSet, Window, cube, indicator_fn, vshift
 from dconvex.network import Arc, ArcCost, Network, boundary, transform_set
-from set_oracles import SET_ORACLES
+from set_oracles import SET_ORACLES, check_ic_fn
 
 INDICATOR_PAIRS = (
     (ClassLabel.INTEGER_BOX, ClassLabel.SEPARABLE_CONVEX),
@@ -70,6 +78,87 @@ def test_lifted_indicator_agreement():
     for s in _random_lifted_sets(2718):
         f = indicator_fn(s)
         assert check_set(s, ClassLabel.L_SET).member == check_fn(f, ClassLabel.L_FN).member
+
+
+def _raised(f: LatticeFn, rng) -> LatticeFn:
+    """f with one stored value raised by a random fraction: a near miss."""
+    vals = dict(f.values)
+    p = rng.choice(sorted(vals))
+    vals[p] += Fraction(rng.randint(1, 7), rng.randint(1, 5))
+    return LatticeFn(f.dim, vals, f.lifted, f.ramp)
+
+
+def _spiked(f: LatticeFn, rng) -> LatticeFn:
+    """f with one stored value raised above every other one."""
+    vals = dict(f.values)
+    vals[rng.choice(sorted(vals))] += max(vals.values()) - min(vals.values()) + Fraction(1, rng.randint(1, 5))
+    return LatticeFn(f.dim, vals)
+
+
+def _quadratic_on_a_slab(rng) -> LatticeFn:
+    """sum(a_i x_i^2) + sum(b_ij (x_i - x_j)^2) on [0,3] x [0,1] x [0,1] in
+    some coordinate order: integrally convex when every b_ij >= 0, and wide
+    enough for midpoints with three half-integral coordinates (the LP)."""
+    hi = [1, 1, 1]
+    hi[rng.randrange(3)] = 3
+    a = [rng.randint(1, 3) for _ in range(3)]
+    b = {(i, j): rng.randint(-1, 2) for i in range(3) for j in range(i + 1, 3)}
+    d = rng.randint(1, 3)
+    return LatticeFn(3, {
+        p: Fraction(sum(ai * c * c for ai, c in zip(a, p)) + sum(v * (p[i] - p[j]) ** 2 for (i, j), v in b.items()), d)
+        for p in Window((0, 0, 0), tuple(hi)).points()
+    })
+
+
+def test_ic_fn_recognizer_matches_oracle():
+    rng = random.Random(8080)
+    cases = []
+    for _ in range(30):
+        n = rng.randint(3, 4)
+        f = lab.draw(ClassLabel.IC_FN, rng, n, cube(n, 0, 3), size_cap=30)
+        cases += [f, _raised(f, rng), _spiked(f, rng)]
+    for _ in range(10):
+        f = _quadratic_on_a_slab(rng)
+        cases += [f, _spiked(f, rng)]
+    members = 0
+    for g in cases:
+        verdict = check(g, ClassLabel.IC_FN)
+        assert verdict == check_ic_fn(g), sorted(g.values.items())
+        members += verdict.member
+    assert 0.3 < members / len(cases) < 0.9
+
+
+# pairwise coprime denominators above 2**32: any two of them exceed 2**64
+_BIG = (2**32 + 15, 2**32 + 17, 2**32 + 19, 2**32 + 21)
+
+
+def _with_mixed_denominators(f: LatticeFn) -> LatticeFn:
+    """f moved by 10 * (1, ..., 1) (a finite f: off the coordinate
+    hyperplanes) plus the linear function x -> sum(x_i / d_i).  Neither move
+    changes membership in any class here, and both give the values, or a
+    lifted function's ramp, denominators whose least common multiple
+    exceeds 2**64."""
+    c = [Fraction(1, d) for d in _BIG[: f.dim]]
+    shift = 0 if f.lifted else 10
+    vals = {}
+    for p, v in f.values.items():
+        q = vshift(p, shift)
+        vals[q] = v + sum(ci * qi for ci, qi in zip(c, q))
+    return LatticeFn(f.dim, vals, f.lifted, f.ramp + sum(c) if f.lifted else 0)
+
+
+def test_function_verdicts_are_scale_invariant():
+    rng = random.Random(1729)
+    for label in sorted(FN_LABELS, key=lambda label: label.value):
+        for _ in range(4):
+            f = _with_mixed_denominators(lab.draw(label, rng, 3, cube(3, 1, 3), size_cap=24))
+            scale = math.lcm(f.ramp.denominator, *(v.denominator for v in f.values.values()))
+            assert scale > 2**64, label
+            for g in (f, _raised(f, rng)):
+                want = check(g, label)
+                for k in (Fraction(1, 6), Fraction(7, 3), Fraction(5)):
+                    kg = LatticeFn(g.dim, {p: k * v for p, v in g.values.items()}, g.lifted, k * g.ramp)
+                    assert check(kg, label) == want, (label, k, sorted(g.values.items()))
 
 
 def _naive_transform(s: LatticeSet, net: Network) -> LatticeSet:

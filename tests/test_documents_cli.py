@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -243,3 +244,114 @@ def test_cli_matrix_deterministic(tmp_path, capsys):
     assert rc == 0
     assert out1 == out2
     assert (tmp_path / "r1.json").read_text() == (tmp_path / "r2.json").read_text()
+
+
+# ---------------------------------------------------------------------------
+# malformed documents: exit 2 with an error line, never a traceback
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"kind": "set", "version": 1, "dim": 1, "points": 5}, "points"),
+        ({"kind": "set", "version": 1, "points": [[0]]}, "dim"),
+        ({"kind": "fn", "version": 1, "dim": 1, "entries": [{"x": [0], "v": 3}]}, "entries.v"),
+        ({"kind": "fn", "version": 1, "dim": 1, "entries": [5]}, "entry"),
+        ({"kind": "fn", "version": 1, "dim": 1, "entries": [{"v": "3"}]}, "entries.x"),
+        ({"kind": "fn", "version": 1, "dim": 1, "entries": [{"x": [0], "v": "1/0"}]}, "value"),
+        ({"kind": "window", "version": 1, "dim": 1, "lo": 0, "hi": [1]}, "lo"),
+        ({"kind": "network", "version": 1, "vertices": [["u"]], "entrance": [], "exit": [], "arcs": []}, "vertices"),
+        ({"kind": "report", "version": 1, "payload": [1]}, "payload"),
+    ],
+)
+def test_malformed_document_names_the_field(tmp_path, capsys, doc, field):
+    with pytest.raises(DocumentError, match=field):
+        documents.from_document(doc)
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path), "--class", "lnat-set"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+_JUNK = (5, -1, 0, 2, "x", "1/0", "3/2", "inf", None, True, 1.5, [], {}, [5], ["u"], {"x": 1})
+
+
+def _nodes(tree, path=()):
+    """Every (container, key) slot in a JSON tree, in a fixed order."""
+    items = tree.items() if isinstance(tree, dict) else enumerate(tree)
+    for key, child in items:
+        yield tree, key
+        if isinstance(child, (dict, list)):
+            yield from _nodes(child)
+
+
+def _mutate(doc, rng):
+    """doc with one slot deleted, replaced, wrapped in an array or renamed,
+    or the whole document replaced."""
+    doc = json.loads(json.dumps(doc))
+    slots = list(_nodes(doc))
+    if not slots or rng.random() < 0.05:
+        return rng.choice(_JUNK)
+    parent, key = rng.choice(slots)
+    how = rng.randrange(4)
+    if how == 0:
+        del parent[key]
+    elif how == 1:
+        parent[key] = rng.choice(_JUNK)
+    elif how == 2:
+        parent[key] = [parent[key]]
+    elif isinstance(parent, dict):
+        parent[key + "_"] = parent.pop(key)
+    else:
+        parent.append(parent[key])
+    return doc
+
+
+def _fuzz_cases(tmp_path):
+    """(kind, valid document, argv reading it from the path '{}')."""
+    base = tmp_path / "base"
+    base.mkdir()
+    fixed = {
+        "set2": LatticeSet.of([(0, 0), (1, 1), (1, 0)]),
+        "set1": LatticeSet.of([(0,), (2,)]),
+        "win2": Window((-1, -1), (2, 2)),
+        "win3": Window((-1, -1, -1), (2, 2, 2)),
+        "pairs": PartitionSpec(((0,), (1,))),
+    }
+    for name, obj in fixed.items():
+        documents.dump(obj, base / f"{name}.json")
+    b = lambda name: str(base / f"{name}.json")  # noqa: E731
+    net = Network(
+        ("u", "z", "w"),
+        (Arc("u", "z", -2, 2), Arc("z", "w", -2, 2, ArcCost.from_callable(-2, 2, lambda t: t * t))),
+        ("u",),
+        ("w",),
+    )
+    return [
+        (LatticeSet.of([(0, 0), (1, 1), (2, 1)]), ["check", "{}", "--class", "lnat-set"]),
+        (LatticeSet(2, frozenset({(0, 0), (1, 0)}), lifted=True), ["check", "{}", "--class", "l-set"]),
+        (LatticeFn.of({(0, 0): F(1, 2), (1, 0): 2, (1, 1): -1}), ["check", "{}", "--class", "integrally-convex-fn"]),
+        (LatticeFn(2, {(0, 0): F(1), (1, 0): F(2)}, lifted=True, ramp=F(1, 3)), ["check", "{}", "--class", "l-fn"]),
+        (Window((0, 0), (1, 1)), ["check", b("set2"), "--class", "mnat-set", "--window", "{}"]),
+        (SplitSpec((1, 2)), ["op", "split", b("set2"), "--spec", "{}", "--window", b("win3")]),
+        (PartitionSpec(((0, 1),)), ["op", "aggregate", b("set2"), "--spec", "{}"]),
+        (net, ["induce", "--network", "{}", "--input", b("set1")]),
+        ({"type": "verdict", "member": True}, ["check", "{}", "--class", "m-set"]),
+    ]
+
+
+def test_fuzzed_documents_exit_2_or_answer(tmp_path, capsys):
+    rng = random.Random(20261018)
+    path = tmp_path / "doc.json"
+    cases = _fuzz_cases(tmp_path)
+    for round_ in range(40):
+        for obj, argv in cases:
+            doc = _mutate(documents.to_document(obj), rng)
+            path.write_text(json.dumps(doc))
+            args = [str(path) if a == "{}" else a for a in argv]
+            rc = main(args)
+            err = capsys.readouterr().err
+            if rc == 2:
+                assert err.startswith("error:"), (doc, err)
+            else:
+                assert rc in ((0, 1) if argv[0] == "check" else (0,)), (doc, rc)

@@ -81,6 +81,9 @@ def test_extension_value_agrees_with_bruteforce():
         vals = {p: F(rng.randint(-4, 4), rng.choice((1, 2))) for p in s.points}
         f = LatticeFn(n, vals)
         assert local_extension_value(f, x) == local_extension_value_bruteforce(f, x)
+        # the value map alone, as the recognizers pass it, scaled to ints
+        scaled = {p: int(6 * v) for p, v in vals.items()}
+        assert local_extension_value(scaled, x) == 6 * local_extension_value(f, x)
 
 
 def test_simplex_basic():
