@@ -15,14 +15,15 @@ the kind up in the same table, checks that the witness points lie in the
 object, and calls the same predicate.
 
 Values are exact integers inside a check.  The view scales every stored
-value and the ramp once, by the least common multiple of their
-denominators, to plain ``int``s.  This changes no verdict: every axiom
-compares weighted sums of values with equal total weight on both sides
-(the hull axiom compares twice the local extension, itself such a sum,
-with a sum of two values), so one positive factor cancels, and witnesses
-carry points, not values.  The view also memoizes the local extension by
-x + y, so each distinct half-integral midpoint (x + y)/2 is solved once per
-check.  The memo lives and dies with the view.
+value once, by the least common multiple of their denominators, to plain
+``int``s.  This changes no verdict: every axiom compares weighted sums of
+values with equal total weight on both sides (the hull axiom compares twice
+the local extension, itself such a sum, with a sum of two values), so one
+positive factor cancels, and witnesses carry points, not values.  The
+points on the two sides have equal sums too, so the linear x -> ramp * x_n
+cancels, and a lifted function is read without its ramp.  The view also
+memoizes the local extension by x + y, so each distinct half-integral
+midpoint (x + y)/2 is solved once per check; the memo dies with the view.
 
 Conventions for infinite values inside axioms: an inequality with +infinity
 on the left-hand side holds; +infinity on the right-hand side is only
@@ -188,14 +189,11 @@ def increments(x: Point, y: Point) -> List[Point]:
     ]
 
 
-def _scaled(vals, ramp) -> Tuple[Dict[Point, int], int]:
-    """Values and ramp times the least common multiple of their
-    denominators: plain ints in the same order and sums."""
-    scale = lcm(ramp.denominator, *{v.denominator for v in vals.values()})
-    return (
-        {p: v.numerator * (scale // v.denominator) for p, v in vals.items()},
-        ramp.numerator * (scale // ramp.denominator),
-    )
+def _scaled(vals) -> Dict[Point, int]:
+    """Values times the least common multiple of their denominators: plain
+    ints in the same order and sums."""
+    scale = lcm(*{v.denominator for v in vals.values()})
+    return {p: v.numerator * (scale // v.denominator) for p, v in vals.items()}
 
 
 class _View:
@@ -203,23 +201,22 @@ class _View:
 
     ``vals`` maps the stored points (representatives, when lifted) to their
     scaled int values, and ``get(p)`` is the value at any point, None
-    meaning +infinity.  A set reads as its indicator function: 0 on its
-    points.  ``get`` may be given instead, for a view read only through it.
+    meaning +infinity; a lifted object is read constant along 1, without its
+    ramp.  A set reads as its indicator function: 0 on its points.  ``get``
+    may be given instead, for a view read only through it.
     """
 
-    def __init__(self, dim: int, vals: Dict[Point, int], lifted: bool = False, ramp: int = 0, get=None):
-        self.dim, self.vals, self.lifted, self.ramp = dim, vals, lifted, ramp
+    def __init__(self, dim: int, vals: Dict[Point, int], lifted: bool = False, get=None):
+        self.dim, self.vals, self.lifted = dim, vals, lifted
         self.get = get or (self._lifted_get if lifted else vals.get)
         self.extensions: Dict[Point, object] = {}
 
     @classmethod
     def of(cls, obj) -> "_View":
-        vals, ramp = _scaled(value_map(obj), obj.ramp)
-        return cls(obj.dim, vals, obj.lifted, ramp)
+        return cls(obj.dim, _scaled(value_map(obj)), obj.lifted)
 
     def _lifted_get(self, p: Point):
-        base = self.vals.get(vshift(p, -p[-1]))
-        return None if base is None else base + p[-1] * self.ramp
+        return self.vals.get(vshift(p, -p[-1]))
 
     @cached_property
     def box(self) -> Window:
@@ -229,6 +226,11 @@ class _View:
     def domain(self) -> "_View":
         """The indicator of the domain."""
         return _View(self.dim, dict.fromkeys(self.vals, 0), self.lifted)
+
+    def section(self) -> "_View":
+        """The slice x_n = 0 in its first n - 1 coordinates: all the stored
+        representatives of a lifted object, which is their lift along 1."""
+        return _View(self.dim - 1, {p[:-1]: v for p, v in self.vals.items() if p[-1] == 0})
 
     def prefixed(self) -> "_View":
         """The pull-back to prefix sums, where multimodularity is midpoint
@@ -377,6 +379,7 @@ _AXIOMS = {
 _MAPPED = {
     "domain-not-dmc": (_View.domain, lambda p: p, "midpoint-far"),
     "multimodular-midpoint": (_View.prefixed, prefix_point, "midpoint"),
+    "l-section-midpoint": (_View.section, lambda p: vshift(p, -p[-1])[:-1], "midpoint"),
 }
 
 
@@ -449,33 +452,28 @@ def _check_separable(v: _View) -> Verdict:
 
 
 def _check_l(v: _View) -> Verdict:
-    vals, get = v.vals, v.get
-    pts = sorted(vals)
+    """Exact for a lifted object: it is L-convex iff its section x_n = 0 is
+    L♮-convex (Murota, Discrete Convex Analysis, 2003, ch. 7), that is,
+    midpoint convex; the witness goes back to Z^n with a 0 appended.  A
+    finite object is a windowed sample over its bounding box, so a negative
+    verdict is sound and a pass only a necessary condition."""
     if v.lifted:
-        # Exact: relative shifts outside the coordinate spread give a
-        # comparable pair, for which submodularity is automatic.
-        for a, r in enumerate(pts):
-            for r2 in pts[a:]:
-                deltas = [p - q for p, q in zip(r, r2)]
-                for s in range(min(deltas) - 1, max(deltas) + 2):
-                    y = vshift(r2, s)
-                    if y != r and _submodular(v, vals[r] + vals[r2] + s * v.ramp, r, y):
-                        return _fail("submodular", (r, y))
-        return _OK
-    # Finite input: treated as a windowed sample over its bounding box.
-    # Negative verdicts are sound; a pass is only a necessary condition.
+        inner = _scan_pairs(v.section(), "midpoint")
+        if inner.member:
+            return _OK
+        return _fail("l-section-midpoint", (p + (0,) for p in inner.witness.points))
     verdict = _scan_pairs(v, "submodular")
     if not verdict.member:
         return verdict
     anchor = None
-    for p in pts:
+    for p, fp in sorted(v.vals.items()):
         for t in (vshift(p, 1), vshift(p, -1)):
-            if _ones_shift(v, vals[p], p, t):
+            if _ones_shift(v, fp, p, t):
                 return _fail("ones-shift", (p, t))
-        if get(vshift(p, 1)) is not None:
+        if v.get(vshift(p, 1)) is not None:
             if anchor is None:
                 anchor = p
-            elif _ramp(v, vals[anchor] + vals[p], anchor, p):
+            elif _ramp(v, v.vals[anchor] + fp, anchor, p):
                 return _fail("ramp", (anchor, p))
     return _OK
 

@@ -9,11 +9,13 @@ through a second implementation.  The integrally convex one decides local
 hull membership by the brute-force hull oracle (``hull_oracle``), not by
 the local extension production reads a set through.
 
-One function recognizer sits beside them: ``check_ic_fn`` decides
+Two function recognizers sit beside them.  ``check_ic_fn`` decides
 integrally convex functions by the definition, over the stored ``Fraction``
 values, with the brute-force local extension (``hull_oracle``) and no memo,
 so it checks the int-scaled, memoized production kernel through a second
-implementation.
+implementation.  ``check_lifted_l_fn`` decides lifted L-convex functions by
+submodularity in Z^n, ramp included, the way production did before it
+decided them on their L♮ section; ``_check_l_set`` is its set form.
 
 The set operations (direct sums, splitting, aggregation, Minkowski sum) are
 the point-set bodies production used before each operation was written once
@@ -250,6 +252,25 @@ def _check_l_set(s: LatticeSet) -> Verdict:
             t = vshift(p, step)
             if box.contains(t) and t not in s.points:
                 return _fail("ones-shift", (p, t))
+    return _OK
+
+
+def check_lifted_l_fn(f: LatticeFn) -> Verdict:
+    """Submodularity f(r) + f(y) >= f(r v y) + f(r ^ y) for every stored r
+    and every shift y of a stored r2 within the coordinate spread, read
+    through ``LatticeFn.value`` with the ramp; f must be lifted."""
+    reps = f.sorted_items()
+    for i, (r, fr) in enumerate(reps):
+        for r2, fr2 in reps[i:]:
+            lo, hi = _lifted_shift_span(r, r2)
+            for a in range(lo, hi + 1):
+                y = vshift(r2, a)
+                if y == r:
+                    continue
+                jn, mt = join_meet(r, y)
+                rhs = f.value(jn) + f.value(mt)
+                if not is_finite(rhs) or fr + fr2 + a * f.ramp < rhs:
+                    return _fail("submodular", (r, y))
     return _OK
 
 

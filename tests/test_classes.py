@@ -110,8 +110,8 @@ def test_l_set_lifted_recognizer():
     diag = LatticeSet(2, frozenset({(0, 0)}), lifted=True)
     assert check_set(diag, ClassLabel.L_SET).member
     two = LatticeSet(2, frozenset({(0, 0), (2, 0)}), lifted=True)
-    # representatives (0,0) and (2,0): join (2,0) with shift -1 gives (1,-1),
-    # whose join/meet with (0,0) leave the family
+    # representatives (0,0) and (2,0): the section {0, 2} misses its
+    # midpoint 1
     v = check_set(two, ClassLabel.L_SET)
     assert not v.member and verify_witness(two, v.witness)
 
@@ -417,7 +417,8 @@ WITNESS_CASES = [
     ("hull-midpoint", LatticeSet.of([(1, 0), (0, 1), (2, 1), (1, 2)]), ClassLabel.IC_SET),
     ("hull-midpoint", _BUMP, ClassLabel.IC_FN),
     ("submodular", LatticeSet.of([(0, 1), (1, 0)]), ClassLabel.L_SET),
-    ("submodular", LatticeSet(2, frozenset({(0, 0), (2, 0)}), lifted=True), ClassLabel.L_SET),
+    ("l-section-midpoint", LatticeSet(2, frozenset({(0, 0), (2, 0)}), lifted=True), ClassLabel.L_SET),
+    ("l-section-midpoint", LatticeFn(2, {(0, 0): 0, (1, 0): 5, (2, 0): 0}, lifted=True, ramp=F(1, 2)), ClassLabel.L_FN),
     ("ones-shift", LatticeSet.of([(0, 0), (2, 2)]), ClassLabel.L_SET),
     ("ramp", LatticeFn.of({(0, 0): 0, (1, 1): 1, (2, 2): 3}), ClassLabel.L_FN),
     ("exchange-mnat", _DIAGONAL, ClassLabel.MNAT_SET),
@@ -447,8 +448,9 @@ def test_witness_replay_per_kind(kind, obj, label):
     assert not v.member and v.witness.kind == kind
     w = v.witness
     assert verify_witness(obj, w)
-    # a witness point moved outside the object
-    outside = (99,) * obj.dim
+    # a witness point moved outside the object; a lifted object holds
+    # (99, ..., 99) when it holds the origin, but not (99, ..., 99, 0)
+    outside = (99,) * (obj.dim - 1) + ((0,) if obj.lifted else (99,))
     assert not verify_witness(obj, dataclasses.replace(w, points=(outside,) + w.points[1:]))
     # an index no candidate of the axiom uses
     if w.indices:
@@ -513,11 +515,62 @@ def test_lifted_replay_matches_a_finite_window(kind):
     assert answers == {True, False}
 
 
-def test_view_scales_values_and_ramp_to_ints():
-    # one positive factor for every value and the ramp, the least that
-    # makes them all ints
+def test_view_scales_values_to_ints():
+    # one positive factor for every value, the least that makes them all
+    # ints; the ramp is left out, since it cancels from every axiom
     f = LatticeFn(2, {(0, 0): F(1, 6), (1, 0): F(-3, 4), (2, 0): F(5)}, lifted=True, ramp=F(2, 9))
     v = _View.of(f)
-    assert v.vals == {(0, 0): 6, (1, 0): -27, (2, 0): 180} and v.ramp == 8
+    assert v.vals == {(0, 0): 2, (1, 0): -9, (2, 0): 60}
     assert all(type(c) is int for c in v.vals.values())
     assert _View.of(LatticeSet.of([(0, 1)])).vals == {(0, 1): 0}
+
+
+def _random_witness(rng, kind, shape, obj):
+    """A witness of ``kind`` with ``shape`` = (points, indices) counts, its
+    points shifts of stored representatives; a jump kind's third point is a
+    signed unit step."""
+    n, reps = obj.dim, sorted(value_map(obj))
+    pts = [vshift(rng.choice(reps), rng.randint(-2, 2)) for _ in range(shape[0])]
+    if kind.startswith("jump-"):
+        i = rng.randrange(n)
+        pts[2] = tuple(rng.choice((-1, 1)) if j == i else 0 for j in range(n))
+    return Witness(kind, tuple(pts), tuple(rng.randrange(n) for _ in range(shape[1])))
+
+
+def test_lifted_answers_ignore_the_ramp():
+    # x -> ramp * x_n is linear, and the points on the two sides of every
+    # axiom have equal sums, so checks and replays answer the same with
+    # any ramp
+    shapes = {}
+    for kind, obj, label in WITNESS_CASES:
+        w = check(obj, label).witness
+        shapes[kind] = (len(w.points), len(w.indices))
+    rng = random.Random(99)
+    answers = set()
+    for _ in range(200):
+        f = _random_lifted(rng)
+        if isinstance(f, LatticeSet):
+            continue
+        flat = LatticeFn(f.dim, f.values, lifted=True)
+        for g in (f, LatticeFn(f.dim, f.values, lifted=True, ramp=F(rng.randint(1, 5), rng.randint(1, 3)))):
+            assert check(g, ClassLabel.L_FN) == check(flat, ClassLabel.L_FN), g
+            for kind, shape in sorted(shapes.items()):
+                w = _random_witness(rng, kind, shape, g)
+                got = verify_witness(g, w)
+                assert got == verify_witness(flat, w), (g, w)
+                answers.add(got)
+    assert answers == {True, False}
+
+
+def test_lifted_l_objects_in_one_dimension_are_members():
+    # the section is the single point of Z^0
+    assert check(LatticeSet(1, frozenset({(5,)}), lifted=True), ClassLabel.L_SET).member
+    assert check(LatticeFn(1, {(3,): F(7)}, lifted=True, ramp=F(1, 2)), ClassLabel.L_FN).member
+
+
+def test_l_section_witness_replays_on_a_finite_slice():
+    # on a finite object the replay reads the slice x_n = 0, which a box
+    # meets in an L-natural set when the sample is one of an L-convex set
+    w = Witness("l-section-midpoint", ((0, 0), (2, 0)))
+    assert verify_witness(LatticeSet.of([(0, 0), (2, 0), (1, 1)]), w)
+    assert not verify_witness(LatticeSet.of([(0, 0), (1, 0), (2, 0)]), w)

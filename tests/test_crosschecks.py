@@ -2,7 +2,9 @@
 
 Production decides every set class through the axiom table it shares with
 the function classes, so the set verdicts are compared, witness and all,
-with the per-class set scanners kept in ``set_oracles``.  The function
+with the per-class set scanners kept in ``set_oracles``.  Lifted L-convex
+objects are decided on their section x_n = 0 and the oracle scans Z^n, so
+there the verdicts are compared and both witnesses replayed.  The function
 recognizers applied to indicator functions must agree with the set
 recognizers on every input, member or not.  Likewise the pruned depth-first
 flow enumeration must agree with a naive product-space scan.
@@ -19,10 +21,10 @@ import random
 from fractions import Fraction
 
 from dconvex import lab
-from dconvex.classes import FN_LABELS, SET_LABELS, ClassLabel, check, check_fn, check_set
+from dconvex.classes import FN_LABELS, SET_LABELS, ClassLabel, check, check_fn, check_set, verify_witness
 from dconvex.core import LatticeFn, LatticeSet, Window, cube, indicator_fn, vshift
 from dconvex.network import Arc, ArcCost, Network, boundary, transform_set
-from set_oracles import SET_ORACLES, check_ic_fn
+from set_oracles import SET_ORACLES, check_ic_fn, check_lifted_l_fn
 
 INDICATOR_PAIRS = (
     (ClassLabel.INTEGER_BOX, ClassLabel.SEPARABLE_CONVEX),
@@ -61,8 +63,13 @@ def test_set_recognizers_match_oracle():
     for s in _random_sets(31415):
         for label, oracle in SET_ORACLES.items():
             assert check_set(s, label) == oracle(s), (label, sorted(s.points))
+    # lifted sets are decided on their section, the oracle in Z^n: the
+    # verdicts agree and each side's witness replays
     for s in _random_lifted_sets(2718):
-        assert check_set(s, ClassLabel.L_SET) == SET_ORACLES[ClassLabel.L_SET](s), sorted(s.points)
+        got, want = check_set(s, ClassLabel.L_SET), SET_ORACLES[ClassLabel.L_SET](s)
+        assert got.member == want.member, sorted(s.points)
+        for w in (got.witness, want.witness):
+            assert w is None or verify_witness(s, w), (sorted(s.points), w)
 
 
 def test_set_and_indicator_recognizers_agree():
@@ -78,6 +85,48 @@ def test_lifted_indicator_agreement():
     for s in _random_lifted_sets(2718):
         f = indicator_fn(s)
         assert check_set(s, ClassLabel.L_SET).member == check_fn(f, ClassLabel.L_FN).member
+
+
+def _lifted_objects(rng):
+    """Lifted sets and functions with n = 1..4: drawn L members and random
+    representatives, each followed half the time by a near miss (a
+    representative dropped or a value raised)."""
+    for _ in range(1200):
+        n = rng.randint(1, 4)
+        kind = rng.randrange(4)
+        if kind == 0:
+            obj = lab.gen_l_set(rng, n, cube(n, -1, 1))
+        elif kind == 1:
+            obj = lab.gen_l_fn(rng, n, cube(n, -1, 1))
+        else:
+            reps = {tuple(rng.randint(-1, 1) for _ in range(n - 1)) + (0,) for _ in range(rng.randint(1, 6))}
+            if kind == 2:
+                obj = LatticeSet(n, frozenset(reps), lifted=True)
+            else:
+                ramp = Fraction(rng.choice((-1, 1)) * rng.randint(1, 3), rng.randint(1, 4))
+                obj = LatticeFn(n, {p: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for p in reps}, True, ramp)
+        if rng.random() < 0.5:
+            if isinstance(obj, LatticeFn):
+                obj = _raised(obj, rng)
+            elif len(obj) > 1:
+                obj = LatticeSet(n, obj.points - {rng.choice(sorted(obj.points))}, lifted=True)
+        yield obj
+
+
+def test_lifted_l_recognizer_matches_oracle():
+    rng = random.Random(4242)
+    members = total = 0
+    for obj in _lifted_objects(rng):
+        if isinstance(obj, LatticeSet):
+            got, want = check(obj, ClassLabel.L_SET), SET_ORACLES[ClassLabel.L_SET](obj)
+        else:
+            got, want = check(obj, ClassLabel.L_FN), check_lifted_l_fn(obj)
+        assert got.member == want.member, obj
+        for w in (got.witness, want.witness):
+            assert w is None or verify_witness(obj, w), (obj, w)
+        members += got.member
+        total += 1
+    assert total >= 1000 and 0.3 < members / total < 0.9
 
 
 def _raised(f: LatticeFn, rng) -> LatticeFn:
