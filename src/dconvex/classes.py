@@ -46,6 +46,7 @@ from .core import (
     LiftedInputError,
     Point,
     Window,
+    as_rational,
     bounding_box,
     difference_point,
     join_meet,
@@ -227,10 +228,11 @@ class _View:
         """The indicator of the domain."""
         return _View(self.dim, dict.fromkeys(self.vals, 0), self.lifted)
 
-    def section(self) -> "_View":
-        """The slice x_n = 0 in its first n - 1 coordinates: all the stored
-        representatives of a lifted object, which is their lift along 1."""
-        return _View(self.dim - 1, {p[:-1]: v for p, v in self.vals.items() if p[-1] == 0})
+    def section(self, c: int = 0) -> "_View":
+        """The slice x_n = c in its first n - 1 coordinates.  For a lifted
+        object and c = 0 it holds all the stored representatives, which is
+        their lift along 1."""
+        return _View(self.dim - 1, {p[:-1]: v for p, v in self.vals.items() if p[-1] == c})
 
     def prefixed(self) -> "_View":
         """The pull-back to prefix sums, where multimodularity is midpoint
@@ -375,11 +377,20 @@ _AXIOMS = {
     "jump-mnat-fn": (2, _jump_exchange, _step_toward),
 }
 
-# kinds replayed on another view: kind -> (view map, point map, kind there)
+
+def _section_replay(v: _View, points: Tuple[Point, ...]):
+    """The section through the first witness point, x_n = c, with each
+    point moved onto it along 1; a lifted object is read on its stored
+    section x_n = 0, which is the same up to the shift c * 1."""
+    c = 0 if v.lifted else points[0][-1]
+    return v.section(c), tuple(vshift(p, c - p[-1])[:-1] for p in points)
+
+
+# kinds replayed on another view: kind -> (map of view and points, kind there)
 _MAPPED = {
-    "domain-not-dmc": (_View.domain, lambda p: p, "midpoint-far"),
-    "multimodular-midpoint": (_View.prefixed, prefix_point, "midpoint"),
-    "l-section-midpoint": (_View.section, lambda p: vshift(p, -p[-1])[:-1], "midpoint"),
+    "domain-not-dmc": (lambda v, points: (v.domain(), points), "midpoint-far"),
+    "multimodular-midpoint": (lambda v, points: (v.prefixed(), tuple(map(prefix_point, points))), "midpoint"),
+    "l-section-midpoint": (_section_replay, "midpoint"),
 }
 
 
@@ -548,19 +559,22 @@ def verify_witness(obj, witness: Witness) -> bool:
 
     Returns True iff the recorded data is a genuine violation for this
     object, independently of how the witness was found.  An empty object
-    violates nothing.
+    violates nothing, and neither does a witness with a point outside Z^n
+    (every kind records its points, steps included, in the object's
+    coordinates).
     """
     if witness.kind not in _AXIOMS and witness.kind not in _MAPPED:
         raise ValueError(f"unknown witness kind {witness.kind!r}")
-    if not len(obj):
+    if not len(obj) or any(len(p) != obj.dim for p in witness.points):
         return False
     return _replay(_View.of(obj), witness.kind, witness.points, witness.indices)
 
 
 def _replay(v: _View, kind: str, points: Tuple[Point, ...], indices: Tuple[int, ...]) -> bool:
     if kind in _MAPPED:
-        to_view, to_point, inner = _MAPPED[kind]
-        return _replay(to_view(v), inner, tuple(map(to_point, points)), ())
+        to_view, inner = _MAPPED[kind]
+        mapped, points = to_view(v, points)
+        return _replay(mapped, inner, points, ())
     members, violated, keep = _AXIOMS[kind]
     args = points + indices
     held = [v.get(p) for p in points[:members]]
@@ -580,7 +594,7 @@ def argmin_perturbed(f: LatticeFn, c: Sequence) -> LatticeSet:
     which case the objective is invariant along the lift and the result is a
     lifted set; any other c is unbounded and rejected.
     """
-    cvec = [Fraction(v) for v in c]
+    cvec = [as_rational(v, "perturbation entry") for v in c]
     if len(cvec) != f.dim:
         raise ValueError("perturbation dimension mismatch")
     if f.lifted and sum(cvec) != f.ramp:
@@ -596,17 +610,16 @@ def argmin_perturbed(f: LatticeFn, c: Sequence) -> LatticeSet:
     return LatticeSet(f.dim, frozenset(arg), lifted=f.lifted)
 
 
-def multimodular_polyhedral_check(s: LatticeSet, w: Window) -> bool:
+def multimodular_polyhedral_check(s: LatticeSet) -> bool:
     """Tightest consecutive-interval sum bounds, then compare: the set is
-    multimodular iff it equals the lattice points of the window satisfying
-    a_I <= x(I) <= b_I for every consecutive index interval I."""
+    multimodular iff it equals the lattice points satisfying
+    a_I <= x(I) <= b_I for every consecutive index interval I (the
+    singleton intervals bound every coordinate)."""
     if s.lifted:
         raise LiftedInputError("polyhedral check needs a finite set")
     if not s.points:
         raise ValueError("membership is undefined for the empty set")
     pts = s.sorted_points()
-    if not all(w.contains(p) for p in pts):
-        raise ValueError("set is not contained in the window")
     n = s.dim
     intervals = [(i, j) for i in range(n) for j in range(i, n)]
     bounds = {}

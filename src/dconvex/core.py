@@ -39,14 +39,6 @@ class EmptyResultError(ValueError):
 # point arithmetic
 
 
-def zero(n: int) -> Point:
-    return (0,) * n
-
-
-def ones(n: int) -> Point:
-    return (1,) * n
-
-
 def unit(n: int, i: int) -> Point:
     return tuple(1 if j == i else 0 for j in range(n))
 

@@ -154,11 +154,8 @@ def _random_multigraph(rng: random.Random, n: int, edges: int) -> List[Tuple[int
     return out
 
 
-def _degree_weight_fn(
-    n: int, edges: Sequence[Tuple[int, int]], weights: Sequence[Fraction], box01: bool = False
-) -> LatticeFn:
-    """Minimum subgraph weight by degree sequence; with box01 only degree
-    sequences inside {0,1}^n are kept."""
+def _degree_weight_fn(n: int, edges: Sequence[Tuple[int, int]], weights: Sequence[Fraction]) -> LatticeFn:
+    """Minimum subgraph weight by degree sequence."""
     best: Dict[Point, Fraction] = {(0,) * n: Fraction(0)}
     for (i, j), w in zip(edges, weights):
         inc = tuple((2 if k == i else 0) if i == j else (1 if k in (i, j) else 0) for k in range(n))
@@ -169,8 +166,6 @@ def _degree_weight_fn(
             if q not in nxt or c < nxt[q]:
                 nxt[q] = c
         best = nxt
-    if box01:
-        best = {p: v for p, v in best.items() if all(c in (0, 1) for c in p)}
     return LatticeFn(n, best)
 
 
@@ -300,19 +295,6 @@ def gen_l_fn(rng: random.Random, n: int, window: Window) -> LatticeFn:
     return LatticeFn(n, vals, lifted=True, ramp=ramp)
 
 
-def laminar_fn(family: Sequence[Sequence[int]], pieces, box: Window) -> LatticeFn:
-    """Sum of univariate convex pieces over groups of a laminar family,
-    evaluated on a box.  ``pieces`` maps each group (as a tuple) to a
-    callable on integers."""
-    fam = [tuple(a) for a in family]
-    vals = {}
-    for p in box.points():
-        vals[p] = sum(
-            (Fraction(pieces[a](sum(p[i] for i in a))) for a in fam), Fraction(0)
-        )
-    return LatticeFn(box.dim, vals)
-
-
 def gen_mnat_fn(rng: random.Random, n: int, window: Window) -> LatticeFn:
     box = _random_box(rng, n, window)
     fam = _laminar_family(rng, n)
@@ -379,17 +361,6 @@ def gen_jump_m_fn(rng: random.Random, n: int, window: Window) -> LatticeFn:
     return _degree_weight_fn(n, edges, weights)
 
 
-def gen_jump_m_fn_01(rng: random.Random, n: int, window: Window) -> LatticeFn:
-    """Jump M instance with domain inside {0,1}^n (matchable degree
-    sequences of a loopless graph)."""
-    while True:
-        edges = [e for e in _random_multigraph(rng, n, rng.randint(2, 5)) if e[0] != e[1]]
-        if edges:
-            break
-    weights = [Fraction(rng.randint(-2, 3), rng.choice((1, 2))) for _ in edges]
-    return _degree_weight_fn(n, edges, weights, box01=True)
-
-
 def gen_jump_mnat_fn(rng: random.Random, n: int, window: Window) -> LatticeFn:
     if rng.random() < 0.5:
         return gen_mnat_fn(rng, n, window)
@@ -429,54 +400,6 @@ _FN_GENERATORS: Dict[ClassLabel, Callable] = {
 }
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
-    """Request for one random class member.
-
-    ``params`` optionally pins the structure instead of randomizing it:
-    {"laminar": family, "pieces": {group: callable}} for the laminar
-    M-natural family, or {"edges": [(i, j), ...], "weights": [...]} for
-    degree-system instances (sets ignore "weights").
-    """
-
-    label: ClassLabel
-    dim: int
-    window: Window
-    seed: object = 0
-    budget: int = 200
-    params: Optional[dict] = None
-
-
-def _structured_instance(config: GeneratorConfig, label: ClassLabel):
-    p = config.params
-    if "laminar" in p:
-        return laminar_fn(p["laminar"], p["pieces"], config.window)
-    if "edges" in p:
-        edges = [tuple(e) for e in p["edges"]]
-        if label in FN_LABELS:
-            weights = [Fraction(w) for w in p["weights"]]
-            return _degree_weight_fn(config.dim, edges, weights, bool(p.get("box01")))
-        return LatticeSet(config.dim, _degree_system(config.dim, edges))
-    raise ValueError(f"unsupported generator params {sorted(p)}")
-
-
-def generate(config: GeneratorConfig):
-    """Random instance of the requested class, drawn from a stream seeded by
-    the request; the class recognizer is asserted on every emitted
-    instance."""
-    label = ClassLabel(config.label)
-    if config.params is not None:
-        obj = _structured_instance(config, label)
-        verdict = check(obj, label)
-        if not verdict.member:
-            raise ValueError(
-                f"requested structure is not {label.value}; witness {verdict.witness}"
-            )
-        return obj
-    rng = _rng(config.seed, "gen", label.value, config.dim)
-    return draw(label, rng, config.dim, config.window, config.budget)
-
-
 def draw(
     label: ClassLabel,
     rng: random.Random,
@@ -508,11 +431,6 @@ def m_lift(f):
     """Embed f into one more variable forced to the negated coordinate sum;
     f has the exchange property iff the lift has the stronger one."""
     return rebuild(f, f.dim + 1, {(-sum(p),) + p: v for p, v in value_map(f).items()})
-
-
-def parity_lift(f: LatticeFn) -> LatticeFn:
-    """Prepend the coordinate-sum parity bit as a new variable."""
-    return LatticeFn(f.dim + 1, {(sum(p) % 2,) + p: v for p, v in f.values.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -760,14 +678,14 @@ def _run_ex36() -> RecordResult:
     c.expect(ms.points == _MM_AGG_SOURCE, "difference coordinates of the midpoint-closed source")
     c.expect(check_set(ms, ClassLabel.MULTIMODULAR_SET).member, "the source is multimodular")
     c.expect(
-        multimodular_polyhedral_check(ms, ms.bounding_box()),
+        multimodular_polyhedral_check(ms),
         "interval-sum bounds describe the source exactly",
     )
     t = aggregate_set(ms, _PAIRS_SPEC_6)
     c.expect(t.points == _MM_AGG_RESULT, "aggregation by the three pairs")
     c.expect_verdict(check_set(t, ClassLabel.MULTIMODULAR_SET), False, t, "the image is not multimodular")
     c.expect(
-        not multimodular_polyhedral_check(t, t.bounding_box()),
+        not multimodular_polyhedral_check(t),
         "no interval-sum bounds describe the image",
     )
     c.expect(

@@ -122,19 +122,6 @@ class Network:
 Flow = Tuple[int, ...]  # one value per arc, in arc order
 
 
-def boundary(flow: Sequence[int], net: Network) -> Tuple[Point, Point]:
-    """Net supply vectors on the entrance and exit lists."""
-    if len(flow) != len(net.arcs):
-        raise ValueError("flow must assign every arc")
-    supply: Dict[str, int] = {v: 0 for v in net.vertices}
-    for value, arc in zip(flow, net.arcs):
-        supply[arc.tail] += value
-        supply[arc.head] -= value
-    on_u = tuple(supply[v] for v in net.entrance)
-    on_w = tuple(supply[v] for v in net.exit)
-    return on_u, on_w
-
-
 def _enumerate_flows(
     net: Network, entrance_range: Dict[str, Tuple[int, int]]
 ) -> Iterator[Tuple[Flow, Point, Point]]:
@@ -233,15 +220,7 @@ transform_set = induce_fn
 
 
 # ---------------------------------------------------------------------------
-# bipartite builders mirroring the splitting / aggregation / sum shapes
-
-
-def identity_network(bounds: Sequence[Tuple[int, int]]) -> Network:
-    n = len(bounds)
-    us = tuple(f"u{i}" for i in range(n))
-    ws = tuple(f"w{i}" for i in range(n))
-    arcs = tuple(Arc(us[i], ws[i], bounds[i][0], bounds[i][1]) for i in range(n))
-    return Network(us + ws, arcs, us, ws)
+# bipartite builders mirroring the splitting and aggregation shapes
 
 
 def splitting_network(blocks: Sequence[int], w: Window) -> Network:
@@ -274,19 +253,3 @@ def aggregation_network(groups: Sequence[Sequence[int]], coord_bounds: Sequence[
         for i in g:
             arcs[i] = Arc(us[i], ws[j], coord_bounds[i][0], coord_bounds[i][1])
     return Network(us + ws, tuple(arcs), us, ws)
-
-
-def pair_sum_network(
-    bounds1: Sequence[Tuple[int, int]], bounds2: Sequence[Tuple[int, int]]
-) -> Network:
-    """Two entrance copies of each coordinate feeding a common exit; the
-    induced object is the Minkowski sum / convolution."""
-    n = len(bounds1)
-    if len(bounds2) != n:
-        raise ValueError("dimension mismatch")
-    us = tuple(f"u{i}" for i in range(n)) + tuple(f"v{i}" for i in range(n))
-    ws = tuple(f"w{i}" for i in range(n))
-    arcs = tuple(
-        Arc(f"u{i}", f"w{i}", bounds1[i][0], bounds1[i][1]) for i in range(n)
-    ) + tuple(Arc(f"v{i}", f"w{i}", bounds2[i][0], bounds2[i][1]) for i in range(n))
-    return Network(us + ws, arcs, us, ws)

@@ -89,10 +89,6 @@ class PartitionSpec:
     def output_dim(self) -> int:
         return len(self.groups)
 
-    @staticmethod
-    def identity(n: int) -> "PartitionSpec":
-        return PartitionSpec(tuple((i,) for i in range(n)))
-
 
 def _value_maps(what: str, *objs, lifted: bool = False) -> List[Mapping[Point, Value]]:
     """Value maps of operands that are all sets or all functions, and all

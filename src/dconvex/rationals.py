@@ -88,15 +88,6 @@ def rat(num, den: int = 1) -> Fraction:
     return Fraction(num, den)
 
 
-def vmin(values) -> Value:
-    """Minimum of an iterable of values; INF when the iterable is empty."""
-    best: Value = INF
-    for v in values:
-        if v < best:
-            best = v
-    return best
-
-
 def parse_value(text: str) -> Value:
     """Parse 'p/q', 'p', or 'inf' into an exact value."""
     s = text.strip()

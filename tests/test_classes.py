@@ -250,6 +250,11 @@ def test_mnat_lift_agreement():
         assert check_fn(f, ClassLabel.MNAT_FN).member == check_fn(lab.m_lift(f), ClassLabel.M_FN).member
 
 
+def parity_lift(f: LatticeFn) -> LatticeFn:
+    """Prepend the coordinate-sum parity bit as a new variable."""
+    return LatticeFn(f.dim + 1, {(sum(p) % 2,) + p: v for p, v in f.values.items()})
+
+
 def test_jump_parity_lift_agreement():
     rng = random.Random(6)
     w = cube(2, -2, 2)
@@ -264,7 +269,7 @@ def test_jump_parity_lift_agreement():
             f = LatticeFn(2, vals)
         assert (
             check_fn(f, ClassLabel.JUMP_MNAT_FN).member
-            == check_fn(lab.parity_lift(f), ClassLabel.JUMP_M_FN).member
+            == check_fn(parity_lift(f), ClassLabel.JUMP_M_FN).member
         )
 
 
@@ -286,13 +291,20 @@ def test_argmin_lifted_requires_matching_ramp():
     assert got.lifted and got.points == frozenset({(0, 0)})
 
 
+def test_argmin_perturbation_entries_are_exact():
+    f = LatticeFn.of({(0,): 0, (1,): 1})
+    assert argmin_perturbed(f, [1]).points == frozenset({(0,), (1,)})
+    assert argmin_perturbed(f, [F(3, 2)]).points == frozenset({(1,)})
+    for bad in (0.1, True, "1/2"):
+        with pytest.raises(ValueError):
+            argmin_perturbed(f, [bad])
+
+
 def test_polyhedral_check():
     box = LatticeSet.of([(a, b) for a in range(2) for b in range(2)])
-    assert multimodular_polyhedral_check(box, cube(2, -1, 2))
+    assert multimodular_polyhedral_check(box)
     bad = LatticeSet.of([(0, 0, 0), (0, 1, 0), (1, 0, -1), (1, 1, -1)])
-    assert not multimodular_polyhedral_check(bad, bad.bounding_box())
-    with pytest.raises(ValueError):
-        multimodular_polyhedral_check(box, cube(2, 0, 0))
+    assert not multimodular_polyhedral_check(bad)
 
 
 def test_negative_witnesses_always_replay():
@@ -452,6 +464,9 @@ def test_witness_replay_per_kind(kind, obj, label):
     # (99, ..., 99) when it holds the origin, but not (99, ..., 99, 0)
     outside = (99,) * (obj.dim - 1) + ((0,) if obj.lifted else (99,))
     assert not verify_witness(obj, dataclasses.replace(w, points=(outside,) + w.points[1:]))
+    # the first point with a coordinate dropped or appended
+    for first in (w.points[0][:-1], w.points[0] + (0,)):
+        assert not verify_witness(obj, dataclasses.replace(w, points=(first,) + w.points[1:]))
     # an index no candidate of the axiom uses
     if w.indices:
         assert not verify_witness(obj, dataclasses.replace(w, indices=(obj.dim,) * len(w.indices)))
@@ -569,8 +584,14 @@ def test_lifted_l_objects_in_one_dimension_are_members():
 
 
 def test_l_section_witness_replays_on_a_finite_slice():
-    # on a finite object the replay reads the slice x_n = 0, which a box
-    # meets in an L-natural set when the sample is one of an L-convex set
+    # on a finite object the replay reads the slice x_n = c through the
+    # first witness point, which a box meets in an L-natural set when the
+    # sample is one of an L-convex set
     w = Witness("l-section-midpoint", ((0, 0), (2, 0)))
     assert verify_witness(LatticeSet.of([(0, 0), (2, 0), (1, 1)]), w)
     assert not verify_witness(LatticeSet.of([(0, 0), (1, 0), (2, 0)]), w)
+    # a window off x_n = 0 answers as the lifted set it samples
+    lifted = LatticeSet(2, frozenset({(0, 0), (2, 0)}), lifted=True)
+    sample = restrict_to_window(lifted, Window((1, 1), (3, 1)))
+    off = Witness("l-section-midpoint", ((1, 1), (3, 1)))
+    assert verify_witness(lifted, off) and verify_witness(sample, off)

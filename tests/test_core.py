@@ -182,15 +182,13 @@ def test_prefix_is_the_all_ones_lower_triangle():
 
 
 def test_infinity_semantics():
-    from dconvex.rationals import INF, format_value, parse_value, vmin
+    from dconvex.rationals import INF, format_value, parse_value
 
     assert INF + Fraction(3, 2) == INF
     assert Fraction(-5) + INF == INF
     assert INF + INF == INF
     assert Fraction(10**9) < INF
     assert INF <= INF and INF >= Fraction(0) and not INF < INF
-    assert vmin([]) == INF
-    assert vmin([Fraction(2), Fraction(1, 2)]) == Fraction(1, 2)
     assert parse_value("inf") == INF
     assert parse_value("-7/2") == Fraction(-7, 2)
     assert format_value(INF) == "inf"

@@ -23,7 +23,7 @@ from fractions import Fraction
 from dconvex import lab
 from dconvex.classes import FN_LABELS, SET_LABELS, ClassLabel, check, check_fn, check_set, verify_witness
 from dconvex.core import LatticeFn, LatticeSet, Window, cube, indicator_fn, vshift
-from dconvex.network import Arc, ArcCost, Network, boundary, transform_set
+from dconvex.network import Arc, ArcCost, Network, transform_set
 from set_oracles import SET_ORACLES, check_ic_fn, check_lifted_l_fn
 
 INDICATOR_PAIRS = (
@@ -222,9 +222,8 @@ def _naive_transform(s: LatticeSet, net: Network) -> LatticeSet:
             supply[arc.head] -= value
         if any(supply[v] != 0 for v in internal):
             continue
-        on_u, on_w = boundary(flow, net)
-        if on_u in s.points:
-            targets.add(tuple(-c for c in on_w))
+        if tuple(supply[v] for v in net.entrance) in s.points:
+            targets.add(tuple(-supply[v] for v in net.exit))
     return LatticeSet(len(net.exit), frozenset(targets))
 
 

@@ -5,10 +5,24 @@ from fractions import Fraction
 import pytest
 
 from dconvex.classes import ClassLabel, check, check_fn
-from dconvex.core import cube
+from dconvex.core import LatticeFn, LatticeSet, Window, cube
 from dconvex import lab
 
 F = Fraction
+
+
+def laminar_fn(family, pieces, box: Window) -> LatticeFn:
+    """Sum of univariate convex pieces over groups of a laminar family,
+    evaluated on a box.  ``pieces`` maps each group (as a tuple) to a
+    callable on integers."""
+    fam = [tuple(a) for a in family]
+    vals = {}
+    for p in box.points():
+        vals[p] = sum(
+            (Fraction(pieces[a](sum(p[i] for i in a))) for a in fam), Fraction(0)
+        )
+    return LatticeFn(box.dim, vals)
+
 
 ALL_SET_LABELS = [
     ClassLabel.INTEGER_BOX,
@@ -42,14 +56,17 @@ ALL_FN_LABELS = [
 @pytest.mark.parametrize("label", ALL_SET_LABELS + ALL_FN_LABELS)
 def test_generators_emit_members(label):
     for seed in range(6):
-        cfg = lab.GeneratorConfig(label, 3, cube(3, -2, 2), seed=seed)
-        obj = lab.generate(cfg)
+        obj = lab.draw(label, lab._rng(seed, "gen", label.value, 3), 3, cube(3, -2, 2))
         assert check(obj, label).member
 
 
 def test_generate_is_deterministic_under_seed():
-    cfg = lab.GeneratorConfig(ClassLabel.MNAT_SET, 3, cube(3, -2, 2), seed="fixed")
-    assert lab.generate(cfg) == lab.generate(cfg)
+    label = ClassLabel.MNAT_SET
+
+    def drawn():
+        return lab.draw(label, lab._rng("fixed", "gen", label.value, 3), 3, cube(3, -2, 2))
+
+    assert drawn() == drawn()
 
 
 def test_degree_system_example():
@@ -141,37 +158,20 @@ def test_structured_laminar_config_reproduces_tree_objective():
         (0,): lambda t: 0,
         (1,): lambda t: 0,
     }
-    cfg = lab.GeneratorConfig(
-        ClassLabel.MNAT_FN, 3, cube(3, -2, 2), params={"laminar": family, "pieces": pieces}
-    )
-    f = lab.generate(cfg)
+    f = laminar_fn(family, pieces, cube(3, -2, 2))
     assert all(f.values[y] == lab.laminar_closed_form(y) for y in f.values)
     assert check_fn(f, ClassLabel.MNAT_FN).member
 
 
 def test_structured_degree_config():
-    cfg = lab.GeneratorConfig(
-        ClassLabel.JUMP_M_FN,
-        2,
-        cube(2, 0, 3),
-        params={"edges": [(0, 1), (0, 0), (1, 1)], "weights": [1, 0, 0]},
-    )
-    f = lab.generate(cfg)
+    edges = [(0, 1), (0, 0), (1, 1)]
+    f = lab._degree_weight_fn(2, edges, [F(1), F(0), F(0)])
     assert all(v == (p[0] % 2) for p, v in f.values.items())
-    scfg = lab.GeneratorConfig(
-        ClassLabel.CONST_PARITY_JUMP, 2, cube(2, 0, 3), params={"edges": [(0, 1), (0, 0), (1, 1)]}
-    )
-    s = lab.generate(scfg)
+    assert check_fn(f, ClassLabel.JUMP_M_FN).member
+    s = LatticeSet(2, lab._degree_system(2, edges))
     assert len(s) == 8
+    assert check(s, ClassLabel.CONST_PARITY_JUMP).member
 
 
 def test_structured_config_rejects_nonmembers():
-    with pytest.raises(ValueError):
-        lab.generate(
-            lab.GeneratorConfig(
-                ClassLabel.M_FN,
-                2,
-                cube(2, 0, 2),
-                params={"edges": [(0, 1)], "weights": [1]},
-            )
-        )
+    assert not check_fn(lab._degree_weight_fn(2, [(0, 1)], [F(1)]), ClassLabel.M_FN).member

@@ -1,20 +1,18 @@
 import random
 from fractions import Fraction
+from typing import Dict, Sequence, Tuple
 
 import pytest
 
 from dconvex.classes import ClassLabel, check_fn
-from dconvex.core import EmptyResultError, LatticeFn, LatticeSet, cube, indicator_fn
+from dconvex.core import EmptyResultError, LatticeFn, LatticeSet, Point, cube, indicator_fn
 from dconvex.lab import laminar_closed_form, laminar_tree_network
 from dconvex.network import (
     Arc,
     ArcCost,
     Network,
     aggregation_network,
-    boundary,
-    identity_network,
     induce_fn,
-    pair_sum_network,
     splitting_network,
     transform_set,
 )
@@ -28,6 +26,42 @@ from dconvex.ops import (
 )
 
 F = Fraction
+
+
+def boundary(flow: Sequence[int], net: Network) -> Tuple[Point, Point]:
+    """Net supply vectors on the entrance and exit lists: an oracle for the
+    boundaries that flow enumeration tracks incrementally."""
+    if len(flow) != len(net.arcs):
+        raise ValueError("flow must assign every arc")
+    supply: Dict[str, int] = {v: 0 for v in net.vertices}
+    for value, arc in zip(flow, net.arcs):
+        supply[arc.tail] += value
+        supply[arc.head] -= value
+    return tuple(supply[v] for v in net.entrance), tuple(supply[v] for v in net.exit)
+
+
+def identity_network(bounds: Sequence[Tuple[int, int]]) -> Network:
+    n = len(bounds)
+    us = tuple(f"u{i}" for i in range(n))
+    ws = tuple(f"w{i}" for i in range(n))
+    arcs = tuple(Arc(us[i], ws[i], bounds[i][0], bounds[i][1]) for i in range(n))
+    return Network(us + ws, arcs, us, ws)
+
+
+def pair_sum_network(
+    bounds1: Sequence[Tuple[int, int]], bounds2: Sequence[Tuple[int, int]]
+) -> Network:
+    """Two entrance copies of each coordinate feeding a common exit; the
+    induced object is the Minkowski sum / convolution."""
+    n = len(bounds1)
+    if len(bounds2) != n:
+        raise ValueError("dimension mismatch")
+    us = tuple(f"u{i}" for i in range(n)) + tuple(f"v{i}" for i in range(n))
+    ws = tuple(f"w{i}" for i in range(n))
+    arcs = tuple(
+        Arc(f"u{i}", f"w{i}", bounds1[i][0], bounds1[i][1]) for i in range(n)
+    ) + tuple(Arc(f"v{i}", f"w{i}", bounds2[i][0], bounds2[i][1]) for i in range(n))
+    return Network(us + ws, arcs, us, ws)
 
 
 def test_boundary_examples():

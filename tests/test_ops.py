@@ -89,7 +89,7 @@ def test_aggregate_set_examples():
     s = LatticeSet.of([(0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 0), (1, 1, 0, 1)])
     got = aggregate_set(s, PartitionSpec(((0, 2), (1, 3))))
     assert got == LatticeSet.of([(1, 0), (0, 1), (2, 1), (1, 2)])
-    assert aggregate_set(s, PartitionSpec.identity(4)) == s
+    assert aggregate_set(s, PartitionSpec(((0,), (1,), (2,), (3,)))) == s
     s6 = LatticeSet.of(
         [(0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1), (1, 1, 0, 0, 0, 0), (1, 1, 0, 0, 1, 1)]
     )
@@ -268,7 +268,7 @@ def test_set_operations_match_oracle():
         got = split_set(s1, spec, w)
         assert got == set_oracles.split_set(s1, spec, w)
         empty_splits += not got.points
-        pspec = PartitionSpec.identity(1) if n == 1 else lab._random_partition(rng, n)
+        pspec = PartitionSpec(((0,),)) if n == 1 else lab._random_partition(rng, n)
         assert aggregate_set(s1, pspec) == set_oracles.aggregate_set(s1, pspec)
     assert empty_splits > 0
 
