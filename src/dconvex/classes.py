@@ -25,6 +25,19 @@ cancels, and a lifted function is read without its ramp.  The view also
 memoizes the local extension by x + y, so each distinct half-integral
 midpoint (x + y)/2 is solved once per check; the memo dies with the view.
 
+The exchange (M♮, M) and jump axioms read points as ints.  Each of them, on
+an ordered pair x, y, reads only points of the pair's box [x ^ y, x v y]:
+the exchange axiom reads x - e_i + e_j and y + e_i - e_j with i in
+supp+(x - y) and j in supp-(x - y), the jump axioms read x + s + t and
+y - s - t with s and t increments toward y.  So a mixed-radix code over any
+box holding x and y (``_Codes``) never gives two of those points one code:
+a scan codes over the bounding box of the stored points, a replay over the
+witness pair's own box.  A unit step +-e_i is +-stride_i on codes, so a
+pair's steps are computed once and each point read is one int addition;
+codes sort in lexicographic point order, so scans and witnesses are as on
+point tuples.  No array of box size is built: values are looked up in a
+dict keyed by code, and a replay decodes each code and reads the object.
+
 Conventions for infinite values inside axioms: an inequality with +infinity
 on the left-hand side holds; +infinity on the right-hand side is only
 satisfied by +infinity on the left.  Internally the recognizers use ``None``
@@ -38,7 +51,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
     LatticeFn,
@@ -168,11 +181,6 @@ def _bump(p: Point, i: int, d: int) -> Point:
     return tuple(q)
 
 
-def _moves(x: Point, y: Point) -> List[Tuple[int, int]]:
-    """(i, d) for each unit step d * e_i from x toward y."""
-    return [(i, 1 if a < b else -1) for i, (a, b) in enumerate(zip(x, y)) if a != b]
-
-
 @lru_cache(maxsize=None)
 def _unit_steps(n: int) -> Tuple[Tuple[Point, ...], Tuple[Point, ...]]:
     """(-e_0, ..., -e_{n-1}) and (e_0, ..., e_{n-1}) in Z^n."""
@@ -195,6 +203,45 @@ def _scaled(vals) -> Dict[Point, int]:
     ints in the same order and sums."""
     scale = lcm(*{v.denominator for v in vals.values()})
     return {p: v.numerator * (scale // v.denominator) for p, v in vals.items()}
+
+
+class _Codes:
+    """Mixed-radix codes of the points of a box: code(p) is the sum of
+    (p_i - lo_i) * stride_i, with stride_{n-1} = 1 and each stride the next
+    one times the next extent of the box.  Distinct points of the box get
+    distinct codes, in lexicographic order, and a unit step +-e_i that stays
+    in the box moves the code by +-stride_i.  A point outside the box may
+    share a code with one inside."""
+
+    def __init__(self, box: Window):
+        strides = [1] * box.dim
+        for i in range(box.dim - 1, 0, -1):
+            strides[i - 1] = strides[i] * (box.hi[i] - box.lo[i] + 1)
+        self.lo, self.strides = box.lo, tuple(strides)
+        self.axes = tuple(range(box.dim))
+
+    def code(self, p: Point) -> int:
+        return sum((c - a) * s for c, a, s in zip(p, self.lo, self.strides))
+
+    def point(self, code: int) -> Point:
+        out = []
+        for a, s in zip(self.lo, self.strides):
+            q, code = divmod(code, s)
+            out.append(a + q)
+        return tuple(out)
+
+    def steps(self, x: Point, y: Point) -> List[Tuple[int, int, int]]:
+        """(i, +-stride_i, |x_i - y_i|) for each unit step +-e_i from x toward
+        y, in ``increments`` order: -e_i by ascending i, then e_i by
+        descending i."""
+        downs, ups = [], []
+        for i, a, b, s in zip(self.axes, x, y, self.strides):
+            if a > b:
+                downs.append((i, -s, a - b))
+            elif a < b:
+                ups.append((i, s, b - a))
+        ups.reverse()
+        return downs + ups
 
 
 class _View:
@@ -223,6 +270,12 @@ class _View:
     def box(self) -> Window:
         """Bounding box of the stored points."""
         return bounding_box(self.vals)
+
+    @cached_property
+    def coded(self) -> Tuple[_Codes, Dict[int, int]]:
+        """The codes over the bounding box, and the stored values by code."""
+        codes = _Codes(self.box)
+        return codes, {codes.code(p): f for p, f in self.vals.items()}
 
     def domain(self) -> "_View":
         """The indicator of the domain."""
@@ -281,37 +334,81 @@ def _hull_midpoint(v: _View, lhs, x: Point, y: Point) -> bool:
     return twice is None or twice > lhs
 
 
-def _exchange(v: _View, lhs, x: Point, y: Point, i: int, nat: bool = True) -> bool:
-    """Every exchange (x - e_i + e_j, y + e_i - e_j) with j in supp-(x - y),
-    and with j = 0 when ``nat``, exceeds lhs."""
-    get = v.get
-    xi, yi = _bump(x, i, -1), _bump(y, i, 1)
-    if nat and not _less(lhs, _add(get(xi), get(yi))):
+def _within(get, lhs, p: int, q: int) -> bool:
+    """get(p) + get(q) <= lhs with both finite: the pair (p, q) is no worse."""
+    a = get(p)
+    if a is None:
         return False
-    for j in range(len(x)):
-        if x[j] < y[j] and not _less(lhs, _add(get(_bump(xi, j, 1)), get(_bump(yi, j, -1)))):
+    b = get(q)
+    return b is not None and a + b <= lhs
+
+
+# The ordered-pair axioms read x, y and the points between them by code
+# (``_Codes``): ``get`` maps a code to a value, cx and cy are the codes of x
+# and y, ``steps`` is ``_Codes.steps(x, y)`` and ``step`` the entry tried.
+
+
+def _exchange(get, lhs, cx: int, cy: int, step, steps, nat: bool = True) -> bool:
+    """With step = -e_i: every exchange (x - e_i + e_j, y + e_i - e_j) with
+    j in supp-(x - y), and with j = 0 when ``nat``, exceeds lhs."""
+    d = step[1]
+    xi, yi = cx + d, cy - d
+    if nat and _within(get, lhs, xi, yi):
+        return False
+    for _, e, _ in steps:
+        if e > 0 and _within(get, lhs, xi + e, yi - e):
             return False
     return True
 
 
-def _jump_exchange(v: _View, lhs, x: Point, y: Point, s: Point, nat: bool = True) -> bool:
-    """Every two-step exchange (x + s + t, y - s - t) with t an increment
-    from x + s toward y, and the one-step (x + s, y - s) when ``nat``,
-    exceeds lhs."""
-    get = v.get
-    xs, ys = vadd(x, s), vsub(y, s)
-    if nat and not _less(lhs, _add(get(xs), get(ys))):
+def _jump_exchange(get, lhs, cx: int, cy: int, step, steps, nat: bool = True) -> bool:
+    """With step = s: every two-step exchange (x + s + t, y - s - t) with t
+    an increment from x + s toward y, and the one-step (x + s, y - s) when
+    ``nat``, exceeds lhs.  The increments from x + s are those from x, less
+    s itself when s closes its coordinate's gap."""
+    i, d, gap = step
+    xs, ys = cx + d, cy - d
+    if nat and _within(get, lhs, xs, ys):
         return False
-    for i, d in _moves(xs, y):
-        if not _less(lhs, _add(get(_bump(xs, i, d)), get(_bump(ys, i, -d)))):
+    for k, e, _ in steps:
+        if (k != i or gap > 1) and _within(get, lhs, xs + e, ys - e):
             return False
     return True
 
 
-def _jump_two_step(v: _View, lhs, x: Point, y: Point, s: Point) -> bool:
-    """Neither x + s nor any x + s + t (t toward y) lies in the set."""
-    xs = vadd(x, s)
-    return v.get(xs) is None and all(v.get(_bump(xs, i, d)) is None for i, d in _moves(xs, y))
+def _jump_two_step(get, lhs, cx: int, cy: int, step, steps) -> bool:
+    """With step = s: neither x + s nor any x + s + t (t toward y) lies in
+    the set."""
+    i, d, gap = step
+    xs = cx + d
+    if get(xs) is not None:
+        return False
+    for k, e, _ in steps:
+        if (k != i or gap > 1) and get(xs + e) is not None:
+            return False
+    return True
+
+
+class _Paired(NamedTuple):
+    """An ordered-pair axiom, ``on_codes`` above.  Called the way replay
+    calls every axiom, with the witness points and its step, it codes the
+    pair over the pair's own box, which holds every point the axiom reads,
+    and reads each value through ``v.get`` of the decoded point."""
+
+    on_codes: Callable
+    axis: Callable  # the witness's step -> its coordinate i
+
+    def __call__(self, v: _View, lhs, x: Point, y: Point, step) -> bool:
+        codes = _Codes(bounding_box((x, y)))
+        steps = codes.steps(x, y)
+        i = self.axis(step)
+        (entry,) = [t for t in steps if t[0] == i]
+        return self.on_codes(lambda c: v.get(codes.point(c)), lhs, codes.code(x), codes.code(y), entry, steps)
+
+
+def _unit_axis(s: Point) -> int:
+    """The coordinate of a unit step s."""
+    return next(i for i, c in enumerate(s) if c)
 
 
 def _box_gap(v: _View, lhs, p: Point) -> bool:
@@ -345,36 +442,52 @@ def _far(x: Point, y: Point) -> bool:
 
 
 def _toward(x: Point, y: Point, i: int) -> bool:
-    return i in _plus_support(x, y)
+    """i in supp+(x - y)."""
+    return i in supports(vsub(x, y))[0]
 
 
 def _step_toward(x: Point, y: Point, s: Point) -> bool:
     return s in increments(x, y)
 
 
-# kind -> (members, violated, keep): ``keep`` says which candidates the
-# axiom applies to (None: all); scanners that enumerate only such
-# candidates skip it, replay always applies it.
+class _Axiom(NamedTuple):
+    """A witness kind: its witness's point and index counts; how many of the
+    points must lie in the object; the predicate; and ``keep``, which says
+    which candidates the axiom applies to (None: all).  Scanners that
+    enumerate only such candidates skip ``keep``; replay always applies it."""
+
+    points: int
+    indices: int
+    members: int
+    violated: Callable
+    keep: Optional[Callable] = None
+
+
+_EXCHANGE_MNAT = _Paired(_exchange, int)
+_EXCHANGE_M = _Paired(partial(_exchange, nat=False), int)
+_JUMP_EXCHANGE = _Paired(partial(_jump_exchange, nat=False), _unit_axis)
+_JUMP_EXCHANGE_NAT = _Paired(_jump_exchange, _unit_axis)
+
 _AXIOMS = {
-    "box-gap": (0, _box_gap, None),
-    "axis-convexity": (1, _axis_convexity, lambda x, i: 0 <= i < len(x)),
-    "modularity": (1, _modularity, lambda x, i, j: 0 <= i < j < len(x)),
-    "midpoint": (2, _midpoint, None),
-    "midpoint-far": (2, _midpoint, _far),
-    "midpoint-two": (2, _midpoint, lambda x, y: linf_distance(x, y) == 2),
-    "hull-midpoint": (2, _hull_midpoint, _far),
-    "submodular": (2, _submodular, None),
-    "ones-shift": (1, _ones_shift, lambda x, t: t in (vshift(x, 1), vshift(x, -1))),
-    "ramp": (2, _ramp, None),
-    "exchange-mnat": (2, _exchange, _toward),
-    "exchange-mnat-fn": (2, _exchange, _toward),
-    "exchange-m": (2, partial(_exchange, nat=False), _toward),
-    "exchange-m-fn": (2, partial(_exchange, nat=False), _toward),
-    "jump-2step": (2, _jump_two_step, _step_toward),
-    "jump-exc": (2, partial(_jump_exchange, nat=False), _step_toward),
-    "jump-m-fn": (2, partial(_jump_exchange, nat=False), _step_toward),
-    "jump-exc-nat": (2, _jump_exchange, _step_toward),
-    "jump-mnat-fn": (2, _jump_exchange, _step_toward),
+    "box-gap": _Axiom(1, 0, 0, _box_gap),
+    "axis-convexity": _Axiom(1, 1, 1, _axis_convexity, lambda x, i: 0 <= i < len(x)),
+    "modularity": _Axiom(1, 2, 1, _modularity, lambda x, i, j: 0 <= i < j < len(x)),
+    "midpoint": _Axiom(2, 0, 2, _midpoint),
+    "midpoint-far": _Axiom(2, 0, 2, _midpoint, _far),
+    "midpoint-two": _Axiom(2, 0, 2, _midpoint, lambda x, y: linf_distance(x, y) == 2),
+    "hull-midpoint": _Axiom(2, 0, 2, _hull_midpoint, _far),
+    "submodular": _Axiom(2, 0, 2, _submodular),
+    "ones-shift": _Axiom(2, 0, 1, _ones_shift, lambda x, t: t in (vshift(x, 1), vshift(x, -1))),
+    "ramp": _Axiom(2, 0, 2, _ramp),
+    "exchange-mnat": _Axiom(2, 1, 2, _EXCHANGE_MNAT, _toward),
+    "exchange-mnat-fn": _Axiom(2, 1, 2, _EXCHANGE_MNAT, _toward),
+    "exchange-m": _Axiom(2, 1, 2, _EXCHANGE_M, _toward),
+    "exchange-m-fn": _Axiom(2, 1, 2, _EXCHANGE_M, _toward),
+    "jump-2step": _Axiom(3, 0, 2, _Paired(_jump_two_step, _unit_axis), _step_toward),
+    "jump-exc": _Axiom(3, 0, 2, _JUMP_EXCHANGE, _step_toward),
+    "jump-m-fn": _Axiom(3, 0, 2, _JUMP_EXCHANGE, _step_toward),
+    "jump-exc-nat": _Axiom(3, 0, 2, _JUMP_EXCHANGE_NAT, _step_toward),
+    "jump-mnat-fn": _Axiom(3, 0, 2, _JUMP_EXCHANGE_NAT, _step_toward),
 }
 
 
@@ -400,7 +513,7 @@ _MAPPED = {
 
 def _scan_pairs(v: _View, kind: str) -> Verdict:
     """Unordered pairs x < y of stored points."""
-    _, violated, keep = _AXIOMS[kind]
+    _, _, _, violated, keep = _AXIOMS[kind]
     vals = v.vals
     pts = sorted(vals)
     for a, x in enumerate(pts):
@@ -411,30 +524,32 @@ def _scan_pairs(v: _View, kind: str) -> Verdict:
     return _OK
 
 
-def _scan_ordered(v: _View, kind: str, steps, indexed: bool = False) -> Verdict:
-    """Ordered pairs x != y, then each step in ``steps(x, y)``.  The step is
-    recorded in the witness's indices when ``indexed``, else after its
+def _scan_ordered(v: _View, kind: str) -> Verdict:
+    """Ordered pairs x != y of stored points, then their steps from x toward
+    y in ``increments`` order, read by code over the bounding box.  An
+    exchange kind, whose witness has an index, tries only the steps -e_i
+    and records i; a jump kind tries every step and records it after the
     points."""
-    violated = _AXIOMS[kind][1]
-    vals = v.vals
-    pts = sorted(vals)
-    for x in pts:
-        for y in pts:
-            if x != y:
-                lhs = vals[x] + vals[y]
-                for s in steps(x, y):
-                    if violated(v, lhs, x, y, s):
-                        return _fail(kind, (x, y), (s,)) if indexed else _fail(kind, (x, y, s))
+    axiom = _AXIOMS[kind]
+    violated, indexed = axiom.violated.on_codes, axiom.indices == 1
+    codes, coded = v.coded
+    get, steps_of = coded.get, codes.steps
+    downs, ups = _unit_steps(v.dim)
+    items = [(p, codes.code(p), f) for p, f in sorted(v.vals.items())]
+    for x, cx, fx in items:
+        for y, cy, fy in items:
+            if cx != cy:
+                lhs = fx + fy
+                steps = steps_of(x, y)
+                for s in steps:
+                    if indexed and s[1] > 0:
+                        break
+                    if violated(get, lhs, cx, cy, s, steps):
+                        i = s[0]
+                        if indexed:
+                            return _fail(kind, (x, y), (i,))
+                        return _fail(kind, (x, y, (downs if s[1] < 0 else ups)[i]))
     return _OK
-
-
-def _plus_support(x: Point, y: Point) -> Tuple[int, ...]:
-    """supp+(x - y)."""
-    return supports(vsub(x, y))[0]
-
-
-_scan_exchanges = partial(_scan_ordered, steps=_plus_support, indexed=True)
-_scan_jumps = partial(_scan_ordered, steps=increments)
 
 
 def _scan_box(v: _View) -> Verdict:
@@ -517,20 +632,20 @@ _RECOGNIZERS = {
     ClassLabel.LNAT_FN: partial(_scan_pairs, kind="midpoint"),
     ClassLabel.L_SET: _check_l,
     ClassLabel.L_FN: _check_l,
-    ClassLabel.MNAT_SET: partial(_scan_exchanges, kind="exchange-mnat"),
-    ClassLabel.MNAT_FN: partial(_scan_exchanges, kind="exchange-mnat-fn"),
-    ClassLabel.M_SET: partial(_scan_exchanges, kind="exchange-m"),
-    ClassLabel.M_FN: partial(_scan_exchanges, kind="exchange-m-fn"),
+    ClassLabel.MNAT_SET: partial(_scan_ordered, kind="exchange-mnat"),
+    ClassLabel.MNAT_FN: partial(_scan_ordered, kind="exchange-mnat-fn"),
+    ClassLabel.M_SET: partial(_scan_ordered, kind="exchange-m"),
+    ClassLabel.M_FN: partial(_scan_ordered, kind="exchange-m-fn"),
     ClassLabel.MULTIMODULAR_SET: _check_multimodular,
     ClassLabel.MULTIMODULAR_FN: _check_multimodular,
     ClassLabel.GLOBAL_DMC_SET: partial(_scan_pairs, kind="midpoint-far"),
     ClassLabel.GLOBAL_DMC_FN: partial(_scan_pairs, kind="midpoint-far"),
     ClassLabel.LOCAL_DMC_FN: _check_local_dmc,
-    ClassLabel.JUMP_SYSTEM: partial(_scan_jumps, kind="jump-2step"),
-    ClassLabel.CONST_PARITY_JUMP: partial(_scan_jumps, kind="jump-exc"),
-    ClassLabel.SIMULT_EXCH_JUMP: partial(_scan_jumps, kind="jump-exc-nat"),
-    ClassLabel.JUMP_M_FN: partial(_scan_jumps, kind="jump-m-fn"),
-    ClassLabel.JUMP_MNAT_FN: partial(_scan_jumps, kind="jump-mnat-fn"),
+    ClassLabel.JUMP_SYSTEM: partial(_scan_ordered, kind="jump-2step"),
+    ClassLabel.CONST_PARITY_JUMP: partial(_scan_ordered, kind="jump-exc"),
+    ClassLabel.SIMULT_EXCH_JUMP: partial(_scan_ordered, kind="jump-exc-nat"),
+    ClassLabel.JUMP_M_FN: partial(_scan_ordered, kind="jump-m-fn"),
+    ClassLabel.JUMP_MNAT_FN: partial(_scan_ordered, kind="jump-mnat-fn"),
 }
 
 
@@ -563,9 +678,15 @@ def verify_witness(obj, witness: Witness) -> bool:
     (every kind records its points, steps included, in the object's
     coordinates).
     """
-    if witness.kind not in _AXIOMS and witness.kind not in _MAPPED:
+    kind = _MAPPED[witness.kind][1] if witness.kind in _MAPPED else witness.kind
+    if kind not in _AXIOMS:
         raise ValueError(f"unknown witness kind {witness.kind!r}")
-    if not len(obj) or any(len(p) != obj.dim for p in witness.points):
+    shape = _AXIOMS[kind][:2]
+    if (
+        not len(obj)
+        or (len(witness.points), len(witness.indices)) != shape
+        or any(len(p) != obj.dim for p in witness.points)
+    ):
         return False
     return _replay(_View.of(obj), witness.kind, witness.points, witness.indices)
 
@@ -575,7 +696,7 @@ def _replay(v: _View, kind: str, points: Tuple[Point, ...], indices: Tuple[int, 
         to_view, inner = _MAPPED[kind]
         mapped, points = to_view(v, points)
         return _replay(mapped, inner, points, ())
-    members, violated, keep = _AXIOMS[kind]
+    _, _, members, violated, keep = _AXIOMS[kind]
     args = points + indices
     held = [v.get(p) for p in points[:members]]
     if any(h is None for h in held) or (keep is not None and not keep(*args)):

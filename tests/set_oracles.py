@@ -17,6 +17,12 @@ implementation.  ``check_lifted_l_fn`` decides lifted L-convex functions by
 submodularity in Z^n, ramp included, the way production did before it
 decided them on their L♮ section; ``_check_l_set`` is its set form.
 
+``check_ordered`` is the ordered-pair scanner production decided the
+exchange (M♮, M) and jump classes with, sets and functions alike, before
+those axioms moved to int point codes: the same axioms on point tuples,
+with the unit steps rebuilt per step, read through the production value
+view (``classes._View``).  It gives the whole ``Verdict``, witness and all.
+
 The set operations (direct sums, splitting, aggregation, Minkowski sum) are
 the point-set bodies production used before each operation was written once
 over value maps (``dconvex.ops``), where a set is its indicator function.
@@ -26,9 +32,10 @@ names checks the indicator reading and the rebuilding of set results.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from functools import partial
+from typing import List, Sequence, Tuple
 
-from dconvex.classes import ClassLabel, Verdict, Witness
+from dconvex.classes import ClassLabel, Verdict, Witness, _View
 from dconvex.core import (
     LatticeFn,
     LatticeSet,
@@ -281,6 +288,115 @@ def _check_multimodular_set(s: LatticeSet) -> Verdict:
     p, q = inner.witness.points
     return _fail("multimodular-midpoint", (difference_point(p), difference_point(q)))
 
+
+
+# ---------------------------------------------------------------------------
+# the ordered-pair axioms on point tuples, sets and functions alike
+
+
+def _add(a, b):
+    if a is None or b is None:
+        return None
+    return a + b
+
+
+def _less(a, b) -> bool:
+    """a < b with None meaning +infinity."""
+    if a is None:
+        return False
+    if b is None:
+        return True
+    return a < b
+
+
+def _bump(p: Point, i: int, d: int) -> Point:
+    """p + d * e_i."""
+    q = list(p)
+    q[i] += d
+    return tuple(q)
+
+
+def _moves(x: Point, y: Point) -> List[Tuple[int, int]]:
+    """(i, d) for each unit step d * e_i from x toward y."""
+    return [(i, 1 if a < b else -1) for i, (a, b) in enumerate(zip(x, y)) if a != b]
+
+
+def _exchange(v: _View, lhs, x: Point, y: Point, i: int, nat: bool = True) -> bool:
+    """Every exchange (x - e_i + e_j, y + e_i - e_j) with j in supp-(x - y),
+    and with j = 0 when ``nat``, exceeds lhs."""
+    get = v.get
+    xi, yi = _bump(x, i, -1), _bump(y, i, 1)
+    if nat and not _less(lhs, _add(get(xi), get(yi))):
+        return False
+    for j in range(len(x)):
+        if x[j] < y[j] and not _less(lhs, _add(get(_bump(xi, j, 1)), get(_bump(yi, j, -1)))):
+            return False
+    return True
+
+
+def _jump_exchange(v: _View, lhs, x: Point, y: Point, s: Point, nat: bool = True) -> bool:
+    """Every two-step exchange (x + s + t, y - s - t) with t an increment
+    from x + s toward y, and the one-step (x + s, y - s) when ``nat``,
+    exceeds lhs."""
+    get = v.get
+    xs, ys = vadd(x, s), vsub(y, s)
+    if nat and not _less(lhs, _add(get(xs), get(ys))):
+        return False
+    for i, d in _moves(xs, y):
+        if not _less(lhs, _add(get(_bump(xs, i, d)), get(_bump(ys, i, -d)))):
+            return False
+    return True
+
+
+def _jump_two_step(v: _View, lhs, x: Point, y: Point, s: Point) -> bool:
+    """Neither x + s nor any x + s + t (t toward y) lies in the set."""
+    xs = vadd(x, s)
+    return v.get(xs) is None and all(v.get(_bump(xs, i, d)) is None for i, d in _moves(xs, y))
+
+
+def _plus_support(x: Point, y: Point) -> Tuple[int, ...]:
+    """supp+(x - y)."""
+    return supports(vsub(x, y))[0]
+
+
+def _scan_ordered(v: _View, kind: str, violated, steps, indexed: bool) -> Verdict:
+    """Ordered pairs x != y, then each step in ``steps(x, y)``.  The step is
+    recorded in the witness's indices when ``indexed``, else after its
+    points."""
+    vals = v.vals
+    pts = sorted(vals)
+    for x in pts:
+        for y in pts:
+            if x != y:
+                lhs = vals[x] + vals[y]
+                for s in steps(x, y):
+                    if violated(v, lhs, x, y, s):
+                        return _fail(kind, (x, y), (s,)) if indexed else _fail(kind, (x, y, s))
+    return _OK
+
+
+_M_EXCHANGE = partial(_exchange, nat=False)
+_JUMP_EXCHANGE = partial(_jump_exchange, nat=False)
+
+# label -> (witness kind, axiom, steps, whether the step is an index)
+_ORDERED = {
+    ClassLabel.MNAT_SET: ("exchange-mnat", _exchange, _plus_support, True),
+    ClassLabel.MNAT_FN: ("exchange-mnat-fn", _exchange, _plus_support, True),
+    ClassLabel.M_SET: ("exchange-m", _M_EXCHANGE, _plus_support, True),
+    ClassLabel.M_FN: ("exchange-m-fn", _M_EXCHANGE, _plus_support, True),
+    ClassLabel.JUMP_SYSTEM: ("jump-2step", _jump_two_step, increments, False),
+    ClassLabel.CONST_PARITY_JUMP: ("jump-exc", _JUMP_EXCHANGE, increments, False),
+    ClassLabel.SIMULT_EXCH_JUMP: ("jump-exc-nat", _jump_exchange, increments, False),
+    ClassLabel.JUMP_M_FN: ("jump-m-fn", _JUMP_EXCHANGE, increments, False),
+    ClassLabel.JUMP_MNAT_FN: ("jump-mnat-fn", _jump_exchange, increments, False),
+}
+
+ORDERED_LABELS = frozenset(_ORDERED)
+
+
+def check_ordered(obj, label: ClassLabel) -> Verdict:
+    """The exchange or jump verdict of a finite set or function."""
+    return _scan_ordered(_View.of(obj), *_ORDERED[label])
 
 
 SET_ORACLES = {

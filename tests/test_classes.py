@@ -7,6 +7,7 @@ import pytest
 from dconvex.classes import (
     _AXIOMS,
     _MAPPED,
+    _Codes,
     _View,
     ClassLabel,
     LabelKindError,
@@ -467,6 +468,12 @@ def test_witness_replay_per_kind(kind, obj, label):
     # the first point with a coordinate dropped or appended
     for first in (w.points[0][:-1], w.points[0] + (0,)):
         assert not verify_witness(obj, dataclasses.replace(w, points=(first,) + w.points[1:]))
+    # one point or one index dropped or appended: every kind has fixed counts
+    for points in (w.points[:-1], w.points + w.points[:1]):
+        assert not verify_witness(obj, dataclasses.replace(w, points=points))
+    for indices in (w.indices[:-1], w.indices + (0,)):
+        if indices != w.indices:
+            assert not verify_witness(obj, dataclasses.replace(w, indices=indices))
     # an index no candidate of the axiom uses
     if w.indices:
         assert not verify_witness(obj, dataclasses.replace(w, indices=(obj.dim,) * len(w.indices)))
@@ -508,10 +515,24 @@ def _random_lifted(rng):
     return LatticeFn(n, {p: F(rng.randint(-4, 4), rng.randint(1, 3)) for p in reps}, lifted=True, ramp=ramp)
 
 
-@pytest.mark.parametrize("kind", ["hull-midpoint", "multimodular-midpoint"])
+def _pair_witness(rng, kind, x, y):
+    """A witness of ``kind`` on the pair (x, y); an exchange or jump kind
+    gets a random index or increment that its axiom applies to, or None
+    when there is none."""
+    if kind.startswith("exchange-"):
+        plus = [i for i in range(len(x)) if x[i] > y[i]]
+        return Witness(kind, (x, y), (rng.choice(plus),)) if plus else None
+    if kind.startswith("jump-"):
+        steps = increments(x, y)
+        return Witness(kind, (x, y, rng.choice(steps))) if steps else None
+    return Witness(kind, (x, y))
+
+
+@pytest.mark.parametrize("kind", ["hull-midpoint", "multimodular-midpoint", "exchange-m-fn", "jump-exc-nat"])
 def test_lifted_replay_matches_a_finite_window(kind):
-    # both axioms read finitely many points, all within one of the witness
-    # points, so a window around them answers the same
+    # each axiom reads finitely many points, all within one of the witness
+    # points (the exchange and jump axioms: all in the pair's box), so a
+    # window around them answers the same
     rng = random.Random(kind)
     answers = set()
     for _ in range(300):
@@ -522,12 +543,52 @@ def test_lifted_replay_matches_a_finite_window(kind):
             y = vshift(rng.choice(reps), rng.randint(-2, 2))
         else:
             y = tuple(rng.randint(-3, 3) for _ in range(obj.dim))
-        w = Witness(kind, (x, y))
+        w = _pair_witness(rng, kind, x, y)
+        if w is None:
+            continue
         window = Window(tuple(min(a, b) - 1 for a, b in zip(x, y)), tuple(max(a, b) + 1 for a, b in zip(x, y)))
         got = verify_witness(obj, w)
         assert got == verify_witness(restrict_to_window(obj, window), w), (obj, w)
         answers.add(got)
     assert answers == {True, False}
+
+
+def test_lifted_ordered_replays_answer():
+    # replay reads a lifted object through its getter and answers: from
+    # (2, 0) to (0, 0) the M exchange has no j with x_j < y_j, a violation;
+    # the jump -e_0 reaches (1, 0), outside the set, but its next step -e_0
+    # reaches (0, 0), inside
+    s = LatticeSet(2, frozenset({(0, 0), (2, 0)}), lifted=True)
+    assert verify_witness(s, Witness("exchange-m", ((2, 0), (0, 0)), (0,)))
+    assert not verify_witness(s, Witness("jump-2step", ((2, 0), (0, 0), (-1, 0))))
+
+
+def _random_box(rng) -> Window:
+    n = rng.randint(1, 4)
+    lo = tuple(rng.randint(-5, 2) for _ in range(n))
+    return Window(lo, tuple(a + rng.choice((0, 0, 1, 2, 3)) for a in lo))
+
+
+def test_codes_round_trip_sort_and_step():
+    rng = random.Random(1010)
+    boxes = [Window((-3,), (-3,)), Window((2, -1, 0), (2, -1, 0))] + [_random_box(rng) for _ in range(150)]
+    for box in boxes:
+        codes = _Codes(box)
+        pts = list(box.points())
+        rng.shuffle(pts)
+        assert [codes.point(codes.code(p)) for p in pts] == pts, box
+        assert sorted(pts, key=codes.code) == sorted(pts), box
+        for p in pts:
+            for i in range(box.dim):
+                for d in (-1, 1):
+                    q = p[:i] + (p[i] + d,) + p[i + 1 :]
+                    if box.contains(q):
+                        assert codes.code(q) - codes.code(p) == d * codes.strides[i], (box, p, q)
+        # the steps of a pair are its increments, with signed strides and gaps
+        x, y = rng.choice(pts), rng.choice(pts)
+        steps = codes.steps(x, y)
+        assert [tuple(int(k == i) * (1 if d > 0 else -1) for k in range(box.dim)) for i, d, _ in steps] == increments(x, y)
+        assert all(abs(d) == codes.strides[i] and gap == abs(x[i] - y[i]) for i, d, gap in steps)
 
 
 def test_view_scales_values_to_ints():

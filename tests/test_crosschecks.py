@@ -12,19 +12,27 @@ flow enumeration must agree with a naive product-space scan.
 The recognizers read values scaled to ints and memoize the local
 extension, so the integrally convex function verdicts are compared with a
 Fraction-valued oracle scan, and every function label must give the same
-verdict and witness on f and on k * f.
+verdict and witness on f and on k * f.  The exchange and jump recognizers
+read points as int codes, so their whole verdicts are compared with the
+tuple scanner kept in ``set_oracles``, on the benchmark's check corpus, on
+drawn members and near misses, and on spans whose codes pass 2**64.
 """
 
 import itertools
 import math
+import os
 import random
+import sys
 from fractions import Fraction
 
 from dconvex import lab
-from dconvex.classes import FN_LABELS, SET_LABELS, ClassLabel, check, check_fn, check_set, verify_witness
+from dconvex.classes import FN_LABELS, SET_LABELS, ClassLabel, _View, check, check_fn, check_set, verify_witness
 from dconvex.core import LatticeFn, LatticeSet, Window, cube, indicator_fn, vshift
 from dconvex.network import Arc, ArcCost, Network, transform_set
-from set_oracles import SET_ORACLES, check_ic_fn, check_lifted_l_fn
+from set_oracles import ORDERED_LABELS, SET_ORACLES, check_ic_fn, check_lifted_l_fn, check_ordered
+
+sys.path.append(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from perfbench.corpus import build_check_corpus  # noqa: E402
 
 INDICATOR_PAIRS = (
     (ClassLabel.INTEGER_BOX, ClassLabel.SEPARABLE_CONVEX),
@@ -175,6 +183,78 @@ def test_ic_fn_recognizer_matches_oracle():
         assert verdict == check_ic_fn(g), sorted(g.values.items())
         members += verdict.member
     assert 0.3 < members / len(cases) < 0.9
+
+
+def _ordered_labels(obj):
+    """The exchange and jump labels of the object's kind."""
+    return sorted(ORDERED_LABELS & (SET_LABELS if isinstance(obj, LatticeSet) else FN_LABELS))
+
+
+def _assert_ordered_verdicts_match(objects):
+    """check() equals the tuple oracle under every exchange and jump label
+    of each object's kind, and its witnesses replay; returns (checks,
+    members)."""
+    checks = members = 0
+    for obj in objects:
+        for label in _ordered_labels(obj):
+            got = check(obj, label)
+            assert got == check_ordered(obj, label), (label, obj)
+            assert got.member or verify_witness(obj, got.witness), (label, obj)
+            checks += 1
+            members += got.member
+    return checks, members
+
+
+def test_ordered_recognizers_match_oracle_on_the_check_corpus():
+    # every finite object of the benchmark's check corpus, members and near
+    # misses, under each of the 9 exchange and jump labels of its kind
+    objects = []
+    for seed in (1, 7):
+        members, misses = build_check_corpus(seed)
+        objects += [inst.obj for inst in members + misses if not inst.obj.lifted]
+    checks, members = _assert_ordered_verdicts_match(objects)
+    assert checks == 2700 and 0 < members < checks
+
+
+def _ordered_samples(rng):
+    """Drawn members of each exchange and jump label, n = 1..5, over windows
+    with negative lo, each followed by near misses: a point dropped and a
+    point added (sets), a value raised (functions)."""
+    for label in sorted(ORDERED_LABELS):
+        for n in range(1, 6):
+            for _ in range(6):
+                lo = rng.randint(-4, 0)
+                window = cube(n, lo, lo + rng.randint(1, 3))
+                obj = lab.draw(label, rng, n, window, size_cap=40)
+                yield obj
+                if isinstance(obj, LatticeFn):
+                    yield _raised(obj, rng)
+                    continue
+                if len(obj) > 1:
+                    yield LatticeSet(n, obj.points - {rng.choice(sorted(obj.points))})
+                extra = tuple(rng.randint(a - 1, b + 1) for a, b in zip(window.lo, window.hi))
+                yield LatticeSet(n, obj.points | {extra})
+
+
+def _wide_spans():
+    """Objects whose codes, or whose strides, exceed 2**64."""
+    big = 10**20
+    for pts in (
+        [(0, 0), (big, 1)],
+        [(0, 0), (1, big)],
+        [(-big, 0, big), (0, 1, 0), (big, -big, 1)],
+        [(0, 0, 0), (big, 1, -1), (big, 0, 0), (1, big, 0), (0, 1, -big)],
+    ):
+        yield LatticeSet.of(pts)
+        yield LatticeFn.of({p: Fraction(k * k - 3 * k, 2) for k, p in enumerate(pts)})
+
+
+def test_ordered_recognizers_match_oracle_on_samples():
+    checks, members = _assert_ordered_verdicts_match(_ordered_samples(random.Random(5150)))
+    assert checks > 1000 and 0.2 < members / checks < 0.8
+    wide = list(_wide_spans())
+    assert max(max(_View.of(obj).coded[0].strides) for obj in wide) > 2**64
+    _assert_ordered_verdicts_match(wide)
 
 
 # pairwise coprime denominators above 2**32: any two of them exceed 2**64
