@@ -676,7 +676,8 @@ def verify_witness(obj, witness: Witness) -> bool:
     object, independently of how the witness was found.  An empty object
     violates nothing, and neither does a witness with a point outside Z^n
     (every kind records its points, steps included, in the object's
-    coordinates).
+    coordinates), nor one with another number of points or indices than
+    its kind records.
     """
     kind = _MAPPED[witness.kind][1] if witness.kind in _MAPPED else witness.kind
     if kind not in _AXIOMS:
