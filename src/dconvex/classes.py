@@ -25,18 +25,18 @@ cancels, and a lifted function is read without its ramp.  The view also
 memoizes the local extension by x + y, so each distinct half-integral
 midpoint (x + y)/2 is solved once per check; the memo dies with the view.
 
-The exchange (M♮, M) and jump axioms read points as ints.  Each of them, on
-an ordered pair x, y, reads only points of the pair's box [x ^ y, x v y]:
-the exchange axiom reads x - e_i + e_j and y + e_i - e_j with i in
-supp+(x - y) and j in supp-(x - y), the jump axioms read x + s + t and
-y - s - t with s and t increments toward y.  So a mixed-radix code over any
-box holding x and y (``_Codes``) never gives two of those points one code:
-a scan codes over the bounding box of the stored points, a replay over the
-witness pair's own box.  A unit step +-e_i is +-stride_i on codes, so a
-pair's steps are computed once and each point read is one int addition;
-codes sort in lexicographic point order, so scans and witnesses are as on
-point tuples.  No array of box size is built: values are looked up in a
-dict keyed by code, and a replay decodes each code and reads the object.
+The exchange (M♮, M) and jump axioms read points as ints, through one
+predicate: on an ordered pair x, y the jump exchange reads x + s + t and
+y - s - t for unit steps s, t from x toward y, and the M♮/M exchange
+x - e_i + e_j, y + e_i - e_j is its case s = -e_i, t = +e_j (Murota,
+"M-convex functions on jump systems", 2006).  All those points lie in the
+pair's box [x ^ y, x v y], so a mixed-radix code over any box holding x
+and y (``_Codes``) never gives two of them one code: a scan codes over the
+bounding box of the stored points, a replay over the witness pair's own
+box.  A unit step +-e_i is +-stride_i on codes, so a pair's one step list
+is computed once and each point read is one int addition; codes sort in
+lexicographic point order, so scans and witnesses are as on point tuples.
+Values are looked up by code in a dict, and a replay decodes each code.
 
 Conventions for infinite values inside axioms: an inequality with +infinity
 on the left-hand side holds; +infinity on the right-hand side is only
@@ -49,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from math import lcm
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -66,12 +66,9 @@ from .core import (
     linf_distance,
     midpoint_round,
     prefix_point,
-    supports,
-    unit,
     vadd,
     value_map,
     vshift,
-    vsub,
 )
 # in_local_hull is unused here but stays importable from this module
 from .hull import half_midpoint, in_local_hull, local_extension_value, neighborhood
@@ -155,47 +152,11 @@ def _fail(kind: str, points, indices=()) -> Verdict:
     return Verdict(False, Witness(kind, tuple(points), tuple(indices)))
 
 
-# ---------------------------------------------------------------------------
-# small helpers over Fraction-or-None (None = +infinity)
-
-
-def _add(a, b):
-    if a is None or b is None:
-        return None
-    return a + b
-
-
-def _less(a, b) -> bool:
-    """a < b with None meaning +infinity."""
-    if a is None:
-        return False
-    if b is None:
-        return True
-    return a < b
-
-
 def _bump(p: Point, i: int, d: int) -> Point:
     """p + d * e_i."""
     q = list(p)
     q[i] += d
     return tuple(q)
-
-
-@lru_cache(maxsize=None)
-def _unit_steps(n: int) -> Tuple[Tuple[Point, ...], Tuple[Point, ...]]:
-    """(-e_0, ..., -e_{n-1}) and (e_0, ..., e_{n-1}) in Z^n."""
-    ups = tuple(unit(n, i) for i in range(n))
-    return tuple(tuple(-c for c in e) for e in ups), ups
-
-
-def increments(x: Point, y: Point) -> List[Point]:
-    """All signed unit steps s with x + s inside the box [x ^ y, x v y],
-    in lexicographic order: -e_i by ascending i, then e_i by descending i."""
-    downs, ups = _unit_steps(len(x))
-    n = len(x)
-    return [downs[i] for i in range(n) if x[i] > y[i]] + [
-        ups[i] for i in range(n - 1, -1, -1) if x[i] < y[i]
-    ]
 
 
 def _scaled(vals) -> Dict[Point, int]:
@@ -211,7 +172,8 @@ class _Codes:
     one times the next extent of the box.  Distinct points of the box get
     distinct codes, in lexicographic order, and a unit step +-e_i that stays
     in the box moves the code by +-stride_i.  A point outside the box may
-    share a code with one inside."""
+    share a code with one inside.  ``steps`` is the one step list that scans
+    and replays of the ordered axioms read."""
 
     def __init__(self, box: Window):
         strides = [1] * box.dim
@@ -230,10 +192,10 @@ class _Codes:
             out.append(a + q)
         return tuple(out)
 
-    def steps(self, x: Point, y: Point) -> List[Tuple[int, int, int]]:
-        """(i, +-stride_i, |x_i - y_i|) for each unit step +-e_i from x toward
-        y, in ``increments`` order: -e_i by ascending i, then e_i by
-        descending i."""
+    def steps(self, x: Point, y: Point) -> Tuple[List[Tuple[int, int, int]], List[Tuple[int, int, int]]]:
+        """The unit steps +-e_i from x toward y as (i, +-stride_i,
+        |x_i - y_i|): the down steps -e_i by ascending i and the up steps e_i
+        by descending i.  Down steps then up steps is lexicographic order."""
         downs, ups = [], []
         for i, a, b, s in zip(self.axes, x, y, self.strides):
             if a > b:
@@ -241,7 +203,7 @@ class _Codes:
             elif a < b:
                 ups.append((i, s, b - a))
         ups.reverse()
-        return downs + ups
+        return downs, ups
 
 
 class _View:
@@ -319,22 +281,7 @@ class _View:
 # replay checks those points and computes it.
 
 
-def _midpoint(v: _View, lhs, x: Point, y: Point) -> bool:
-    up, down = midpoint_round(x, y)
-    return _less(lhs, _add(v.get(up), v.get(down)))
-
-
-def _submodular(v: _View, lhs, x: Point, y: Point) -> bool:
-    jn, mt = join_meet(x, y)
-    return _less(lhs, _add(v.get(jn), v.get(mt)))
-
-
-def _hull_midpoint(v: _View, lhs, x: Point, y: Point) -> bool:
-    twice = v.extension(x, y)
-    return twice is None or twice > lhs
-
-
-def _within(get, lhs, p: int, q: int) -> bool:
+def _within(get, lhs, p, q) -> bool:
     """get(p) + get(q) <= lhs with both finite: the pair (p, q) is no worse."""
     a = get(p)
     if a is None:
@@ -343,72 +290,78 @@ def _within(get, lhs, p: int, q: int) -> bool:
     return b is not None and a + b <= lhs
 
 
+def _midpoint(v: _View, lhs, x: Point, y: Point) -> bool:
+    return not _within(v.get, lhs, *midpoint_round(x, y))
+
+
+def _submodular(v: _View, lhs, x: Point, y: Point) -> bool:
+    return not _within(v.get, lhs, *join_meet(x, y))
+
+
+def _hull_midpoint(v: _View, lhs, x: Point, y: Point) -> bool:
+    twice = v.extension(x, y)
+    return twice is None or twice > lhs
+
+
 # The ordered-pair axioms read x, y and the points between them by code
 # (``_Codes``): ``get`` maps a code to a value, cx and cy are the codes of x
-# and y, ``steps`` is ``_Codes.steps(x, y)`` and ``step`` the entry tried.
+# and y, and ``step`` and its ``partners`` are entries of ``_Codes.steps``.
 
 
-def _exchange(get, lhs, cx: int, cy: int, step, steps, nat: bool = True) -> bool:
-    """With step = -e_i: every exchange (x - e_i + e_j, y + e_i - e_j) with
-    j in supp-(x - y), and with j = 0 when ``nat``, exceeds lhs."""
-    d = step[1]
-    xi, yi = cx + d, cy - d
-    if nat and _within(get, lhs, xi, yi):
-        return False
-    for _, e, _ in steps:
-        if e > 0 and _within(get, lhs, xi + e, yi - e):
-            return False
-    return True
-
-
-def _jump_exchange(get, lhs, cx: int, cy: int, step, steps, nat: bool = True) -> bool:
+def _jump_exchange(get, lhs, cx: int, cy: int, step, partners, nat: bool = True) -> bool:
     """With step = s: every two-step exchange (x + s + t, y - s - t) with t
-    an increment from x + s toward y, and the one-step (x + s, y - s) when
-    ``nat``, exceeds lhs.  The increments from x + s are those from x, less
-    s itself when s closes its coordinate's gap."""
+    a partner, and the one-step (x + s, y - s) when ``nat``, exceeds lhs.
+    A partner t = s is skipped when s closes its coordinate's gap, since
+    x + s + t then leaves the box."""
     i, d, gap = step
     xs, ys = cx + d, cy - d
     if nat and _within(get, lhs, xs, ys):
         return False
-    for k, e, _ in steps:
+    for k, e, _ in partners:
         if (k != i or gap > 1) and _within(get, lhs, xs + e, ys - e):
             return False
     return True
 
 
-def _jump_two_step(get, lhs, cx: int, cy: int, step, steps) -> bool:
-    """With step = s: neither x + s nor any x + s + t (t toward y) lies in
+def _jump_two_step(get, lhs, cx: int, cy: int, step, partners) -> bool:
+    """With step = s: neither x + s nor any x + s + t (t a partner) lies in
     the set."""
     i, d, gap = step
     xs = cx + d
     if get(xs) is not None:
         return False
-    for k, e, _ in steps:
+    for k, e, _ in partners:
         if (k != i or gap > 1) and get(xs + e) is not None:
             return False
     return True
 
 
 class _Paired(NamedTuple):
-    """An ordered-pair axiom, ``on_codes`` above.  Called the way replay
-    calls every axiom, with the witness points and its step, it codes the
-    pair over the pair's own box, which holds every point the axiom reads,
-    and reads each value through ``v.get`` of the decoded point."""
+    """An ordered-pair axiom ``on_codes`` and the steps of a pair's step
+    list (``_Codes.steps``) it tries: an exchange kind (M♮, M), the jump
+    exchange with s = -e_i, t = +e_j, tries the down steps with the up steps
+    as partners and records i; a jump kind tries and pairs every step and
+    records the signed unit vector.  Called as replay calls every axiom, it
+    codes the pair over its own box, which holds every point read, and tries
+    the step with the witness's record (none: no violation)."""
 
     on_codes: Callable
-    axis: Callable  # the witness's step -> its coordinate i
+    exchange: bool = False
 
-    def __call__(self, v: _View, lhs, x: Point, y: Point, step) -> bool:
+    def record(self, step, n: int):
+        """The witness's record of a step in Z^n."""
+        i, d, _ = step
+        return i if self.exchange else _bump((0,) * n, i, 1 if d > 0 else -1)
+
+    def __call__(self, v: _View, lhs, x: Point, y: Point, record) -> bool:
         codes = _Codes(bounding_box((x, y)))
-        steps = codes.steps(x, y)
-        i = self.axis(step)
-        (entry,) = [t for t in steps if t[0] == i]
-        return self.on_codes(lambda c: v.get(codes.point(c)), lhs, codes.code(x), codes.code(y), entry, steps)
-
-
-def _unit_axis(s: Point) -> int:
-    """The coordinate of a unit step s."""
-    return next(i for i, c in enumerate(s) if c)
+        tried, partners = codes.steps(x, y)
+        if not self.exchange:
+            tried = partners = tried + partners
+        get, cx, cy = lambda c: v.get(codes.point(c)), codes.code(x), codes.code(y)
+        return any(
+            self.on_codes(get, lhs, cx, cy, s, partners) for s in tried if self.record(s, len(x)) == record
+        )
 
 
 def _box_gap(v: _View, lhs, p: Point) -> bool:
@@ -441,20 +394,12 @@ def _far(x: Point, y: Point) -> bool:
     return linf_distance(x, y) >= 2
 
 
-def _toward(x: Point, y: Point, i: int) -> bool:
-    """i in supp+(x - y)."""
-    return i in supports(vsub(x, y))[0]
-
-
-def _step_toward(x: Point, y: Point, s: Point) -> bool:
-    return s in increments(x, y)
-
-
 class _Axiom(NamedTuple):
     """A witness kind: its witness's point and index counts; how many of the
     points must lie in the object; the predicate; and ``keep``, which says
     which candidates the axiom applies to (None: all).  Scanners that
-    enumerate only such candidates skip ``keep``; replay always applies it."""
+    enumerate only such candidates skip ``keep``; replay always applies it.
+    Ordered-pair kinds have none: ``_Paired`` tries only their candidates."""
 
     points: int
     indices: int
@@ -463,10 +408,10 @@ class _Axiom(NamedTuple):
     keep: Optional[Callable] = None
 
 
-_EXCHANGE_MNAT = _Paired(_exchange, int)
-_EXCHANGE_M = _Paired(partial(_exchange, nat=False), int)
-_JUMP_EXCHANGE = _Paired(partial(_jump_exchange, nat=False), _unit_axis)
-_JUMP_EXCHANGE_NAT = _Paired(_jump_exchange, _unit_axis)
+_EXCHANGE_MNAT = _Paired(_jump_exchange, exchange=True)
+_EXCHANGE_M = _Paired(partial(_jump_exchange, nat=False), exchange=True)
+_JUMP_EXCHANGE = _Paired(partial(_jump_exchange, nat=False))
+_JUMP_EXCHANGE_NAT = _Paired(_jump_exchange)
 
 _AXIOMS = {
     "box-gap": _Axiom(1, 0, 0, _box_gap),
@@ -479,15 +424,15 @@ _AXIOMS = {
     "submodular": _Axiom(2, 0, 2, _submodular),
     "ones-shift": _Axiom(2, 0, 1, _ones_shift, lambda x, t: t in (vshift(x, 1), vshift(x, -1))),
     "ramp": _Axiom(2, 0, 2, _ramp),
-    "exchange-mnat": _Axiom(2, 1, 2, _EXCHANGE_MNAT, _toward),
-    "exchange-mnat-fn": _Axiom(2, 1, 2, _EXCHANGE_MNAT, _toward),
-    "exchange-m": _Axiom(2, 1, 2, _EXCHANGE_M, _toward),
-    "exchange-m-fn": _Axiom(2, 1, 2, _EXCHANGE_M, _toward),
-    "jump-2step": _Axiom(3, 0, 2, _Paired(_jump_two_step, _unit_axis), _step_toward),
-    "jump-exc": _Axiom(3, 0, 2, _JUMP_EXCHANGE, _step_toward),
-    "jump-m-fn": _Axiom(3, 0, 2, _JUMP_EXCHANGE, _step_toward),
-    "jump-exc-nat": _Axiom(3, 0, 2, _JUMP_EXCHANGE_NAT, _step_toward),
-    "jump-mnat-fn": _Axiom(3, 0, 2, _JUMP_EXCHANGE_NAT, _step_toward),
+    "exchange-mnat": _Axiom(2, 1, 2, _EXCHANGE_MNAT),
+    "exchange-mnat-fn": _Axiom(2, 1, 2, _EXCHANGE_MNAT),
+    "exchange-m": _Axiom(2, 1, 2, _EXCHANGE_M),
+    "exchange-m-fn": _Axiom(2, 1, 2, _EXCHANGE_M),
+    "jump-2step": _Axiom(3, 0, 2, _Paired(_jump_two_step)),
+    "jump-exc": _Axiom(3, 0, 2, _JUMP_EXCHANGE),
+    "jump-m-fn": _Axiom(3, 0, 2, _JUMP_EXCHANGE),
+    "jump-exc-nat": _Axiom(3, 0, 2, _JUMP_EXCHANGE_NAT),
+    "jump-mnat-fn": _Axiom(3, 0, 2, _JUMP_EXCHANGE_NAT),
 }
 
 
@@ -525,30 +470,26 @@ def _scan_pairs(v: _View, kind: str) -> Verdict:
 
 
 def _scan_ordered(v: _View, kind: str) -> Verdict:
-    """Ordered pairs x != y of stored points, then their steps from x toward
-    y in ``increments`` order, read by code over the bounding box.  An
-    exchange kind, whose witness has an index, tries only the steps -e_i
-    and records i; a jump kind tries every step and records it after the
-    points."""
+    """Ordered pairs x != y of stored points, then the steps ``_Paired``
+    tries on them, read by code over the bounding box.  The witness is the
+    pair and the step's record, after the points or as the index."""
     axiom = _AXIOMS[kind]
-    violated, indexed = axiom.violated.on_codes, axiom.indices == 1
+    paired = axiom.violated
+    violated, exchange = paired.on_codes, paired.exchange
     codes, coded = v.coded
     get, steps_of = coded.get, codes.steps
-    downs, ups = _unit_steps(v.dim)
     items = [(p, codes.code(p), f) for p, f in sorted(v.vals.items())]
     for x, cx, fx in items:
         for y, cy, fy in items:
             if cx != cy:
                 lhs = fx + fy
-                steps = steps_of(x, y)
-                for s in steps:
-                    if indexed and s[1] > 0:
-                        break
-                    if violated(get, lhs, cx, cy, s, steps):
-                        i = s[0]
-                        if indexed:
-                            return _fail(kind, (x, y), (i,))
-                        return _fail(kind, (x, y, (downs if s[1] < 0 else ups)[i]))
+                tried, partners = steps_of(x, y)
+                if not exchange:
+                    tried = partners = tried + partners
+                for s in tried:
+                    if violated(get, lhs, cx, cy, s, partners):
+                        found = (x, y, paired.record(s, v.dim))
+                        return _fail(kind, found[: axiom.points], found[axiom.points :])
     return _OK
 
 
@@ -676,8 +617,9 @@ def verify_witness(obj, witness: Witness) -> bool:
     object, independently of how the witness was found.  An empty object
     violates nothing, and neither does a witness with a point outside Z^n
     (every kind records its points, steps included, in the object's
-    coordinates), nor one with another number of points or indices than
-    its kind records.
+    coordinates, as tuples of ints; bools and floats are not ints), nor one
+    with an index not an int, nor one with other counts than its kind's, nor
+    one whose points or indices are not a tuple.
     """
     kind = _MAPPED[witness.kind][1] if witness.kind in _MAPPED else witness.kind
     if kind not in _AXIOMS:
@@ -685,11 +627,18 @@ def verify_witness(obj, witness: Witness) -> bool:
     shape = _AXIOMS[kind][:2]
     if (
         not len(obj)
+        or type(witness.points) is not tuple
+        or type(witness.indices) is not tuple
         or (len(witness.points), len(witness.indices)) != shape
-        or any(len(p) != obj.dim for p in witness.points)
+        or any(type(p) is not tuple or len(p) != obj.dim or not _ints(p) for p in witness.points)
+        or not _ints(witness.indices)
     ):
         return False
     return _replay(_View.of(obj), witness.kind, witness.points, witness.indices)
+
+
+def _ints(entries) -> bool:
+    return all(type(c) is int for c in entries)
 
 
 def _replay(v: _View, kind: str, points: Tuple[Point, ...], indices: Tuple[int, ...]) -> bool:

@@ -39,16 +39,8 @@ class EmptyResultError(ValueError):
 # point arithmetic
 
 
-def unit(n: int, i: int) -> Point:
-    return tuple(1 if j == i else 0 for j in range(n))
-
-
 def vadd(p: Point, q: Point) -> Point:
     return tuple(a + b for a, b in zip(p, q))
-
-
-def vsub(p: Point, q: Point) -> Point:
-    return tuple(a - b for a, b in zip(p, q))
 
 
 def vshift(p: Point, a: int) -> Point:

@@ -906,7 +906,10 @@ def matrix_cells() -> List[CellSpec]:
     return cells
 
 
-# hull-based recognizers pay an LP per point pair, so their trials stay small
+# rows whose trials stay small: the integrally convex recognizers solve an
+# LP per far point pair; the multimodular ones solve none (a midpoint scan
+# on prefix sums) but keep the small windows and margin, since other ones
+# would change every draw
 _SMALL_ROWS = {
     ClassLabel.IC_SET,
     ClassLabel.IC_FN,
@@ -933,7 +936,7 @@ def _trial_window(row: ClassLabel, n: int) -> Window:
 
 def _trial_margin(row: ClassLabel) -> int:
     # jump rows keep margin 2 so every exchange target stays in the window;
-    # hull-based rows shrink the split image instead (still sound: all the
+    # the small rows shrink the split image instead (still sound: all the
     # split-closed classes survive intersection with a box)
     return 1 if row in _SMALL_ROWS else 2
 

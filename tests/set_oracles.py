@@ -22,6 +22,9 @@ exchange (M♮, M) and jump classes with, sets and functions alike, before
 those axioms moved to int point codes: the same axioms on point tuples,
 with the unit steps rebuilt per step, read through the production value
 view (``classes._View``).  It gives the whole ``Verdict``, witness and all.
+Its point helpers ``unit``, ``vsub`` and ``increments`` have no production
+caller; ``increments`` keeps the sorted signed unit vectors of each
+dimension across calls.
 
 The set operations (direct sums, splitting, aggregation, Minkowski sum) are
 the point-set bodies production used before each operation was written once
@@ -32,7 +35,7 @@ names checks the indicator reading and the rebuilding of set results.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 from typing import List, Sequence, Tuple
 
 from dconvex.classes import ClassLabel, Verdict, Witness, _View
@@ -48,10 +51,8 @@ from dconvex.core import (
     midpoint_round,
     prefix_transform,
     supports,
-    unit,
     vadd,
     vshift,
-    vsub,
 )
 from dconvex.hull import half_midpoint
 from dconvex.ops import PartitionSpec, SplitSpec, _aggregate_point, _split_point
@@ -65,17 +66,26 @@ def _fail(kind: str, points, indices=()) -> Verdict:
     return Verdict(False, Witness(kind, tuple(points), tuple(indices)))
 
 
+def unit(n: int, i: int) -> Point:
+    return tuple(1 if j == i else 0 for j in range(n))
+
+
+def vsub(p: Point, q: Point) -> Point:
+    return tuple(a - b for a, b in zip(p, q))
+
+
+@lru_cache(maxsize=None)
+def _signed_units(n: int) -> Tuple[Tuple[int, int, Point], ...]:
+    """(i, d, d * e_i) for each signed unit vector d * e_i of Z^n, sorted
+    lexicographically by the vector."""
+    units = [(i, d, tuple(d * c for c in unit(n, i))) for i in range(n) for d in (-1, 1)]
+    return tuple(sorted(units, key=lambda u: u[2]))
+
+
 def increments(x: Point, y: Point) -> List[Point]:
     """All signed unit steps s with x + s inside the box [x ^ y, x v y],
     sorted lexicographically."""
-    n = len(x)
-    out = []
-    for i in range(n):
-        if x[i] < y[i]:
-            out.append(unit(n, i))
-        elif x[i] > y[i]:
-            out.append(tuple(-c for c in unit(n, i)))
-    return sorted(out)
+    return [s for i, d, s in _signed_units(len(x)) if d * (y[i] - x[i]) > 0]
 
 
 def _ordered_pairs(pts: Sequence[Point]):

@@ -16,7 +16,6 @@ from dconvex.classes import (
     check,
     check_fn,
     check_set,
-    increments,
     multimodular_polyhedral_check,
     verify_witness,
 )
@@ -33,6 +32,7 @@ from dconvex.core import (
     vshift,
 )
 from dconvex import lab
+from set_oracles import increments
 
 F = Fraction
 
@@ -477,10 +477,33 @@ def test_witness_replay_per_kind(kind, obj, label):
     # an index no candidate of the axiom uses
     if w.indices:
         assert not verify_witness(obj, dataclasses.replace(w, indices=(obj.dim,) * len(w.indices)))
-    # a step that does not lead from x toward y
+    # a coordinate or an index that is not an int: a float coordinate or a
+    # list in place of each point, each index as a float and as a bool; and
+    # the points or the indices as a list
+    assert not verify_witness(obj, dataclasses.replace(w, points=list(w.points)))
+    assert not verify_witness(obj, dataclasses.replace(w, indices=list(w.indices)))
+    for a, p in enumerate(w.points):
+        for bad in ((float(p[0]),) + p[1:], list(p)):
+            assert not verify_witness(obj, dataclasses.replace(w, points=w.points[:a] + (bad,) + w.points[a + 1 :]))
+    for a, i in enumerate(w.indices):
+        for bad in (float(i), bool(i)):
+            assert not verify_witness(obj, dataclasses.replace(w, indices=w.indices[:a] + (bad,) + w.indices[a + 1 :]))
+    # a step that does not lead from x toward y, a zero step, twice the
+    # step, and the step plus another unit vector
     if kind.startswith("jump-"):
         x, y, step = w.points
-        assert not verify_witness(obj, dataclasses.replace(w, points=(x, y, tuple(-c for c in step))))
+        i = next(k for k, c in enumerate(step) if c)
+        bad = [tuple(-c for c in step), (0,) * len(step), tuple(2 * c for c in step)]
+        bad += [step[:k] + (d,) + step[k + 1 :] for k in range(len(step)) if k != i for d in (-1, 1)]
+        for s in bad:
+            assert not verify_witness(obj, dataclasses.replace(w, points=(x, y, s)))
+    # an exchange records the i of a step -e_i, never the j of a step +e_j,
+    # on the pair in either order
+    if kind.startswith("exchange-"):
+        for x, y in (w.points, w.points[::-1]):
+            for j in range(len(x)):
+                if x[j] < y[j]:
+                    assert not verify_witness(obj, dataclasses.replace(w, points=(x, y), indices=(j,)))
     if kind == "ones-shift":
         x, _ = w.points
         assert not verify_witness(obj, dataclasses.replace(w, points=(x, tuple(c + 2 for c in x))))
@@ -584,9 +607,12 @@ def test_codes_round_trip_sort_and_step():
                     q = p[:i] + (p[i] + d,) + p[i + 1 :]
                     if box.contains(q):
                         assert codes.code(q) - codes.code(p) == d * codes.strides[i], (box, p, q)
-        # the steps of a pair are its increments, with signed strides and gaps
+        # the down steps then the up steps of a pair are its increments, with
+        # signed strides and gaps
         x, y = rng.choice(pts), rng.choice(pts)
-        steps = codes.steps(x, y)
+        downs, ups = codes.steps(x, y)
+        assert all(d < 0 for _, d, _ in downs) and all(d > 0 for _, d, _ in ups)
+        steps = downs + ups
         assert [tuple(int(k == i) * (1 if d > 0 else -1) for k in range(box.dim)) for i, d, _ in steps] == increments(x, y)
         assert all(abs(d) == codes.strides[i] and gap == abs(x[i] - y[i]) for i, d, gap in steps)
 
