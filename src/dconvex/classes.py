@@ -16,10 +16,11 @@ object, and calls the same predicate.
 
 Values are exact integers inside a check.  The view scales every stored
 value once, by the least common multiple of their denominators, to plain
-``int``s.  This changes no verdict: every axiom compares weighted sums of
-values with equal total weight on both sides (the hull axiom compares twice
-the local extension, itself such a sum, with a sum of two values), so one
-positive factor cancels, and witnesses carry points, not values.  The
+``int``s (``core.scaled``, which the operations share).  This changes no
+verdict: every axiom compares weighted sums of values with equal total
+weight on both sides (the hull axiom compares twice the local extension,
+itself such a sum, with a sum of two values), so one positive factor
+cancels, and witnesses carry points, not values.  The
 points on the two sides have equal sums too, so the linear x -> ramp * x_n
 cancels, and a lifted function is read without its ramp.  The view also
 memoizes the local extension by x + y, so each distinct half-integral
@@ -31,11 +32,12 @@ y - s - t for unit steps s, t from x toward y, and the M♮/M exchange
 x - e_i + e_j, y + e_i - e_j is its case s = -e_i, t = +e_j (Murota,
 "M-convex functions on jump systems", 2006).  All those points lie in the
 pair's box [x ^ y, x v y], so a mixed-radix code over any box holding x
-and y (``_Codes``) never gives two of them one code: a scan codes over the
-bounding box of the stored points, a replay over the witness pair's own
-box.  A unit step +-e_i is +-stride_i on codes, so a pair's one step list
-is computed once and each point read is one int addition; codes sort in
-lexicographic point order, so scans and witnesses are as on point tuples.
+and y (``_Codes``, the codes of ``core.Codes`` with the step list) never
+gives two of them one code: a scan codes over the bounding box of the
+stored points, a replay over the witness pair's own box.  A unit step
++-e_i is +-stride_i on codes, so a pair's one step list is computed once
+and each point read is one int addition; codes sort in lexicographic point
+order, so scans and witnesses are as on point tuples.
 Values are looked up by code in a dict, and a replay decodes each code.
 
 Conventions for infinite values inside axioms: an inequality with +infinity
@@ -50,10 +52,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, partial
-from math import lcm
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
+    Codes,
     LatticeFn,
     LatticeSet,
     LiftedInputError,
@@ -66,6 +68,7 @@ from .core import (
     linf_distance,
     midpoint_round,
     prefix_point,
+    scaled,
     vadd,
     value_map,
     vshift,
@@ -159,38 +162,13 @@ def _bump(p: Point, i: int, d: int) -> Point:
     return tuple(q)
 
 
-def _scaled(vals) -> Dict[Point, int]:
-    """Values times the least common multiple of their denominators: plain
-    ints in the same order and sums."""
-    scale = lcm(*{v.denominator for v in vals.values()})
-    return {p: v.numerator * (scale // v.denominator) for p, v in vals.items()}
-
-
-class _Codes:
-    """Mixed-radix codes of the points of a box: code(p) is the sum of
-    (p_i - lo_i) * stride_i, with stride_{n-1} = 1 and each stride the next
-    one times the next extent of the box.  Distinct points of the box get
-    distinct codes, in lexicographic order, and a unit step +-e_i that stays
-    in the box moves the code by +-stride_i.  A point outside the box may
-    share a code with one inside.  ``steps`` is the one step list that scans
-    and replays of the ordered axioms read."""
+class _Codes(Codes):
+    """Point codes over a box (``core.Codes``) with ``steps``, the one step
+    list that scans and replays of the ordered axioms read."""
 
     def __init__(self, box: Window):
-        strides = [1] * box.dim
-        for i in range(box.dim - 1, 0, -1):
-            strides[i - 1] = strides[i] * (box.hi[i] - box.lo[i] + 1)
-        self.lo, self.strides = box.lo, tuple(strides)
+        super().__init__(box)
         self.axes = tuple(range(box.dim))
-
-    def code(self, p: Point) -> int:
-        return sum((c - a) * s for c, a, s in zip(p, self.lo, self.strides))
-
-    def point(self, code: int) -> Point:
-        out = []
-        for a, s in zip(self.lo, self.strides):
-            q, code = divmod(code, s)
-            out.append(a + q)
-        return tuple(out)
 
     def steps(self, x: Point, y: Point) -> Tuple[List[Tuple[int, int, int]], List[Tuple[int, int, int]]]:
         """The unit steps +-e_i from x toward y as (i, +-stride_i,
@@ -223,7 +201,8 @@ class _View:
 
     @classmethod
     def of(cls, obj) -> "_View":
-        return cls(obj.dim, _scaled(value_map(obj)), obj.lifted)
+        _, (vals,) = scaled(value_map(obj))
+        return cls(obj.dim, vals, obj.lifted)
 
     def _lifted_get(self, p: Point):
         return self.vals.get(vshift(p, -p[-1]))

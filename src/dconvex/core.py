@@ -20,6 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from math import lcm
 from typing import ClassVar, Dict, Iterable, Iterator, Mapping, Tuple
 
 from .rationals import INF, Value
@@ -131,6 +132,49 @@ def as_rational(v, what: str = "value") -> Fraction:
     if type(v) is int:
         return Fraction(v)
     raise ValueError(f"{what} {v!r} must be an int or a Fraction")
+
+
+# ---------------------------------------------------------------------------
+# the exact integer kernel
+#
+# The recognizers and the operations read values as plain ints and points
+# as int codes: values are scaled once per call by one positive factor, and
+# points are coded once over a box.
+
+
+def scaled(*maps: Mapping) -> Tuple[int, list]:
+    """The least common multiple of the denominators of every value in
+    ``maps``, and each map with its values times it: plain ints in the same
+    order and sums, so a value v reads back as Fraction(int, scale).  Int
+    values (a set's indicator) leave the scale at 1."""
+    scale = lcm(*{v.denominator for m in maps for v in m.values()})
+    return scale, [{k: v.numerator * (scale // v.denominator) for k, v in m.items()} for m in maps]
+
+
+class Codes:
+    """Mixed-radix codes of the points of a box: code(p) is the sum of
+    (p_i - lo_i) * stride_i, with stride_{n-1} = 1 and each stride the next
+    one times the next extent of the box.  Distinct points of the box get
+    distinct codes, in lexicographic order, and a unit step +-e_i that stays
+    in the box moves the code by +-stride_i.  A point outside the box may
+    share a code with one inside.  The code is affine in p, so
+    code(y + z) = code(y) + code(z) - code(0)."""
+
+    def __init__(self, box: Window):
+        strides = [1] * box.dim
+        for i in range(box.dim - 1, 0, -1):
+            strides[i - 1] = strides[i] * (box.hi[i] - box.lo[i] + 1)
+        self.lo, self.strides = box.lo, tuple(strides)
+
+    def code(self, p: Point) -> int:
+        return sum((c - a) * s for c, a, s in zip(p, self.lo, self.strides))
+
+    def point(self, code: int) -> Point:
+        out = []
+        for a, s in zip(self.lo, self.strides):
+            q, code = divmod(code, s)
+            out.append(a + q)
+        return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -200,7 +200,10 @@ def from_document(doc: Dict[str, Any]) -> Any:
                 cost = ArcCost.from_table(table)
             arcs.append(Arc(tail, head, lower, upper, cost))
         vertices, entrance, exit_ = (_names(_field(doc, k, list), k) for k in ("vertices", "entrance", "exit"))
-        return Network(vertices, tuple(arcs), entrance, exit_)
+        try:
+            return Network(vertices, tuple(arcs), entrance, exit_)
+        except ValueError as e:
+            raise DocumentError(f"network: {e}") from None
 
     if kind == "report":
         return dict(_field(doc, "payload", dict))

@@ -11,6 +11,12 @@ as soon as some vertex can no longer balance (internal vertices must reach
 net supply 0, entrance vertices must stay inside the coordinate range of the
 entrance set / function domain).  Capacities must be finite and instances
 are capped at load so the enumeration stays at desk scale.
+
+Values are exact ints inside an induction.  The input's values and every
+arc cost table are scaled once per call, by the least common multiple of
+all their denominators (``core.scaled``), so each flow's cost is an int
+sum and each output point's least total is divided back once.  A set keeps
+its int-0 indicator and reads no cost table, so its scale is 1.
 """
 
 from __future__ import annotations
@@ -19,8 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .core import LiftedInputError, Point, Window, as_ints, as_rational, keeps_values, rebuild, value_map
-from .rationals import Value
+from .core import LiftedInputError, Point, Window, as_ints, as_rational, keeps_values, rebuild, scaled, value_map
 
 MAX_ARCS = 12
 MAX_CAPACITY_WIDTH = 12
@@ -84,8 +89,8 @@ class Arc:
 
 @dataclass(frozen=True)
 class Network:
-    """Directed graph with entrance list U and exit list W (disjoint,
-    ordered: vectors on U and W follow these lists)."""
+    """Directed graph with entrance list U and exit list W (disjoint, each
+    without repeats, ordered: vectors on U and W follow these lists)."""
 
     vertices: Tuple[str, ...]
     arcs: Tuple[Arc, ...]
@@ -100,6 +105,9 @@ class Network:
         vs = set(self.vertices)
         if len(vs) != len(self.vertices):
             raise ValueError("duplicate vertex ids")
+        for name, terminals in (("entrance", self.entrance), ("exit", self.exit)):
+            if len(set(terminals)) != len(terminals):
+                raise ValueError(f"{name} list repeats a vertex: {list(terminals)}")
         if set(self.entrance) & set(self.exit):
             raise ValueError("entrance and exit sets must be disjoint")
         for v in list(self.entrance) + list(self.exit):
@@ -126,65 +134,73 @@ def _enumerate_flows(
     net: Network, entrance_range: Dict[str, Tuple[int, int]]
 ) -> Iterator[Tuple[Flow, Point, Point]]:
     """Yield (flow, boundary on U, boundary on W) for every capacity-feasible
-    conservative flow whose entrance supplies stay within entrance_range."""
+    conservative flow whose entrance supplies stay within entrance_range.
+
+    Arc k takes its values in ascending order, depth-first in arc order, in
+    one frame: ``flow[k]`` is the value arc k holds, and ``flow[k] < lower``
+    means it holds none yet."""
     arcs = net.arcs
     m = len(arcs)
-    vs = net.vertices
-    internal = set(net.internal)
-    entrance = set(net.entrance)
-    # per vertex, the range of net-supply still achievable from arcs >= k
-    rem_lo = {v: [0] * (m + 1) for v in vs}
-    rem_hi = {v: [0] * (m + 1) for v in vs}
+    index = {v: i for i, v in enumerate(net.vertices)}
+    # the supply bounds a vertex must be able to reach: an internal vertex
+    # balances, an entrance stays in range and an exit is free
+    need = [None] * len(index)
+    for v in net.internal:
+        need[index[v]] = (0, 0)
+    for v, bounds in entrance_range.items():
+        need[index[v]] = bounds
+    # per vertex, the range of net supply still achievable from arcs >= k
+    rem_lo = [[0] * (m + 1) for _ in index]
+    rem_hi = [[0] * (m + 1) for _ in index]
     for k in range(m - 1, -1, -1):
         a = arcs[k]
-        for v in vs:
-            lo, hi = rem_lo[v][k + 1], rem_hi[v][k + 1]
-            if v == a.tail:
-                lo, hi = lo + a.lower, hi + a.upper
-            if v == a.head:
-                lo, hi = lo - a.upper, hi - a.lower
-            rem_lo[v][k], rem_hi[v][k] = lo, hi
+        for v in range(len(index)):
+            rem_lo[v][k], rem_hi[v][k] = rem_lo[v][k + 1], rem_hi[v][k + 1]
+        t, h = index[a.tail], index[a.head]
+        rem_lo[t][k] += a.lower
+        rem_hi[t][k] += a.upper
+        rem_lo[h][k] -= a.upper
+        rem_hi[h][k] -= a.lower
 
-    supply = {v: 0 for v in vs}
-    flow: List[int] = [0] * m
+    def window(v: int, k: int):
+        """The supplies of vertex v after arcs < k that keep it feasible,
+        or None when any supply does."""
+        if need[v] is None:
+            return None
+        a, b = need[v]
+        return a - rem_hi[v][k], b - rem_lo[v][k]
 
-    def feasible(v: str, k: int) -> bool:
-        lo = supply[v] + rem_lo[v][k]
-        hi = supply[v] + rem_hi[v][k]
-        if v in internal:
-            return lo <= 0 <= hi
-        if v in entrance:
-            a, b = entrance_range[v]
-            return lo <= b and hi >= a
-        return True
-
-    def rec(k: int) -> Iterator[Tuple[Flow, Point, Point]]:
+    supply = [0] * len(index)
+    if any(w is not None and not w[0] <= 0 <= w[1] for w in (window(v, 0) for v in range(len(index)))):
+        return
+    on_u = [index[v] for v in net.entrance]
+    on_w = [index[v] for v in net.exit]
+    levels = [
+        (index[a.tail], index[a.head], a.lower, a.upper, window(index[a.tail], k + 1), window(index[a.head], k + 1))
+        for k, a in enumerate(arcs)
+    ]
+    flow = [a.lower - 1 for a in arcs]
+    k = 0
+    while k >= 0:
         if k == m:
-            on_u = tuple(supply[v] for v in net.entrance)
-            on_w = tuple(supply[v] for v in net.exit)
-            yield tuple(flow), on_u, on_w
-            return
-        a = arcs[k]
-        for value in range(a.lower, a.upper + 1):
-            flow[k] = value
-            supply[a.tail] += value
-            supply[a.head] -= value
-            if feasible(a.tail, k + 1) and feasible(a.head, k + 1):
-                yield from rec(k + 1)
-            supply[a.tail] -= value
-            supply[a.head] += value
-
-    if all(feasible(v, 0) for v in vs):
-        yield from rec(0)
-
-
-def _entrance_range_from(obj, net: Network) -> Dict[str, Tuple[int, int]]:
-    if obj.dim != len(net.entrance):
-        raise ValueError(
-            f"input dimension {obj.dim} != entrance size {len(net.entrance)}"
-        )
-    box = obj.bounding_box()
-    return {v: (box.lo[i], box.hi[i]) for i, v in enumerate(net.entrance)}
+            yield tuple(flow), tuple([supply[v] for v in on_u]), tuple([supply[v] for v in on_w])
+            k -= 1
+            continue
+        t, h, lower, upper, wt, wh = levels[k]
+        value = flow[k]
+        if value >= lower:
+            supply[t] -= value
+            supply[h] += value
+        if value == upper:
+            flow[k] = lower - 1
+            k -= 1
+            continue
+        value += 1
+        flow[k] = value
+        supply[t] += value
+        supply[h] -= value
+        if (wt is None or wt[0] <= supply[t] <= wt[1]) and (wh is None or wh[0] <= supply[h] <= wh[1]):
+            k += 1
 
 
 def induce_fn(f, net: Network):
@@ -198,21 +214,31 @@ def induce_fn(f, net: Network):
     """
     if f.lifted:
         raise LiftedInputError("network induction needs a finite input")
+    if f.dim != len(net.entrance):
+        raise ValueError(f"input dimension {f.dim} != entrance size {len(net.entrance)}")
     vals = value_map(f)
-    costed = []
+    if not vals:
+        return rebuild(f, len(net.exit), {})
+    box = f.bounding_box()
+    entrance_range = {v: (box.lo[i], box.hi[i]) for i, v in enumerate(net.entrance)}
+    scale, costed = 1, []
     if keeps_values(f):
-        costed = [(k, dict(a.cost.table)) for k, a in enumerate(net.arcs) if a.cost.table is not None]
-    best: Dict[Point, Value] = {}
-    for flow, on_u, on_w in _enumerate_flows(net, _entrance_range_from(f, net)):
+        arcs = [(k, a.cost.table) for k, a in enumerate(net.arcs) if a.cost.table is not None]
+        scale, (vals, *tables) = scaled(vals, *(dict(table) for _, table in arcs))
+        costed = [(k, table) for (k, _), table in zip(arcs, tables)]
+    # the least scaled total per exit boundary, first reached first
+    best: Dict[Point, int] = {}
+    for flow, on_u, on_w in _enumerate_flows(net, entrance_range):
         total = vals.get(on_u)
         if total is None:
             continue
         for k, table in costed:
             total += table[flow[k]]
-        y = tuple(-c for c in on_w)
-        if y not in best or total < best[y]:
-            best[y] = total
-    return rebuild(f, len(net.exit), best, empty="induced function has an empty domain")
+        old = best.get(on_w)
+        if old is None or total < old:
+            best[on_w] = total
+    out = {tuple(-c for c in w): Fraction(t, scale) for w, t in best.items()}
+    return rebuild(f, len(net.exit), out, empty="induced function has an empty domain")
 
 
 # A set transformation is the induction of its indicator function.

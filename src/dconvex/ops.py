@@ -10,21 +10,32 @@ window; aggregation of a finite object is finite and needs none.  Coordinate
 order is preserved everywhere (direct sum concatenates, splitting expands a
 coordinate into a consecutive block), which matters for the order-sensitive
 classes.
+
+The convolution (and so the Minkowski sum) runs on the exact integer kernel
+the recognizers use: values scaled once per call to ints (``core.scaled``)
+and points as mixed-radix codes (``core.Codes``) over the sum box
+[lo1 + lo2, hi1 + hi2].  Every sum y + z lies in that box, where codes are
+distinct, and codes are affine, so a pair's sum is one int addition and each
+result point is decoded once.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .core import (
+    Codes,
     LiftedInputError,
     Point,
     Window,
     as_ints,
+    bounding_box,
     keeps_values,
     rebuild,
+    scaled,
     vadd,
     value_map,
     vshift,
@@ -217,13 +228,33 @@ def aggregate_fn(f, spec: PartitionSpec):
 
 def convolution_fn(f1, f2):
     """(f1 [] f2)(x) = min { f1(y) + f2(z) : x = y + z }; for sets, the
-    Minkowski sum."""
+    Minkowski sum.
+
+    Values are scaled once to ints (``core.scaled``) and points coded over
+    the sum box [lo1 + lo2, hi1 + hi2] (``core.Codes``).  Codes are affine,
+    so code(y + z) = code(y) + (code(z) - code(0)), and every sum lies in
+    that box, where distinct points have distinct codes: the pairs are
+    convolved on int codes and each result point is decoded once."""
     v1, v2 = _value_maps("convolution", f1, f2)
     if f1.dim != f2.dim:
         raise ValueError("dimension mismatch")
-    items2 = sorted(v2.items())
-    out = _fiber_min((vadd(y, z), v + w) for y, v in sorted(v1.items()) for z, w in items2)
-    return rebuild(f1, f1.dim, out)
+    if not v1 or not v2:
+        return rebuild(f1, f1.dim, {})
+    b1, b2 = bounding_box(v1), bounding_box(v2)
+    codes = Codes(Window(vadd(b1.lo, b2.lo), vadd(b1.hi, b2.hi)))
+    origin = codes.code((0,) * f1.dim)
+    scale, (s1, s2) = scaled(v1, v2)
+    items1 = [(codes.code(y), v) for y, v in sorted(s1.items())]
+    items2 = [(codes.code(z) - origin, w) for z, w in sorted(s2.items())]
+    # the least scaled sum per code, first reached first
+    best: Dict[int, int] = {}
+    for cy, v in items1:
+        for cz, w in items2:
+            c, t = cy + cz, v + w
+            old = best.get(c)
+            if old is None or t < old:
+                best[c] = t
+    return rebuild(f1, f1.dim, {codes.point(c): Fraction(t, scale) for c, t in best.items()})
 
 
 # Each set operation is the function operation on indicator functions, so

@@ -31,12 +31,20 @@ the point-set bodies production used before each operation was written once
 over value maps (``dconvex.ops``), where a set is its indicator function.
 They build point sets directly, so comparing them with the production set
 names checks the indicator reading and the rebuilding of set results.
+
+``induce_fn`` and ``convolution_fn`` are the network induction and the
+infimal convolution production ran before both moved onto the exact integer
+kernel (``dconvex.core.scaled`` and ``dconvex.core.Codes``): Fraction sums
+per flow and per pair, point tuples added per pair, and the flows
+enumerated by ``enumerate_flows``, a recursion over the arcs where
+production runs one loop in one frame.  Sets and functions alike go
+through them, as their indicator maps.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from dconvex.classes import ClassLabel, Verdict, Witness, _View
 from dconvex.core import (
@@ -47,15 +55,19 @@ from dconvex.core import (
     Point,
     difference_point,
     join_meet,
+    keeps_values,
     linf_distance,
     midpoint_round,
     prefix_transform,
+    rebuild,
     supports,
     vadd,
+    value_map,
     vshift,
 )
 from dconvex.hull import half_midpoint
-from dconvex.ops import PartitionSpec, SplitSpec, _aggregate_point, _split_point
+from dconvex.network import Network
+from dconvex.ops import PartitionSpec, SplitSpec, _aggregate_point, _fiber_min, _split_point, _value_maps
 from dconvex.rationals import is_finite
 from hull_oracle import in_local_hull_bruteforce, local_extension_value_bruteforce
 
@@ -481,3 +493,99 @@ def minkowski_sum_set(s1: LatticeSet, s2: LatticeSet) -> LatticeSet:
     if s1.dim != s2.dim:
         raise ValueError("dimension mismatch")
     return LatticeSet(s1.dim, frozenset(vadd(x, y) for x in s1.points for y in s2.points))
+
+
+# ---------------------------------------------------------------------------
+# network induction and convolution on Fractions and point tuples
+
+
+def enumerate_flows(net: Network, entrance_range: Dict[str, Tuple[int, int]]):
+    """(flow, boundary on U, boundary on W) for every capacity-feasible
+    conservative flow whose entrance supplies stay within entrance_range,
+    by recursion over the arcs in order, each taking its values ascending."""
+    arcs = net.arcs
+    m = len(arcs)
+    vs = net.vertices
+    internal = set(net.internal)
+    entrance = set(net.entrance)
+    # per vertex, the range of net-supply still achievable from arcs >= k
+    rem_lo = {v: [0] * (m + 1) for v in vs}
+    rem_hi = {v: [0] * (m + 1) for v in vs}
+    for k in range(m - 1, -1, -1):
+        a = arcs[k]
+        for v in vs:
+            lo, hi = rem_lo[v][k + 1], rem_hi[v][k + 1]
+            if v == a.tail:
+                lo, hi = lo + a.lower, hi + a.upper
+            if v == a.head:
+                lo, hi = lo - a.upper, hi - a.lower
+            rem_lo[v][k], rem_hi[v][k] = lo, hi
+
+    supply = {v: 0 for v in vs}
+    flow: List[int] = [0] * m
+
+    def feasible(v: str, k: int) -> bool:
+        lo = supply[v] + rem_lo[v][k]
+        hi = supply[v] + rem_hi[v][k]
+        if v in internal:
+            return lo <= 0 <= hi
+        if v in entrance:
+            a, b = entrance_range[v]
+            return lo <= b and hi >= a
+        return True
+
+    def rec(k: int):
+        if k == m:
+            on_u = tuple(supply[v] for v in net.entrance)
+            on_w = tuple(supply[v] for v in net.exit)
+            yield tuple(flow), on_u, on_w
+            return
+        a = arcs[k]
+        for value in range(a.lower, a.upper + 1):
+            flow[k] = value
+            supply[a.tail] += value
+            supply[a.head] -= value
+            if feasible(a.tail, k + 1) and feasible(a.head, k + 1):
+                yield from rec(k + 1)
+            supply[a.tail] -= value
+            supply[a.head] += value
+
+    if all(feasible(v, 0) for v in vs):
+        yield from rec(0)
+
+
+def induce_fn(f, net: Network):
+    """Network induction summing each flow's Fraction costs, with the least
+    total per exit vector; a set's image keeps only the domain."""
+    if f.lifted:
+        raise LiftedInputError("network induction needs a finite input")
+    if f.dim != len(net.entrance):
+        raise ValueError(f"input dimension {f.dim} != entrance size {len(net.entrance)}")
+    vals = value_map(f)
+    box = f.bounding_box()
+    entrance_range = {v: (box.lo[i], box.hi[i]) for i, v in enumerate(net.entrance)}
+    costed = []
+    if keeps_values(f):
+        costed = [(k, dict(a.cost.table)) for k, a in enumerate(net.arcs) if a.cost.table is not None]
+    best = {}
+    for flow, on_u, on_w in enumerate_flows(net, entrance_range):
+        total = vals.get(on_u)
+        if total is None:
+            continue
+        for k, table in costed:
+            total += table[flow[k]]
+        y = tuple(-c for c in on_w)
+        if y not in best or total < best[y]:
+            best[y] = total
+    return rebuild(f, len(net.exit), best, empty="induced function has an empty domain")
+
+
+def convolution_fn(f1, f2):
+    """Infimal convolution over every pair of stored points, summing point
+    tuples and Fraction values; for sets, the Minkowski sum."""
+    v1, v2 = _value_maps("convolution", f1, f2)
+    if f1.dim != f2.dim:
+        raise ValueError("dimension mismatch")
+    items2 = sorted(v2.items())
+    out = _fiber_min((vadd(y, z), v + w) for y, v in sorted(v1.items()) for z, w in items2)
+    return rebuild(f1, f1.dim, out)

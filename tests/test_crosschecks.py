@@ -16,6 +16,15 @@ verdict and witness on f and on k * f.  The exchange and jump recognizers
 read points as int codes, so their whole verdicts are compared with the
 tuple scanner kept in ``set_oracles``, on the benchmark's check corpus, on
 drawn members and near misses, and on spans whose codes pass 2**64.
+
+Network induction and infimal convolution run on int-scaled values and
+point codes too, so their results, and the documents of their results, are
+compared with the Fraction/tuple loops kept in ``set_oracles``: induction
+(with the flows it enumerates, in order) on the benchmark's three networks
+and on random networks with large-prime cost denominators, convolution and
+Minkowski sums on random pairs, including one-point operands and
+coordinates near 10**20, and the lifted pair sum of the counterexample
+registry.
 """
 
 import itertools
@@ -25,14 +34,19 @@ import random
 import sys
 from fractions import Fraction
 
-from dconvex import lab
+import pytest
+
+import set_oracles
+from dconvex import core, documents, lab, network
 from dconvex.classes import FN_LABELS, SET_LABELS, ClassLabel, _View, check, check_fn, check_set, verify_witness
-from dconvex.core import LatticeFn, LatticeSet, Window, cube, indicator_fn, vshift
-from dconvex.network import Arc, ArcCost, Network, transform_set
+from dconvex.core import EmptyResultError, LatticeFn, LatticeSet, Window, cube, indicator_fn, vshift
+from dconvex.network import Arc, ArcCost, Network, induce_fn, transform_set
+from dconvex.ops import convolution_fn
 from set_oracles import ORDERED_LABELS, SET_ORACLES, check_ic_fn, check_lifted_l_fn, check_ordered
 
 sys.path.append(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 from perfbench.corpus import build_check_corpus  # noqa: E402
+from perfbench.workloads import Transform  # noqa: E402
 
 INDICATOR_PAIRS = (
     (ClassLabel.INTEGER_BOX, ClassLabel.SEPARABLE_CONVEX),
@@ -329,3 +343,123 @@ def test_flow_enumeration_matches_naive_scan():
         )
         s = LatticeSet(n_in, pts)
         assert transform_set(s, net) == _naive_transform(s, net)
+
+
+# Network induction and convolution run on int-scaled values and point
+# codes; the Fraction/tuple loops they replaced are the references.
+# Denominators include large primes, so some scales pass 2**64.
+_PRIMES = (2**61 - 1, 2**31 - 1, 10**9 + 7, 998244353)
+
+
+def _fraction(rng) -> Fraction:
+    return Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 6) + _PRIMES))
+
+
+def _assert_same(got, want, what):
+    assert got == want, what
+    assert documents.to_text(got) == documents.to_text(want), what
+
+
+def _assert_same_induction(obj, net, what):
+    box = obj.bounding_box()
+    entrance_range = {v: (box.lo[i], box.hi[i]) for i, v in enumerate(net.entrance)}
+    flows = list(network._enumerate_flows(net, entrance_range))
+    assert flows == list(set_oracles.enumerate_flows(net, entrance_range)), what
+    try:
+        want = set_oracles.induce_fn(obj, net)
+    except EmptyResultError:
+        with pytest.raises(EmptyResultError):
+            induce_fn(obj, net)
+        return len(flows)
+    _assert_same(induce_fn(obj, net), want, what)
+    return len(flows)
+
+
+def test_induction_matches_oracle_on_the_benchmark_networks(tmp_path):
+    for seed in (1, 7):
+        w = Transform()
+        w.prepare(seed, str(tmp_path / str(seed)))
+        induced = [argv for _, argv, _ in w.requests if argv[0] == "induce"]
+        assert len(induced) == 3
+        for argv in induced:
+            net, obj = documents.load(argv[2]), documents.load(argv[4])
+            assert _assert_same_induction(obj, net, (seed, argv[2])) > 0
+
+
+def _varied(net: Network, rng) -> Network:
+    """net with each cost table c made t -> k * c(t) + a * t + b for seeded
+    fractions k > 0, a and b (still convex, with large denominators), some
+    arcs reversed (bounds and costs read at -t) and the arcs shuffled, so
+    entrances and internal vertices are also heads, and last."""
+    arcs = []
+    for arc in net.arcs:
+        tail, head, lower, upper = arc.tail, arc.head, arc.lower, arc.upper
+        table = dict(arc.cost.table or {})
+        if table and rng.random() < 0.7:
+            k = abs(_fraction(rng)) or Fraction(1)
+            a, b = _fraction(rng), _fraction(rng)
+            table = {t: k * c + a * t + b for t, c in table.items()}
+        if rng.random() < 0.3:
+            tail, head, lower, upper = head, tail, -upper, -lower
+            table = {-t: c for t, c in table.items()}
+        arcs.append(Arc(tail, head, lower, upper, ArcCost.from_table(table) if table else ArcCost.zero()))
+    rng.shuffle(arcs)
+    return Network(net.vertices, tuple(arcs), net.entrance, net.exit)
+
+
+def test_induction_matches_oracle_on_random_networks():
+    rng = random.Random(8080)
+    no_arcs = Network(("u", "w"), (), ("u",), ("w",))
+    assert _assert_same_induction(LatticeFn.of({(0,): 1, (1,): 2}), no_arcs, "no arcs") == 1
+    wide = flows = 0
+    for _ in range(220):
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        net = _varied(lab._random_network(rng, n, m, with_costs=True), rng)
+        pts = {tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(1, 8))}
+        f = LatticeFn(n, {p: _fraction(rng) for p in pts})
+        for obj in (LatticeSet(n, frozenset(pts)), f):
+            flows += _assert_same_induction(obj, net, (n, m, net))
+        tables = [dict(a.cost.table) for a in net.arcs if a.cost.table is not None]
+        wide += core.scaled(f.values, *tables)[0] > 2**64
+    assert wide >= 50 and flows > 0
+
+
+def _convolution_operands(rng):
+    """Pairs of sets or functions of one dimension: negative lower corners,
+    one-point and one-dimensional operands, and coordinates near 10**20."""
+    for k in range(240):
+        n = rng.choice((1, 1, 2, 2, 3))
+        shifts = [rng.choice((0, 0, 10**20, -(10**20))) for _ in range(2)] if k % 3 == 0 else [0, 0]
+        operands = []
+        for shift in shifts:
+            lo = [rng.randint(-5, 2) for _ in range(n)]
+            size = 1 if rng.random() < 0.15 else rng.randint(1, 9)
+            pts = {tuple(a + shift + rng.randint(0, 3) for a in lo) for _ in range(size)}
+            operands.append(pts)
+        if k % 2:
+            yield tuple(LatticeSet(n, frozenset(pts)) for pts in operands)
+        else:
+            yield tuple(LatticeFn(n, {p: _fraction(rng) for p in pts}) for pts in operands)
+
+
+def test_convolution_matches_oracle_on_random_pairs():
+    rng = random.Random(9090)
+    for a, b in _convolution_operands(rng):
+        _assert_same(convolution_fn(a, b), set_oracles.convolution_fn(a, b), (a, b))
+
+
+def test_lifted_pair_sum_matches_oracle(monkeypatch):
+    rng = random.Random(9191)
+    pairs = []
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        reps = [{tuple(rng.randint(-3, 2) for _ in range(n - 1)) + (0,) for _ in range(rng.randint(1, 5))}
+                for _ in range(2)]
+        if rng.random() < 0.5:
+            pairs.append(tuple(LatticeSet(n, frozenset(r), lifted=True) for r in reps))
+        else:
+            pairs.append(tuple(LatticeFn(n, {p: _fraction(rng) for p in r}, True, _fraction(rng)) for r in reps))
+    got = [lab._lifted_pair_sum(a, b) for a, b in pairs]
+    monkeypatch.setattr(lab, "convolution_fn", set_oracles.convolution_fn)
+    for (a, b), g in zip(pairs, got):
+        _assert_same(g, lab._lifted_pair_sum(a, b), (a, b))

@@ -217,6 +217,32 @@ def test_cli_induce_identity(docs, tmp_path, capsys):
     assert documents.parse_text(capsys.readouterr().out) == s
 
 
+def test_cli_empty_set_operands_give_empty_sets(tmp_path, capsys):
+    net = Network(("u", "w0", "w1"), (Arc("u", "w0", 0, 1), Arc("u", "w1", 0, 1)), ("u",), ("w0", "w1"))
+    documents.dump(net, tmp_path / "net.json")
+    documents.dump(LatticeSet(1, frozenset()), tmp_path / "empty1.json")
+    documents.dump(LatticeSet.of([(0,), (2,)]), tmp_path / "s.json")
+    rc = main(["induce", "--network", str(tmp_path / "net.json"), "--input", str(tmp_path / "empty1.json")])
+    out = capsys.readouterr()
+    assert rc == 0 and "empty" in out.err
+    assert documents.parse_text(out.out) == LatticeSet(2, frozenset())
+    rc = main(["op", "minkowski", str(tmp_path / "s.json"), str(tmp_path / "empty1.json")])
+    assert rc == 0
+    assert documents.parse_text(capsys.readouterr().out) == LatticeSet(1, frozenset())
+
+
+@pytest.mark.parametrize("field", ["entrance", "exit"])
+def test_network_document_with_a_repeated_terminal_exits_2(tmp_path, capsys, field):
+    doc = documents.to_document(Network(("u", "w"), (Arc("u", "w", 0, 2),), ("u",), ("w",)))
+    doc[field] = doc[field] * 2
+    with pytest.raises(DocumentError, match=f"{field} list repeats a vertex"):
+        documents.from_document(doc)
+    (tmp_path / "net.json").write_text(json.dumps(doc))
+    documents.dump(LatticeSet.of([(0,), (1,)]), tmp_path / "s.json")
+    assert main(["induce", "--network", str(tmp_path / "net.json"), "--input", str(tmp_path / "s.json")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_cli_check_jump_fn_member(tmp_path):
     # minimum subgraph weight by degree sequence: a member of jump-m-fn
     vals = {}

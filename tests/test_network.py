@@ -103,6 +103,28 @@ def test_empty_transform_reported_not_fatal():
         induce_fn(LatticeFn.of({(5,): 0}), net)
 
 
+def test_empty_set_has_an_empty_image():
+    net = Network(("u", "w0", "w1"), (Arc("u", "w0", 0, 1), Arc("u", "w1", 0, 1)), ("u",), ("w0", "w1"))
+    empty = LatticeSet(1, frozenset())
+    assert transform_set(empty, net) == LatticeSet(2, frozenset())
+    with pytest.raises(ValueError, match="input dimension"):
+        transform_set(LatticeSet(2, frozenset()), net)
+    s = LatticeSet.of([(0, 1), (2, 2)])
+    assert minkowski_sum_set(LatticeSet(2, frozenset()), s) == LatticeSet(2, frozenset())
+    assert minkowski_sum_set(s, LatticeSet(2, frozenset())) == LatticeSet(2, frozenset())
+
+
+@pytest.mark.parametrize(
+    "entrance, exit_",
+    [(("u", "u"), ("w",)), (("u",), ("w", "w"))],
+)
+def test_repeated_terminals_are_rejected(entrance, exit_):
+    # read through (u, u), f = {(0, 1): 5, (1, 1): 0, (2, 2): 7} would only
+    # ever be read on its diagonal
+    with pytest.raises(ValueError, match="repeats a vertex"):
+        Network(("u", "w"), (Arc("u", "w", 0, 2),), entrance, exit_)
+
+
 def test_splitting_network_reproduces_split():
     rng = random.Random(11)
     for _ in range(25):
