@@ -144,9 +144,19 @@ def _capacity(v, what: str) -> int:
     return _int(v, what)
 
 
+def _built(make, *args):
+    """make(*args), whose ValueError (an invalid arc or network) is raised
+    as a DocumentError."""
+    try:
+        return make(*args)
+    except ValueError as e:
+        raise DocumentError(str(e)) from None
+
+
 def from_document(doc: Dict[str, Any]) -> Any:
     """The object a document describes.  A missing field or a value of the
-    wrong JSON shape raises DocumentError naming the field."""
+    wrong JSON shape raises DocumentError naming the field; an arc or network
+    that fails its own validation raises one with that message."""
     _require(isinstance(doc, dict), "document must be a JSON object")
     _require(doc.get("version") == VERSION, f"unsupported document version {doc.get('version')!r}")
     kind = doc.get("kind")
@@ -198,12 +208,9 @@ def from_document(doc: Dict[str, Any]) -> Any:
                     t = _int(_field(entry, "t", where="arcs.cost"), "cost abscissa")
                     table[t] = _finite(_field(entry, "v", str, "arcs.cost"), "arc cost value")
                 cost = ArcCost.from_table(table)
-            arcs.append(Arc(tail, head, lower, upper, cost))
+            arcs.append(_built(Arc, tail, head, lower, upper, cost))
         vertices, entrance, exit_ = (_names(_field(doc, k, list), k) for k in ("vertices", "entrance", "exit"))
-        try:
-            return Network(vertices, tuple(arcs), entrance, exit_)
-        except ValueError as e:
-            raise DocumentError(f"network: {e}") from None
+        return _built(Network, vertices, tuple(arcs), entrance, exit_)
 
     if kind == "report":
         return dict(_field(doc, "payload", dict))

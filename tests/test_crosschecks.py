@@ -345,8 +345,6 @@ def test_flow_enumeration_matches_naive_scan():
         assert transform_set(s, net) == _naive_transform(s, net)
 
 
-# Network induction and convolution run on int-scaled values and point
-# codes; the Fraction/tuple loops they replaced are the references.
 # Denominators include large primes, so some scales pass 2**64.
 _PRIMES = (2**61 - 1, 2**31 - 1, 10**9 + 7, 998244353)
 
@@ -425,8 +423,9 @@ def test_induction_matches_oracle_on_random_networks():
 
 
 def _convolution_operands(rng):
-    """Pairs of sets or functions of one dimension: negative lower corners,
-    one-point and one-dimensional operands, and coordinates near 10**20."""
+    """Pairs of sets, or of functions, of equal dimension: negative lower
+    corners, one-point and one-dimensional operands, and coordinates near
+    10**20."""
     for k in range(240):
         n = rng.choice((1, 1, 2, 2, 3))
         shifts = [rng.choice((0, 0, 10**20, -(10**20))) for _ in range(2)] if k % 3 == 0 else [0, 0]

@@ -231,11 +231,18 @@ def test_cli_empty_set_operands_give_empty_sets(tmp_path, capsys):
     assert documents.parse_text(capsys.readouterr().out) == LatticeSet(1, frozenset())
 
 
-@pytest.mark.parametrize("field", ["entrance", "exit"])
-def test_network_document_with_a_repeated_terminal_exits_2(tmp_path, capsys, field):
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("entrance", ["u", "u"], "entrance list repeats a vertex"),
+        ("exit", ["w", "w"], "exit list repeats a vertex"),
+        ("arcs", [{"tail": "u", "head": "w", "lower": 2, "upper": 0}], "lower > upper"),
+    ],
+)
+def test_invalid_network_document_exits_2(tmp_path, capsys, field, value, message):
     doc = documents.to_document(Network(("u", "w"), (Arc("u", "w", 0, 2),), ("u",), ("w",)))
-    doc[field] = doc[field] * 2
-    with pytest.raises(DocumentError, match=f"{field} list repeats a vertex"):
+    doc[field] = value
+    with pytest.raises(DocumentError, match=message):
         documents.from_document(doc)
     (tmp_path / "net.json").write_text(json.dumps(doc))
     documents.dump(LatticeSet.of([(0,), (1,)]), tmp_path / "s.json")

@@ -119,8 +119,8 @@ def test_empty_set_has_an_empty_image():
     [(("u", "u"), ("w",)), (("u",), ("w", "w"))],
 )
 def test_repeated_terminals_are_rejected(entrance, exit_):
-    # read through (u, u), f = {(0, 1): 5, (1, 1): 0, (2, 2): 7} would only
-    # ever be read on its diagonal
+    # through entrance (u, u) every flow supplies (x, x), so a function on
+    # Z^2 would be read on its diagonal only
     with pytest.raises(ValueError, match="repeats a vertex"):
         Network(("u", "w"), (Arc("u", "w", 0, 2),), entrance, exit_)
 
