@@ -15,6 +15,7 @@ error.  Other commands use 0 on success, 2 on input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -145,7 +146,11 @@ def _cmd_examples(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``dconvex`` parser, built once per process and shared by every
+    ``main`` call; parsing leaves it unchanged, and callers must not add to
+    it."""
     p = argparse.ArgumentParser(prog="dconvex", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -186,8 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (CliError, DocumentError, LabelKindError, LiftedInputError, EmptyResultError, ValueError, OSError) as e:

@@ -6,16 +6,18 @@ local convex extension of a function at x is the cheapest convex combination
 of neighborhood points hitting x.  It is the one routine here: a set is read
 as its indicator function (``core.value_map``), so x lies in the set's local
 hull exactly when the indicator's local extension is finite there.  It is
-decided exactly by a rational simplex, with closed forms for one or two
-half-integral coordinates.  An independent brute-force route that
-enumerates basic solutions is kept in the tests (``tests/hull_oracle.py``)
-for cross-checking.
+decided exactly by the integer-tableau simplex (``simplex``), with closed
+forms for one or two half-integral coordinates; the LP's equality system is
+all ints, its coordinate rows and x doubled.  An independent brute-force
+route that enumerates basic solutions on its own Fraction system is kept in
+the tests (``tests/hull_oracle.py``) for cross-checking.
 
 Besides a set or a finite function, the routine takes a finite function's
 value map: the recognizers (``classes``) pass their values scaled to plain
 ints, or for a lifted object the values on the integral neighborhood of x
 alone, and memoize the answer per midpoint for the length of one check, so
-the LP gets int costs and runs once per distinct half-integral midpoint.
+the LP gets int costs, which it uses as they are, and runs once per
+distinct half-integral midpoint.
 """
 
 from __future__ import annotations
@@ -51,11 +53,11 @@ def neighborhood(x: HalfPoint) -> List[Point]:
 
 
 def _combination_system(candidates: Sequence[Point], x: HalfPoint):
-    """Equality system for convex combinations of candidates hitting x."""
-    n = len(x)
-    rows = [[Fraction(p[i]) for p in candidates] for i in range(n)]
-    rows.append([Fraction(1)] * len(candidates))
-    rhs = [Fraction(c) for c in x] + [Fraction(1)]
+    """Equality system for convex combinations of candidates hitting x, in
+    ints: the coordinate rows and x are doubled, as x is half-integral."""
+    rows = [[2 * p[i] for p in candidates] for i in range(len(x))]
+    rows.append([1] * len(candidates))
+    rhs = [int(2 * c) for c in x] + [1]
     return rows, rhs
 
 

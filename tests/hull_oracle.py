@@ -3,7 +3,8 @@
 x lies in conv(V) iff it lies in the convex hull of some affinely
 independent subset of V with at most n+1 points, so enumerating subsets and
 solving each square-ish system exactly is a complete (if slow) decision
-procedure, independent of the simplex behind ``dconvex.hull``.
+procedure, independent of the simplex behind ``dconvex.hull`` and of the
+equality system it hands that simplex.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from dconvex.core import LatticeFn, LatticeSet, LiftedInputError, Point
-from dconvex.hull import HalfPoint, _combination_system, is_integral, neighborhood
+from dconvex.hull import HalfPoint, is_integral, neighborhood
 from dconvex.rationals import INF, Value
 
 
@@ -58,7 +59,10 @@ def solve_exact_linear(
 
 
 def _subset_combination(subset: Sequence[Point], x: HalfPoint) -> Optional[List[Fraction]]:
-    rows, rhs = _combination_system(subset, x)
+    # sum(lam_p * p) = x and sum(lam_p) = 1, in Fractions; built here rather
+    # than shared with the int-scaled system that ``dconvex.hull`` solves
+    rows = [[Fraction(p[i]) for p in subset] for i in range(len(x))] + [[Fraction(1)] * len(subset)]
+    rhs = list(x) + [Fraction(1)]
     lam = solve_exact_linear(rows, rhs)
     if lam is None:
         return None

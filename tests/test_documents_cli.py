@@ -170,6 +170,31 @@ def test_cli_check_exit_codes(docs, capsys):
     assert main(["check", str(docs / "pairs.json"), "--class", "m-set"]) == 2
 
 
+def test_cli_answers_the_same_around_a_rejected_call(docs, capsys):
+    # the parser is built once per process, so a call that argparse rejects
+    # must leave it as it was for the next call
+    def answers(tag):
+        outs = [docs / f"{tag}-{k}.json" for k in range(2)]
+        codes = [
+            main(["check", str(docs / "t.json"), "--class", "lnat-set", "--out", str(outs[0])]),
+            main(["check", str(docs / "point.json"), "--class", "m-set", "--out", str(outs[1])]),
+        ]
+        return codes, [out.read_bytes() for out in outs]
+
+    before = answers("before")
+    for bad in (
+        ["check", str(docs / "t.json")],
+        ["check", str(docs / "t.json"), "--class", "m-set", "--bogus"],
+        ["nonsense"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+    assert answers("after") == before
+    assert before[0] == [1, 0]
+    assert json.loads(before[1][0])["payload"]["witness"]["kind"] == "midpoint"
+
+
 def test_cli_op_aggregate(docs, capsys):
     rc = main(
         ["op", "aggregate", str(docs / "s4.json"), "--spec", str(docs / "pairs.json")]

@@ -6,7 +6,7 @@ import pytest
 from dconvex.core import LatticeFn, LatticeSet, cube, indicator_fn
 from dconvex.hull import in_local_hull, local_extension_value, neighborhood
 from dconvex.rationals import INF
-from dconvex.simplex import OPTIMAL, solve_lp
+from dconvex.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 from hull_oracle import in_local_hull_bruteforce, local_extension_value_bruteforce
 
 F = Fraction
@@ -93,6 +93,143 @@ def test_simplex_basic():
     # infeasible: x + y = -1 with x, y >= 0
     status, _, _ = solve_lp([[F(1), F(1)]], [F(-1)], [F(0), F(0)])
     assert status == "infeasible"
+
+
+# (rows, rhs, objective, (status, x, value)), each result recorded from the
+# Fraction-tableau simplex that the integer tableau replaced.  The two
+# degenerate LPs have tied ratios where Bland's tie-break decides x but not
+# the value; the hull LPs are systems as ``hull`` builds them (coordinate
+# rows doubled, then the row of ones), taken from the closure matrix and the
+# check corpus.
+PINNED_LPS = [
+    (  # hull, degenerate: the tie-break picks x; a negative right-hand side
+        [[0, 0, 0, 0, 2, 2, 2, 2], [2, 2, 2, 2, 0, 0, 0, 0], [-2, -2, 0, 0, -2, -2, 0, 0],
+         [2, 4, 2, 4, 2, 4, 2, 4], [1, 1, 1, 1, 1, 1, 1, 1]],
+        [1, 1, -1, 3, 1],
+        [-1, 0, 0, 4, -1, 0, 0, 4],
+        (OPTIMAL, [0, F(1, 2), 0, 0, 0, 0, F(1, 2), 0], 0),
+    ),
+    (  # degenerate: the tie-break picks x
+        [[-1, 0, 0, 2, 2, -1], [-1, -1, 1, 0, 1, 0], [-1, 0, 1, 2, -1, 2]],
+        [1, 0, 0],
+        [0, 0, 1, 0, 0, 1],
+        (OPTIMAL, [F(1, 3), 0, 0, F(1, 3), F(1, 3), 0], 0),
+    ),
+    (  # hull: a negative pivot in the drive-out, and a zero row
+        [[0, 0, 0, 2, 2, 2], [0, 0, 0, 0, 0, 0], [0, 2, 2, 0, 2, 2], [2, 0, 2, 2, 0, 2],
+         [1, 1, 1, 1, 1, 1]],
+        [1, 0, 1, 1, 1],
+        [7, 7, 7, -7, -7, -3],
+        (OPTIMAL, [0, F(1, 2), 0, F(1, 2), 0, 0], 0),
+    ),
+    (  # a negative pivot in the drive-out
+        [[-3, -1]],
+        [0],
+        [-1, 2],
+        (OPTIMAL, [0, 0], 0),
+    ),
+    (  # hull: a redundant row (the second is twice the ones row minus the first)
+        [[0, 0, 2, 2], [4, 4, 2, 2], [2, 4, 2, 4], [1, 1, 1, 1]],
+        [1, 3, 3, 1],
+        [0, 0, 0, 0],
+        (OPTIMAL, [0, F(1, 2), F(1, 2), 0], 0),
+    ),
+    (  # unbounded
+        [[1, -1, 0], [0, 1, -1]],
+        [1, 2],
+        [0, 0, -1],
+        (UNBOUNDED, None, None),
+    ),
+    (  # fractional data, a negative right-hand side
+        [[F(1, 2), F(-2, 3), 1], [F(3, 4), 1, F(-1, 5)]],
+        [F(-1, 3), 2],
+        [F(5, 2), 1, F(-1, 7)],
+        (OPTIMAL, [0, F(29, 13), F(15, 13)], F(188, 91)),
+    ),
+    (  # infeasible
+        [[1, 1, 0], [0, 1, 1], [1, 0, -1]],
+        [1, 1, F(1, 2)],
+        [1, 1, 1],
+        (INFEASIBLE, None, None),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "rows, rhs, objective, expected",
+    PINNED_LPS,
+    ids=[
+        "hull-tie-break", "tie-break", "hull-negative-drive-out", "negative-drive-out",
+        "hull-redundant-row", "unbounded", "fractional-negative-rhs", "infeasible",
+    ],
+)
+def test_simplex_pinned_results(rows, rhs, objective, expected):
+    status, x, value = solve_lp(rows, rhs, objective)
+    assert (status, x, value) == expected
+    if status == OPTIMAL:
+        assert all(type(v) is F for v in x) and type(value) is F
+
+
+def test_simplex_rejects_extra_rhs():
+    with pytest.raises(ValueError):
+        solve_lp([[1, 1]], [1, 5], [1, 1])
+
+
+def test_simplex_rejects_short_rhs():
+    with pytest.raises(ValueError):
+        solve_lp([[1, 1], [1, -1]], [1], [1, 1])
+
+
+def test_simplex_rejects_float_entries():
+    with pytest.raises(ValueError):
+        solve_lp([[0.1, 1]], [1], [1, 1])
+    with pytest.raises(ValueError):
+        solve_lp([[1, 1]], [0.5], [1, 1])
+    with pytest.raises(ValueError):
+        solve_lp([[1, 1]], [1], [1, 1.0])
+
+
+def test_simplex_rejects_string_and_bool_entries():
+    for bad in ("1", True):
+        with pytest.raises(ValueError):
+            solve_lp([[bad, 1]], [1], [1, 1])
+        with pytest.raises(ValueError):
+            solve_lp([[1, 1]], [bad], [1, 1])
+        with pytest.raises(ValueError):
+            solve_lp([[1, 1]], [1], [bad, 1])
+
+
+def _sparse_hull_query(rng):
+    """A point x in Z^n/2, n <= 6, with at least three half-integral
+    coordinates (so the LP runs) and a domain of a few points of its
+    neighborhood (so the hull often misses x), plus a point outside it."""
+    n = rng.randint(3, 6)
+    axes = rng.sample(range(n), rng.randint(3, n))
+    x = tuple(F(2 * rng.randint(-2, 2) + (i in axes), 2) for i in range(n))
+    nbhd = neighborhood(x)
+    pts = set(rng.sample(nbhd, rng.randint(1, 6)))
+    if rng.random() < 0.5:
+        # an antipodal pair through x makes the hull hit x
+        p = rng.choice(nbhd)
+        pts |= {p, tuple(int(2 * c) - v for c, v in zip(x, p))}
+    pts.add(tuple(int(c) + 2 for c in x))
+    return n, x, pts
+
+
+def test_extension_value_agrees_with_bruteforce_up_to_six_dimensions():
+    rng = random.Random(20261018)
+    infinite = 0
+    for q in range(200):
+        n, x, pts = _sparse_hull_query(rng)
+        if q % 2:
+            vals = {p: F(rng.randint(-6, 6), rng.choice((1, 2, 3))) for p in pts}
+        else:
+            vals = {p: rng.randint(-5, 5) for p in pts}
+        want = local_extension_value_bruteforce(LatticeFn(n, vals), x)
+        assert local_extension_value(LatticeFn(n, vals), x) == want
+        assert local_extension_value(vals, x) == want
+        infinite += want is INF
+    assert 40 <= infinite <= 160
 
 
 def test_lifted_inputs_rejected():
