@@ -1,10 +1,21 @@
 """Membership recognizers for the discrete convexity classes.
 
-Every recognizer is an exact brute-force check of the defining axiom over
-the stored points.  A negative verdict carries a witness that replays as a
-genuine violation through :func:`verify_witness`.  Scanning is done in
-lexicographic order and stops at the first violation, so verdicts are
-deterministic.
+Every recognizer is exact.  Most scan the defining axiom over the stored
+points, or pairs of them, in lexicographic order and stop at the first
+violation, so verdicts are deterministic.  A negative verdict carries a
+witness that replays as a genuine violation through :func:`verify_witness`.
+
+The L♮, L, M♮, M and multimodular labels first try to prove membership
+without the pair scan.  Their sets are exactly the lattice points of a
+polyhedral description that can be read off the stored points: bounds and
+x_i - x_j <= c_ij for L♮ (Murota, Discrete Convex Analysis, 2003, ch. 5;
+multimodular on the prefix sums, L on the section x_n = 0), and a
+paramodular pair mu <= x(X) <= rho for M♮ (Frank and Tardos 1988; M on the
+projection of its hyperplane).  Their functions, once the domain is in the
+class, need the midpoint or exchange inequality only on nearby pairs
+(Murota 2003, ch. 6 and 7).  Each test is taken only where it pays, by a
+size rule on the input, and whatever it does not prove runs the pair scan,
+which reports the same lexicographically first witness.
 
 Each axiom is written once, as a predicate in the table ``_AXIOMS`` keyed by
 witness kind.  A predicate reads the object through a value getter in which
@@ -52,6 +63,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, partial
+from itertools import combinations, product
+from math import comb
+from operator import add, sub
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
@@ -215,7 +229,12 @@ class _View:
     @cached_property
     def coded(self) -> Tuple[_Codes, Dict[int, int]]:
         """The codes over the bounding box, and the stored values by code."""
-        codes = _Codes(self.box)
+        return self.coded_over(self.box)
+
+    def coded_over(self, box: Window) -> Tuple[_Codes, Dict[int, int]]:
+        """The codes over a box holding the stored points, and the stored
+        values by code."""
+        codes = _Codes(box)
         return codes, {codes.code(p): f for p, f in self.vals.items()}
 
     def domain(self) -> "_View":
@@ -227,6 +246,15 @@ class _View:
         object and c = 0 it holds all the stored representatives, which is
         their lift along 1."""
         return _View(self.dim - 1, {p[:-1]: v for p, v in self.vals.items() if p[-1] == c})
+
+    def projected(self) -> Optional["_View"]:
+        """The stored points without their last coordinate, when x(N) is one
+        constant on them, so that no two of them meet; None otherwise.  An
+        object is M-convex exactly when it lies on such a hyperplane and
+        this projection is M♮-convex (Murota 2003, ch. 4 and 6)."""
+        if len({sum(p) for p in self.vals}) != 1:
+            return None
+        return _View(self.dim - 1, {p[:-1]: v for p, v in self.vals.items()})
 
     def prefixed(self) -> "_View":
         """The pull-back to prefix sums, where multimodularity is midpoint
@@ -499,12 +527,13 @@ def _check_separable(v: _View) -> Verdict:
 
 def _check_l(v: _View) -> Verdict:
     """Exact for a lifted object: it is L-convex iff its section x_n = 0 is
-    L♮-convex (Murota, Discrete Convex Analysis, 2003, ch. 7), that is,
-    midpoint convex; the witness goes back to Z^n with a 0 appended.  A
-    finite object is a windowed sample over its bounding box, so a negative
-    verdict is sound and a pass only a necessary condition."""
+    L♮-convex (Murota, Discrete Convex Analysis, 2003, ch. 7), which
+    ``_check_lnat`` decides; the witness goes back to Z^n with a 0
+    appended.  A finite object is a windowed sample over its bounding box,
+    so it is scanned pair by pair: a negative verdict is sound and a pass
+    only a necessary condition."""
     if v.lifted:
-        inner = _scan_pairs(v.section(), "midpoint")
+        inner = _check_lnat(v.section())
         if inner.member:
             return _OK
         return _fail("l-section-midpoint", (p + (0,) for p in inner.witness.points))
@@ -532,12 +561,198 @@ def _check_local_dmc(v: _View) -> Verdict:
 
 
 def _check_multimodular(v: _View) -> Verdict:
-    """Midpoint convexity after the change of coordinates to prefix sums;
-    the witness is mapped back to the original coordinates."""
-    inner = _scan_pairs(v.prefixed(), "midpoint")
+    """L♮-convexity after the change of coordinates to prefix sums (Murota,
+    "Note on multimodularity and L-convexity", 2005); the witness is mapped
+    back to the original coordinates."""
+    inner = _check_lnat(v.prefixed())
     if inner.member:
         return _OK
     return _fail("multimodular-midpoint", map(difference_point, inner.witness.points))
+
+
+# ---------------------------------------------------------------------------
+# the L♮ and M♮ families without the pair scan
+#
+# Their sets are the lattice points of a polyhedral description read off the
+# stored points, and their functions need the midpoint or exchange inequality
+# only on pairs of nearby points once the domain is in the class.  A test
+# below answers True only for a member.  Anything else runs the pair scan,
+# so a non-member gets the same lexicographically first witness as before.
+#
+# A function takes the local route only when |S| >= 2 * |ball|, with |ball|
+# the offsets of the ball other than its centre: a member saves
+# |S| * (|S| - |ball|) / 2 pair reads there, and a non-member pays up to
+# |S| * |ball| / 2 reads before its pair scan, so the two break even at
+# |S| = 2 * |ball|.  A set, or any object whose values are all equal, needs
+# no local axiom: its domain decides.
+
+# the l1 radius of the exchange ball, so also the l-inf reach of its offsets
+_REACH = 4
+
+
+def _lnat_described(points: Dict[Point, int], n: int) -> bool:
+    """Whether the points are all the lattice points of their tightest
+    description l <= x <= u, x_i - x_j <= c_ij, which holds exactly for an
+    L♮-convex set (Murota 2003, ch. 5).  The description's points are
+    enumerated coordinate by coordinate, each range cut by the coordinates
+    already fixed, up to the first one not stored.  No range comes out
+    empty: c is a max over the points, so c_ik <= c_ij + c_jk, and it agrees
+    with l and u.  So the cost is O(n^2) per point reached, after
+    O(n^2 * |S|) for the description."""
+    cols = list(zip(*points))
+    lo, hi = [min(c) for c in cols], [max(c) for c in cols]
+    gap = [[max(map(sub, ci, cj)) for cj in cols] for ci in cols]
+    x = [0] * n
+
+    def fill(k: int) -> bool:
+        if k == n:
+            return tuple(x) in points
+        a = max([lo[k]] + [x[j] - gap[j][k] for j in range(k)])
+        b = min([hi[k]] + [x[j] + gap[k][j] for j in range(k)])
+        for t in range(a, b + 1):
+            x[k] = t
+            if not fill(k + 1):
+                return False
+        return True
+
+    return fill(0)
+
+
+def _subset_extremes(points: Dict[Point, int], n: int) -> Tuple[List[int], List[int]]:
+    """max x(X) and min x(X) over the points for every subset X of the
+    coordinates, indexed by bit mask.  The sums x(X) over all the points
+    are a column, its subset's minus one coordinate plus that coordinate's
+    column; the subsets are walked depth first, so at most n + 1 columns
+    are held at once."""
+    cols = list(zip(*points))
+    rho, mu = [0] * (1 << n), [0] * (1 << n)
+
+    def walk(m: int, col: List[int], k: int) -> None:
+        rho[m], mu[m] = max(col), min(col)
+        for i in range(k, n):
+            walk(m | 1 << i, list(map(add, col, cols[i])), i + 1)
+
+    walk(0, [0] * len(points), 0)
+    return rho, mu
+
+
+def _mnat_described(points: Dict[Point, int], n: int) -> bool:
+    """Whether the points are the lattice points of an integral
+    g-polymatroid, which holds exactly for an M♮-convex set (Frank and
+    Tardos 1988; Murota 2003, ch. 4).  rho(X) = max x(X) and
+    mu(X) = min x(X) over the points describe any such set, and they
+    describe one exactly when the pair is paramodular: when the rho of the
+    M-lift (x, -x(N)), rho(X) on X and -mu(N - X) on X + n, is submodular,
+    which is checked on neighbouring subsets.  Then the lattice points of
+    mu <= x(X) <= rho are enumerated as in ``_lnat_described``, coordinate k
+    cut by the subsets whose largest element is k.  No range comes out
+    empty, since a projection of an integral g-polymatroid is one, described
+    by the restricted pair; so the cost is O(2^n) per point reached."""
+    rho, mu = _subset_extremes(points, n)
+    full = len(rho) - 1
+    lift = rho + [-mu[full ^ m] for m in range(full + 1)]
+    for m in range(len(lift)):
+        free = [1 << i for i in range(n + 1) if not m >> i & 1]
+        for a, b in combinations(free, 2):
+            if lift[m | a] + lift[m | b] < lift[m | a | b] + lift[m]:
+                return False
+    x = [0] * n
+
+    def fill(k: int, sums: List[int]) -> bool:
+        if k == n:
+            return tuple(x) in points
+        # the subsets X + k, X of the first k coordinates, are the masks
+        # from 2^k to 2^(k + 1) - 1, in the order of their X
+        a = max(map(sub, mu[1 << k : 2 << k], sums))
+        b = min(map(sub, rho[1 << k : 2 << k], sums))
+        for t in range(a, b + 1):
+            x[k] = t
+            if not fill(k + 1, sums + [s + t for s in sums]):
+                return False
+        return True
+
+    return fill(0, [0])
+
+
+def _is_flat(v: _View) -> bool:
+    """All values equal, as on a set: the domain alone decides the class."""
+    return len(set(v.vals.values())) == 1
+
+
+def _midpoint_local(v: _View) -> bool:
+    """The midpoint inequality on every pair of stored points at l-inf
+    distance at most 2, which on an L♮-convex domain makes the function
+    L♮-convex (Murota 2003, ch. 7).  Each pair is read once, as x and
+    x + d for d in the lexicographically positive half of the ball."""
+    vals, zero = v.vals, (0,) * v.dim
+    half = [d for d in product(range(-2, 3), repeat=v.dim) if d > zero]
+    for x, fx in vals.items():
+        for d in half:
+            y = vadd(x, d)
+            fy = vals.get(y)
+            if fy is not None and _midpoint(v, fx + fy, x, y):
+                return False
+    return True
+
+
+def _l1_ball(n: int, r: int) -> List[Point]:
+    """The points of Z^n at l1 distance at most r from 0."""
+    if not n:
+        return [()]
+    return [(c,) + rest for c in range(-r, r + 1) for rest in _l1_ball(n - 1, r - abs(c))]
+
+
+def _exchange_local(v: _View, kind: str) -> bool:
+    """The exchange of ``kind`` (M♮ or M) on every ordered pair of stored
+    points at l1 distance at most 4, which on an M♮-convex (M-convex)
+    domain makes the function M♮-convex (M-convex) (Murota 2003, ch. 6,
+    local exchange, read through the M-lift, which at most doubles l1
+    distances).  Points are read by code over the bounding box grown by 4
+    on every side, which holds every x + d, and every point between x and
+    x + d, so none of them shares a code.  The scans code over the
+    bounding box itself: growing it by 4 slowed the jump scans of the check
+    corpus by about 12%.  The step list of x and x + d is that of 0 and d,
+    so it is computed once per offset."""
+    violated = _AXIOMS[kind].violated.on_codes
+    box = v.box
+    codes, coded = v.coded_over(Window(vshift(box.lo, -_REACH), vshift(box.hi, _REACH)))
+    get, zero = coded.get, (0,) * v.dim
+    base = codes.code(zero)
+    moves = [(codes.code(d) - base, *codes.steps(zero, d)) for d in _l1_ball(v.dim, _REACH) if d != zero]
+    for cx, fx in coded.items():
+        for delta, downs, ups in moves:
+            cy = cx + delta
+            fy = get(cy)
+            if fy is not None and any(violated(get, fx + fy, cx, cy, s, ups) for s in downs):
+                return False
+    return True
+
+
+def _check_lnat(v: _View) -> Verdict:
+    """L♮-convexity: the domain by its description, and for a function
+    above the size rule the local midpoint inequality; else the midpoint
+    pair scan."""
+    flat = _is_flat(v)
+    if (flat or len(v.vals) >= 2 * (5**v.dim - 1)) and _lnat_described(v.vals, v.dim):
+        if flat or _midpoint_local(v):
+            return _OK
+    return _scan_pairs(v, "midpoint")
+
+
+def _check_exchange(v: _View, kind: str, domain: Callable = lambda v: v) -> Verdict:
+    """M♮-convexity, or M-convexity with ``domain`` the projection
+    (``_View.projected``): the domain by the description of
+    ``_mnat_described``, when 2^n <= |S| for its dimension n, and for a
+    function above the size rule the local exchange; else the exchange pair
+    scan."""
+    size, flat = len(v.vals), _is_flat(v)
+    ball = sum(2**k * comb(v.dim, k) * comb(_REACH, k) for k in range(1, _REACH + 1))
+    if flat or size >= 2 * ball:
+        dom = domain(v)
+        if dom is not None and 2**dom.dim <= size and _mnat_described(dom.vals, dom.dim):
+            if flat or _exchange_local(v, kind):
+                return _OK
+    return _scan_ordered(v, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -548,14 +763,14 @@ _RECOGNIZERS = {
     ClassLabel.SEPARABLE_CONVEX: _check_separable,
     ClassLabel.IC_SET: partial(_scan_pairs, kind="hull-midpoint"),
     ClassLabel.IC_FN: partial(_scan_pairs, kind="hull-midpoint"),
-    ClassLabel.LNAT_SET: partial(_scan_pairs, kind="midpoint"),
-    ClassLabel.LNAT_FN: partial(_scan_pairs, kind="midpoint"),
+    ClassLabel.LNAT_SET: _check_lnat,
+    ClassLabel.LNAT_FN: _check_lnat,
     ClassLabel.L_SET: _check_l,
     ClassLabel.L_FN: _check_l,
-    ClassLabel.MNAT_SET: partial(_scan_ordered, kind="exchange-mnat"),
-    ClassLabel.MNAT_FN: partial(_scan_ordered, kind="exchange-mnat-fn"),
-    ClassLabel.M_SET: partial(_scan_ordered, kind="exchange-m"),
-    ClassLabel.M_FN: partial(_scan_ordered, kind="exchange-m-fn"),
+    ClassLabel.MNAT_SET: partial(_check_exchange, kind="exchange-mnat"),
+    ClassLabel.MNAT_FN: partial(_check_exchange, kind="exchange-mnat-fn"),
+    ClassLabel.M_SET: partial(_check_exchange, kind="exchange-m", domain=_View.projected),
+    ClassLabel.M_FN: partial(_check_exchange, kind="exchange-m-fn", domain=_View.projected),
     ClassLabel.MULTIMODULAR_SET: _check_multimodular,
     ClassLabel.MULTIMODULAR_FN: _check_multimodular,
     ClassLabel.GLOBAL_DMC_SET: partial(_scan_pairs, kind="midpoint-far"),
@@ -661,30 +876,15 @@ def argmin_perturbed(f: LatticeFn, c: Sequence) -> LatticeSet:
 
 
 def multimodular_polyhedral_check(s: LatticeSet) -> bool:
-    """Tightest consecutive-interval sum bounds, then compare: the set is
-    multimodular iff it equals the lattice points satisfying
-    a_I <= x(I) <= b_I for every consecutive index interval I (the
-    singleton intervals bound every coordinate)."""
+    """Whether the set equals the lattice points of its tightest
+    consecutive-interval sum bounds a_I <= x(I) <= b_I (the singleton
+    intervals bound every coordinate), which holds exactly for a
+    multimodular set.  An interval sum is a difference of two prefix sums,
+    or one prefix sum, so these bounds are the L♮ description of the prefix
+    image, and the test is ``_lnat_described`` there: its cost grows with
+    the points reached, not with the bounding box."""
     if s.lifted:
         raise LiftedInputError("polyhedral check needs a finite set")
     if not s.points:
         raise ValueError("membership is undefined for the empty set")
-    pts = s.sorted_points()
-    n = s.dim
-    intervals = [(i, j) for i in range(n) for j in range(i, n)]
-    bounds = {}
-    for i, j in intervals:
-        sums = [sum(p[i : j + 1]) for p in pts]
-        bounds[(i, j)] = (min(sums), max(sums))
-    candidate = set()
-    for p in s.bounding_box().points():
-        ok = True
-        for i, j in intervals:
-            t = sum(p[i : j + 1])
-            lo, hi = bounds[(i, j)]
-            if not lo <= t <= hi:
-                ok = False
-                break
-        if ok:
-            candidate.add(p)
-    return candidate == set(s.points)
+    return _lnat_described(dict.fromkeys(map(prefix_point, s.points), 0), s.dim)

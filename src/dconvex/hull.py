@@ -8,7 +8,8 @@ as its indicator function (``core.value_map``), so x lies in the set's local
 hull exactly when the indicator's local extension is finite there.  It is
 decided exactly by the integer-tableau simplex (``simplex``), with closed
 forms for one or two half-integral coordinates; the LP's equality system is
-all ints, its coordinate rows and x doubled.  An independent brute-force
+all ints, its coordinate rows and x doubled, with a row for each
+half-integral coordinate only.  An independent brute-force
 route that enumerates basic solutions on its own Fraction system is kept in
 the tests (``tests/hull_oracle.py``) for cross-checking.
 
@@ -52,12 +53,15 @@ def neighborhood(x: HalfPoint) -> List[Point]:
     return sorted(itertools.product(*(range(math.floor(c), math.ceil(c) + 1) for c in x)))
 
 
-def _combination_system(candidates: Sequence[Point], x: HalfPoint):
+def _combination_system(candidates: Sequence[Point], x: HalfPoint, axes: Sequence[int]):
     """Equality system for convex combinations of candidates hitting x, in
-    ints: the coordinate rows and x are doubled, as x is half-integral."""
-    rows = [[2 * p[i] for p in candidates] for i in range(len(x))]
+    ints: the coordinate rows and x are doubled, as x is half-integral.
+    Only the half-integral coordinates ``axes`` get a row: on an integral
+    one every candidate equals x, so its row would be a multiple of the
+    row of ones."""
+    rows = [[2 * p[i] for p in candidates] for i in axes]
     rows.append([1] * len(candidates))
-    rhs = [int(2 * c) for c in x] + [1]
+    rhs = [int(2 * x[i]) for i in axes] + [1]
     return rows, rhs
 
 
@@ -104,6 +108,6 @@ def local_extension_value(obj, x: HalfPoint) -> Value:
         corner = {tuple(int(p[i] > x[i]) for i in axes): vals[p] for p in candidates}
         sums = [corner[a] + corner[b] for a, b in _DIAGONALS if a in corner and b in corner]
         return Fraction(min(sums), 2) if sums else INF
-    rows, rhs = _combination_system(candidates, x)
+    rows, rhs = _combination_system(candidates, x, axes)
     status, _, value = solve_lp(rows, rhs, [vals[p] for p in candidates])
     return value if status == OPTIMAL else INF

@@ -17,6 +17,13 @@ implementation.  ``check_lifted_l_fn`` decides lifted L-convex functions by
 submodularity in Z^n, ramp included, the way production did before it
 decided them on their L♮ section; ``_check_l_set`` is its set form.
 
+``check_family`` decides the L♮, L, M♮, M and multimodular labels, sets
+and functions, by their pair scans, which production runs only when its
+polyhedral domain test or its local axiom does not settle membership: the
+midpoint scan on Fraction values and point tuples (on the stored section
+of a lifted L object, on the prefix image for multimodular), and
+``check_ordered`` for the exchange labels.  It gives the whole ``Verdict``.
+
 ``check_ordered`` is the ordered-pair scanner production decided the
 exchange (M♮, M) and jump classes with, sets and functions alike, before
 those axioms moved to int point codes: the same axioms on point tuples,
@@ -44,7 +51,7 @@ through them, as their indicator maps.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from dconvex.classes import ClassLabel, Verdict, Witness, _View
 from dconvex.core import (
@@ -58,6 +65,7 @@ from dconvex.core import (
     keeps_values,
     linf_distance,
     midpoint_round,
+    prefix_point,
     prefix_transform,
     rebuild,
     supports,
@@ -419,6 +427,41 @@ ORDERED_LABELS = frozenset(_ORDERED)
 def check_ordered(obj, label: ClassLabel) -> Verdict:
     """The exchange or jump verdict of a finite set or function."""
     return _scan_ordered(_View.of(obj), *_ORDERED[label])
+
+
+def _midpoint_pair(vals) -> Optional[Tuple[Point, Point]]:
+    """The first pair x < y of stored points whose rounded midpoints are not
+    both stored with values summing to at most f(x) + f(y); None if none."""
+    for x, y in _unordered_pairs(sorted(vals)):
+        up, down = midpoint_round(x, y)
+        if up not in vals or down not in vals or vals[up] + vals[down] > vals[x] + vals[y]:
+            return x, y
+    return None
+
+
+# midpoint label -> (witness kind, map of the stored points, map of a witness point back)
+_MIDPOINT = {
+    ClassLabel.LNAT_SET: ("midpoint", lambda p: p, lambda p: p),
+    ClassLabel.LNAT_FN: ("midpoint", lambda p: p, lambda p: p),
+    ClassLabel.L_SET: ("l-section-midpoint", lambda p: p[:-1], lambda p: p + (0,)),
+    ClassLabel.L_FN: ("l-section-midpoint", lambda p: p[:-1], lambda p: p + (0,)),
+    ClassLabel.MULTIMODULAR_SET: ("multimodular-midpoint", prefix_point, difference_point),
+    ClassLabel.MULTIMODULAR_FN: ("multimodular-midpoint", prefix_point, difference_point),
+}
+
+FAMILY_LABELS = frozenset(_MIDPOINT) | {
+    ClassLabel.MNAT_SET, ClassLabel.MNAT_FN, ClassLabel.M_SET, ClassLabel.M_FN
+}
+
+
+def check_family(obj, label: ClassLabel) -> Verdict:
+    """The verdict of an L♮, L, M♮, M or multimodular label on a finite
+    object (L: a lifted one) by its pair scan."""
+    if label in ORDERED_LABELS:
+        return check_ordered(obj, label)
+    kind, move, back = _MIDPOINT[label]
+    pair = _midpoint_pair({move(p): v for p, v in value_map(obj).items()})
+    return _OK if pair is None else _fail(kind, map(back, pair))
 
 
 SET_ORACLES = {

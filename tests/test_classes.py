@@ -11,6 +11,7 @@ from dconvex.classes import (
     _View,
     ClassLabel,
     LabelKindError,
+    Verdict,
     Witness,
     argmin_perturbed,
     check,
@@ -32,7 +33,7 @@ from dconvex.core import (
     vshift,
 )
 from dconvex import lab
-from set_oracles import increments
+from set_oracles import check_family, increments
 
 F = Fraction
 
@@ -306,6 +307,57 @@ def test_polyhedral_check():
     assert multimodular_polyhedral_check(box)
     bad = LatticeSet.of([(0, 0, 0), (0, 1, 0), (1, 0, -1), (1, 1, -1)])
     assert not multimodular_polyhedral_check(bad)
+    # two points whose bounding box holds 151**3 points: decided from the
+    # points reached, not by walking the box
+    assert not multimodular_polyhedral_check(LatticeSet.of([(0, 0, 0), (150, 150, 150)]))
+
+
+def _square_line(k: int) -> LatticeFn:
+    """t -> t^2 on 0..k-1: in every class of the L♮ and M♮ families."""
+    return LatticeFn(1, {(t,): t * t for t in range(k)})
+
+
+def test_size_rules_pin_both_sides(pair_scans):
+    def scans(obj, label) -> bool:
+        del pair_scans[:]
+        assert check(obj, label).member, (label, obj)
+        return bool(pair_scans)
+
+    # a function takes the local route when |S| >= 2 * |ball|: in Z the
+    # l-inf ball of radius 2 has 4 points besides its centre, the l1 ball
+    # of radius 4 has 8, and in Z^2 40
+    for label, ball in ((ClassLabel.LNAT_FN, 4), (ClassLabel.MULTIMODULAR_FN, 4), (ClassLabel.MNAT_FN, 8)):
+        assert scans(_square_line(2 * ball - 1), label) and not scans(_square_line(2 * ball), label)
+    for k, scanned in ((7, True), (8, False)):
+        f = LatticeFn(2, {(t, 0): t * t for t in range(k)}, lifted=True, ramp=F(1, 2))
+        assert scans(f, ClassLabel.L_FN) is scanned
+    for k, scanned in ((79, True), (80, False)):
+        f = LatticeFn(2, {(t, -t): t * t for t in range(k)})
+        assert scans(f, ClassLabel.M_FN) is scanned
+    # the M♮ domain test runs when 2^n <= |S|, n the dimension it reads: a
+    # cube {0,1}^3 without its top has 7 points, with it 8
+    cube01 = cube(3, 0, 1)
+    below = LatticeSet(3, frozenset(cube01.points()) - {(1, 1, 1)})
+    top = LatticeSet(3, frozenset(cube01.points()))
+    assert scans(below, ClassLabel.MNAT_SET) and not scans(top, ClassLabel.MNAT_SET)
+    assert scans(lab.m_lift(below), ClassLabel.M_SET) and not scans(lab.m_lift(top), ClassLabel.M_SET)
+    # an L♮ set never scans as a member, whatever its size
+    assert not scans(LatticeSet.of([(0, 0, 0)]), ClassLabel.LNAT_SET)
+
+
+def test_a_thousand_point_box_function_is_decided_locally(pair_scans):
+    box = list(cube(3, 0, 9).points())
+    f = LatticeFn(3, {p: sum(c * c for c in p) for p in box})
+    # a separable convex function is L♮-, M♮- and multimodular-convex, the
+    # verdict the pair scans give
+    for label in (ClassLabel.LNAT_FN, ClassLabel.MNAT_FN, ClassLabel.MULTIMODULAR_FN):
+        assert check(f, label) == Verdict(True) and not pair_scans, label
+    # a spike makes a non-member, and the pair scan then finds its witness
+    vals = dict(f.values)
+    vals[(1, 1, 1)] += 10**4
+    g = LatticeFn(3, vals)
+    assert check(g, ClassLabel.LNAT_FN) == check_family(g, ClassLabel.LNAT_FN)
+    assert check(g, ClassLabel.MNAT_FN) == check_family(g, ClassLabel.MNAT_FN)
 
 
 def test_negative_witnesses_always_replay():

@@ -17,6 +17,15 @@ read points as int codes, so their whole verdicts are compared with the
 tuple scanner kept in ``set_oracles``, on the benchmark's check corpus, on
 drawn members and near misses, and on spans whose codes pass 2**64.
 
+The L♮, L, M♮, M and multimodular labels decide membership by a
+polyhedral domain test and, for functions above a size rule, a local axiom,
+and fall back to the pair scan otherwise, so their whole verdicts are
+compared with the pair scans kept in ``set_oracles`` (``check_family``): on
+the benchmark's check corpus, on drawn members and near misses, on objects
+of 250 to 320 points, where the local route runs, and on sets built to
+defeat each shortcut.  Above the rule a member must be decided without a
+pair scan, so a domain test that wrongly rejects shows too.
+
 Network induction and infimal convolution run on int-scaled values and
 point codes too, so their results, and the documents of their results, are
 compared with the Fraction/tuple loops kept in ``set_oracles``: induction
@@ -39,10 +48,27 @@ import pytest
 import set_oracles
 from dconvex import core, documents, lab, network
 from dconvex.classes import FN_LABELS, SET_LABELS, ClassLabel, _View, check, check_fn, check_set, verify_witness
-from dconvex.core import EmptyResultError, LatticeFn, LatticeSet, Window, cube, indicator_fn, vshift
+from dconvex.core import (
+    EmptyResultError,
+    LatticeFn,
+    LatticeSet,
+    Window,
+    cube,
+    difference_transform,
+    indicator_fn,
+    vshift,
+)
 from dconvex.network import Arc, ArcCost, Network, induce_fn, transform_set
 from dconvex.ops import convolution_fn
-from set_oracles import ORDERED_LABELS, SET_ORACLES, check_ic_fn, check_lifted_l_fn, check_ordered
+from set_oracles import (
+    FAMILY_LABELS,
+    ORDERED_LABELS,
+    SET_ORACLES,
+    check_family,
+    check_ic_fn,
+    check_lifted_l_fn,
+    check_ordered,
+)
 
 sys.path.append(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 from perfbench.corpus import build_check_corpus  # noqa: E402
@@ -163,7 +189,7 @@ def _spiked(f: LatticeFn, rng) -> LatticeFn:
     """f with one stored value raised above every other one."""
     vals = dict(f.values)
     vals[rng.choice(sorted(vals))] += max(vals.values()) - min(vals.values()) + Fraction(1, rng.randint(1, 5))
-    return LatticeFn(f.dim, vals)
+    return LatticeFn(f.dim, vals, f.lifted, f.ramp)
 
 
 def _quadratic_on_a_slab(rng) -> LatticeFn:
@@ -269,6 +295,182 @@ def test_ordered_recognizers_match_oracle_on_samples():
     wide = list(_wide_spans())
     assert max(max(_View.of(obj).coded[0].strides) for obj in wide) > 2**64
     _assert_ordered_verdicts_match(wide)
+
+
+def _assert_family_verdicts_match(cases):
+    """check() equals the pair scan of ``set_oracles.check_family`` on each
+    (object, label), and its witnesses replay; returns the member count."""
+    members = 0
+    for obj, label in cases:
+        got = check(obj, label)
+        assert got == check_family(obj, label), (label, obj)
+        assert got.member or verify_witness(obj, got.witness), (label, obj)
+        members += got.member
+    return members
+
+
+def test_family_recognizers_match_pair_scans_on_the_check_corpus():
+    # the members and near misses of the L♮, L and multimodular labels; the
+    # M♮ and M labels run on every finite corpus object in the ordered gate
+    cases = []
+    for seed in (1, 7):
+        members, misses = build_check_corpus(seed)
+        cases += [(i.obj, i.label) for i in members + misses if i.label in FAMILY_LABELS - ORDERED_LABELS]
+    assert len(cases) == 180
+    assert _assert_family_verdicts_match(cases) == 36
+
+
+def _family_samples(rng):
+    """Drawn members of the 10 labels, n = 1..4, each followed by near
+    misses: a point dropped and a point added (sets), a value raised
+    (functions)."""
+    for label in sorted(FAMILY_LABELS):
+        for n in range(1, 5):
+            for _ in range(4):
+                lo = rng.randint(-3, 0)
+                window = cube(n, lo, lo + rng.randint(1, 3))
+                obj = lab.draw(label, rng, n, window, size_cap=40)
+                yield obj, label
+                if isinstance(obj, LatticeFn):
+                    yield _spiked(obj, rng), label
+                    continue
+                if len(obj) > 1:
+                    yield LatticeSet(n, obj.points - {rng.choice(sorted(obj.points))}, obj.lifted), label
+                extra = tuple(rng.randint(a - 1, b + 1) for a, b in zip(window.lo, window.hi))
+                yield LatticeSet(n, obj.points | {extra}, obj.lifted), label
+
+
+def test_family_recognizers_match_pair_scans_on_samples():
+    cases = list(_family_samples(random.Random(6160)))
+    members = _assert_family_verdicts_match(cases)
+    assert len(cases) > 350 and 60 < len(cases) - members < members
+
+
+def _tables(rng, spans):
+    return [lab._convex_table(rng, lo, hi) for lo, hi in spans]
+
+
+def _lnat_member(rng):
+    """An L♮-convex function of 250 to 400 points in Z^3: separable convex
+    terms in every x_i and in some x_i - x_j on a box cut by some
+    x_i - x_j <= c."""
+    while True:
+        box = Window((0, 0, 0), tuple(rng.randint(5, 9) for _ in range(3)))
+        cuts = {(i, j): rng.randint(1, 4) for i in range(3) for j in range(3) if i != j and rng.random() < 0.3}
+        pts = [p for p in box.points() if all(p[i] - p[j] <= c for (i, j), c in cuts.items())]
+        if 250 <= len(pts) <= 320:
+            break
+    axis = _tables(rng, [(0, hi) for hi in box.hi])
+    pairs = [(i, j) for i in range(3) for j in range(i + 1, 3) if rng.random() < 0.6]
+    diff = dict(zip(pairs, _tables(rng, [(-9, 9)] * len(pairs))))
+    return LatticeFn(3, {
+        p: sum(t[c] for t, c in zip(axis, p)) + sum(t[p[i] - p[j]] for (i, j), t in diff.items()) for p in pts
+    })
+
+
+def _mnat_member(rng, n=3, size=(256, 320)):
+    """An M♮-convex function of ``size`` points in Z^n: convex terms in
+    x(X) over a laminar family of subsets X on a box cut by bounds on x(X).
+    The family is the chain {0, n - 1} < {0, n - 1, 1} < ... and the
+    singletons, so for n = 3 its first set is not an interval."""
+    order = [0, n - 1] + list(range(1, n - 1))
+    while True:
+        box = Window((0,) * n, tuple(rng.randint(4, 24 if n == 2 else 9) for _ in range(n)))
+        family = [tuple(order[: k + 1]) for k in range(1, n)] + [(i,) for i in range(n)]
+        cuts = {a: rng.randint(sum(box.hi[i] for i in a) // 2, sum(box.hi[i] for i in a)) for a in family[: n - 1]}
+        pts = [p for p in box.points() if all(sum(p[i] for i in a) <= c for a, c in cuts.items())]
+        if size[0] <= len(pts) <= size[1]:
+            break
+    tables = dict(zip(family, _tables(rng, [(0, sum(box.hi[i] for i in a)) for a in family])))
+    return LatticeFn(n, {p: sum(t[sum(p[i] for i in a)] for a, t in tables.items()) for p in pts})
+
+
+def _near_misses(f: LatticeFn, rng):
+    """f with a value raised above the spread, f with a point dropped, the
+    domain with a point dropped and with a point added."""
+    dom = f.domain()
+    drop = rng.choice(sorted(dom.points))
+    box = f.bounding_box()
+    extra = tuple(rng.choice((a - 1, b + 1)) if i == 0 else rng.randint(a, b) for i, (a, b) in enumerate(zip(box.lo, box.hi)))
+    rest = {p: v for p, v in f.values.items() if p != drop}
+    return [_spiked(f, rng), LatticeFn(f.dim, rest), LatticeSet(f.dim, dom.points - {drop}),
+            LatticeSet(f.dim, dom.points | {extra})]
+
+
+def _quadratic(f: LatticeFn, q) -> LatticeFn:
+    """q(x) on the domain of f."""
+    return LatticeFn(f.dim, {p: q(p) for p in f.values})
+
+
+def _lifted(obj, rng):
+    """The lift along 1 of a finite object, with a ramp for a function."""
+    vals = {p + (0,): v for p, v in core.value_map(obj).items()}
+    if isinstance(obj, LatticeSet):
+        return LatticeSet(obj.dim + 1, frozenset(vals), lifted=True)
+    return LatticeFn(obj.dim + 1, vals, lifted=True, ramp=Fraction(rng.randint(-3, 3), 2))
+
+
+def _large_family_cases(rng):
+    """(object, label) with 250 to 320 points, above every size rule: members of each label with their near misses, and functions of
+    the other family on the same domain (an L♮ quadratic that is not M♮,
+    and a submodular quadratic that is not L♮, which only pairs at l-inf
+    distance 2 show)."""
+    for _ in range(1):
+        f = _lnat_member(rng)
+        others = [_quadratic(f, lambda p: (p[0] - 2 * p[1]) ** 2 + p[2] * p[2])]
+        for obj in [f, f.domain()] + _near_misses(f, rng) + others:
+            fn = isinstance(obj, LatticeFn)
+            yield obj, ClassLabel.LNAT_FN if fn else ClassLabel.LNAT_SET
+            yield difference_transform(obj), ClassLabel.MULTIMODULAR_FN if fn else ClassLabel.MULTIMODULAR_SET
+            yield _lifted(obj, rng), ClassLabel.L_FN if fn else ClassLabel.L_SET
+        g = _mnat_member(rng)
+        for obj in [g, g.domain()] + _near_misses(g, rng) + [_quadratic(g, lambda p: (p[0] - p[1]) ** 2 + p[2])]:
+            yield obj, ClassLabel.MNAT_FN if isinstance(obj, LatticeFn) else ClassLabel.MNAT_SET
+        h = _mnat_member(rng, n=2)
+        for obj in [h, h.domain()] + _near_misses(h, rng) + [_quadratic(h, lambda p: (p[0] - p[1]) ** 2)]:
+            yield lab.m_lift(obj), ClassLabel.M_FN if isinstance(obj, LatticeFn) else ClassLabel.M_SET
+
+
+def test_family_recognizers_match_pair_scans_above_the_size_rule(pair_scans):
+    cases = list(_large_family_cases(random.Random(7170)))
+    assert all(250 <= len(obj) <= 321 for obj, _ in cases)
+    assert {label for _, label in cases} == FAMILY_LABELS
+    members = 0
+    for obj, label in cases:
+        del pair_scans[:]
+        got = check(obj, label)
+        assert got == check_family(obj, label), (label, obj)
+        assert got.member or verify_witness(obj, got.witness), (label, obj)
+        # a member above the rule is decided without a pair scan
+        assert not (got.member and pair_scans), (label, obj)
+        members += got.member
+    assert 0.25 < members / len(cases) < 0.6
+
+
+def _shortcut_sets():
+    """Sets and functions that defeat a shortcut: sets equal to the lattice
+    points of their bounds whose bounds are not paramodular, so they are
+    not M♮ (or, lifted, not M); a sparse set whose bounding box holds
+    millions of points; two boxes far apart, each one L♮."""
+    for k in (1, 2, 8):
+        s = LatticeSet(3, frozenset(p for p in cube(3, 0, k).points() if p[0] + p[1] <= k and p[1] + p[2] <= k))
+        if k < 8:
+            yield s, ClassLabel.MNAT_SET
+            yield indicator_fn(s), ClassLabel.MNAT_FN
+            yield lab.m_lift(s), ClassLabel.M_SET
+        else:  # 285 points: above the size rule
+            yield _quadratic(indicator_fn(s), lambda p: sum(c * c for c in p)), ClassLabel.MNAT_FN
+    sparse = LatticeSet.of([(0, 0, 0), (150, 150, 150)])
+    for label in (ClassLabel.LNAT_SET, ClassLabel.MULTIMODULAR_SET, ClassLabel.MNAT_SET):
+        yield sparse, label
+    two = LatticeSet(3, frozenset(cube(3, 0, 6).points()) | frozenset(cube(3, 20, 26).points()))
+    yield _quadratic(indicator_fn(two), lambda p: sum(c * c for c in p)), ClassLabel.LNAT_FN
+    yield _quadratic(indicator_fn(two), lambda p: sum(c * c for c in p)), ClassLabel.MNAT_FN
+
+
+def test_family_recognizers_defeat_the_shortcuts():
+    cases = list(_shortcut_sets())
+    assert _assert_family_verdicts_match(cases) == 0
 
 
 # pairwise coprime denominators above 2**32: any two of them exceed 2**64
