@@ -33,23 +33,37 @@ weight on both sides (the hull axiom compares twice the local extension,
 itself such a sum, with a sum of two values), so one positive factor
 cancels, and witnesses carry points, not values.  The
 points on the two sides have equal sums too, so the linear x -> ramp * x_n
-cancels, and a lifted function is read without its ramp.  The view also
+cancels, and a lifted function is read without its ramp.  A scan also
 memoizes the local extension by x + y, so each distinct half-integral
-midpoint (x + y)/2 is solved once per check; the memo dies with the view.
+midpoint (x + y)/2 is solved once per check.
 
-The exchange (M♮, M) and jump axioms read points as ints, through one
-predicate: on an ordered pair x, y the jump exchange reads x + s + t and
-y - s - t for unit steps s, t from x toward y, and the M♮/M exchange
-x - e_i + e_j, y + e_i - e_j is its case s = -e_i, t = +e_j (Murota,
-"M-convex functions on jump systems", 2006).  All those points lie in the
-pair's box [x ^ y, x v y], so a mixed-radix code over any box holding x
-and y (``_Codes``, the codes of ``core.Codes`` with the step list) never
-gives two of them one code: a scan codes over the bounding box of the
-stored points, a replay over the witness pair's own box.  A unit step
-+-e_i is +-stride_i on codes, so a pair's one step list is computed once
-and each point read is one int addition; codes sort in lexicographic point
-order, so scans and witnesses are as on point tuples.
-Values are looked up by code in a dict, and a replay decodes each code.
+Every pair axiom reads points as int codes.  The exchange (M♮, M) and jump
+axioms share one predicate: on an ordered pair x, y the jump exchange reads
+x + s + t and y - s - t for unit steps s, t from x toward y, and the M♮/M
+exchange x - e_i + e_j, y + e_i - e_j is its case s = -e_i, t = +e_j
+(Murota, "M-convex functions on jump systems", 2006).  The midpoint axioms
+read the rounded midpoints x + ceil(d/2) and x + floor(d/2) of x and
+y = x + d (Moriguchi, Murota, Tamura and Tardella 2020), the L axiom
+x v y = x + (d v 0) and x ^ y = x + (d ^ 0), and the hull axiom the local
+extension at (x + y)/2.  All those points lie in the pair's box
+[x ^ y, x v y].  A scan codes the stored points by mixed radix
+(``_Codes``, the codes of ``core.Codes``) over the difference box
+[lo, lo + 2 (hi - lo)] of their bounding box [lo, hi], whose coordinate i
+has radix 2 (hi_i - lo_i) + 1.  So every point read has its own code, codes
+sort in lexicographic point order (scans and witnesses are as on point
+tuples), cy - cx identifies y - x (balanced mixed-radix digits are unique)
+and cx + cy identifies x + y.  What an axiom reads on a pair is then a move
+of the difference y - x alone: the code offsets from cx of the points read,
+None where the axiom's l-inf filter drops the pair, or for the ordered
+axioms the step list (i, +-stride_i, |d_i|).  A scan builds each
+difference's move once, in a table keyed by cy - cx, and reads each point
+with one int addition; the hull memo is keyed by cx + cy and decodes x + y
+on a miss.  The table keeps at most C(2n, n) * |S| entries, the
+Rogers-Shephard bound on a convex body's difference body; past it a move is
+built for its pair alone, so a sparse input, whose pairs nearly all differ,
+holds no entry per pair.  A replay codes the witness pair over its own
+difference box and calls the same move and predicate, reading each decoded
+point through the object.  Values are looked up by code in a dict.
 
 Conventions for infinite values inside axioms: an inequality with +infinity
 on the left-hand side holds; +infinity on the right-hand side is only
@@ -64,7 +78,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import combinations, product
-from math import comb
+from math import comb, inf
 from operator import add, sub
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -78,9 +92,6 @@ from .core import (
     as_rational,
     bounding_box,
     difference_point,
-    join_meet,
-    linf_distance,
-    midpoint_round,
     prefix_point,
     scaled,
     vadd,
@@ -88,7 +99,7 @@ from .core import (
     vshift,
 )
 # in_local_hull is unused here but stays importable from this module
-from .hull import half_midpoint, in_local_hull, local_extension_value, neighborhood
+from .hull import in_local_hull, local_extension_value, neighborhood
 from .rationals import is_finite
 
 
@@ -176,26 +187,74 @@ def _bump(p: Point, i: int, d: int) -> Point:
     return tuple(q)
 
 
+def _doubled(box: Window) -> Window:
+    """The difference box [lo, lo + 2 (hi - lo)] of a box [lo, hi]."""
+    return Window(box.lo, tuple(2 * b - a for a, b in zip(box.lo, box.hi)))
+
+
 class _Codes(Codes):
-    """Point codes over a box (``core.Codes``) with ``steps``, the one step
-    list that scans and replays of the ordered axioms read."""
+    """Point codes over a box (``core.Codes``) with the offsets and the
+    step lists that scans and replays read, by difference."""
 
     def __init__(self, box: Window):
         super().__init__(box)
         self.axes = tuple(range(box.dim))
 
-    def steps(self, x: Point, y: Point) -> Tuple[List[Tuple[int, int, int]], List[Tuple[int, int, int]]]:
-        """The unit steps +-e_i from x toward y as (i, +-stride_i,
-        |x_i - y_i|): the down steps -e_i by ascending i and the up steps e_i
-        by descending i.  Down steps then up steps is lexicographic order."""
+    def offset(self, d) -> int:
+        """code(x + d) - code(x)."""
+        return sum(c * s for c, s in zip(d, self.strides))
+
+    def difference(self, delta: int) -> Point:
+        """The d = y - x of any two points x, y of [lo, hi] with
+        code(y) - code(x) = delta, for codes over its difference box
+        (``_doubled``): there the extent of coordinate i is 2 w_i + 1, with
+        w_i = hi_i - lo_i, and d_i lies in [-w_i, w_i], so delta has one
+        such balanced mixed-radix expansion; every stride is odd."""
+        d = []
+        for s in self.strides:
+            c = (delta + s // 2) // s
+            d.append(c)
+            delta -= c * s
+        return tuple(d)
+
+    def steps(self, d: Point) -> Tuple[List[Tuple[int, int, int]], List[Tuple[int, int, int]]]:
+        """The unit steps +-e_i from x toward y = x + d as (i, +-stride_i,
+        |d_i|): the down steps -e_i by ascending i and the up steps e_i by
+        descending i.  Down steps then up steps is lexicographic order."""
         downs, ups = [], []
-        for i, a, b, s in zip(self.axes, x, y, self.strides):
-            if a > b:
-                downs.append((i, -s, a - b))
-            elif a < b:
-                ups.append((i, s, b - a))
+        for i, c, s in zip(self.axes, d, self.strides):
+            if c < 0:
+                downs.append((i, -s, -c))
+            elif c > 0:
+                ups.append((i, s, c))
         ups.reverse()
         return downs, ups
+
+
+class _Memo(dict):
+    """``make(key)`` by key, made on a miss and kept while the memo holds
+    fewer than ``bound`` entries; past it, made again on every miss."""
+
+    def __init__(self, make: Callable, bound: float = inf):
+        super().__init__()
+        self.make, self.bound = make, bound
+
+    def __missing__(self, key):
+        value = self.make(key)
+        if len(self) < self.bound:
+            self[key] = value
+        return value
+
+
+def _moves(axiom, codes: _Codes, size: int) -> _Memo:
+    """A scan's move table: ``axiom.move`` of each difference y - x by its
+    code difference cy - cx, over codes of a difference box, for ``size``
+    stored points in Z^n.  It keeps at most C(2n, n) * size entries, the
+    Rogers-Shephard bound on the volume of a convex body's difference body
+    K - K against that of K, so a sparse input, whose pairs can nearly all
+    differ, holds no entry per pair."""
+    n = len(codes.strides)
+    return _Memo(lambda delta: axiom.move(codes, codes.difference(delta)), comb(2 * n, n) * size)
 
 
 class _View:
@@ -211,7 +270,6 @@ class _View:
     def __init__(self, dim: int, vals: Dict[Point, int], lifted: bool = False, get=None):
         self.dim, self.vals, self.lifted = dim, vals, lifted
         self.get = get or (self._lifted_get if lifted else vals.get)
-        self.extensions: Dict[Point, object] = {}
 
     @classmethod
     def of(cls, obj) -> "_View":
@@ -228,8 +286,9 @@ class _View:
 
     @cached_property
     def coded(self) -> Tuple[_Codes, Dict[int, int]]:
-        """The codes over the bounding box, and the stored values by code."""
-        return self.coded_over(self.box)
+        """The codes over the difference box of the bounding box, and the
+        stored values by code."""
+        return self.coded_over(_doubled(self.box))
 
     def coded_over(self, box: Window) -> Tuple[_Codes, Dict[int, int]]:
         """The codes over a box holding the stored points, and the stored
@@ -264,19 +323,20 @@ class _View:
             return _View(self.dim, {}, get=lambda z: self.get(difference_point(z)))
         return _View(self.dim, {prefix_point(p): v for p, v in self.vals.items()})
 
-    def extension(self, x: Point, y: Point):
-        """Twice the local extension at (x + y)/2, None meaning +infinity;
-        solved once per x + y.  A lifted object is read on the integral
-        neighborhood of the midpoint only."""
-        key = vadd(x, y)
-        if key not in self.extensions:
-            half = half_midpoint(x, y)
-            vals = self.vals
-            if self.lifted:
-                vals = {p: v for p in neighborhood(half) if (v := self.get(p)) is not None}
-            ext = local_extension_value(vals, half)
-            self.extensions[key] = 2 * ext if is_finite(ext) else None
-        return self.extensions[key]
+    def extension(self, total: Point):
+        """Twice the local extension at total / 2, None meaning +infinity.
+        A lifted object is read on the integral neighborhood of the midpoint
+        only."""
+        half = tuple(Fraction(c, 2) for c in total)
+        vals = self.vals
+        if self.lifted:
+            vals = {p: v for p in neighborhood(half) if (v := self.get(p)) is not None}
+        ext = local_extension_value(vals, half)
+        if not is_finite(ext):
+            return None
+        twice = 2 * ext
+        # an int when it is one, so that every pair compares it in ints
+        return twice.numerator if twice.denominator == 1 else twice
 
 
 # ---------------------------------------------------------------------------
@@ -297,22 +357,89 @@ def _within(get, lhs, p, q) -> bool:
     return b is not None and a + b <= lhs
 
 
-def _midpoint(v: _View, lhs, x: Point, y: Point) -> bool:
-    return not _within(v.get, lhs, *midpoint_round(x, y))
+# The pair axioms read x, y and the points between them by code (``_Codes``),
+# through a move that depends on the pair's difference d = y - x alone:
+# ``get`` maps a code to a value and cx and cy are the codes of x and y.
 
 
-def _submodular(v: _View, lhs, x: Point, y: Point) -> bool:
-    return not _within(v.get, lhs, *join_meet(x, y))
+def _pair_codes(v: _View, x: Point, y: Point):
+    """Replay's reading of a pair: the codes over the difference box of the
+    pair's own box, which holds every point an axiom reads on it, a getter
+    reading each code's point through the view, cx, cy and y - x."""
+    codes = _Codes(_doubled(bounding_box((x, y))))
+    d = tuple(b - a for a, b in zip(x, y))
+    return codes, (lambda c: v.get(codes.point(c))), codes.code(x), codes.code(y), d
 
 
-def _hull_midpoint(v: _View, lhs, x: Point, y: Point) -> bool:
-    twice = v.extension(x, y)
-    return twice is None or twice > lhs
+def _two_points(get, lhs, cx: int, cy: int, move) -> bool:
+    """The two points x + e of the move are not both in the object with
+    values summing to at most lhs."""
+    a = get(cx + move[0])
+    if a is None:
+        return True
+    b = get(cx + move[1])
+    return b is None or a + b > lhs
 
 
-# The ordered-pair axioms read x, y and the points between them by code
-# (``_Codes``): ``get`` maps a code to a value, cx and cy are the codes of x
-# and y, and ``step`` and its ``partners`` are entries of ``_Codes.steps``.
+def _hull_midpoint(twice, lhs, cx: int, cy: int, move) -> bool:
+    """Twice the local extension at (x + y)/2 (``_extensions``) exceeds lhs."""
+    t = twice[cx + cy]
+    return t is None or t > lhs
+
+
+def _values(v: _View, codes: _Codes, get):
+    """The code getter, which the two-point axioms read."""
+    return get
+
+
+def _extensions(v: _View, codes: _Codes, get) -> _Memo:
+    """Twice the local extension at (x + y)/2 by cx + cy, which identifies
+    x + y over a difference box (its digits, those of x + y - 2 lo, lie in
+    [0, 2 w_i]): solved on a miss, from x + y decoded, so once per distinct
+    x + y in one scan or replay."""
+    return _Memo(lambda key: v.extension(vadd(codes.point(key), codes.lo)))
+
+
+def _halves(d: Point):
+    """ceil(d/2) and floor(d/2): x plus them are the rounded (x + y)/2."""
+    return [(c + 1) // 2 for c in d], [c // 2 for c in d]
+
+
+def _join_meet(d: Point):
+    """d v 0 and d ^ 0: x plus them are x v y and x ^ y."""
+    return [max(c, 0) for c in d], [min(c, 0) for c in d]
+
+
+def _far(d: Point) -> bool:
+    return max(map(abs, d)) >= 2
+
+
+class _Unordered(NamedTuple):
+    """An unordered-pair axiom on codes: ``points`` turns d = y - x into the
+    differences e of the points x + e that ``on_codes`` reads, and ``keep``
+    says which d the axiom applies to (None: all).  ``move`` is their code
+    offsets, None where ``keep`` fails; ``reader`` gives what ``on_codes``
+    reads, the code getter or the hull's extensions.  Called as replay calls
+    every axiom, it reads the pair over its own difference box."""
+
+    points: Callable
+    on_codes: Callable = _two_points
+    keep: Optional[Callable] = None
+    reader: Callable = _values
+
+    def move(self, codes: _Codes, d: Point):
+        if self.keep is not None and not self.keep(d):
+            return None
+        return tuple(map(codes.offset, self.points(d)))
+
+    def __call__(self, v: _View, lhs, x: Point, y: Point) -> bool:
+        codes, get, cx, cy, d = _pair_codes(v, x, y)
+        move = self.move(codes, d)
+        return move is not None and self.on_codes(self.reader(v, codes, get), lhs, cx, cy, move)
+
+
+# The ordered-pair axioms take a ``step`` and its ``partners``, entries of
+# ``_Codes.steps``.
 
 
 def _jump_exchange(get, lhs, cx: int, cy: int, step, partners, nat: bool = True) -> bool:
@@ -344,13 +471,13 @@ def _jump_two_step(get, lhs, cx: int, cy: int, step, partners) -> bool:
 
 
 class _Paired(NamedTuple):
-    """An ordered-pair axiom ``on_codes`` and the steps of a pair's step
-    list (``_Codes.steps``) it tries: an exchange kind (M♮, M), the jump
-    exchange with s = -e_i, t = +e_j, tries the down steps with the up steps
-    as partners and records i; a jump kind tries and pairs every step and
-    records the signed unit vector.  Called as replay calls every axiom, it
-    codes the pair over its own box, which holds every point read, and tries
-    the step with the witness's record (none: no violation)."""
+    """An ordered-pair axiom ``on_codes`` and its move, the steps of the
+    pair's step list (``_Codes.steps``) it tries and their partners: an
+    exchange kind (M♮, M), the jump exchange with s = -e_i, t = +e_j, tries
+    the down steps with the up steps as partners and records i; a jump kind
+    tries and pairs every step and records the signed unit vector.  Called
+    as replay calls every axiom, it reads the pair over its own difference
+    box and tries the step with the witness's record (none: no violation)."""
 
     on_codes: Callable
     exchange: bool = False
@@ -360,12 +487,13 @@ class _Paired(NamedTuple):
         i, d, _ = step
         return i if self.exchange else _bump((0,) * n, i, 1 if d > 0 else -1)
 
+    def move(self, codes: _Codes, d: Point):
+        downs, ups = codes.steps(d)
+        return (downs, ups) if self.exchange else (downs + ups,) * 2
+
     def __call__(self, v: _View, lhs, x: Point, y: Point, record) -> bool:
-        codes = _Codes(bounding_box((x, y)))
-        tried, partners = codes.steps(x, y)
-        if not self.exchange:
-            tried = partners = tried + partners
-        get, cx, cy = lambda c: v.get(codes.point(c)), codes.code(x), codes.code(y)
+        codes, get, cx, cy, d = _pair_codes(v, x, y)
+        tried, partners = self.move(codes, d)
         return any(
             self.on_codes(get, lhs, cx, cy, s, partners) for s in tried if self.record(s, len(x)) == record
         )
@@ -397,16 +525,13 @@ def _modularity(v: _View, lhs, x: Point, i: int, j: int) -> bool:
     return a is not None and b is not None and c is not None and lhs + c != a + b
 
 
-def _far(x: Point, y: Point) -> bool:
-    return linf_distance(x, y) >= 2
-
-
 class _Axiom(NamedTuple):
     """A witness kind: its witness's point and index counts; how many of the
     points must lie in the object; the predicate; and ``keep``, which says
     which candidates the axiom applies to (None: all).  Scanners that
     enumerate only such candidates skip ``keep``; replay always applies it.
-    Ordered-pair kinds have none: ``_Paired`` tries only their candidates."""
+    Pair kinds have none: their moves (``_Unordered``, ``_Paired``) hold
+    only their candidates."""
 
     points: int
     indices: int
@@ -419,16 +544,17 @@ _EXCHANGE_MNAT = _Paired(_jump_exchange, exchange=True)
 _EXCHANGE_M = _Paired(partial(_jump_exchange, nat=False), exchange=True)
 _JUMP_EXCHANGE = _Paired(partial(_jump_exchange, nat=False))
 _JUMP_EXCHANGE_NAT = _Paired(_jump_exchange)
+_MIDPOINT = _Unordered(_halves)
 
 _AXIOMS = {
     "box-gap": _Axiom(1, 0, 0, _box_gap),
     "axis-convexity": _Axiom(1, 1, 1, _axis_convexity, lambda x, i: 0 <= i < len(x)),
     "modularity": _Axiom(1, 2, 1, _modularity, lambda x, i, j: 0 <= i < j < len(x)),
-    "midpoint": _Axiom(2, 0, 2, _midpoint),
-    "midpoint-far": _Axiom(2, 0, 2, _midpoint, _far),
-    "midpoint-two": _Axiom(2, 0, 2, _midpoint, lambda x, y: linf_distance(x, y) == 2),
-    "hull-midpoint": _Axiom(2, 0, 2, _hull_midpoint, _far),
-    "submodular": _Axiom(2, 0, 2, _submodular),
+    "midpoint": _Axiom(2, 0, 2, _MIDPOINT),
+    "midpoint-far": _Axiom(2, 0, 2, _MIDPOINT._replace(keep=_far)),
+    "midpoint-two": _Axiom(2, 0, 2, _MIDPOINT._replace(keep=lambda d: max(map(abs, d)) == 2)),
+    "hull-midpoint": _Axiom(2, 0, 2, _Unordered(lambda d: (), _hull_midpoint, _far, _extensions)),
+    "submodular": _Axiom(2, 0, 2, _Unordered(_join_meet)),
     "ones-shift": _Axiom(2, 0, 1, _ones_shift, lambda x, t: t in (vshift(x, 1), vshift(x, -1))),
     "ramp": _Axiom(2, 0, 2, _ramp),
     "exchange-mnat": _Axiom(2, 1, 2, _EXCHANGE_MNAT),
@@ -464,38 +590,40 @@ _MAPPED = {
 
 
 def _scan_pairs(v: _View, kind: str) -> Verdict:
-    """Unordered pairs x < y of stored points."""
-    _, _, _, violated, keep = _AXIOMS[kind]
-    vals = v.vals
-    pts = sorted(vals)
-    for a, x in enumerate(pts):
-        fx = vals[x]
-        for y in pts[a + 1 :]:
-            if (keep is None or keep(x, y)) and violated(v, fx + vals[y], x, y):
-                return _fail(kind, (x, y))
+    """Unordered pairs x < y of stored points, read by code over the
+    difference box (``_View.coded``), each with the move of its cy - cx."""
+    pair = _AXIOMS[kind].violated
+    violated = pair.on_codes
+    codes, coded = v.coded
+    items = sorted(coded.items())
+    read, moves = pair.reader(v, codes, coded.get), _moves(pair, codes, len(items))
+    for a, (cx, fx) in enumerate(items):
+        for cy, fy in items[a + 1 :]:
+            move = moves[cy - cx]
+            if move is not None and violated(read, fx + fy, cx, cy, move):
+                return _fail(kind, (codes.point(cx), codes.point(cy)))
     return _OK
 
 
 def _scan_ordered(v: _View, kind: str) -> Verdict:
     """Ordered pairs x != y of stored points, then the steps ``_Paired``
-    tries on them, read by code over the bounding box.  The witness is the
-    pair and the step's record, after the points or as the index."""
+    tries on them, read by code over the difference box with the move of
+    cy - cx.  The witness is the pair and the step's record, after the
+    points or as the index."""
     axiom = _AXIOMS[kind]
     paired = axiom.violated
-    violated, exchange = paired.on_codes, paired.exchange
+    violated = paired.on_codes
     codes, coded = v.coded
-    get, steps_of = coded.get, codes.steps
-    items = [(p, codes.code(p), f) for p, f in sorted(v.vals.items())]
-    for x, cx, fx in items:
-        for y, cy, fy in items:
+    get, items = coded.get, sorted(coded.items())
+    moves = _moves(paired, codes, len(items))
+    for cx, fx in items:
+        for cy, fy in items:
             if cx != cy:
                 lhs = fx + fy
-                tried, partners = steps_of(x, y)
-                if not exchange:
-                    tried = partners = tried + partners
+                tried, partners = moves[cy - cx]
                 for s in tried:
                     if violated(get, lhs, cx, cy, s, partners):
-                        found = (x, y, paired.record(s, v.dim))
+                        found = (codes.point(cx), codes.point(cy), paired.record(s, v.dim))
                         return _fail(kind, found[: axiom.points], found[axiom.points :])
     return _OK
 
@@ -683,14 +811,19 @@ def _midpoint_local(v: _View) -> bool:
     """The midpoint inequality on every pair of stored points at l-inf
     distance at most 2, which on an L♮-convex domain makes the function
     L♮-convex (Murota 2003, ch. 7).  Each pair is read once, as x and
-    x + d for d in the lexicographically positive half of the ball."""
-    vals, zero = v.vals, (0,) * v.dim
-    half = [d for d in product(range(-2, 3), repeat=v.dim) if d > zero]
-    for x, fx in vals.items():
-        for d in half:
-            y = vadd(x, d)
-            fy = vals.get(y)
-            if fy is not None and _midpoint(v, fx + fy, x, y):
+    x + d for d in the lexicographically positive half of the ball, by code
+    over the bounding box grown by 2 on every side, which holds every
+    x + d and the midpoints between, so none of them shares a code; the
+    move of each offset d is built once."""
+    box, zero = v.box, (0,) * v.dim
+    codes, coded = v.coded_over(Window(vshift(box.lo, -2), vshift(box.hi, 2)))
+    get = coded.get
+    half = [(codes.offset(d), _MIDPOINT.move(codes, d)) for d in product(range(-2, 3), repeat=v.dim) if d > zero]
+    for cx, fx in coded.items():
+        for delta, move in half:
+            cy = cx + delta
+            fy = get(cy)
+            if fy is not None and _two_points(get, fx + fy, cx, cy, move):
                 return False
     return True
 
@@ -709,16 +842,14 @@ def _exchange_local(v: _View, kind: str) -> bool:
     local exchange, read through the M-lift, which at most doubles l1
     distances).  Points are read by code over the bounding box grown by 4
     on every side, which holds every x + d, and every point between x and
-    x + d, so none of them shares a code.  The scans code over the
-    bounding box itself: growing it by 4 slowed the jump scans of the check
-    corpus by about 12%.  The step list of x and x + d is that of 0 and d,
-    so it is computed once per offset."""
-    violated = _AXIOMS[kind].violated.on_codes
+    x + d, so none of them shares a code.  The move of x and x + d, its
+    step list, is that of d, so it is built once per offset."""
+    paired = _AXIOMS[kind].violated
+    violated = paired.on_codes
     box = v.box
     codes, coded = v.coded_over(Window(vshift(box.lo, -_REACH), vshift(box.hi, _REACH)))
     get, zero = coded.get, (0,) * v.dim
-    base = codes.code(zero)
-    moves = [(codes.code(d) - base, *codes.steps(zero, d)) for d in _l1_ball(v.dim, _REACH) if d != zero]
+    moves = [(codes.offset(d), *paired.move(codes, d)) for d in _l1_ball(v.dim, _REACH) if d != zero]
     for cx, fx in coded.items():
         for delta, downs, ups in moves:
             cy = cx + delta

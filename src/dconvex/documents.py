@@ -108,7 +108,9 @@ def _int(v, what: str) -> int:
 
 def _ints(v, what: str) -> tuple:
     _require(isinstance(v, list), f"{what} must be an array of integers")
-    return tuple(_int(c, what) for c in v)
+    q = tuple(v)
+    _require(all(type(c) is int for c in q), f"{what} must be an integer")
+    return q
 
 
 def _objects(v: list, what: str) -> list:
@@ -119,7 +121,7 @@ def _objects(v: list, what: str) -> list:
 def _finite(v: str, what: str) -> Fraction:
     try:
         value = parse_value(v)
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         raise DocumentError(f"{what} {v!r} is not a rational 'p' or 'p/q'") from None
     _require(isinstance(value, Fraction), f"{what} must be finite")
     return value

@@ -35,12 +35,6 @@ from .simplex import OPTIMAL, solve_lp
 HalfPoint = Tuple[Fraction, ...]
 
 
-def half_midpoint(x: Point, y: Point) -> HalfPoint:
-    if len(x) != len(y):
-        raise ValueError("dimension mismatch")
-    return tuple(Fraction(a + b, 2) for a, b in zip(x, y))
-
-
 def is_integral(x: HalfPoint) -> bool:
     return all(c.denominator == 1 for c in x)
 

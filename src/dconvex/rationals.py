@@ -7,6 +7,7 @@ the recognizers decidable with zero tolerance; floats never appear.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -88,12 +89,21 @@ def rat(num, den: int = 1) -> Fraction:
     return Fraction(num, den)
 
 
+# 'p' or 'p/q' in ASCII digits, with an optional minus sign on p
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_value(text: str) -> Value:
-    """Parse 'p/q', 'p', or 'inf' into an exact value."""
+    """Parse 'p/q', 'p', or 'inf', with surrounding whitespace, into an
+    exact value.  Any other spelling (a decimal point, an exponent, a plus
+    sign, an underscore) or a zero q raises ValueError."""
     s = text.strip()
     if s == "inf":
         return INF
-    return Fraction(s)
+    m = _RATIONAL.fullmatch(s)
+    if m is None or m[2] is not None and not int(m[2]):
+        raise ValueError(f"{text!r} is not 'p', 'p/q' with q > 0, or 'inf'")
+    return Fraction(int(m[1]), int(m[2] or 1))
 
 
 def format_value(v: Value) -> str:

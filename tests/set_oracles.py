@@ -11,11 +11,16 @@ the local extension production reads a set through.
 
 Two function recognizers sit beside them.  ``check_ic_fn`` decides
 integrally convex functions by the definition, over the stored ``Fraction``
-values, with the brute-force local extension (``hull_oracle``) and no memo,
-so it checks the int-scaled, memoized production kernel through a second
+values, with the brute-force local extension (``hull_oracle``) memoized by
+the midpoint itself, a tuple of Fractions, so it checks the int-scaled
+production kernel, whose memo is keyed by point codes, through a second
 implementation.  ``check_lifted_l_fn`` decides lifted L-convex functions by
 submodularity in Z^n, ramp included, the way production did before it
 decided them on their L♮ section; ``_check_l_set`` is its set form.
+
+``check_dmc`` decides the global and local discrete midpoint convexity
+labels, sets and functions, by the midpoint scan on Fraction values and
+point tuples, with the l-inf filter of each label.
 
 ``check_family`` decides the L♮, L, M♮, M and multimodular labels, sets
 and functions, by their pair scans, which production runs only when its
@@ -50,6 +55,7 @@ through them, as their indicator maps.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -73,7 +79,6 @@ from dconvex.core import (
     value_map,
     vshift,
 )
-from dconvex.hull import half_midpoint
 from dconvex.network import Network
 from dconvex.ops import PartitionSpec, SplitSpec, _aggregate_point, _fiber_min, _split_point, _value_maps
 from dconvex.rationals import is_finite
@@ -149,12 +154,30 @@ def _check_global_dmc_set(s: LatticeSet) -> Verdict:
     return _OK
 
 
+def half_midpoint(x: Point, y: Point) -> Tuple[Fraction, ...]:
+    return tuple(Fraction(a + b, 2) for a, b in zip(x, y))
+
+
+def _by_midpoint(solve):
+    """solve(obj, half) memoized by the half-integral midpoint itself, a
+    tuple of Fractions, for one object: no two midpoints share an entry."""
+    memo = {}
+
+    def at(obj, half):
+        if half not in memo:
+            memo[half] = solve(obj, half)
+        return memo[half]
+
+    return at
+
+
 def _check_ic_set(s: LatticeSet) -> Verdict:
     pts = s.sorted_points()
+    in_hull = _by_midpoint(in_local_hull_bruteforce)
     for x, y in _unordered_pairs(pts):
         if linf_distance(x, y) <= 1:
             continue  # both endpoints lie in N((x+y)/2), so the midpoint is covered
-        if not in_local_hull_bruteforce(s, half_midpoint(x, y)):
+        if not in_hull(s, half_midpoint(x, y)):
             return _fail("hull-midpoint", (x, y))
     return _OK
 
@@ -163,10 +186,11 @@ def check_ic_fn(f: LatticeFn) -> Verdict:
     """f((x + y)/2)'s local extension is at most (f(x) + f(y))/2 for every
     pair at l-inf distance >= 2 (closer pairs hold trivially)."""
     pts = sorted(f.values)
+    extension = _by_midpoint(local_extension_value_bruteforce)
     for x, y in _unordered_pairs(pts):
         if linf_distance(x, y) <= 1:
             continue
-        ext = local_extension_value_bruteforce(f, half_midpoint(x, y))
+        ext = extension(f, half_midpoint(x, y))
         if not is_finite(ext) or 2 * ext > f.values[x] + f.values[y]:
             return _fail("hull-midpoint", (x, y))
     return _OK
@@ -429,10 +453,13 @@ def check_ordered(obj, label: ClassLabel) -> Verdict:
     return _scan_ordered(_View.of(obj), *_ORDERED[label])
 
 
-def _midpoint_pair(vals) -> Optional[Tuple[Point, Point]]:
-    """The first pair x < y of stored points whose rounded midpoints are not
-    both stored with values summing to at most f(x) + f(y); None if none."""
+def _midpoint_pair(vals, keep=lambda x, y: True) -> Optional[Tuple[Point, Point]]:
+    """The first pair x < y of stored points, among those ``keep`` takes,
+    whose rounded midpoints are not both stored with values summing to at
+    most f(x) + f(y); None if none."""
     for x, y in _unordered_pairs(sorted(vals)):
+        if not keep(x, y):
+            continue
         up, down = midpoint_round(x, y)
         if up not in vals or down not in vals or vals[up] + vals[down] > vals[x] + vals[y]:
             return x, y
@@ -462,6 +489,25 @@ def check_family(obj, label: ClassLabel) -> Verdict:
     kind, move, back = _MIDPOINT[label]
     pair = _midpoint_pair({move(p): v for p, v in value_map(obj).items()})
     return _OK if pair is None else _fail(kind, map(back, pair))
+
+
+def check_dmc(obj, label: ClassLabel) -> Verdict:
+    """The verdict of a global or local discrete midpoint convexity label on
+    a finite object: the midpoint inequality on the pairs at l-inf distance
+    at least 2 (global), or, once the domain passes that, exactly 2 (local),
+    on Fraction values and point tuples."""
+    vals = value_map(obj)
+    if label == ClassLabel.LOCAL_DMC_FN:
+        pair = _midpoint_pair(dict.fromkeys(vals, 0), lambda x, y: linf_distance(x, y) >= 2)
+        if pair is not None:
+            return _fail("domain-not-dmc", pair)
+        pair = _midpoint_pair(vals, lambda x, y: linf_distance(x, y) == 2)
+        return _OK if pair is None else _fail("midpoint-two", pair)
+    pair = _midpoint_pair(vals, lambda x, y: linf_distance(x, y) >= 2)
+    return _OK if pair is None else _fail("midpoint-far", pair)
+
+
+DMC_LABELS = frozenset({ClassLabel.GLOBAL_DMC_SET, ClassLabel.GLOBAL_DMC_FN, ClassLabel.LOCAL_DMC_FN})
 
 
 SET_ORACLES = {

@@ -9,6 +9,7 @@ from dconvex.classes import (
     _MAPPED,
     _Codes,
     _View,
+    _doubled,
     ClassLabel,
     LabelKindError,
     Verdict,
@@ -662,11 +663,24 @@ def test_codes_round_trip_sort_and_step():
         # the down steps then the up steps of a pair are its increments, with
         # signed strides and gaps
         x, y = rng.choice(pts), rng.choice(pts)
-        downs, ups = codes.steps(x, y)
+        downs, ups = codes.steps(tuple(b - a for a, b in zip(x, y)))
         assert all(d < 0 for _, d, _ in downs) and all(d > 0 for _, d, _ in ups)
         steps = downs + ups
         assert [tuple(int(k == i) * (1 if d > 0 else -1) for k in range(box.dim)) for i, d, _ in steps] == increments(x, y)
         assert all(abs(d) == codes.strides[i] and gap == abs(x[i] - y[i]) for i, d, gap in steps)
+        # over the difference box, cy - cx identifies y - x and cx + cy
+        # identifies x + y
+        wide = _Codes(_doubled(box))
+        assert wide.point(wide.code(box.hi)) == box.hi
+        diffs, sums = {}, {}
+        for x in pts:
+            for y in pts:
+                d = tuple(b - a for a, b in zip(x, y))
+                delta = wide.code(y) - wide.code(x)
+                assert wide.difference(delta) == d and wide.offset(d) == delta, (box, x, y)
+                assert diffs.setdefault(delta, d) == d
+                total = tuple(a + b for a, b in zip(x, y))
+                assert sums.setdefault(wide.code(x) + wide.code(y), total) == total, (box, x, y)
 
 
 def test_view_scales_values_to_ints():

@@ -17,6 +17,15 @@ read points as int codes, so their whole verdicts are compared with the
 tuple scanner kept in ``set_oracles``, on the benchmark's check corpus, on
 drawn members and near misses, and on spans whose codes pass 2**64.
 
+Every pair scan reads a pair by its code difference over the difference box
+of the stored points, with one move per difference kept up to a bound, so
+the verdicts of every label decided by a pair scan are compared, witness and
+all, with the oracle scans of ``set_oracles``: on sets and functions whose
+pair differences collide over the plain bounding box, on the simplex
+x >= 0, x(N) <= 8 in Z^3 and on a sparse jump system and its near miss
+(past the bound), on spans past 2**64, and for the discrete midpoint
+convexity labels on the benchmark's check corpus.
+
 The L♮, L, M♮, M and multimodular labels decide membership by a
 polyhedral domain test and, for functions above a size rule, a local axiom,
 and fall back to the pair scan otherwise, so their whole verdicts are
@@ -61,9 +70,11 @@ from dconvex.core import (
 from dconvex.network import Arc, ArcCost, Network, induce_fn, transform_set
 from dconvex.ops import convolution_fn
 from set_oracles import (
+    DMC_LABELS,
     FAMILY_LABELS,
     ORDERED_LABELS,
     SET_ORACLES,
+    check_dmc,
     check_family,
     check_ic_fn,
     check_lifted_l_fn,
@@ -295,6 +306,118 @@ def test_ordered_recognizers_match_oracle_on_samples():
     wide = list(_wide_spans())
     assert max(max(_View.of(obj).coded[0].strides) for obj in wide) > 2**64
     _assert_ordered_verdicts_match(wide)
+
+
+def _oracle(obj, label):
+    """The ``set_oracles`` verdict of a finite object under a label of its
+    kind decided by a pair scan."""
+    if isinstance(obj, LatticeSet):
+        return SET_ORACLES[label](obj)
+    if label == ClassLabel.IC_FN:
+        return check_ic_fn(obj)
+    if label in DMC_LABELS:
+        return check_dmc(obj, label)
+    return check_ordered(obj, label) if label in ORDERED_LABELS else check_family(obj, label)
+
+
+def _assert_pair_scans_match(cases):
+    """check() equals the oracle scan on each (object, label), witness and
+    all, and its witnesses replay; returns the member count."""
+    members = 0
+    for obj, label in cases:
+        got = check(obj, label)
+        assert got == _oracle(obj, label), (label, obj)
+        assert got.member or verify_witness(obj, got.witness), (label, obj)
+        members += got.member
+    return members
+
+
+# the labels decided by a pair scan, read by code difference, with an oracle
+_SCANNED_SET_LABELS = sorted(SET_LABELS - {ClassLabel.INTEGER_BOX})
+_SCANNED_FN_LABELS = sorted(
+    ({ClassLabel.IC_FN} | DMC_LABELS | ORDERED_LABELS | FAMILY_LABELS) & FN_LABELS - {ClassLabel.L_FN}
+)
+_JUMP_AND_MIDPOINT_LABELS = (
+    ClassLabel.IC_SET, ClassLabel.IC_FN, ClassLabel.GLOBAL_DMC_SET, ClassLabel.GLOBAL_DMC_FN,
+    ClassLabel.LOCAL_DMC_FN, ClassLabel.JUMP_SYSTEM, ClassLabel.CONST_PARITY_JUMP,
+    ClassLabel.SIMULT_EXCH_JUMP, ClassLabel.JUMP_M_FN, ClassLabel.JUMP_MNAT_FN,
+)
+
+
+def _labelled(objects, labels=None):
+    """(object, label) for each label of the object's kind among ``labels``
+    (default: every scanned label)."""
+    for obj in objects:
+        kind = _SCANNED_SET_LABELS if isinstance(obj, LatticeSet) else _SCANNED_FN_LABELS
+        for label in kind:
+            if labels is None or label in labels:
+                yield obj, label
+
+
+def _narrow_objects(rng):
+    """Sets and functions in boxes of widths 1 to 2 in Z^2 and Z^3: over the
+    plain bounding box of widths 2 the code differences of d = (1, -2) and
+    d = (0, 1) are both 1, so a scan that coded there would read one pair
+    through the other's move."""
+    for _ in range(70):
+        n = rng.choice((2, 3))
+        box = Window((0,) * n, tuple(rng.choice((1, 2, 2)) for _ in range(n)))
+        pts = [p for p in box.points() if rng.random() < 0.8] or [box.lo]
+        yield LatticeSet(n, frozenset(pts))
+        yield LatticeFn(n, {p: Fraction(sum(c * c for c in p) + rng.randint(0, 2), rng.randint(1, 3)) for p in pts})
+
+
+def test_pair_scans_match_oracles_where_plain_box_codes_collide():
+    plain = core.Codes(Window((0, 0), (2, 2)))
+    assert plain.code((1, 0)) - plain.code((0, 2)) == plain.code((0, 1)) - plain.code((0, 0))
+    cases = list(_labelled(_narrow_objects(random.Random(6363))))
+    members = _assert_pair_scans_match(cases)
+    assert len(cases) > 1200 and 0.1 < members / len(cases) < 0.9
+
+
+def _differences(obj) -> int:
+    pts = list(core.value_map(obj))
+    return len({tuple(b - a for a, b in zip(x, y)) for x in pts for y in pts})
+
+
+def _sparse_jump_system():
+    """A x A for A = {0, 2, 3, 5, 6, 8, 9, 11}, gaps of 1 and 2: a jump
+    system (a direct sum of two), with 441 differences on 64 points."""
+    a = (0, 2, 3, 5, 6, 8, 9, 11)
+    return LatticeSet(2, frozenset(itertools.product(a, a)))
+
+
+def test_pair_scans_match_oracles_above_the_table_bound():
+    # the scans keep the move of at most C(2n, n) * |S| differences; past
+    # that a move is built for its pair alone
+    simplex = LatticeSet(3, frozenset(p for p in cube(3, 0, 8).points() if sum(p) <= 8))
+    assert len(simplex) == 165 and 2**3 * 165 < _differences(simplex) <= math.comb(6, 3) * 165
+    sparse = _sparse_jump_system()
+    assert _differences(sparse) > math.comb(4, 2) * len(sparse)
+    # a near miss whose witness comes after the table is full
+    miss = LatticeSet(2, sparse.points - {(9, 9)})
+    assert check(miss, ClassLabel.JUMP_SYSTEM).witness.points[0] == (8, 9)
+    f = LatticeFn(3, {p: Fraction(sum(c * c for c in p) + p[0] * p[1], 3) for p in simplex.points})
+    g = LatticeFn(2, {p: Fraction(p[0] * p[0] + 3 * p[1] * p[1], 2) for p in sparse.points})
+    objects = [simplex, f, sparse, miss, g, _raised(g, random.Random(7))]
+    cases = [case for case in _labelled(objects, _JUMP_AND_MIDPOINT_LABELS) if case[1] != ClassLabel.IC_FN]
+    # the integrally convex function scan with the brute-force oracle is
+    # costly, so on the simplex it runs on a near miss
+    cases += [(_raised(f, random.Random(3)), ClassLabel.IC_FN), (g, ClassLabel.IC_FN)]
+    assert len(cases) == 29 and _assert_pair_scans_match(cases) == 5
+
+
+def test_pair_scans_match_oracles_on_wide_spans():
+    _assert_pair_scans_match(_labelled(_wide_spans()))
+
+
+def test_dmc_recognizers_match_oracle_on_the_check_corpus():
+    cases = []
+    for seed in (1, 7):
+        members, misses = build_check_corpus(seed)
+        cases += [(i.obj, i.label) for i in members + misses if i.label in DMC_LABELS]
+    assert len(cases) == 90
+    assert _assert_pair_scans_match(cases) == 18
 
 
 def _assert_family_verdicts_match(cases):

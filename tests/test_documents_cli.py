@@ -308,6 +308,37 @@ def test_cli_matrix_deterministic(tmp_path, capsys):
 # malformed documents: exit 2 with an error line, never a traceback
 
 
+# spellings Fraction() reads but the 'p' or 'p/q' grammar does not
+_LOOSE_VALUES = ("1.5", "1e3", "+3", "1_000", "3/-2", "1/0", " - 3", "٣")
+
+
+@pytest.mark.parametrize("text", _LOOSE_VALUES)
+def test_loose_value_spellings_exit_2(tmp_path, capsys, text):
+    fn = documents.to_document(LatticeFn.of({(0,): F(1), (1,): F(2)}))
+    fn["entries"][1]["v"] = text
+    net = documents.to_document(Network(("u", "w"), (Arc("u", "w", 0, 1, ArcCost.from_table({0: 0, 1: 1})),), ("u",), ("w",)))
+    net["arcs"][0]["cost"][1]["v"] = text
+    for doc, what in ((fn, "stored function value"), (net, "arc cost value")):
+        with pytest.raises(DocumentError, match=what):
+            documents.from_document(doc)
+    (tmp_path / "f.json").write_text(json.dumps(fn))
+    assert main(["check", str(tmp_path / "f.json"), "--class", "lnat-fn"]) == 2
+    (tmp_path / "net.json").write_text(json.dumps(net))
+    documents.dump(LatticeSet.of([(0,), (1,)]), tmp_path / "s.json")
+    assert main(["induce", "--network", str(tmp_path / "net.json"), "--input", str(tmp_path / "s.json")]) == 2
+    assert all(line.startswith("error:") for line in capsys.readouterr().err.splitlines())
+
+
+def test_value_strings_round_trip():
+    rng = random.Random(2024)
+    values = [F(0), F(-9), F(10**30 + 1, 7)] + [F(rng.randint(-50, 50), rng.randint(1, 40)) for _ in range(200)]
+    f = LatticeFn(1, {(k,): v for k, v in enumerate(values)})
+    assert documents.parse_text(documents.to_text(f)) == f
+    doc = documents.to_document(f)
+    doc["entries"][0]["v"] = " -4/6\t"
+    assert documents.from_document(doc).values[(0,)] == F(-2, 3)
+
+
 @pytest.mark.parametrize(
     "doc, field",
     [
