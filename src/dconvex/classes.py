@@ -37,8 +37,9 @@ cancels, and a lifted function is read without its ramp.  A scan also
 memoizes the local extension by x + y, so each distinct half-integral
 midpoint (x + y)/2 is solved once per check.
 
-Every pair axiom reads points as int codes.  The exchange (M♮, M) and jump
-axioms share one predicate: on an ordered pair x, y the jump exchange reads
+Every pair axiom is one shape, ``_Pair``: a move of the pair's difference
+and a predicate that reads int codes.  The exchange (M♮, M) and jump axioms
+share one predicate: on an ordered pair x, y the jump exchange reads
 x + s + t and y - s - t for unit steps s, t from x toward y, and the M♮/M
 exchange x - e_i + e_j, y + e_i - e_j is its case s = -e_i, t = +e_j
 (Murota, "M-convex functions on jump systems", 2006).  The midpoint axioms
@@ -55,15 +56,20 @@ tuples), cy - cx identifies y - x (balanced mixed-radix digits are unique)
 and cx + cy identifies x + y.  What an axiom reads on a pair is then a move
 of the difference y - x alone: the code offsets from cx of the points read,
 None where the axiom's l-inf filter drops the pair, or for the ordered
-axioms the step list (i, +-stride_i, |d_i|).  A scan builds each
-difference's move once, in a table keyed by cy - cx, and reads each point
-with one int addition; the hull memo is keyed by cx + cy and decodes x + y
-on a miss.  The table keeps at most C(2n, n) * |S| entries, the
-Rogers-Shephard bound on a convex body's difference body; past it a move is
-built for its pair alone, so a sparse input, whose pairs nearly all differ,
-holds no entry per pair.  A replay codes the witness pair over its own
-difference box and calls the same move and predicate, reading each decoded
-point through the object.  Values are looked up by code in a dict.
+axioms the steps (i, +-stride_i, |d_i|) tried and their partners.
+
+One scanner, ``_scan_pairs``, reads every pair axiom: unordered pairs x < y,
+or all ordered pairs, each with one predicate call, which for an ordered
+axiom returns the first violated step.  It builds each difference's move
+once, in a table keyed by cy - cx, and reads each point with one int
+addition; the hull memo is keyed by cx + cy and decodes x + y on a miss.
+The table keeps at most C(2n, n) * |S| entries, the Rogers-Shephard bound on
+a convex body's difference body; past it a move is built for its pair
+alone, so a sparse input, whose pairs nearly all differ, holds no entry per
+pair.  One local route, ``_local``, reads the same moves and predicates on
+the pairs x, x + d with d in a ball.  A replay codes the witness pair over
+its own difference box and calls the same move and predicate, reading each
+decoded point through the object.  Values are looked up by code in a dict.
 
 Conventions for infinite values inside axioms: an inequality with +infinity
 on the left-hand side holds; +infinity on the right-hand side is only
@@ -359,7 +365,9 @@ def _within(get, lhs, p, q) -> bool:
 
 # The pair axioms read x, y and the points between them by code (``_Codes``),
 # through a move that depends on the pair's difference d = y - x alone:
-# ``get`` maps a code to a value and cx and cy are the codes of x and y.
+# ``get`` maps a code to a value and cx and cy are the codes of x and y.  A
+# predicate of an unordered axiom returns whether it is violated; one of an
+# ordered axiom returns its first violated step, or None.
 
 
 def _pair_codes(v: _View, x: Point, y: Point):
@@ -387,8 +395,46 @@ def _hull_midpoint(twice, lhs, cx: int, cy: int, move) -> bool:
     return t is None or t > lhs
 
 
+def _jump_exchange(get, lhs, cx: int, cy: int, move, nat: bool = True):
+    """The first tried step s of the move (tried, partners) for which every
+    two-step exchange (x + s + t, y - s - t) with t a partner, and the
+    one-step (x + s, y - s) when ``nat``, exceeds lhs; None if there is
+    none.  A partner t = s is skipped when s closes its coordinate's gap,
+    since x + s + t then leaves the box."""
+    tried, partners = move
+    for step in tried:
+        i, d, gap = step
+        xs, ys = cx + d, cy - d
+        if nat and _within(get, lhs, xs, ys):
+            continue
+        for k, e, _ in partners:
+            if (k != i or gap > 1) and _within(get, lhs, xs + e, ys - e):
+                break
+        else:
+            return step
+    return None
+
+
+def _jump_two_step(get, lhs, cx: int, cy: int, move):
+    """The first tried step s of the move (tried, partners) for which
+    neither x + s nor any x + s + t (t a partner) lies in the set; None if
+    there is none."""
+    tried, partners = move
+    for step in tried:
+        i, d, gap = step
+        xs = cx + d
+        if get(xs) is not None:
+            continue
+        for k, e, _ in partners:
+            if (k != i or gap > 1) and get(xs + e) is not None:
+                break
+        else:
+            return step
+    return None
+
+
 def _values(v: _View, codes: _Codes, get):
-    """The code getter, which the two-point axioms read."""
+    """The code getter, which every pair axiom but the hull's reads."""
     return get
 
 
@@ -414,89 +460,63 @@ def _far(d: Point) -> bool:
     return max(map(abs, d)) >= 2
 
 
-class _Unordered(NamedTuple):
-    """An unordered-pair axiom on codes: ``points`` turns d = y - x into the
-    differences e of the points x + e that ``on_codes`` reads, and ``keep``
-    says which d the axiom applies to (None: all).  ``move`` is their code
-    offsets, None where ``keep`` fails; ``reader`` gives what ``on_codes``
-    reads, the code getter or the hull's extensions.  Called as replay calls
-    every axiom, it reads the pair over its own difference box."""
+def _offsets(points: Callable, keep: Optional[Callable] = None) -> Callable:
+    """The move of an unordered axiom: the code offsets of the points x + e,
+    e in points(d), that it reads; None where ``keep(d)`` fails."""
 
-    points: Callable
-    on_codes: Callable = _two_points
-    keep: Optional[Callable] = None
+    def move(codes: _Codes, d: Point):
+        if keep is None or keep(d):
+            return tuple(map(codes.offset, points(d)))
+        return None
+
+    return move
+
+
+def _all_steps(codes: _Codes, d: Point):
+    """The move of a jump kind: every step, tried and as a partner."""
+    downs, ups = codes.steps(d)
+    steps = downs + ups
+    return steps, steps
+
+
+def _index(step, n: int) -> int:
+    """An exchange kind's record of a step -e_i: i.  An exchange kind (M♮,
+    M), the jump exchange with s = -e_i and t = +e_j, tries the down steps
+    with the up steps as partners (``_Codes.steps``)."""
+    return step[0]
+
+
+def _unit(step, n: int) -> Point:
+    """A jump kind's record of a step: the signed unit vector in Z^n.  A
+    jump kind tries and pairs every step (``_all_steps``)."""
+    i, d, _ = step
+    return _bump((0,) * n, i, 1 if d > 0 else -1)
+
+
+class _Pair(NamedTuple):
+    """A pair axiom on codes: ``move(codes, d)`` gives what ``on_codes``
+    reads on a pair x, y = x + d, or None where the axiom does not apply,
+    and ``reader`` the values it reads.  An axiom with a ``record`` is
+    ordered: its move is the steps it tries and their partners, its
+    predicate returns the first violated step, and ``record(step, n)`` is
+    what the witness keeps of that step (``_index``, ``_unit``).  Called as
+    replay calls every axiom, it reads the pair over its own difference box
+    and tries only the steps with the witness's record."""
+
+    move: Callable
+    on_codes: Callable
     reader: Callable = _values
+    record: Optional[Callable] = None
 
-    def move(self, codes: _Codes, d: Point):
-        if self.keep is not None and not self.keep(d):
-            return None
-        return tuple(map(codes.offset, self.points(d)))
-
-    def __call__(self, v: _View, lhs, x: Point, y: Point) -> bool:
+    def __call__(self, v: _View, lhs, x: Point, y: Point, *record) -> bool:
         codes, get, cx, cy, d = _pair_codes(v, x, y)
         move = self.move(codes, d)
-        return move is not None and self.on_codes(self.reader(v, codes, get), lhs, cx, cy, move)
-
-
-# The ordered-pair axioms take a ``step`` and its ``partners``, entries of
-# ``_Codes.steps``.
-
-
-def _jump_exchange(get, lhs, cx: int, cy: int, step, partners, nat: bool = True) -> bool:
-    """With step = s: every two-step exchange (x + s + t, y - s - t) with t
-    a partner, and the one-step (x + s, y - s) when ``nat``, exceeds lhs.
-    A partner t = s is skipped when s closes its coordinate's gap, since
-    x + s + t then leaves the box."""
-    i, d, gap = step
-    xs, ys = cx + d, cy - d
-    if nat and _within(get, lhs, xs, ys):
-        return False
-    for k, e, _ in partners:
-        if (k != i or gap > 1) and _within(get, lhs, xs + e, ys - e):
+        if move is None:
             return False
-    return True
-
-
-def _jump_two_step(get, lhs, cx: int, cy: int, step, partners) -> bool:
-    """With step = s: neither x + s nor any x + s + t (t a partner) lies in
-    the set."""
-    i, d, gap = step
-    xs = cx + d
-    if get(xs) is not None:
-        return False
-    for k, e, _ in partners:
-        if (k != i or gap > 1) and get(xs + e) is not None:
-            return False
-    return True
-
-
-class _Paired(NamedTuple):
-    """An ordered-pair axiom ``on_codes`` and its move, the steps of the
-    pair's step list (``_Codes.steps``) it tries and their partners: an
-    exchange kind (M♮, M), the jump exchange with s = -e_i, t = +e_j, tries
-    the down steps with the up steps as partners and records i; a jump kind
-    tries and pairs every step and records the signed unit vector.  Called
-    as replay calls every axiom, it reads the pair over its own difference
-    box and tries the step with the witness's record (none: no violation)."""
-
-    on_codes: Callable
-    exchange: bool = False
-
-    def record(self, step, n: int):
-        """The witness's record of a step in Z^n."""
-        i, d, _ = step
-        return i if self.exchange else _bump((0,) * n, i, 1 if d > 0 else -1)
-
-    def move(self, codes: _Codes, d: Point):
-        downs, ups = codes.steps(d)
-        return (downs, ups) if self.exchange else (downs + ups,) * 2
-
-    def __call__(self, v: _View, lhs, x: Point, y: Point, record) -> bool:
-        codes, get, cx, cy, d = _pair_codes(v, x, y)
-        tried, partners = self.move(codes, d)
-        return any(
-            self.on_codes(get, lhs, cx, cy, s, partners) for s in tried if self.record(s, len(x)) == record
-        )
+        if self.record is not None:
+            tried, partners = move
+            move = [s for s in tried if (self.record(s, len(x)),) == record], partners
+        return bool(self.on_codes(self.reader(v, codes, get), lhs, cx, cy, move))
 
 
 def _box_gap(v: _View, lhs, p: Point) -> bool:
@@ -530,8 +550,8 @@ class _Axiom(NamedTuple):
     points must lie in the object; the predicate; and ``keep``, which says
     which candidates the axiom applies to (None: all).  Scanners that
     enumerate only such candidates skip ``keep``; replay always applies it.
-    Pair kinds have none: their moves (``_Unordered``, ``_Paired``) hold
-    only their candidates."""
+    Pair kinds have none: the moves of their ``_Pair`` hold only their
+    candidates."""
 
     points: int
     indices: int
@@ -540,28 +560,28 @@ class _Axiom(NamedTuple):
     keep: Optional[Callable] = None
 
 
-_EXCHANGE_MNAT = _Paired(_jump_exchange, exchange=True)
-_EXCHANGE_M = _Paired(partial(_jump_exchange, nat=False), exchange=True)
-_JUMP_EXCHANGE = _Paired(partial(_jump_exchange, nat=False))
-_JUMP_EXCHANGE_NAT = _Paired(_jump_exchange)
-_MIDPOINT = _Unordered(_halves)
+_EXCHANGE_MNAT = _Pair(_Codes.steps, _jump_exchange, record=_index)
+_EXCHANGE_M = _EXCHANGE_MNAT._replace(on_codes=partial(_jump_exchange, nat=False))
+_JUMP_EXCHANGE_NAT = _EXCHANGE_MNAT._replace(move=_all_steps, record=_unit)
+_JUMP_EXCHANGE = _EXCHANGE_M._replace(move=_all_steps, record=_unit)
+_MIDPOINT = _Pair(_offsets(_halves), _two_points)
 
 _AXIOMS = {
     "box-gap": _Axiom(1, 0, 0, _box_gap),
     "axis-convexity": _Axiom(1, 1, 1, _axis_convexity, lambda x, i: 0 <= i < len(x)),
     "modularity": _Axiom(1, 2, 1, _modularity, lambda x, i, j: 0 <= i < j < len(x)),
     "midpoint": _Axiom(2, 0, 2, _MIDPOINT),
-    "midpoint-far": _Axiom(2, 0, 2, _MIDPOINT._replace(keep=_far)),
-    "midpoint-two": _Axiom(2, 0, 2, _MIDPOINT._replace(keep=lambda d: max(map(abs, d)) == 2)),
-    "hull-midpoint": _Axiom(2, 0, 2, _Unordered(lambda d: (), _hull_midpoint, _far, _extensions)),
-    "submodular": _Axiom(2, 0, 2, _Unordered(_join_meet)),
+    "midpoint-far": _Axiom(2, 0, 2, _MIDPOINT._replace(move=_offsets(_halves, _far))),
+    "midpoint-two": _Axiom(2, 0, 2, _MIDPOINT._replace(move=_offsets(_halves, lambda d: max(map(abs, d)) == 2))),
+    "hull-midpoint": _Axiom(2, 0, 2, _Pair(_offsets(lambda d: (), _far), _hull_midpoint, _extensions)),
+    "submodular": _Axiom(2, 0, 2, _Pair(_offsets(_join_meet), _two_points)),
     "ones-shift": _Axiom(2, 0, 1, _ones_shift, lambda x, t: t in (vshift(x, 1), vshift(x, -1))),
     "ramp": _Axiom(2, 0, 2, _ramp),
     "exchange-mnat": _Axiom(2, 1, 2, _EXCHANGE_MNAT),
     "exchange-mnat-fn": _Axiom(2, 1, 2, _EXCHANGE_MNAT),
     "exchange-m": _Axiom(2, 1, 2, _EXCHANGE_M),
     "exchange-m-fn": _Axiom(2, 1, 2, _EXCHANGE_M),
-    "jump-2step": _Axiom(3, 0, 2, _Paired(_jump_two_step)),
+    "jump-2step": _Axiom(3, 0, 2, _JUMP_EXCHANGE_NAT._replace(on_codes=_jump_two_step)),
     "jump-exc": _Axiom(3, 0, 2, _JUMP_EXCHANGE),
     "jump-m-fn": _Axiom(3, 0, 2, _JUMP_EXCHANGE),
     "jump-exc-nat": _Axiom(3, 0, 2, _JUMP_EXCHANGE_NAT),
@@ -590,41 +610,23 @@ _MAPPED = {
 
 
 def _scan_pairs(v: _View, kind: str) -> Verdict:
-    """Unordered pairs x < y of stored points, read by code over the
-    difference box (``_View.coded``), each with the move of its cy - cx."""
-    pair = _AXIOMS[kind].violated
-    violated = pair.on_codes
+    """Pairs of stored points, read by code over the difference box
+    (``_View.coded``), each with the move of its cy - cx: x < y for an
+    unordered axiom, every x and y for an ordered one, whose move of
+    d = 0 tries no step.  The witness is the pair and, for an ordered axiom,
+    the record of the violated step, after the points or as the index."""
+    axiom = _AXIOMS[kind]
+    pair = axiom.violated
+    violated, record = pair.on_codes, pair.record
     codes, coded = v.coded
     items = sorted(coded.items())
     read, moves = pair.reader(v, codes, coded.get), _moves(pair, codes, len(items))
     for a, (cx, fx) in enumerate(items):
-        for cy, fy in items[a + 1 :]:
+        for cy, fy in items if record else items[a + 1 :]:
             move = moves[cy - cx]
-            if move is not None and violated(read, fx + fy, cx, cy, move):
-                return _fail(kind, (codes.point(cx), codes.point(cy)))
-    return _OK
-
-
-def _scan_ordered(v: _View, kind: str) -> Verdict:
-    """Ordered pairs x != y of stored points, then the steps ``_Paired``
-    tries on them, read by code over the difference box with the move of
-    cy - cx.  The witness is the pair and the step's record, after the
-    points or as the index."""
-    axiom = _AXIOMS[kind]
-    paired = axiom.violated
-    violated = paired.on_codes
-    codes, coded = v.coded
-    get, items = coded.get, sorted(coded.items())
-    moves = _moves(paired, codes, len(items))
-    for cx, fx in items:
-        for cy, fy in items:
-            if cx != cy:
-                lhs = fx + fy
-                tried, partners = moves[cy - cx]
-                for s in tried:
-                    if violated(get, lhs, cx, cy, s, partners):
-                        found = (codes.point(cx), codes.point(cy), paired.record(s, v.dim))
-                        return _fail(kind, found[: axiom.points], found[axiom.points :])
+            if move is not None and (hit := violated(read, fx + fy, cx, cy, move)):
+                found = (codes.point(cx), codes.point(cy)) + ((record(hit, v.dim),) if record else ())
+                return _fail(kind, found[: axiom.points], found[axiom.points :])
     return _OK
 
 
@@ -807,23 +809,25 @@ def _is_flat(v: _View) -> bool:
     return len(set(v.vals.values())) == 1
 
 
-def _midpoint_local(v: _View) -> bool:
-    """The midpoint inequality on every pair of stored points at l-inf
-    distance at most 2, which on an L♮-convex domain makes the function
-    L♮-convex (Murota 2003, ch. 7).  Each pair is read once, as x and
-    x + d for d in the lexicographically positive half of the ball, by code
-    over the bounding box grown by 2 on every side, which holds every
-    x + d and the midpoints between, so none of them shares a code; the
-    move of each offset d is built once."""
-    box, zero = v.box, (0,) * v.dim
-    codes, coded = v.coded_over(Window(vshift(box.lo, -2), vshift(box.hi, 2)))
+def _local(v: _View, kind: str, ball: Sequence[Point], reach: int) -> bool:
+    """The pair axiom of ``kind`` on every pair of stored points x, x + d
+    with d in ``ball``, whose offsets lie within l-inf distance ``reach`` of
+    0.  Points are read by code over the bounding box grown by ``reach`` on
+    every side, which holds every x + d and every point between x and
+    x + d, so none of them shares a code; the move of each offset is built
+    once.  False at the first violated pair."""
+    pair = _AXIOMS[kind].violated
+    violated = pair.on_codes
+    box = v.box
+    codes, coded = v.coded_over(Window(vshift(box.lo, -reach), vshift(box.hi, reach)))
     get = coded.get
-    half = [(codes.offset(d), _MIDPOINT.move(codes, d)) for d in product(range(-2, 3), repeat=v.dim) if d > zero]
+    read = pair.reader(v, codes, get)
+    moves = [(codes.offset(d), move) for d in ball if (move := pair.move(codes, d)) is not None]
     for cx, fx in coded.items():
-        for delta, move in half:
+        for delta, move in moves:
             cy = cx + delta
             fy = get(cy)
-            if fy is not None and _two_points(get, fx + fy, cx, cy, move):
+            if fy is not None and violated(read, fx + fy, cx, cy, move):
                 return False
     return True
 
@@ -835,37 +839,15 @@ def _l1_ball(n: int, r: int) -> List[Point]:
     return [(c,) + rest for c in range(-r, r + 1) for rest in _l1_ball(n - 1, r - abs(c))]
 
 
-def _exchange_local(v: _View, kind: str) -> bool:
-    """The exchange of ``kind`` (M♮ or M) on every ordered pair of stored
-    points at l1 distance at most 4, which on an M♮-convex (M-convex)
-    domain makes the function M♮-convex (M-convex) (Murota 2003, ch. 6,
-    local exchange, read through the M-lift, which at most doubles l1
-    distances).  Points are read by code over the bounding box grown by 4
-    on every side, which holds every x + d, and every point between x and
-    x + d, so none of them shares a code.  The move of x and x + d, its
-    step list, is that of d, so it is built once per offset."""
-    paired = _AXIOMS[kind].violated
-    violated = paired.on_codes
-    box = v.box
-    codes, coded = v.coded_over(Window(vshift(box.lo, -_REACH), vshift(box.hi, _REACH)))
-    get, zero = coded.get, (0,) * v.dim
-    moves = [(codes.offset(d), *paired.move(codes, d)) for d in _l1_ball(v.dim, _REACH) if d != zero]
-    for cx, fx in coded.items():
-        for delta, downs, ups in moves:
-            cy = cx + delta
-            fy = get(cy)
-            if fy is not None and any(violated(get, fx + fy, cx, cy, s, ups) for s in downs):
-                return False
-    return True
-
-
 def _check_lnat(v: _View) -> Verdict:
     """L♮-convexity: the domain by its description, and for a function
-    above the size rule the local midpoint inequality; else the midpoint
-    pair scan."""
+    above the size rule the midpoint inequality on pairs at l-inf distance
+    at most 2, each read once (Murota 2003, ch. 7); else the midpoint pair
+    scan."""
     flat = _is_flat(v)
     if (flat or len(v.vals) >= 2 * (5**v.dim - 1)) and _lnat_described(v.vals, v.dim):
-        if flat or _midpoint_local(v):
+        zero = (0,) * v.dim
+        if flat or _local(v, "midpoint", [d for d in product(range(-2, 3), repeat=v.dim) if d > zero], 2):
             return _OK
     return _scan_pairs(v, "midpoint")
 
@@ -874,16 +856,19 @@ def _check_exchange(v: _View, kind: str, domain: Callable = lambda v: v) -> Verd
     """M♮-convexity, or M-convexity with ``domain`` the projection
     (``_View.projected``): the domain by the description of
     ``_mnat_described``, when 2^n <= |S| for its dimension n, and for a
-    function above the size rule the local exchange; else the exchange pair
+    function above the size rule the exchange on ordered pairs at l1
+    distance at most 4 (Murota 2003, ch. 6, local exchange, read through
+    the M-lift, which at most doubles l1 distances); else the exchange pair
     scan."""
     size, flat = len(v.vals), _is_flat(v)
     ball = sum(2**k * comb(v.dim, k) * comb(_REACH, k) for k in range(1, _REACH + 1))
     if flat or size >= 2 * ball:
         dom = domain(v)
         if dom is not None and 2**dom.dim <= size and _mnat_described(dom.vals, dom.dim):
-            if flat or _exchange_local(v, kind):
+            zero = (0,) * v.dim
+            if flat or _local(v, kind, [d for d in _l1_ball(v.dim, _REACH) if d != zero], _REACH):
                 return _OK
-    return _scan_ordered(v, kind)
+    return _scan_pairs(v, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -907,11 +892,11 @@ _RECOGNIZERS = {
     ClassLabel.GLOBAL_DMC_SET: partial(_scan_pairs, kind="midpoint-far"),
     ClassLabel.GLOBAL_DMC_FN: partial(_scan_pairs, kind="midpoint-far"),
     ClassLabel.LOCAL_DMC_FN: _check_local_dmc,
-    ClassLabel.JUMP_SYSTEM: partial(_scan_ordered, kind="jump-2step"),
-    ClassLabel.CONST_PARITY_JUMP: partial(_scan_ordered, kind="jump-exc"),
-    ClassLabel.SIMULT_EXCH_JUMP: partial(_scan_ordered, kind="jump-exc-nat"),
-    ClassLabel.JUMP_M_FN: partial(_scan_ordered, kind="jump-m-fn"),
-    ClassLabel.JUMP_MNAT_FN: partial(_scan_ordered, kind="jump-mnat-fn"),
+    ClassLabel.JUMP_SYSTEM: partial(_scan_pairs, kind="jump-2step"),
+    ClassLabel.CONST_PARITY_JUMP: partial(_scan_pairs, kind="jump-exc"),
+    ClassLabel.SIMULT_EXCH_JUMP: partial(_scan_pairs, kind="jump-exc-nat"),
+    ClassLabel.JUMP_M_FN: partial(_scan_pairs, kind="jump-m-fn"),
+    ClassLabel.JUMP_MNAT_FN: partial(_scan_pairs, kind="jump-mnat-fn"),
 }
 
 

@@ -157,8 +157,10 @@ def _built(make, *args):
 
 def from_document(doc: Dict[str, Any]) -> Any:
     """The object a document describes.  A missing field or a value of the
-    wrong JSON shape raises DocumentError naming the field; an arc or network
-    that fails its own validation raises one with that message."""
+    wrong JSON shape raises DocumentError naming the field, and so does a
+    function entry or arc cost entry that repeats a point or abscissa; an
+    arc or network that fails its own validation raises one with that
+    message."""
     _require(isinstance(doc, dict), "document must be a JSON object")
     _require(doc.get("version") == VERSION, f"unsupported document version {doc.get('version')!r}")
     kind = doc.get("kind")
@@ -175,6 +177,7 @@ def from_document(doc: Dict[str, Any]) -> Any:
         for e in _objects(_field(doc, "entries", list), "entry"):
             p = _ints(_field(e, "x", list, "entries"), "point")
             _require(len(p) == dim, "point dimension disagrees with dim")
+            _require(p not in vals, f"entries repeat the point {list(p)}")
             vals[p] = _finite(_field(e, "v", str, "entries"), "stored function value")
         ramp = _finite(_field(doc, "ramp", str, default="0"), "ramp")
         lifted = _lifted(doc)
@@ -208,6 +211,7 @@ def from_document(doc: Dict[str, Any]) -> Any:
                 table = {}
                 for entry in _objects(cost_doc, "cost entry"):
                     t = _int(_field(entry, "t", where="arcs.cost"), "cost abscissa")
+                    _require(t not in table, f"arc {tail}->{head} cost repeats the abscissa {t}")
                     table[t] = _finite(_field(entry, "v", str, "arcs.cost"), "arc cost value")
                 cost = ArcCost.from_table(table)
             arcs.append(_built(Arc, tail, head, lower, upper, cost))

@@ -1149,6 +1149,9 @@ def run_closure_matrix(trials: int, seed, max_dim: int = 4) -> MatrixReport:
     non-closed cell; the emitted grid must match the expected one."""
     if trials < 1:
         raise ValueError("at least one trial per closed cell is required")
+    # splitting draws its input dimension n from [2, max_dim - 1]
+    if max_dim < 3:
+        raise ValueError(f"max_dim must be at least 3, not {max_dim}")
     cells = matrix_cells()
     needed = sorted({rid for c in cells for rid in c.records})
     registry = {rid: REGISTRY[rid].run() for rid in needed}

@@ -13,10 +13,9 @@ settings.load_profile("dconvex")
 
 @pytest.fixture
 def pair_scans(monkeypatch):
-    """The list of calls of the recognizers' two pair scanners, each an
-    argument tuple, as they happen during the test."""
+    """The list of calls of the recognizers' pair scanner, each an argument
+    tuple, as they happen during the test."""
     calls = []
-    for name in ("_scan_pairs", "_scan_ordered"):
-        scan = getattr(classes, name)
-        monkeypatch.setattr(classes, name, lambda *args, scan=scan: calls.append(args) or scan(*args))
+    scan = classes._scan_pairs
+    monkeypatch.setattr(classes, "_scan_pairs", lambda *args: calls.append(args) or scan(*args))
     return calls

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from dconvex import documents
+from dconvex import documents, lab
 from dconvex.cli import main
 from dconvex.core import LatticeFn, LatticeSet, Window
 from dconvex.documents import DocumentError
@@ -304,6 +304,14 @@ def test_cli_matrix_deterministic(tmp_path, capsys):
     assert (tmp_path / "r1.json").read_text() == (tmp_path / "r2.json").read_text()
 
 
+@pytest.mark.parametrize("max_dim", [0, 1, 2])
+def test_matrix_below_three_dimensions_is_an_input_error(capsys, max_dim):
+    with pytest.raises(ValueError, match="max_dim must be at least 3"):
+        lab.run_closure_matrix(1, 7, max_dim)
+    assert main(["matrix", "--trials", "1", "--seed", "7", "--max-dim", str(max_dim)]) == 2
+    assert capsys.readouterr().err == "error: max_dim must be at least 3, not %d\n" % max_dim
+
+
 # ---------------------------------------------------------------------------
 # malformed documents: exit 2 with an error line, never a traceback
 
@@ -327,6 +335,34 @@ def test_loose_value_spellings_exit_2(tmp_path, capsys, text):
     documents.dump(LatticeSet.of([(0,), (1,)]), tmp_path / "s.json")
     assert main(["induce", "--network", str(tmp_path / "net.json"), "--input", str(tmp_path / "s.json")]) == 2
     assert all(line.startswith("error:") for line in capsys.readouterr().err.splitlines())
+
+
+@pytest.mark.parametrize("repeat", ["5", "1"])
+def test_repeated_function_entries_exit_2(tmp_path, capsys, repeat):
+    entries = [{"x": [0], "v": "1"}, {"x": [1], "v": "0"}, {"x": [0], "v": repeat}]
+    doc = {"kind": "fn", "version": 1, "dim": 1, "entries": entries}
+    with pytest.raises(DocumentError, match=r"repeat the point \[0\]"):
+        documents.from_document(doc)
+    (tmp_path / "f.json").write_text(json.dumps(doc))
+    assert main(["check", str(tmp_path / "f.json"), "--class", "lnat-fn"]) == 2
+    assert "repeat the point [0]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("repeat", ["0", "3"])
+def test_repeated_cost_abscissas_exit_2(tmp_path, capsys, repeat):
+    net = documents.to_document(Network(("u", "w"), (Arc("u", "w", 0, 1, ArcCost.from_table({0: 0, 1: 1})),), ("u",), ("w",)))
+    net["arcs"][0]["cost"].append({"t": 0, "v": repeat})
+    with pytest.raises(DocumentError, match="u->w cost repeats the abscissa 0"):
+        documents.from_document(net)
+    (tmp_path / "net.json").write_text(json.dumps(net))
+    documents.dump(LatticeSet.of([(0,), (1,)]), tmp_path / "s.json")
+    assert main(["induce", "--network", str(tmp_path / "net.json"), "--input", str(tmp_path / "s.json")]) == 2
+    assert "repeats the abscissa 0" in capsys.readouterr().err
+
+
+def test_repeated_set_points_are_one_point():
+    doc = {"kind": "set", "version": 1, "dim": 1, "points": [[0], [1], [0]]}
+    assert documents.from_document(doc) == LatticeSet.of([(0,), (1,)])
 
 
 def test_value_strings_round_trip():
