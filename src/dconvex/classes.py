@@ -23,7 +23,9 @@ a set is its indicator function (0 on its points, +infinity elsewhere), so a
 set class and its function class share one predicate and one scanner and
 differ only in the witness kind they report.  :func:`verify_witness` looks
 the kind up in the same table, checks that the witness points lie in the
-object, and calls the same predicate.
+object, and calls the same predicate.  A kind read on a derived view (the
+prefix sums, the section x_n = 0, the domain) has one entry in ``_MAPPED``,
+which the check and the replay both read.
 
 Values are exact integers inside a check.  The view scales every stored
 value once, by the least common multiple of their denominators, to plain
@@ -47,16 +49,17 @@ read the rounded midpoints x + ceil(d/2) and x + floor(d/2) of x and
 y = x + d (Moriguchi, Murota, Tamura and Tardella 2020), the L axiom
 x v y = x + (d v 0) and x ^ y = x + (d ^ 0), and the hull axiom the local
 extension at (x + y)/2.  All those points lie in the pair's box
-[x ^ y, x v y].  A scan codes the stored points by mixed radix
-(``_Codes``, the codes of ``core.Codes``) over the difference box
-[lo, lo + 2 (hi - lo)] of their bounding box [lo, hi], whose coordinate i
-has radix 2 (hi_i - lo_i) + 1.  So every point read has its own code, codes
-sort in lexicographic point order (scans and witnesses are as on point
-tuples), cy - cx identifies y - x (balanced mixed-radix digits are unique)
-and cx + cy identifies x + y.  What an axiom reads on a pair is then a move
-of the difference y - x alone: the code offsets from cx of the points read,
-None where the axiom's l-inf filter drops the pair, or for the ordered
-axioms the steps (i, +-stride_i, |d_i|) tried and their partners.
+[x ^ y, x v y].  A view codes its stored points once, by mixed radix
+(``_View.coded``, the codes of ``core.Codes``), over the difference box
+[lo, lo + 2 (hi - lo)] of their bounding box [lo, hi] grown by ``_REACH`` = 4
+on every side, so every point read, even a point x + d of the local route,
+has its own code.  Codes sort in lexicographic point order (scans and
+witnesses are as on point tuples), cy - cx identifies y - x (balanced
+mixed-radix digits are unique) and cx + cy identifies x + y.  What an axiom
+reads on a pair is then a move of the difference y - x alone: the code
+offsets from cx of the points read, None where the axiom's l-inf filter
+drops the pair, or for the ordered axioms the steps (i, +-stride_i, |d_i|)
+tried and their partners.
 
 One scanner, ``_scan_pairs``, reads every pair axiom: unordered pairs x < y,
 or all ordered pairs, each with one predicate call, which for an ordered
@@ -66,10 +69,11 @@ addition; the hull memo is keyed by cx + cy and decodes x + y on a miss.
 The table keeps at most C(2n, n) * |S| entries, the Rogers-Shephard bound on
 a convex body's difference body; past it a move is built for its pair
 alone, so a sparse input, whose pairs nearly all differ, holds no entry per
-pair.  One local route, ``_local``, reads the same moves and predicates on
-the pairs x, x + d with d in a ball.  A replay codes the witness pair over
-its own difference box and calls the same move and predicate, reading each
-decoded point through the object.  Values are looked up by code in a dict.
+pair.  One local route, ``_local``, reads the same coding, moves and
+predicates on the pairs x, x + d with d in a ball; when it fails, the pair
+scan reuses the coding.  A replay codes the witness pair over its own
+difference box and calls the same move and predicate, reading each decoded
+point through the object.  Values are looked up by code in a dict.
 
 Conventions for infinite values inside axioms: an inequality with +infinity
 on the left-hand side holds; +infinity on the right-hand side is only
@@ -193,9 +197,14 @@ def _bump(p: Point, i: int, d: int) -> Point:
     return tuple(q)
 
 
-def _doubled(box: Window) -> Window:
-    """The difference box [lo, lo + 2 (hi - lo)] of a box [lo, hi]."""
-    return Window(box.lo, tuple(2 * b - a for a, b in zip(box.lo, box.hi)))
+# the l1 radius of the exchange ball, so also the l-inf reach of its offsets
+_REACH = 4
+
+
+def _doubled(box: Window, pad: int = 0) -> Window:
+    """The difference box [lo, lo + 2 (hi - lo)] of a box [lo, hi], grown
+    by ``pad`` on every side."""
+    return Window(vshift(box.lo, -pad), tuple(2 * b - a + pad for a, b in zip(box.lo, box.hi)))
 
 
 class _Codes(Codes):
@@ -212,10 +221,10 @@ class _Codes(Codes):
 
     def difference(self, delta: int) -> Point:
         """The d = y - x of any two points x, y of [lo, hi] with
-        code(y) - code(x) = delta, for codes over its difference box
-        (``_doubled``): there the extent of coordinate i is 2 w_i + 1, with
-        w_i = hi_i - lo_i, and d_i lies in [-w_i, w_i], so delta has one
-        such balanced mixed-radix expansion; every stride is odd."""
+        code(y) - code(x) = delta, for codes over its difference box grown
+        by p (``_doubled``): there coordinate i has extent 2 (w_i + p) + 1,
+        with w_i = hi_i - lo_i, and d_i lies in [-w_i, w_i], so delta has
+        one such balanced mixed-radix expansion; every stride is odd."""
         d = []
         for s in self.strides:
             c = (delta + s // 2) // s
@@ -292,14 +301,10 @@ class _View:
 
     @cached_property
     def coded(self) -> Tuple[_Codes, Dict[int, int]]:
-        """The codes over the difference box of the bounding box, and the
-        stored values by code."""
-        return self.coded_over(_doubled(self.box))
-
-    def coded_over(self, box: Window) -> Tuple[_Codes, Dict[int, int]]:
-        """The codes over a box holding the stored points, and the stored
-        values by code."""
-        codes = _Codes(box)
+        """The view's one coding, which the pair scan and the local route
+        read: the codes over the difference box of the bounding box grown
+        by ``_REACH``, and the stored values by code."""
+        codes = _Codes(_doubled(self.box, _REACH))
         return codes, {codes.code(p): f for p, f in self.vals.items()}
 
     def domain(self) -> "_View":
@@ -354,15 +359,6 @@ class _View:
 # replay checks those points and computes it.
 
 
-def _within(get, lhs, p, q) -> bool:
-    """get(p) + get(q) <= lhs with both finite: the pair (p, q) is no worse."""
-    a = get(p)
-    if a is None:
-        return False
-    b = get(q)
-    return b is not None and a + b <= lhs
-
-
 # The pair axioms read x, y and the points between them by code (``_Codes``),
 # through a move that depends on the pair's difference d = y - x alone:
 # ``get`` maps a code to a value and cx and cy are the codes of x and y.  A
@@ -405,11 +401,12 @@ def _jump_exchange(get, lhs, cx: int, cy: int, move, nat: bool = True):
     for step in tried:
         i, d, gap = step
         xs, ys = cx + d, cy - d
-        if nat and _within(get, lhs, xs, ys):
+        if nat and (a := get(xs)) is not None and (b := get(ys)) is not None and a + b <= lhs:
             continue
         for k, e, _ in partners:
-            if (k != i or gap > 1) and _within(get, lhs, xs + e, ys - e):
-                break
+            if (k != i or gap > 1) and (a := get(xs + e)) is not None:
+                if (b := get(ys - e)) is not None and a + b <= lhs:
+                    break
         else:
             return step
     return None
@@ -589,22 +586,6 @@ _AXIOMS = {
 }
 
 
-def _section_replay(v: _View, points: Tuple[Point, ...]):
-    """The section through the first witness point, x_n = c, with each
-    point moved onto it along 1; a lifted object is read on its stored
-    section x_n = 0, which is the same up to the shift c * 1."""
-    c = 0 if v.lifted else points[0][-1]
-    return v.section(c), tuple(vshift(p, c - p[-1])[:-1] for p in points)
-
-
-# kinds replayed on another view: kind -> (map of view and points, kind there)
-_MAPPED = {
-    "domain-not-dmc": (lambda v, points: (v.domain(), points), "midpoint-far"),
-    "multimodular-midpoint": (lambda v, points: (v.prefixed(), tuple(map(prefix_point, points))), "midpoint"),
-    "l-section-midpoint": (_section_replay, "midpoint"),
-}
-
-
 # ---------------------------------------------------------------------------
 # scanners
 
@@ -656,17 +637,12 @@ def _check_separable(v: _View) -> Verdict:
 
 
 def _check_l(v: _View) -> Verdict:
-    """Exact for a lifted object: it is L-convex iff its section x_n = 0 is
-    L♮-convex (Murota, Discrete Convex Analysis, 2003, ch. 7), which
-    ``_check_lnat`` decides; the witness goes back to Z^n with a 0
-    appended.  A finite object is a windowed sample over its bounding box,
-    so it is scanned pair by pair: a negative verdict is sound and a pass
-    only a necessary condition."""
+    """Exact for a lifted object, through its section x_n = 0
+    (``_MAPPED``).  A finite object is a windowed sample over its bounding
+    box, so it is scanned pair by pair: a negative verdict is sound and a
+    pass only a necessary condition."""
     if v.lifted:
-        inner = _check_lnat(v.section())
-        if inner.member:
-            return _OK
-        return _fail("l-section-midpoint", (p + (0,) for p in inner.witness.points))
+        return _derived(v, "l-section-midpoint")
     verdict = _scan_pairs(v, "submodular")
     if not verdict.member:
         return verdict
@@ -684,20 +660,9 @@ def _check_l(v: _View) -> Verdict:
 
 
 def _check_local_dmc(v: _View) -> Verdict:
-    dom = _scan_pairs(v.domain(), "midpoint-far")
-    if not dom.member:
-        return _fail("domain-not-dmc", dom.witness.points)
-    return _scan_pairs(v, "midpoint-two")
-
-
-def _check_multimodular(v: _View) -> Verdict:
-    """L♮-convexity after the change of coordinates to prefix sums (Murota,
-    "Note on multimodularity and L-convexity", 2005); the witness is mapped
-    back to the original coordinates."""
-    inner = _check_lnat(v.prefixed())
-    if inner.member:
-        return _OK
-    return _fail("multimodular-midpoint", map(difference_point, inner.witness.points))
+    """A discrete midpoint convex domain, then the midpoint axiom at l-inf distance 2."""
+    dom = _derived(v, "domain-not-dmc")
+    return _scan_pairs(v, "midpoint-two") if dom.member else dom
 
 
 # ---------------------------------------------------------------------------
@@ -715,9 +680,6 @@ def _check_multimodular(v: _View) -> Verdict:
 # |S| * |ball| / 2 reads before its pair scan, so the two break even at
 # |S| = 2 * |ball|.  A set, or any object whose values are all equal, needs
 # no local axiom: its domain decides.
-
-# the l1 radius of the exchange ball, so also the l-inf reach of its offsets
-_REACH = 4
 
 
 def _lnat_described(points: Dict[Point, int], n: int) -> bool:
@@ -809,17 +771,16 @@ def _is_flat(v: _View) -> bool:
     return len(set(v.vals.values())) == 1
 
 
-def _local(v: _View, kind: str, ball: Sequence[Point], reach: int) -> bool:
+def _local(v: _View, kind: str, ball: Sequence[Point]) -> bool:
     """The pair axiom of ``kind`` on every pair of stored points x, x + d
-    with d in ``ball``, whose offsets lie within l-inf distance ``reach`` of
-    0.  Points are read by code over the bounding box grown by ``reach`` on
-    every side, which holds every x + d and every point between x and
-    x + d, so none of them shares a code; the move of each offset is built
-    once.  False at the first violated pair."""
+    with d in ``ball``, whose offsets lie within l-inf distance ``_REACH``
+    of 0.  Points are read by the view's one coding (``_View.coded``),
+    whose box holds every x + d and every point between x and x + d, so
+    none of them shares a code; the move of each offset is built once.
+    False at the first violated pair."""
     pair = _AXIOMS[kind].violated
     violated = pair.on_codes
-    box = v.box
-    codes, coded = v.coded_over(Window(vshift(box.lo, -reach), vshift(box.hi, reach)))
+    codes, coded = v.coded
     get = coded.get
     read = pair.reader(v, codes, get)
     moves = [(codes.offset(d), move) for d in ball if (move := pair.move(codes, d)) is not None]
@@ -839,7 +800,7 @@ def _l1_ball(n: int, r: int) -> List[Point]:
     return [(c,) + rest for c in range(-r, r + 1) for rest in _l1_ball(n - 1, r - abs(c))]
 
 
-def _check_lnat(v: _View) -> Verdict:
+def _check_lnat(v: _View, kind: str = "midpoint") -> Verdict:
     """L♮-convexity: the domain by its description, and for a function
     above the size rule the midpoint inequality on pairs at l-inf distance
     at most 2, each read once (Murota 2003, ch. 7); else the midpoint pair
@@ -847,9 +808,9 @@ def _check_lnat(v: _View) -> Verdict:
     flat = _is_flat(v)
     if (flat or len(v.vals) >= 2 * (5**v.dim - 1)) and _lnat_described(v.vals, v.dim):
         zero = (0,) * v.dim
-        if flat or _local(v, "midpoint", [d for d in product(range(-2, 3), repeat=v.dim) if d > zero], 2):
+        if flat or _local(v, kind, [d for d in product(range(-2, 3), repeat=v.dim) if d > zero]):
             return _OK
-    return _scan_pairs(v, "midpoint")
+    return _scan_pairs(v, kind)
 
 
 def _check_exchange(v: _View, kind: str, domain: Callable = lambda v: v) -> Verdict:
@@ -866,9 +827,42 @@ def _check_exchange(v: _View, kind: str, domain: Callable = lambda v: v) -> Verd
         dom = domain(v)
         if dom is not None and 2**dom.dim <= size and _mnat_described(dom.vals, dom.dim):
             zero = (0,) * v.dim
-            if flat or _local(v, kind, [d for d in _l1_ball(v.dim, _REACH) if d != zero], _REACH):
+            if flat or _local(v, kind, [d for d in _l1_ball(v.dim, _REACH) if d != zero]):
                 return _OK
     return _scan_pairs(v, kind)
+
+
+# ---------------------------------------------------------------------------
+# kinds read on a derived view
+
+
+def _on_section(v: _View, points: Tuple[Point, ...]):
+    """The section through the first witness point, x_n = c, with each
+    point moved onto it along 1; a lifted object is read on its stored
+    section x_n = 0, which is the same up to the shift c * 1."""
+    c = 0 if v.lifted else points[0][-1]
+    return v.section(c), tuple(vshift(p, c - p[-1])[:-1] for p in points)
+
+
+# kind -> (map of the view with the witness points, map of a point back, kind
+# read there, its recognizer): multimodular is L♮-convex on the prefix sums
+# (Murota, "Note on multimodularity and L-convexity", 2005), lifted L is
+# L-convex iff its section x_n = 0 is L♮-convex (Murota 2003, ch. 7), and a
+# locally discrete midpoint convex function has a d.m.c. domain.
+_MAPPED = {
+    "domain-not-dmc": (lambda v, points: (v.domain(), points), lambda p: p, "midpoint-far", _scan_pairs),
+    "multimodular-midpoint": (
+        lambda v, points: (v.prefixed(), tuple(map(prefix_point, points))), difference_point, "midpoint", _check_lnat
+    ),
+    "l-section-midpoint": (_on_section, lambda p: p + (0,), "midpoint", _check_lnat),
+}
+
+
+def _derived(v: _View, kind: str) -> Verdict:
+    """A derived kind decided on its view of v, the witness mapped back."""
+    to_view, back, inner, recognize = _MAPPED[kind]
+    verdict = recognize(to_view(v, ())[0], inner)
+    return verdict if verdict.member else _fail(kind, map(back, verdict.witness.points))
 
 
 # ---------------------------------------------------------------------------
@@ -887,8 +881,8 @@ _RECOGNIZERS = {
     ClassLabel.MNAT_FN: partial(_check_exchange, kind="exchange-mnat-fn"),
     ClassLabel.M_SET: partial(_check_exchange, kind="exchange-m", domain=_View.projected),
     ClassLabel.M_FN: partial(_check_exchange, kind="exchange-m-fn", domain=_View.projected),
-    ClassLabel.MULTIMODULAR_SET: _check_multimodular,
-    ClassLabel.MULTIMODULAR_FN: _check_multimodular,
+    ClassLabel.MULTIMODULAR_SET: partial(_derived, kind="multimodular-midpoint"),
+    ClassLabel.MULTIMODULAR_FN: partial(_derived, kind="multimodular-midpoint"),
     ClassLabel.GLOBAL_DMC_SET: partial(_scan_pairs, kind="midpoint-far"),
     ClassLabel.GLOBAL_DMC_FN: partial(_scan_pairs, kind="midpoint-far"),
     ClassLabel.LOCAL_DMC_FN: _check_local_dmc,
@@ -931,7 +925,7 @@ def verify_witness(obj, witness: Witness) -> bool:
     with an index not an int, nor one with other counts than its kind's, nor
     one whose points or indices are not a tuple.
     """
-    kind = _MAPPED[witness.kind][1] if witness.kind in _MAPPED else witness.kind
+    kind = _MAPPED[witness.kind][2] if witness.kind in _MAPPED else witness.kind
     if kind not in _AXIOMS:
         raise ValueError(f"unknown witness kind {witness.kind!r}")
     shape = _AXIOMS[kind][:2]
@@ -953,7 +947,7 @@ def _ints(entries) -> bool:
 
 def _replay(v: _View, kind: str, points: Tuple[Point, ...], indices: Tuple[int, ...]) -> bool:
     if kind in _MAPPED:
-        to_view, inner = _MAPPED[kind]
+        to_view, _, inner, _ = _MAPPED[kind]
         mapped, points = to_view(v, points)
         return _replay(mapped, inner, points, ())
     _, _, members, violated, keep = _AXIOMS[kind]

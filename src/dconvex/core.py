@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
+from operator import add
 from typing import ClassVar, Dict, Iterable, Iterator, Mapping, Tuple
 
 from .rationals import INF, Value
@@ -41,7 +42,7 @@ class EmptyResultError(ValueError):
 
 
 def vadd(p: Point, q: Point) -> Point:
-    return tuple(a + b for a, b in zip(p, q))
+    return tuple(map(add, p, q))
 
 
 def vshift(p: Point, a: int) -> Point:

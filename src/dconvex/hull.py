@@ -78,8 +78,13 @@ def local_extension_value(obj, x: HalfPoint) -> Value:
 
     With one or two half-integral coordinates the answer has a closed form
     (x is the center of a segment or square: it needs the two endpoints, or
-    one full diagonal); the LP only runs beyond that.
+    one full diagonal); the LP only runs beyond that.  A coordinate of x
+    that is not an int or a Fraction with denominator 1 or 2 (a bool or a
+    float is neither) is a ``ValueError``.
     """
+    for i, c in enumerate(x):
+        if not (type(c) is int or (isinstance(c, Fraction) and c.denominator <= 2)):
+            raise ValueError(f"coordinate {i} of x is {c!r}, not an int or a half-integral Fraction")
     if isinstance(obj, dict):
         vals = obj
     else:

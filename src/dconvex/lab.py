@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import documents
 from .classes import (
@@ -459,20 +459,16 @@ def sample_perturbations(n: int, rng: random.Random, extra: int = 50) -> List[Tu
 
 @dataclass
 class RecordResult:
+    """A record's replay: one message per expectation, passed while all hold."""
+
     record_id: str
-    passed: bool
+    passed: bool = True
     messages: List[str] = field(default_factory=list)
 
-
-class _Checker:
-    def __init__(self, record_id: str):
-        self.result = RecordResult(record_id, True)
-
     def expect(self, ok: bool, msg: str) -> None:
-        tag = "ok" if ok else "FAIL"
-        self.result.messages.append(f"[{tag}] {msg}")
+        self.messages.append(f"[{'ok' if ok else 'FAIL'}] {msg}")
         if not ok:
-            self.result.passed = False
+            self.passed = False
 
     def expect_verdict(self, verdict: Verdict, member: bool, obj, msg: str) -> None:
         self.expect(verdict.member == member, msg)
@@ -506,7 +502,7 @@ def _build_two_param_jump_fn(alpha: Fraction, beta: Fraction) -> LatticeFn:
 
 
 def _run_ex22() -> RecordResult:
-    c = _Checker("EX2.2")
+    c = RecordResult("EX2.2")
     f = _build_two_param_jump_fn(rat(1), rat(2))
     v = check_fn(f, ClassLabel.JUMP_M_FN)
     c.expect_verdict(v, False, f, "two-parameter function (1, 2) is not jump M-convex")
@@ -530,11 +526,11 @@ def _run_ex22() -> RecordResult:
             ok = False
             break
     c.expect(ok, "every sampled perturbed argmin is a constant-parity jump system")
-    return c.result
+    return c
 
 
 def _run_ex31() -> RecordResult:
-    c = _Checker("EX3.1")
+    c = RecordResult("EX3.1")
     s = LatticeSet(1, frozenset({(0,)}))
     w = cube(2, -2, 2)
     t = split_set(s, SplitSpec((2,)), w)
@@ -557,11 +553,11 @@ def _run_ex31() -> RecordResult:
     ):
         c.expect_verdict(check_fn(g, label), False, g, f"split indicator fails {label.value}")
     c.expect(induce_fn(indicator_fn(s), net) == g, "network induction reproduces the split indicator")
-    return c.result
+    return c
 
 
 def _run_ex32() -> RecordResult:
-    c = _Checker("EX3.2")
+    c = RecordResult("EX3.2")
     s = LatticeSet(2, frozenset({(0, 0)}), lifted=True)  # the diagonal of Z^2
     c.expect(check_set(s, ClassLabel.L_SET).member, "the diagonal is L-convex")
     mat = restrict_to_window(s, cube(2, -2, 2))
@@ -573,7 +569,7 @@ def _run_ex32() -> RecordResult:
     c.expect(verify_witness(t, pinned), "shift witness (0,0,0) -> (1,1,1) replays")
     g = split_fn(indicator_fn(mat), SplitSpec((1, 2)), cube(3, -2, 2))
     c.expect_verdict(check_fn(g, ClassLabel.L_FN), False, g, "split indicator fails the L sample check")
-    return c.result
+    return c
 
 
 _IC_AGG_SET = frozenset({(0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 0), (1, 1, 0, 1)})
@@ -581,7 +577,7 @@ _IC_AGG_RESULT = frozenset({(1, 0), (0, 1), (2, 1), (1, 2)})
 
 
 def _run_ex33() -> RecordResult:
-    c = _Checker("EX3.3")
+    c = RecordResult("EX3.3")
     s = LatticeSet(4, _IC_AGG_SET)
     c.expect(check_set(s, ClassLabel.IC_SET).member, "the four-point set is integrally convex")
     c.expect(check_set(s, ClassLabel.GLOBAL_DMC_SET).member, "it is discrete midpoint convex too")
@@ -597,7 +593,7 @@ def _run_ex33() -> RecordResult:
     g = aggregate_fn(indicator_fn(s), spec)
     for label in (ClassLabel.IC_FN, ClassLabel.GLOBAL_DMC_FN, ClassLabel.LOCAL_DMC_FN):
         c.expect_verdict(check_fn(g, label), False, g, f"image indicator fails {label.value}")
-    return c.result
+    return c
 
 
 _LNAT_AGG_SET = frozenset(
@@ -613,7 +609,7 @@ _PAIRS_SPEC_6 = PartitionSpec(((0, 3), (1, 4), (2, 5)))
 
 
 def _run_ex34() -> RecordResult:
-    c = _Checker("EX3.4")
+    c = RecordResult("EX3.4")
     s = LatticeSet(6, _LNAT_AGG_SET)
     c.expect(check_set(s, ClassLabel.LNAT_SET).member, "the six-dimensional source is midpoint closed")
     t = aggregate_set(s, _PAIRS_SPEC_6)
@@ -626,7 +622,7 @@ def _run_ex34() -> RecordResult:
     c.expect(transform_set(s, net) == t, "bipartite aggregation network reproduces the image")
     g = aggregate_fn(indicator_fn(s), _PAIRS_SPEC_6)
     c.expect_verdict(check_fn(g, ClassLabel.LNAT_FN), False, g, "image indicator fails lnat-fn")
-    return c.result
+    return c
 
 
 def _lifted_pair_sum(f1, f2):
@@ -640,7 +636,7 @@ def _lifted_pair_sum(f1, f2):
 
 
 def _run_ex35() -> RecordResult:
-    c = _Checker("EX3.5")
+    c = RecordResult("EX3.5")
     s1 = LatticeSet(4, frozenset({(0, 0, 0, 0), (1, 1, 0, 0)}), lifted=True)
     s2 = LatticeSet(4, frozenset({(0, 0, 0, 0), (0, 1, 1, 0)}), lifted=True)
     c.expect(check_set(s1, ClassLabel.L_SET).member, "first factor is L-convex")
@@ -657,7 +653,7 @@ def _run_ex35() -> RecordResult:
     c.expect(verify_witness(t, pinned), "join/meet witness replays")
     g = _lifted_pair_sum(indicator_fn(s1), indicator_fn(s2))
     c.expect_verdict(check_fn(g, ClassLabel.L_FN), False, g, "image indicator fails l-fn")
-    return c.result
+    return c
 
 
 _MM_AGG_SOURCE = frozenset(
@@ -672,7 +668,7 @@ _MM_AGG_RESULT = frozenset({(0, 0, 0), (0, 1, 0), (1, 0, -1), (1, 1, -1)})
 
 
 def _run_ex36() -> RecordResult:
-    c = _Checker("EX3.6")
+    c = RecordResult("EX3.6")
     s6 = LatticeSet(6, _LNAT_AGG_SET)
     ms = difference_transform(s6)
     c.expect(ms.points == _MM_AGG_SOURCE, "difference coordinates of the midpoint-closed source")
@@ -699,11 +695,11 @@ def _run_ex36() -> RecordResult:
     c.expect(transform_set(ms, net) == t, "bipartite aggregation network reproduces the image")
     g = aggregate_fn(indicator_fn(ms), _PAIRS_SPEC_6)
     c.expect_verdict(check_fn(g, ClassLabel.MULTIMODULAR_FN), False, g, "image indicator fails multimodular-fn")
-    return c.result
+    return c
 
 
 def _run_ex_dmc_directsum() -> RecordResult:
-    c = _Checker("EX-DMC-DS")
+    c = RecordResult("EX-DMC-DS")
     s1 = LatticeSet(2, frozenset({(1, 0), (0, 1)}))
     s2 = LatticeSet(1, frozenset((t,) for t in range(-2, 3)))  # a window of Z
     c.expect(check_set(s1, ClassLabel.GLOBAL_DMC_SET).member, "two antipodal points are d.m.c.")
@@ -714,7 +710,7 @@ def _run_ex_dmc_directsum() -> RecordResult:
     c.expect_verdict(check_set(t, ClassLabel.GLOBAL_DMC_SET), False, t, "the direct sum is not d.m.c.")
     pinned = Witness("midpoint-far", ((0, 1, 0), (1, 0, 2)))
     c.expect(verify_witness(t, pinned), "pinned witness replays")
-    return c.result
+    return c
 
 
 def _dmc_quadratic_pair():
@@ -731,7 +727,7 @@ def _dmc_quadratic_pair():
 
 
 def _run_ex41() -> RecordResult:
-    c = _Checker("EX4.1")
+    c = RecordResult("EX4.1")
     f1, f2 = _dmc_quadratic_pair()
     for label in (ClassLabel.GLOBAL_DMC_FN, ClassLabel.LOCAL_DMC_FN):
         c.expect(check_fn(f1, label).member, f"the binary quadratic is {label.value}")
@@ -747,7 +743,7 @@ def _run_ex41() -> RecordResult:
         c.expect_verdict(check_fn(g, label), False, g, f"the direct sum fails {label.value}")
     c.expect(verify_witness(g, Witness("midpoint-far", (x, y))), "global witness replays")
     c.expect(verify_witness(g, Witness("midpoint-two", (x, y))), "local witness replays")
-    return c.result
+    return c
 
 
 # capacity bounds of the laminar tree: root arc, middle arc, leaf arcs
@@ -774,7 +770,7 @@ def laminar_closed_form(y: Point) -> Fraction:
 
 
 def _run_ex42() -> RecordResult:
-    c = _Checker("EX4.2")
+    c = RecordResult("EX4.2")
     net = laminar_tree_network()
     f = LatticeFn(1, {(t,): Fraction(0) for t in range(-6, 7)})
     g = induce_fn(f, net)
@@ -788,7 +784,7 @@ def _run_ex42() -> RecordResult:
         plus and minus,
         "both orientations match (the closed form is symmetric under negation)",
     )
-    return c.result
+    return c
 
 
 REGISTRY: Dict[str, CounterexampleRecord] = {
@@ -838,8 +834,24 @@ class CellSpec:
 _BOX_RECORDS = {"splitting": ("EX3.1",), "network": ("EX3.1",)}
 _DMC_RECORDS = {"splitting": ("EX3.1",), "aggregation": ("EX3.3",), "network": ("EX3.3",)}
 
-# Rows (set label, function label, display, pattern, records) that the two
-# tables share: each set class closes exactly where its function class does.
+
+class _Draws(NamedTuple):
+    """A row's trial draws: inputs in [lo, hi]^n with at most ``cap`` points,
+    split over the input's box grown by ``margin``: 2 keeps every jump
+    exchange target in the window, 1 shrinks the image (every split-closed
+    class survives intersection with a box)."""
+
+    lo: int = -2
+    hi: int = 2
+    margin: int = 2
+    cap: Optional[int] = None
+
+
+# Rows (set label, function label, display, pattern, records, draws) that
+# the two tables share: each set class closes exactly where its function
+# class does.  The integrally convex draws stay small, as their recognizers
+# solve an LP per far point pair; the multimodular ones solve none but keep
+# their small draws, since other ones would change every draw.
 _SHARED_ROWS = (
     (
         ClassLabel.IC_SET,
@@ -847,6 +859,7 @@ _SHARED_ROWS = (
         "Integrally convex",
         "YYNN",
         {"aggregation": ("EX3.3",), "network": ("EX3.3",)},
+        _Draws(0, 2, margin=1, cap=8),
     ),
     (
         ClassLabel.LNAT_SET,
@@ -854,6 +867,7 @@ _SHARED_ROWS = (
         "L-natural-convex",
         "YNNN",
         {"splitting": ("EX3.1",), "aggregation": ("EX3.4",), "network": ("EX3.1", "EX3.4")},
+        _Draws(-1, 1),
     ),
     (
         ClassLabel.L_SET,
@@ -861,102 +875,66 @@ _SHARED_ROWS = (
         "L-convex",
         "YNNN",
         {"splitting": ("EX3.2",), "aggregation": ("EX3.5",), "network": ("EX3.2", "EX3.5")},
+        _Draws(),
     ),
-    (ClassLabel.MNAT_SET, ClassLabel.MNAT_FN, "M-natural-convex", "YYYY", {}),
-    (ClassLabel.M_SET, ClassLabel.M_FN, "M-convex", "YYYY", {}),
+    (ClassLabel.MNAT_SET, ClassLabel.MNAT_FN, "M-natural-convex", "YYYY", {}, _Draws()),
+    (ClassLabel.M_SET, ClassLabel.M_FN, "M-convex", "YYYY", {}, _Draws()),
     (
         ClassLabel.MULTIMODULAR_SET,
         ClassLabel.MULTIMODULAR_FN,
         "Multimodular",
         "YYNN",
         {"aggregation": ("EX3.6",), "network": ("EX3.6",)},
+        _Draws(-1, 1, margin=1),
     ),
 )
 
+# every row of the two tables: (table, label, display, pattern, records)
+_ROWS = (
+    (1, ClassLabel.INTEGER_BOX, "Integer box", "YNYN", _BOX_RECORDS),
+    *((1, label, display, pattern, records) for label, _, display, pattern, records, _ in _SHARED_ROWS),
+    (1, ClassLabel.GLOBAL_DMC_SET, "Disc. midpoint convex", "NNNN", {"direct-sum": ("EX-DMC-DS",), **_DMC_RECORDS}),
+    (1, ClassLabel.SIMULT_EXCH_JUMP, "Simult. exch. jump", "YYYY", {}),
+    (1, ClassLabel.CONST_PARITY_JUMP, "Const-parity jump", "YYYY", {}),
+    (2, ClassLabel.SEPARABLE_CONVEX, "Separable convex", "YNYN", _BOX_RECORDS),
+    *((2, label, display, pattern, records) for _, label, display, pattern, records, _ in _SHARED_ROWS),
+    (2, ClassLabel.GLOBAL_DMC_FN, "Globally d.m.c.", "NNNN", {"direct-sum": ("EX4.1",), **_DMC_RECORDS}),
+    (2, ClassLabel.LOCAL_DMC_FN, "Locally d.m.c.", "NNNN", {"direct-sum": ("EX4.1",), **_DMC_RECORDS}),
+    (2, ClassLabel.JUMP_MNAT_FN, "Jump M-natural-convex", "YYYY", {}),
+    (2, ClassLabel.JUMP_M_FN, "Jump M-convex", "YYYY", {}),
+)
 
-def _rows_table1():
-    return (
-        (ClassLabel.INTEGER_BOX, "Integer box", "YNYN", _BOX_RECORDS),
-        *((label, display, pattern, records) for label, _, display, pattern, records in _SHARED_ROWS),
-        (ClassLabel.GLOBAL_DMC_SET, "Disc. midpoint convex", "NNNN", {"direct-sum": ("EX-DMC-DS",), **_DMC_RECORDS}),
-        (ClassLabel.SIMULT_EXCH_JUMP, "Simult. exch. jump", "YYYY", {}),
-        (ClassLabel.CONST_PARITY_JUMP, "Const-parity jump", "YYYY", {}),
-    )
-
-
-def _rows_table2():
-    return (
-        (ClassLabel.SEPARABLE_CONVEX, "Separable convex", "YNYN", _BOX_RECORDS),
-        *((label, display, pattern, records) for _, label, display, pattern, records in _SHARED_ROWS),
-        (ClassLabel.GLOBAL_DMC_FN, "Globally d.m.c.", "NNNN", {"direct-sum": ("EX4.1",), **_DMC_RECORDS}),
-        (ClassLabel.LOCAL_DMC_FN, "Locally d.m.c.", "NNNN", {"direct-sum": ("EX4.1",), **_DMC_RECORDS}),
-        (ClassLabel.JUMP_MNAT_FN, "Jump M-natural-convex", "YYYY", {}),
-        (ClassLabel.JUMP_M_FN, "Jump M-convex", "YYYY", {}),
-    )
+# each row label's draws; a row outside ``_SHARED_ROWS`` takes the default
+_DRAWS = {label: draws for s, f, _, _, _, draws in _SHARED_ROWS for label in (s, f)}
 
 
 def matrix_cells() -> List[CellSpec]:
-    cells = []
-    for table, rows in ((1, _rows_table1()), (2, _rows_table2())):
-        for label, display, pattern, records in rows:
-            for op, expected in zip(OPS, pattern):
-                cells.append(
-                    CellSpec(table, label, display, op, expected, tuple(records.get(op, ())))
-                )
-    return cells
+    return [
+        CellSpec(table, label, display, op, expected, tuple(records.get(op, ())))
+        for table, label, display, pattern, records in _ROWS
+        for op, expected in zip(OPS, pattern)
+    ]
 
-
-# rows whose trials stay small: the integrally convex recognizers solve an
-# LP per far point pair; the multimodular ones solve none (a midpoint scan
-# on prefix sums) but keep the small windows and margin, since other ones
-# would change every draw
-_SMALL_ROWS = {
-    ClassLabel.IC_SET,
-    ClassLabel.IC_FN,
-    ClassLabel.MULTIMODULAR_SET,
-    ClassLabel.MULTIMODULAR_FN,
-}
-
-_TRIAL_SIZE_CAP = {
-    ClassLabel.IC_SET: 8,
-    ClassLabel.IC_FN: 8,
-}
 
 _SPLIT_INPUT_CAP = 10
 _SPLIT_RESULT_CAP = 90
 
 
-def _trial_window(row: ClassLabel, n: int) -> Window:
-    if row in (ClassLabel.IC_SET, ClassLabel.IC_FN):
-        return cube(n, 0, 2)
-    if row in _SMALL_ROWS or row in (ClassLabel.LNAT_SET, ClassLabel.LNAT_FN):
-        return cube(n, -1, 1)
-    return cube(n, -2, 2)
-
-
-def _trial_margin(row: ClassLabel) -> int:
-    # jump rows keep margin 2 so every exchange target stays in the window;
-    # the small rows shrink the split image instead (still sound: all the
-    # split-closed classes survive intersection with a box)
-    return 1 if row in _SMALL_ROWS else 2
-
-
 def _draw_input(row: ClassLabel, rng: random.Random, n: int, cap: Optional[int] = None):
-    if cap is None:
-        cap = _TRIAL_SIZE_CAP.get(row)
-    return draw(row, rng, n, _trial_window(row, n), size_cap=cap)
+    """A trial input from the row's draws, with at most ``cap`` points too."""
+    lo, hi, _, own = _DRAWS.get(row, _Draws())
+    caps = [c for c in (cap, own) if c is not None]
+    return draw(row, rng, n, cube(n, lo, hi), size_cap=min(caps, default=None))
 
 
 def _split_trial_result(row, rng, n, max_dim):
     """Split a drawn instance, re-drawing a few times when the image blows
     up; size is a property of the chosen instance, not of its verdict, so
     this keeps trials cheap without biasing them."""
-    res = None
-    cap = min(_SPLIT_INPUT_CAP, _TRIAL_SIZE_CAP.get(row, _SPLIT_INPUT_CAP))
     for _ in range(8):
-        obj = _draw_input(row, rng, n, cap=cap)
+        obj = _draw_input(row, rng, n, _SPLIT_INPUT_CAP)
         spec = _random_blocks(rng, n, max_dim)
-        res = split_fn(obj, spec, _split_window(obj, spec, _trial_margin(row)))
+        res = split_fn(obj, spec, _split_window(obj, spec, _DRAWS.get(row, _Draws()).margin))
         if len(res) <= _SPLIT_RESULT_CAP:
             break
     return res

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
+from operator import sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from dconvex.classes import ClassLabel, Verdict, Witness, _View
@@ -96,7 +97,7 @@ def unit(n: int, i: int) -> Point:
 
 
 def vsub(p: Point, q: Point) -> Point:
-    return tuple(a - b for a, b in zip(p, q))
+    return tuple(map(sub, p, q))
 
 
 @lru_cache(maxsize=None)

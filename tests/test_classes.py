@@ -361,6 +361,20 @@ def test_a_thousand_point_box_function_is_decided_locally(pair_scans):
     assert check(g, ClassLabel.MNAT_FN) == check_family(g, ClassLabel.MNAT_FN)
 
 
+def test_one_coding_reads_narrow_coordinates_locally(pair_scans):
+    # a view codes its points once, over the difference box grown by the
+    # reach, so a point x + d of the local route has its own code even
+    # where a coordinate is narrower than the reach; over the bare
+    # difference box it would share a stored point's code and turn a
+    # member down
+    for hi in ((15, 15, 1), (20, 12, 1), (1, 20, 12), (12, 1, 20)):
+        box = Window((0, 0, 0), hi)
+        vals = {p: sum((c - w // 2) ** 2 + k * c for k, (c, w) in enumerate(zip(p, hi))) for p in box.points()}
+        f = LatticeFn(3, vals)
+        for label in (ClassLabel.LNAT_FN, ClassLabel.MNAT_FN):
+            assert check(f, label) == Verdict(True) and not pair_scans, (hi, label)
+
+
 def test_negative_witnesses_always_replay():
     rng = random.Random(2024)
     labels = SET_LABELS_NO_L

@@ -48,6 +48,22 @@ def test_local_extension_examples():
     assert local_extension_value(g, hp(F(1, 2), 0)) == INF
 
 
+def test_points_off_the_half_integers_are_rejected():
+    # only a half-integral coordinate gets a row of the LP, so a third, a
+    # float, a string or a bool would be read wrongly or fail late
+    s = LatticeSet.of([(0, 0), (1, 1)])
+    f = LatticeFn.of({(0, 0): F(1), (1, 1): F(3)})
+    cases = [((F(1, 3), F(2, 3)), 0), ((F(1, 2), F(1, 3)), 1), ((0.5, 0.5), 0), ((0, "1/2"), 1), ((True, 0), 0)]
+    for x, bad in cases:
+        for call, obj in ((in_local_hull, s), (local_extension_value, f)):
+            with pytest.raises(ValueError, match=f"coordinate {bad} of x"):
+                call(obj, x)
+    # ints and Fractions with denominator 1 or 2 are read as before
+    assert in_local_hull(s, (F(1, 2), F(1, 2))) and in_local_hull(s, (1, F(2, 2)))
+    assert local_extension_value(f, (F(1, 2), F(1, 2))) == 2
+    assert local_extension_value(f, (0, F(0))) == 1
+
+
 def test_extension_at_integer_points_equals_value():
     f = LatticeFn.of({(0, 0): F(3, 2), (1, 0): 2})
     assert local_extension_value(f, hp(0, 0)) == F(3, 2)
