@@ -35,9 +35,9 @@ weight on both sides (the hull axiom compares twice the local extension,
 itself such a sum, with a sum of two values), so one positive factor
 cancels, and witnesses carry points, not values.  The
 points on the two sides have equal sums too, so the linear x -> ramp * x_n
-cancels, and a lifted function is read without its ramp.  A scan also
-memoizes the local extension by x + y, so each distinct half-integral
-midpoint (x + y)/2 is solved once per check.
+cancels, and a lifted function is read without its ramp.  The hull axiom
+reads ``hull.twice_extension`` on the int total x + y through the view's
+getter, memoized by x + y, so once per distinct midpoint in a check.
 
 Every pair axiom is one shape, ``_Pair``: a move of the pair's difference
 and a predicate that reads int codes.  The exchange (M♮, M) and jump axioms
@@ -108,9 +108,8 @@ from .core import (
     value_map,
     vshift,
 )
-# in_local_hull is unused here but stays importable from this module
-from .hull import in_local_hull, local_extension_value, neighborhood
-from .rationals import is_finite
+# in_local_hull and local_extension_value are unused here but stay importable from this module
+from .hull import in_local_hull, local_extension_value, twice_extension
 
 
 class ClassLabel(str, Enum):
@@ -334,21 +333,6 @@ class _View:
             return _View(self.dim, {}, get=lambda z: self.get(difference_point(z)))
         return _View(self.dim, {prefix_point(p): v for p, v in self.vals.items()})
 
-    def extension(self, total: Point):
-        """Twice the local extension at total / 2, None meaning +infinity.
-        A lifted object is read on the integral neighborhood of the midpoint
-        only."""
-        half = tuple(Fraction(c, 2) for c in total)
-        vals = self.vals
-        if self.lifted:
-            vals = {p: v for p in neighborhood(half) if (v := self.get(p)) is not None}
-        ext = local_extension_value(vals, half)
-        if not is_finite(ext):
-            return None
-        twice = 2 * ext
-        # an int when it is one, so that every pair compares it in ints
-        return twice.numerator if twice.denominator == 1 else twice
-
 
 # ---------------------------------------------------------------------------
 # the axioms
@@ -438,9 +422,10 @@ def _values(v: _View, codes: _Codes, get):
 def _extensions(v: _View, codes: _Codes, get) -> _Memo:
     """Twice the local extension at (x + y)/2 by cx + cy, which identifies
     x + y over a difference box (its digits, those of x + y - 2 lo, lie in
-    [0, 2 w_i]): solved on a miss, from x + y decoded, so once per distinct
-    x + y in one scan or replay."""
-    return _Memo(lambda key: v.extension(vadd(codes.point(key), codes.lo)))
+    [0, 2 w_i]): solved on a miss by ``hull.twice_extension`` on x + y
+    decoded, through the view's getter (a lifted view is read along 1), so
+    once per distinct x + y in one scan or replay."""
+    return _Memo(lambda key: twice_extension(v.get, vadd(codes.point(key), codes.lo)))
 
 
 def _halves(d: Point):
@@ -850,7 +835,7 @@ def _on_section(v: _View, points: Tuple[Point, ...]):
 # L-convex iff its section x_n = 0 is L♮-convex (Murota 2003, ch. 7), and a
 # locally discrete midpoint convex function has a d.m.c. domain.
 _MAPPED = {
-    "domain-not-dmc": (lambda v, points: (v.domain(), points), lambda p: p, "midpoint-far", _scan_pairs),
+    "domain-not-dmc": (lambda v, points: (v.domain(), points), lambda p: p, "midpoint-far", lambda *a: _scan_pairs(*a)),
     "multimodular-midpoint": (
         lambda v, points: (v.prefixed(), tuple(map(prefix_point, points))), difference_point, "midpoint", _check_lnat
     ),
@@ -868,11 +853,13 @@ def _derived(v: _View, kind: str) -> Verdict:
 # ---------------------------------------------------------------------------
 # public entry points
 
+# a recognizer, like a map entry above, reads ``_scan_pairs`` when it is
+# called, so the one scanner can be watched in place
 _RECOGNIZERS = {
     ClassLabel.INTEGER_BOX: _scan_box,
     ClassLabel.SEPARABLE_CONVEX: _check_separable,
-    ClassLabel.IC_SET: partial(_scan_pairs, kind="hull-midpoint"),
-    ClassLabel.IC_FN: partial(_scan_pairs, kind="hull-midpoint"),
+    ClassLabel.IC_SET: lambda v: _scan_pairs(v, "hull-midpoint"),
+    ClassLabel.IC_FN: lambda v: _scan_pairs(v, "hull-midpoint"),
     ClassLabel.LNAT_SET: _check_lnat,
     ClassLabel.LNAT_FN: _check_lnat,
     ClassLabel.L_SET: _check_l,
@@ -883,14 +870,14 @@ _RECOGNIZERS = {
     ClassLabel.M_FN: partial(_check_exchange, kind="exchange-m-fn", domain=_View.projected),
     ClassLabel.MULTIMODULAR_SET: partial(_derived, kind="multimodular-midpoint"),
     ClassLabel.MULTIMODULAR_FN: partial(_derived, kind="multimodular-midpoint"),
-    ClassLabel.GLOBAL_DMC_SET: partial(_scan_pairs, kind="midpoint-far"),
-    ClassLabel.GLOBAL_DMC_FN: partial(_scan_pairs, kind="midpoint-far"),
+    ClassLabel.GLOBAL_DMC_SET: lambda v: _scan_pairs(v, "midpoint-far"),
+    ClassLabel.GLOBAL_DMC_FN: lambda v: _scan_pairs(v, "midpoint-far"),
     ClassLabel.LOCAL_DMC_FN: _check_local_dmc,
-    ClassLabel.JUMP_SYSTEM: partial(_scan_pairs, kind="jump-2step"),
-    ClassLabel.CONST_PARITY_JUMP: partial(_scan_pairs, kind="jump-exc"),
-    ClassLabel.SIMULT_EXCH_JUMP: partial(_scan_pairs, kind="jump-exc-nat"),
-    ClassLabel.JUMP_M_FN: partial(_scan_pairs, kind="jump-m-fn"),
-    ClassLabel.JUMP_MNAT_FN: partial(_scan_pairs, kind="jump-mnat-fn"),
+    ClassLabel.JUMP_SYSTEM: lambda v: _scan_pairs(v, "jump-2step"),
+    ClassLabel.CONST_PARITY_JUMP: lambda v: _scan_pairs(v, "jump-exc"),
+    ClassLabel.SIMULT_EXCH_JUMP: lambda v: _scan_pairs(v, "jump-exc-nat"),
+    ClassLabel.JUMP_M_FN: lambda v: _scan_pairs(v, "jump-m-fn"),
+    ClassLabel.JUMP_MNAT_FN: lambda v: _scan_pairs(v, "jump-mnat-fn"),
 }
 
 

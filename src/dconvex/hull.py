@@ -1,24 +1,18 @@
 """Local convex hulls at half-integral points.
 
-The integral neighborhood of x collects the integer points within open unit
-distance of x in every coordinate, i.e. the floor/ceiling box around x.  The
+The integral neighborhood of x is the floor/ceiling box around x, and the
 local convex extension of a function at x is the cheapest convex combination
-of neighborhood points hitting x.  It is the one routine here: a set is read
-as its indicator function (``core.value_map``), so x lies in the set's local
-hull exactly when the indicator's local extension is finite there.  It is
-decided exactly by the integer-tableau simplex (``simplex``), with closed
-forms for one or two half-integral coordinates; the LP's equality system is
-all ints, its coordinate rows and x doubled, with a row for each
-half-integral coordinate only.  An independent brute-force
-route that enumerates basic solutions on its own Fraction system is kept in
-the tests (``tests/hull_oracle.py``) for cross-checking.
-
-Besides a set or a finite function, the routine takes a finite function's
-value map: the recognizers (``classes``) pass their values scaled to plain
-ints, or for a lifted object the values on the integral neighborhood of x
-alone, and memoize the answer per midpoint for the length of one check, so
-the LP gets int costs, which it uses as they are, and runs once per
-distinct half-integral midpoint.
+of neighborhood points hitting x.  One kernel, :func:`twice_extension`,
+computes it on the doubled point, all ints: twice the extension at total / 2
+of the function a getter reads, whose half-integral coordinates are the odd
+ones of the total.  It has closed forms for one or two of them and beyond
+that runs the integer-tableau simplex (``simplex``) on an int system.  A set
+reads as its indicator (``core.value_map``), so x lies in its local hull
+exactly when the extension is finite there.  The recognizers (``classes``)
+call the kernel with their getter of scaled int values and x + y; the
+public functions check their input and call it on 2x.  A brute-force
+route on its own Fraction system is kept in the tests
+(``tests/hull_oracle.py``) for cross-checking.
 """
 
 from __future__ import annotations
@@ -26,17 +20,13 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
-from .core import LatticeSet, LiftedInputError, Point, value_map
+from .core import LatticeFn, LatticeSet, LiftedInputError, Point, value_map
 from .rationals import INF, Value, is_finite
 from .simplex import OPTIMAL, solve_lp
 
 HalfPoint = Tuple[Fraction, ...]
-
-
-def is_integral(x: HalfPoint) -> bool:
-    return all(c.denominator == 1 for c in x)
 
 
 def neighborhood(x: HalfPoint) -> List[Point]:
@@ -47,20 +37,42 @@ def neighborhood(x: HalfPoint) -> List[Point]:
     return sorted(itertools.product(*(range(math.floor(c), math.ceil(c) + 1) for c in x)))
 
 
-def _combination_system(candidates: Sequence[Point], x: HalfPoint, axes: Sequence[int]):
-    """Equality system for convex combinations of candidates hitting x, in
-    ints: the coordinate rows and x are doubled, as x is half-integral.
-    Only the half-integral coordinates ``axes`` get a row: on an integral
-    one every candidate equals x, so its row would be a multiple of the
-    row of ones."""
-    rows = [[2 * p[i] for p in candidates] for i in axes]
-    rows.append([1] * len(candidates))
-    rhs = [int(2 * x[i]) for i in axes] + [1]
-    return rows, rhs
-
-
 # the two diagonals of a square, as pairs of corners (1: the ceiling side)
 _DIAGONALS = (((0, 0), (1, 1)), ((0, 1), (1, 0)))
+
+
+def twice_extension(get: Callable[[Point], Optional[Value]], total: Point) -> Optional[Value]:
+    """Twice the local convex extension at total / 2 of the function that
+    ``get`` reads, None meaning +infinity both ways.  The neighborhood is
+    total_i // 2, and also total_i // 2 + 1 for an odd total_i, in every
+    coordinate, in lexicographic order.  One or two odd coordinates give a
+    closed form (total / 2 is the center of a segment or square: it needs
+    the two endpoints, or one full diagonal); the LP runs beyond that, and
+    its doubled value is an int when it is one, as pairs compare in ints.
+    """
+    box = itertools.product(*(range(t // 2, (t + 1) // 2 + 1) for t in total))
+    found = [(p, f) for p in box if (f := get(p)) is not None]
+    if not found:
+        return None
+    axes = [i for i, t in enumerate(total) if t & 1]
+    if not axes:
+        return 2 * found[0][1]
+    if len(axes) == 1:
+        return found[0][1] + found[1][1] if len(found) == 2 else None
+    if len(axes) == 2:
+        # any feasible combination is a blend of the two diagonals, and the
+        # minimum is attained on one of them
+        corner = {tuple(p[i] - total[i] // 2 for i in axes): f for p, f in found}
+        sums = [corner[a] + corner[b] for a, b in _DIAGONALS if a in corner and b in corner]
+        return min(sums) if sums else None
+    # on an integral coordinate every candidate equals x, so its row would
+    # be a multiple of the row of ones
+    rows = [[2 * p[i] for p, _ in found] for i in axes] + [[1] * len(found)]
+    status, _, value = solve_lp(rows, [total[i] for i in axes] + [1], [f for _, f in found])
+    if status != OPTIMAL:
+        return None
+    twice = 2 * value
+    return twice.numerator if twice.denominator == 1 else twice
 
 
 def in_local_hull(s: LatticeSet, x: HalfPoint) -> bool:
@@ -73,40 +85,19 @@ def local_extension_value(obj, x: HalfPoint) -> Value:
     """Minimum of sum(lambda_v * f(v)) over convex combinations of
     neighborhood points v hitting x; +infinity when no combination exists.
     A set is read as its indicator: 0 inside its local hull, +infinity
-    outside.  ``obj`` may also be a finite function's value map (a dict of
-    points to values), as the recognizers pass their scaled int values.
-
-    With one or two half-integral coordinates the answer has a closed form
-    (x is the center of a segment or square: it needs the two endpoints, or
-    one full diagonal); the LP only runs beyond that.  A coordinate of x
-    that is not an int or a Fraction with denominator 1 or 2 (a bool or a
-    float is neither) is a ``ValueError``.
+    outside.  Anything but a finite ``LatticeSet`` or ``LatticeFn`` (its type
+    named), an x of another dimension, or a coordinate of x that is not an
+    int or a Fraction with denominator 1 or 2 (a bool or a float is
+    neither) is a ``ValueError``.
     """
+    if not isinstance(obj, (LatticeSet, LatticeFn)):
+        raise ValueError(f"cannot take the local extension of a {type(obj).__name__}")
+    if obj.lifted:
+        raise LiftedInputError("local extension needs a finite object")
+    if len(x) != obj.dim:
+        raise ValueError("dimension mismatch")
     for i, c in enumerate(x):
         if not (type(c) is int or (isinstance(c, Fraction) and c.denominator <= 2)):
             raise ValueError(f"coordinate {i} of x is {c!r}, not an int or a half-integral Fraction")
-    if isinstance(obj, dict):
-        vals = obj
-    else:
-        if obj.lifted:
-            raise LiftedInputError("local extension needs a finite object")
-        if len(x) != obj.dim:
-            raise ValueError("dimension mismatch")
-        vals = value_map(obj)
-    if is_integral(x):
-        return vals.get(tuple(int(c) for c in x), INF)
-    candidates = [p for p in neighborhood(x) if p in vals]
-    if not candidates:
-        return INF
-    axes = [i for i, c in enumerate(x) if c.denominator == 2]
-    if len(axes) == 1:
-        return Fraction(vals[candidates[0]] + vals[candidates[1]], 2) if len(candidates) == 2 else INF
-    if len(axes) == 2:
-        # any feasible combination is a blend of the two diagonals, and the
-        # minimum is attained on one of them
-        corner = {tuple(int(p[i] > x[i]) for i in axes): vals[p] for p in candidates}
-        sums = [corner[a] + corner[b] for a, b in _DIAGONALS if a in corner and b in corner]
-        return Fraction(min(sums), 2) if sums else INF
-    rows, rhs = _combination_system(candidates, x, axes)
-    status, _, value = solve_lp(rows, rhs, [vals[p] for p in candidates])
-    return value if status == OPTIMAL else INF
+    twice = twice_extension(value_map(obj).get, tuple(int(2 * c) for c in x))
+    return INF if twice is None else Fraction(twice, 2)

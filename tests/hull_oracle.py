@@ -4,18 +4,30 @@ x lies in conv(V) iff it lies in the convex hull of some affinely
 independent subset of V with at most n+1 points, so enumerating subsets and
 solving each square-ish system exactly is a complete (if slow) decision
 procedure, independent of the simplex behind ``dconvex.hull`` and of the
-equality system it hands that simplex.
+equality system it hands that simplex.  It reads the neighborhood and
+integrality of x with its own helpers, not the library's.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from dconvex.core import LatticeFn, LatticeSet, LiftedInputError, Point
-from dconvex.hull import HalfPoint, is_integral, neighborhood
 from dconvex.rationals import INF, Value
+
+HalfPoint = Tuple[Fraction, ...]
+
+
+def is_integral(x: HalfPoint) -> bool:
+    return all(Fraction(c).denominator == 1 for c in x)
+
+
+def neighborhood(x: HalfPoint) -> List[Point]:
+    """The integer points z with floor(x_i) <= z_i <= ceil(x_i)."""
+    return list(itertools.product(*(range(math.floor(c), math.ceil(c) + 1) for c in x)))
 
 
 def solve_exact_linear(

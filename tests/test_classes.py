@@ -346,6 +346,39 @@ def test_size_rules_pin_both_sides(pair_scans):
     assert not scans(LatticeSet.of([(0, 0, 0)]), ClassLabel.LNAT_SET)
 
 
+def test_the_fixture_sees_every_pair_scan(pair_scans):
+    # the kinds each set label scans on the unit square, a member of every
+    # label but M and constant parity, and on the square without its top,
+    # which is not L♮, so L♮ scans for its witness, and which M♮ scans as
+    # it lies below the domain test's size rule; a label that scans nothing
+    # decides without the pair scan
+    square = LatticeSet(2, frozenset(cube(2, 0, 1).points()))
+    bent = LatticeSet(2, square.points - {(1, 1)})
+    always = {
+        ClassLabel.IC_SET: "hull-midpoint",
+        ClassLabel.GLOBAL_DMC_SET: "midpoint-far",
+        ClassLabel.JUMP_SYSTEM: "jump-2step",
+        ClassLabel.CONST_PARITY_JUMP: "jump-exc",
+        ClassLabel.SIMULT_EXCH_JUMP: "jump-exc-nat",
+        ClassLabel.L_SET: "submodular",
+        ClassLabel.M_SET: "exchange-m",
+    }
+    for obj, scanned in (
+        (square, always),
+        (bent, {**always, ClassLabel.LNAT_SET: "midpoint", ClassLabel.MNAT_SET: "exchange-mnat"}),
+    ):
+        for label in sorted(SET_LABELS_NO_L + [ClassLabel.L_SET]):
+            del pair_scans[:]
+            check(obj, label)
+            want = [scanned[label]] if label in scanned else []
+            assert [kind for _, kind in pair_scans] == want, (sorted(obj.points), label)
+    # a locally d.m.c. function scans its domain, then its pairs at l-inf
+    # distance 2
+    del pair_scans[:]
+    assert check(indicator_fn(square), ClassLabel.LOCAL_DMC_FN).member
+    assert [kind for _, kind in pair_scans] == ["midpoint-far", "midpoint-two"]
+
+
 def test_a_thousand_point_box_function_is_decided_locally(pair_scans):
     box = list(cube(3, 0, 9).points())
     f = LatticeFn(3, {p: sum(c * c for c in p) for p in box})

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from dconvex.core import LatticeFn, LatticeSet, cube, indicator_fn
-from dconvex.hull import in_local_hull, local_extension_value, neighborhood
+from dconvex.hull import in_local_hull, local_extension_value, neighborhood, twice_extension
 from dconvex.rationals import INF
 from dconvex.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 from hull_oracle import in_local_hull_bruteforce, local_extension_value_bruteforce
@@ -14,6 +14,17 @@ F = Fraction
 
 def hp(*coords):
     return tuple(F(c) for c in coords)
+
+
+def doubled(x):
+    """2x, the total the kernel reads."""
+    return tuple(int(2 * c) for c in x)
+
+
+def twice(value, scale=1):
+    """Twice an extension value of a function scaled by ``scale``, as the
+    kernel returns it: None for +infinity."""
+    return None if value is INF else 2 * scale * value
 
 
 def test_neighborhood_examples():
@@ -97,9 +108,10 @@ def test_extension_value_agrees_with_bruteforce():
         vals = {p: F(rng.randint(-4, 4), rng.choice((1, 2))) for p in s.points}
         f = LatticeFn(n, vals)
         assert local_extension_value(f, x) == local_extension_value_bruteforce(f, x)
-        # the value map alone, as the recognizers pass it, scaled to ints
+        # the kernel on a getter of values scaled to ints, as the recognizers
+        # call it
         scaled = {p: int(6 * v) for p, v in vals.items()}
-        assert local_extension_value(scaled, x) == 6 * local_extension_value(f, x)
+        assert twice_extension(scaled.get, doubled(x)) == twice(local_extension_value(f, x), 6)
 
 
 def test_simplex_basic():
@@ -243,9 +255,52 @@ def test_extension_value_agrees_with_bruteforce_up_to_six_dimensions():
             vals = {p: rng.randint(-5, 5) for p in pts}
         want = local_extension_value_bruteforce(LatticeFn(n, vals), x)
         assert local_extension_value(LatticeFn(n, vals), x) == want
-        assert local_extension_value(vals, x) == want
+        assert twice_extension(vals.get, doubled(x)) == twice(want)
         infinite += want is INF
     assert 40 <= infinite <= 160
+
+
+def test_only_finite_sets_and_functions_are_read():
+    # a value map, a list or None is no input, whatever x is; the error
+    # names the type, as ``check`` does
+    x = (F(1, 2), F(1, 2))
+    for obj in ({(0, 0): 1, (1, 1): 3}, [(0, 0), (1, 1)], None):
+        for call in (in_local_hull, local_extension_value):
+            for point in (x, x[:1], x + (0,)):
+                with pytest.raises(ValueError, match=type(obj).__name__):
+                    call(obj, point)
+    # an x of the wrong length is an error for a set and a function alike
+    for obj in (LatticeSet.of([(0, 0), (1, 1)]), LatticeFn.of({(0, 0): 1, (1, 1): 3})):
+        for call in (in_local_hull, local_extension_value):
+            for point in (x[:1], x + (0,), ()):
+                with pytest.raises(ValueError, match="dimension"):
+                    call(obj, point)
+
+
+def test_kernel_reads_the_doubled_point():
+    # ints in, ints out: twice the extension at total / 2, None for +inf
+    vals = {(0, 0): 1, (1, 0): 2, (0, 1): 4, (1, 1): 3, (2, 1): 8}
+    get = vals.get
+    assert twice_extension(get, (2, 2)) == 6 and type(twice_extension(get, (2, 2))) is int
+    assert twice_extension(get, (4, 4)) is None
+    # one half-integral axis: the two endpoints, each read once
+    assert twice_extension(get, (1, 0)) == 3 and twice_extension(get, (3, 2)) == 11
+    assert twice_extension(get, (1, 4)) is None
+    # two: the cheaper full diagonal, corners counted from total // 2
+    assert twice_extension(get, (1, 1)) == 4
+    assert twice_extension(get, (3, 1)) == 10  # the diagonal (1, 0), (2, 1) alone is full
+    assert twice_extension(get, (-1, 1)) is None
+    # three: the LP, whose right-hand side is the total
+    cube_vals = {p: sum(p) + 2 * p[0] * p[1] for p in cube(3, 0, 1).points()}
+    want = local_extension_value_bruteforce(LatticeFn(3, cube_vals), hp(F(1, 2), F(1, 2), F(1, 2)))
+    assert twice_extension(cube_vals.get, (1, 1, 1)) == twice(want)
+    shifted = {tuple(c + 3 for c in p): v for p, v in cube_vals.items()}
+    assert twice_extension(shifted.get, (7, 7, 7)) == twice(want)
+    # the kernel reads every point through the getter, so a lifted object
+    # is read along 1: the square's midpoint meets the stored diagonal
+    lifted = {(0, 0): 0, (1, 0): 5}
+    along = lambda p: lifted.get((p[0] - p[1], 0))
+    assert twice_extension(along, (1, 1)) == 0 and twice_extension(lifted.get, (1, 1)) is None
 
 
 def test_lifted_inputs_rejected():
