@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from typing import Optional
 
@@ -58,12 +57,10 @@ def _load(path: str, kinds: tuple) -> object:
 
 
 def _emit(obj, out: Optional[str]) -> None:
-    text = documents.to_text(obj)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        documents.dump(obj, out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(documents.to_text(obj))
 
 
 def _cmd_check(args) -> int:
@@ -125,8 +122,7 @@ def _cmd_matrix(args) -> int:
     report = lab.run_closure_matrix(args.trials, args.seed, args.max_dim)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report.to_payload(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(documents.json_text(report.to_payload()))
     sys.stdout.write(report.render_text())
     return 0 if report.passed else 1
 

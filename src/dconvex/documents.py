@@ -6,6 +6,12 @@ Rationals are serialized as 'p' or 'p/q' strings and +infinity as the
 literal string 'inf'; points are integer arrays.  Dimensions are stated
 redundantly and validated on parse so counterexamples are shareable,
 replayable artifacts.
+
+The written bytes are a contract: 2-space indent, keys sorted, non-ASCII
+escaped as \\uXXXX, one trailing newline -- exactly
+``json.dumps(to_document(obj), indent=2, sort_keys=True) + "\\n"``.  The
+writer does not call that (its indented mode is pure Python); a change to
+the writer must keep these bytes.
 """
 
 from __future__ import annotations
@@ -158,17 +164,22 @@ def _built(make, *args):
 def from_document(doc: Dict[str, Any]) -> Any:
     """The object a document describes.  A missing field or a value of the
     wrong JSON shape raises DocumentError naming the field, and so does a
-    function entry or arc cost entry that repeats a point or abscissa; an
-    arc or network that fails its own validation raises one with that
-    message."""
+    set point, function entry or arc cost entry that repeats a point or
+    abscissa; an arc or network that fails its own validation raises one
+    with that message."""
     _require(isinstance(doc, dict), "document must be a JSON object")
     _require(doc.get("version") == VERSION, f"unsupported document version {doc.get('version')!r}")
     kind = doc.get("kind")
 
     if kind == "set":
         dim = _int(_field(doc, "dim"), "dim")
-        pts = [_ints(p, "point") for p in _field(doc, "points", list)]
-        _require(all(len(p) == dim for p in pts), "point dimension disagrees with dim")
+        pts = set()
+        for p in _field(doc, "points", list):
+            p = _ints(p, "point")
+            _require(len(p) == dim, "point dimension disagrees with dim")
+            if p in pts:
+                raise DocumentError(f"points repeat the point {list(p)}")
+            pts.add(p)
         return LatticeSet(dim, frozenset(pts), _lifted(doc))
 
     if kind == "fn":
@@ -177,7 +188,8 @@ def from_document(doc: Dict[str, Any]) -> Any:
         for e in _objects(_field(doc, "entries", list), "entry"):
             p = _ints(_field(e, "x", list, "entries"), "point")
             _require(len(p) == dim, "point dimension disagrees with dim")
-            _require(p not in vals, f"entries repeat the point {list(p)}")
+            if p in vals:
+                raise DocumentError(f"entries repeat the point {list(p)}")
             vals[p] = _finite(_field(e, "v", str, "entries"), "stored function value")
         ramp = _finite(_field(doc, "ramp", str, default="0"), "ramp")
         lifted = _lifted(doc)
@@ -211,7 +223,8 @@ def from_document(doc: Dict[str, Any]) -> Any:
                 table = {}
                 for entry in _objects(cost_doc, "cost entry"):
                     t = _int(_field(entry, "t", where="arcs.cost"), "cost abscissa")
-                    _require(t not in table, f"arc {tail}->{head} cost repeats the abscissa {t}")
+                    if t in table:
+                        raise DocumentError(f"arc {tail}->{head} cost repeats the abscissa {t}")
                     table[t] = _finite(_field(entry, "v", str, "arcs.cost"), "arc cost value")
                 cost = ArcCost.from_table(table)
             arcs.append(_built(Arc, tail, head, lower, upper, cost))
@@ -224,8 +237,63 @@ def from_document(doc: Dict[str, Any]) -> Any:
     raise DocumentError(f"unknown document kind {kind!r}")
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _text(v: Any, pad: str) -> str:
+    """v written at indent pad in the format of the module docstring: tuples
+    as arrays, strings through json's ASCII escaper, any other scalar
+    through json.dumps itself."""
+    if isinstance(v, str):
+        return _quote(v)
+    inner = pad + "  "
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        fields = [
+            inner + _quote(k if isinstance(k, str) else json.dumps(k)) + ": " + _text(v[k], inner)
+            for k in sorted(v)
+        ]
+        return "{\n" + ",\n".join(fields) + "\n" + pad + "}"
+    if isinstance(v, (list, tuple)):
+        return _array([inner + _text(e, inner) for e in v], pad)
+    return json.dumps(v)
+
+
+def _array(rows: list, pad: str) -> str:
+    """The array of the written elements rows, closed at indent pad."""
+    return "[\n" + ",\n".join(rows) + "\n" + pad + "]" if rows else "[]"
+
+
+def _vector(dim: int, pad: str) -> str:
+    """The %-template of a point of dimension dim >= 1 at indent pad."""
+    sep = ",\n" + pad + "  "
+    return "[" + sep[1:] + sep.join(["%d"] * dim) + "\n" + pad + "]"
+
+
+def json_text(value: Any) -> str:
+    """value in the format of the module docstring, with its newline."""
+    return _text(value, "") + "\n"
+
+
 def to_text(obj: Any) -> str:
-    return json.dumps(to_document(obj), indent=2, sort_keys=True) + "\n"
+    """json_text(to_document(obj)).  A set or function is written row by row,
+    one %-template per point or entry, without building its document; its
+    value strings ('p', 'p/q') need no escaping."""
+    if isinstance(obj, LatticeSet):
+        point = "    " + _vector(obj.dim, "    ")
+        points = _array([point % p for p in obj.sorted_points()], "  ")
+        return '{\n  "dim": %d,\n  "kind": "set",\n  "lifted": %s,\n  "points": %s,\n  "version": %d\n}\n' % (
+            obj.dim, _text(obj.lifted, ""), points, VERSION
+        )
+    if isinstance(obj, LatticeFn):
+        entry = '    {\n      "v": "%s",\n      "x": ' + _vector(obj.dim, "      ") + "\n    }"
+        entries = _array([entry % (format_value(v), *p) for p, v in obj.sorted_items()], "  ")
+        return (
+            '{\n  "dim": %d,\n  "entries": %s,\n  "kind": "fn",\n  "lifted": %s,\n  "ramp": "%s",\n'
+            '  "version": %d\n}\n' % (obj.dim, entries, _text(obj.lifted, ""), format_value(obj.ramp), VERSION)
+        )
+    return json_text(to_document(obj))
 
 
 def parse_text(text: str) -> Any:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from dconvex import documents, lab
+from dconvex.classes import ClassLabel, check
 from dconvex.cli import main
 from dconvex.core import LatticeFn, LatticeSet, Window
 from dconvex.documents import DocumentError
@@ -47,6 +48,59 @@ def test_network_roundtrip():
         ("w",),
     )
     assert roundtrip(net) == net
+
+
+def _verdict(obj, label):
+    """The payload ``dconvex check`` writes, with the witness left as tuples."""
+    v = check(obj, ClassLabel(label))
+    payload = {"type": "verdict", "class": label, "member": v.member}
+    if v.witness is not None:
+        payload["witness"] = {"kind": v.witness.kind, "points": v.witness.points, "indices": v.witness.indices}
+    return payload
+
+
+def _emitted_objects(rng):
+    """Seeded objects of every kind the writer meets."""
+    objs = [LatticeSet(2, frozenset())]
+    for d in range(1, 7):
+        pts = {tuple(rng.randint(-12, 12) for _ in range(d)) for _ in range(rng.randint(1, 9))}
+        objs.append(LatticeSet(d, frozenset(pts)))
+        objs.append(LatticeFn(d, {p: F(rng.randint(-40, 40), rng.randint(1, 9)) for p in pts}))
+    a, b = rng.randint(1, 4), F(rng.randint(-9, 9), rng.randint(1, 5))
+    objs += [
+        LatticeSet(3, frozenset({(1, 0, 2), (-2, 0, 5)}), lifted=True),
+        LatticeFn(2, {(1, 0): F(5, 4), (0, -3): F(-7)}, lifted=True, ramp=F(-2, 3)),
+        Window((-3, 0, 2), (1, 4, 2)),
+        SplitSpec((2, 1, 3)),
+        PartitionSpec(((0, 2), (1,), (3, 4))),
+        Network(("u", "w"), (Arc("u", "w", -1, 2),), ("u",), ("w",)),
+        Network(
+            ("u", "\u00e9t\u00e9", "w\u2082", "\U0001d54c"),
+            (
+                Arc("u", "\u00e9t\u00e9", -2, 2, ArcCost.from_callable(-2, 2, lambda t: a * t * t + b * t)),
+                Arc("\u00e9t\u00e9", "w\u2082", 0, 3),
+                Arc("\u00e9t\u00e9", "\U0001d54c", -1, 1, ArcCost.from_table({-1: F(1, 2), 0: 0, 1: 3})),
+            ),
+            ("u",),
+            ("w\u2082", "\U0001d54c"),
+        ),
+        _verdict(LatticeSet.of([(0, 0), (2, 0)]), "lnat-set"),
+        _verdict(LatticeFn.of({(0,): 0, (1,): 5, (2,): 0}), "lnat-fn"),
+        _verdict(LatticeSet.of([(0, 0), (1, 1)]), "m-set"),
+        _verdict(LatticeSet.of([(0, 1), (1, 0)]), "m-set"),
+        {"t": (1, "\"quoted\"\n"), "none": None, "half": 0.5, "empty": {}, "list": []},
+        {"caf\u00e9": [True, False], "ints": {10: "a", 2: 3}},
+    ]
+    return objs
+
+
+def test_to_text_is_json_dumps_indent_2_sort_keys():
+    """The writer against its contract, json.dumps(indent=2, sort_keys=True)."""
+    objs = _emitted_objects(random.Random(20261019)) + [lab.run_closure_matrix(1, "9").to_payload()]
+    assert any(isinstance(o, dict) and "witness" in o for o in objs)
+    for obj in objs:
+        want = json.dumps(documents.to_document(obj), indent=2, sort_keys=True) + "\n"
+        assert documents.to_text(obj) == want, type(obj).__name__
 
 
 def test_document_text_is_canonical():
@@ -360,9 +414,16 @@ def test_repeated_cost_abscissas_exit_2(tmp_path, capsys, repeat):
     assert "repeats the abscissa 0" in capsys.readouterr().err
 
 
-def test_repeated_set_points_are_one_point():
-    doc = {"kind": "set", "version": 1, "dim": 1, "points": [[0], [1], [0]]}
-    assert documents.from_document(doc) == LatticeSet.of([(0,), (1,)])
+def test_repeated_set_points_exit_2(tmp_path, capsys):
+    doc = {"kind": "set", "version": 1, "dim": 1, "points": [[0], [0], [1]]}
+    with pytest.raises(DocumentError, match=r"points repeat the point \[0\]"):
+        documents.from_document(doc)
+    (tmp_path / "s.json").write_text(json.dumps(doc))
+    assert main(["check", str(tmp_path / "s.json"), "--class", "lnat-set"]) == 2
+    assert "repeat the point [0]" in capsys.readouterr().err
+    # a lifted set's distinct points that name one line are not a repeat
+    doc = {"kind": "set", "version": 1, "dim": 2, "lifted": True, "points": [[0, 0], [1, 1]]}
+    assert documents.from_document(doc) == LatticeSet(2, frozenset({(0, 0)}), lifted=True)
 
 
 def test_value_strings_round_trip():

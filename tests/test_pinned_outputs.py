@@ -6,7 +6,9 @@ and says so.  The corpus digest covers the canonical JSON of
 [ident, label, member, witness kind, witness points, witness indices] for
 each member and near miss of the benchmark's check corpus at seed 1, in
 corpus order; the registry digest covers the stdout of
-``dconvex examples --run all --verbose``.
+``dconvex examples --run all --verbose``; the document digest covers
+``documents.to_text`` of the demo-05 objects and seeded objects of the
+benchmark's generators, whose bytes are the documents' format contract.
 """
 
 import hashlib
@@ -14,14 +16,17 @@ import json
 import os
 import sys
 
-from dconvex import cli
+from dconvex import cli, documents
 from dconvex.classes import check
+from dconvex.core import LatticeSet
+from dconvex.ops import PartitionSpec, aggregate_fn
 
 sys.path.append(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-from perfbench.corpus import build_check_corpus  # noqa: E402
+from perfbench.corpus import box_fn, build_check_corpus, mesh_network, rng_for  # noqa: E402
 
 CORPUS_SHA256 = "21f799b379e3c8a88e7ecf91432ec824cab9b3e839ef11a1cb670a38b832bf92"
 EXAMPLES_SHA256 = "dde14ea8d1714ea5ef55451b6cd2098ac86bdeb45bdbfabd6397dcec7c7bf2f8"
+DOCUMENTS_SHA256 = "5a698fbff4bea5359f63eb621e87b18920af0e0c07bb24df8d51eeb34be1a0db"
 
 
 def _sha256(text: str) -> str:
@@ -50,3 +55,21 @@ def test_corpus_verdicts_and_registry_report_are_pinned(capsys):
     capsys.readouterr()
     assert cli.main(["examples", "--run", "all", "--verbose"]) == 0
     assert _sha256(capsys.readouterr().out) == EXAMPLES_SHA256
+
+
+def _pinned_objects():
+    s = LatticeSet.of([(0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 0), (1, 1, 0, 1)])
+    pairs = PartitionSpec(((0, 2), (1, 3)))
+    rng = rng_for("1", "documents")
+    seeded = LatticeSet(3, frozenset(tuple(rng.randint(-5, 5) for _ in range(3)) for _ in range(20)))
+    miss = build_check_corpus("1")[1][0]
+    v = check(miss.obj, miss.label)
+    w = v.witness
+    verdict = {"type": "verdict", "class": miss.label.value, "member": v.member,
+               "witness": {"kind": w.kind, "points": [list(p) for p in w.points], "indices": list(w.indices)}}
+    return [s, pairs, aggregate_fn(s, pairs), seeded, box_fn(rng, (3, 4, 2), lo=-1), mesh_network(rng), verdict]
+
+
+def test_document_bytes_are_pinned():
+    text = "".join(documents.to_text(obj) for obj in _pinned_objects())
+    assert _sha256(text) == DOCUMENTS_SHA256
