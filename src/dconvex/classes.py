@@ -211,7 +211,7 @@ class _Codes(Codes):
     step lists that scans and replays read, by difference."""
 
     def __init__(self, box: Window):
-        super().__init__(box)
+        super().__init__(box.lo, box.hi)
         self.axes = tuple(range(box.dim))
 
     def offset(self, d) -> int:

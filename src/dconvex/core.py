@@ -143,29 +143,30 @@ def as_rational(v, what: str = "value") -> Fraction:
 # points are coded once over a box.
 
 
-def scaled(*maps: Mapping) -> Tuple[int, list]:
-    """The least common multiple of the denominators of every value in
-    ``maps``, and each map with its values times it: plain ints in the same
-    order and sums, so a value v reads back as Fraction(int, scale).  Int
-    values (a set's indicator) leave the scale at 1."""
-    scale = lcm(*{v.denominator for m in maps for v in m.values()})
+def scaled(*maps: Mapping, scale: int = 1) -> Tuple[int, list]:
+    """The least common multiple of ``scale`` and of the denominators of
+    every value in ``maps``, and each map with its values times it: plain
+    ints in the same order and sums, so a value v reads back as
+    Fraction(int, scale).  Int values (a set's indicator) leave the scale
+    where it was."""
+    scale = lcm(scale, *{v.denominator for m in maps for v in m.values()})
     return scale, [{k: v.numerator * (scale // v.denominator) for k, v in m.items()} for m in maps]
 
 
 class Codes:
-    """Mixed-radix codes of the points of a box: code(p) is the sum of
-    (p_i - lo_i) * stride_i, with stride_{n-1} = 1 and each stride the next
-    one times the next extent of the box.  Distinct points of the box get
-    distinct codes, in lexicographic order, and a unit step +-e_i that stays
-    in the box moves the code by +-stride_i.  A point outside the box may
-    share a code with one inside.  The code is affine in p, so
+    """Mixed-radix codes of the points of the box [lo, hi]: code(p) is the
+    sum of (p_i - lo_i) * stride_i, with stride_{n-1} = 1 and each stride
+    the next one times the next extent of the box.  Distinct points of the
+    box get distinct codes, in lexicographic order, and a unit step +-e_i
+    that stays in the box moves the code by +-stride_i.  A point outside
+    the box may share a code with one inside.  The code is affine in p, so
     code(y + z) = code(y) + code(z) - code(0)."""
 
-    def __init__(self, box: Window):
-        strides = [1] * box.dim
-        for i in range(box.dim - 1, 0, -1):
-            strides[i - 1] = strides[i] * (box.hi[i] - box.lo[i] + 1)
-        self.lo, self.strides = box.lo, tuple(strides)
+    def __init__(self, lo: Point, hi: Point):
+        strides = [1] * len(lo)
+        for i in range(len(lo) - 1, 0, -1):
+            strides[i - 1] = strides[i] * (hi[i] - lo[i] + 1)
+        self.lo, self.strides = lo, tuple(strides)
 
     def code(self, p: Point) -> int:
         return sum((c - a) * s for c, a, s in zip(p, self.lo, self.strides))

@@ -6,29 +6,53 @@ indicator function and its image keeps only the domain, so
 ``transform_set`` is the same function.
 
 The ground truth here is exhaustive enumeration of integral conservative
-flows: arc values are assigned depth-first in input order, pruning a branch
-as soon as some vertex can no longer balance (internal vertices must reach
-net supply 0, entrance vertices must stay inside the coordinate range of the
-entrance set / function domain).  Capacities must be finite and instances
-are capped at load so the enumeration stays at desk scale.
+flows, by one recursive walk (:func:`_enumerate_flows`): arcs in input
+order, depth-first, each taking its values ascending.  Every vertex has a
+supply it must end with (0 inside, the coordinate range of the input's
+domain at an entrance, anything at an exit), and arc k loops only over the
+values that keep its tail and head able to reach theirs with the arcs
+after it, so no value is tried and then rejected.  A flow leaves three
+ints: its cost and the ``core.Codes`` codes of its entrance and exit
+supplies; each distinct code is decoded to a point once.  Capacities must
+be finite.  Time and memory grow with the number of flows, which is at
+most the product of (upper - lower + 1) over the arcs; ``MAX_ARCS`` and
+``MAX_CAPACITY_WIDTH`` cap that product at load, and nothing else bounds
+the work.
 
-Values are exact ints inside an induction.  The input's values and every
-arc cost table are scaled once per call, by the least common multiple of
-all their denominators (``core.scaled``), so each flow's cost is an int
-sum and each output point's least total is divided back once.  A set keeps
-its int-0 indicator and reads no cost table, so its scale is 1.
+Values are exact ints inside an induction.  Each arc cost table is scaled
+once per network by the least common multiple of every cost denominator
+(:attr:`Network.scaled_costs`, through ``core.scaled``), so a flow's cost
+is an int over that cost scale.  The input's values are scaled once per
+call to the least common multiple of their denominators and the cost
+scale, so each total is an int sum and each output point's least total is
+divided back once.  A set keeps its int-0 indicator and weighs no cost, so
+its scale is 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import inf
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .core import LiftedInputError, Point, Window, as_ints, as_rational, keeps_values, rebuild, scaled, value_map
+from .core import (
+    Codes,
+    LiftedInputError,
+    Point,
+    Window,
+    as_ints,
+    as_rational,
+    keeps_values,
+    rebuild,
+    scaled,
+    value_map,
+)
 
 MAX_ARCS = 12
 MAX_CAPACITY_WIDTH = 12
+_FREE = (0,) * (MAX_CAPACITY_WIDTH + 1)  # the scaled costs of a free arc
 
 
 @dataclass(frozen=True)
@@ -121,86 +145,109 @@ class Network:
         if not self.entrance or not self.exit:
             raise ValueError("entrance and exit lists must be nonempty")
 
-    @property
-    def internal(self) -> Tuple[str, ...]:
-        terminals = set(self.entrance) | set(self.exit)
-        return tuple(v for v in self.vertices if v not in terminals)
-
-
-Flow = Tuple[int, ...]  # one value per arc, in arc order
+    @cached_property
+    def scaled_costs(self) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
+        """The cost scale, the least common multiple of every arc cost's
+        denominator, and per arc its costs times that scale as ints,
+        indexed by value - lower; free arcs share one zero row.  Built on
+        first use, once per network."""
+        scale, tables = scaled(*(dict(a.cost.table) for a in self.arcs if a.cost.table is not None))
+        rows = iter(tables)
+        return scale, tuple(_FREE if a.cost.table is None else tuple(next(rows).values()) for a in self.arcs)
 
 
 def _enumerate_flows(
     net: Network, entrance_range: Dict[str, Tuple[int, int]]
-) -> Iterator[Tuple[Flow, Point, Point]]:
-    """Yield (flow, boundary on U, boundary on W) for every capacity-feasible
-    conservative flow whose entrance supplies stay within entrance_range.
+) -> Iterator[Tuple[int, Point, Point]]:
+    """One (cost, x, y) per capacity-feasible conservative flow whose
+    entrance supplies stay within entrance_range, in walk order (arcs in
+    input order, depth-first, values ascending): cost is the flow's cost as
+    an int over the network's cost scale (:attr:`Network.scaled_costs`), x
+    and y its supplies on the entrance and exit lists.  Equal supplies
+    share one point tuple.
 
-    Arc k takes its values in ascending order, depth-first in arc order, in
-    one frame: ``flow[k]`` is the value arc k holds, and ``flow[k] < lower``
-    means it holds none yet."""
-    arcs = net.arcs
-    m = len(arcs)
+    The walk runs to the end before the first item is returned.  Each level
+    carries the cost so far and the codes of the entrance and exit supplies
+    (``core.Codes`` over the entrance ranges and over the supplies each
+    exit can reach); each flow appends those three ints.  ``induce_fn``
+    reads flows through this module attribute, so a wrapper put in its
+    place sees every flow."""
     index = {v: i for i, v in enumerate(net.vertices)}
-    # the supply bounds a vertex must be able to reach: an internal vertex
-    # balances, an entrance stays in range and an exit is free
-    need = [None] * len(index)
-    for v in net.internal:
-        need[index[v]] = (0, 0)
-    for v, bounds in entrance_range.items():
-        need[index[v]] = bounds
-    # per vertex, the range of net supply still achievable from arcs >= k
-    rem_lo = [[0] * (m + 1) for _ in index]
-    rem_hi = [[0] * (m + 1) for _ in index]
-    for k in range(m - 1, -1, -1):
-        a = arcs[k]
-        for v in range(len(index)):
-            rem_lo[v][k], rem_hi[v][k] = rem_lo[v][k + 1], rem_hi[v][k + 1]
-        t, h = index[a.tail], index[a.head]
-        rem_lo[t][k] += a.lower
-        rem_hi[t][k] += a.upper
-        rem_lo[h][k] -= a.upper
-        rem_hi[h][k] -= a.lower
-
-    def window(v: int, k: int):
-        """The supplies of vertex v after arcs < k that keep it feasible,
-        or None when any supply does."""
-        if need[v] is None:
-            return None
-        a, b = need[v]
-        return a - rem_hi[v][k], b - rem_lo[v][k]
-
-    supply = [0] * len(index)
-    if any(w is not None and not w[0] <= 0 <= w[1] for w in (window(v, 0) for v in range(len(index)))):
-        return
+    # a loop moves no supply, so both its ends are a spare slot no window binds
+    spare = len(index)
+    # per vertex, the range of net supply the arcs after arc k can still
+    # add, taken for arc k's own ends while walking back; after the loop,
+    # the range all arcs can add
+    rem_lo, rem_hi = [0] * (spare + 1), [0] * (spare + 1)
+    ends = []
+    for a in reversed(net.arcs):
+        t, h = (spare, spare) if a.tail == a.head else (index[a.tail], index[a.head])
+        ends.append((a, t, h, rem_lo[t], rem_hi[t], rem_lo[h], rem_hi[h]))
+        rem_lo[t] += a.lower
+        rem_hi[t] += a.upper
+        rem_lo[h] -= a.upper
+        rem_hi[h] -= a.lower
+    # the supply each vertex must end with: 0 inside, its range at an
+    # entrance, at an exit anything its arcs reach.  Each arc holds its ends
+    # to theirs; an entrance no arc can bring into range ends the search here
+    need = [(0, 0)] * spare + [(-inf, inf)]
     on_u = [index[v] for v in net.entrance]
+    for v, i in zip(net.entrance, on_u):
+        a, b = need[i] = entrance_range[v]
+        if a > rem_hi[i] or b < rem_lo[i]:
+            return iter(())
     on_w = [index[v] for v in net.exit]
-    levels = [
-        (index[a.tail], index[a.head], a.lower, a.upper, window(index[a.tail], k + 1), window(index[a.head], k + 1))
-        for k, a in enumerate(arcs)
-    ]
-    flow = [a.lower - 1 for a in arcs]
-    k = 0
-    while k >= 0:
-        if k == m:
-            yield tuple(flow), tuple([supply[v] for v in on_u]), tuple([supply[v] for v in on_w])
-            k -= 1
-            continue
-        t, h, lower, upper, wt, wh = levels[k]
-        value = flow[k]
-        if value >= lower:
-            supply[t] -= value
-            supply[h] += value
-        if value == upper:
-            flow[k] = lower - 1
-            k -= 1
-            continue
-        value += 1
-        flow[k] = value
-        supply[t] += value
-        supply[h] -= value
-        if (wt is None or wt[0] <= supply[t] <= wt[1]) and (wh is None or wh[0] <= supply[h] <= wh[1]):
-            k += 1
+    for i in on_w:
+        need[i] = (rem_lo[i], rem_hi[i])
+    codes_u = Codes(*zip(*[need[i] for i in on_u]))
+    codes_w = Codes(*zip(*[need[i] for i in on_w]))
+    stride_u, stride_w = [0] * (spare + 1), [0] * (spare + 1)
+    for i, s in zip(on_u, codes_u.strides):
+        stride_u[i] = s
+    for i, s in zip(on_w, codes_w.strides):
+        stride_w[i] = s
+    # after arc k, the supplies of its tail and head from which the arcs
+    # after it can still reach theirs
+    levels = []
+    for (a, t, h, t_lo, t_hi, h_lo, h_hi), table in zip(reversed(ends), net.scaled_costs[1]):
+        (nt_lo, nt_hi), (nh_lo, nh_hi) = need[t], need[h]
+        levels.append((
+            t, h, a.lower, a.upper, nt_lo - t_hi, nt_hi - t_lo, nh_lo - h_hi, nh_hi - h_lo,
+            stride_u[t] - stride_u[h], stride_w[t] - stride_w[h], table,
+        ))
+    last = len(levels) - 1
+    supply = [0] * (spare + 1)
+    costs: List[int] = []
+    xs: List[int] = []
+    ys: List[int] = []
+
+    def walk(k: int, cost: int, x: int, y: int) -> None:
+        t, h, lower, upper, wt_lo, wt_hi, wh_lo, wh_hi, dx, dy, table = levels[k]
+        st, sh = supply[t], supply[h]
+        values = range(max(lower, wt_lo - st, sh - wh_hi), min(upper, wt_hi - st, sh - wh_lo) + 1)
+        if k == last:
+            for v in values:
+                costs.append(cost + table[v - lower])
+                xs.append(x + v * dx)
+                ys.append(y + v * dy)
+            return
+        for v in values:
+            supply[t] = st + v
+            supply[h] = sh - v
+            walk(k + 1, cost + table[v - lower], x + v * dx, y + v * dy)
+        supply[t] = st
+        supply[h] = sh
+
+    x, y = codes_u.code((0,) * len(on_u)), codes_w.code((0,) * len(on_w))
+    if levels:
+        walk(0, 0, x, y)
+    else:  # no arcs: one empty flow
+        costs.append(0)
+        xs.append(x)
+        ys.append(y)
+    points_u = {c: codes_u.point(c) for c in set(xs)}
+    points_w = {c: codes_w.point(c) for c in set(ys)}
+    return zip(costs, map(points_u.__getitem__, xs), map(points_w.__getitem__, ys))
 
 
 def induce_fn(f, net: Network):
@@ -210,7 +257,12 @@ def induce_fn(f, net: Network):
     A set is transformed: the result is the set of exit vectors realizable
     by a feasible flow whose entrance supply lies in the set.  It may be
     empty; emptiness is the caller's signal.  A set's image keeps only the
-    domain, so arc costs are never read for it.
+    domain, so arc costs weigh nothing for it.
+
+    Flows come from the module attribute ``_enumerate_flows``, one
+    (cost, x, y) per flow.  f's values are scaled to the least common
+    multiple of their denominators and the network's cost scale, so each
+    total is an int; each exit point's least total is divided back once.
     """
     if f.lifted:
         raise LiftedInputError("network induction needs a finite input")
@@ -221,23 +273,23 @@ def induce_fn(f, net: Network):
         return rebuild(f, len(net.exit), {})
     box = f.bounding_box()
     entrance_range = {v: (box.lo[i], box.hi[i]) for i, v in enumerate(net.entrance)}
-    scale, costed = 1, []
+    scale, weight = 1, 0
     if keeps_values(f):
-        arcs = [(k, a.cost.table) for k, a in enumerate(net.arcs) if a.cost.table is not None]
-        scale, (vals, *tables) = scaled(vals, *(dict(table) for _, table in arcs))
-        costed = [(k, table) for (k, _), table in zip(arcs, tables)]
-    # the least scaled total per exit boundary, first reached first
+        cost_scale = net.scaled_costs[0]
+        scale, (vals,) = scaled(vals, scale=cost_scale)
+        weight = scale // cost_scale
+    # the least scaled total per exit supply, first reached first
     best: Dict[Point, int] = {}
-    for flow, on_u, on_w in _enumerate_flows(net, entrance_range):
-        total = vals.get(on_u)
+    get = vals.get
+    for cost, x, y in _enumerate_flows(net, entrance_range):
+        total = get(x)
         if total is None:
             continue
-        for k, table in costed:
-            total += table[flow[k]]
-        old = best.get(on_w)
+        total += cost * weight
+        old = best.get(y)
         if old is None or total < old:
-            best[on_w] = total
-    out = {tuple(-c for c in w): Fraction(t, scale) for w, t in best.items()}
+            best[y] = total
+    out = {tuple(-c for c in y): Fraction(t, scale) for y, t in best.items()}
     return rebuild(f, len(net.exit), out, empty="induced function has an empty domain")
 
 

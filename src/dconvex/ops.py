@@ -241,7 +241,7 @@ def convolution_fn(f1, f2):
     if not v1 or not v2:
         return rebuild(f1, f1.dim, {})
     b1, b2 = bounding_box(v1), bounding_box(v2)
-    codes = Codes(Window(vadd(b1.lo, b2.lo), vadd(b1.hi, b2.hi)))
+    codes = Codes(vadd(b1.lo, b2.lo), vadd(b1.hi, b2.hi))
     origin = codes.code((0,) * f1.dim)
     scale, (s1, s2) = scaled(v1, v2)
     items1 = [(codes.code(y), v) for y, v in sorted(s1.items())]

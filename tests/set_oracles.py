@@ -596,7 +596,7 @@ def enumerate_flows(net: Network, entrance_range: Dict[str, Tuple[int, int]]):
     arcs = net.arcs
     m = len(arcs)
     vs = net.vertices
-    internal = set(net.internal)
+    internal = set(net.vertices) - set(net.entrance) - set(net.exit)
     entrance = set(net.entrance)
     # per vertex, the range of net-supply still achievable from arcs >= k
     rem_lo = {v: [0] * (m + 1) for v in vs}

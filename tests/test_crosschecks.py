@@ -38,8 +38,12 @@ pair scan, so a domain test that wrongly rejects shows too.
 Network induction and infimal convolution run on int-scaled values and
 point codes too, so their results, and the documents of their results, are
 compared with the Fraction/tuple loops kept in ``set_oracles``: induction
-(with the flows it enumerates, in order) on the benchmark's three networks
-and on random networks with large-prime cost denominators, convolution and
+on the benchmark's three networks, on random networks with large-prime
+cost denominators and on edge networks (no arcs, one arc, vertices that
+are only heads, entrance boxes no flow reaches, loops), with the flows it
+enumerates compared in order as (cost over the network's cost scale,
+entrance supply, exit supply); induction must read every flow through the
+module attribute the benchmark wraps; convolution and
 Minkowski sums on random pairs, including one-point operands and
 coordinates near 10**20, and the lifted pair sum of the counterexample
 registry.
@@ -368,7 +372,7 @@ def _narrow_objects(rng):
 
 
 def test_pair_scans_match_oracles_where_plain_box_codes_collide():
-    plain = core.Codes(Window((0, 0), (2, 2)))
+    plain = core.Codes((0, 0), (2, 2))
     assert plain.code((1, 0)) - plain.code((0, 2)) == plain.code((0, 1)) - plain.code((0, 0))
     cases = list(_labelled(_narrow_objects(random.Random(6363))))
     members = _assert_pair_scans_match(cases)
@@ -632,7 +636,7 @@ def test_function_verdicts_are_scale_invariant():
 def _naive_transform(s: LatticeSet, net: Network) -> LatticeSet:
     """Product-space flow scan with no pruning; only usable on tiny nets."""
     targets = set()
-    internal = set(net.internal)
+    internal = set(net.vertices) - set(net.entrance) - set(net.exit)
     ranges = [range(a.lower, a.upper + 1) for a in net.arcs]
     for flow in itertools.product(*ranges):
         supply = {v: 0 for v in net.vertices}
@@ -683,11 +687,28 @@ def _assert_same(got, want, what):
     assert documents.to_text(got) == documents.to_text(want), what
 
 
-def _assert_same_induction(obj, net, what):
+def _entrance_range(obj, net):
     box = obj.bounding_box()
-    entrance_range = {v: (box.lo[i], box.hi[i]) for i, v in enumerate(net.entrance)}
+    return {v: (box.lo[i], box.hi[i]) for i, v in enumerate(net.entrance)}
+
+
+def _oracle_flows(net, entrance_range):
+    """The oracle's flows as production reports them: (cost as an int over
+    the network's cost scale, entrance supply, exit supply), in order."""
+    tables = [dict(a.cost.table or ()) for a in net.arcs]
+    scale = math.lcm(*(c.denominator for table in tables for c in table.values()))
+    out = []
+    for flow, on_u, on_w in set_oracles.enumerate_flows(net, entrance_range):
+        cost = sum((table[t] for table, t in zip(tables, flow) if table), Fraction(0)) * scale
+        assert cost.denominator == 1
+        out.append((cost.numerator, on_u, on_w))
+    return out
+
+
+def _assert_same_induction(obj, net, what):
+    entrance_range = _entrance_range(obj, net)
     flows = list(network._enumerate_flows(net, entrance_range))
-    assert flows == list(set_oracles.enumerate_flows(net, entrance_range)), what
+    assert flows == _oracle_flows(net, entrance_range), what
     try:
         want = set_oracles.induce_fn(obj, net)
     except EmptyResultError:
@@ -730,10 +751,82 @@ def _varied(net: Network, rng) -> Network:
     return Network(net.vertices, tuple(arcs), net.entrance, net.exit)
 
 
+def _costed(lo, hi, rng):
+    """A convex cost table on [lo, hi] with large-prime denominators."""
+    slopes = sorted(_fraction(rng) for _ in range(hi - lo))
+    table = {lo: _fraction(rng)}
+    for t, slope in zip(range(lo + 1, hi + 1), slopes):
+        table[t] = table[t - 1] + slope
+    return ArcCost.from_table(table)
+
+
+def test_induction_matches_oracle_on_edge_networks():
+    rng = random.Random(9090)
+
+    def arc(tail, head, lo, hi, costed=True):
+        return Arc(tail, head, lo, hi, _costed(lo, hi, rng) if costed else ArcCost.zero())
+
+    def build(*arcs, entrance=("u",)):
+        return Network(entrance + ("z", "w"), arcs, entrance, ("w",))
+
+    cases = [
+        ("no arcs", build(), [(0,), (1,)], 1),
+        ("no arcs, 0 outside the entrance range", build(), [(1,), (2,)], 0),
+        ("1 x 1", build(arc("u", "w", -2, 3)), [(-1,), (0,), (2,)], 4),
+        ("entrance only a head", build(arc("w", "u", -2, 2)), [(-1,), (1,)], 3),
+        ("internal only a head", build(arc("u", "z", -1, 2), arc("u", "w", -1, 2)), [(0,), (2,)], 3),
+        ("internal a tail before a head",
+         build(arc("z", "w", 0, 2), arc("u", "w", 0, 2, False), arc("u", "z", 0, 2)), [(0,), (1,)], 3),
+        ("entrance box admits no flow", build(arc("u", "w", 0, 2)), [(5,), (6,)], 0),
+        ("an entrance no arc touches, 0 out of range",
+         build(arc("u0", "w", 0, 2, False), entrance=("u0", "u1")), [(0, 1), (1, 2)], 0),
+        ("loops at an entrance, inside and at an exit",
+         build(arc("u", "u", -1, 1), arc("u", "z", 0, 2, False), arc("z", "z", 0, 2), arc("z", "w", 0, 2, False),
+             arc("w", "w", 1, 2)), [(0,), (1,)], 3 * 2 * 3 * 2),
+    ]
+    for what, net, pts, n_flows in cases:
+        f = LatticeFn(len(pts[0]), {p: _fraction(rng) for p in pts})
+        s = LatticeSet(len(pts[0]), frozenset(pts))
+        for obj in (s, f):
+            assert _assert_same_induction(obj, net, what) == n_flows, what
+        # a set weighs no cost: its image is that of the same network with free arcs
+        free = [Arc(a.tail, a.head, a.lower, a.upper) for a in net.arcs]
+        assert transform_set(s, net) == transform_set(s, Network(net.vertices, free, net.entrance, net.exit)), what
+    assert list(network._enumerate_flows(build(), {"u": (0, 1)})) == [(0, (0,), (0,))]
+
+
+def test_induction_reads_every_flow_through_the_module_attribute(tmp_path, monkeypatch):
+    """The benchmark counts flows by putting a wrapper in place of
+    ``network._enumerate_flows`` and reads each item's entrance point:
+    induce_fn must pass every flow through that attribute."""
+    w = Transform()
+    w.prepare(1, str(tmp_path))
+    real, seen = network._enumerate_flows, []
+
+    def counted(net, entrance_range):
+        for item in real(net, entrance_range):
+            seen.append(item)
+            yield item
+
+    monkeypatch.setattr(network, "_enumerate_flows", counted)
+    done = set()
+    for name, argv, _ in w.requests:
+        if name not in ("induce-mesh", "transform-wide"):
+            continue
+        net, obj = documents.load(argv[2]), documents.load(argv[4])
+        want = _oracle_flows(net, _entrance_range(obj, net))
+        seen.clear()
+        induce_fn(obj, net)
+        assert len(seen) == len(want) > 0, name
+        assert [item[1] for item in seen] == [x for _, x, _ in want], name
+        assert all(type(item[1]) is tuple and len(item[1]) == obj.dim for item in seen), name
+        assert sum(item[1] in (obj.values if hasattr(obj, "values") else obj.points) for item in seen) > 0, name
+        done.add(name)
+    assert done == {"induce-mesh", "transform-wide"}
+
+
 def test_induction_matches_oracle_on_random_networks():
     rng = random.Random(8080)
-    no_arcs = Network(("u", "w"), (), ("u",), ("w",))
-    assert _assert_same_induction(LatticeFn.of({(0,): 1, (1,): 2}), no_arcs, "no arcs") == 1
     wide = flows = 0
     for _ in range(220):
         n, m = rng.randint(1, 3), rng.randint(1, 3)
