@@ -9,7 +9,13 @@ Conventions used throughout the package:
   the last coordinate is 0, which makes equality of lifted objects decidable.
   Lifted functions carry a ``ramp`` r with f(x + 1) = f(x) + r;
 * coordinates are ``int`` and values ``int`` or ``Fraction``; anything else
-  (bools, floats, strings) is rejected rather than coerced;
+  (bools, floats, strings) is rejected rather than coerced.  Each object is
+  checked once, when it is built, and in bulk: one pass of C-level ``map``
+  and ``set`` calls over all its points (and values) decides whether they
+  are tuples of ``dim`` ints (and Fractions).  Only an object that fails
+  that pass -- or was given lists, generators or int values -- is walked
+  point by point, which converts what is accepted and raises the message
+  of the first bad entry, the same message as a per-point check;
 * every type is immutable after construction and safe to share across
   threads.
 """
@@ -20,8 +26,9 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from itertools import chain, repeat
 from math import lcm
-from operator import add
+from operator import add, floordiv, mod
 from typing import ClassVar, Dict, Iterable, Iterator, Mapping, Tuple
 
 from .rationals import INF, Value
@@ -118,6 +125,17 @@ def _point(p: Iterable, dim: int) -> Point:
     return q
 
 
+def are_points(pts, dim: int, row: type = tuple) -> bool:
+    """True when every element of the collection pts is a ``row`` (a tuple,
+    or a list for JSON rows) of dim ints, decided in bulk; coordinate types
+    are read before anything is hashed."""
+    return (
+        set(map(type, pts)) <= {row}
+        and set(map(type, chain.from_iterable(pts))) <= {int}
+        and set(map(len, pts)) <= {dim}
+    )
+
+
 def bounding_box(points: Iterable[Point]) -> "Window":
     """Smallest window holding the (nonempty) collection of points."""
     cols = list(zip(*points))
@@ -178,6 +196,18 @@ class Codes:
             out.append(a + q)
         return tuple(out)
 
+    def points(self, codes: list) -> list:
+        """[self.point(c) for c in codes], decoded in bulk: coordinate i is
+        lo_i + c // stride_i % extent_i (no modulus on the first axis, as
+        in :meth:`point`), one ``map`` per axis, and the axes zipped."""
+        axes = []
+        for i, (a, s) in enumerate(zip(self.lo, self.strides)):
+            col = map(floordiv, codes, repeat(s))
+            if i:
+                col = map(mod, col, repeat(self.strides[i - 1] // s))
+            axes.append(map(add, col, repeat(a)))
+        return list(zip(*axes))
+
 
 # ---------------------------------------------------------------------------
 # windows
@@ -236,7 +266,12 @@ class LatticeSet:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dimension must be >= 1")
-        pts = frozenset(_point(p, self.dim) for p in self.points)
+        pts = self.points
+        if not isinstance(pts, (set, frozenset)):
+            pts = list(pts)
+        if not are_points(pts, self.dim):
+            pts = [_point(p, self.dim) for p in pts]
+        pts = frozenset(pts)
         if self.lifted:
             pts = frozenset(_normalize_rep(p) for p in pts)
         object.__setattr__(self, "points", pts)
@@ -295,6 +330,22 @@ class LatticeFn:
         ramp = as_rational(self.ramp, "ramp")
         if ramp and not self.lifted:
             raise ValueError("only a lifted function can have a nonzero ramp")
+        if (
+            not self.lifted
+            and are_points(self.values, self.dim)
+            and set(map(type, self.values.values())) <= {Fraction}
+        ):
+            vals = dict(self.values)
+        else:
+            vals = self._checked_values(ramp)
+        if not vals:
+            raise ValueError("function domain must be nonempty")
+        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "ramp", ramp)
+
+    def _checked_values(self, ramp: Fraction) -> Dict[Point, Fraction]:
+        """The values entry by entry: points and values checked and
+        converted, lifted points normalized with their values shifted."""
         vals: Dict[Point, Fraction] = {}
         for p, v in self.values.items():
             q = _point(p, self.dim)
@@ -306,10 +357,7 @@ class LatticeFn:
             if q in vals and vals[q] != v:
                 raise ValueError(f"conflicting values for representative {q}")
             vals[q] = v
-        if not vals:
-            raise ValueError("function domain must be nonempty")
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "ramp", ramp)
+        return vals
 
     @staticmethod
     def of(entries: Mapping, lifted: bool = False, ramp=Fraction(0)) -> "LatticeFn":
@@ -381,13 +429,17 @@ def keeps_values(obj) -> bool:
 
 
 def rebuild(like, dim: int, values: Mapping[Point, Value], lifted: bool = False, ramp=0,
-            empty: str = "the result has an empty domain"):
+            empty: str = "the result has an empty domain", scale: int = 0):
     """``values`` as an object of ``like``'s kind: a set keeps the domain and
-    may be empty, an empty function raises ``EmptyResultError(empty)``."""
+    may be empty, an empty function raises ``EmptyResultError(empty)``.
+    With a ``scale``, the values are ints over it (see :func:`scaled`), and
+    a function's are divided back to Fractions in bulk."""
     if isinstance(like, LatticeSet):
         return LatticeSet(dim, frozenset(values), lifted)
     if not values:
         raise EmptyResultError(empty)
+    if scale:
+        values = dict(zip(values, map(Fraction, values.values(), repeat(scale))))
     return LatticeFn(dim, values, lifted, ramp)
 
 

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import repeat
 from typing import Any, Dict
 
-from .core import LatticeFn, LatticeSet, Window
+from .core import LatticeFn, LatticeSet, Window, are_points
 from .network import Arc, ArcCost, Network
 from .ops import PartitionSpec, SplitSpec
 from .rationals import format_value, parse_value
@@ -119,6 +120,17 @@ def _ints(v, what: str) -> tuple:
     return q
 
 
+def _rows(rows: list, dim: int):
+    """rows as point tuples when every row is an array of dim integers and
+    no two rows are equal, decided in bulk (``core.are_points``); otherwise
+    None, and the caller's entry loop raises the first bad row's error."""
+    if are_points(rows, dim, list):
+        pts = list(map(tuple, rows))
+        if len(set(pts)) == len(pts):
+            return pts
+    return None
+
+
 def _objects(v: list, what: str) -> list:
     _require(all(isinstance(e, dict) for e in v), f"each {what} must be an object")
     return v
@@ -166,31 +178,49 @@ def from_document(doc: Dict[str, Any]) -> Any:
     wrong JSON shape raises DocumentError naming the field, and so does a
     set point, function entry or arc cost entry that repeats a point or
     abscissa; an arc or network that fails its own validation raises one
-    with that message."""
+    with that message.
+
+    Set points and function entries are checked in bulk (``_rows``), and
+    each distinct value string is parsed once; only a document that fails
+    the bulk check is walked entry by entry, which raises the error of its
+    first bad entry in document order."""
     _require(isinstance(doc, dict), "document must be a JSON object")
     _require(doc.get("version") == VERSION, f"unsupported document version {doc.get('version')!r}")
     kind = doc.get("kind")
 
     if kind == "set":
         dim = _int(_field(doc, "dim"), "dim")
-        pts = set()
-        for p in _field(doc, "points", list):
-            p = _ints(p, "point")
-            _require(len(p) == dim, "point dimension disagrees with dim")
-            if p in pts:
-                raise DocumentError(f"points repeat the point {list(p)}")
-            pts.add(p)
+        rows = _field(doc, "points", list)
+        pts = _rows(rows, dim)
+        if pts is None:
+            pts = set()
+            for p in rows:
+                p = _ints(p, "point")
+                _require(len(p) == dim, "point dimension disagrees with dim")
+                if p in pts:
+                    raise DocumentError(f"points repeat the point {list(p)}")
+                pts.add(p)
         return LatticeSet(dim, frozenset(pts), _lifted(doc))
 
     if kind == "fn":
         dim = _int(_field(doc, "dim"), "dim")
-        vals = {}
-        for e in _objects(_field(doc, "entries", list), "entry"):
-            p = _ints(_field(e, "x", list, "entries"), "point")
-            _require(len(p) == dim, "point dimension disagrees with dim")
-            if p in vals:
-                raise DocumentError(f"entries repeat the point {list(p)}")
-            vals[p] = _finite(_field(e, "v", str, "entries"), "stored function value")
+        entries = _objects(_field(doc, "entries", list), "entry")
+        pts = _rows(list(map(dict.get, entries, repeat("x"))), dim)
+        texts = list(map(dict.get, entries, repeat("v")))
+        if pts is not None and set(map(type, texts)) <= {str}:
+            # every point is sound, so the first bad value string raises
+            parsed = dict.fromkeys(texts)
+            for v in parsed:
+                parsed[v] = _finite(v, "stored function value")
+            vals = dict(zip(pts, map(parsed.__getitem__, texts)))
+        else:
+            vals = {}
+            for e in entries:
+                p = _ints(_field(e, "x", list, "entries"), "point")
+                _require(len(p) == dim, "point dimension disagrees with dim")
+                if p in vals:
+                    raise DocumentError(f"entries repeat the point {list(p)}")
+                vals[p] = _finite(_field(e, "v", str, "entries"), "stored function value")
         ramp = _finite(_field(doc, "ramp", str, default="0"), "ramp")
         lifted = _lifted(doc)
         _require(lifted or ramp == 0, "only a lifted function can have a nonzero ramp")

@@ -13,7 +13,8 @@ domain at an entrance, anything at an exit), and arc k loops only over the
 values that keep its tail and head able to reach theirs with the arcs
 after it, so no value is tried and then rejected.  A flow leaves three
 ints: its cost and the ``core.Codes`` codes of its entrance and exit
-supplies; each distinct code is decoded to a point once.  Capacities must
+supplies; the distinct codes are decoded to points together
+(``Codes.points``).  Capacities must
 be finite.  Time and memory grow with the number of flows, which is at
 most the product of (upper - lower + 1) over the arcs; ``MAX_ARCS`` and
 ``MAX_CAPACITY_WIDTH`` cap that product at load, and nothing else bounds
@@ -35,6 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import inf
+from operator import neg
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .core import (
@@ -245,9 +247,14 @@ def _enumerate_flows(
         costs.append(0)
         xs.append(x)
         ys.append(y)
-    points_u = {c: codes_u.point(c) for c in set(xs)}
-    points_w = {c: codes_w.point(c) for c in set(ys)}
+    points_u, points_w = _decoded(codes_u, xs), _decoded(codes_w, ys)
     return zip(costs, map(points_u.__getitem__, xs), map(points_w.__getitem__, ys))
+
+
+def _decoded(codes: Codes, cs: List[int]) -> Dict[int, Point]:
+    """Each distinct code of cs mapped to its point, decoded in bulk."""
+    distinct = list(set(cs))
+    return dict(zip(distinct, codes.points(distinct)))
 
 
 def induce_fn(f, net: Network):
@@ -289,8 +296,8 @@ def induce_fn(f, net: Network):
         old = best.get(y)
         if old is None or total < old:
             best[y] = total
-    out = {tuple(-c for c in y): Fraction(t, scale) for y, t in best.items()}
-    return rebuild(f, len(net.exit), out, empty="induced function has an empty domain")
+    out = {tuple(map(neg, y)): t for y, t in best.items()}
+    return rebuild(f, len(net.exit), out, empty="induced function has an empty domain", scale=scale)
 
 
 # A set transformation is the induction of its indicator function.

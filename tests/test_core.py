@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dconvex.core import (
+    Codes,
     EmptyResultError,
     LatticeFn,
     LatticeSet,
@@ -241,3 +243,19 @@ def test_set_value_map_is_built_once():
     assert value_map(s) == {(0, 1): 0, (2, 3): 0}
     assert value_map(s) is value_map(s)
     assert s == LatticeSet.of([(2, 3), (0, 1)])  # the cache is not part of equality
+
+
+def test_codes_points_decodes_like_point():
+    rng = random.Random(19)
+    for n in range(1, 7):
+        for _ in range(20):
+            lo = tuple(rng.randint(-9, 3) for _ in range(n))
+            hi = tuple(a + rng.randint(0, 4) for a in lo)
+            codes = Codes(lo, hi)
+            last = codes.code(hi)
+            inside = [rng.randint(0, last) for _ in range(30)]
+            # the corners, and codes past either end of the box
+            cs = [0, last, codes.code(lo), *inside, -1, last + 1, -last - 7, 3 * last + 5]
+            assert codes.points(cs) == list(map(codes.point, cs))
+            assert codes.points([codes.code(p) for p in (lo, hi)]) == [lo, hi]
+            assert codes.points([]) == []

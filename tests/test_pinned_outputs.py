@@ -9,10 +9,10 @@ corpus order; the registry digest covers the stdout of
 ``dconvex examples --run all --verbose``; the document digest covers
 ``documents.to_text`` of the demo-05 objects and seeded objects of the
 benchmark's generators, whose bytes are the documents' format contract; the
-transform digest covers the 11 output documents of the benchmark's
-``transform`` requests at seed 1, written through ``cli.main`` in request
-order (splits, aggregations, direct sums, Minkowski sum, convolution and
-three network inductions).
+transform digests cover the 11 output documents of the benchmark's
+``transform`` requests at seeds 1, 7 and 97, written through ``cli.main``
+in request order (splits, aggregations, direct sums, Minkowski sum,
+convolution and three network inductions).
 """
 
 import hashlib
@@ -32,7 +32,11 @@ from perfbench.workloads import Transform  # noqa: E402
 CORPUS_SHA256 = "21f799b379e3c8a88e7ecf91432ec824cab9b3e839ef11a1cb670a38b832bf92"
 EXAMPLES_SHA256 = "dde14ea8d1714ea5ef55451b6cd2098ac86bdeb45bdbfabd6397dcec7c7bf2f8"
 DOCUMENTS_SHA256 = "5a698fbff4bea5359f63eb621e87b18920af0e0c07bb24df8d51eeb34be1a0db"
-TRANSFORM_SHA256 = "4b39d8c128f6f548e0be28839dfb38cce4f9fbcc742fd546d8351b1fbb7c2371"
+TRANSFORM_SHA256 = {
+    "1": "4b39d8c128f6f548e0be28839dfb38cce4f9fbcc742fd546d8351b1fbb7c2371",
+    "7": "f10a4b172f6e5e27e3aa7e07d8c3660aa24413e796d25b7001a3d1364e44db4b",
+    "97": "ff967f5f623443595eefaa68c41193391529b31f80963e95ce74a6c5caecc3ca",
+}
 
 
 def _sha256(text: str) -> str:
@@ -82,12 +86,13 @@ def test_document_bytes_are_pinned():
 
 
 def test_transform_outputs_are_pinned(tmp_path):
-    workload = Transform()
-    workload.prepare("1", str(tmp_path))
-    assert len(workload.requests) == 11
-    digest = hashlib.sha256()
-    for name, argv, out in workload.requests:
-        assert cli.main(argv) == 0, name
-        with open(out, "rb") as fh:
-            digest.update(fh.read())
-    assert digest.hexdigest() == TRANSFORM_SHA256
+    for seed, want in TRANSFORM_SHA256.items():
+        workload = Transform()
+        workload.prepare(seed, str(tmp_path / seed))
+        assert len(workload.requests) == 11
+        digest = hashlib.sha256()
+        for name, argv, out in workload.requests:
+            assert cli.main(argv) == 0, (seed, name)
+            with open(out, "rb") as fh:
+                digest.update(fh.read())
+        assert digest.hexdigest() == want, seed
