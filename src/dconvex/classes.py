@@ -109,7 +109,8 @@ from .core import (
     vshift,
 )
 # in_local_hull and local_extension_value are unused here but stay importable from this module
-from .hull import in_local_hull, local_extension_value, twice_extension
+from .hull import in_local_hull, local_extension_value  # noqa: F401
+from .hull import twice_extension
 
 
 class ClassLabel(str, Enum):

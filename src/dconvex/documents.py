@@ -10,8 +10,8 @@ replayable artifacts.
 The written bytes are a contract: 2-space indent, keys sorted, non-ASCII
 escaped as \\uXXXX, one trailing newline -- exactly
 ``json.dumps(to_document(obj), indent=2, sort_keys=True) + "\\n"``.  The
-writer does not call that (its indented mode is pure Python); a change to
-the writer must keep these bytes.
+set and function templates write set points and function entries row by
+row in those bytes; ``json.dumps`` writes everything else.
 """
 
 from __future__ import annotations
@@ -185,7 +185,8 @@ def from_document(doc: Dict[str, Any]) -> Any:
     the bulk check is walked entry by entry, which raises the error of its
     first bad entry in document order."""
     _require(isinstance(doc, dict), "document must be a JSON object")
-    _require(doc.get("version") == VERSION, f"unsupported document version {doc.get('version')!r}")
+    version = doc.get("version")
+    _require(type(version) is int and version == VERSION, f"unsupported document version {version!r}")
     kind = doc.get("kind")
 
     if kind == "set":
@@ -267,29 +268,6 @@ def from_document(doc: Dict[str, Any]) -> Any:
     raise DocumentError(f"unknown document kind {kind!r}")
 
 
-_quote = json.encoder.encode_basestring_ascii
-
-
-def _text(v: Any, pad: str) -> str:
-    """v written at indent pad in the format of the module docstring: tuples
-    as arrays, strings through json's ASCII escaper, any other scalar
-    through json.dumps itself."""
-    if isinstance(v, str):
-        return _quote(v)
-    inner = pad + "  "
-    if isinstance(v, dict):
-        if not v:
-            return "{}"
-        fields = [
-            inner + _quote(k if isinstance(k, str) else json.dumps(k)) + ": " + _text(v[k], inner)
-            for k in sorted(v)
-        ]
-        return "{\n" + ",\n".join(fields) + "\n" + pad + "}"
-    if isinstance(v, (list, tuple)):
-        return _array([inner + _text(e, inner) for e in v], pad)
-    return json.dumps(v)
-
-
 def _array(rows: list, pad: str) -> str:
     """The array of the written elements rows, closed at indent pad."""
     return "[\n" + ",\n".join(rows) + "\n" + pad + "]" if rows else "[]"
@@ -303,7 +281,7 @@ def _vector(dim: int, pad: str) -> str:
 
 def json_text(value: Any) -> str:
     """value in the format of the module docstring, with its newline."""
-    return _text(value, "") + "\n"
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
 def to_text(obj: Any) -> str:
@@ -314,14 +292,14 @@ def to_text(obj: Any) -> str:
         point = "    " + _vector(obj.dim, "    ")
         points = _array([point % p for p in obj.sorted_points()], "  ")
         return '{\n  "dim": %d,\n  "kind": "set",\n  "lifted": %s,\n  "points": %s,\n  "version": %d\n}\n' % (
-            obj.dim, _text(obj.lifted, ""), points, VERSION
+            obj.dim, json.dumps(obj.lifted), points, VERSION
         )
     if isinstance(obj, LatticeFn):
         entry = '    {\n      "v": "%s",\n      "x": ' + _vector(obj.dim, "      ") + "\n    }"
         entries = _array([entry % (format_value(v), *p) for p, v in obj.sorted_items()], "  ")
         return (
             '{\n  "dim": %d,\n  "entries": %s,\n  "kind": "fn",\n  "lifted": %s,\n  "ramp": "%s",\n'
-            '  "version": %d\n}\n' % (obj.dim, entries, _text(obj.lifted, ""), format_value(obj.ramp), VERSION)
+            '  "version": %d\n}\n' % (obj.dim, entries, json.dumps(obj.lifted), format_value(obj.ramp), VERSION)
         )
     return json_text(to_document(obj))
 

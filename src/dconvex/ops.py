@@ -18,16 +18,13 @@ integer kernel the recognizers use: values scaled once per call to ints
 (``core.Codes``) over the sum box [lo1 + lo2, hi1 + hi2].  Every sum y + z
 lies in that box, where codes are distinct, and codes are affine, so a
 pair's sum is one int addition and the result codes are decoded together
-(``Codes.points``).  When both inputs are flat -- each takes one value, as
-every set does -- the result takes the sum of the two values on every code
-sum, so the pairs are summed by ``map`` with no comparison of values.
+(``Codes.points``).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from itertools import chain, repeat
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .core import (
@@ -240,9 +237,7 @@ def convolution_fn(f1, f2):
     the sum box [lo1 + lo2, hi1 + hi2] (``core.Codes``).  Codes are affine,
     so code(y + z) = code(y) + (code(z) - code(0)), and every sum lies in
     that box, where distinct points have distinct codes: the pairs are
-    convolved on int codes and the result points are decoded together.
-    Flat inputs (one value each, as on every set) need no minimum: every
-    code sum takes the sum of the two values."""
+    convolved on int codes and the result points are decoded together."""
     v1, v2 = _value_maps("convolution", f1, f2)
     if f1.dim != f2.dim:
         raise ValueError("dimension mismatch")
@@ -255,19 +250,13 @@ def convolution_fn(f1, f2):
     items1 = [(codes.code(y), v) for y, v in sorted(s1.items())]
     items2 = [(codes.code(z) - origin, w) for z, w in sorted(s2.items())]
     # the least scaled sum per code, first reached first
-    values1, values2 = set(s1.values()), set(s2.values())
-    if len(values1) == len(values2) == 1:  # flat: one sum of values everywhere
-        cz = [c for c, _ in items2]
-        sums = chain.from_iterable(map(cy.__add__, cz) for cy, _ in items1)
-        best = dict.fromkeys(sums, values1.pop() + values2.pop())
-    else:
-        best = {}
-        for cy, v in items1:
-            for cz, w in items2:
-                c, t = cy + cz, v + w
-                old = best.get(c)
-                if old is None or t < old:
-                    best[c] = t
+    best = {}
+    for cy, v in items1:
+        for cz, w in items2:
+            c, t = cy + cz, v + w
+            old = best.get(c)
+            if old is None or t < old:
+                best[c] = t
     return rebuild(f1, f1.dim, dict(zip(codes.points(list(best)), best.values())), scale=scale)
 
 

@@ -44,9 +44,9 @@ are only heads, entrance boxes no flow reaches, loops), with the flows it
 enumerates compared in order as (cost over the network's cost scale,
 entrance supply, exit supply); induction must read every flow through the
 module attribute the benchmark wraps; convolution and
-Minkowski sums on random pairs, including one-point operands and
-coordinates near 10**20, and the lifted pair sum of the counterexample
-registry.
+Minkowski sums on random pairs, including one-point operands, coordinates
+near 10**20 and multi-point functions of one value, and the lifted pair sum
+of the counterexample registry.
 """
 
 import itertools
@@ -842,8 +842,9 @@ def test_induction_matches_oracle_on_random_networks():
 
 def _convolution_operands(rng):
     """Pairs of sets, or of functions, of equal dimension: negative lower
-    corners, one-point and one-dimensional operands, and coordinates near
-    10**20."""
+    corners, one-point and one-dimensional operands, coordinates near 10**20,
+    and multi-point functions of one nonzero value, paired with each other
+    and with functions of several values."""
     for k in range(240):
         n = rng.choice((1, 1, 2, 2, 3))
         shifts = [rng.choice((0, 0, 10**20, -(10**20))) for _ in range(2)] if k % 3 == 0 else [0, 0]
@@ -857,6 +858,17 @@ def _convolution_operands(rng):
             yield tuple(LatticeSet(n, frozenset(pts)) for pts in operands)
         else:
             yield tuple(LatticeFn(n, {p: _fraction(rng) for p in pts}) for pts in operands)
+    yield LatticeFn.of({(t, 0): Fraction(1, 2) for t in range(5)}), LatticeFn.of({(0, t): -3 for t in range(4)})
+    for k in range(60):
+        n = rng.choice((1, 2, 3))
+        operands = []
+        for flat in (k % 3 != 2, k % 3 != 1):  # both flat, then only the first, then only the second
+            lo = [rng.randint(-5, 2) for _ in range(n)]
+            box = list(itertools.product(*(range(a, a + 4) for a in lo)))
+            pts = rng.sample(box, rng.randint(2, min(9, len(box))))
+            value = Fraction(rng.choice((-9, -3, -1, 1, 3, 7)), rng.choice((1, 2, 3)))
+            operands.append(LatticeFn(n, {p: value if flat else _fraction(rng) for p in pts}))
+        yield tuple(operands)
 
 
 def test_convolution_matches_oracle_on_random_pairs():

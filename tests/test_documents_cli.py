@@ -132,6 +132,16 @@ def test_parse_rejects_bad_documents():
         )
 
 
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_version_must_be_the_integer_1(tmp_path, version):
+    doc = {"kind": "set", "version": version, "dim": 1, "points": [[0]]}
+    with pytest.raises(DocumentError, match=f"unsupported document version {version!r}$"):
+        documents.from_document(doc)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path), "--class", "l-set"]) == 2
+
+
 @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
 def test_lifted_flag_must_be_a_json_boolean(tmp_path, flag):
     set_doc = {"kind": "set", "version": 1, "dim": 2, "points": [[0, 0]], "lifted": flag}

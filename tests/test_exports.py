@@ -1,4 +1,9 @@
+import ast
+import os
+
 import dconvex
+
+PACKAGE = os.path.dirname(dconvex.__file__)
 
 
 def test_every_export_resolves():
@@ -10,3 +15,42 @@ def test_star_import():
     namespace = {}
     exec("from dconvex import *", namespace)
     assert set(dconvex.__all__) <= set(namespace)
+
+
+def _unused_imports(source: str):
+    """Names a module imports at module level and never reads; an import
+    whose lines carry ``# noqa: F401`` is kept on purpose."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    unused = {}
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py") and name != "__init__.py":
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+                found = _unused_imports(fh.read())
+            if found:
+                unused[name] = found
+    assert unused == {}
+
+
+def test_unused_import_check_sees_reads_and_the_noqa_marker():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from itertools import (\n    chain,  # noqa: F401\n    repeat,\n)\n"
+        "from math import inf, comb as choose\n"
+        "def f(x: inf) -> int:\n    return os.path.sep\n"
+    )
+    assert _unused_imports(source) == [(7, "choose")]
