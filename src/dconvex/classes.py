@@ -17,6 +17,20 @@ class, need the midpoint or exchange inequality only on nearby pairs
 size rule on the input, and whatever it does not prove runs the pair scan,
 which reports the same lexicographically first witness.
 
+The three set jump labels share one exact route.  The 2-step axiom
+(Bouchet and Cunningham 1995) fails at a point x and a unit step s exactly
+when x + s is absent and the set meets a box fixed by which neighbours of
+x + s are present, so each row of the ordered pair scan is decided by one
+count in a summed-count table over the bounding box, and a one-cell box by
+one dict probe.  A jump system of one coordinate-sum parity satisfies the
+exchange axiom (Lovász 1997; Murota 2006), so it is a member of
+``const-parity-jump`` and ``simult-exch-jump`` too.  The route runs on sets
+of at least ``_JUMP_SIZE`` points whose bounding box holds at most
+C(2n, n) * |S| cells; a ``jump-system`` non-member resumes the pair scan at
+the route's first violating row, which the route finds exactly, so the
+witness is the scan's, and the other two labels scan whole whatever the
+route does not prove.  The jump function labels stay on the pair scan.
+
 Each axiom is written once, as a predicate in the table ``_AXIOMS`` keyed by
 witness kind.  A predicate reads the object through a value getter in which
 a set is its indicator function (0 on its points, +infinity elsewhere), so a
@@ -87,8 +101,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import combinations, product
-from math import comb, inf
+from itertools import accumulate, combinations, product
+from math import comb, inf, prod
 from operator import add, sub
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -576,19 +590,21 @@ _AXIOMS = {
 # scanners
 
 
-def _scan_pairs(v: _View, kind: str) -> Verdict:
+def _scan_pairs(v: _View, kind: str, start: int = 0) -> Verdict:
     """Pairs of stored points, read by code over the difference box
     (``_View.coded``), each with the move of its cy - cx: x < y for an
     unordered axiom, every x and y for an ordered one, whose move of
     d = 0 tries no step.  The witness is the pair and, for an ordered axiom,
-    the record of the violated step, after the points or as the index."""
+    the record of the violated step, after the points or as the index.
+    The scan begins at the ``start``-th point x in code order, for a caller
+    that knows no earlier x has a violated pair."""
     axiom = _AXIOMS[kind]
     pair = axiom.violated
     violated, record = pair.on_codes, pair.record
     codes, coded = v.coded
     items = sorted(coded.items())
     read, moves = pair.reader(v, codes, coded.get), _moves(pair, codes, len(items))
-    for a, (cx, fx) in enumerate(items):
+    for a, (cx, fx) in enumerate(items[start:], start):
         for cy, fy in items if record else items[a + 1 :]:
             move = moves[cy - cx]
             if move is not None and (hit := violated(read, fx + fy, cx, cy, move)):
@@ -819,6 +835,134 @@ def _check_exchange(v: _View, kind: str, domain: Callable = lambda v: v) -> Verd
 
 
 # ---------------------------------------------------------------------------
+# jump systems by box counts
+#
+# A set S fails the 2-step axiom (Bouchet and Cunningham 1995) at x in S, a
+# unit step s = σe_i and some y in S exactly when z = x + s is not in S and
+# y lies in the box
+#
+#     B(z) = {y : τ(y_k - z_k) <= 0 for every unit step t = τe_k with z + t in S}.
+#
+# A violating y has s toward it, σ(y_i - x_i) >= 1, and no step t from z
+# toward y, τ(y_k - z_k) >= 1, with z + t in S: the box bound of each such
+# t.  Among them is t = -s, as z - s = x is in S, whose bound
+# σ(y_i - z_i) >= 0 is the first condition, so the box depends on z alone.
+# The same-axis partner t = s bounds y_i = z_i, which is the pair scan's rule
+# that s pairs with itself only where the gap σ(y_i - x_i) exceeds 1.  So a
+# row x of the ordered pair scan holds a violated pair exactly when one of
+# its absent neighbours z has a box that meets S: one inclusion-exclusion
+# query, 2^n reads at most, in a summed-count table over the bounding box,
+# per absent z, and a single dict probe where the box is one cell.
+#
+# On a set of one coordinate-sum parity, a jump system also satisfies the
+# exchange axiom (Lovász, "The membership problem in jump systems", 1997;
+# Murota, "M-convex functions on jump systems", 2006), whose form implies
+# the simultaneous exchange axiom.  So a proven jump system of one parity is
+# a member of all three set jump labels.
+#
+# The route runs only when the bounding box holds at most C(2n, n) * |S|
+# cells, the move table's bound, so the table stays linear in |S|, and on
+# at least ``_JUMP_SIZE`` points: on drawn members of the three labels in
+# 2 to 4 dimensions it took 1.26-1.55 of the scan's time below 8 points,
+# 1.11 at 8 to 11 and 0.59-0.70 from 12 on.
+
+_JUMP_SIZE = 12
+
+
+def _jump_routed(v: _View) -> bool:
+    """The route's size rule and volume bound."""
+    size, volume = len(v.vals), prod(b - a + 1 for a, b in zip(v.box.lo, v.box.hi))
+    return size >= _JUMP_SIZE and volume <= comb(2 * v.dim, v.dim) * size
+
+
+def _summed_counts(v: _View) -> Callable:
+    """count(a, b), the number of stored points in a box [a, b] within the
+    bounding box [lo, hi]: the table holds, at the code of each corner c of
+    [lo - 1, hi], the number of stored points p <= c, and a box count is the
+    signed sum of the table at its 2^n corners b or a - 1 per coordinate,
+    of which those with a_k - 1 = lo_k - 1 read 0 and are skipped."""
+    lo, hi = v.box.lo, v.box.hi
+    grid = Codes(vshift(lo, -1), hi)
+    size = grid.strides[0] * (hi[0] - lo[0] + 2)
+    table = [0] * size
+    for p in v.vals:
+        table[grid.code(p)] = 1
+    # running sums along each line of each axis k, the cells j, j + s, ...
+    # of one block of span s * extent
+    for k, s in enumerate(grid.strides):
+        span = s * (hi[k] - lo[k] + 2)
+        for block in range(0, size, span):
+            for j in range(block, block + s):
+                table[j : block + span : s] = accumulate(table[j : block + span : s])
+    axes = list(zip(grid.strides, lo))
+    read = table.__getitem__
+
+    def count(a: List[int], b: List[int]) -> int:
+        # the corners with an even and with an odd number of coordinates a_k - 1
+        even, odd = [grid.code(b)], []
+        for (s, low), ak, bk in zip(axes, a, b):
+            if ak > low:
+                gap = (bk - ak + 1) * s
+                even, odd = even + [c - gap for c in odd], odd + [c - gap for c in even]
+        return sum(map(read, even)) - sum(map(read, odd))
+
+    return count
+
+
+def _jump_row(v: _View) -> Optional[int]:
+    """The first row of the ordered pair scan, the index of x in code
+    order, at which the 2-step axiom fails, or None for a jump system.
+    Neighbours are probed by code (``_View.coded``); each absent
+    neighbour's box is decided once, and the summed-count table is built at
+    the first box of more than one cell."""
+    codes, coded = v.coded
+    lo, hi = v.box.lo, v.box.hi
+    axes = list(enumerate(codes.strides))
+    meets, count = {}, None
+
+    def meet(z: Point, cz: int) -> bool:
+        nonlocal count
+        a, b = list(lo), list(hi)
+        for k, s in axes:
+            if cz + s in coded and z[k] < b[k]:
+                b[k] = z[k]
+            if cz - s in coded and z[k] > a[k]:
+                a[k] = z[k]
+            if a[k] > b[k]:
+                return False
+        if a == b:
+            return codes.code(a) in coded
+        if count is None:
+            count = _summed_counts(v)
+        return count(a, b) > 0
+
+    for row, (cx, x) in enumerate(zip(sorted(coded), sorted(v.vals))):
+        for k, s in axes:
+            for cz, sign in ((cx - s, -1), (cx + s, 1)):
+                if cz not in coded:
+                    hit = meets.get(cz)
+                    if hit is None:
+                        hit = meets[cz] = meet(_bump(x, k, sign), cz)
+                    if hit:
+                        return row
+    return None
+
+
+def _check_jump_system(v: _View) -> Verdict:
+    row = _jump_row(v) if _jump_routed(v) else 0
+    return _OK if row is None else _scan_pairs(v, "jump-2step", row)
+
+
+def _check_parity_jump(v: _View, kind: str) -> Verdict:
+    """``const-parity-jump`` or ``simult-exch-jump``: a member when the
+    points have one coordinate-sum parity and the route proves a jump
+    system; else the pair scan."""
+    if _jump_routed(v) and len({sum(p) & 1 for p in v.vals}) == 1 and _jump_row(v) is None:
+        return _OK
+    return _scan_pairs(v, kind)
+
+
+# ---------------------------------------------------------------------------
 # kinds read on a derived view
 
 
@@ -874,9 +1018,9 @@ _RECOGNIZERS = {
     ClassLabel.GLOBAL_DMC_SET: lambda v: _scan_pairs(v, "midpoint-far"),
     ClassLabel.GLOBAL_DMC_FN: lambda v: _scan_pairs(v, "midpoint-far"),
     ClassLabel.LOCAL_DMC_FN: _check_local_dmc,
-    ClassLabel.JUMP_SYSTEM: lambda v: _scan_pairs(v, "jump-2step"),
-    ClassLabel.CONST_PARITY_JUMP: lambda v: _scan_pairs(v, "jump-exc"),
-    ClassLabel.SIMULT_EXCH_JUMP: lambda v: _scan_pairs(v, "jump-exc-nat"),
+    ClassLabel.JUMP_SYSTEM: _check_jump_system,
+    ClassLabel.CONST_PARITY_JUMP: partial(_check_parity_jump, kind="jump-exc"),
+    ClassLabel.SIMULT_EXCH_JUMP: partial(_check_parity_jump, kind="jump-exc-nat"),
     ClassLabel.JUMP_M_FN: lambda v: _scan_pairs(v, "jump-m-fn"),
     ClassLabel.JUMP_MNAT_FN: lambda v: _scan_pairs(v, "jump-mnat-fn"),
 }

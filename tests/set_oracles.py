@@ -29,14 +29,21 @@ midpoint scan on Fraction values and point tuples (on the stored section
 of a lifted L object, on the prefix image for multimodular), and
 ``check_ordered`` for the exchange labels.  It gives the whole ``Verdict``.
 
-``check_ordered`` is the ordered-pair scanner production decided the
-exchange (M♮, M) and jump classes with, sets and functions alike, before
-those axioms moved to int point codes: the same axioms on point tuples,
-with the unit steps rebuilt per step, read through the production value
-view (``classes._View``).  It gives the whole ``Verdict``, witness and all.
-Its point helpers ``unit``, ``vsub`` and ``increments`` have no production
-caller; ``increments`` keeps the sorted signed unit vectors of each
-dimension across calls.
+``ordered_verdicts`` decides every exchange (M♮, M) and jump label of an
+object's kind, sets and functions alike, in one scan of the ordered pairs
+on point tuples, read through the production value view
+(``classes._View``), and ``check_ordered`` one label by the same scan.
+Both axiom families read, for a step a and its partners b, the one-step
+exchange (x + a, y - a) and the two-step exchanges (x + a + b, y - a - b):
+a = -e_i and b = e_j over supp+ and supp- of x - y for the exchange
+labels, a in inc(x, y) and b in inc(x + a, y) for the jump labels, each
+list rebuilt from its definition once per difference y - x.  The values at
+x + a and x + a + b are read once per point, so each (pair, step) is read
+once for all the labels of its family, and each label keeps its own
+lexicographically first witness.  It gives the whole ``Verdict``, witness
+and all.  Its point helpers ``unit``, ``vsub`` and ``increments`` have no
+production caller; ``increments`` keeps the sorted signed unit vectors of
+each dimension across calls.
 
 The set operations (direct sums, splitting, aggregation, Minkowski sum) are
 the point-set bodies production used before each operation was written once
@@ -60,7 +67,7 @@ from functools import lru_cache, partial
 from operator import sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from dconvex.classes import ClassLabel, Verdict, Witness, _View
+from dconvex.classes import SET_LABELS, ClassLabel, Verdict, Witness, _View
 from dconvex.core import (
     LatticeFn,
     LatticeSet,
@@ -349,109 +356,157 @@ def _check_multimodular_set(s: LatticeSet) -> Verdict:
 # the ordered-pair axioms on point tuples, sets and functions alike
 
 
-def _add(a, b):
-    if a is None or b is None:
-        return None
-    return a + b
-
-
-def _less(a, b) -> bool:
-    """a < b with None meaning +infinity."""
-    if a is None:
-        return False
-    if b is None:
-        return True
-    return a < b
-
-
-def _bump(p: Point, i: int, d: int) -> Point:
-    """p + d * e_i."""
-    q = list(p)
-    q[i] += d
-    return tuple(q)
-
-
-def _moves(x: Point, y: Point) -> List[Tuple[int, int]]:
-    """(i, d) for each unit step d * e_i from x toward y."""
-    return [(i, 1 if a < b else -1) for i, (a, b) in enumerate(zip(x, y)) if a != b]
-
-
-def _exchange(v: _View, lhs, x: Point, y: Point, i: int, nat: bool = True) -> bool:
-    """Every exchange (x - e_i + e_j, y + e_i - e_j) with j in supp-(x - y),
-    and with j = 0 when ``nat``, exceeds lhs."""
+def _neighbours(v: _View, x: Point):
+    """The values at x + a and at x + a + b for the signed unit vectors a, b
+    of ``_signed_units``, as lists: at the index of a, and at that index
+    times 2n plus the index of b; None means +infinity."""
+    units = [u for _, _, u in _signed_units(len(x))]
     get = v.get
-    xi, yi = _bump(x, i, -1), _bump(y, i, 1)
-    if nat and not _less(lhs, _add(get(xi), get(yi))):
-        return False
-    for j in range(len(x)):
-        if x[j] < y[j] and not _less(lhs, _add(get(_bump(xi, j, 1)), get(_bump(yi, j, -1)))):
-            return False
-    return True
+    steps = [vadd(x, a) for a in units]
+    return [get(p) for p in steps], [get(vadd(p, b)) for p in steps for b in units]
 
 
-def _jump_exchange(v: _View, lhs, x: Point, y: Point, s: Point, nat: bool = True) -> bool:
-    """Every two-step exchange (x + s + t, y - s - t) with t an increment
-    from x + s toward y, and the one-step (x + s, y - s) when ``nat``,
-    exceeds lhs."""
-    get = v.get
-    xs, ys = vadd(x, s), vsub(y, s)
-    if nat and not _less(lhs, _add(get(xs), get(ys))):
-        return False
-    for i, d in _moves(xs, y):
-        if not _less(lhs, _add(get(_bump(xs, i, d)), get(_bump(ys, i, -d)))):
-            return False
-    return True
+@lru_cache(maxsize=None)
+def _negations(n: int) -> List[int]:
+    """The index in ``_signed_units`` of -u for each unit vector u there."""
+    index = {u: k for k, (_, _, u) in enumerate(_signed_units(n))}
+    return [index[tuple(-c for c in u)] for _, _, u in _signed_units(n)]
 
 
-def _jump_two_step(v: _View, lhs, x: Point, y: Point, s: Point) -> bool:
-    """Neither x + s nor any x + s + t (t toward y) lies in the set."""
-    xs = vadd(x, s)
-    return v.get(xs) is None and all(v.get(_bump(xs, i, d)) is None for i, d in _moves(xs, y))
+def _toward(p: Point, q: Point) -> List[int]:
+    """The indices of ``increments(p, q)`` in ``_signed_units``."""
+    return [k for k, (i, d, _) in enumerate(_signed_units(len(p))) if d * (q[i] - p[i]) > 0]
 
 
-def _plus_support(x: Point, y: Point) -> Tuple[int, ...]:
-    """supp+(x - y)."""
-    return supports(vsub(x, y))[0]
+def _exchange_steps(d: Point):
+    """The exchange axiom's steps on a pair x, y = x + d, as (a, -a, the
+    pairs (a + b, -a - b) for its partners b, record), unit vectors by
+    index: a = -e_i for i in supp+(x - y), whose exchanges are
+    (x - e_i, y + e_i) and (x - e_i + e_j, y + e_i - e_j) for b = e_j,
+    j in supp-(x - y); the witness records i."""
+    units, neg = _signed_units(len(d)), _negations(len(d))
+    m = len(units)
+    ups = [k for k, (j, c, _) in enumerate(units) if c > 0 and d[j] > 0]
+    downs = [(i, k) for k, (i, c, _) in enumerate(units) if c < 0 and d[i] < 0]
+    return [(a, neg[a], [(a * m + b, neg[a] * m + neg[b]) for b in ups], i) for i, a in sorted(downs)]
 
 
-def _scan_ordered(v: _View, kind: str, violated, steps, indexed: bool) -> Verdict:
-    """Ordered pairs x != y, then each step in ``steps(x, y)``.  The step is
-    recorded in the witness's indices when ``indexed``, else after its
-    points."""
-    vals = v.vals
-    pts = sorted(vals)
-    for x in pts:
-        for y in pts:
-            if x != y:
-                lhs = vals[x] + vals[y]
-                for s in steps(x, y):
-                    if violated(v, lhs, x, y, s):
-                        return _fail(kind, (x, y), (s,)) if indexed else _fail(kind, (x, y, s))
-    return _OK
+def _jump_steps(d: Point):
+    """The jump axioms' steps on a pair x, y = x + d, as (s, -s, the pairs
+    (s + t, -s - t) for its partners t, record), unit vectors by index:
+    s in inc(x, y), whose exchanges are (x + s, y - s) and
+    (x + s + t, y - s - t) for t in inc(x + s, y); the witness records s."""
+    units, neg = _signed_units(len(d)), _negations(len(d))
+    m = len(units)
+    return [
+        (s, neg[s], [(s * m + t, neg[s] * m + neg[t]) for t in _toward(units[s][2], d)], units[s][2])
+        for s in _toward((0,) * len(d), d)
+    ]
 
 
-_M_EXCHANGE = partial(_exchange, nat=False)
-_JUMP_EXCHANGE = partial(_jump_exchange, nat=False)
+# a family of ordered axioms: its steps on a pair by the pair's difference,
+# and whether a witness records the step as an index
+_FAMILIES = {"exchange": (_exchange_steps, True), "jump": (_jump_steps, False)}
 
-# label -> (witness kind, axiom, steps, whether the step is an index)
+
+def _neither(one, two, near) -> bool:
+    return not one and not two
+
+
+def _no_two_step(one, two, near) -> bool:
+    return not two
+
+
+def _not_near(one, two, near) -> bool:
+    return not near
+
+
+# label -> (witness kind, family, whether a step's reading violates the axiom)
 _ORDERED = {
-    ClassLabel.MNAT_SET: ("exchange-mnat", _exchange, _plus_support, True),
-    ClassLabel.MNAT_FN: ("exchange-mnat-fn", _exchange, _plus_support, True),
-    ClassLabel.M_SET: ("exchange-m", _M_EXCHANGE, _plus_support, True),
-    ClassLabel.M_FN: ("exchange-m-fn", _M_EXCHANGE, _plus_support, True),
-    ClassLabel.JUMP_SYSTEM: ("jump-2step", _jump_two_step, increments, False),
-    ClassLabel.CONST_PARITY_JUMP: ("jump-exc", _JUMP_EXCHANGE, increments, False),
-    ClassLabel.SIMULT_EXCH_JUMP: ("jump-exc-nat", _jump_exchange, increments, False),
-    ClassLabel.JUMP_M_FN: ("jump-m-fn", _JUMP_EXCHANGE, increments, False),
-    ClassLabel.JUMP_MNAT_FN: ("jump-mnat-fn", _jump_exchange, increments, False),
+    ClassLabel.MNAT_SET: ("exchange-mnat", "exchange", _neither),
+    ClassLabel.MNAT_FN: ("exchange-mnat-fn", "exchange", _neither),
+    ClassLabel.M_SET: ("exchange-m", "exchange", _no_two_step),
+    ClassLabel.M_FN: ("exchange-m-fn", "exchange", _no_two_step),
+    ClassLabel.JUMP_SYSTEM: ("jump-2step", "jump", _not_near),
+    ClassLabel.CONST_PARITY_JUMP: ("jump-exc", "jump", _no_two_step),
+    ClassLabel.SIMULT_EXCH_JUMP: ("jump-exc-nat", "jump", _neither),
+    ClassLabel.JUMP_M_FN: ("jump-m-fn", "jump", _no_two_step),
+    ClassLabel.JUMP_MNAT_FN: ("jump-mnat-fn", "jump", _neither),
 }
 
 ORDERED_LABELS = frozenset(_ORDERED)
 
 
+def _scan_ordered(v: _View, labels) -> Dict[ClassLabel, Verdict]:
+    """One scan of the ordered pairs x != y deciding every label given.
+    Each step (a, -a, partners) of a family on the pair is read once: one,
+    whether the one-step exchange (x + a, y - a) stays within
+    f(x) + f(y); two, whether some two-step exchange (x + a + b, y - a - b)
+    does; near, whether x + a or some x + a + b lies in the object.  Each
+    label still undecided keeps its first violated step."""
+    vals = v.vals
+    pts = sorted(vals)
+    around = {x: _neighbours(v, x) for x in pts}
+    verdicts = {}
+    groups = {}
+    for label in labels:
+        groups.setdefault(_ORDERED[label][1], []).append(label)
+    # per family: its steps, whether a step is an index, its steps by
+    # difference (built once per scan) and its undecided labels
+    families = [(*_FAMILIES[family], {}, group) for family, group in groups.items()]
+    undecided = len(labels)
+    for x in pts:
+        x1, x2 = around[x]
+        fx = vals[x]
+        for y in pts:
+            if x == y:
+                continue
+            y1, y2 = around[y]
+            d = tuple(map(sub, y, x))
+            lhs = fx + vals[y]
+            for steps, indexed, known, group in families:
+                if not group:
+                    continue
+                read = known.get(d)
+                if read is None:
+                    read = known[d] = steps(d)
+                for a, ma, partners, record in read:
+                    p, q = x1[a], y1[ma]
+                    one = p is not None and q is not None and p + q <= lhs
+                    near, two = p is not None, False
+                    for ab, mab in partners:
+                        p = x2[ab]
+                        if p is not None:
+                            near = True
+                            q = y2[mab]
+                            if q is not None and p + q <= lhs:
+                                two = True
+                                break
+                    if two:  # a two-step exchange holds, and x + a + b lies in the object
+                        continue
+                    for label in [label for label in group if _ORDERED[label][2](one, two, near)]:
+                        kind = _ORDERED[label][0]
+                        verdicts[label] = _fail(kind, (x, y), (record,)) if indexed else _fail(kind, (x, y, record))
+                        group.remove(label)
+                        undecided -= 1
+                    if not group:
+                        break
+            if not undecided:
+                return verdicts
+    return {label: verdicts.get(label, _OK) for label in labels}
+
+
+def ordered_verdicts(obj) -> Dict[ClassLabel, Verdict]:
+    """The exchange and jump verdicts of a finite set or function under
+    every such label of its kind, from one scan."""
+    kind = LatticeSet if isinstance(obj, LatticeSet) else LatticeFn
+    labels = [label for label in _ORDERED if (label in SET_LABELS) == (kind is LatticeSet)]
+    return _scan_ordered(_View.of(obj), labels)
+
+
 def check_ordered(obj, label: ClassLabel) -> Verdict:
     """The exchange or jump verdict of a finite set or function."""
-    return _scan_ordered(_View.of(obj), *_ORDERED[label])
+    return _scan_ordered(_View.of(obj), [label])[label]
 
 
 def _midpoint_pair(vals, keep=lambda x, y: True) -> Optional[Tuple[Point, Point]]:

@@ -344,39 +344,65 @@ def test_size_rules_pin_both_sides(pair_scans):
     assert scans(lab.m_lift(below), ClassLabel.M_SET) and not scans(lab.m_lift(top), ClassLabel.M_SET)
     # an L♮ set never scans as a member, whatever its size
     assert not scans(LatticeSet.of([(0, 0, 0)]), ClassLabel.LNAT_SET)
+    # the set jump labels take the box-count route from 12 points on: an
+    # interval of Z is a jump system, and the even points of one a member
+    # of all three labels
+    for k, scanned in ((11, True), (12, False)):
+        assert scans(LatticeSet(1, frozenset((t,) for t in range(k))), ClassLabel.JUMP_SYSTEM) is scanned
+        for label in (ClassLabel.CONST_PARITY_JUMP, ClassLabel.SIMULT_EXCH_JUMP):
+            assert scans(LatticeSet(1, frozenset((2 * t,) for t in range(k))), label) is scanned
 
 
 def test_the_fixture_sees_every_pair_scan(pair_scans):
-    # the kinds each set label scans on the unit square, a member of every
-    # label but M and constant parity, and on the square without its top,
-    # which is not L♮, so L♮ scans for its witness, and which M♮ scans as
-    # it lies below the domain test's size rule; a label that scans nothing
-    # decides without the pair scan
+    # the arguments after the view of each pair scan a set label makes on
+    # the unit square, a member of every label but M and constant parity,
+    # and on the square without its top, which is not L♮, so L♮ scans for
+    # its witness, and which M♮ scans as it lies below the domain test's
+    # size rule; both lie below the jump route's size rule, so jump-system
+    # scans from its first row; a label that scans nothing decides without
+    # the pair scan
     square = LatticeSet(2, frozenset(cube(2, 0, 1).points()))
     bent = LatticeSet(2, square.points - {(1, 1)})
     always = {
-        ClassLabel.IC_SET: "hull-midpoint",
-        ClassLabel.GLOBAL_DMC_SET: "midpoint-far",
-        ClassLabel.JUMP_SYSTEM: "jump-2step",
-        ClassLabel.CONST_PARITY_JUMP: "jump-exc",
-        ClassLabel.SIMULT_EXCH_JUMP: "jump-exc-nat",
-        ClassLabel.L_SET: "submodular",
-        ClassLabel.M_SET: "exchange-m",
+        ClassLabel.IC_SET: ("hull-midpoint",),
+        ClassLabel.GLOBAL_DMC_SET: ("midpoint-far",),
+        ClassLabel.JUMP_SYSTEM: ("jump-2step", 0),
+        ClassLabel.CONST_PARITY_JUMP: ("jump-exc",),
+        ClassLabel.SIMULT_EXCH_JUMP: ("jump-exc-nat",),
+        ClassLabel.L_SET: ("submodular",),
+        ClassLabel.M_SET: ("exchange-m",),
     }
     for obj, scanned in (
         (square, always),
-        (bent, {**always, ClassLabel.LNAT_SET: "midpoint", ClassLabel.MNAT_SET: "exchange-mnat"}),
+        (bent, {**always, ClassLabel.LNAT_SET: ("midpoint",), ClassLabel.MNAT_SET: ("exchange-mnat",)}),
     ):
         for label in sorted(SET_LABELS_NO_L + [ClassLabel.L_SET]):
             del pair_scans[:]
             check(obj, label)
             want = [scanned[label]] if label in scanned else []
-            assert [kind for _, kind in pair_scans] == want, (sorted(obj.points), label)
+            assert [args[1:] for args in pair_scans] == want, (sorted(obj.points), label)
+    # the even points of [0, 4]^2, 13 of them, lie above it: a member of
+    # the three set jump labels is decided without a scan, and a near miss
+    # resumes the jump-system scan at the row of its first violated pair,
+    # while the other two scan it whole
+    even = LatticeSet(2, frozenset(p for p in cube(2, 0, 4).points() if sum(p) % 2 == 0))
+    miss = LatticeSet(2, even.points - {(2, 2)})
+    for obj, scanned in (
+        (even, {}),
+        (miss, {ClassLabel.JUMP_SYSTEM: ("jump-2step", 1), ClassLabel.CONST_PARITY_JUMP: ("jump-exc",),
+                ClassLabel.SIMULT_EXCH_JUMP: ("jump-exc-nat",)}),
+    ):
+        for label in (ClassLabel.JUMP_SYSTEM, ClassLabel.CONST_PARITY_JUMP, ClassLabel.SIMULT_EXCH_JUMP):
+            del pair_scans[:]
+            assert check(obj, label).member is (obj is even)
+            want = [scanned[label]] if label in scanned else []
+            assert [args[1:] for args in pair_scans] == want, (sorted(obj.points), label)
+    assert check(miss, ClassLabel.JUMP_SYSTEM).witness.points[0] == sorted(miss.points)[1]
     # a locally d.m.c. function scans its domain, then its pairs at l-inf
     # distance 2
     del pair_scans[:]
     assert check(indicator_fn(square), ClassLabel.LOCAL_DMC_FN).member
-    assert [kind for _, kind in pair_scans] == ["midpoint-far", "midpoint-two"]
+    assert [args[1:] for args in pair_scans] == [("midpoint-far",), ("midpoint-two",)]
 
 
 def test_a_thousand_point_box_function_is_decided_locally(pair_scans):

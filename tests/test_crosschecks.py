@@ -35,6 +35,15 @@ of 250 to 320 points, where the local route runs, and on sets built to
 defeat each shortcut.  Above the rule a member must be decided without a
 pair scan, so a domain test that wrongly rejects shows too.
 
+The three set jump labels decide membership by a box-count route, and a
+jump-system non-member resumes its pair scan at the route's row, so their
+whole verdicts are compared with the production pair scans they fall back
+to: on every subset of [0, 2]^2 and [0, 1]^3 and on random sets of one
+parity or mixed parity in 2 to 5 dimensions, with the size rule lowered so
+that the route runs wherever the volume bound allows, on the jump sets of
+the benchmark's check corpus under the real rule, and on sparse sets and
+spans past 2**64, which must not take the route.
+
 Network induction and infimal convolution run on int-scaled values and
 point codes too, so their results, and the documents of their results, are
 compared with the Fraction/tuple loops kept in ``set_oracles``: induction
@@ -59,7 +68,7 @@ from fractions import Fraction
 import pytest
 
 import set_oracles
-from dconvex import core, documents, lab, network
+from dconvex import classes, core, documents, lab, network
 from dconvex.classes import FN_LABELS, SET_LABELS, ClassLabel, _View, check, check_fn, check_set, verify_witness
 from dconvex.core import (
     EmptyResultError,
@@ -83,6 +92,7 @@ from set_oracles import (
     check_ic_fn,
     check_lifted_l_fn,
     check_ordered,
+    ordered_verdicts,
 )
 
 sys.path.append(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -251,9 +261,10 @@ def _assert_ordered_verdicts_match(objects):
     members)."""
     checks = members = 0
     for obj in objects:
+        want = ordered_verdicts(obj)
         for label in _ordered_labels(obj):
             got = check(obj, label)
-            assert got == check_ordered(obj, label), (label, obj)
+            assert got == want[label], (label, obj)
             assert got.member or verify_witness(obj, got.witness), (label, obj)
             checks += 1
             members += got.member
@@ -413,6 +424,75 @@ def test_pair_scans_match_oracles_above_the_table_bound():
 
 def test_pair_scans_match_oracles_on_wide_spans():
     _assert_pair_scans_match(_labelled(_wide_spans()))
+
+
+# the set jump labels the box-count route decides, with the kinds they scan
+_JUMP_KINDS = {
+    ClassLabel.JUMP_SYSTEM: "jump-2step",
+    ClassLabel.CONST_PARITY_JUMP: "jump-exc",
+    ClassLabel.SIMULT_EXCH_JUMP: "jump-exc-nat",
+}
+
+
+def _assert_jump_route_matches_scans(sets):
+    """check() equals the whole pair scan of each set jump label, verdict
+    and witness; returns (checks, members, sets the route takes)."""
+    checks = members = routed = 0
+    for s in sets:
+        routed += classes._jump_routed(_View.of(s))
+        for label, kind in _JUMP_KINDS.items():
+            got = check(s, label)
+            assert got == classes._scan_pairs(_View.of(s), kind), (label, sorted(s.points))
+            checks += 1
+            members += got.member
+    return checks, members, routed
+
+
+def _subsets(box: Window):
+    pts = list(box.points())
+    for mask in range(1, 1 << len(pts)):
+        yield LatticeSet(box.dim, frozenset(p for k, p in enumerate(pts) if mask >> k & 1))
+
+
+def _parity_sets(rng):
+    """Random sets in 2 to 5 dimensions, of one coordinate-sum parity or
+    mixed, each with up to 30 points of a box of widths 1 to 3, and one
+    point dropped from each."""
+    for _ in range(200):
+        n = rng.randint(2, 5)
+        box = Window((0,) * n, tuple(rng.randint(1, 3) for _ in range(n)))
+        parity = rng.choice((0, 1, None))
+        pts = [p for p in box.points() if parity is None or sum(p) % 2 == parity]
+        s = LatticeSet(n, frozenset(rng.sample(pts, min(len(pts), rng.randint(1, 30)))))
+        yield s
+        if len(s) > 1:
+            yield LatticeSet(n, s.points - {rng.choice(sorted(s.points))})
+
+
+def test_jump_route_matches_the_pair_scans(monkeypatch):
+    # the box-count route, which proves a jump system or names the row at
+    # which the 2-step scan resumes, against the whole scans: first on
+    # every small set and on random ones, with the size rule lowered so
+    # that each takes the route where its volume allows
+    monkeypatch.setattr(classes, "_JUMP_SIZE", 1)
+    small = [s for box in (cube(2, 0, 2), cube(3, 0, 1)) for s in _subsets(box)]
+    checks, members, routed = _assert_jump_route_matches_scans(small)
+    assert (checks, routed) == (3 * 766, 766) and 0.05 < members / checks < 0.5
+    checks, members, routed = _assert_jump_route_matches_scans(_parity_sets(random.Random(2121)))
+    assert checks > 1000 and 0.05 < members / checks < 0.5 and routed > checks / 6
+    monkeypatch.undo()
+    # the check corpus's jump sets, members and near misses, under the rule
+    corpus = []
+    for seed in (1, 7):
+        members, misses = build_check_corpus(seed)
+        corpus += [i.obj for i in members + misses if i.label in _JUMP_KINDS]
+    checks, members, routed = _assert_jump_route_matches_scans(corpus)
+    assert (checks, members, routed) == (270, 54, 90)
+    # sparse sets past the volume bound, and spans past 2**64, fall back
+    sparse = [LatticeSet.of([(0, 0), (2, 0), (0, 2), (30, 30)]), LatticeSet.of([(0, 0, 0), (9, 9, 9), (9, 0, 9)])]
+    sparse += [s for s in _wide_spans() if isinstance(s, LatticeSet)]
+    monkeypatch.setattr(classes, "_JUMP_SIZE", 1)
+    assert _assert_jump_route_matches_scans(sparse)[2] == 0
 
 
 def test_dmc_recognizers_match_oracle_on_the_check_corpus():
