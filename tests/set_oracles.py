@@ -63,7 +63,7 @@ through them, as their indicator maps.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from operator import sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
