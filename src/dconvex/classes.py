@@ -53,41 +53,48 @@ cancels, and a lifted function is read without its ramp.  The hull axiom
 reads ``hull.twice_extension`` on the int total x + y through the view's
 getter, memoized by x + y, so once per distinct midpoint in a check.
 
-Every pair axiom is one shape, ``_Pair``: a move of the pair's difference
-and a predicate that reads int codes.  The exchange (M♮, M) and jump axioms
-share one predicate: on an ordered pair x, y the jump exchange reads
-x + s + t and y - s - t for unit steps s, t from x toward y, and the M♮/M
-exchange x - e_i + e_j, y + e_i - e_j is its case s = -e_i, t = +e_j
-(Murota, "M-convex functions on jump systems", 2006).  The midpoint axioms
-read the rounded midpoints x + ceil(d/2) and x + floor(d/2) of x and
-y = x + d (Moriguchi, Murota, Tamura and Tardella 2020), the L axiom
-x v y = x + (d v 0) and x ^ y = x + (d ^ 0), and the hull axiom the local
-extension at (x + y)/2.  All those points lie in the pair's box
-[x ^ y, x v y].  A view codes its stored points once, by mixed radix
-(``_View.coded``, the codes of ``core.Codes``), over the difference box
-[lo, lo + 2 (hi - lo)] of their bounding box [lo, hi] grown by ``_REACH`` = 4
-on every side, so every point read, even a point x + d of the local route,
-has its own code.  Codes sort in lexicographic point order (scans and
-witnesses are as on point tuples), cy - cx identifies y - x (balanced
-mixed-radix digits are unique) and cx + cy identifies x + y.  What an axiom
-reads on a pair is then a move of the difference y - x alone: the code
-offsets from cx of the points read, None where the axiom's l-inf filter
-drops the pair, or for the ordered axioms the steps (i, +-stride_i, |d_i|)
-tried and their partners.
+Every pair axiom reads int codes, in one of two shapes.  The exchange
+(M♮, M), jump and submodular axioms are a ``_Pair``: a move of the pair's
+difference and a predicate.  The exchange and jump axioms share one
+predicate: on an ordered pair x, y the jump exchange reads x + s + t and
+y - s - t for unit steps s, t from x toward y, and the M♮/M exchange
+x - e_i + e_j, y + e_i - e_j is its case s = -e_i, t = +e_j (Murota,
+"M-convex functions on jump systems", 2006); the L axiom reads
+x v y = x + (d v 0) and x ^ y = x + (d ^ 0).  The midpoint family is a
+``_Halves``, read by arithmetic on the codes with no move: the midpoint
+axioms read the rounded midpoints x + ceil(d/2) and x + floor(d/2) of x
+and y = x + d (Favati and Tardella 1990; Moriguchi, Murota, Tamura and
+Tardella 2020), and the hull axiom the local extension at (x + y)/2.  All
+those points lie in the pair's box [x ^ y, x v y].  A view codes its
+stored points once, by mixed radix (``_View.coded``, the codes of
+``core.Codes``), over the difference box [lo, lo + 2 (hi - lo)] of their
+bounding box [lo, hi] grown by ``_REACH`` = 4 on every side, so every point
+read, even a point x + d of the local route, has its own code.  Codes sort
+in lexicographic point order (scans and witnesses are as on point tuples),
+cy - cx identifies y - x (balanced mixed-radix digits are unique) and
+cx + cy identifies x + y.  A ``_Pair`` move depends on the difference
+y - x alone: the code offsets from cx of the points read, or for the
+ordered axioms the steps (i, +-stride_i, |d_i|) tried and their partners.
+A ``_Halves`` reads the midpoints at cx + o and cy - o, where the offset o
+of ceil(d/2) is (cy - cx + odd[px ^ py]) >> 1 for the parity masks px, py
+of x and y, and its l-inf filters are lookups in the code offsets N of
+{-1, 0, 1}^n; odd and N are built once per stride tuple (``_ring``).
 
 One scanner, ``_scan_pairs``, reads every pair axiom: unordered pairs x < y,
-or all ordered pairs, each with one predicate call, which for an ordered
-axiom returns the first violated step.  It builds each difference's move
-once, in a table keyed by cy - cx, and reads each point with one int
-addition; the hull memo is keyed by cx + cy and decodes x + y on a miss.
-The table keeps at most C(2n, n) * |S| entries, the Rogers-Shephard bound on
-a convex body's difference body; past it a move is built for its pair
+or all ordered pairs, in code order.  A ``_Pair`` scan makes one predicate
+call per pair, which for an ordered axiom returns the first violated step,
+and builds each difference's move once, in a table keyed by cy - cx; the
+table keeps at most C(2n, n) * |S| entries, the Rogers-Shephard bound on a
+convex body's difference body, and past it a move is built for its pair
 alone, so a sparse input, whose pairs nearly all differ, holds no entry per
-pair.  One local route, ``_local``, reads the same coding, moves and
-predicates on the pairs x, x + d with d in a ball; when it fails, the pair
-scan reuses the coding.  A replay codes the witness pair over its own
-difference box and calls the same move and predicate, reading each decoded
-point through the object.  Values are looked up by code in a dict.
+pair.  A ``_Halves`` scan keeps no table: one call of its reading per point
+x runs over the points after x, each pair read with a few int operations;
+the hull memo is keyed by cx + cy and decodes x + y on a miss.  One local
+route, ``_local``, reads the same coding and readings on the pairs x, x + d
+with d in a ball; when it fails, the pair scan reuses the coding.  A replay
+codes the witness pair over its own difference box grown by 1 and calls the
+same reading, reading each decoded point through the object.  Values are
+looked up by code in a dict.
 
 Conventions for infinite values inside axioms: an inequality with +infinity
 on the left-hand side holds; +infinity on the right-hand side is only
@@ -100,10 +107,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, partial
-from itertools import accumulate, combinations, product
+from functools import cached_property, lru_cache, partial
+from itertools import accumulate, combinations, product, repeat
 from math import comb, inf, prod
-from operator import add, sub
+from operator import add, and_, lshift, or_, sub
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
@@ -358,8 +365,7 @@ class _View:
 # replay checks those points and computes it.
 
 
-# The pair axioms read x, y and the points between them by code (``_Codes``),
-# through a move that depends on the pair's difference d = y - x alone:
+# The pair axioms read x, y and the points between them by code (``_Codes``):
 # ``get`` maps a code to a value and cx and cy are the codes of x and y.  A
 # predicate of an unordered axiom returns whether it is violated; one of an
 # ordered axiom returns its first violated step, or None.
@@ -367,9 +373,11 @@ class _View:
 
 def _pair_codes(v: _View, x: Point, y: Point):
     """Replay's reading of a pair: the codes over the difference box of the
-    pair's own box, which holds every point an axiom reads on it, a getter
-    reading each code's point through the view, cx, cy and y - x."""
-    codes = _Codes(_doubled(bounding_box((x, y))))
+    pair's own box grown by 1, which holds every point an axiom reads on it
+    and gives every coordinate an extent of at least 3, so that the offsets
+    of {-1, 0, 1}^n are differences too (``_ring``); a getter reading each
+    code's point through the view, cx, cy and y - x."""
+    codes = _Codes(_doubled(bounding_box((x, y)), 1))
     d = tuple(b - a for a, b in zip(x, y))
     return codes, (lambda c: v.get(codes.point(c))), codes.code(x), codes.code(y), d
 
@@ -382,12 +390,6 @@ def _two_points(get, lhs, cx: int, cy: int, move) -> bool:
         return True
     b = get(cx + move[1])
     return b is None or a + b > lhs
-
-
-def _hull_midpoint(twice, lhs, cx: int, cy: int, move) -> bool:
-    """Twice the local extension at (x + y)/2 (``_extensions``) exceeds lhs."""
-    t = twice[cx + cy]
-    return t is None or t > lhs
 
 
 def _jump_exchange(get, lhs, cx: int, cy: int, move, nat: bool = True):
@@ -429,11 +431,6 @@ def _jump_two_step(get, lhs, cx: int, cy: int, move):
     return None
 
 
-def _values(v: _View, codes: _Codes, get):
-    """The code getter, which every pair axiom but the hull's reads."""
-    return get
-
-
 def _extensions(v: _View, codes: _Codes, get) -> _Memo:
     """Twice the local extension at (x + y)/2 by cx + cy, which identifies
     x + y over a difference box (its digits, those of x + y - 2 lo, lie in
@@ -443,30 +440,10 @@ def _extensions(v: _View, codes: _Codes, get) -> _Memo:
     return _Memo(lambda key: twice_extension(v.get, vadd(codes.point(key), codes.lo)))
 
 
-def _halves(d: Point):
-    """ceil(d/2) and floor(d/2): x plus them are the rounded (x + y)/2."""
-    return [(c + 1) // 2 for c in d], [c // 2 for c in d]
-
-
-def _join_meet(d: Point):
-    """d v 0 and d ^ 0: x plus them are x v y and x ^ y."""
-    return [max(c, 0) for c in d], [min(c, 0) for c in d]
-
-
-def _far(d: Point) -> bool:
-    return max(map(abs, d)) >= 2
-
-
-def _offsets(points: Callable, keep: Optional[Callable] = None) -> Callable:
-    """The move of an unordered axiom: the code offsets of the points x + e,
-    e in points(d), that it reads; None where ``keep(d)`` fails."""
-
-    def move(codes: _Codes, d: Point):
-        if keep is None or keep(d):
-            return tuple(map(codes.offset, points(d)))
-        return None
-
-    return move
+def _join_meet(codes: _Codes, d: Point):
+    """The move of the submodular axiom: the offsets of d v 0 and d ^ 0,
+    which x plus them make x v y and x ^ y."""
+    return codes.offset([max(c, 0) for c in d]), codes.offset([min(c, 0) for c in d])
 
 
 def _all_steps(codes: _Codes, d: Point):
@@ -491,10 +468,9 @@ def _unit(step, n: int) -> Point:
 
 
 class _Pair(NamedTuple):
-    """A pair axiom on codes: ``move(codes, d)`` gives what ``on_codes``
-    reads on a pair x, y = x + d, or None where the axiom does not apply,
-    and ``reader`` the values it reads.  An axiom with a ``record`` is
-    ordered: its move is the steps it tries and their partners, its
+    """A pair axiom read through a move table: ``move(codes, d)`` gives what
+    ``on_codes`` reads on a pair x, y = x + d.  An axiom with a ``record``
+    is ordered: its move is the steps it tries and their partners, its
     predicate returns the first violated step, and ``record(step, n)`` is
     what the witness keeps of that step (``_index``, ``_unit``).  Called as
     replay calls every axiom, it reads the pair over its own difference box
@@ -502,18 +478,171 @@ class _Pair(NamedTuple):
 
     move: Callable
     on_codes: Callable
-    reader: Callable = _values
     record: Optional[Callable] = None
 
     def __call__(self, v: _View, lhs, x: Point, y: Point, *record) -> bool:
         codes, get, cx, cy, d = _pair_codes(v, x, y)
         move = self.move(codes, d)
-        if move is None:
-            return False
         if self.record is not None:
             tried, partners = move
             move = [s for s in tried if (self.record(s, len(x)),) == record], partners
-        return bool(self.on_codes(self.reader(v, codes, get), lhs, cx, cy, move))
+        return bool(self.on_codes(get, lhs, cx, cy, move))
+
+    def scan(self, v: _View, start: int):
+        """The first violated pair of the scan (``_scan_pairs``) as (cx, cy,
+        the step's record or nothing), or None.  It builds each difference's
+        move once, in a table keyed by cy - cx (``_moves``)."""
+        codes, coded = v.coded
+        items = sorted(coded.items())
+        violated, record = self.on_codes, self.record
+        get, moves = coded.get, _moves(self, codes, len(items))
+        for a, (cx, fx) in enumerate(items[start:], start):
+            for cy, fy in items if record else items[a + 1 :]:
+                if hit := violated(get, fx + fy, cx, cy, moves[cy - cx]):
+                    return cx, cy, (record(hit, v.dim),) if record else ()
+        return None
+
+    def local(self, v: _View, ball: Sequence[Point]) -> bool:
+        """``_local``, with the move of each offset built once."""
+        codes, coded = v.coded
+        get, violated = coded.get, self.on_codes
+        moves = [(codes.offset(d), self.move(codes, d)) for d in ball]
+        for cx, fx in coded.items():
+            for delta, move in moves:
+                cy = cx + delta
+                fy = get(cy)
+                if fy is not None and violated(get, fx + fy, cx, cy, move):
+                    return False
+        return True
+
+
+# The midpoint family reads a pair by arithmetic on its codes, with no move:
+# for d = y - x, whose coordinates are odd exactly on the bit mask m = px ^ py
+# of the coordinates where x and y differ in parity, ceil(d/2) has the offset
+# o = (cy - cx + odd[m]) >> 1, with odd[m] the sum of the strides in m (every
+# d_i = 2 ceil(d_i/2) - (d_i mod 2)), so the rounded midpoints
+# x + ceil(d/2) and x + floor(d/2) = y - ceil(d/2) have the codes cx + o and
+# cy - o.  The l-inf filters are lookups in the offsets N of {-1, 0, 1}^n,
+# which identify their differences over a difference box whose extents are
+# all at least 3: l-inf(d) <= 1 exactly when cy - cx is in N, and
+# l-inf(d) <= 2 exactly when the offsets o and cy - cx - o of ceil(d/2) and
+# floor(d/2) both are.
+
+# the largest dimension whose odd and N are listed: 3^8 = 6561 offsets
+_LISTED_DIM = 8
+
+
+def _parities(points) -> List[int]:
+    """The bit mask of each point's odd coordinates, bit i for coordinate
+    i, in bulk: bit i of c << i is bit 0 of c."""
+    masks = None
+    for i, col in enumerate(zip(*points)):
+        bits = map(and_, map(lshift, col, repeat(i)), repeat(1 << i))
+        masks = list(bits if masks is None else map(or_, masks, bits))
+    return masks or [0] * len(points)
+
+
+class _Ball:
+    """N as a test on the balanced digits of an offset (``_Codes.difference``,
+    which reads ``strides`` alone), for a dimension whose N is not listed."""
+
+    def __init__(self, strides: Tuple[int, ...]):
+        self.strides = strides
+
+    def __contains__(self, delta: int) -> bool:
+        return max(map(abs, _Codes.difference(self, delta))) <= 1
+
+
+def _ring(strides: Tuple[int, ...]):
+    """odd and N (above) for codes with these strides: listed once per
+    stride tuple up to ``_LISTED_DIM``, and beyond it odd memoized by mask
+    and N tested by digits."""
+    if len(strides) > _LISTED_DIM:
+        return _Memo(lambda m: sum(s for i, s in enumerate(strides) if m >> i & 1)), _Ball(strides)
+    return _listed_ring(strides)
+
+
+@lru_cache(maxsize=64)
+def _listed_ring(strides: Tuple[int, ...]):
+    odd, near = [0], {0}
+    for s in strides:
+        odd += [c + s for c in odd]
+        near = {c + e for c in near for e in (-s, 0, s)}
+    return tuple(odd), frozenset(near)
+
+
+class _Halves(NamedTuple):
+    """A midpoint-family pair axiom, read by code arithmetic (above): the
+    midpoint inequality f(x) + f(y) >= f(x + ceil(d/2)) + f(x + floor(d/2))
+    (Favati and Tardella 1990; Moriguchi, Murota, Tamura and Tardella 2020)
+    or, with ``hull``, the same with twice the local extension at (x + y)/2
+    on the right; on the pairs at l-inf distance at least 2 with ``far``,
+    and exactly 2 with ``far`` and ``two``.  ``first`` is the one reading of
+    it that the scan, the local route and replay call."""
+
+    far: bool = False
+    two: bool = False
+    hull: bool = False
+
+    def first(self, read, ring, cx: int, px: int, fx: int, ys):
+        """The first (cy, py, fy) of ``ys`` whose pair with x = (cx, px, fx)
+        violates the axiom, or None; ``read`` is the code getter, or the
+        extensions memo (``_extensions``) for the hull axiom."""
+        odd, near = ring
+        far, two, hull = self
+        for y in ys:
+            cy, py, fy = y
+            delta = cy - cx
+            if far and delta in near:
+                continue
+            if hull:
+                t = read[cx + cy]
+                if t is None or t > fx + fy:
+                    return y
+                continue
+            o = (delta + odd[px ^ py]) >> 1
+            if two and (o not in near or delta - o not in near):
+                continue
+            a = read(cx + o)
+            if a is None or (b := read(cy - o)) is None or a + b > fx + fy:
+                return y
+        return None
+
+    def reader(self, v: _View, codes: _Codes, get):
+        return _extensions(v, codes, get) if self.hull else get
+
+    def __call__(self, v: _View, lhs, x: Point, y: Point) -> bool:
+        codes, get, cx, cy, _ = _pair_codes(v, x, y)
+        px, py = _parities((x, y))
+        read, ring = self.reader(v, codes, get), _ring(codes.strides)
+        return self.first(read, ring, cx, px, lhs, [(cy, py, 0)]) is not None
+
+    def scan(self, v: _View, start: int):
+        """The first violated pair of the scan (``_scan_pairs``) as (cx, cy,
+        ()), or None: each point x with its parity mask and the points after
+        it in one ``first`` call."""
+        codes, coded = v.coded
+        # coded holds the codes in the order of the stored points
+        rows = sorted(zip(coded, _parities(v.vals), coded.values()))
+        read, ring, first = self.reader(v, codes, coded.get), _ring(codes.strides), self.first
+        for a, (cx, px, fx) in enumerate(rows[start:], start):
+            if (y := first(read, ring, cx, px, fx, rows[a + 1 :])) is not None:
+                return cx, y[0], ()
+        return None
+
+    def local(self, v: _View, ball: Sequence[Point]) -> bool:
+        """``_local``: the pairs x, x + d of the stored points in one
+        ``first`` call per x, where px ^ py is the parity mask of d, so x is
+        read with mask 0 and x + d with that of d."""
+        codes, coded = v.coded
+        get = coded.get
+        read, ring, first = self.reader(v, codes, get), _ring(codes.strides), self.first
+        steps = list(zip(map(codes.offset, ball), _parities(ball)))
+        for cx, fx in coded.items():
+            ys = [(cy, m, fy) for delta, m in steps if (fy := get(cy := cx + delta)) is not None]
+            if first(read, ring, cx, 0, fx, ys) is not None:
+                return False
+        return True
 
 
 def _box_gap(v: _View, lhs, p: Point) -> bool:
@@ -547,8 +676,7 @@ class _Axiom(NamedTuple):
     points must lie in the object; the predicate; and ``keep``, which says
     which candidates the axiom applies to (None: all).  Scanners that
     enumerate only such candidates skip ``keep``; replay always applies it.
-    Pair kinds have none: the moves of their ``_Pair`` hold only their
-    candidates."""
+    Pair kinds have none: their filters are part of their reading."""
 
     points: int
     indices: int
@@ -561,17 +689,16 @@ _EXCHANGE_MNAT = _Pair(_Codes.steps, _jump_exchange, record=_index)
 _EXCHANGE_M = _EXCHANGE_MNAT._replace(on_codes=partial(_jump_exchange, nat=False))
 _JUMP_EXCHANGE_NAT = _EXCHANGE_MNAT._replace(move=_all_steps, record=_unit)
 _JUMP_EXCHANGE = _EXCHANGE_M._replace(move=_all_steps, record=_unit)
-_MIDPOINT = _Pair(_offsets(_halves), _two_points)
 
 _AXIOMS = {
     "box-gap": _Axiom(1, 0, 0, _box_gap),
     "axis-convexity": _Axiom(1, 1, 1, _axis_convexity, lambda x, i: 0 <= i < len(x)),
     "modularity": _Axiom(1, 2, 1, _modularity, lambda x, i, j: 0 <= i < j < len(x)),
-    "midpoint": _Axiom(2, 0, 2, _MIDPOINT),
-    "midpoint-far": _Axiom(2, 0, 2, _MIDPOINT._replace(move=_offsets(_halves, _far))),
-    "midpoint-two": _Axiom(2, 0, 2, _MIDPOINT._replace(move=_offsets(_halves, lambda d: max(map(abs, d)) == 2))),
-    "hull-midpoint": _Axiom(2, 0, 2, _Pair(_offsets(lambda d: (), _far), _hull_midpoint, _extensions)),
-    "submodular": _Axiom(2, 0, 2, _Pair(_offsets(_join_meet), _two_points)),
+    "midpoint": _Axiom(2, 0, 2, _Halves()),
+    "midpoint-far": _Axiom(2, 0, 2, _Halves(far=True)),
+    "midpoint-two": _Axiom(2, 0, 2, _Halves(far=True, two=True)),
+    "hull-midpoint": _Axiom(2, 0, 2, _Halves(far=True, hull=True)),
+    "submodular": _Axiom(2, 0, 2, _Pair(_join_meet, _two_points)),
     "ones-shift": _Axiom(2, 0, 1, _ones_shift, lambda x, t: t in (vshift(x, 1), vshift(x, -1))),
     "ramp": _Axiom(2, 0, 2, _ramp),
     "exchange-mnat": _Axiom(2, 1, 2, _EXCHANGE_MNAT),
@@ -592,25 +719,20 @@ _AXIOMS = {
 
 def _scan_pairs(v: _View, kind: str, start: int = 0) -> Verdict:
     """Pairs of stored points, read by code over the difference box
-    (``_View.coded``), each with the move of its cy - cx: x < y for an
-    unordered axiom, every x and y for an ordered one, whose move of
-    d = 0 tries no step.  The witness is the pair and, for an ordered axiom,
-    the record of the violated step, after the points or as the index.
-    The scan begins at the ``start``-th point x in code order, for a caller
-    that knows no earlier x has a violated pair."""
+    (``_View.coded``) in code order: x < y for an unordered axiom, every x
+    and y for an ordered one, whose move of d = 0 tries no step.  The
+    witness is the pair and, for an ordered axiom, the record of the
+    violated step, after the points or as the index.  The scan begins at
+    the ``start``-th point x in code order, for a caller that knows no
+    earlier x has a violated pair."""
     axiom = _AXIOMS[kind]
-    pair = axiom.violated
-    violated, record = pair.on_codes, pair.record
-    codes, coded = v.coded
-    items = sorted(coded.items())
-    read, moves = pair.reader(v, codes, coded.get), _moves(pair, codes, len(items))
-    for a, (cx, fx) in enumerate(items[start:], start):
-        for cy, fy in items if record else items[a + 1 :]:
-            move = moves[cy - cx]
-            if move is not None and (hit := violated(read, fx + fy, cx, cy, move)):
-                found = (codes.point(cx), codes.point(cy)) + ((record(hit, v.dim),) if record else ())
-                return _fail(kind, found[: axiom.points], found[axiom.points :])
-    return _OK
+    hit = axiom.violated.scan(v, start)
+    if hit is None:
+        return _OK
+    cx, cy, record = hit
+    codes = v.coded[0]
+    found = (codes.point(cx), codes.point(cy)) + record
+    return _fail(kind, found[: axiom.points], found[axiom.points :])
 
 
 def _scan_box(v: _View) -> Verdict:
@@ -778,21 +900,8 @@ def _local(v: _View, kind: str, ball: Sequence[Point]) -> bool:
     with d in ``ball``, whose offsets lie within l-inf distance ``_REACH``
     of 0.  Points are read by the view's one coding (``_View.coded``),
     whose box holds every x + d and every point between x and x + d, so
-    none of them shares a code; the move of each offset is built once.
-    False at the first violated pair."""
-    pair = _AXIOMS[kind].violated
-    violated = pair.on_codes
-    codes, coded = v.coded
-    get = coded.get
-    read = pair.reader(v, codes, get)
-    moves = [(codes.offset(d), move) for d in ball if (move := pair.move(codes, d)) is not None]
-    for cx, fx in coded.items():
-        for delta, move in moves:
-            cy = cx + delta
-            fy = get(cy)
-            if fy is not None and violated(read, fx + fy, cx, cy, move):
-                return False
-    return True
+    none of them shares a code.  False at the first violated pair."""
+    return _AXIOMS[kind].violated.local(v, ball)
 
 
 def _l1_ball(n: int, r: int) -> List[Point]:

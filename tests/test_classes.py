@@ -1,15 +1,23 @@
 import dataclasses
+import itertools
+from functools import partial
+import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from dconvex import classes, hull
 from dconvex.classes import (
     _AXIOMS,
     _MAPPED,
+    _REACH,
     _Codes,
     _View,
     _doubled,
+    _parities,
+    _ring,
     ClassLabel,
     LabelKindError,
     Verdict,
@@ -35,6 +43,9 @@ from dconvex.core import (
 )
 from dconvex import lab
 from set_oracles import check_family, increments
+
+sys.path.append(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from perfbench.corpus import build_check_corpus  # noqa: E402
 
 F = Fraction
 
@@ -754,6 +765,129 @@ def test_codes_round_trip_sort_and_step():
                 assert diffs.setdefault(delta, d) == d
                 total = tuple(a + b for a, b in zip(x, y))
                 assert sums.setdefault(wide.code(x) + wide.code(y), total) == total, (box, x, y)
+
+
+def _odd_mask(p) -> int:
+    return sum((c & 1) << i for i, c in enumerate(p))
+
+
+class _Reads(dict):
+    """A reader that holds no value: it records each code read and reads
+    +infinity there, so the axiom reports every pair it reads."""
+
+    def __call__(self, code):
+        self[code] = True
+
+    def __missing__(self, code):
+        self[code] = True
+
+
+def test_midpoint_codes_read_the_rounded_midpoints_and_the_linf_rule(monkeypatch):
+    # on every pair x, y of a box, over the view's coding (grown by the
+    # reach) and replay's (grown by 1), with N listed and tested by digits:
+    # the reading of each midpoint-family kind reads the pair exactly at
+    # its l-inf distances, the rounded midpoints x + ceil(d/2) and
+    # x + floor(d/2) at cx + o and cy - o with o = (cy - cx + odd[px ^ py])
+    # >> 1 (the hull kind cx + cy), and the local route's o for an offset d
+    # (x read with mask 0, y with d's) is the same
+    boxes = [
+        Window((-2,), (4,)),
+        Window((-1, -3), (2, 0)),
+        Window((-3, 1, -1), (0, 2, 1)),
+        Window((0, -2, 3, -1), (1, 0, 4, 0)),
+        Window((5, -4, -2, 0), (5, -2, -1, 2)),
+    ]
+    kinds = {
+        "midpoint": lambda linf: True,
+        "midpoint-far": lambda linf: linf >= 2,
+        "midpoint-two": lambda linf: linf == 2,
+        "hull-midpoint": lambda linf: linf >= 2,
+    }
+    assert _parities([(-3, 2, -4), (5, -1, 0), (0, 0, 0)]) == [1, 3, 0]
+    for listed in (classes._LISTED_DIM, 0):
+        monkeypatch.setattr(classes, "_LISTED_DIM", listed)
+        for box in boxes:
+            pts = list(box.points())
+            assert _parities(pts) == [_odd_mask(p) for p in pts]
+            for codes in (_Codes(_doubled(box, _REACH)), _Codes(_doubled(box, 1))):
+                ring = _ring(codes.strides)
+                for x, y in itertools.product(pts, repeat=2):
+                    d = tuple(b - a for a, b in zip(x, y))
+                    cx, cy = codes.code(x), codes.code(y)
+                    ceil = codes.code(tuple(a + (c + 1) // 2 for a, c in zip(x, d)))
+                    floor = codes.code(tuple(a + c // 2 for a, c in zip(x, d)))
+                    assert (codes.offset(d) + ring[0][_parities([d])[0]]) >> 1 == ceil - cx, (box, d)
+                    linf = max(map(abs, d))
+                    for kind, keeps in kinds.items():
+                        first = partial(_AXIOMS[kind].violated.first, ring=ring, cx=cx, px=_odd_mask(x), fx=0)
+                        row = [(cy, _odd_mask(y), 0)]
+                        reads = _Reads()
+                        hit = first(reads, ys=row)
+                        assert (hit is not None) == keeps(linf), (kind, box, d)
+                        if hit is not None and kind == "hull-midpoint":
+                            assert list(reads) == [cx + cy], (box, d)
+                        elif hit is not None:
+                            # with the ceiling point present the floor point is read too
+                            got = []
+                            first(lambda c: got.append(c) or (0 if c == ceil else None), ys=row)
+                            assert list(reads) == [ceil] and got == [ceil, floor], (kind, box, d)
+
+
+def test_midpoint_family_scans_read_no_move(monkeypatch, pair_scans):
+    # the four midpoint-family kinds read each pair by arithmetic on its
+    # codes: no move table and no decoding of a difference, in the scan,
+    # the local route or replay
+    def built(*args):
+        raise AssertionError("a midpoint-family reading built a move")
+
+    monkeypatch.setattr(classes, "_moves", built)
+    monkeypatch.setattr(classes._Codes, "difference", built)
+    labels = (
+        ClassLabel.IC_SET, ClassLabel.IC_FN, ClassLabel.LNAT_SET, ClassLabel.LNAT_FN, ClassLabel.L_SET,
+        ClassLabel.L_FN, ClassLabel.MULTIMODULAR_SET, ClassLabel.MULTIMODULAR_FN, ClassLabel.GLOBAL_DMC_SET,
+        ClassLabel.GLOBAL_DMC_FN, ClassLabel.LOCAL_DMC_FN,
+    )
+    members, misses = build_check_corpus("1", sides=(3,))
+    answers = set()
+    for inst in members + misses:
+        if inst.label in labels:
+            verdict = check(inst.obj, inst.label)
+            assert verdict.member == inst.member, inst.ident
+            assert verdict.member or verify_witness(inst.obj, verdict.witness), inst.ident
+            answers.add(verdict.member)
+    kinds = {args[1] for args in pair_scans}
+    assert answers == {True, False}
+    assert kinds == {"midpoint", "midpoint-far", "midpoint-two", "hull-midpoint"}
+    # the local route of a large L-natural function reads the same way
+    f = LatticeFn(3, {p: sum(c * c for c in p) for p in cube(3, 0, 6).points()})
+    del pair_scans[:]
+    assert check(f, ClassLabel.LNAT_FN).member and not pair_scans
+
+
+def test_three_dimensional_checks_solve_no_lp(monkeypatch):
+    # a midpoint of two points of Z^3 has at most three half-integral
+    # coordinates, where the local extension has a closed form
+    def solved(*args):
+        raise AssertionError("a 3-d check solved an LP")
+
+    odd = []
+    extension = classes.twice_extension
+
+    def counted(get, total):
+        odd.append(sum(t & 1 for t in total))
+        return extension(get, total)
+
+    monkeypatch.setattr(hull, "solve_lp", solved)
+    monkeypatch.setattr(classes, "twice_extension", counted)
+    members, misses = build_check_corpus("1", sides=(4,))
+    for inst in members + misses:
+        if inst.label in (ClassLabel.IC_SET, ClassLabel.IC_FN):
+            assert check(inst.obj, inst.label).member == inst.member, inst.ident
+    rng = random.Random(33)
+    f = LatticeFn(3, {p: rng.randint(-4, 4) for p in cube(3, 0, 3).points()})
+    verdict = check(f, ClassLabel.IC_FN)
+    assert verdict.member or verify_witness(f, verdict.witness)
+    assert set(odd) == {0, 1, 2, 3}
 
 
 def test_view_scales_values_to_ints():

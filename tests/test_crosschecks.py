@@ -402,14 +402,40 @@ def _sparse_jump_system():
     return LatticeSet(2, frozenset(itertools.product(a, a)))
 
 
-def test_pair_scans_match_oracles_above_the_table_bound():
-    # the scans keep the move of at most C(2n, n) * |S| differences; past
-    # that a move is built for its pair alone
+def _ruler_lattice():
+    """A x A for the Golomb ruler A = {0, 1, 3, 7, 12, 20}, whose
+    differences are all distinct: a lattice of 36 points with 961
+    differences, 480 of them from a point to a later one."""
+    a = (0, 1, 3, 7, 12, 20)
+    return LatticeSet(2, frozenset(itertools.product(a, a)))
+
+
+def test_pair_scans_match_oracles_above_the_table_bound(monkeypatch):
+    # a table scan (the exchange, jump and submodular kinds) keeps the move
+    # of at most C(2n, n) * |S| differences; past that a move is built for
+    # its pair alone.  The midpoint family keeps no table, and is checked
+    # on the same sparse inputs
+    tables = []
+    moves = classes._moves
+
+    def watched(axiom, codes, size):
+        table, builds = moves(axiom, codes, size), [0]
+        make = table.make
+
+        def counted(delta):
+            builds[0] += 1
+            return make(delta)
+
+        table.make = counted
+        tables.append((table, builds, math.comb(2 * len(codes.strides), len(codes.strides)) * size))
+        return table
+
+    monkeypatch.setattr(classes, "_moves", watched)
     simplex = LatticeSet(3, frozenset(p for p in cube(3, 0, 8).points() if sum(p) <= 8))
     assert len(simplex) == 165 and 2**3 * 165 < _differences(simplex) <= math.comb(6, 3) * 165
     sparse = _sparse_jump_system()
     assert _differences(sparse) > math.comb(4, 2) * len(sparse)
-    # a near miss whose witness comes after the table is full
+    # a near miss of the jump-system route, which resumes the scan late
     miss = LatticeSet(2, sparse.points - {(9, 9)})
     assert check(miss, ClassLabel.JUMP_SYSTEM).witness.points[0] == (8, 9)
     f = LatticeFn(3, {p: Fraction(sum(c * c for c in p) + p[0] * p[1], 3) for p in simplex.points})
@@ -419,11 +445,50 @@ def test_pair_scans_match_oracles_above_the_table_bound():
     # the integrally convex function scan with the brute-force oracle is
     # costly, so on the simplex it runs on a near miss
     cases += [(_raised(f, random.Random(3)), ClassLabel.IC_FN), (g, ClassLabel.IC_FN)]
-    assert len(cases) == 29 and _assert_pair_scans_match(cases) == 5
+    ruler = _ruler_lattice()
+    cases += _labelled([ruler])
+    assert len(cases) == 39 and _assert_pair_scans_match(cases) == 5
+    # the submodular scan of the finite L label reads every pair of the
+    # lattice, so it fills its table to the bound and builds past it
+    assert _differences(ruler) == 961 and math.comb(4, 2) * len(ruler) == 216
+    del tables[:]
+    assert check(ruler, ClassLabel.L_SET).witness.kind == "ones-shift"
+    [(table, builds, bound)] = tables
+    assert len(table) == bound == 216 and builds[0] > bound
 
 
 def test_pair_scans_match_oracles_on_wide_spans():
     _assert_pair_scans_match(_labelled(_wide_spans()))
+
+
+def _many_axes(rng):
+    """Sets and functions in Z^12, past ``classes._LISTED_DIM``, where the
+    midpoint family tests N on the digits of an offset and memoizes odd by
+    mask: a small box on two or three axes with a separable convex function,
+    and a few points each a few unit steps from the last (so midpoints
+    have few half-integral coordinates) with random values."""
+    for _ in range(3):
+        axes = rng.sample(range(12), rng.randint(2, 3))
+        base = [rng.randint(-3, 3) for _ in range(12)]
+        spans = [range(b, b + rng.randint(1, 2) + 1) if i in axes else (b,) for i, b in enumerate(base)]
+        pts = list(itertools.product(*spans))
+        yield LatticeSet.of(pts)
+        yield LatticeFn.of({p: sum((c - b) ** 2 for c, b in zip(p, base)) for p in pts})
+        pts = [tuple(rng.randint(-1, 1) for _ in range(12))]
+        for _ in range(rng.randint(2, 5)):
+            pts.append(tuple(c + (rng.choice((-2, -1, 1, 2)) if rng.random() < 0.2 else 0) for c in pts[-1]))
+        yield LatticeSet.of(pts)
+        yield LatticeFn.of({p: Fraction(rng.randint(-6, 6), rng.randint(1, 2)) for p in pts})
+
+
+def test_midpoint_scans_match_oracles_past_the_listed_dimension():
+    assert classes._LISTED_DIM < 12
+    labels = (
+        ClassLabel.IC_SET, ClassLabel.IC_FN, ClassLabel.LNAT_SET, ClassLabel.LNAT_FN, ClassLabel.GLOBAL_DMC_SET,
+        ClassLabel.GLOBAL_DMC_FN, ClassLabel.LOCAL_DMC_FN,
+    )
+    cases = list(_labelled(_many_axes(random.Random(1212)), labels))
+    assert len(cases) == 42 and 12 < _assert_pair_scans_match(cases) < 42
 
 
 # the set jump labels the box-count route decides, with the kinds they scan

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from dconvex import hull
 from dconvex.core import LatticeFn, LatticeSet, cube, indicator_fn
 from dconvex.hull import in_local_hull, local_extension_value, neighborhood, twice_extension
 from dconvex.rationals import INF
@@ -290,17 +291,49 @@ def test_kernel_reads_the_doubled_point():
     assert twice_extension(get, (1, 1)) == 4
     assert twice_extension(get, (3, 1)) == 10  # the diagonal (1, 0), (2, 1) alone is full
     assert twice_extension(get, (-1, 1)) is None
-    # three: the LP, whose right-hand side is the total
-    cube_vals = {p: sum(p) + 2 * p[0] * p[1] for p in cube(3, 0, 1).points()}
-    want = local_extension_value_bruteforce(LatticeFn(3, cube_vals), hp(F(1, 2), F(1, 2), F(1, 2)))
-    assert twice_extension(cube_vals.get, (1, 1, 1)) == twice(want)
-    shifted = {tuple(c + 3 for c in p): v for p, v in cube_vals.items()}
-    assert twice_extension(shifted.get, (7, 7, 7)) == twice(want)
+    # three: the cheapest full main diagonal or parity tetrahedron; four:
+    # the LP, whose right-hand side is the total (on the even corners, to
+    # keep the oracle short)
+    for n in (3, 4):
+        cube_vals = {p: sum(p) + 2 * p[0] * p[1] for p in cube(n, 0, 1).points() if n == 3 or sum(p) % 2 == 0}
+        want = local_extension_value_bruteforce(LatticeFn(n, cube_vals), hp(*[F(1, 2)] * n))
+        assert twice_extension(cube_vals.get, (1,) * n) == twice(want)
+        shifted = {tuple(c + 3 for c in p): v for p, v in cube_vals.items()}
+        assert twice_extension(shifted.get, (7,) * n) == twice(want)
     # the kernel reads every point through the getter, so a lifted object
     # is read along 1: the square's midpoint meets the stored diagonal
     lifted = {(0, 0): 0, (1, 0): 5}
     along = lambda p: lifted.get((p[0] - p[1], 0))
     assert twice_extension(along, (1, 1)) == 0 and twice_extension(lifted.get, (1, 1)) is None
+
+
+def test_three_odd_coordinates_in_closed_form(monkeypatch):
+    # every non-empty set of corners of a unit 3-cube, with seeded int and
+    # Fraction values, placed at an offset and with an integral fourth
+    # coordinate too: the closed form is the brute-force minimum, an int
+    # when integral and a Fraction otherwise, and solves no LP
+    def solved(*args):
+        raise AssertionError("three odd coordinates solved an LP")
+
+    monkeypatch.setattr(hull, "solve_lp", solved)
+    rng = random.Random(3030)
+    corners = list(cube(3, 0, 1).points())
+    fractional = 0
+    for mask in range(1, 256):
+        pts = [p for k, p in enumerate(corners) if mask >> k & 1]
+        for value in (lambda: rng.randint(-6, 6), lambda: F(rng.randint(-9, 9), rng.choice((1, 2, 3, 4)))):
+            vals = {p: value() for p in pts}
+            want = twice(local_extension_value_bruteforce(LatticeFn(3, vals), hp(F(1, 2), F(1, 2), F(1, 2))))
+            for shift, total in (((0, 0, 0), (1, 1, 1)), ((-2, 5, 1), (-3, 11, 3))):
+                moved = {tuple(c + s for c, s in zip(p, shift)): v for p, v in vals.items()}
+                got = twice_extension(moved.get, total)
+                # the same cube in Z^4, its third coordinate fixed at 4
+                embedded = {p[:2] + (4,) + p[2:]: v for p, v in moved.items()}
+                assert got == want == twice_extension(embedded.get, total[:2] + (8,) + total[2:]), (vals, shift)
+                if got is not None:
+                    assert type(got) is (int if F(got).denominator == 1 else F), vals
+                    fractional += type(got) is F
+    assert fractional > 20
 
 
 def test_lifted_inputs_rejected():

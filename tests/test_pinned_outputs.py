@@ -9,7 +9,11 @@ corpus order; the registry digest covers the stdout of
 ``dconvex examples --run all --verbose``; the document digest covers
 ``documents.to_text`` of the demo-05 objects and seeded objects of the
 benchmark's generators, whose bytes are the documents' format contract; the
-transform digests cover the 11 output documents of the benchmark's
+cross-label digest covers the same rows for every object of that corpus under
+every label of its kind that a midpoint-family axiom decides (integrally
+convex, L♮, L, multimodular, global and local discrete midpoint convex), a
+lifted object under the L labels alone; the transform digests cover the 11
+output documents of the benchmark's
 ``transform`` requests at seeds 1, 7 and 97, written through ``cli.main``
 in request order (splits, aggregations, direct sums, Minkowski sum,
 convolution and three network inductions).
@@ -21,8 +25,8 @@ import os
 import sys
 
 from dconvex import cli, documents
-from dconvex.classes import check
-from dconvex.core import LatticeSet
+from dconvex.classes import ClassLabel, check
+from dconvex.core import LatticeFn, LatticeSet
 from dconvex.ops import PartitionSpec, aggregate_fn
 
 sys.path.append(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -30,6 +34,7 @@ from perfbench.corpus import box_fn, build_check_corpus, mesh_network, rng_for  
 from perfbench.workloads import Transform  # noqa: E402
 
 CORPUS_SHA256 = "21f799b379e3c8a88e7ecf91432ec824cab9b3e839ef11a1cb670a38b832bf92"
+CROSS_LABEL_SHA256 = "515b31770dc7daf3c5cfb9f7f7aec20d5a176b8e925ec0466cf0b9ad9584c3b3"
 EXAMPLES_SHA256 = "dde14ea8d1714ea5ef55451b6cd2098ac86bdeb45bdbfabd6397dcec7c7bf2f8"
 DOCUMENTS_SHA256 = "5a698fbff4bea5359f63eb621e87b18920af0e0c07bb24df8d51eeb34be1a0db"
 TRANSFORM_SHA256 = {
@@ -43,19 +48,39 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _row(ident, obj, label):
+    verdict = check(obj, label)
+    w = verdict.witness
+    return [
+        ident,
+        label.value,
+        verdict.member,
+        w and w.kind,
+        w and [list(p) for p in w.points],
+        w and list(w.indices),
+    ]
+
+
 def _verdict_rows(seed):
     members, misses = build_check_corpus(seed)
     for inst in members + misses:
-        verdict = check(inst.obj, inst.label)
-        w = verdict.witness
-        yield [
-            inst.ident,
-            inst.label.value,
-            verdict.member,
-            w and w.kind,
-            w and [list(p) for p in w.points],
-            w and list(w.indices),
-        ]
+        yield _row(inst.ident, inst.obj, inst.label)
+
+
+_MIDPOINT_LABELS = {
+    LatticeSet: (ClassLabel.IC_SET, ClassLabel.LNAT_SET, ClassLabel.L_SET, ClassLabel.MULTIMODULAR_SET,
+                 ClassLabel.GLOBAL_DMC_SET),
+    LatticeFn: (ClassLabel.IC_FN, ClassLabel.LNAT_FN, ClassLabel.L_FN, ClassLabel.MULTIMODULAR_FN,
+                ClassLabel.GLOBAL_DMC_FN, ClassLabel.LOCAL_DMC_FN),
+}
+
+
+def _cross_label_rows(seed):
+    members, misses = build_check_corpus(seed)
+    for inst in members + misses:
+        for label in _MIDPOINT_LABELS[type(inst.obj)]:
+            if not inst.obj.lifted or label in (ClassLabel.L_SET, ClassLabel.L_FN):
+                yield _row(inst.ident, inst.obj, label)
 
 
 def test_corpus_verdicts_and_registry_report_are_pinned(capsys):
@@ -65,6 +90,12 @@ def test_corpus_verdicts_and_registry_report_are_pinned(capsys):
     capsys.readouterr()
     assert cli.main(["examples", "--run", "all", "--verbose"]) == 0
     assert _sha256(capsys.readouterr().out) == EXAMPLES_SHA256
+
+
+def test_cross_label_midpoint_verdicts_are_pinned():
+    rows = list(_cross_label_rows("1"))
+    assert len(rows) == 1680
+    assert _sha256(json.dumps(rows, separators=(",", ":"))) == CROSS_LABEL_SHA256
 
 
 def _pinned_objects():
