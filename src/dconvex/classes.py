@@ -55,7 +55,8 @@ getter, memoized by x + y, so once per distinct midpoint in a check.
 
 Every pair axiom reads int codes, in one of two shapes.  The exchange
 (M♮, M), jump and submodular axioms are a ``_Pair``: a move of the pair's
-difference and a predicate.  The exchange and jump axioms share one
+difference and a predicate, and for the exchange and jump exchange kinds a
+row reading (``_Rows``).  The exchange and jump axioms share one
 predicate: on an ordered pair x, y the jump exchange reads x + s + t and
 y - s - t for unit steps s, t from x toward y, and the M♮/M exchange
 x - e_i + e_j, y + e_i - e_j is its case s = -e_i, t = +e_j (Murota,
@@ -81,20 +82,28 @@ of x and y, and its l-inf filters are lookups in the code offsets N of
 {-1, 0, 1}^n; odd and N are built once per stride tuple (``_ring``).
 
 One scanner, ``_scan_pairs``, reads every pair axiom: unordered pairs x < y,
-or all ordered pairs, in code order.  A ``_Pair`` scan makes one predicate
-call per pair, which for an ordered axiom returns the first violated step,
-and builds each difference's move once, in a table keyed by cy - cx; the
-table keeps at most C(2n, n) * |S| entries, the Rogers-Shephard bound on a
-convex body's difference body, and past it a move is built for its pair
-alone, so a sparse input, whose pairs nearly all differ, holds no entry per
-pair.  A ``_Halves`` scan keeps no table: one call of its reading per point
-x runs over the points after x, each pair read with a few int operations;
-the hull memo is keyed by cx + cy and decodes x + y on a miss.  One local
-route, ``_local``, reads the same coding and readings on the pairs x, x + d
-with d in a ball; when it fails, the pair scan reuses the coding.  A replay
-codes the witness pair over its own difference box grown by 1 and calls the
-same reading, reading each decoded point through the object.  Values are
-looked up by code in a dict.
+or all ordered pairs, in code order.  The eight exchange and jump exchange
+kinds read one row x at a time, from ``_ROW_SIZE`` points on and while their
+tables fit in ``_ROW_BYTES``: an exchange (x + e, y - e) fits exactly when
+f(y - e) - f(y) <= f(x) - f(x + e), so the ys it fits are a prefix of the
+points sorted by f(y - e) - f(y), kept as int bitsets over the points in
+code order; with bitsets of the ys that each step from x points toward, the
+violated ys of a row take a few int operations per pair of steps, the lowest
+of them is the scan's y, and one predicate call on that pair gives the step
+the witness records.  Otherwise a ``_Pair`` scan makes one predicate call
+per pair, which for an ordered axiom returns the first violated step, and
+builds each difference's move once, in a table keyed by cy - cx; the table
+keeps at most C(2n, n) * |S| entries, the Rogers-Shephard bound on a convex
+body's difference body, and past it a move is built for its pair alone, so
+a sparse input, whose pairs nearly all differ, holds no entry per pair.  A
+``_Halves`` scan keeps no table: one call of its reading per point x runs
+over the points after x, each pair read with a few int operations; the hull
+memo is keyed by cx + cy and decodes x + y on a miss.  One local route,
+``_local``, reads the same coding and readings on the pairs x, x + d with d
+in a ball; when it fails, the pair scan reuses the coding.  A replay codes
+the witness pair over its own difference box grown by 1 and calls the same
+reading, reading each decoded point through the object.  Values are looked
+up by code in a dict.
 
 Conventions for infinite values inside axioms: an inequality with +infinity
 on the left-hand side holds; +infinity on the right-hand side is only
@@ -104,6 +113,7 @@ for +infinity on top of the scaled ``int`` values.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -283,12 +293,14 @@ class _Memo(dict):
 
 
 def _moves(axiom, codes: _Codes, size: int) -> _Memo:
-    """A scan's move table: ``axiom.move`` of each difference y - x by its
-    code difference cy - cx, over codes of a difference box, for ``size``
-    stored points in Z^n.  It keeps at most C(2n, n) * size entries, the
-    Rogers-Shephard bound on the volume of a convex body's difference body
-    K - K against that of K, so a sparse input, whose pairs can nearly all
-    differ, holds no entry per pair."""
+    """A per-pair scan's move table: ``axiom.move`` of each difference
+    y - x by its code difference cy - cx, over codes of a difference box,
+    for ``size`` stored points in Z^n.  It keeps at most C(2n, n) * size
+    entries, the Rogers-Shephard bound on the volume of a convex body's
+    difference body K - K against that of K, so a sparse input, whose pairs
+    can nearly all differ, holds no entry per pair.  The submodular and
+    2-step scans build one, and the exchange and jump exchange scans only
+    where they do not read by rows (``_Rows.fits``)."""
     n = len(codes.strides)
     return _Memo(lambda delta: axiom.move(codes, codes.difference(delta)), comb(2 * n, n) * size)
 
@@ -467,18 +479,139 @@ def _unit(step, n: int) -> Point:
     return _bump((0,) * n, i, 1 if d > 0 else -1)
 
 
+# The jump exchange, and so the M♮/M exchange, read a row at a time.  For an
+# offset e (a unit step s, or s + t) the exchange (x + e, y - e) fits
+# lhs = f(x) + f(y) exactly when beta_e(y) = f(y - e) - f(y) is at most
+# alpha_e(x) = f(x) - f(x + e); no y with y - e absent passes, and no y at
+# all when x + e is absent.  So the ys that pass against x are a prefix of
+# the stored points sorted by beta_e: one ``bisect_right`` in that order and
+# one read of a prefix mask, an int with bit k for the k-th stored point in
+# code order.  "s points from x toward y" is a mask of the same kind, read
+# off the points sorted by coordinate i, and so is "y_i lies beyond
+# x_i + s_i", the gap of at least 2 at which s pairs with itself.  Row x's
+# violators are then
+#
+#     OR over tried s of  toward_s & ~(one_s | OR over t of toward_t(x + s) & two_{s + t}),
+#
+# one_s only for the kinds with the one-step exchange (``nat``), and the
+# lowest set bit is the pair scan's y; one predicate call on that pair gives
+# the step the witness records, so the witness is the pair scan's.  An
+# offset's table is built at its first use and holds |S| + 1 prefix masks,
+# about |S|^2 / 8 bytes, so the reading runs while all its tables fit in
+# ``_ROW_BYTES``, and from ``_ROW_SIZE`` points on: the per-pair scan of a
+# small object, or of a near miss that fails in its first rows, reads fewer
+# points than the tables hold.  On members and near misses of the eight
+# kinds (the even points, the cut x(N) <= c and the slice x(N) = c of boxes
+# in Z^2 to Z^4, with separable convex values) the reading broke even at
+# about 9 points on members and about 32 on near misses, and on both
+# together at about 14.
+_ROW_SIZE = 16
+_ROW_BYTES = 1 << 24
+
+
+class _Rows(NamedTuple):
+    """The row reading of a jump exchange kind: with ``jump``, every unit
+    step s toward y is tried, with every step t toward y from x + s as a
+    partner; without it, the M♮/M exchange, the down steps s = -e_i are
+    tried with the up steps t = +e_j as partners.  ``nat`` admits the
+    one-step exchange (x + s, y - s)."""
+
+    jump: bool
+    nat: bool
+
+    def tables(self, n: int) -> int:
+        """How many prefix-mask tables a reading in Z^n may build: one per
+        offset read, the 2n^2 sums s + t (t != -s) of the jump exchange or
+        the n (n - 1) of the M♮/M exchange, and with ``nat`` its 2n or n
+        unit steps; and one per axis."""
+        twos, ones = (2 * n * n, 2 * n) if self.jump else (n * (n - 1), n)
+        return twos + ones * self.nat + n
+
+    def fits(self, n: int, size: int) -> bool:
+        """The size rule and the memory bound."""
+        return size >= _ROW_SIZE and self.tables(n) * size * size <= 8 * _ROW_BYTES
+
+    def plan(self, strides: Tuple[int, ...]):
+        """Per tried step s: the index of its toward mask, its code offset
+        and, per partner t, the index of the mask that admits t and the code
+        offset of s + t.  A row's masks hold at 4i, 4i + 1, 4i + 2 and
+        4i + 3 the ys with y_i < x_i, y_i > x_i, y_i < x_i - 1 and
+        y_i > x_i + 1, so the partner t = s is admitted by the last two."""
+        axes = range(len(strides))
+        partners = [(k, t) for k in axes for t in ((-1, 1) if self.jump else (1,))]
+        plan = []
+        for i in axes:
+            for s in (-1, 1) if self.jump else (-1,):
+                up, step = s > 0, s * strides[i]
+                pairs = [
+                    (4 * i + 2 + up if k == i else 4 * k + (t > 0), step + t * strides[k])
+                    for k, t in partners
+                    if k != i or t == s
+                ]
+                plan.append((4 * i + up, step, pairs))
+        return plan
+
+    def first(self, v: _View, items, start: int) -> Optional[Tuple[int, int]]:
+        """The first violated pair of the ordered scan from row ``start``,
+        as the indices of x and y in code order (``items``), or None."""
+        coded = v.coded[1]
+        get, size, nat = coded.get, len(items), self.nat
+        points, full = sorted(v.vals), (1 << len(items)) - 1
+        near = []
+        for col in zip(*points):
+            order = sorted(range(size), key=col.__getitem__)
+            ranks = [col[k] for k in order]
+            below = list(accumulate((1 << k for k in order), or_, initial=0))
+            near.append({
+                c: (below[bisect_left(ranks, c)], full ^ below[bisect_right(ranks, c)],
+                    below[bisect_left(ranks, c - 1)], full ^ below[bisect_right(ranks, c + 1)])
+                for c in set(col)
+            })
+
+        cys, fys = [c for c, _ in items], [f for _, f in items]
+
+        def table(offset: int):
+            read = map(get, map(sub, cys, repeat(offset)))
+            passed = sorted((g - f, k) for k, g, f in zip(range(size), read, fys) if g is not None)
+            return [b for b, _ in passed], list(accumulate((1 << k for _, k in passed), or_, initial=0))
+
+        tables = _Memo(table)
+        plan = self.plan(v.coded[0].strides)
+        for a in range(start, size):
+            cx, fx = items[a]
+            masks = [m for axis, c in zip(near, points[a]) for m in axis[c]]
+            violators = 0
+            for toward, step, pairs in plan:
+                if not (left := masks[toward]):
+                    continue
+                if nat and (g := get(cx + step)) is not None:
+                    betas, prefix = tables[step]
+                    left &= ~prefix[bisect_right(betas, fx - g)]
+                for admit, offset in pairs:
+                    if (m := masks[admit] & left) and (g := get(cx + offset)) is not None:
+                        betas, prefix = tables[offset]
+                        if not (left := left ^ (m & prefix[bisect_right(betas, fx - g)])):
+                            break
+                violators |= left
+            if violators:
+                return a, (violators & -violators).bit_length() - 1
+        return None
+
+
 class _Pair(NamedTuple):
     """A pair axiom read through a move table: ``move(codes, d)`` gives what
     ``on_codes`` reads on a pair x, y = x + d.  An axiom with a ``record``
     is ordered: its move is the steps it tries and their partners, its
     predicate returns the first violated step, and ``record(step, n)`` is
-    what the witness keeps of that step (``_index``, ``_unit``).  Called as
-    replay calls every axiom, it reads the pair over its own difference box
-    and tries only the steps with the witness's record."""
+    what the witness keeps of that step (``_index``, ``_unit``).  An
+    exchange or jump exchange kind has ``rows``, its row reading.  Called
+    as replay calls every axiom, it reads the pair over its own difference
+    box and tries only the steps with the witness's record."""
 
     move: Callable
     on_codes: Callable
     record: Optional[Callable] = None
+    rows: Optional[_Rows] = None
 
     def __call__(self, v: _View, lhs, x: Point, y: Point, *record) -> bool:
         codes, get, cx, cy, d = _pair_codes(v, x, y)
@@ -490,12 +623,25 @@ class _Pair(NamedTuple):
 
     def scan(self, v: _View, start: int):
         """The first violated pair of the scan (``_scan_pairs``) as (cx, cy,
-        the step's record or nothing), or None.  It builds each difference's
-        move once, in a table keyed by cy - cx (``_moves``)."""
+        the step's record or nothing), or None.  An exchange or jump
+        exchange kind within its row reading's size rule and memory bound
+        (``_Rows.fits``) finds the pair a row at a time and builds the move
+        of that pair alone, for the one predicate call that names its step;
+        any other scan calls the predicate on every pair in turn, with each
+        difference's move built once, in a table keyed by cy - cx
+        (``_moves``)."""
         codes, coded = v.coded
         items = sorted(coded.items())
         violated, record = self.on_codes, self.record
-        get, moves = coded.get, _moves(self, codes, len(items))
+        get = coded.get
+        if self.rows is not None and self.rows.fits(v.dim, len(items)):
+            hit = self.rows.first(v, items, start)
+            if hit is None:
+                return None
+            (cx, fx), (cy, fy) = items[hit[0]], items[hit[1]]
+            step = violated(get, fx + fy, cx, cy, self.move(codes, codes.difference(cy - cx)))
+            return cx, cy, (record(step, v.dim),)
+        moves = _moves(self, codes, len(items))
         for a, (cx, fx) in enumerate(items[start:], start):
             for cy, fy in items if record else items[a + 1 :]:
                 if hit := violated(get, fx + fy, cx, cy, moves[cy - cx]):
@@ -685,10 +831,16 @@ class _Axiom(NamedTuple):
     keep: Optional[Callable] = None
 
 
-_EXCHANGE_MNAT = _Pair(_Codes.steps, _jump_exchange, record=_index)
-_EXCHANGE_M = _EXCHANGE_MNAT._replace(on_codes=partial(_jump_exchange, nat=False))
-_JUMP_EXCHANGE_NAT = _EXCHANGE_MNAT._replace(move=_all_steps, record=_unit)
-_JUMP_EXCHANGE = _EXCHANGE_M._replace(move=_all_steps, record=_unit)
+def _exchange(jump: bool, nat: bool) -> _Pair:
+    """The jump exchange axiom read per pair and by rows: with ``jump``
+    every step tried and paired, else the M♮/M exchange of the down steps
+    with the up steps; with ``nat`` the one-step exchange too."""
+    violated = _jump_exchange if nat else partial(_jump_exchange, nat=False)
+    return _Pair(_all_steps if jump else _Codes.steps, violated, _unit if jump else _index, _Rows(jump, nat))
+
+
+_EXCHANGE_MNAT, _EXCHANGE_M = _exchange(jump=False, nat=True), _exchange(jump=False, nat=False)
+_JUMP_EXCHANGE_NAT, _JUMP_EXCHANGE = _exchange(jump=True, nat=True), _exchange(jump=True, nat=False)
 
 _AXIOMS = {
     "box-gap": _Axiom(1, 0, 0, _box_gap),
@@ -705,7 +857,7 @@ _AXIOMS = {
     "exchange-mnat-fn": _Axiom(2, 1, 2, _EXCHANGE_MNAT),
     "exchange-m": _Axiom(2, 1, 2, _EXCHANGE_M),
     "exchange-m-fn": _Axiom(2, 1, 2, _EXCHANGE_M),
-    "jump-2step": _Axiom(3, 0, 2, _JUMP_EXCHANGE_NAT._replace(on_codes=_jump_two_step)),
+    "jump-2step": _Axiom(3, 0, 2, _JUMP_EXCHANGE_NAT._replace(on_codes=_jump_two_step, rows=None)),
     "jump-exc": _Axiom(3, 0, 2, _JUMP_EXCHANGE),
     "jump-m-fn": _Axiom(3, 0, 2, _JUMP_EXCHANGE),
     "jump-exc-nat": _Axiom(3, 0, 2, _JUMP_EXCHANGE_NAT),

@@ -329,7 +329,7 @@ def _square_line(k: int) -> LatticeFn:
     return LatticeFn(1, {(t,): t * t for t in range(k)})
 
 
-def test_size_rules_pin_both_sides(pair_scans):
+def test_size_rules_pin_both_sides(pair_scans, monkeypatch):
     def scans(obj, label) -> bool:
         del pair_scans[:]
         assert check(obj, label).member, (label, obj)
@@ -362,6 +362,87 @@ def test_size_rules_pin_both_sides(pair_scans):
         assert scans(LatticeSet(1, frozenset((t,) for t in range(k))), ClassLabel.JUMP_SYSTEM) is scanned
         for label in (ClassLabel.CONST_PARITY_JUMP, ClassLabel.SIMULT_EXCH_JUMP):
             assert scans(LatticeSet(1, frozenset((2 * t,) for t in range(k))), label) is scanned
+    # the exchange and jump exchange kinds read by rows, with no move table,
+    # from 16 points on and while their tables fit in the memory bound: t ->
+    # t^2 on the even points of Z is a member of jump-m-fn, whose reading in
+    # Z builds 2 offset tables and 1 axis table of about 16^2 / 8 bytes each
+    built = []
+    moves = classes._moves
+    monkeypatch.setattr(classes, "_moves", lambda *args: built.append(args) or moves(*args))
+
+    def per_pair(k: int) -> bool:
+        del built[:]
+        assert check(LatticeFn(1, {(2 * t,): t * t for t in range(k)}), ClassLabel.JUMP_M_FN).member
+        return bool(built)
+
+    assert classes._ROW_SIZE == 16 and per_pair(15) and not per_pair(16)
+    assert _AXIOMS["jump-m-fn"].violated.rows.tables(1) == 3
+    bound = classes._ROW_BYTES
+    monkeypatch.setattr(classes, "_ROW_BYTES", 3 * 16 * 16 // 8)
+    assert not per_pair(16)
+    monkeypatch.setattr(classes, "_ROW_BYTES", 3 * 16 * 16 // 8 - 1)
+    assert per_pair(16)
+    # the bound itself, 16 MiB, read at its edge without an input of that
+    # size: a jump-mnat-fn reading in Z^3 builds 27 tables
+    monkeypatch.setattr(classes, "_ROW_BYTES", bound)
+    rows = _AXIOMS["jump-mnat-fn"].violated.rows
+    assert bound == 1 << 24 and rows.tables(3) == 27
+    assert rows.fits(3, 2229) and not rows.fits(3, 2230)
+    # the bound counts one table per offset a reading may read, and one per
+    # axis
+    for kind in _ROW_KINDS:
+        rows = _AXIOMS[kind].violated.rows
+        for n in range(1, 6):
+            plan = rows.plan(tuple(100**i for i in range(n)))
+            offsets = {o for _, step, pairs in plan for o in [step] * rows.nat + [o for _, o in pairs]}
+            assert rows.tables(n) == len(offsets) + n, (kind, n)
+
+
+# the kinds read a row at a time from the row size rule on
+_ROW_KINDS = (
+    "exchange-mnat", "exchange-mnat-fn", "exchange-m", "exchange-m-fn",
+    "jump-exc", "jump-exc-nat", "jump-m-fn", "jump-mnat-fn",
+)
+
+
+def _row_cases():
+    """(kind, member, non-member) above the row rule: a box, the slice
+    x(N) = 5 of [0, 4]^3 and the even points of [0, 3]^3, as sets and with
+    x -> sum(x_i^2); each non-member drops a point or raises a value."""
+    box = list(cube(3, 0, 2).points())
+    slice_ = [p for p in cube(3, 0, 4).points() if sum(p) == 5]
+    even = [p for p in cube(3, 0, 3).points() if sum(p) % 2 == 0]
+    for kinds, pts in ((("exchange-mnat", "exchange-mnat-fn"), box), (("exchange-m", "exchange-m-fn"), slice_),
+                       (("jump-exc", "jump-m-fn"), even), (("jump-exc-nat", "jump-mnat-fn"), even)):
+        mid = pts[len(pts) // 2]
+        f = {p: sum(c * c for c in p) for p in pts}
+        yield kinds[0], LatticeSet.of(pts), LatticeSet.of([p for p in pts if p != mid])
+        yield kinds[1], LatticeFn.of(f), LatticeFn.of({**f, mid: f[mid] + 100})
+
+
+def test_exchange_rows_build_no_move_and_call_the_predicate_once(monkeypatch):
+    # above the rule a member is read by rows alone, with no move table and
+    # no predicate call, and a non-member makes one predicate call, on the
+    # pair the rows name, for the step its witness records
+    def built(*args):
+        raise AssertionError("a row reading built a move table")
+
+    monkeypatch.setattr(classes, "_moves", built)
+    calls = []
+    for kind in _ROW_KINDS:
+        axiom = _AXIOMS[kind]
+        on_codes = axiom.violated.on_codes
+        counted = partial(lambda read, *args: calls.append(args) or read(*args), on_codes)
+        monkeypatch.setitem(_AXIOMS, kind, axiom._replace(violated=axiom.violated._replace(on_codes=counted)))
+    cases = list(_row_cases())
+    assert sorted(kind for kind, _, _ in cases) == sorted(_ROW_KINDS)
+    for kind, member, miss in cases:
+        assert len(member) >= classes._ROW_SIZE
+        del calls[:]
+        assert classes._scan_pairs(_View.of(member), kind).member and not calls, kind
+        verdict = classes._scan_pairs(_View.of(miss), kind)
+        assert not verdict.member and len(calls) == 1, kind
+        assert verify_witness(miss, verdict.witness), kind
 
 
 def test_the_fixture_sees_every_pair_scan(pair_scans):

@@ -44,6 +44,15 @@ that the route runs wherever the volume bound allows, on the jump sets of
 the benchmark's check corpus under the real rule, and on sparse sets and
 spans past 2**64, which must not take the route.
 
+The eight exchange and jump exchange kinds read their ordered scan a row at
+a time, by int bitsets, from a size rule on, so that row reading is
+compared, verdict and witness, with the per-pair scan that runs below
+the rule: on every subset of [0, 2]^2 and [0, 1]^3 and its indicator, on
+seeded functions in 1 to 5 dimensions with Fraction values and absent
+neighbours, on drawn members and near misses, on the check corpus at seeds
+1 and 7, on sparse inputs and spans past 2**64, and on a set whose first
+violated pair has a gap of 1 where the same-axis partner would fit.
+
 Network induction and infimal convolution run on int-scaled values and
 point codes too, so their results, and the documents of their results, are
 compared with the Fraction/tuple loops kept in ``set_oracles``: induction
@@ -411,9 +420,10 @@ def _ruler_lattice():
 
 
 def test_pair_scans_match_oracles_above_the_table_bound(monkeypatch):
-    # a table scan (the exchange, jump and submodular kinds) keeps the move
-    # of at most C(2n, n) * |S| differences; past that a move is built for
-    # its pair alone.  The midpoint family keeps no table, and is checked
+    # a table scan (the 2-step and submodular kinds, and the exchange and
+    # jump exchange kinds where they do not read by rows) keeps the move of
+    # at most C(2n, n) * |S| differences; past that a move is built for its
+    # pair alone.  The midpoint family keeps no table, and is checked
     # on the same sparse inputs
     tables = []
     moves = classes._moves
@@ -455,6 +465,15 @@ def test_pair_scans_match_oracles_above_the_table_bound(monkeypatch):
     assert check(ruler, ClassLabel.L_SET).witness.kind == "ones-shift"
     [(table, builds, bound)] = tables
     assert len(table) == bound == 216 and builds[0] > bound
+    # the exchange and jump exchange kinds read these inputs by rows, with
+    # no table, but the ordered 2-step scan keeps one: with the box-count
+    # route off it reads every ordered pair of the sparse jump system, so
+    # it fills its table to the bound and builds past it
+    monkeypatch.setattr(classes, "_JUMP_SIZE", math.inf)
+    del tables[:]
+    assert check(sparse, ClassLabel.JUMP_SYSTEM).member
+    [(table, builds, bound)] = tables
+    assert len(table) == bound == 384 and builds[0] > bound
 
 
 def test_pair_scans_match_oracles_on_wide_spans():
@@ -558,6 +577,81 @@ def test_jump_route_matches_the_pair_scans(monkeypatch):
     sparse += [s for s in _wide_spans() if isinstance(s, LatticeSet)]
     monkeypatch.setattr(classes, "_JUMP_SIZE", 1)
     assert _assert_jump_route_matches_scans(sparse)[2] == 0
+
+
+# the kinds read a row at a time, by bitsets, from the row size rule on,
+# for sets and for functions
+_EXCHANGE_KINDS = {
+    LatticeSet: ("exchange-mnat", "exchange-m", "jump-exc", "jump-exc-nat"),
+    LatticeFn: ("exchange-mnat-fn", "exchange-m-fn", "jump-m-fn", "jump-mnat-fn"),
+}
+
+
+def _assert_rows_match_pair_scans(monkeypatch, objects):
+    """The row reading of each exchange and jump exchange kind of the
+    object's type equals the per-pair scan on each object, verdict and
+    witness; returns (scans, members)."""
+    scans = members = 0
+    for obj in objects:
+        for kind in _EXCHANGE_KINDS[type(obj)]:
+            monkeypatch.setattr(classes, "_ROW_SIZE", math.inf)
+            want = classes._scan_pairs(_View.of(obj), kind)
+            monkeypatch.setattr(classes, "_ROW_SIZE", 1)
+            assert classes._AXIOMS[kind].violated.rows.fits(obj.dim, len(obj)), (kind, obj)
+            got = classes._scan_pairs(_View.of(obj), kind)
+            assert got == want, (kind, obj)
+            scans += 1
+            members += got.member
+    return scans, members
+
+
+def _exchange_functions(rng):
+    """Functions in 1 to 5 dimensions with Fraction values: separable convex
+    on a box or on its points of even coordinate sum (members of some of
+    the kinds), with points dropped, so that neighbours are absent, or with
+    a value raised."""
+    for _ in range(160):
+        n = rng.randint(1, 5)
+        box = Window((0,) * n, tuple(rng.randint(1, 3 if n < 4 else 2) for _ in range(n)))
+        pts = [p for p in box.points() if rng.random() < 0.5 or sum(p) % 2 == 0]
+        drop = rng.choice((0, 0, 0.2))
+        pts = [p for p in pts if rng.random() >= drop][:40] or [box.lo]
+        tables = [lab._convex_table(rng, 0, hi) for hi in box.hi]
+        f = {p: sum(t[c] for t, c in zip(tables, p)) / rng.randint(1, 3) for p in pts}
+        if rng.random() < 0.3:
+            f[rng.choice(pts)] += Fraction(rng.randint(1, 5), 7)
+        yield LatticeFn(n, f)
+
+
+def test_exchange_rows_match_the_pair_scans(monkeypatch):
+    # the row reading of the eight exchange and jump exchange kinds, with
+    # the size rule lowered so that it runs on every input, against their
+    # per-pair scans: on every small set and its indicator, on seeded
+    # functions, on drawn members and near misses, on the check corpus,
+    # and on spans past 2**64 and sparse inputs
+    small = [s for box in (cube(2, 0, 2), cube(3, 0, 1)) for s in _subsets(box)]
+    scans, members = _assert_rows_match_pair_scans(monkeypatch, small + list(map(indicator_fn, small)))
+    assert scans == 8 * 766 and 0.05 < members / scans < 0.5
+    scans, members = _assert_rows_match_pair_scans(monkeypatch, _exchange_functions(random.Random(2323)))
+    assert scans == 4 * 160 and 0.1 < members / scans < 0.6
+    scans, members = _assert_rows_match_pair_scans(monkeypatch, _ordered_samples(random.Random(2424)))
+    assert scans > 2000 and 0.2 < members / scans < 0.8
+    corpus = []
+    for seed in (1, 7):
+        members, misses = build_check_corpus(seed)
+        corpus += [inst.obj for inst in members + misses if not inst.obj.lifted]
+    scans, members = _assert_rows_match_pair_scans(monkeypatch, corpus)
+    assert scans == 4 * 600 and 0 < members < scans / 2
+    sparse = [_sparse_jump_system(), _ruler_lattice(), LatticeSet.of([(0, 0), (2, 0), (0, 2), (30, 30)])]
+    sparse += [LatticeFn(2, {p: Fraction(p[0] * p[0] + 3 * p[1] * p[1], 2) for p in s.points}) for s in sparse]
+    assert _assert_rows_match_pair_scans(monkeypatch, sparse + list(_wide_spans())) == (4 * 14, 0)
+    # a set whose first violated pair of jump-exc-nat, x = (0, 1) and
+    # y = (3, 2) at s = e_2, a gap of 1, would pass through the partner
+    # t = s, which reads (0, 3) and (3, 0), both in the set: the reading
+    # admits that partner only at a gap of at least 2
+    gap_one = LatticeSet.of([(0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (2, 1), (2, 2), (3, 0), (3, 2)])
+    assert classes._scan_pairs(_View.of(gap_one), "jump-exc-nat").witness.points[:2] == ((0, 1), (3, 2))
+    assert _assert_rows_match_pair_scans(monkeypatch, [gap_one]) == (4, 0)
 
 
 def test_dmc_recognizers_match_oracle_on_the_check_corpus():

@@ -12,7 +12,11 @@ benchmark's generators, whose bytes are the documents' format contract; the
 cross-label digest covers the same rows for every object of that corpus under
 every label of its kind that a midpoint-family axiom decides (integrally
 convex, L♮, L, multimodular, global and local discrete midpoint convex), a
-lifted object under the L labels alone; the transform digests cover the 11
+lifted object under the L labels alone; the cross-label exchange digest
+covers the same rows for every finite object of that corpus under every
+exchange and jump label of its kind (M♮, M, the three set jump labels and
+the two jump function labels), so that the first violated pairs of the
+ordered scans fall at many rows; the transform digests cover the 11
 output documents of the benchmark's
 ``transform`` requests at seeds 1, 7 and 97, written through ``cli.main``
 in request order (splits, aggregations, direct sums, Minkowski sum,
@@ -34,6 +38,7 @@ from perfbench.corpus import box_fn, build_check_corpus, mesh_network, rng_for  
 from perfbench.workloads import Transform  # noqa: E402
 
 CORPUS_SHA256 = "21f799b379e3c8a88e7ecf91432ec824cab9b3e839ef11a1cb670a38b832bf92"
+CROSS_LABEL_EXCHANGE_SHA256 = "984309b1c5d4e6f30627fed091e6791eda8d8b2a7bc8b864ab91972415332ae5"
 CROSS_LABEL_SHA256 = "515b31770dc7daf3c5cfb9f7f7aec20d5a176b8e925ec0466cf0b9ad9584c3b3"
 EXAMPLES_SHA256 = "dde14ea8d1714ea5ef55451b6cd2098ac86bdeb45bdbfabd6397dcec7c7bf2f8"
 DOCUMENTS_SHA256 = "5a698fbff4bea5359f63eb621e87b18920af0e0c07bb24df8d51eeb34be1a0db"
@@ -75,11 +80,26 @@ _MIDPOINT_LABELS = {
 }
 
 
+_EXCHANGE_LABELS = {
+    LatticeSet: (ClassLabel.MNAT_SET, ClassLabel.M_SET, ClassLabel.JUMP_SYSTEM, ClassLabel.CONST_PARITY_JUMP,
+                 ClassLabel.SIMULT_EXCH_JUMP),
+    LatticeFn: (ClassLabel.MNAT_FN, ClassLabel.M_FN, ClassLabel.JUMP_M_FN, ClassLabel.JUMP_MNAT_FN),
+}
+
+
 def _cross_label_rows(seed):
     members, misses = build_check_corpus(seed)
     for inst in members + misses:
         for label in _MIDPOINT_LABELS[type(inst.obj)]:
             if not inst.obj.lifted or label in (ClassLabel.L_SET, ClassLabel.L_FN):
+                yield _row(inst.ident, inst.obj, label)
+
+
+def _cross_label_exchange_rows(seed):
+    members, misses = build_check_corpus(seed)
+    for inst in members + misses:
+        if not inst.obj.lifted:
+            for label in _EXCHANGE_LABELS[type(inst.obj)]:
                 yield _row(inst.ident, inst.obj, label)
 
 
@@ -96,6 +116,12 @@ def test_cross_label_midpoint_verdicts_are_pinned():
     rows = list(_cross_label_rows("1"))
     assert len(rows) == 1680
     assert _sha256(json.dumps(rows, separators=(",", ":"))) == CROSS_LABEL_SHA256
+
+
+def test_cross_label_exchange_verdicts_are_pinned():
+    rows = list(_cross_label_exchange_rows("1"))
+    assert len(rows) == 1350
+    assert _sha256(json.dumps(rows, separators=(",", ":"))) == CROSS_LABEL_EXCHANGE_SHA256
 
 
 def _pinned_objects():
