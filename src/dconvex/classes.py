@@ -17,6 +17,23 @@ class, need the midpoint or exchange inequality only on nearby pairs
 size rule on the input, and whatever it does not prove runs the pair scan,
 which reports the same lexicographically first witness.
 
+The IC and DMC labels take the same proofs where a theorem carries them.
+L♮ and M♮ sets are integrally convex (Murota 2003, ch. 4 and 5), so
+``integrally-convex-set`` is a member when either description proves the
+set.  An L♮ set is globally discrete midpoint convex (Moriguchi, Murota,
+Tamura and Tardella 2020), so ``global-dmc-set`` is a member when the L♮
+description proves it, and ``local-dmc-fn`` proves its domain that way
+before it scans it; an M♮ proof is never taken for DMC, since an M♮ set
+need not be DMC.  On an integrally convex domain a function is integrally
+convex exactly when the hull axiom holds on its pairs at l-inf distance 2
+(Favati and Tardella 1990, as surveyed by Murota and Tamura 2023), so
+``integrally-convex-fn`` above the L♮ size rule proves its domain by either
+description and reads the hull axiom on the l-inf ball of radius 2.  Above
+the size rule of the l-inf sphere of radius 2, ``local-dmc-fn`` reads its
+axiom, which reads only the pairs at l-inf distance 2, on that sphere, and a
+violated row resumes the pair scan at that row, so the witness is the
+scan's.
+
 The three set jump labels share one exact route.  The 2-step axiom
 (Bouchet and Cunningham 1995) fails at a point x and a unit step s exactly
 when x + s is absent and the set meets a box fixed by which neighbours of
@@ -51,7 +68,8 @@ cancels, and witnesses carry points, not values.  The
 points on the two sides have equal sums too, so the linear x -> ramp * x_n
 cancels, and a lifted function is read without its ramp.  The hull axiom
 reads ``hull.twice_extension`` on the int total x + y through the view's
-getter, memoized by x + y, so once per distinct midpoint in a check.
+getter, memoized by x + y, so once per distinct midpoint in a check that
+its rounded midpoints leave open.
 
 Every pair axiom reads int codes, in one of two shapes.  The exchange
 (M♮, M), jump and submodular axioms are a ``_Pair``: a move of the pair's
@@ -65,8 +83,12 @@ x v y = x + (d v 0) and x ^ y = x + (d ^ 0).  The midpoint family is a
 ``_Halves``, read by arithmetic on the codes with no move: the midpoint
 axioms read the rounded midpoints x + ceil(d/2) and x + floor(d/2) of x
 and y = x + d (Favati and Tardella 1990; Moriguchi, Murota, Tamura and
-Tardella 2020), and the hull axiom the local extension at (x + y)/2.  All
-those points lie in the pair's box [x ^ y, x v y].  A view codes its
+Tardella 2020), and the hull axiom the local extension at (x + y)/2, after
+those rounded midpoints: they are the ends of a main diagonal of the unit
+cube around (x + y)/2, so twice the extension is at most the sum of their
+values, which decides the pair when it is at most f(x) + f(y) or when
+x + y is even, and only the other pairs solve the extension.  All those
+points lie in the pair's box [x ^ y, x v y].  A view codes its
 stored points once, by mixed radix (``_View.coded``, the codes of
 ``core.Codes``), over the difference box [lo, lo + 2 (hi - lo)] of their
 bounding box [lo, hi] grown by ``_REACH`` = 4 on every side, so every point
@@ -100,7 +122,8 @@ a sparse input, whose pairs nearly all differ, holds no entry per pair.  A
 over the points after x, each pair read with a few int operations; the hull
 memo is keyed by cx + cy and decodes x + y on a miss.  One local route,
 ``_local``, reads the same coding and readings on the pairs x, x + d with d
-in a ball; when it fails, the pair scan reuses the coding.  A replay codes
+in a ball, x in code order, and names the first x with a violated pair;
+when it fails, the pair scan reuses the coding.  A replay codes
 the witness pair over its own difference box grown by 1 and calls the same
 reading, reading each decoded point through the object.  Values are looked
 up by code in a dict.
@@ -443,7 +466,7 @@ def _jump_two_step(get, lhs, cx: int, cy: int, move):
     return None
 
 
-def _extensions(v: _View, codes: _Codes, get) -> _Memo:
+def _extensions(v: _View, codes: _Codes) -> _Memo:
     """Twice the local extension at (x + y)/2 by cx + cy, which identifies
     x + y over a difference box (its digits, those of x + y - 2 lo, lie in
     [0, 2 w_i]): solved on a miss by ``hull.twice_extension`` on x + y
@@ -648,18 +671,18 @@ class _Pair(NamedTuple):
                     return cx, cy, (record(hit, v.dim),) if record else ()
         return None
 
-    def local(self, v: _View, ball: Sequence[Point]) -> bool:
+    def local(self, v: _View, ball: Sequence[Point]) -> Optional[int]:
         """``_local``, with the move of each offset built once."""
         codes, coded = v.coded
         get, violated = coded.get, self.on_codes
         moves = [(codes.offset(d), self.move(codes, d)) for d in ball]
-        for cx, fx in coded.items():
+        for row, (cx, fx) in enumerate(sorted(coded.items())):
             for delta, move in moves:
                 cy = cx + delta
                 fy = get(cy)
                 if fy is not None and violated(get, fx + fy, cx, cy, move):
-                    return False
-        return True
+                    return row
+        return None
 
 
 # The midpoint family reads a pair by arithmetic on its codes, with no move:
@@ -730,10 +753,15 @@ class _Halves(NamedTuple):
     two: bool = False
     hull: bool = False
 
-    def first(self, read, ring, cx: int, px: int, fx: int, ys):
+    def first(self, get, ext, ring, cx: int, px: int, fx: int, ys):
         """The first (cy, py, fy) of ``ys`` whose pair with x = (cx, px, fx)
-        violates the axiom, or None; ``read`` is the code getter, or the
-        extensions memo (``_extensions``) for the hull axiom."""
+        violates the axiom, or None; ``get`` is the code getter and ``ext``
+        the extensions memo (``_extensions``) of the hull axiom.  The hull
+        axiom reads the rounded midpoints first: they are the ends of the
+        main diagonal of the unit cube around (x + y)/2, so twice the local
+        extension there is at most their sum, and the pair holds when that
+        sum is at most f(x) + f(y); on a pair of one parity they are the
+        midpoint itself, which decides.  Only the rest read the memo."""
         odd, near = ring
         far, two, hull = self
         for y in ys:
@@ -741,27 +769,25 @@ class _Halves(NamedTuple):
             delta = cy - cx
             if far and delta in near:
                 continue
-            if hull:
-                t = read[cx + cy]
-                if t is None or t > fx + fy:
-                    return y
-                continue
             o = (delta + odd[px ^ py]) >> 1
             if two and (o not in near or delta - o not in near):
                 continue
-            a = read(cx + o)
-            if a is None or (b := read(cy - o)) is None or a + b > fx + fy:
-                return y
+            a = get(cx + o)
+            if a is not None and (b := get(cy - o)) is not None and a + b <= fx + fy:
+                continue
+            if hull and px != py and (t := ext[cx + cy]) is not None and t <= fx + fy:
+                continue
+            return y
         return None
 
-    def reader(self, v: _View, codes: _Codes, get):
-        return _extensions(v, codes, get) if self.hull else get
+    def readers(self, v: _View, codes: _Codes, get):
+        """``get`` and, for the hull axiom, its extensions memo."""
+        return get, _extensions(v, codes) if self.hull else None
 
     def __call__(self, v: _View, lhs, x: Point, y: Point) -> bool:
         codes, get, cx, cy, _ = _pair_codes(v, x, y)
         px, py = _parities((x, y))
-        read, ring = self.reader(v, codes, get), _ring(codes.strides)
-        return self.first(read, ring, cx, px, lhs, [(cy, py, 0)]) is not None
+        return self.first(*self.readers(v, codes, get), _ring(codes.strides), cx, px, lhs, [(cy, py, 0)]) is not None
 
     def scan(self, v: _View, start: int):
         """The first violated pair of the scan (``_scan_pairs``) as (cx, cy,
@@ -770,25 +796,26 @@ class _Halves(NamedTuple):
         codes, coded = v.coded
         # coded holds the codes in the order of the stored points
         rows = sorted(zip(coded, _parities(v.vals), coded.values()))
-        read, ring, first = self.reader(v, codes, coded.get), _ring(codes.strides), self.first
+        get, ext = self.readers(v, codes, coded.get)
+        ring, first = _ring(codes.strides), self.first
         for a, (cx, px, fx) in enumerate(rows[start:], start):
-            if (y := first(read, ring, cx, px, fx, rows[a + 1 :])) is not None:
+            if (y := first(get, ext, ring, cx, px, fx, rows[a + 1 :])) is not None:
                 return cx, y[0], ()
         return None
 
-    def local(self, v: _View, ball: Sequence[Point]) -> bool:
+    def local(self, v: _View, ball: Sequence[Point]) -> Optional[int]:
         """``_local``: the pairs x, x + d of the stored points in one
-        ``first`` call per x, where px ^ py is the parity mask of d, so x is
-        read with mask 0 and x + d with that of d."""
+        ``first`` call per x in code order, where px ^ py is the parity mask
+        of d, so x is read with mask 0 and x + d with that of d."""
         codes, coded = v.coded
-        get = coded.get
-        read, ring, first = self.reader(v, codes, get), _ring(codes.strides), self.first
+        get, ext = self.readers(v, codes, coded.get)
+        ring, first = _ring(codes.strides), self.first
         steps = list(zip(map(codes.offset, ball), _parities(ball)))
-        for cx, fx in coded.items():
+        for row, (cx, fx) in enumerate(sorted(coded.items())):
             ys = [(cy, m, fy) for delta, m in steps if (fy := get(cy := cx + delta)) is not None]
-            if first(read, ring, cx, 0, fx, ys) is not None:
-                return False
-        return True
+            if first(get, ext, ring, cx, 0, fx, ys) is not None:
+                return row
+        return None
 
 
 def _box_gap(v: _View, lhs, p: Point) -> bool:
@@ -935,20 +962,19 @@ def _check_l(v: _View) -> Verdict:
     return _OK
 
 
-def _check_local_dmc(v: _View) -> Verdict:
-    """A discrete midpoint convex domain, then the midpoint axiom at l-inf distance 2."""
-    dom = _derived(v, "domain-not-dmc")
-    return _scan_pairs(v, "midpoint-two") if dom.member else dom
-
-
 # ---------------------------------------------------------------------------
-# the L♮ and M♮ families without the pair scan
+# the L♮ and M♮ families, and the IC and DMC labels, without the pair scan
 #
-# Their sets are the lattice points of a polyhedral description read off the
-# stored points, and their functions need the midpoint or exchange inequality
-# only on pairs of nearby points once the domain is in the class.  A test
-# below answers True only for a member.  Anything else runs the pair scan,
-# so a non-member gets the same lexicographically first witness as before.
+# L♮ and M♮ sets are the lattice points of a polyhedral description read off
+# the stored points, and their functions need the midpoint or exchange
+# inequality only on pairs of nearby points once the domain is in the class.
+# Both kinds of set are integrally convex (Murota 2003, ch. 4 and 5), and an
+# L♮-convex set is globally discrete midpoint convex (Moriguchi, Murota,
+# Tamura and Tardella 2020), so the same descriptions prove IC and DMC
+# domains; an M♮ set need not be DMC, so no M♮ proof is taken there.  A
+# test below answers True only for a member.  Anything else runs the pair
+# scan, so a non-member gets the same lexicographically first witness as
+# before.
 #
 # A function takes the local route only when |S| >= 2 * |ball|, with |ball|
 # the offsets of the ball other than its centre: a member saves
@@ -966,17 +992,26 @@ def _lnat_described(points: Dict[Point, int], n: int) -> bool:
     already fixed, up to the first one not stored.  No range comes out
     empty: c is a max over the points, so c_ik <= c_ij + c_jk, and it agrees
     with l and u.  So the cost is O(n^2) per point reached, after
-    O(n^2 * |S|) for the description."""
-    cols = list(zip(*points))
-    lo, hi = [min(c) for c in cols], [max(c) for c in cols]
-    gap = [[max(map(sub, ci, cj)) for cj in cols] for ci in cols]
+    O(n^2 * |S|) for the description.  Points that fill their bounding box
+    [l, u] are L♮.  A description whose every c_ij is u_i - l_j is that box,
+    so the points are all of it only when they fill it; it is one when the
+    points hold the n corners l + (u_i - l_i) e_i, which attain every such
+    c_ij, and those are probed before c is read."""
+    cols, lo, hi, filled = _bounds(points)
+    corners = (tuple(b if k == i else a for k, (a, b) in enumerate(zip(lo, hi))) for i in range(n))
+    if filled or all(c in points for c in corners):
+        return filled
+    gap = [[max(map(sub, ci, cj)) if i != j else 0 for j, cj in enumerate(cols)] for i, ci in enumerate(cols)]
+    if all(gap[i][j] == hi[i] - lo[j] for i in range(n) for j in range(n) if i != j):
+        return False
     x = [0] * n
 
     def fill(k: int) -> bool:
         if k == n:
             return tuple(x) in points
-        a = max([lo[k]] + [x[j] - gap[j][k] for j in range(k)])
-        b = min([hi[k]] + [x[j] + gap[k][j] for j in range(k)])
+        a, b = lo[k], hi[k]
+        for j in range(k):
+            a, b = max(a, x[j] - gap[j][k]), min(b, x[j] + gap[k][j])
         for t in range(a, b + 1):
             x[k] = t
             if not fill(k + 1):
@@ -986,13 +1021,21 @@ def _lnat_described(points: Dict[Point, int], n: int) -> bool:
     return fill(0)
 
 
-def _subset_extremes(points: Dict[Point, int], n: int) -> Tuple[List[int], List[int]]:
-    """max x(X) and min x(X) over the points for every subset X of the
-    coordinates, indexed by bit mask.  The sums x(X) over all the points
-    are a column, its subset's minus one coordinate plus that coordinate's
-    column; the subsets are walked depth first, so at most n + 1 columns
-    are held at once."""
+def _bounds(points: Dict[Point, int]) -> Tuple[List[Tuple[int, ...]], List[int], List[int], bool]:
+    """The coordinate columns of the points, their bounds l and u, and
+    whether the points fill the box [l, u], which holds them: whether there
+    are as many as its volume."""
     cols = list(zip(*points))
+    lo, hi = [min(c) for c in cols], [max(c) for c in cols]
+    return cols, lo, hi, len(points) == prod(b - a + 1 for a, b in zip(lo, hi))
+
+
+def _subset_extremes(cols: List[Tuple[int, ...]], n: int) -> Tuple[List[int], List[int]]:
+    """max x(X) and min x(X) over the points of these coordinate columns
+    for every subset X of the coordinates, indexed by bit mask.  The sums
+    x(X) over all the points are a column, its subset's minus one
+    coordinate plus that coordinate's column; the subsets are walked depth
+    first, so at most n + 1 columns are held at once."""
     rho, mu = [0] * (1 << n), [0] * (1 << n)
 
     def walk(m: int, col: List[int], k: int) -> None:
@@ -1000,7 +1043,7 @@ def _subset_extremes(points: Dict[Point, int], n: int) -> Tuple[List[int], List[
         for i in range(k, n):
             walk(m | 1 << i, list(map(add, col, cols[i])), i + 1)
 
-    walk(0, [0] * len(points), 0)
+    walk(0, [0] * len(cols[0]) if cols else [0], 0)
     return rho, mu
 
 
@@ -1015,8 +1058,16 @@ def _mnat_described(points: Dict[Point, int], n: int) -> bool:
     mu <= x(X) <= rho are enumerated as in ``_lnat_described``, coordinate k
     cut by the subsets whose largest element is k.  No range comes out
     empty, since a projection of an integral g-polymatroid is one, described
-    by the restricted pair; so the cost is O(2^n) per point reached."""
-    rho, mu = _subset_extremes(points, n)
+    by the restricted pair; so the cost is O(2^n) per point reached.  Points
+    that fill their bounding box [l, u] are M♮.  A modular rho and mu, each
+    x(X)'s bounds the sums of its coordinates', describe that box, so the
+    points are all of it only when they fill it; rho is modular exactly
+    when rho(N) is u(N), attained at u alone, so exactly when u is a point,
+    and mu when l is, which are probed before rho and mu are read."""
+    cols, lo, hi, filled = _bounds(points)
+    if filled or (tuple(lo) in points and tuple(hi) in points):
+        return filled
+    rho, mu = _subset_extremes(cols, n)
     full = len(rho) - 1
     lift = rho + [-mu[full ^ m] for m in range(full + 1)]
     for m in range(len(lift)):
@@ -1047,13 +1098,22 @@ def _is_flat(v: _View) -> bool:
     return len(set(v.vals.values())) == 1
 
 
-def _local(v: _View, kind: str, ball: Sequence[Point]) -> bool:
+def _local(v: _View, kind: str, ball: Sequence[Point]) -> Optional[int]:
     """The pair axiom of ``kind`` on every pair of stored points x, x + d
     with d in ``ball``, whose offsets lie within l-inf distance ``_REACH``
     of 0.  Points are read by the view's one coding (``_View.coded``),
     whose box holds every x + d and every point between x and x + d, so
-    none of them shares a code.  False at the first violated pair."""
+    none of them shares a code.  The x are visited in code order; the index
+    of the first with a violated pair, or None when every pair holds."""
     return _AXIOMS[kind].violated.local(v, ball)
+
+
+def _half_ball(n: int, sphere: bool = False) -> List[Point]:
+    """The offsets d > 0 of the l-inf ball of radius 2 in Z^n, or with
+    ``sphere`` of its sphere, one of d and -d each, so that a pair is read
+    once; x + d then follows x in code order."""
+    zero = (0,) * n
+    return [d for d in product(range(-2, 3), repeat=n) if d > zero and (not sphere or 2 in map(abs, d))]
 
 
 def _l1_ball(n: int, r: int) -> List[Point]:
@@ -1063,17 +1123,58 @@ def _l1_ball(n: int, r: int) -> List[Point]:
     return [(c,) + rest for c in range(-r, r + 1) for rest in _l1_ball(n - 1, r - abs(c))]
 
 
-def _check_lnat(v: _View, kind: str = "midpoint") -> Verdict:
+def _lnat_or_mnat(points: Dict[Point, int], n: int) -> bool:
+    """Whether ``_lnat_described`` or, from 2^n points on (``_check_exchange``'s
+    rule), ``_mnat_described`` proves the points an L♮- or M♮-convex set,
+    both integrally convex (Murota 2003, ch. 4 and 5)."""
+    return _lnat_described(points, n) or (2**n <= len(points) and _mnat_described(points, n))
+
+
+def _check_lnat(v: _View, kind: str = "midpoint", described: Callable = _lnat_described) -> Verdict:
     """L♮-convexity: the domain by its description, and for a function
     above the size rule the midpoint inequality on pairs at l-inf distance
     at most 2, each read once (Murota 2003, ch. 7); else the midpoint pair
-    scan."""
+    scan.  Integral convexity, with the hull kind and ``_lnat_or_mnat``: a
+    function on an integrally convex domain is integrally convex exactly
+    when the hull axiom holds on its pairs at l-inf distance 2 (Favati and
+    Tardella 1990, as surveyed by Murota and Tamura 2023), which the hull
+    kind reads on the same ball."""
     flat = _is_flat(v)
-    if (flat or len(v.vals) >= 2 * (5**v.dim - 1)) and _lnat_described(v.vals, v.dim):
-        zero = (0,) * v.dim
-        if flat or _local(v, kind, [d for d in product(range(-2, 3), repeat=v.dim) if d > zero]):
+    if (flat or len(v.vals) >= 2 * (5**v.dim - 1)) and described(v.vals, v.dim):
+        if flat or _local(v, kind, _half_ball(v.dim)) is None:
             return _OK
     return _scan_pairs(v, kind)
+
+
+def _check_global_dmc(v: _View, kind: str = "midpoint-far") -> Verdict:
+    """Global discrete midpoint convexity: a set, or a function whose
+    values are all equal, that ``_lnat_described`` proves L♮-convex is a
+    member (an L♮-convex set is globally DMC: Moriguchi, Murota, Tamura and
+    Tardella 2020); else the pair scan.  An M♮ proof is never taken: an M♮
+    set need not be DMC."""
+    if _is_flat(v) and _lnat_described(v.vals, v.dim):
+        return _OK
+    return _scan_pairs(v, kind)
+
+
+def _check_local_dmc(v: _View) -> Verdict:
+    """Local discrete midpoint convexity: a globally DMC domain (the
+    ``domain-not-dmc`` kind, read by ``_check_global_dmc``), then the
+    midpoint inequality on the pairs at l-inf distance exactly 2
+    (Moriguchi, Murota, Tamura and Tardella 2020).  Above the size rule of
+    the l-inf sphere of radius 2, those pairs are read by ``_local`` on its
+    positive half: row x there reads exactly the pairs x < y of row x of
+    the pair scan, so a violated row resumes the scan at that row, and the
+    witness is the scan's."""
+    dom = _derived(v, "domain-not-dmc")
+    if not dom.member:
+        return dom
+    row = 0
+    if len(v.vals) >= 2 * (5**v.dim - 3**v.dim):
+        row = _local(v, "midpoint-two", _half_ball(v.dim, sphere=True))
+        if row is None:
+            return _OK
+    return _scan_pairs(v, "midpoint-two", row)
 
 
 def _check_exchange(v: _View, kind: str, domain: Callable = lambda v: v) -> Verdict:
@@ -1090,7 +1191,7 @@ def _check_exchange(v: _View, kind: str, domain: Callable = lambda v: v) -> Verd
         dom = domain(v)
         if dom is not None and 2**dom.dim <= size and _mnat_described(dom.vals, dom.dim):
             zero = (0,) * v.dim
-            if flat or _local(v, kind, [d for d in _l1_ball(v.dim, _REACH) if d != zero]):
+            if flat or _local(v, kind, [d for d in _l1_ball(v.dim, _REACH) if d != zero]) is None:
                 return _OK
     return _scan_pairs(v, kind)
 
@@ -1241,7 +1342,7 @@ def _on_section(v: _View, points: Tuple[Point, ...]):
 # L-convex iff its section x_n = 0 is L♮-convex (Murota 2003, ch. 7), and a
 # locally discrete midpoint convex function has a d.m.c. domain.
 _MAPPED = {
-    "domain-not-dmc": (lambda v, points: (v.domain(), points), lambda p: p, "midpoint-far", lambda *a: _scan_pairs(*a)),
+    "domain-not-dmc": (lambda v, points: (v.domain(), points), lambda p: p, "midpoint-far", _check_global_dmc),
     "multimodular-midpoint": (
         lambda v, points: (v.prefixed(), tuple(map(prefix_point, points))), difference_point, "midpoint", _check_lnat
     ),
@@ -1264,8 +1365,8 @@ def _derived(v: _View, kind: str) -> Verdict:
 _RECOGNIZERS = {
     ClassLabel.INTEGER_BOX: _scan_box,
     ClassLabel.SEPARABLE_CONVEX: _check_separable,
-    ClassLabel.IC_SET: lambda v: _scan_pairs(v, "hull-midpoint"),
-    ClassLabel.IC_FN: lambda v: _scan_pairs(v, "hull-midpoint"),
+    ClassLabel.IC_SET: partial(_check_lnat, kind="hull-midpoint", described=_lnat_or_mnat),
+    ClassLabel.IC_FN: partial(_check_lnat, kind="hull-midpoint", described=_lnat_or_mnat),
     ClassLabel.LNAT_SET: _check_lnat,
     ClassLabel.LNAT_FN: _check_lnat,
     ClassLabel.L_SET: _check_l,
@@ -1276,8 +1377,8 @@ _RECOGNIZERS = {
     ClassLabel.M_FN: partial(_check_exchange, kind="exchange-m-fn", domain=_View.projected),
     ClassLabel.MULTIMODULAR_SET: partial(_derived, kind="multimodular-midpoint"),
     ClassLabel.MULTIMODULAR_FN: partial(_derived, kind="multimodular-midpoint"),
-    ClassLabel.GLOBAL_DMC_SET: lambda v: _scan_pairs(v, "midpoint-far"),
-    ClassLabel.GLOBAL_DMC_FN: lambda v: _scan_pairs(v, "midpoint-far"),
+    ClassLabel.GLOBAL_DMC_SET: _check_global_dmc,
+    ClassLabel.GLOBAL_DMC_FN: _check_global_dmc,
     ClassLabel.LOCAL_DMC_FN: _check_local_dmc,
     ClassLabel.JUMP_SYSTEM: _check_jump_system,
     ClassLabel.CONST_PARITY_JUMP: partial(_check_parity_jump, kind="jump-exc"),

@@ -336,9 +336,11 @@ def test_size_rules_pin_both_sides(pair_scans, monkeypatch):
         return bool(pair_scans)
 
     # a function takes the local route when |S| >= 2 * |ball|: in Z the
-    # l-inf ball of radius 2 has 4 points besides its centre, the l1 ball
-    # of radius 4 has 8, and in Z^2 40
-    for label, ball in ((ClassLabel.LNAT_FN, 4), (ClassLabel.MULTIMODULAR_FN, 4), (ClassLabel.MNAT_FN, 8)):
+    # l-inf ball of radius 2 has 4 points besides its centre (L♮,
+    # multimodular and IC), its sphere 2 (local DMC), the l1 ball of radius
+    # 4 has 8, and in Z^2 40
+    for label, ball in ((ClassLabel.LNAT_FN, 4), (ClassLabel.MULTIMODULAR_FN, 4), (ClassLabel.MNAT_FN, 8),
+                        (ClassLabel.IC_FN, 4), (ClassLabel.LOCAL_DMC_FN, 2)):
         assert scans(_square_line(2 * ball - 1), label) and not scans(_square_line(2 * ball), label)
     for k, scanned in ((7, True), (8, False)):
         f = LatticeFn(2, {(t, 0): t * t for t in range(k)}, lifted=True, ramp=F(1, 2))
@@ -448,16 +450,15 @@ def test_exchange_rows_build_no_move_and_call_the_predicate_once(monkeypatch):
 def test_the_fixture_sees_every_pair_scan(pair_scans):
     # the arguments after the view of each pair scan a set label makes on
     # the unit square, a member of every label but M and constant parity,
-    # and on the square without its top, which is not L♮, so L♮ scans for
-    # its witness, and which M♮ scans as it lies below the domain test's
-    # size rule; both lie below the jump route's size rule, so jump-system
-    # scans from its first row; a label that scans nothing decides without
-    # the pair scan
+    # which the L♮ description proves IC and globally DMC, and on the
+    # square without its top, which is not L♮, so L♮, IC and global DMC
+    # scan, and which M♮ scans as it lies below the domain test's size
+    # rule; both lie below the jump route's size rule, so jump-system scans
+    # from its first row; a label that scans nothing decides without the
+    # pair scan
     square = LatticeSet(2, frozenset(cube(2, 0, 1).points()))
     bent = LatticeSet(2, square.points - {(1, 1)})
     always = {
-        ClassLabel.IC_SET: ("hull-midpoint",),
-        ClassLabel.GLOBAL_DMC_SET: ("midpoint-far",),
         ClassLabel.JUMP_SYSTEM: ("jump-2step", 0),
         ClassLabel.CONST_PARITY_JUMP: ("jump-exc",),
         ClassLabel.SIMULT_EXCH_JUMP: ("jump-exc-nat",),
@@ -466,7 +467,8 @@ def test_the_fixture_sees_every_pair_scan(pair_scans):
     }
     for obj, scanned in (
         (square, always),
-        (bent, {**always, ClassLabel.LNAT_SET: ("midpoint",), ClassLabel.MNAT_SET: ("exchange-mnat",)}),
+        (bent, {**always, ClassLabel.LNAT_SET: ("midpoint",), ClassLabel.MNAT_SET: ("exchange-mnat",),
+                ClassLabel.IC_SET: ("hull-midpoint",), ClassLabel.GLOBAL_DMC_SET: ("midpoint-far",)}),
     ):
         for label in sorted(SET_LABELS_NO_L + [ClassLabel.L_SET]):
             del pair_scans[:]
@@ -490,11 +492,12 @@ def test_the_fixture_sees_every_pair_scan(pair_scans):
             want = [scanned[label]] if label in scanned else []
             assert [args[1:] for args in pair_scans] == want, (sorted(obj.points), label)
     assert check(miss, ClassLabel.JUMP_SYSTEM).witness.points[0] == sorted(miss.points)[1]
-    # a locally d.m.c. function scans its domain, then its pairs at l-inf
-    # distance 2
-    del pair_scans[:]
-    assert check(indicator_fn(square), ClassLabel.LOCAL_DMC_FN).member
-    assert [args[1:] for args in pair_scans] == [("midpoint-far",), ("midpoint-two",)]
+    # a locally d.m.c. function below the sphere's size rule proves or
+    # scans its domain, then scans its pairs at l-inf distance 2 from row 0
+    for dom, scanned in ((square, []), (bent, [("midpoint-far",)])):
+        del pair_scans[:]
+        assert check(indicator_fn(dom), ClassLabel.LOCAL_DMC_FN).member
+        assert [args[1:] for args in pair_scans] == scanned + [("midpoint-two", 0)]
 
 
 def test_a_thousand_point_box_function_is_decided_locally(pair_scans):
@@ -869,8 +872,10 @@ def test_midpoint_codes_read_the_rounded_midpoints_and_the_linf_rule(monkeypatch
     # the reading of each midpoint-family kind reads the pair exactly at
     # its l-inf distances, the rounded midpoints x + ceil(d/2) and
     # x + floor(d/2) at cx + o and cy - o with o = (cy - cx + odd[px ^ py])
-    # >> 1 (the hull kind cx + cy), and the local route's o for an offset d
-    # (x read with mask 0, y with d's) is the same
+    # >> 1, and the local route's o for an offset d (x read with mask 0, y
+    # with d's) is the same; the hull kind reads the rounded midpoints
+    # first and its extensions memo at cx + cy only when they do not hold
+    # the pair and d has an odd coordinate
     boxes = [
         Window((-2,), (4,)),
         Window((-1, -3), (2, 0)),
@@ -902,16 +907,19 @@ def test_midpoint_codes_read_the_rounded_midpoints_and_the_linf_rule(monkeypatch
                     for kind, keeps in kinds.items():
                         first = partial(_AXIOMS[kind].violated.first, ring=ring, cx=cx, px=_odd_mask(x), fx=0)
                         row = [(cy, _odd_mask(y), 0)]
-                        reads = _Reads()
-                        hit = first(reads, ys=row)
+                        reads, ext = _Reads(), _Reads()
+                        hit = first(reads, ext, ys=row)
                         assert (hit is not None) == keeps(linf), (kind, box, d)
-                        if hit is not None and kind == "hull-midpoint":
-                            assert list(reads) == [cx + cy], (box, d)
-                        elif hit is not None:
+                        if hit is not None:
                             # with the ceiling point present the floor point is read too
                             got = []
-                            first(lambda c: got.append(c) or (0 if c == ceil else None), ys=row)
+                            first(lambda c: got.append(c) or (0 if c == ceil else None), ext, ys=row)
                             assert list(reads) == [ceil] and got == [ceil, floor], (kind, box, d)
+                            odd = kind == "hull-midpoint" and any(c & 1 for c in d)
+                            assert list(ext) == ([cx + cy] if odd else []), (kind, box, d)
+                        # rounded midpoints that hold the pair decide it
+                        held = _Reads()
+                        assert first(lambda c: 0, held, ys=row) is None and not held, (kind, box, d)
 
 
 def test_midpoint_family_scans_read_no_move(monkeypatch, pair_scans):
@@ -968,6 +976,11 @@ def test_three_dimensional_checks_solve_no_lp(monkeypatch):
     f = LatticeFn(3, {p: rng.randint(-4, 4) for p in cube(3, 0, 3).points()})
     verdict = check(f, ClassLabel.IC_FN)
     assert verdict.member or verify_witness(f, verdict.witness)
+    # a check reads an even total by its rounded midpoints alone, so the
+    # kernel's closed form for it is reached through the public function
+    assert set(odd) == {1, 2, 3}
+    monkeypatch.setattr(hull, "twice_extension", counted)
+    assert hull.local_extension_value(f, (1, 2, 0)) == f.values[(1, 2, 0)]
     assert set(odd) == {0, 1, 2, 3}
 
 

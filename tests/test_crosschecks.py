@@ -44,6 +44,16 @@ that the route runs wherever the volume bound allows, on the jump sets of
 the benchmark's check corpus under the real rule, and on sparse sets and
 spans past 2**64, which must not take the route.
 
+The IC and DMC labels prove L♮ or M♮ domains and read local routes, and the
+hull axiom reads the rounded midpoints before the local extension, so their
+whole verdicts are compared with the oracle scans of ``set_oracles``: on
+every subset of [0, 2]^2 and a sample of those of [0, 2] x [0, 1]^2 and
+their indicators (DMC sets outside L♮, M♮ sets outside DMC), on M♮ split
+sets, on diagonally dominant quadratics on [0, 2]^3 with near misses, and
+for the IC labels on the check corpus; above the size rules, on 216 to 576
+points, with the pair scans the routes fall back to, and a member there
+must be decided without a pair scan.
+
 The eight exchange and jump exchange kinds read their ordered scan a row at
 a time, by int bitsets, from a size rule on, so that row reading is
 compared, verdict and witness, with the per-pair scan that runs below
@@ -77,7 +87,7 @@ from fractions import Fraction
 import pytest
 
 import set_oracles
-from dconvex import classes, core, documents, lab, network
+from dconvex import classes, core, documents, hull, lab, network
 from dconvex.classes import FN_LABELS, SET_LABELS, ClassLabel, _View, check, check_fn, check_set, verify_witness
 from dconvex.core import (
     EmptyResultError,
@@ -661,6 +671,131 @@ def test_dmc_recognizers_match_oracle_on_the_check_corpus():
         cases += [(i.obj, i.label) for i in members + misses if i.label in DMC_LABELS]
     assert len(cases) == 90
     assert _assert_pair_scans_match(cases) == 18
+
+
+# the labels whose recognizers prove L♮ or M♮ domains and read local routes
+_IC_DMC_LABELS = frozenset({ClassLabel.IC_SET, ClassLabel.IC_FN}) | DMC_LABELS
+
+
+def _diagonally_dominant(rng, points) -> LatticeFn:
+    """x^T Q x + c.x on the points, with the off-diagonal entries of Q drawn
+    from {-1, +1} and each diagonal entry the sum of its row's off-diagonal
+    magnitudes: on a box, integrally convex (Favati and Tardella 1990), and
+    outside L♮ once an entry is +1."""
+    n = len(points[0])
+    q = {(i, j): rng.choice((-1, 1)) for i in range(n) for j in range(i + 1, n)}
+    diag = [sum(abs(c) for (i, j), c in q.items() if k in (i, j)) for k in range(n)]
+    lin = [rng.randint(-3, 3) for _ in range(n)]
+    return LatticeFn(n, {
+        p: sum(d * c * c + b * c for d, b, c in zip(diag, lin, p)) + sum(2 * c * p[i] * p[j] for (i, j), c in q.items())
+        for p in points
+    })
+
+
+def _split_set(a: int, b: int) -> LatticeSet:
+    """{y >= 0 : y_1 <= a, y_2 + y_3 <= b}, the check corpus's M♮ family:
+    M♮-convex, not L♮-convex."""
+    return LatticeSet(3, frozenset(p for p in cube(3, 0, max(a, b)).points() if p[0] <= a and p[1] + p[2] <= b))
+
+
+def _with_ic_dmc_labels(objects):
+    for obj in objects:
+        for label in sorted(_IC_DMC_LABELS & (SET_LABELS if isinstance(obj, LatticeSet) else FN_LABELS)):
+            yield obj, label
+
+
+def _small_ic_dmc_objects(rng):
+    """Every subset of [0, 2]^2 and a sample of those of [0, 2] x [0, 1]^2
+    with their indicators, which hold DMC sets outside L♮ and M♮ sets
+    outside DMC; small M♮ split sets with split values; diagonally dominant
+    quadratics on [0, 2]^3 with near misses."""
+    for box, sample in ((Window((0, 0), (2, 2)), None), (Window((0, 0, 0), (2, 1, 1)), 300)):
+        pts = list(box.points())
+        subsets = [s for r in range(1, len(pts) + 1) for s in itertools.combinations(pts, r)]
+        for sub in subsets if sample is None else rng.sample(subsets, sample):
+            s = LatticeSet(box.dim, frozenset(sub))
+            yield s
+            yield indicator_fn(s)
+    for a, b in ((1, 2), (2, 3), (3, 1)):
+        s = _split_set(a, b)
+        yield s
+        yield _quadratic(indicator_fn(s), lambda p: (p[0] - 1) ** 2 + (p[1] + p[2] - 2) ** 2)
+    for _ in range(12):
+        f = _diagonally_dominant(rng, list(cube(3, 0, 2).points()))
+        yield from (f, _raised(f, rng), _spiked(f, rng))
+
+
+def _large_ic_dmc_objects(rng):
+    """Objects of 216 to 576 points, above the size rules of the local DMC
+    route (196 points in Z^3) or also of the IC function route (248): a
+    separable quadratic on a box, diagonally dominant quadratics on boxes
+    and an M♮ split function, each with near misses (a value raised, a
+    point dropped), and a quadratic that is not convex."""
+    box = list(cube(3, 0, 5).points())
+    square = _quadratic(indicator_fn(LatticeSet(3, frozenset(box))), lambda p: sum(c * c for c in p))
+    yield square
+    yield _spiked(square, rng)
+    for hi in ((6, 6, 6), (7, 7, 8)):
+        f = _diagonally_dominant(rng, list(Window((0, 0, 0), hi).points()))
+        yield from (f, _spiked(f, rng), _raised(f, rng))
+        yield LatticeFn(3, {p: v for p, v in f.values.items() if p != (3, 3, 3)})
+        yield _quadratic(f, lambda p: p[0] ** 2 + p[1] ** 2 + 3 * p[0] * p[1] + p[2] ** 2)
+    split = _quadratic(indicator_fn(_split_set(5, 9)), lambda p: (p[0] - 2) ** 2 + (p[1] + p[2] - 4) ** 2)
+    yield from (split, _spiked(split, rng), _diagonally_dominant(rng, sorted(split.values)))
+
+
+def _scanned(obj, label):
+    """The verdict of an IC or DMC function label by the production pair
+    scans alone, which the oracles gate on smaller inputs."""
+    v = _View.of(obj)
+    if label == ClassLabel.IC_FN:
+        return classes._scan_pairs(v, "hull-midpoint")
+    if label == ClassLabel.GLOBAL_DMC_FN:
+        return classes._scan_pairs(v, "midpoint-far")
+    dom = classes._scan_pairs(v.domain(), "midpoint-far")
+    if not dom.member:
+        return classes.Verdict(False, classes.Witness("domain-not-dmc", dom.witness.points))
+    return classes._scan_pairs(v, "midpoint-two")
+
+
+def test_ic_and_dmc_routes_match_the_oracles(pair_scans, monkeypatch):
+    # small inputs, on which a set or an indicator takes the routes whatever
+    # its size: whole verdicts against the oracle scans of set_oracles
+    small = list(_with_ic_dmc_labels(_small_ic_dmc_objects(random.Random(2424))))
+    members = _assert_pair_scans_match(small)
+    assert 0.1 < members / len(small) < 0.6
+    sets = {obj for obj, _ in small if isinstance(obj, LatticeSet)}
+    kinds = {(SET_ORACLES[ClassLabel.LNAT_SET](s).member, SET_ORACLES[ClassLabel.MNAT_SET](s).member,
+              SET_ORACLES[ClassLabel.GLOBAL_DMC_SET](s).member) for s in sets if len(s) >= 8}
+    # DMC sets outside L♮, and M♮ sets outside DMC, of at least 2^3 points
+    assert (False, False, True) in kinds and (False, True, False) in kinds
+    # the IC labels on the check corpus (the DMC labels run on it above):
+    # side 3 on the oracles as they are, sides 4 and 5 with the oracles'
+    # brute-force hull replaced by the public kernel, so that their pair
+    # loops stay independent of the recognizers
+    for sides in ((3,), (4, 5)):
+        if sides != (3,):
+            monkeypatch.setattr(set_oracles, "in_local_hull_bruteforce", hull.in_local_hull)
+            monkeypatch.setattr(set_oracles, "local_extension_value_bruteforce", hull.local_extension_value)
+        cases = []
+        for seed in (1, 7):
+            members, misses = build_check_corpus(seed, sides=sides)
+            cases += [(i.obj, i.label) for i in members + misses if i.label in (ClassLabel.IC_SET, ClassLabel.IC_FN)]
+        assert _assert_pair_scans_match(cases) == len(cases) // 5
+    # above the size rules, against the pair scans the routes fall back to;
+    # a member above its label's rule is decided without a pair scan
+    rule = {ClassLabel.IC_FN: 2 * (5**3 - 1), ClassLabel.LOCAL_DMC_FN: 2 * (5**3 - 3**3)}
+    members = routed = 0
+    for obj, label in _with_ic_dmc_labels(_large_ic_dmc_objects(random.Random(2525))):
+        del pair_scans[:]
+        got = check(obj, label)
+        if got.member and len(obj) >= rule.get(label, math.inf):
+            assert not pair_scans, (label, obj)
+            routed += 1
+        assert got == _scanned(obj, label), (label, obj)
+        assert got.member or verify_witness(obj, got.witness), (label, obj)
+        members += got.member
+    assert members >= 8 and routed >= 5
 
 
 def _assert_family_verdicts_match(cases):
