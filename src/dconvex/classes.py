@@ -361,7 +361,7 @@ class _View:
         read: the codes over the difference box of the bounding box grown
         by ``_REACH``, and the stored values by code."""
         codes = _Codes(_doubled(self.box, _REACH))
-        return codes, {codes.code(p): f for p, f in self.vals.items()}
+        return codes, dict(zip(codes.codes(self.vals), self.vals.values()))
 
     def domain(self) -> "_View":
         """The indicator of the domain."""

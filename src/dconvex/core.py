@@ -28,7 +28,7 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import chain, repeat
 from math import lcm
-from operator import add, floordiv, mod
+from operator import add, floordiv, itemgetter, mod, mul, sub
 from typing import ClassVar, Dict, Iterable, Iterator, Mapping, Tuple
 
 from .rationals import INF, Value
@@ -195,6 +195,20 @@ class Codes:
             q, code = divmod(code, s)
             out.append(a + q)
         return tuple(out)
+
+    def codes(self, points) -> list:
+        """[self.code(p) for p in points], coded in bulk, the inverse of
+        :meth:`points`: one ``map`` chain per axis, p_i * stride_i, the axes
+        summed and the code of 0 relative to lo, the sum of lo_i *
+        stride_i, taken off once; ``points`` (a sequence, or a dict's keys)
+        is read once per axis."""
+        total = ()
+        for i, s in enumerate(self.strides):
+            col = map(itemgetter(i), points)
+            if s != 1:
+                col = map(mul, col, repeat(s))
+            total = map(add, total, col) if i else col
+        return list(map(sub, total, repeat(sum(map(mul, self.lo, self.strides)))))
 
     def points(self, codes: list) -> list:
         """[self.point(c) for c in codes], decoded in bulk: coordinate i is

@@ -14,8 +14,10 @@ values that keep its tail and head able to reach theirs with the arcs
 after it, so no value is tried and then rejected.  A flow leaves three
 ints: its cost and the ``core.Codes`` codes of its entrance and exit
 supplies; the distinct codes are decoded to points together
-(``Codes.points``).  Capacities must
-be finite.  Time and memory grow with the number of flows, which is at
+(``Codes.points``).  After a level where a non-exit vertex has had its
+last arc (a cut), each distinct rest of the walk is walked once and then
+copied, shifted; flows and order are the plain walk's.  Capacities must be
+finite.  Time and memory still grow with the number of flows, which is at
 most the product of (upper - lower + 1) over the arcs; ``MAX_ARCS`` and
 ``MAX_CAPACITY_WIDTH`` cap that product at load, and nothing else bounds
 the work.
@@ -36,8 +38,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import inf
-from operator import neg
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from itertools import repeat
+from operator import add, itemgetter, neg
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .core import (
     Codes,
@@ -173,7 +176,16 @@ def _enumerate_flows(
     (``core.Codes`` over the entrance ranges and over the supplies each
     exit can reach); each flow appends those three ints.  ``induce_fn``
     reads flows through this module attribute, so a wrapper put in its
-    place sees every flow."""
+    place sees every flow.
+
+    A cut is a level, not the first or the last, before which a non-exit
+    vertex had its last arc.  The walk from a cut reads only the supplies
+    of the non-exit vertices its arcs touch (an exit's window is all its
+    arcs reach, so it never binds, and the loop slot is unbounded).  Keyed
+    by them, a memo per cut and call keeps the output slice of a key's
+    first visit with the cost and codes it began at; a later visit appends
+    it shifted by its own (codes are affine).  Items and order are the
+    plain walk's."""
     index = {v: i for i, v in enumerate(net.vertices)}
     # a loop moves no supply, so both its ends are a spare slot no window binds
     spare = len(index)
@@ -233,12 +245,40 @@ def _enumerate_flows(
                 xs.append(x + v * dx)
                 ys.append(y + v * dy)
             return
+        deeper = then[k]
         for v in values:
             supply[t] = st + v
             supply[h] = sh - v
-            walk(k + 1, cost + table[v - lower], x + v * dx, y + v * dy)
+            deeper(k + 1, cost + table[v - lower], x + v * dx, y + v * dy)
         supply[t] = st
         supply[h] = sh
+
+    def memoized(key_of) -> Callable[[int, int, int, int], None]:
+        """walk at a cut, memo: key_of(supply) -> (start, end, cost, x, y)."""
+        memo: Dict[object, Tuple[int, int, int, int, int]] = {}
+
+        def visit(k: int, cost: int, x: int, y: int) -> None:
+            key = key_of(supply)
+            seen = memo.get(key)
+            if seen:
+                start, end, c, a, b = seen
+                costs.extend(map(add, costs[start:end], repeat(cost - c)))
+                xs.extend(map(add, xs[start:end], repeat(x - a)))
+                ys.extend(map(add, ys[start:end], repeat(y - b)))
+                return
+            start = len(costs)
+            walk(k, cost, x, y)
+            memo[key] = (start, len(costs), cost, x, y)
+
+        return visit
+
+    # then[k] walks level k + 1, at a cut keyed by the open non-exit supplies
+    then = [walk] * len(levels)
+    inside, opened = set(range(spare)).difference(on_w), set()
+    for k in range(last, 0, -1):
+        opened.update(inside.intersection(levels[k][:2]))
+        if k < last and not opened.issuperset(inside.intersection(levels[k - 1][:2])):
+            then[k - 1] = memoized(itemgetter(*opened) if opened else lambda _: ())
 
     x, y = codes_u.code((0,) * len(on_u)), codes_w.code((0,) * len(on_w))
     if levels:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import sub
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .core import (
@@ -236,8 +237,9 @@ def convolution_fn(f1, f2):
     Values are scaled once to ints (``core.scaled``) and points coded over
     the sum box [lo1 + lo2, hi1 + hi2] (``core.Codes``).  Codes are affine,
     so code(y + z) = code(y) + (code(z) - code(0)), and every sum lies in
-    that box, where distinct points have distinct codes: the pairs are
-    convolved on int codes and the result points are decoded together."""
+    that box, where distinct points have distinct codes: the operands are
+    coded in bulk (``Codes.codes``), the pairs are convolved on int codes
+    and the result points are decoded together."""
     v1, v2 = _value_maps("convolution", f1, f2)
     if f1.dim != f2.dim:
         raise ValueError("dimension mismatch")
@@ -247,8 +249,10 @@ def convolution_fn(f1, f2):
     codes = Codes(vadd(b1.lo, b2.lo), vadd(b1.hi, b2.hi))
     origin = codes.code((0,) * f1.dim)
     scale, (s1, s2) = scaled(v1, v2)
-    items1 = [(codes.code(y), v) for y, v in sorted(s1.items())]
-    items2 = [(codes.code(z) - origin, w) for z, w in sorted(s2.items())]
+    ys, vs = zip(*sorted(s1.items()))
+    zs, ws = zip(*sorted(s2.items()))
+    items1 = list(zip(codes.codes(ys), vs))
+    items2 = list(zip(map(sub, codes.codes(zs), itertools.repeat(origin)), ws))
     # the least scaled sum per code, first reached first
     best = {}
     for cy, v in items1:

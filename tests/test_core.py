@@ -259,3 +259,21 @@ def test_codes_points_decodes_like_point():
             assert codes.points(cs) == list(map(codes.point, cs))
             assert codes.points([codes.code(p) for p in (lo, hi)]) == [lo, hi]
             assert codes.points([]) == []
+
+
+def test_codes_codes_like_code():
+    rng = random.Random(23)
+    for n in range(1, 7):
+        for _ in range(20):
+            lo = tuple(rng.randint(-9, 3) for _ in range(n))
+            hi = tuple(a + rng.randint(0, 4) for a in lo)
+            codes = Codes(lo, hi)
+            inside = [tuple(rng.randint(a, b) for a, b in zip(lo, hi)) for _ in range(30)]
+            # points outside the box are coded by the same affine formula
+            outside = [tuple(rng.randint(a - 20, b + 20) for a, b in zip(lo, hi)) for _ in range(10)]
+            ps = [lo, hi, *inside, *outside]
+            assert codes.codes(ps) == list(map(codes.code, ps))
+            assert codes.points(codes.codes(inside)) == inside
+            keyed = dict.fromkeys(reversed(ps))
+            assert codes.codes(keyed) == list(map(codes.code, keyed))
+            assert codes.codes([]) == []

@@ -115,7 +115,7 @@ from set_oracles import (
 )
 
 sys.path.append(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-from perfbench.corpus import build_check_corpus  # noqa: E402
+from perfbench.corpus import build_check_corpus, mesh_network  # noqa: E402
 from perfbench.workloads import Transform  # noqa: E402
 
 INDICATOR_PAIRS = (
@@ -1212,6 +1212,96 @@ def test_induction_matches_oracle_on_random_networks():
         tables = [dict(a.cost.table) for a in net.arcs if a.cost.table is not None]
         wide += core.scaled(f.values, *tables)[0] > 2**64
     assert wide >= 50 and flows > 0
+
+
+def _cut_reuse(net, entrance_range):
+    """Per cut of the flow walk (a level, not the first or the last, before
+    which a non-exit vertex had its last arc; a loop is no vertex's arc):
+    the number of distinct prefixes of the oracle's flows there, and of
+    distinct supplies they leave on the non-exit vertices that the arcs
+    from the cut on touch.  More prefixes than supplies means the walk
+    meets a suffix it has walked before."""
+    flows = [flow for flow, _, _ in set_oracles.enumerate_flows(net, entrance_range)]
+    inside = set(net.vertices) - set(net.exit)
+    touched = [inside & {a.tail, a.head} if a.tail != a.head else set() for a in net.arcs]
+    out = {}
+    for k in range(1, len(net.arcs) - 1):
+        opened = set().union(*touched[k:])
+        if touched[k - 1] <= opened:
+            continue
+        prefixes = {flow[:k] for flow in flows}
+        keys = set()
+        for prefix in prefixes:
+            supply = dict.fromkeys(opened, 0)
+            for a, v in zip(net.arcs, prefix):
+                if a.tail in supply:
+                    supply[a.tail] += v
+                if a.head in supply:
+                    supply[a.head] -= v
+            keys.add(tuple(sorted(supply.items())))
+        out[k] = (len(prefixes), len(keys))
+    return out
+
+
+def test_flow_memo_matches_oracle_where_cuts_repeat_keys():
+    """Networks whose walk meets the same suffix again after a cut: the
+    flows, with their costs, codes and order, are the oracle's."""
+    rng = random.Random(6161)
+
+    def arc(tail, head, lo, hi):
+        return Arc(tail, head, lo, hi, _costed(lo, hi, rng))
+
+    def build(*arcs, entrance=("u0", "u1"), exits=("w0", "w1")):
+        return Network(entrance + ("z1", "z2") + exits, arcs, entrance, exits)
+
+    cases = [
+        ("an exit the tail of an arc into an internal vertex", build(
+            arc("u0", "w0", -1, 1), arc("u0", "z1", 0, 2), arc("u1", "w0", 0, 2), arc("u1", "z1", -1, 1),
+            arc("w0", "z1", -1, 1), arc("z1", "w1", -3, 4)), {"u0": (-1, 2), "u1": (-1, 2)}),
+        ("loops next to cuts", build(
+            arc("u0", "w0", -1, 1), arc("u0", "z1", 0, 2), arc("u0", "u0", -1, 1), arc("u1", "w0", -1, 1),
+            arc("u1", "z1", -1, 1), arc("z1", "z1", 0, 2), arc("w1", "w1", 0, 1), arc("z1", "w1", -2, 3),
+            arc("w1", "w1", -1, 1)), {"u0": (-1, 2), "u1": (-2, 1)}),
+        ("twelve arcs", build(
+            arc("u0", "w0", 0, 1), arc("u0", "z1", 0, 1), arc("u1", "w1", -1, 1), arc("u1", "z1", 0, 1),
+            arc("u1", "z2", 0, 1), arc("u2", "w2", 0, 1), arc("u2", "z2", -1, 1), arc("z1", "w0", 0, 1),
+            arc("z1", "z2", -1, 1), arc("z1", "w1", -1, 1), arc("z2", "w1", 0, 2), arc("z2", "w2", -1, 1),
+            entrance=("u0", "u1", "u2"), exits=("w0", "w1", "w2")), {"u0": (0, 2), "u1": (-1, 2), "u2": (-1, 1)}),
+    ]
+    assert len(cases[2][1].arcs) == network.MAX_ARCS
+    for what, net, entrance_range in cases:
+        assert any(visits > keys for visits, keys in _cut_reuse(net, entrance_range).values()), what
+        want = _oracle_flows(net, entrance_range)
+        assert list(network._enumerate_flows(net, entrance_range)) == want, what
+        # twice in a row: nothing is kept from one call to the next
+        assert list(network._enumerate_flows(net, entrance_range)) == want, what
+    reused = 0
+    for k in range(16):
+        net, entrance_range = (
+            (mesh_network(rng), {u: (0, 1) for u in ("u0", "u1", "u2")}) if k % 2 else
+            (lab.laminar_tree_network(), {"u": (-3, 3)}))
+        net = _varied(net, rng)
+        reused += any(visits > keys for visits, keys in _cut_reuse(net, entrance_range).values())
+        assert list(network._enumerate_flows(net, entrance_range)) == _oracle_flows(net, entrance_range), net
+    assert reused >= 8
+
+
+def test_flows_match_oracle_on_the_matrix_networks(monkeypatch):
+    """Every flow enumeration the closure matrix makes, at two seeds, is
+    the oracle's list."""
+    real, calls = network._enumerate_flows, []
+
+    def recorded(net, entrance_range):
+        flows = list(real(net, entrance_range))
+        calls.append((net, dict(entrance_range), flows))
+        return iter(flows)
+
+    monkeypatch.setattr(network, "_enumerate_flows", recorded)
+    for seed in (1, 7):
+        lab.run_closure_matrix(2, seed)
+    assert len(calls) >= 20 and sum(len(flows) for _, _, flows in calls) > 0
+    for net, entrance_range, flows in calls:
+        assert flows == _oracle_flows(net, entrance_range), net
 
 
 def _convolution_operands(rng):
