@@ -5,48 +5,55 @@ points, or pairs of them, in lexicographic order and stop at the first
 violation, so verdicts are deterministic.  A negative verdict carries a
 witness that replays as a genuine violation through :func:`verify_witness`.
 
-The L♮, L, M♮, M and multimodular labels first try to prove membership
-without the pair scan.  Their sets are exactly the lattice points of a
-polyhedral description that can be read off the stored points: bounds and
-x_i - x_j <= c_ij for L♮ (Murota, Discrete Convex Analysis, 2003, ch. 5;
-multimodular on the prefix sums, L on the section x_n = 0), and a
-paramodular pair mu <= x(X) <= rho for M♮ (Frank and Tardos 1988; M on the
-projection of its hyperplane).  Their functions, once the domain is in the
-class, need the midpoint or exchange inequality only on nearby pairs
-(Murota 2003, ch. 6 and 7).  Each test is taken only where it pays, by a
-size rule on the input, and whatever it does not prove runs the pair scan,
-which reports the same lexicographically first witness.
+Each label's recognizer is one entry of ``_RECOGNIZERS``.  A route-then-scan
+label is one ``_Scan`` row: the kind its pair scan reads and at most one
+proof route, tried first.  A route proves membership, or names the row at
+which the scan starts, 0 unless the route reads exactly the scan's rows; it
+never turns an object down, so a non-member gets the scan's
+lexicographically first witness.  The table, with the rows that take no
+route and the labels that keep their own recognizers:
 
-The IC and DMC labels take the same proofs where a theorem carries them.
-L♮ and M♮ sets are integrally convex (Murota 2003, ch. 4 and 5), so
-``integrally-convex-set`` is a member when either description proves the
-set.  An L♮ set is globally discrete midpoint convex (Moriguchi, Murota,
-Tamura and Tardella 2020), so ``global-dmc-set`` is a member when the L♮
-description proves it, and ``local-dmc-fn`` proves its domain that way
-before it scans it; an M♮ proof is never taken for DMC, since an M♮ set
-need not be DMC.  On an integrally convex domain a function is integrally
-convex exactly when the hull axiom holds on its pairs at l-inf distance 2
-(Favati and Tardella 1990, as surveyed by Murota and Tamura 2023), so
-``integrally-convex-fn`` above the L♮ size rule proves its domain by either
-description and reads the hull axiom on the l-inf ball of radius 2.  Above
-the size rule of the l-inf sphere of radius 2, ``local-dmc-fn`` reads its
-axiom, which reads only the pairs at l-inf distance 2, on that sphere, and a
-violated row resumes the pair scan at that row, so the witness is the
-scan's.
+    label                  scans                  route            size rule                   resumes at
+    integer-box            box-gap, own walk      -                -                           -
+    separable-convex       axis-convexity, own    -                -                           -
+    integrally-convex-set  hull-midpoint          L♮ or M♮, ball   flat, or |S| >= 2 (5^n - 1)  0
+    integrally-convex-fn   hull-midpoint          L♮ or M♮, ball   flat, or |S| >= 2 (5^n - 1)  0
+    lnat-set               midpoint               L♮, ball         flat, or |S| >= 2 (5^n - 1)  0
+    lnat-fn                midpoint               L♮, ball         flat, or |S| >= 2 (5^n - 1)  0
+    l-set                  submodular, own        lifted: lnat-fn on the section x_n = 0       -
+    l-fn                   submodular, own        lifted: lnat-fn on the section x_n = 0       -
+    mnat-set               exchange-mnat          M♮, l1 ball      flat, or |S| >= 2 B(n)       0
+    mnat-fn                exchange-mnat-fn       M♮, l1 ball      flat, or |S| >= 2 B(n)       0
+    m-set                  exchange-m             M, l1 ball       flat, or |S| >= 2 B(n)       0
+    m-fn                   exchange-m-fn          M, l1 ball       flat, or |S| >= 2 B(n)       0
+    multimodular-set       multimodular-midpoint  lnat-fn on the prefix sums                   -
+    multimodular-fn        multimodular-midpoint  lnat-fn on the prefix sums                   -
+    global-dmc-set         midpoint-far           L♮               flat                        0
+    global-dmc-fn          midpoint-far           L♮               flat                        0
+    local-dmc-fn           midpoint-two           sphere           |S| >= 2 (5^n - 3^n)         its row
+    jump-system            jump-2step             box counts       |S| >= 12, C(2n, n) |S|      its row
+    const-parity-jump      jump-exc               box counts       |S| >= 12, C(2n, n) |S|      0
+    simult-exch-jump       jump-exc-nat           box counts       |S| >= 12, C(2n, n) |S|      0
+    jump-m-fn              jump-m-fn              -                -                           0
+    jump-mnat-fn           jump-mnat-fn           -                -                           0
 
-The three set jump labels share one exact route.  The 2-step axiom
-(Bouchet and Cunningham 1995) fails at a point x and a unit step s exactly
-when x + s is absent and the set meets a box fixed by which neighbours of
-x + s are present, so each row of the ordered pair scan is decided by one
-count in a summed-count table over the bounding box, and a one-cell box by
-one dict probe.  A jump system of one coordinate-sum parity satisfies the
-exchange axiom (Lovász 1997; Murota 2006), so it is a member of
-``const-parity-jump`` and ``simult-exch-jump`` too.  The route runs on sets
-of at least ``_JUMP_SIZE`` points whose bounding box holds at most
-C(2n, n) * |S| cells; a ``jump-system`` non-member resumes the pair scan at
-the route's first violating row, which the route finds exactly, so the
-witness is the scan's, and the other two labels scan whole whatever the
-route does not prove.  The jump function labels stay on the pair scan.
+The routes (``_Described``, ``_sphere``, ``_box_counts``): L♮, M♮ and M
+are domain descriptions read off the stored points (Murota, Discrete
+Convex Analysis, 2003, ch. 5; Frank and Tardos 1988), M being M♮ on the
+projection of a hyperplane x(N) = c; the M♮ test is taken from 2^n points
+on.  A set, or a function whose values are all equal (flat), is decided by
+its domain: L♮ and M♮ sets are integrally convex (ch. 4 and 5), and an L♮
+set is globally discrete midpoint convex (Moriguchi, Murota, Tamura and
+Tardella 2020).  Any other function is read on the pairs x, x + d with d
+in a ball (Murota 2003, ch. 6 and 7; for the hull axiom, Favati and
+Tardella 1990): the l-inf ball of radius 2, 5^n - 1 offsets besides its
+centre, or the l1 ball of radius 4, B(n) = sum_k 2^k C(n, k) C(4, k), from
+|S| >= 2 |ball| on.  ``local-dmc-fn`` first decides its domain as
+``global-dmc-set`` (the ``domain-not-dmc`` kind), then reads
+``midpoint-two`` on the l-inf sphere of radius 2.  The box counts read each
+row of the 2-step scan (Bouchet and Cunningham 1995), and prove the other
+set jump labels on a set of one coordinate-sum parity (Lovász 1997;
+Murota 2006).
 
 Each axiom is written once, as a predicate in the table ``_AXIOMS`` keyed by
 witness kind.  A predicate reads the object through a value getter in which
@@ -120,9 +127,10 @@ body's difference body, and past it a move is built for its pair alone, so
 a sparse input, whose pairs nearly all differ, holds no entry per pair.  A
 ``_Halves`` scan keeps no table: one call of its reading per point x runs
 over the points after x, each pair read with a few int operations; the hull
-memo is keyed by cx + cy and decodes x + y on a miss.  One local route,
-``_local``, reads the same coding and readings on the pairs x, x + d with d
-in a ball, x in code order, and names the first x with a violated pair;
+memo is keyed by cx + cy and decodes x + y on a miss.  A local route
+(``_Pair.local``, ``_Halves.local``) reads the same coding and readings on
+the pairs x, x + d with d in a ball, x in code order, and names the first
+x with a violated pair;
 when it fails, the pair scan reuses the coding.  A replay codes
 the witness pair over its own difference box grown by 1 and calls the same
 reading, reading each decoded point through the object.  Values are looked
@@ -372,15 +380,6 @@ class _View:
         object and c = 0 it holds all the stored representatives, which is
         their lift along 1."""
         return _View(self.dim - 1, {p[:-1]: v for p, v in self.vals.items() if p[-1] == c})
-
-    def projected(self) -> Optional["_View"]:
-        """The stored points without their last coordinate, when x(N) is one
-        constant on them, so that no two of them meet; None otherwise.  An
-        object is M-convex exactly when it lies on such a hyperplane and
-        this projection is M♮-convex (Murota 2003, ch. 4 and 6)."""
-        if len({sum(p) for p in self.vals}) != 1:
-            return None
-        return _View(self.dim - 1, {p[:-1]: v for p, v in self.vals.items()})
 
     def prefixed(self) -> "_View":
         """The pull-back to prefix sums, where multimodularity is midpoint
@@ -672,7 +671,14 @@ class _Pair(NamedTuple):
         return None
 
     def local(self, v: _View, ball: Sequence[Point]) -> Optional[int]:
-        """``_local``, with the move of each offset built once."""
+        """A local route's reading: the axiom on every pair of stored
+        points x, x + d with d in ``ball``, whose offsets lie within l-inf
+        distance ``_REACH`` of 0.  Points are read by the view's one coding
+        (``_View.coded``), whose box holds every x + d and every point
+        between x and x + d, so none of them shares a code.  The x are
+        visited in code order; the index of the first with a violated pair,
+        or None when every pair holds.  The move of each offset is built
+        once."""
         codes, coded = v.coded
         get, violated = coded.get, self.on_codes
         moves = [(codes.offset(d), self.move(codes, d)) for d in ball]
@@ -804,7 +810,7 @@ class _Halves(NamedTuple):
         return None
 
     def local(self, v: _View, ball: Sequence[Point]) -> Optional[int]:
-        """``_local``: the pairs x, x + d of the stored points in one
+        """``_Pair.local``: the pairs x, x + d of the stored points in one
         ``first`` call per x in code order, where px ^ py is the parity mask
         of d, so x is read with mask 0 and x + d with that of d."""
         codes, coded = v.coded
@@ -946,7 +952,7 @@ def _check_l(v: _View) -> Verdict:
     pass only a necessary condition."""
     if v.lifted:
         return _derived(v, "l-section-midpoint")
-    verdict = _scan_pairs(v, "submodular")
+    verdict = _scan_pairs(v, "submodular", 0)
     if not verdict.member:
         return verdict
     anchor = None
@@ -963,25 +969,7 @@ def _check_l(v: _View) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# the L♮ and M♮ families, and the IC and DMC labels, without the pair scan
-#
-# L♮ and M♮ sets are the lattice points of a polyhedral description read off
-# the stored points, and their functions need the midpoint or exchange
-# inequality only on pairs of nearby points once the domain is in the class.
-# Both kinds of set are integrally convex (Murota 2003, ch. 4 and 5), and an
-# L♮-convex set is globally discrete midpoint convex (Moriguchi, Murota,
-# Tamura and Tardella 2020), so the same descriptions prove IC and DMC
-# domains; an M♮ set need not be DMC, so no M♮ proof is taken there.  A
-# test below answers True only for a member.  Anything else runs the pair
-# scan, so a non-member gets the same lexicographically first witness as
-# before.
-#
-# A function takes the local route only when |S| >= 2 * |ball|, with |ball|
-# the offsets of the ball other than its centre: a member saves
-# |S| * (|S| - |ball|) / 2 pair reads there, and a non-member pays up to
-# |S| * |ball| / 2 reads before its pair scan, so the two break even at
-# |S| = 2 * |ball|.  A set, or any object whose values are all equal, needs
-# no local axiom: its domain decides.
+# proof routes in front of the pair scan
 
 
 def _lnat_described(points: Dict[Point, int], n: int) -> bool:
@@ -1050,20 +1038,24 @@ def _subset_extremes(cols: List[Tuple[int, ...]], n: int) -> Tuple[List[int], Li
 def _mnat_described(points: Dict[Point, int], n: int) -> bool:
     """Whether the points are the lattice points of an integral
     g-polymatroid, which holds exactly for an M♮-convex set (Frank and
-    Tardos 1988; Murota 2003, ch. 4).  rho(X) = max x(X) and
-    mu(X) = min x(X) over the points describe any such set, and they
-    describe one exactly when the pair is paramodular: when the rho of the
-    M-lift (x, -x(N)), rho(X) on X and -mu(N - X) on X + n, is submodular,
-    which is checked on neighbouring subsets.  Then the lattice points of
-    mu <= x(X) <= rho are enumerated as in ``_lnat_described``, coordinate k
-    cut by the subsets whose largest element is k.  No range comes out
-    empty, since a projection of an integral g-polymatroid is one, described
-    by the restricted pair; so the cost is O(2^n) per point reached.  Points
-    that fill their bounding box [l, u] are M♮.  A modular rho and mu, each
-    x(X)'s bounds the sums of its coordinates', describe that box, so the
-    points are all of it only when they fill it; rho is modular exactly
-    when rho(N) is u(N), attained at u alone, so exactly when u is a point,
-    and mu when l is, which are probed before rho and mu are read."""
+    Tardos 1988; Murota 2003, ch. 4).  The test costs 2^n per point, so it
+    is taken only from 2^n points on, and fewer answer False.
+    rho(X) = max x(X) and mu(X) = min x(X) over the points describe any
+    such set, and they describe one exactly when the pair is paramodular:
+    when the rho of the M-lift (x, -x(N)), rho(X) on X and -mu(N - X) on
+    X + n, is submodular, which is checked on neighbouring subsets.  Then the
+    lattice points of mu <= x(X) <= rho are enumerated as in
+    ``_lnat_described``, coordinate k cut by the subsets whose largest
+    element is k.  No range comes out empty, since a projection of an
+    integral g-polymatroid is one, described by the restricted pair; so the
+    cost is O(2^n) per point reached.  Points that fill their bounding box
+    [l, u] are M♮.  A modular rho and mu, each x(X)'s bounds the sums of its
+    coordinates', describe that box, so the points are all of it only when
+    they fill it; rho is modular exactly when rho(N) is u(N), attained at u
+    alone, so exactly when u is a point, and mu when l is, which are probed
+    before rho and mu are read."""
+    if len(points) < 2**n:
+        return False
     cols, lo, hi, filled = _bounds(points)
     if filled or (tuple(lo) in points and tuple(hi) in points):
         return filled
@@ -1093,19 +1085,11 @@ def _mnat_described(points: Dict[Point, int], n: int) -> bool:
     return fill(0, [0])
 
 
-def _is_flat(v: _View) -> bool:
-    """All values equal, as on a set: the domain alone decides the class."""
-    return len(set(v.vals.values())) == 1
-
-
-def _local(v: _View, kind: str, ball: Sequence[Point]) -> Optional[int]:
-    """The pair axiom of ``kind`` on every pair of stored points x, x + d
-    with d in ``ball``, whose offsets lie within l-inf distance ``_REACH``
-    of 0.  Points are read by the view's one coding (``_View.coded``),
-    whose box holds every x + d and every point between x and x + d, so
-    none of them shares a code.  The x are visited in code order; the index
-    of the first with a violated pair, or None when every pair holds."""
-    return _AXIOMS[kind].violated.local(v, ball)
+def _m_described(points: Dict[Point, int], n: int) -> bool:
+    """Whether the points are an M-convex set: they lie on a hyperplane
+    x(N) = c, so that no two of them meet when x_n is dropped, and
+    ``_mnat_described`` proves that projection (Murota 2003, ch. 4 and 6)."""
+    return len({sum(p) for p in points}) == 1 and _mnat_described({p[:-1]: 0 for p in points}, n - 1)
 
 
 def _half_ball(n: int, sphere: bool = False) -> List[Point]:
@@ -1123,77 +1107,60 @@ def _l1_ball(n: int, r: int) -> List[Point]:
     return [(c,) + rest for c in range(-r, r + 1) for rest in _l1_ball(n - 1, r - abs(c))]
 
 
-def _lnat_or_mnat(points: Dict[Point, int], n: int) -> bool:
-    """Whether ``_lnat_described`` or, from 2^n points on (``_check_exchange``'s
-    rule), ``_mnat_described`` proves the points an L♮- or M♮-convex set,
-    both integrally convex (Murota 2003, ch. 4 and 5)."""
-    return _lnat_described(points, n) or (2**n <= len(points) and _mnat_described(points, n))
+@dataclass
+class _Offsets:
+    """A local ball in Z^n: ``count(n)``, its offsets other than its
+    centre, in closed form, which the size rule reads, and ``build(n)``,
+    the offsets a route reads, built only once the rule passes."""
+
+    count: Callable[[int], int]
+    build: Callable[[int], List[Point]]
+
+    def pays(self, v: _View) -> bool:
+        """The size rule |S| >= 2 * |ball|: a member saves
+        |S| * (|S| - |ball|) / 2 pair reads on the ball, and a non-member
+        pays up to |S| * |ball| / 2 reads before its pair scan, so the two
+        break even at |S| = 2 * |ball|."""
+        return len(v.vals) >= 2 * self.count(v.dim)
 
 
-def _check_lnat(v: _View, kind: str = "midpoint", described: Callable = _lnat_described) -> Verdict:
-    """L♮-convexity: the domain by its description, and for a function
-    above the size rule the midpoint inequality on pairs at l-inf distance
-    at most 2, each read once (Murota 2003, ch. 7); else the midpoint pair
-    scan.  Integral convexity, with the hull kind and ``_lnat_or_mnat``: a
-    function on an integrally convex domain is integrally convex exactly
-    when the hull axiom holds on its pairs at l-inf distance 2 (Favati and
-    Tardella 1990, as surveyed by Murota and Tamura 2023), which the hull
-    kind reads on the same ball."""
-    flat = _is_flat(v)
-    if (flat or len(v.vals) >= 2 * (5**v.dim - 1)) and described(v.vals, v.dim):
-        if flat or _local(v, kind, _half_ball(v.dim)) is None:
-            return _OK
-    return _scan_pairs(v, kind)
+# the l-inf ball and sphere of radius 2, one of d and -d each, and the l1
+# ball of radius 4 whole, as the exchange reads ordered pairs (Murota 2003,
+# ch. 6, local exchange, read through the M-lift, which at most doubles l1
+# distances)
+_LINF_BALL = _Offsets(lambda n: 5**n - 1, _half_ball)
+_LINF_SPHERE = _Offsets(lambda n: 5**n - 3**n, partial(_half_ball, sphere=True))
+_L1_BALL = _Offsets(
+    lambda n: sum(2**k * comb(n, k) * comb(_REACH, k) for k in range(1, _REACH + 1)),
+    lambda n: [d for d in _l1_ball(n, _REACH) if any(d)],
+)
 
 
-def _check_global_dmc(v: _View, kind: str = "midpoint-far") -> Verdict:
-    """Global discrete midpoint convexity: a set, or a function whose
-    values are all equal, that ``_lnat_described`` proves L♮-convex is a
-    member (an L♮-convex set is globally DMC: Moriguchi, Murota, Tamura and
-    Tardella 2020); else the pair scan.  An M♮ proof is never taken: an M♮
-    set need not be DMC."""
-    if _is_flat(v) and _lnat_described(v.vals, v.dim):
-        return _OK
-    return _scan_pairs(v, kind)
+class _Described(NamedTuple):
+    """The route of a domain description: a set, or a function whose values
+    are all equal, is a member when one of the ``descriptions`` proves its
+    points; above the size rule of ``ball``, a function is one when,
+    besides, its kind's axiom holds on every pair x, x + d with d in the
+    ball.  Without a ball only the flat objects take the route."""
+
+    descriptions: Tuple[Callable, ...]
+    ball: Optional[_Offsets] = None
+
+    def __call__(self, v: _View, kind: str) -> Optional[int]:
+        flat = len(set(v.vals.values())) == 1
+        if (flat or self.ball is not None and self.ball.pays(v)) and any(d(v.vals, v.dim) for d in self.descriptions):
+            if flat or _AXIOMS[kind].violated.local(v, self.ball.build(v.dim)) is None:
+                return None
+        return 0
 
 
-def _check_local_dmc(v: _View) -> Verdict:
-    """Local discrete midpoint convexity: a globally DMC domain (the
-    ``domain-not-dmc`` kind, read by ``_check_global_dmc``), then the
-    midpoint inequality on the pairs at l-inf distance exactly 2
-    (Moriguchi, Murota, Tamura and Tardella 2020).  Above the size rule of
-    the l-inf sphere of radius 2, those pairs are read by ``_local`` on its
-    positive half: row x there reads exactly the pairs x < y of row x of
-    the pair scan, so a violated row resumes the scan at that row, and the
-    witness is the scan's."""
-    dom = _derived(v, "domain-not-dmc")
-    if not dom.member:
-        return dom
-    row = 0
-    if len(v.vals) >= 2 * (5**v.dim - 3**v.dim):
-        row = _local(v, "midpoint-two", _half_ball(v.dim, sphere=True))
-        if row is None:
-            return _OK
-    return _scan_pairs(v, "midpoint-two", row)
-
-
-def _check_exchange(v: _View, kind: str, domain: Callable = lambda v: v) -> Verdict:
-    """M♮-convexity, or M-convexity with ``domain`` the projection
-    (``_View.projected``): the domain by the description of
-    ``_mnat_described``, when 2^n <= |S| for its dimension n, and for a
-    function above the size rule the exchange on ordered pairs at l1
-    distance at most 4 (Murota 2003, ch. 6, local exchange, read through
-    the M-lift, which at most doubles l1 distances); else the exchange pair
-    scan."""
-    size, flat = len(v.vals), _is_flat(v)
-    ball = sum(2**k * comb(v.dim, k) * comb(_REACH, k) for k in range(1, _REACH + 1))
-    if flat or size >= 2 * ball:
-        dom = domain(v)
-        if dom is not None and 2**dom.dim <= size and _mnat_described(dom.vals, dom.dim):
-            zero = (0,) * v.dim
-            if flat or _local(v, kind, [d for d in _l1_ball(v.dim, _REACH) if d != zero]) is None:
-                return _OK
-    return _scan_pairs(v, kind)
+def _sphere(v: _View, kind: str) -> Optional[int]:
+    """The sphere route: above its size rule, the kind's axiom on the pairs
+    x, x + d with d on the positive half of the l-inf sphere of radius 2.
+    The ``midpoint-two`` axiom reads only pairs at l-inf distance 2, so row
+    x there holds exactly the pairs of row x of the scan, which resumes at
+    the violated row."""
+    return _AXIOMS[kind].violated.local(v, _LINF_SPHERE.build(v.dim)) if _LINF_SPHERE.pays(v) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -1310,18 +1277,15 @@ def _jump_row(v: _View) -> Optional[int]:
     return None
 
 
-def _check_jump_system(v: _View) -> Verdict:
-    row = _jump_row(v) if _jump_routed(v) else 0
-    return _OK if row is None else _scan_pairs(v, "jump-2step", row)
-
-
-def _check_parity_jump(v: _View, kind: str) -> Verdict:
-    """``const-parity-jump`` or ``simult-exch-jump``: a member when the
-    points have one coordinate-sum parity and the route proves a jump
-    system; else the pair scan."""
-    if _jump_routed(v) and len({sum(p) & 1 for p in v.vals}) == 1 and _jump_row(v) is None:
-        return _OK
-    return _scan_pairs(v, kind)
+def _box_counts(v: _View, kind: str) -> Optional[int]:
+    """The box-count route, within its rules (``_jump_routed``): the first
+    row at which the 2-step axiom fails, or None for a jump system.  It
+    reads exactly the rows of the ``jump-2step`` scan, which resumes there.
+    It proves the exchange kinds only on a set of one coordinate-sum
+    parity, and they scan whole whatever it does not prove."""
+    if kind == "jump-2step":
+        return _jump_row(v) if _jump_routed(v) else 0
+    return None if _jump_routed(v) and len({sum(p) & 1 for p in v.vals}) == 1 and _jump_row(v) is None else 0
 
 
 # ---------------------------------------------------------------------------
@@ -1336,55 +1300,81 @@ def _on_section(v: _View, points: Tuple[Point, ...]):
     return v.section(c), tuple(vshift(p, c - p[-1])[:-1] for p in points)
 
 
-# kind -> (map of the view with the witness points, map of a point back, kind
-# read there, its recognizer): multimodular is L♮-convex on the prefix sums
-# (Murota, "Note on multimodularity and L-convexity", 2005), lifted L is
-# L-convex iff its section x_n = 0 is L♮-convex (Murota 2003, ch. 7), and a
-# locally discrete midpoint convex function has a d.m.c. domain.
+# kind -> (map of the view with the witness points, map of a point back, the
+# label the view is decided as, whose scan kind a replay reads there):
+# multimodular is L♮-convex on the prefix sums (Murota, "Note on
+# multimodularity and L-convexity", 2005), lifted L is L-convex iff its
+# section x_n = 0 is L♮-convex (Murota 2003, ch. 7), and a locally discrete
+# midpoint convex function has a d.m.c. domain.
 _MAPPED = {
-    "domain-not-dmc": (lambda v, points: (v.domain(), points), lambda p: p, "midpoint-far", _check_global_dmc),
+    "domain-not-dmc": (lambda v, points: (v.domain(), points), lambda p: p, ClassLabel.GLOBAL_DMC_SET),
     "multimodular-midpoint": (
-        lambda v, points: (v.prefixed(), tuple(map(prefix_point, points))), difference_point, "midpoint", _check_lnat
+        lambda v, points: (v.prefixed(), tuple(map(prefix_point, points))), difference_point, ClassLabel.LNAT_FN
     ),
-    "l-section-midpoint": (_on_section, lambda p: p + (0,), "midpoint", _check_lnat),
+    "l-section-midpoint": (_on_section, lambda p: p + (0,), ClassLabel.LNAT_FN),
 }
 
 
 def _derived(v: _View, kind: str) -> Verdict:
     """A derived kind decided on its view of v, the witness mapped back."""
-    to_view, back, inner, recognize = _MAPPED[kind]
-    verdict = recognize(to_view(v, ())[0], inner)
+    to_view, back, label = _MAPPED[kind]
+    verdict = _RECOGNIZERS[label](to_view(v, ())[0])
     return verdict if verdict.member else _fail(kind, map(back, verdict.witness.points))
 
 
 # ---------------------------------------------------------------------------
 # public entry points
 
-# a recognizer, like a map entry above, reads ``_scan_pairs`` when it is
-# called, so the one scanner can be watched in place
+
+class _Scan(NamedTuple):
+    """A route-then-scan recognizer.  A derived kind ``domain``
+    (``_MAPPED``), when named, is decided first, and its failure is the
+    verdict.  Then the route, when there is one, proves membership (None)
+    or names the row at which the pair scan of ``kind`` starts, which is 0
+    without a route.  ``_scan_pairs`` is read from the module at each call,
+    so the one scanner can be watched in place."""
+
+    kind: str
+    route: Optional[Callable] = None
+    domain: Optional[str] = None
+
+    def __call__(self, v: _View) -> Verdict:
+        if self.domain is not None and not (verdict := _derived(v, self.domain)).member:
+            return verdict
+        row = 0 if self.route is None else self.route(v, self.kind)
+        return _OK if row is None else _scan_pairs(v, self.kind, row)
+
+
+_IC = _Scan("hull-midpoint", _Described((_lnat_described, _mnat_described), _LINF_BALL))
+_LNAT = _Scan("midpoint", _Described((_lnat_described,), _LINF_BALL))
+_MNAT, _M = _Described((_mnat_described,), _L1_BALL), _Described((_m_described,), _L1_BALL)
+_GLOBAL_DMC = _Scan("midpoint-far", _Described((_lnat_described,)))
+
+# the box, separable and L labels keep their own recognizers; a multimodular
+# object is decided on its prefix sums (``_MAPPED``)
 _RECOGNIZERS = {
     ClassLabel.INTEGER_BOX: _scan_box,
     ClassLabel.SEPARABLE_CONVEX: _check_separable,
-    ClassLabel.IC_SET: partial(_check_lnat, kind="hull-midpoint", described=_lnat_or_mnat),
-    ClassLabel.IC_FN: partial(_check_lnat, kind="hull-midpoint", described=_lnat_or_mnat),
-    ClassLabel.LNAT_SET: _check_lnat,
-    ClassLabel.LNAT_FN: _check_lnat,
+    ClassLabel.IC_SET: _IC,
+    ClassLabel.IC_FN: _IC,
+    ClassLabel.LNAT_SET: _LNAT,
+    ClassLabel.LNAT_FN: _LNAT,
     ClassLabel.L_SET: _check_l,
     ClassLabel.L_FN: _check_l,
-    ClassLabel.MNAT_SET: partial(_check_exchange, kind="exchange-mnat"),
-    ClassLabel.MNAT_FN: partial(_check_exchange, kind="exchange-mnat-fn"),
-    ClassLabel.M_SET: partial(_check_exchange, kind="exchange-m", domain=_View.projected),
-    ClassLabel.M_FN: partial(_check_exchange, kind="exchange-m-fn", domain=_View.projected),
+    ClassLabel.MNAT_SET: _Scan("exchange-mnat", _MNAT),
+    ClassLabel.MNAT_FN: _Scan("exchange-mnat-fn", _MNAT),
+    ClassLabel.M_SET: _Scan("exchange-m", _M),
+    ClassLabel.M_FN: _Scan("exchange-m-fn", _M),
     ClassLabel.MULTIMODULAR_SET: partial(_derived, kind="multimodular-midpoint"),
     ClassLabel.MULTIMODULAR_FN: partial(_derived, kind="multimodular-midpoint"),
-    ClassLabel.GLOBAL_DMC_SET: _check_global_dmc,
-    ClassLabel.GLOBAL_DMC_FN: _check_global_dmc,
-    ClassLabel.LOCAL_DMC_FN: _check_local_dmc,
-    ClassLabel.JUMP_SYSTEM: _check_jump_system,
-    ClassLabel.CONST_PARITY_JUMP: partial(_check_parity_jump, kind="jump-exc"),
-    ClassLabel.SIMULT_EXCH_JUMP: partial(_check_parity_jump, kind="jump-exc-nat"),
-    ClassLabel.JUMP_M_FN: lambda v: _scan_pairs(v, "jump-m-fn"),
-    ClassLabel.JUMP_MNAT_FN: lambda v: _scan_pairs(v, "jump-mnat-fn"),
+    ClassLabel.GLOBAL_DMC_SET: _GLOBAL_DMC,
+    ClassLabel.GLOBAL_DMC_FN: _GLOBAL_DMC,
+    ClassLabel.LOCAL_DMC_FN: _Scan("midpoint-two", _sphere, "domain-not-dmc"),
+    ClassLabel.JUMP_SYSTEM: _Scan("jump-2step", _box_counts),
+    ClassLabel.CONST_PARITY_JUMP: _Scan("jump-exc", _box_counts),
+    ClassLabel.SIMULT_EXCH_JUMP: _Scan("jump-exc-nat", _box_counts),
+    ClassLabel.JUMP_M_FN: _Scan("jump-m-fn"),
+    ClassLabel.JUMP_MNAT_FN: _Scan("jump-mnat-fn"),
 }
 
 
@@ -1417,9 +1407,12 @@ def verify_witness(obj, witness: Witness) -> bool:
     (every kind records its points, steps included, in the object's
     coordinates, as tuples of ints; bools and floats are not ints), nor one
     with an index not an int, nor one with other counts than its kind's, nor
-    one whose points or indices are not a tuple.
+    one whose points or indices are not a tuple.  A kind that is not a str,
+    or not a known kind, raises ``ValueError``.
     """
-    kind = _MAPPED[witness.kind][2] if witness.kind in _MAPPED else witness.kind
+    kind = witness.kind if isinstance(witness.kind, str) else None
+    if kind in _MAPPED:
+        kind = _RECOGNIZERS[_MAPPED[kind][2]].kind
     if kind not in _AXIOMS:
         raise ValueError(f"unknown witness kind {witness.kind!r}")
     shape = _AXIOMS[kind][:2]
@@ -1441,9 +1434,9 @@ def _ints(entries) -> bool:
 
 def _replay(v: _View, kind: str, points: Tuple[Point, ...], indices: Tuple[int, ...]) -> bool:
     if kind in _MAPPED:
-        to_view, _, inner, _ = _MAPPED[kind]
+        to_view, _, label = _MAPPED[kind]
         mapped, points = to_view(v, points)
-        return _replay(mapped, inner, points, ())
+        return _replay(mapped, _RECOGNIZERS[label].kind, points, ())
     _, _, members, violated, keep = _AXIOMS[kind]
     args = points + indices
     held = [v.get(p) for p in points[:members]]

@@ -400,6 +400,88 @@ def test_size_rules_pin_both_sides(pair_scans, monkeypatch):
             assert rows.tables(n) == len(offsets) + n, (kind, n)
 
 
+def test_the_route_table_pins_every_label(monkeypatch):
+    # per label, the kind its pair scan reads and the one route tried
+    # first: a domain description with an optional ball, the l-inf sphere
+    # or the box counts; box, separable and L keep their own recognizers,
+    # and multimodular is decided as lnat-fn on its prefix sums
+    lnat, mnat, m = classes._lnat_described, classes._mnat_described, classes._m_described
+    ball, sphere, l1 = classes._LINF_BALL, classes._LINF_SPHERE, classes._L1_BALL
+    scan, described, counts = classes._Scan, classes._Described, classes._box_counts
+    table = classes._RECOGNIZERS
+    assert table == {
+        ClassLabel.INTEGER_BOX: classes._scan_box,
+        ClassLabel.SEPARABLE_CONVEX: classes._check_separable,
+        ClassLabel.IC_SET: scan("hull-midpoint", described((lnat, mnat), ball)),
+        ClassLabel.IC_FN: scan("hull-midpoint", described((lnat, mnat), ball)),
+        ClassLabel.LNAT_SET: scan("midpoint", described((lnat,), ball)),
+        ClassLabel.LNAT_FN: scan("midpoint", described((lnat,), ball)),
+        ClassLabel.L_SET: classes._check_l,
+        ClassLabel.L_FN: classes._check_l,
+        ClassLabel.MNAT_SET: scan("exchange-mnat", described((mnat,), l1)),
+        ClassLabel.MNAT_FN: scan("exchange-mnat-fn", described((mnat,), l1)),
+        ClassLabel.M_SET: scan("exchange-m", described((m,), l1)),
+        ClassLabel.M_FN: scan("exchange-m-fn", described((m,), l1)),
+        ClassLabel.MULTIMODULAR_SET: table[ClassLabel.MULTIMODULAR_SET],
+        ClassLabel.MULTIMODULAR_FN: table[ClassLabel.MULTIMODULAR_FN],
+        ClassLabel.GLOBAL_DMC_SET: scan("midpoint-far", described((lnat,))),
+        ClassLabel.GLOBAL_DMC_FN: scan("midpoint-far", described((lnat,))),
+        ClassLabel.LOCAL_DMC_FN: scan("midpoint-two", classes._sphere, "domain-not-dmc"),
+        ClassLabel.JUMP_SYSTEM: scan("jump-2step", counts),
+        ClassLabel.CONST_PARITY_JUMP: scan("jump-exc", counts),
+        ClassLabel.SIMULT_EXCH_JUMP: scan("jump-exc-nat", counts),
+        ClassLabel.JUMP_M_FN: scan("jump-m-fn"),
+        ClassLabel.JUMP_MNAT_FN: scan("jump-mnat-fn"),
+    }
+    for label in (ClassLabel.MULTIMODULAR_SET, ClassLabel.MULTIMODULAR_FN):
+        assert table[label].func is classes._derived and table[label].keywords == {"kind": "multimodular-midpoint"}
+    assert {kind: row[2] for kind, row in _MAPPED.items()} == {
+        "domain-not-dmc": ClassLabel.GLOBAL_DMC_SET,
+        "multimodular-midpoint": ClassLabel.LNAT_FN,
+        "l-section-midpoint": ClassLabel.LNAT_FN,
+    }
+    # the module docstring's table names the kind of every scan row
+    listed = {}
+    for line in classes.__doc__.splitlines():
+        words = line.split()
+        if line.startswith("    ") and words and words[0] in {label.value for label in ClassLabel}:
+            listed[words[0]] = words[1]
+    assert set(listed) == {label.value for label in ClassLabel}
+    for label, row in table.items():
+        assert not isinstance(row, scan) or listed[label.value] == row.kind, label
+    # each ball's size, counted in closed form, is that of the ball built,
+    # with -d beside each offset d of a half ball, and without its centre
+    assert [ball.count(n) for n in (1, 2, 3)] == [4, 24, 124]
+    assert [sphere.count(n) for n in (1, 2, 3)] == [2, 16, 98]
+    assert [l1.count(n) for n in (1, 2, 3, 4)] == [8, 40, 128, 320]
+    for offsets in (ball, sphere, l1):
+        for n in range(1, 5):
+            built = set(offsets.build(n))
+            assert (0,) * n not in built
+            assert offsets.count(n) == len(built | {tuple(-c for c in d) for d in built}), n
+    # the box counts run from 12 points on, on a bounding box of at most
+    # C(2n, n) |S| cells: 72 for 12 points in Z^2
+    assert classes._JUMP_SIZE == 12
+    line = [(t, 0) for t in range(11)]
+    for pts, routed in ((line[:10] + [(11, 5)], False), (line + [(11, 5)], True), (line + [(11, 6)], False)):
+        assert classes._jump_routed(_View.of(LatticeSet.of(pts))) is routed, pts
+    # the M♮ description is read from 2^n points on: an interval of Z^3's
+    # first axis is M♮, but proven only from 8 points
+    for k in (7, 8):
+        assert mnat(dict.fromkeys(((t, 0, 0) for t in range(k)), 0), 3) is (k == 8)
+    # a check in Z^12 reads every size rule in closed form and builds no
+    # ball: 5^12 offsets would not fit in its time
+    def built(n):
+        raise AssertionError(f"a ball in Z^{n} was built")
+
+    for offsets in (ball, sphere, l1):
+        monkeypatch.setattr(offsets, "build", built)
+    f = LatticeFn.of({(0,) * 12: 0, (1,) + (0,) * 11: 1, (1, 1) + (0,) * 10: 3})
+    for obj, labels in ((f, classes.FN_LABELS), (f.domain(), classes.SET_LABELS)):
+        for label in labels:
+            check(obj, label)
+
+
 # the kinds read a row at a time from the row size rule on
 _ROW_KINDS = (
     "exchange-mnat", "exchange-mnat-fn", "exchange-m", "exchange-m-fn",
@@ -460,15 +542,15 @@ def test_the_fixture_sees_every_pair_scan(pair_scans):
     bent = LatticeSet(2, square.points - {(1, 1)})
     always = {
         ClassLabel.JUMP_SYSTEM: ("jump-2step", 0),
-        ClassLabel.CONST_PARITY_JUMP: ("jump-exc",),
-        ClassLabel.SIMULT_EXCH_JUMP: ("jump-exc-nat",),
-        ClassLabel.L_SET: ("submodular",),
-        ClassLabel.M_SET: ("exchange-m",),
+        ClassLabel.CONST_PARITY_JUMP: ("jump-exc", 0),
+        ClassLabel.SIMULT_EXCH_JUMP: ("jump-exc-nat", 0),
+        ClassLabel.L_SET: ("submodular", 0),
+        ClassLabel.M_SET: ("exchange-m", 0),
     }
     for obj, scanned in (
         (square, always),
-        (bent, {**always, ClassLabel.LNAT_SET: ("midpoint",), ClassLabel.MNAT_SET: ("exchange-mnat",),
-                ClassLabel.IC_SET: ("hull-midpoint",), ClassLabel.GLOBAL_DMC_SET: ("midpoint-far",)}),
+        (bent, {**always, ClassLabel.LNAT_SET: ("midpoint", 0), ClassLabel.MNAT_SET: ("exchange-mnat", 0),
+                ClassLabel.IC_SET: ("hull-midpoint", 0), ClassLabel.GLOBAL_DMC_SET: ("midpoint-far", 0)}),
     ):
         for label in sorted(SET_LABELS_NO_L + [ClassLabel.L_SET]):
             del pair_scans[:]
@@ -483,8 +565,8 @@ def test_the_fixture_sees_every_pair_scan(pair_scans):
     miss = LatticeSet(2, even.points - {(2, 2)})
     for obj, scanned in (
         (even, {}),
-        (miss, {ClassLabel.JUMP_SYSTEM: ("jump-2step", 1), ClassLabel.CONST_PARITY_JUMP: ("jump-exc",),
-                ClassLabel.SIMULT_EXCH_JUMP: ("jump-exc-nat",)}),
+        (miss, {ClassLabel.JUMP_SYSTEM: ("jump-2step", 1), ClassLabel.CONST_PARITY_JUMP: ("jump-exc", 0),
+                ClassLabel.SIMULT_EXCH_JUMP: ("jump-exc-nat", 0)}),
     ):
         for label in (ClassLabel.JUMP_SYSTEM, ClassLabel.CONST_PARITY_JUMP, ClassLabel.SIMULT_EXCH_JUMP):
             del pair_scans[:]
@@ -494,7 +576,7 @@ def test_the_fixture_sees_every_pair_scan(pair_scans):
     assert check(miss, ClassLabel.JUMP_SYSTEM).witness.points[0] == sorted(miss.points)[1]
     # a locally d.m.c. function below the sphere's size rule proves or
     # scans its domain, then scans its pairs at l-inf distance 2 from row 0
-    for dom, scanned in ((square, []), (bent, [("midpoint-far",)])):
+    for dom, scanned in ((square, []), (bent, [("midpoint-far", 0)])):
         del pair_scans[:]
         assert check(indicator_fn(dom), ClassLabel.LOCAL_DMC_FN).member
         assert [args[1:] for args in pair_scans] == scanned + [("midpoint-two", 0)]
@@ -591,6 +673,10 @@ def test_verify_witness_rejects_non_violations():
     assert not verify_witness(quad, Witness("modularity", ((0, 0),), (0, 0)))
     with pytest.raises(ValueError):
         verify_witness(box, Witness("no-such-kind", ()))
+    # a kind that is not a str is unknown too, even an unhashable one
+    for kind in (None, 3, ["midpoint"], "nope"):
+        with pytest.raises(ValueError, match="unknown witness kind"):
+            verify_witness(box, Witness(kind, ((0, 0), (1, 1))))
     # an empty set has no violations, not even a box gap
     empty = LatticeSet(2, frozenset())
     assert not verify_witness(empty, Witness("box-gap", ((0, 0),)))

@@ -54,3 +54,47 @@ def test_unused_import_check_sees_reads_and_the_noqa_marker():
         "def f(x: inf) -> int:\n    return os.path.sep\n"
     )
     assert _unused_imports(source) == [(7, "choose")]
+
+
+def _unread_private_names(sources):
+    """(module, line, name) of each private name, with one leading
+    underscore, that a module of ``sources`` (module name -> source) binds
+    at module level by a def, a class or an assignment, and that no module
+    of them reads: by name, as an attribute or in a ``from`` import."""
+    bound, read = {}, set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                targets = [ast.Name(node.name)]
+            else:
+                targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            for target in targets:
+                for name in ast.walk(target) if target is not None else ():
+                    if isinstance(name, ast.Name) and name.id.startswith("_") and not name.id.startswith("__"):
+                        bound[(module, name.id)] = node.lineno
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted((module, line, name) for (module, name), line in bound.items() if name not in read)
+
+
+def test_every_private_name_is_read_in_the_package():
+    sources = {}
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+                sources[name] = fh.read()
+    assert _unread_private_names(sources) == []
+
+
+def test_unread_private_name_check_sees_every_read():
+    sources = {
+        "a.py": "_kept = 1\n_TABLE, _orphan = {}, 2\ndef _called():\n    return _kept\nclass _Gone:\n    pass\n",
+        "b.py": "from a import _TABLE\nimport a\n_called_too: int = a._called()\n__all__ = []\n",
+    }
+    assert _unread_private_names(sources) == [("a.py", 2, "_orphan"), ("a.py", 5, "_Gone"), ("b.py", 3, "_called_too")]
