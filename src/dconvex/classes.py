@@ -20,8 +20,8 @@ route and the labels that keep their own recognizers:
     integrally-convex-fn   hull-midpoint          L♮ or M♮, ball   flat, or |S| >= 2 (5^n - 1)  0
     lnat-set               midpoint               L♮, ball         flat, or |S| >= 2 (5^n - 1)  0
     lnat-fn                midpoint               L♮, ball         flat, or |S| >= 2 (5^n - 1)  0
-    l-set                  submodular, own        lifted: lnat-fn on the section x_n = 0       -
-    l-fn                   submodular, own        lifted: lnat-fn on the section x_n = 0       -
+    l-set                  as lnat-set            lifted: lnat-fn on the section x_n = 0       -
+    l-fn                   as lnat-fn, then ramp  lifted: lnat-fn on the section x_n = 0       -
     mnat-set               exchange-mnat          M♮, l1 ball      flat, or |S| >= 2 B(n)       0
     mnat-fn                exchange-mnat-fn       M♮, l1 ball      flat, or |S| >= 2 B(n)       0
     m-set                  exchange-m             M, l1 ball       flat, or |S| >= 2 B(n)       0
@@ -79,14 +79,14 @@ getter, memoized by x + y, so once per distinct midpoint in a check that
 its rounded midpoints leave open.
 
 Every pair axiom reads int codes, in one of two shapes.  The exchange
-(M♮, M), jump and submodular axioms are a ``_Pair``: a move of the pair's
-difference and a predicate, and for the exchange and jump exchange kinds a
-row reading (``_Rows``).  The exchange and jump axioms share one
-predicate: on an ordered pair x, y the jump exchange reads x + s + t and
-y - s - t for unit steps s, t from x toward y, and the M♮/M exchange
+(M♮, M) and jump axioms are a ``_Pair``: ordered, a move of the pair's
+difference, a predicate that names the first violated step and the record
+a witness keeps of it, and for the exchange and jump exchange kinds a row
+reading (``_Rows``).  The exchange and jump axioms share one predicate:
+on an ordered pair x, y the jump exchange reads x + s + t and y - s - t
+for unit steps s, t from x toward y, and the M♮/M exchange
 x - e_i + e_j, y + e_i - e_j is its case s = -e_i, t = +e_j (Murota,
-"M-convex functions on jump systems", 2006); the L axiom reads
-x v y = x + (d v 0) and x ^ y = x + (d ^ 0).  The midpoint family is a
+"M-convex functions on jump systems", 2006).  The midpoint family is a
 ``_Halves``, read by arithmetic on the codes with no move: the midpoint
 axioms read the rounded midpoints x + ceil(d/2) and x + floor(d/2) of x
 and y = x + d (Favati and Tardella 1990; Moriguchi, Murota, Tamura and
@@ -103,28 +103,28 @@ read, even a point x + d of the local route, has its own code.  Codes sort
 in lexicographic point order (scans and witnesses are as on point tuples),
 cy - cx identifies y - x (balanced mixed-radix digits are unique) and
 cx + cy identifies x + y.  A ``_Pair`` move depends on the difference
-y - x alone: the code offsets from cx of the points read, or for the
-ordered axioms the steps (i, +-stride_i, |d_i|) tried and their partners.
+y - x alone: the steps (i, +-stride_i, |d_i|) tried and their partners.
 A ``_Halves`` reads the midpoints at cx + o and cy - o, where the offset o
 of ceil(d/2) is (cy - cx + odd[px ^ py]) >> 1 for the parity masks px, py
 of x and y, and its l-inf filters are lookups in the code offsets N of
 {-1, 0, 1}^n; odd and N are built once per stride tuple (``_ring``).
 
-One scanner, ``_scan_pairs``, reads every pair axiom: unordered pairs x < y,
-or all ordered pairs, in code order.  The eight exchange and jump exchange
-kinds read one row x at a time, from ``_ROW_SIZE`` points on and while their
-tables fit in ``_ROW_BYTES``: an exchange (x + e, y - e) fits exactly when
+One scanner, ``_scan_pairs``, reads every pair axiom: unordered pairs x < y
+for a ``_Halves``, all ordered pairs for a ``_Pair``, in code order.  The
+eight exchange and jump exchange kinds read one row x at a time, from
+``_ROW_SIZE`` points on and while their tables fit in ``_ROW_BYTES``: an
+exchange (x + e, y - e) fits exactly when
 f(y - e) - f(y) <= f(x) - f(x + e), so the ys it fits are a prefix of the
 points sorted by f(y - e) - f(y), kept as int bitsets over the points in
 code order; with bitsets of the ys that each step from x points toward, the
 violated ys of a row take a few int operations per pair of steps, the lowest
 of them is the scan's y, and one predicate call on that pair gives the step
 the witness records.  Otherwise a ``_Pair`` scan makes one predicate call
-per pair, which for an ordered axiom returns the first violated step, and
-builds each difference's move once, in a table keyed by cy - cx; the table
-keeps at most C(2n, n) * |S| entries, the Rogers-Shephard bound on a convex
-body's difference body, and past it a move is built for its pair alone, so
-a sparse input, whose pairs nearly all differ, holds no entry per pair.  A
+per pair, which returns the first violated step, and builds each
+difference's move once, in a table keyed by cy - cx; the table keeps at
+most C(2n, n) * |S| entries, the Rogers-Shephard bound on a convex body's
+difference body, and past it a move is built for its pair alone, so a
+sparse input, whose pairs nearly all differ, holds no entry per pair.  A
 ``_Halves`` scan keeps no table: one call of its reading per point x runs
 over the points after x, each pair read with a few int operations; the hull
 memo is keyed by cx + cy and decodes x + y on a miss.  A local route
@@ -329,9 +329,9 @@ def _moves(axiom, codes: _Codes, size: int) -> _Memo:
     for ``size`` stored points in Z^n.  It keeps at most C(2n, n) * size
     entries, the Rogers-Shephard bound on the volume of a convex body's
     difference body K - K against that of K, so a sparse input, whose pairs
-    can nearly all differ, holds no entry per pair.  The submodular and
-    2-step scans build one, and the exchange and jump exchange scans only
-    where they do not read by rows (``_Rows.fits``)."""
+    can nearly all differ, holds no entry per pair.  The 2-step scan builds
+    one, and the exchange and jump exchange scans only where they do not
+    read by rows (``_Rows.fits``)."""
     n = len(codes.strides)
     return _Memo(lambda delta: axiom.move(codes, codes.difference(delta)), comb(2 * n, n) * size)
 
@@ -401,8 +401,8 @@ class _View:
 
 # The pair axioms read x, y and the points between them by code (``_Codes``):
 # ``get`` maps a code to a value and cx and cy are the codes of x and y.  A
-# predicate of an unordered axiom returns whether it is violated; one of an
-# ordered axiom returns its first violated step, or None.
+# ``_Pair`` predicate, of an ordered axiom, returns its first violated step,
+# or None.
 
 
 def _pair_codes(v: _View, x: Point, y: Point):
@@ -414,16 +414,6 @@ def _pair_codes(v: _View, x: Point, y: Point):
     codes = _Codes(_doubled(bounding_box((x, y)), 1))
     d = tuple(b - a for a, b in zip(x, y))
     return codes, (lambda c: v.get(codes.point(c))), codes.code(x), codes.code(y), d
-
-
-def _two_points(get, lhs, cx: int, cy: int, move) -> bool:
-    """The two points x + e of the move are not both in the object with
-    values summing to at most lhs."""
-    a = get(cx + move[0])
-    if a is None:
-        return True
-    b = get(cx + move[1])
-    return b is None or a + b > lhs
 
 
 def _jump_exchange(get, lhs, cx: int, cy: int, move, nat: bool = True):
@@ -472,12 +462,6 @@ def _extensions(v: _View, codes: _Codes) -> _Memo:
     decoded, through the view's getter (a lifted view is read along 1), so
     once per distinct x + y in one scan or replay."""
     return _Memo(lambda key: twice_extension(v.get, vadd(codes.point(key), codes.lo)))
-
-
-def _join_meet(codes: _Codes, d: Point):
-    """The move of the submodular axiom: the offsets of d v 0 and d ^ 0,
-    which x plus them make x v y and x ^ y."""
-    return codes.offset([max(c, 0) for c in d]), codes.offset([min(c, 0) for c in d])
 
 
 def _all_steps(codes: _Codes, d: Point):
@@ -621,35 +605,32 @@ class _Rows(NamedTuple):
 
 
 class _Pair(NamedTuple):
-    """A pair axiom read through a move table: ``move(codes, d)`` gives what
-    ``on_codes`` reads on a pair x, y = x + d.  An axiom with a ``record``
-    is ordered: its move is the steps it tries and their partners, its
-    predicate returns the first violated step, and ``record(step, n)`` is
-    what the witness keeps of that step (``_index``, ``_unit``).  An
+    """An ordered pair axiom read through a move table: ``move(codes, d)``
+    gives the steps tried on a pair x, y = x + d and their partners,
+    ``on_codes`` returns the first violated step, and ``record(step, n)``
+    is what the witness keeps of that step (``_index``, ``_unit``).  An
     exchange or jump exchange kind has ``rows``, its row reading.  Called
     as replay calls every axiom, it reads the pair over its own difference
     box and tries only the steps with the witness's record."""
 
     move: Callable
     on_codes: Callable
-    record: Optional[Callable] = None
+    record: Callable
     rows: Optional[_Rows] = None
 
     def __call__(self, v: _View, lhs, x: Point, y: Point, *record) -> bool:
         codes, get, cx, cy, d = _pair_codes(v, x, y)
-        move = self.move(codes, d)
-        if self.record is not None:
-            tried, partners = move
-            move = [s for s in tried if (self.record(s, len(x)),) == record], partners
-        return bool(self.on_codes(get, lhs, cx, cy, move))
+        tried, partners = self.move(codes, d)
+        tried = [s for s in tried if (self.record(s, len(x)),) == record]
+        return bool(self.on_codes(get, lhs, cx, cy, (tried, partners)))
 
     def scan(self, v: _View, start: int):
         """The first violated pair of the scan (``_scan_pairs``) as (cx, cy,
-        the step's record or nothing), or None.  An exchange or jump
-        exchange kind within its row reading's size rule and memory bound
-        (``_Rows.fits``) finds the pair a row at a time and builds the move
-        of that pair alone, for the one predicate call that names its step;
-        any other scan calls the predicate on every pair in turn, with each
+        the step's record), or None.  An exchange or jump exchange kind
+        within its row reading's size rule and memory bound (``_Rows.fits``)
+        finds the pair a row at a time and builds the move of that pair
+        alone, for the one predicate call that names its step; any other
+        scan calls the predicate on every pair in turn, with each
         difference's move built once, in a table keyed by cy - cx
         (``_moves``)."""
         codes, coded = v.coded
@@ -664,10 +645,10 @@ class _Pair(NamedTuple):
             step = violated(get, fx + fy, cx, cy, self.move(codes, codes.difference(cy - cx)))
             return cx, cy, (record(step, v.dim),)
         moves = _moves(self, codes, len(items))
-        for a, (cx, fx) in enumerate(items[start:], start):
-            for cy, fy in items if record else items[a + 1 :]:
+        for cx, fx in items[start:]:
+            for cy, fy in items:
                 if hit := violated(get, fx + fy, cx, cy, moves[cy - cx]):
-                    return cx, cy, (record(hit, v.dim),) if record else ()
+                    return cx, cy, (record(hit, v.dim),)
         return None
 
     def local(self, v: _View, ball: Sequence[Point]) -> Optional[int]:
@@ -828,10 +809,6 @@ def _box_gap(v: _View, lhs, p: Point) -> bool:
     return v.box.contains(p) and v.get(p) is None
 
 
-def _ones_shift(v: _View, lhs, x: Point, t: Point) -> bool:
-    return v.box.contains(t) and v.get(t) is None
-
-
 def _ramp(v: _View, lhs, x: Point, y: Point) -> bool:
     get = v.get
     fx1, fy1 = get(vshift(x, 1)), get(vshift(y, 1))
@@ -883,8 +860,6 @@ _AXIOMS = {
     "midpoint-far": _Axiom(2, 0, 2, _Halves(far=True)),
     "midpoint-two": _Axiom(2, 0, 2, _Halves(far=True, two=True)),
     "hull-midpoint": _Axiom(2, 0, 2, _Halves(far=True, hull=True)),
-    "submodular": _Axiom(2, 0, 2, _Pair(_join_meet, _two_points)),
-    "ones-shift": _Axiom(2, 0, 1, _ones_shift, lambda x, t: t in (vshift(x, 1), vshift(x, -1))),
     "ramp": _Axiom(2, 0, 2, _ramp),
     "exchange-mnat": _Axiom(2, 1, 2, _EXCHANGE_MNAT),
     "exchange-mnat-fn": _Axiom(2, 1, 2, _EXCHANGE_MNAT),
@@ -904,12 +879,12 @@ _AXIOMS = {
 
 def _scan_pairs(v: _View, kind: str, start: int = 0) -> Verdict:
     """Pairs of stored points, read by code over the difference box
-    (``_View.coded``) in code order: x < y for an unordered axiom, every x
-    and y for an ordered one, whose move of d = 0 tries no step.  The
-    witness is the pair and, for an ordered axiom, the record of the
-    violated step, after the points or as the index.  The scan begins at
-    the ``start``-th point x in code order, for a caller that knows no
-    earlier x has a violated pair."""
+    (``_View.coded``) in code order: x < y for a midpoint-family axiom
+    (``_Halves``), every x and y for an ordered one (``_Pair``), whose move
+    of d = 0 tries no step.  The witness is the pair and, for an ordered
+    axiom, the record of the violated step, after the points or as the
+    index.  The scan begins at the ``start``-th point x in code order, for a
+    caller that knows no earlier x has a violated pair."""
     axiom = _AXIOMS[kind]
     hit = axiom.violated.scan(v, start)
     if hit is None:
@@ -946,20 +921,36 @@ def _check_separable(v: _View) -> Verdict:
 
 
 def _check_l(v: _View) -> Verdict:
-    """Exact for a lifted object, through its section x_n = 0
-    (``_MAPPED``).  A finite object is a windowed sample over its bounding
-    box, so it is scanned pair by pair: a negative verdict is sound and a
-    pass only a necessary condition."""
+    """A lifted object is decided on its section x_n = 0 (``_MAPPED``).  A
+    finite object is read as the trace on its bounding box B of an L-convex
+    object: it is a member exactly when F restricted to B is the object for
+    some L-convex F, which holds exactly when the object is L♮-convex and,
+    for a function, f(x + 1) - f(x) is one ramp r wherever both values are
+    defined.  So it is decided as ``lnat-fn`` (the ``_LNAT`` row) and, for
+    a function, the ``ramp`` read; a set has nothing more to check.
+
+    Sets (Murota, Discrete Convex Analysis, 2003, ch. 5): an L-convex L is
+    the integer points of a system x_j - x_i <= c_ij, so L ∩ B, which adds
+    the bounds l <= x <= u, is L♮.  An L♮ set S is the integer points of
+    l <= x <= u, x_j - x_i <= c_ij with [l, u] its bounding box B, which is
+    L ∩ B for the L of the differences alone; and S + Z1 lies in L, so
+    (S + Z1) ∩ B = S.
+
+    Functions (ch. 7): F restricted to B is F plus the indicator of B, a sum
+    of L♮ functions, so L♮, and F(x + 1) - F(x) is one r.  Conversely, for
+    an L♮ f with one ramp r, F(y, t) = f(y - t1) + t r is L-convex on
+    Z^(n+1) (f(y - t1) is, which defines L♮, and t r is linear), so its
+    projection g(y) = min over t of F(y, t) is L-convex.  The t with
+    y - t1 in dom f form an interval, on which F(y, t) is constant by the
+    ramp, so g extends f; and g is finite exactly on dom f + Z1, which
+    meets B in dom f, as above.  So f is g restricted to B."""
     if v.lifted:
         return _derived(v, "l-section-midpoint")
-    verdict = _scan_pairs(v, "submodular", 0)
+    verdict = _LNAT(v)
     if not verdict.member:
         return verdict
     anchor = None
     for p, fp in sorted(v.vals.items()):
-        for t in (vshift(p, 1), vshift(p, -1)):
-            if _ones_shift(v, fp, p, t):
-                return _fail("ones-shift", (p, t))
         if v.get(vshift(p, 1)) is not None:
             if anchor is None:
                 anchor = p

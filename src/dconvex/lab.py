@@ -564,11 +564,11 @@ def _run_ex32() -> RecordResult:
     t = split_set(mat, SplitSpec((1, 2)), cube(3, -2, 2))
     c.expect((0, 0, 0) in t.points and (1, 1, 1) not in t.points, "the all-ones shift leaves the split")
     v = check_set(t, ClassLabel.L_SET)
-    c.expect_verdict(v, False, t, "split of the diagonal fails the L-convex sample check")
-    pinned = Witness("ones-shift", ((0, 0, 0), (1, 1, 1)))
-    c.expect(verify_witness(t, pinned), "shift witness (0,0,0) -> (1,1,1) replays")
+    c.expect_verdict(v, False, t, "split of the diagonal fails l-set")
+    pinned = Witness("midpoint", ((-2, -2, 0), (-2, -1, -1)))
+    c.expect(verify_witness(t, pinned), "midpoint witness (-2,-2,0), (-2,-1,-1) replays")
     g = split_fn(indicator_fn(mat), SplitSpec((1, 2)), cube(3, -2, 2))
-    c.expect_verdict(check_fn(g, ClassLabel.L_FN), False, g, "split indicator fails the L sample check")
+    c.expect_verdict(check_fn(g, ClassLabel.L_FN), False, g, "split indicator fails l-fn")
     return c
 
 
@@ -649,8 +649,8 @@ def _run_ex35() -> RecordResult:
     c.expect((1, 1, 1, 0) not in t, "the join (1,1,1,0) is missing")
     c.expect((0, 1, 0, 0) not in t, "the meet (0,1,0,0) is missing")
     c.expect_verdict(check_set(t, ClassLabel.L_SET), False, t, "the image is not L-convex")
-    pinned = Witness("submodular", ((0, 1, 1, 0), (1, 1, 0, 0)))
-    c.expect(verify_witness(t, pinned), "join/meet witness replays")
+    pinned = Witness("l-section-midpoint", ((0, 0, 0, 0), (1, 2, 1, 0)))
+    c.expect(verify_witness(t, pinned), "section midpoint witness (0,0,0,0), (1,2,1,0) replays")
     g = _lifted_pair_sum(indicator_fn(s1), indicator_fn(s2))
     c.expect_verdict(check_fn(g, ClassLabel.L_FN), False, g, "image indicator fails l-fn")
     return c

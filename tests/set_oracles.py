@@ -9,14 +9,22 @@ through a second implementation.  The integrally convex one decides local
 hull membership by the brute-force hull oracle (``hull_oracle``), not by
 the local extension production reads a set through.
 
-Two function recognizers sit beside them.  ``check_ic_fn`` decides
+A function recognizer sits beside them.  ``check_ic_fn`` decides
 integrally convex functions by the definition, over the stored ``Fraction``
 values, with the brute-force local extension (``hull_oracle``) memoized by
 the midpoint itself, a tuple of Fractions, so it checks the int-scaled
 production kernel, whose memo is keyed by point codes, through a second
-implementation.  ``check_lifted_l_fn`` decides lifted L-convex functions by
-submodularity in Z^n, ramp included, the way production did before it
-decided them on their L♮ section; ``_check_l_set`` is its set form.
+implementation.
+
+``check_l`` decides the L labels, sets and functions, lifted or finite, by
+submodularity in Z^n, ramp included, the way production decided lifted
+objects before it read them on their L♮ section: a lifted object directly,
+a finite one as the trace on its bounding box of its lift along 1, which
+must be L-convex under that scan and give the object back on the box.
+Production reads a finite object as ``lnat-fn`` and a ramp instead, so
+the two agree only through the theorem in ``classes._check_l``.  Its
+``submodular`` and ``trace`` witnesses replay through ``replays_l``, on
+``core.join_meet``, as production knows neither kind.
 
 ``check_dmc`` decides the global and local discrete midpoint convexity
 labels, sets and functions, by the midpoint scan on Fraction values and
@@ -67,13 +75,14 @@ from functools import lru_cache
 from operator import sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from dconvex.classes import SET_LABELS, ClassLabel, Verdict, Witness, _View
+from dconvex.classes import SET_LABELS, ClassLabel, Verdict, Witness, _View, verify_witness
 from dconvex.core import (
     LatticeFn,
     LatticeSet,
     LiftedInputError,
     Window,
     Point,
+    bounding_box,
     difference_point,
     join_meet,
     keeps_values,
@@ -89,7 +98,7 @@ from dconvex.core import (
 )
 from dconvex.network import Network
 from dconvex.ops import PartitionSpec, SplitSpec, _aggregate_point, _fiber_min, _split_point, _value_maps
-from dconvex.rationals import is_finite
+from dconvex.rationals import INF, is_finite
 from hull_oracle import in_local_hull_bruteforce, local_extension_value_bruteforce
 
 _OK = Verdict(True, None)
@@ -292,43 +301,21 @@ def _lifted_shift_span(r: Point, r2: Point):
     return min(deltas) - 1, max(deltas) + 1
 
 
-def _check_l_set(s: LatticeSet) -> Verdict:
-    if s.lifted:
-        # Exact: relative shifts outside the coordinate spread give a
-        # comparable pair, for which closure under join/meet is automatic.
-        reps = s.sorted_points()
-        for i, r in enumerate(reps):
-            for r2 in reps[i:]:
-                lo, hi = _lifted_shift_span(r, r2)
-                for a in range(lo, hi + 1):
-                    y = vshift(r2, a)
-                    if y == r:
-                        continue
-                    jn, mt = join_meet(r, y)
-                    if jn not in s or mt not in s:
-                        return _fail("submodular", (r, y))
-        return _OK
-    # Finite input: treated as a windowed sample over its bounding box.
-    # Negative verdicts are sound; a pass is only a necessary condition.
-    pts = s.sorted_points()
-    for x, y in _unordered_pairs(pts):
-        jn, mt = join_meet(x, y)
-        if jn not in s.points or mt not in s.points:
-            return _fail("submodular", (x, y))
-    box = s.bounding_box()
-    for p in pts:
-        for step in (1, -1):
-            t = vshift(p, step)
-            if box.contains(t) and t not in s.points:
-                return _fail("ones-shift", (p, t))
-    return _OK
+def _lifted_value(obj):
+    """The value of a lifted object at any point of Z^n: a set's indicator,
+    0 or +infinity, or ``LatticeFn.value``, its ramp included."""
+    if isinstance(obj, LatticeSet):
+        return lambda p: 0 if p in obj else INF
+    return obj.value
 
 
-def check_lifted_l_fn(f: LatticeFn) -> Verdict:
-    """Submodularity f(r) + f(y) >= f(r v y) + f(r ^ y) for every stored r
-    and every shift y of a stored r2 within the coordinate spread, read
-    through ``LatticeFn.value`` with the ramp; f must be lifted."""
-    reps = f.sorted_items()
+def _submodular_pair(obj) -> Optional[Tuple[Point, Point]]:
+    """The first stored r and shift y = r2 + a * 1 of a stored r2 >= r with
+    f(r) + f(y) < f(r v y) + f(r ^ y) on a lifted object, or None.  Shifts
+    a outside the coordinate spread of r2 - r give a comparable pair, whose
+    join and meet are the pair itself, so they are skipped."""
+    value, ramp = _lifted_value(obj), getattr(obj, "ramp", 0)
+    reps = sorted(value_map(obj).items())
     for i, (r, fr) in enumerate(reps):
         for r2, fr2 in reps[i:]:
             lo, hi = _lifted_shift_span(r, r2)
@@ -337,10 +324,93 @@ def check_lifted_l_fn(f: LatticeFn) -> Verdict:
                 if y == r:
                     continue
                 jn, mt = join_meet(r, y)
-                rhs = f.value(jn) + f.value(mt)
-                if not is_finite(rhs) or fr + fr2 + a * f.ramp < rhs:
-                    return _fail("submodular", (r, y))
-    return _OK
+                rhs = value(jn) + value(mt)
+                if not is_finite(rhs) or fr + fr2 + a * ramp < rhs:
+                    return r, y
+    return None
+
+
+def _trace_gap(obj) -> Optional[Tuple[Point, Point]]:
+    """The first stored p and point t = p + k * 1 of the bounding box B not
+    stored, a point of (S + Z1) ∩ B outside S, or None."""
+    pts = value_map(obj)
+    box = bounding_box(pts)
+    for p in sorted(pts):
+        for step in (-1, 1):
+            t = vshift(p, step)
+            while box.contains(t):
+                if t not in pts:
+                    return p, t
+                t = vshift(t, step)
+    return None
+
+
+def _steps(f: LatticeFn) -> List[Tuple[Point, Fraction]]:
+    """(p, f(p + 1) - f(p)) for each stored p with p + 1 stored, in point
+    order."""
+    return [(p, f.values[vshift(p, 1)] - v) for p, v in f.sorted_items() if vshift(p, 1) in f.values]
+
+
+def _ramp_pair(f: LatticeFn) -> Optional[Tuple[Point, Point]]:
+    """The first stored a with a + 1 stored and the first stored p after it
+    with p + 1 stored and f(p + 1) - f(p) != f(a + 1) - f(a), or None."""
+    steps = _steps(f)
+    return next(((steps[0][0], p) for p, r in steps if r != steps[0][1]), None)
+
+
+def _lift(obj):
+    """A finite object's lift along 1, as a lifted object: the
+    representatives p - p_n * 1 of its points, for a function with the
+    values f(p) - p_n * r, r its one ramp (0 when no x has x and x + 1
+    both stored).  The caller has checked the trace and the ramp, so every
+    point of one line gives its representative the same value."""
+    if isinstance(obj, LatticeSet):
+        return LatticeSet(obj.dim, frozenset(vshift(p, -p[-1]) for p in obj.points), lifted=True)
+    ramp = next((r for _, r in _steps(obj)), 0)
+    reps = {}
+    for p, v in obj.values.items():
+        assert reps.setdefault(vshift(p, -p[-1]), v - p[-1] * ramp) == v - p[-1] * ramp
+    return LatticeFn(obj.dim, reps, lifted=True, ramp=Fraction(ramp))
+
+
+def check_l(obj) -> Verdict:
+    """L-convexity of a set or function, lifted or finite.  A lifted object
+    is scanned for submodularity in Z^n, ramp included (``submodular``),
+    the way production decided it before it read the section x_n = 0.  A
+    finite object must be the trace on its bounding box B of an L-convex
+    object, which is then its lift along 1: (S + Z1) ∩ B = S for its
+    domain S (``trace``), one ramp for a function (``ramp``), and the lift
+    scanned as above.  The ``submodular`` and ``trace`` witnesses replay
+    through ``replays_l``."""
+    if not obj.lifted:
+        gap = _trace_gap(obj)
+        if gap is not None:
+            return _fail("trace", gap)
+        pair = _ramp_pair(obj) if isinstance(obj, LatticeFn) else None
+        if pair is not None:
+            return _fail("ramp", pair)
+        obj = _lift(obj)
+    pair = _submodular_pair(obj)
+    return _OK if pair is None else _fail("submodular", pair)
+
+
+def replays_l(obj, witness: Witness) -> bool:
+    """Whether a ``check_l`` witness is a genuine violation: a
+    ``submodular`` pair read by ``core.join_meet`` on the object or, when
+    finite, on its lift; a ``trace`` pair p, t with p stored, t - p a
+    multiple of 1 and t in the bounding box but not stored; any other kind
+    through ``verify_witness``."""
+    if witness.kind == "trace":
+        p, t = witness.points
+        pts = value_map(obj)
+        shift = t[0] - p[0]
+        return p in pts and t not in pts and t == vshift(p, shift) and bounding_box(pts).contains(t)
+    if witness.kind != "submodular":
+        return verify_witness(obj, witness)
+    value = _lifted_value(obj if obj.lifted else _lift(obj))
+    r, y = witness.points
+    rhs = sum(map(value, join_meet(r, y)), Fraction(0))
+    return is_finite(value(r)) and is_finite(value(y)) and (not is_finite(rhs) or value(r) + value(y) < rhs)
 
 
 def _check_multimodular_set(s: LatticeSet) -> Verdict:
@@ -570,7 +640,7 @@ SET_ORACLES = {
     ClassLabel.INTEGER_BOX: _check_integer_box,
     ClassLabel.IC_SET: _check_ic_set,
     ClassLabel.LNAT_SET: _check_lnat_set,
-    ClassLabel.L_SET: _check_l_set,
+    ClassLabel.L_SET: check_l,
     ClassLabel.MNAT_SET: _check_mnat_set,
     ClassLabel.M_SET: _check_m_set,
     ClassLabel.MULTIMODULAR_SET: _check_multimodular_set,

@@ -167,7 +167,7 @@ def test_constant_on_box_is_in_every_box_compatible_class():
         ClassLabel.SEPARABLE_CONVEX,
         ClassLabel.IC_FN,
         ClassLabel.LNAT_FN,
-        ClassLabel.L_FN,  # finite sample check: necessary conditions hold
+        ClassLabel.L_FN,  # the trace on the box of x -> 7, constant along 1
         ClassLabel.MNAT_FN,
         ClassLabel.MULTIMODULAR_FN,
         ClassLabel.GLOBAL_DMC_FN,
@@ -532,8 +532,8 @@ def test_exchange_rows_build_no_move_and_call_the_predicate_once(monkeypatch):
 def test_the_fixture_sees_every_pair_scan(pair_scans):
     # the arguments after the view of each pair scan a set label makes on
     # the unit square, a member of every label but M and constant parity,
-    # which the L♮ description proves IC and globally DMC, and on the
-    # square without its top, which is not L♮, so L♮, IC and global DMC
+    # which the L♮ description proves L, IC and globally DMC, and on the
+    # square without its top, which is not L♮, so L♮, L, IC and global DMC
     # scan, and which M♮ scans as it lies below the domain test's size
     # rule; both lie below the jump route's size rule, so jump-system scans
     # from its first row; a label that scans nothing decides without the
@@ -544,13 +544,13 @@ def test_the_fixture_sees_every_pair_scan(pair_scans):
         ClassLabel.JUMP_SYSTEM: ("jump-2step", 0),
         ClassLabel.CONST_PARITY_JUMP: ("jump-exc", 0),
         ClassLabel.SIMULT_EXCH_JUMP: ("jump-exc-nat", 0),
-        ClassLabel.L_SET: ("submodular", 0),
         ClassLabel.M_SET: ("exchange-m", 0),
     }
     for obj, scanned in (
         (square, always),
-        (bent, {**always, ClassLabel.LNAT_SET: ("midpoint", 0), ClassLabel.MNAT_SET: ("exchange-mnat", 0),
-                ClassLabel.IC_SET: ("hull-midpoint", 0), ClassLabel.GLOBAL_DMC_SET: ("midpoint-far", 0)}),
+        (bent, {**always, ClassLabel.LNAT_SET: ("midpoint", 0), ClassLabel.L_SET: ("midpoint", 0),
+                ClassLabel.MNAT_SET: ("exchange-mnat", 0), ClassLabel.IC_SET: ("hull-midpoint", 0),
+                ClassLabel.GLOBAL_DMC_SET: ("midpoint-far", 0)}),
     ):
         for label in sorted(SET_LABELS_NO_L + [ClassLabel.L_SET]):
             del pair_scans[:]
@@ -674,7 +674,9 @@ def test_verify_witness_rejects_non_violations():
     with pytest.raises(ValueError):
         verify_witness(box, Witness("no-such-kind", ()))
     # a kind that is not a str is unknown too, even an unhashable one
-    for kind in (None, 3, ["midpoint"], "nope"):
+    # and so are the kinds that a finite l-set or l-fn reported before it
+    # was read as L♮
+    for kind in (None, 3, ["midpoint"], "nope", "submodular", "ones-shift"):
         with pytest.raises(ValueError, match="unknown witness kind"):
             verify_witness(box, Witness(kind, ((0, 0), (1, 1))))
     # an empty set has no violations, not even a box gap
@@ -736,10 +738,8 @@ WITNESS_CASES = [
     ("midpoint-two", _BUMP, ClassLabel.LOCAL_DMC_FN),
     ("hull-midpoint", LatticeSet.of([(1, 0), (0, 1), (2, 1), (1, 2)]), ClassLabel.IC_SET),
     ("hull-midpoint", _BUMP, ClassLabel.IC_FN),
-    ("submodular", LatticeSet.of([(0, 1), (1, 0)]), ClassLabel.L_SET),
     ("l-section-midpoint", LatticeSet(2, frozenset({(0, 0), (2, 0)}), lifted=True), ClassLabel.L_SET),
     ("l-section-midpoint", LatticeFn(2, {(0, 0): 0, (1, 0): 5, (2, 0): 0}, lifted=True, ramp=F(1, 2)), ClassLabel.L_FN),
-    ("ones-shift", LatticeSet.of([(0, 0), (2, 2)]), ClassLabel.L_SET),
     ("ramp", LatticeFn.of({(0, 0): 0, (1, 1): 1, (2, 2): 3}), ClassLabel.L_FN),
     ("exchange-mnat", _DIAGONAL, ClassLabel.MNAT_SET),
     ("exchange-mnat-fn", indicator_fn(_DIAGONAL), ClassLabel.MNAT_FN),
@@ -811,9 +811,6 @@ def test_witness_replay_per_kind(kind, obj, label):
             for j in range(len(x)):
                 if x[j] < y[j]:
                     assert not verify_witness(obj, dataclasses.replace(w, points=(x, y), indices=(j,)))
-    if kind == "ones-shift":
-        x, _ = w.points
-        assert not verify_witness(obj, dataclasses.replace(w, points=(x, tuple(c + 2 for c in x))))
     # the empty set of the same dimension
     assert not verify_witness(LatticeSet(obj.dim, frozenset()), w)
 

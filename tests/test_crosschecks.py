@@ -2,9 +2,13 @@
 
 Production decides every set class through the axiom table it shares with
 the function classes, so the set verdicts are compared, witness and all,
-with the per-class set scanners kept in ``set_oracles``.  Lifted L-convex
-objects are decided on their section x_n = 0 and the oracle scans Z^n, so
-there the verdicts are compared and both witnesses replayed.  The function
+with the per-class set scanners kept in ``set_oracles``.  L-convex objects
+are decided on their section x_n = 0 when lifted and as L♮ with one ramp
+when finite, and the oracle scans Z^n by submodularity, a finite object
+through its lift along 1, so there the verdicts are compared in membership
+and both witnesses replayed: on random sets, on lifted objects, and on
+every subset of [0, 2]^2, [0, 1]^3 and [0, 2] and seeded functions on
+subsets of the first two.  The function
 recognizers applied to indicator functions must agree with the set
 recognizers on every input, member or not.  Likewise the pruned depth-first
 flow enumeration must agree with a naive product-space scan.
@@ -77,8 +81,10 @@ near 10**20 and multi-point functions of one value, and the lifted pair sum
 of the counterexample registry.
 """
 
+import collections
 import itertools
 import math
+import operator
 import os
 import random
 import sys
@@ -109,9 +115,10 @@ from set_oracles import (
     check_dmc,
     check_family,
     check_ic_fn,
-    check_lifted_l_fn,
+    check_l,
     check_ordered,
     ordered_verdicts,
+    replays_l,
 )
 
 sys.path.append(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -150,18 +157,30 @@ def _random_lifted_sets(seed):
         yield LatticeSet(3, reps, lifted=True)
 
 
+def _assert_l_verdicts_match(obj):
+    """check() agrees with the L oracle in membership, and each side's
+    witness replays, the oracle's through its own replay; returns the
+    verdict."""
+    label = ClassLabel.L_SET if isinstance(obj, LatticeSet) else ClassLabel.L_FN
+    got, want = check(obj, label), check_l(obj)
+    assert got.member == want.member, (obj, got, want)
+    assert got.member or verify_witness(obj, got.witness), (obj, got)
+    assert want.member or replays_l(obj, want.witness), (obj, want)
+    return got
+
+
 def test_set_recognizers_match_oracle():
+    # the L oracle reads every object in Z^n by submodularity, production
+    # reads a finite one as L♮ and a lifted one on its section, so those
+    # verdicts agree in membership and each side's witness replays
     assert set(SET_ORACLES) == SET_LABELS
     for s in _random_sets(31415):
         for label, oracle in SET_ORACLES.items():
-            assert check_set(s, label) == oracle(s), (label, sorted(s.points))
-    # lifted sets are decided on their section, the oracle in Z^n: the
-    # verdicts agree and each side's witness replays
+            if label != ClassLabel.L_SET:
+                assert check_set(s, label) == oracle(s), (label, sorted(s.points))
+        _assert_l_verdicts_match(s)
     for s in _random_lifted_sets(2718):
-        got, want = check_set(s, ClassLabel.L_SET), SET_ORACLES[ClassLabel.L_SET](s)
-        assert got.member == want.member, sorted(s.points)
-        for w in (got.witness, want.witness):
-            assert w is None or verify_witness(s, w), (sorted(s.points), w)
+        _assert_l_verdicts_match(s)
 
 
 def test_set_and_indicator_recognizers_agree():
@@ -209,16 +228,65 @@ def test_lifted_l_recognizer_matches_oracle():
     rng = random.Random(4242)
     members = total = 0
     for obj in _lifted_objects(rng):
-        if isinstance(obj, LatticeSet):
-            got, want = check(obj, ClassLabel.L_SET), SET_ORACLES[ClassLabel.L_SET](obj)
-        else:
-            got, want = check(obj, ClassLabel.L_FN), check_lifted_l_fn(obj)
-        assert got.member == want.member, obj
-        for w in (got.witness, want.witness):
-            assert w is None or verify_witness(obj, w), (obj, w)
-        members += got.member
+        members += _assert_l_verdicts_match(obj).member
         total += 1
     assert total >= 1000 and 0.3 < members / total < 0.9
+
+
+_L_UNIVERSES = (Window((0, 0), (2, 2)), Window((0, 0, 0), (1, 1, 1)), Window((0,), (2,)))
+
+
+def _finite_l_functions(rng):
+    """Functions on subsets of [0, 2]^2 and [0, 1]^3: on the box cut by
+    random bounds x_i - x_j <= c (an L♮ domain), on a random subset or on
+    1 to 3 random points, sum a_ij (x_i - x_j)^2 + c.x, which is L-convex
+    and ramps by sum(c) along 1, then a fifth of them plus b x_0^2 (L♮,
+    but no one ramp on a domain with a line of 3 points) and a fifth with
+    one value raised."""
+    for _ in range(2400):
+        box = rng.choice(_L_UNIVERSES[:2])
+        n = box.dim
+        pts = list(box.points())
+        domain = rng.random()
+        if domain < 0.5:
+            cuts = [(i, j, rng.randint(-1, 1)) for i in range(n) for j in range(n) if i != j and rng.random() < 0.3]
+            pts = [p for p in pts if all(p[i] - p[j] <= c for i, j, c in cuts)]
+        elif domain < 0.8:
+            pts = [p for p in pts if rng.random() < 0.7]
+        else:
+            pts = rng.sample(pts, rng.randint(1, 3))
+        pts = pts or [box.lo]
+        pairs = [(i, j, rng.randint(0, 2)) for i in range(n) for j in range(i + 1, n)]
+        c = [rng.randint(-2, 2) for _ in range(n)]
+        d = rng.randint(1, 3)
+        vals = {p: Fraction(sum(a * (p[i] - p[j]) ** 2 for i, j, a in pairs) + sum(map(operator.mul, c, p)), d)
+                for p in pts}
+        shape = rng.random()
+        if shape < 0.2:
+            b = rng.randint(1, 2)
+            vals = {p: v + b * p[0] ** 2 for p, v in vals.items()}
+        elif shape < 0.4:
+            vals[rng.choice(pts)] += Fraction(rng.randint(1, 3), rng.randint(1, 2))
+        yield LatticeFn(n, vals)
+
+
+def test_finite_l_labels_match_the_lifted_oracle():
+    # every nonempty subset of [0, 2]^2, [0, 1]^3 and [0, 2], and 2400
+    # seeded functions on subsets of the first two: a finite object is an
+    # l-set or l-fn exactly when it is the trace on its bounding box of its
+    # lift along 1 and that lift is L-convex, which the oracle reads by
+    # submodularity in Z^n; an earlier reading by submodularity, +-1
+    # closure and one ramp passed {(0, 0), (2, 0)}
+    sets = [s for box in _L_UNIVERSES for s in _subsets(box)]
+    assert len(sets) == 511 + 255 + 7
+    members = sum(_assert_l_verdicts_match(s).member for s in sets)
+    assert not check(LatticeSet.of([(0, 0), (2, 0)]), ClassLabel.L_SET).member
+    assert 100 < members < 300
+    kinds = collections.Counter()
+    for f in _finite_l_functions(random.Random(2027)):
+        verdict = _assert_l_verdicts_match(f)
+        kinds[verdict.witness.kind if verdict.witness else None] += 1
+    assert set(kinds) == {None, "midpoint", "ramp"} and min(kinds.values()) >= 100, kinds
 
 
 def _raised(f: LatticeFn, rng) -> LatticeFn:
@@ -356,12 +424,17 @@ def _oracle(obj, label):
 
 def _assert_pair_scans_match(cases):
     """check() equals the oracle scan on each (object, label), witness and
-    all, and its witnesses replay; returns the member count."""
+    all, and its witnesses replay; returns the member count.  The L oracle
+    reads another axiom, so there the verdicts agree in membership
+    (``_assert_l_verdicts_match``)."""
     members = 0
     for obj, label in cases:
-        got = check(obj, label)
-        assert got == _oracle(obj, label), (label, obj)
-        assert got.member or verify_witness(obj, got.witness), (label, obj)
+        if label == ClassLabel.L_SET:
+            got = _assert_l_verdicts_match(obj)
+        else:
+            got = check(obj, label)
+            assert got == _oracle(obj, label), (label, obj)
+            assert got.member or verify_witness(obj, got.witness), (label, obj)
         members += got.member
     return members
 
@@ -430,11 +503,11 @@ def _ruler_lattice():
 
 
 def test_pair_scans_match_oracles_above_the_table_bound(monkeypatch):
-    # a table scan (the 2-step and submodular kinds, and the exchange and
-    # jump exchange kinds where they do not read by rows) keeps the move of
-    # at most C(2n, n) * |S| differences; past that a move is built for its
-    # pair alone.  The midpoint family keeps no table, and is checked
-    # on the same sparse inputs
+    # a table scan (the 2-step kind, and the exchange and jump exchange
+    # kinds where they do not read by rows) keeps the move of at most
+    # C(2n, n) * |S| differences; past that a move is built for its pair
+    # alone.  The midpoint family keeps no table, and is checked on the
+    # same sparse inputs
     tables = []
     moves = classes._moves
 
@@ -466,15 +539,9 @@ def test_pair_scans_match_oracles_above_the_table_bound(monkeypatch):
     # costly, so on the simplex it runs on a near miss
     cases += [(_raised(f, random.Random(3)), ClassLabel.IC_FN), (g, ClassLabel.IC_FN)]
     ruler = _ruler_lattice()
+    assert _differences(ruler) == 961 and math.comb(4, 2) * len(ruler) == 216
     cases += _labelled([ruler])
     assert len(cases) == 39 and _assert_pair_scans_match(cases) == 5
-    # the submodular scan of the finite L label reads every pair of the
-    # lattice, so it fills its table to the bound and builds past it
-    assert _differences(ruler) == 961 and math.comb(4, 2) * len(ruler) == 216
-    del tables[:]
-    assert check(ruler, ClassLabel.L_SET).witness.kind == "ones-shift"
-    [(table, builds, bound)] = tables
-    assert len(table) == bound == 216 and builds[0] > bound
     # the exchange and jump exchange kinds read these inputs by rows, with
     # no table, but the ordered 2-step scan keeps one: with the box-count
     # route off it reads every ordered pair of the sparse jump system, so
@@ -488,6 +555,12 @@ def test_pair_scans_match_oracles_above_the_table_bound(monkeypatch):
 
 def test_pair_scans_match_oracles_on_wide_spans():
     _assert_pair_scans_match(_labelled(_wide_spans()))
+    # a finite l-set is read as lnat-set, so a wide non-member reports the
+    # midpoint pair
+    for s in _wide_spans():
+        if isinstance(s, LatticeSet):
+            assert check(s, ClassLabel.L_SET) == check(s, ClassLabel.LNAT_SET), s
+            assert check(s, ClassLabel.L_SET).witness.kind == "midpoint", s
 
 
 def _many_axes(rng):

@@ -39,8 +39,8 @@ from perfbench.workloads import Transform  # noqa: E402
 
 CORPUS_SHA256 = "21f799b379e3c8a88e7ecf91432ec824cab9b3e839ef11a1cb670a38b832bf92"
 CROSS_LABEL_EXCHANGE_SHA256 = "984309b1c5d4e6f30627fed091e6791eda8d8b2a7bc8b864ab91972415332ae5"
-CROSS_LABEL_SHA256 = "515b31770dc7daf3c5cfb9f7f7aec20d5a176b8e925ec0466cf0b9ad9584c3b3"
-EXAMPLES_SHA256 = "dde14ea8d1714ea5ef55451b6cd2098ac86bdeb45bdbfabd6397dcec7c7bf2f8"
+CROSS_LABEL_SHA256 = "1ac51829d4831d47041ab4333c9e4359a094809f6db7363ea5e05879f8404cd5"
+EXAMPLES_SHA256 = "e5fe2f063a7692af87f67c43be428c81949fd25faecc8ee3492317854e479f71"
 DOCUMENTS_SHA256 = "5a698fbff4bea5359f63eb621e87b18920af0e0c07bb24df8d51eeb34be1a0db"
 TRANSFORM_SHA256 = {
     "1": "4b39d8c128f6f548e0be28839dfb38cce4f9fbcc742fd546d8351b1fbb7c2371",
