@@ -22,10 +22,10 @@ route and the labels that keep their own recognizers:
     lnat-fn                midpoint               L♮, ball         flat, or |S| >= 2 (5^n - 1)  0
     l-set                  as lnat-set            lifted: lnat-fn on the section x_n = 0       -
     l-fn                   as lnat-fn, then ramp  lifted: lnat-fn on the section x_n = 0       -
-    mnat-set               exchange-mnat          M♮, l1 ball      flat, or |S| >= 2 B(n)       0
-    mnat-fn                exchange-mnat-fn       M♮, l1 ball      flat, or |S| >= 2 B(n)       0
-    m-set                  exchange-m             M, l1 ball       flat, or |S| >= 2 B(n)       0
-    m-fn                   exchange-m-fn          M, l1 ball       flat, or |S| >= 2 B(n)       0
+    mnat-set               exchange-mnat          M♮               flat                        0
+    mnat-fn                exchange-mnat-fn       M♮               flat                        0
+    m-set                  exchange-m             M                flat                        0
+    m-fn                   exchange-m-fn          M                flat                        0
     multimodular-set       multimodular-midpoint  lnat-fn on the prefix sums                   -
     multimodular-fn        multimodular-midpoint  lnat-fn on the prefix sums                   -
     global-dmc-set         midpoint-far           L♮               flat                        0
@@ -44,15 +44,16 @@ projection of a hyperplane x(N) = c; the M♮ test is taken from 2^n points
 on.  A set, or a function whose values are all equal (flat), is decided by
 its domain: L♮ and M♮ sets are integrally convex (ch. 4 and 5), and an L♮
 set is globally discrete midpoint convex (Moriguchi, Murota, Tamura and
-Tardella 2020).  Any other function is read on the pairs x, x + d with d
-in a ball (Murota 2003, ch. 6 and 7; for the hull axiom, Favati and
-Tardella 1990): the l-inf ball of radius 2, 5^n - 1 offsets besides its
-centre, or the l1 ball of radius 4, B(n) = sum_k 2^k C(n, k) C(4, k), from
-|S| >= 2 |ball| on.  ``local-dmc-fn`` first decides its domain as
-``global-dmc-set`` (the ``domain-not-dmc`` kind), then reads
-``midpoint-two`` on the l-inf sphere of radius 2.  The box counts read each
-row of the 2-step scan (Bouchet and Cunningham 1995), and prove the other
-set jump labels on a set of one coordinate-sum parity (Lovász 1997;
+Tardella 2020).  Any other function of the L♮ and IC rows is read on the
+pairs x, x + d with d in the l-inf ball of radius 2, 5^n - 1 offsets
+besides its centre, from |S| >= 2 |ball| on (Murota 2003, ch. 7; for the
+hull axiom, Favati and Tardella 1990); any other function of the M♮, M
+and global DMC rows goes straight to its pair scan, which reads the M♮
+and M exchange by rows (``_Rows``).  ``local-dmc-fn`` first decides its
+domain as ``global-dmc-set`` (the ``domain-not-dmc`` kind), then reads
+``midpoint-two`` on the l-inf sphere of radius 2.  The box counts read
+each row of the 2-step scan (Bouchet and Cunningham 1995), and prove the
+other set jump labels on a set of one coordinate-sum parity (Lovász 1997;
 Murota 2006).
 
 Each axiom is written once, as a predicate in the table ``_AXIOMS`` keyed by
@@ -98,8 +99,8 @@ x + y is even, and only the other pairs solve the extension.  All those
 points lie in the pair's box [x ^ y, x v y].  A view codes its
 stored points once, by mixed radix (``_View.coded``, the codes of
 ``core.Codes``), over the difference box [lo, lo + 2 (hi - lo)] of their
-bounding box [lo, hi] grown by ``_REACH`` = 4 on every side, so every point
-read, even a point x + d of the local route, has its own code.  Codes sort
+bounding box [lo, hi] grown by ``_REACH`` = 2 on every side, so every point
+read, even a point x + d of a local route, has its own code.  Codes sort
 in lexicographic point order (scans and witnesses are as on point tuples),
 cy - cx identifies y - x (balanced mixed-radix digits are unique) and
 cx + cy identifies x + y.  A ``_Pair`` move depends on the difference
@@ -128,10 +129,9 @@ sparse input, whose pairs nearly all differ, holds no entry per pair.  A
 ``_Halves`` scan keeps no table: one call of its reading per point x runs
 over the points after x, each pair read with a few int operations; the hull
 memo is keyed by cx + cy and decodes x + y on a miss.  A local route
-(``_Pair.local``, ``_Halves.local``) reads the same coding and readings on
-the pairs x, x + d with d in a ball, x in code order, and names the first
-x with a violated pair;
-when it fails, the pair scan reuses the coding.  A replay codes
+(``_Halves.local``) reads the same coding and reading on the pairs x,
+x + d with d in a ball, x in code order, and names the first x with a
+violated pair; when it fails, the pair scan reuses the coding.  A replay codes
 the witness pair over its own difference box grown by 1 and calls the same
 reading, reading each decoded point through the object.  Values are looked
 up by code in a dict.
@@ -259,8 +259,8 @@ def _bump(p: Point, i: int, d: int) -> Point:
     return tuple(q)
 
 
-# the l1 radius of the exchange ball, so also the l-inf reach of its offsets
-_REACH = 4
+# the l-inf radius of the local balls, so the reach of their offsets
+_REACH = 2
 
 
 def _doubled(box: Window, pad: int = 0) -> Window:
@@ -651,26 +651,6 @@ class _Pair(NamedTuple):
                     return cx, cy, (record(hit, v.dim),)
         return None
 
-    def local(self, v: _View, ball: Sequence[Point]) -> Optional[int]:
-        """A local route's reading: the axiom on every pair of stored
-        points x, x + d with d in ``ball``, whose offsets lie within l-inf
-        distance ``_REACH`` of 0.  Points are read by the view's one coding
-        (``_View.coded``), whose box holds every x + d and every point
-        between x and x + d, so none of them shares a code.  The x are
-        visited in code order; the index of the first with a violated pair,
-        or None when every pair holds.  The move of each offset is built
-        once."""
-        codes, coded = v.coded
-        get, violated = coded.get, self.on_codes
-        moves = [(codes.offset(d), self.move(codes, d)) for d in ball]
-        for row, (cx, fx) in enumerate(sorted(coded.items())):
-            for delta, move in moves:
-                cy = cx + delta
-                fy = get(cy)
-                if fy is not None and violated(get, fx + fy, cx, cy, move):
-                    return row
-        return None
-
 
 # The midpoint family reads a pair by arithmetic on its codes, with no move:
 # for d = y - x, whose coordinates are odd exactly on the bit mask m = px ^ py
@@ -791,9 +771,14 @@ class _Halves(NamedTuple):
         return None
 
     def local(self, v: _View, ball: Sequence[Point]) -> Optional[int]:
-        """``_Pair.local``: the pairs x, x + d of the stored points in one
-        ``first`` call per x in code order, where px ^ py is the parity mask
-        of d, so x is read with mask 0 and x + d with that of d."""
+        """A local route's reading: the axiom on every pair of stored points
+        x, x + d with d in ``ball``, whose offsets lie within l-inf distance
+        ``_REACH`` of 0, read by the view's one coding (``_View.coded``),
+        whose box holds every x + d and every point between x and x + d, so
+        none of them shares a code.  One ``first`` call per x in code order,
+        where px ^ py is the parity mask of d, so x is read with mask 0 and
+        x + d with that of d; the index of the first x with a violated pair,
+        or None when every pair holds."""
         codes, coded = v.coded
         get, ext = self.readers(v, codes, coded.get)
         ring, first = _ring(codes.strides), self.first
@@ -1091,13 +1076,6 @@ def _half_ball(n: int, sphere: bool = False) -> List[Point]:
     return [d for d in product(range(-2, 3), repeat=n) if d > zero and (not sphere or 2 in map(abs, d))]
 
 
-def _l1_ball(n: int, r: int) -> List[Point]:
-    """The points of Z^n at l1 distance at most r from 0."""
-    if not n:
-        return [()]
-    return [(c,) + rest for c in range(-r, r + 1) for rest in _l1_ball(n - 1, r - abs(c))]
-
-
 @dataclass
 class _Offsets:
     """A local ball in Z^n: ``count(n)``, its offsets other than its
@@ -1115,16 +1093,9 @@ class _Offsets:
         return len(v.vals) >= 2 * self.count(v.dim)
 
 
-# the l-inf ball and sphere of radius 2, one of d and -d each, and the l1
-# ball of radius 4 whole, as the exchange reads ordered pairs (Murota 2003,
-# ch. 6, local exchange, read through the M-lift, which at most doubles l1
-# distances)
+# the l-inf ball and sphere of radius 2, one of d and -d each
 _LINF_BALL = _Offsets(lambda n: 5**n - 1, _half_ball)
 _LINF_SPHERE = _Offsets(lambda n: 5**n - 3**n, partial(_half_ball, sphere=True))
-_L1_BALL = _Offsets(
-    lambda n: sum(2**k * comb(n, k) * comb(_REACH, k) for k in range(1, _REACH + 1)),
-    lambda n: [d for d in _l1_ball(n, _REACH) if any(d)],
-)
 
 
 class _Described(NamedTuple):
@@ -1338,7 +1309,7 @@ class _Scan(NamedTuple):
 
 _IC = _Scan("hull-midpoint", _Described((_lnat_described, _mnat_described), _LINF_BALL))
 _LNAT = _Scan("midpoint", _Described((_lnat_described,), _LINF_BALL))
-_MNAT, _M = _Described((_mnat_described,), _L1_BALL), _Described((_m_described,), _L1_BALL)
+_MNAT, _M = _Described((_mnat_described,)), _Described((_m_described,))
 _GLOBAL_DMC = _Scan("midpoint-far", _Described((_lnat_described,)))
 
 # the box, separable and L labels keep their own recognizers; a multimodular
@@ -1369,10 +1340,15 @@ _RECOGNIZERS = {
 }
 
 
-def check(obj, label: ClassLabel) -> Verdict:
-    """Membership of a set or a function in a class of its own kind."""
+def _require_object(obj) -> None:
+    """Turn down anything but a set or a function, its type named."""
     if not isinstance(obj, (LatticeSet, LatticeFn)):
         raise LabelKindError(f"cannot check a {type(obj).__name__}")
+
+
+def check(obj, label: ClassLabel) -> Verdict:
+    """Membership of a set or a function in a class of its own kind."""
+    _require_object(obj)
     label = ClassLabel(label)
     kind, labels = ("set", SET_LABELS) if isinstance(obj, LatticeSet) else ("function", FN_LABELS)
     if label not in labels:
@@ -1399,8 +1375,11 @@ def verify_witness(obj, witness: Witness) -> bool:
     coordinates, as tuples of ints; bools and floats are not ints), nor one
     with an index not an int, nor one with other counts than its kind's, nor
     one whose points or indices are not a tuple.  A kind that is not a str,
-    or not a known kind, raises ``ValueError``.
+    or not a known kind, raises ``ValueError``, and an object that is not a
+    ``LatticeSet`` or ``LatticeFn`` raises ``LabelKindError``, as in
+    :func:`check`.
     """
+    _require_object(obj)
     kind = witness.kind if isinstance(witness.kind, str) else None
     if kind in _MAPPED:
         kind = _RECOGNIZERS[_MAPPED[kind][2]].kind

@@ -849,9 +849,11 @@ class _Draws(NamedTuple):
 
 # Rows (set label, function label, display, pattern, records, draws) that
 # the two tables share: each set class closes exactly where its function
-# class does.  The integrally convex draws stay small, as their recognizers
-# solve an LP per far point pair; the multimodular ones solve none but keep
-# their small draws, since other ones would change every draw.
+# class does.  The integrally convex and multimodular draws stay small
+# because other ones would change every draw, and so every report of a
+# seed; their cost does not bind, as the IC recognizers read a far pair's
+# rounded midpoints first, take the local extension in closed form up to 3
+# odd coordinates and solve an LP only from 4.
 _SHARED_ROWS = (
     (
         ClassLabel.IC_SET,

@@ -20,3 +20,14 @@ def pair_scans(monkeypatch):
     scan = classes._scan_pairs
     monkeypatch.setattr(classes, "_scan_pairs", lambda *args: calls.append(args) or scan(*args))
     return calls
+
+
+@pytest.fixture
+def move_tables(monkeypatch):
+    """The list of per-pair move tables built (``classes._moves``), each
+    its argument tuple, as they happen during the test: a scan read by
+    rows builds none."""
+    calls = []
+    moves = classes._moves
+    monkeypatch.setattr(classes, "_moves", lambda *args: calls.append(args) or moves(*args))
+    return calls

@@ -86,6 +86,19 @@ def test_label_kind_mismatch_raises():
         check_set(f, ClassLabel.MNAT_SET)
 
 
+def test_verify_witness_turns_down_a_non_object_as_check_does():
+    witness = Witness("midpoint", ((0, 0), (2, 0)))
+    for obj in ("abc", [(0, 0), (2, 0)], None):
+        name = type(obj).__name__
+        with pytest.raises(LabelKindError, match=f"cannot check a {name}$"):
+            check(obj, ClassLabel.LNAT_SET)
+        with pytest.raises(LabelKindError, match=f"cannot check a {name}$"):
+            verify_witness(obj, witness)
+    # an object still replays its witness
+    s = LatticeSet.of([(0, 0), (2, 0)])
+    assert verify_witness(s, check(s, ClassLabel.LNAT_SET).witness) and verify_witness(s, witness)
+
+
 def test_lifted_only_for_l_labels():
     s = LatticeSet(2, frozenset({(0, 0)}), lifted=True)
     with pytest.raises(LiftedInputError):
@@ -329,7 +342,7 @@ def _square_line(k: int) -> LatticeFn:
     return LatticeFn(1, {(t,): t * t for t in range(k)})
 
 
-def test_size_rules_pin_both_sides(pair_scans, monkeypatch):
+def test_size_rules_pin_both_sides(pair_scans, move_tables, monkeypatch):
     def scans(obj, label) -> bool:
         del pair_scans[:]
         assert check(obj, label).member, (label, obj)
@@ -337,17 +350,29 @@ def test_size_rules_pin_both_sides(pair_scans, monkeypatch):
 
     # a function takes the local route when |S| >= 2 * |ball|: in Z the
     # l-inf ball of radius 2 has 4 points besides its centre (L♮,
-    # multimodular and IC), its sphere 2 (local DMC), the l1 ball of radius
-    # 4 has 8, and in Z^2 40
-    for label, ball in ((ClassLabel.LNAT_FN, 4), (ClassLabel.MULTIMODULAR_FN, 4), (ClassLabel.MNAT_FN, 8),
+    # multimodular and IC) and its sphere 2 (local DMC)
+    for label, ball in ((ClassLabel.LNAT_FN, 4), (ClassLabel.MULTIMODULAR_FN, 4),
                         (ClassLabel.IC_FN, 4), (ClassLabel.LOCAL_DMC_FN, 2)):
         assert scans(_square_line(2 * ball - 1), label) and not scans(_square_line(2 * ball), label)
     for k, scanned in ((7, True), (8, False)):
         f = LatticeFn(2, {(t, 0): t * t for t in range(k)}, lifted=True, ramp=F(1, 2))
         assert scans(f, ClassLabel.L_FN) is scanned
-    for k, scanned in ((79, True), (80, False)):
+
+    def per_pair(f: LatticeFn, label, kind: str) -> bool:
+        """Whether a member is scanned from row 0, once, per pair rather
+        than by rows."""
+        del pair_scans[:], move_tables[:]
+        assert check(f, label).member
+        assert [args[1:] for args in pair_scans] == [(kind, 0)], (label, len(f))
+        return bool(move_tables)
+
+    # a function of the M♮ and M rows that is not flat takes no route
+    # whatever its size: its pair scan runs from row 0, per pair below 16
+    # points and by rows from there on
+    for k in (15, 16, 80):
+        assert per_pair(_square_line(k), ClassLabel.MNAT_FN, "exchange-mnat-fn") is (k < 16)
         f = LatticeFn(2, {(t, -t): t * t for t in range(k)})
-        assert scans(f, ClassLabel.M_FN) is scanned
+        assert per_pair(f, ClassLabel.M_FN, "exchange-m-fn") is (k < 16)
     # the M♮ domain test runs when 2^n <= |S|, n the dimension it reads: a
     # cube {0,1}^3 without its top has 7 points, with it 8
     cube01 = cube(3, 0, 1)
@@ -368,22 +393,16 @@ def test_size_rules_pin_both_sides(pair_scans, monkeypatch):
     # from 16 points on and while their tables fit in the memory bound: t ->
     # t^2 on the even points of Z is a member of jump-m-fn, whose reading in
     # Z builds 2 offset tables and 1 axis table of about 16^2 / 8 bytes each
-    built = []
-    moves = classes._moves
-    monkeypatch.setattr(classes, "_moves", lambda *args: built.append(args) or moves(*args))
+    def jump(k: int) -> bool:
+        return per_pair(LatticeFn(1, {(2 * t,): t * t for t in range(k)}), ClassLabel.JUMP_M_FN, "jump-m-fn")
 
-    def per_pair(k: int) -> bool:
-        del built[:]
-        assert check(LatticeFn(1, {(2 * t,): t * t for t in range(k)}), ClassLabel.JUMP_M_FN).member
-        return bool(built)
-
-    assert classes._ROW_SIZE == 16 and per_pair(15) and not per_pair(16)
+    assert classes._ROW_SIZE == 16 and jump(15) and not jump(16)
     assert _AXIOMS["jump-m-fn"].violated.rows.tables(1) == 3
     bound = classes._ROW_BYTES
     monkeypatch.setattr(classes, "_ROW_BYTES", 3 * 16 * 16 // 8)
-    assert not per_pair(16)
+    assert not jump(16)
     monkeypatch.setattr(classes, "_ROW_BYTES", 3 * 16 * 16 // 8 - 1)
-    assert per_pair(16)
+    assert jump(16)
     # the bound itself, 16 MiB, read at its edge without an input of that
     # size: a jump-mnat-fn reading in Z^3 builds 27 tables
     monkeypatch.setattr(classes, "_ROW_BYTES", bound)
@@ -406,7 +425,7 @@ def test_the_route_table_pins_every_label(monkeypatch):
     # or the box counts; box, separable and L keep their own recognizers,
     # and multimodular is decided as lnat-fn on its prefix sums
     lnat, mnat, m = classes._lnat_described, classes._mnat_described, classes._m_described
-    ball, sphere, l1 = classes._LINF_BALL, classes._LINF_SPHERE, classes._L1_BALL
+    ball, sphere = classes._LINF_BALL, classes._LINF_SPHERE
     scan, described, counts = classes._Scan, classes._Described, classes._box_counts
     table = classes._RECOGNIZERS
     assert table == {
@@ -418,10 +437,10 @@ def test_the_route_table_pins_every_label(monkeypatch):
         ClassLabel.LNAT_FN: scan("midpoint", described((lnat,), ball)),
         ClassLabel.L_SET: classes._check_l,
         ClassLabel.L_FN: classes._check_l,
-        ClassLabel.MNAT_SET: scan("exchange-mnat", described((mnat,), l1)),
-        ClassLabel.MNAT_FN: scan("exchange-mnat-fn", described((mnat,), l1)),
-        ClassLabel.M_SET: scan("exchange-m", described((m,), l1)),
-        ClassLabel.M_FN: scan("exchange-m-fn", described((m,), l1)),
+        ClassLabel.MNAT_SET: scan("exchange-mnat", described((mnat,))),
+        ClassLabel.MNAT_FN: scan("exchange-mnat-fn", described((mnat,))),
+        ClassLabel.M_SET: scan("exchange-m", described((m,))),
+        ClassLabel.M_FN: scan("exchange-m-fn", described((m,))),
         ClassLabel.MULTIMODULAR_SET: table[ClassLabel.MULTIMODULAR_SET],
         ClassLabel.MULTIMODULAR_FN: table[ClassLabel.MULTIMODULAR_FN],
         ClassLabel.GLOBAL_DMC_SET: scan("midpoint-far", described((lnat,))),
@@ -450,15 +469,17 @@ def test_the_route_table_pins_every_label(monkeypatch):
     for label, row in table.items():
         assert not isinstance(row, scan) or listed[label.value] == row.kind, label
     # each ball's size, counted in closed form, is that of the ball built,
-    # with -d beside each offset d of a half ball, and without its centre
+    # with -d beside each offset d of a half ball, and without its centre;
+    # every offset lies within the coding's reach
     assert [ball.count(n) for n in (1, 2, 3)] == [4, 24, 124]
     assert [sphere.count(n) for n in (1, 2, 3)] == [2, 16, 98]
-    assert [l1.count(n) for n in (1, 2, 3, 4)] == [8, 40, 128, 320]
-    for offsets in (ball, sphere, l1):
+    assert _REACH == 2
+    for offsets in (ball, sphere):
         for n in range(1, 5):
             built = set(offsets.build(n))
             assert (0,) * n not in built
             assert offsets.count(n) == len(built | {tuple(-c for c in d) for d in built}), n
+            assert max(max(map(abs, d)) for d in built) == _REACH, n
     # the box counts run from 12 points on, on a bounding box of at most
     # C(2n, n) |S| cells: 72 for 12 points in Z^2
     assert classes._JUMP_SIZE == 12
@@ -474,7 +495,7 @@ def test_the_route_table_pins_every_label(monkeypatch):
     def built(n):
         raise AssertionError(f"a ball in Z^{n} was built")
 
-    for offsets in (ball, sphere, l1):
+    for offsets in (ball, sphere):
         monkeypatch.setattr(offsets, "build", built)
     f = LatticeFn.of({(0,) * 12: 0, (1,) + (0,) * 11: 1, (1, 1) + (0,) * 10: 3})
     for obj, labels in ((f, classes.FN_LABELS), (f.domain(), classes.SET_LABELS)):
@@ -582,13 +603,22 @@ def test_the_fixture_sees_every_pair_scan(pair_scans):
         assert [args[1:] for args in pair_scans] == scanned + [("midpoint-two", 0)]
 
 
-def test_a_thousand_point_box_function_is_decided_locally(pair_scans):
+def _read_by_rows(pair_scans, move_tables, kind: str) -> bool:
+    """Whether the check just made was one pair scan of ``kind`` from row 0
+    that built no move table, so read by rows (``classes._Rows``)."""
+    return [args[1:] for args in pair_scans] == [(kind, 0)] and not move_tables
+
+
+def test_a_thousand_point_box_function_is_decided_locally(pair_scans, move_tables):
     box = list(cube(3, 0, 9).points())
     f = LatticeFn(3, {p: sum(c * c for c in p) for p in box})
     # a separable convex function is L♮-, M♮- and multimodular-convex, the
-    # verdict the pair scans give
-    for label in (ClassLabel.LNAT_FN, ClassLabel.MNAT_FN, ClassLabel.MULTIMODULAR_FN):
+    # verdict the pair scans give: the L♮ ball decides lnat-fn and
+    # multimodular-fn, and mnat-fn is read by rows
+    for label in (ClassLabel.LNAT_FN, ClassLabel.MULTIMODULAR_FN):
         assert check(f, label) == Verdict(True) and not pair_scans, label
+    assert check(f, ClassLabel.MNAT_FN) == Verdict(True)
+    assert _read_by_rows(pair_scans, move_tables, "exchange-mnat-fn")
     # a spike makes a non-member, and the pair scan then finds its witness
     vals = dict(f.values)
     vals[(1, 1, 1)] += 10**4
@@ -597,18 +627,21 @@ def test_a_thousand_point_box_function_is_decided_locally(pair_scans):
     assert check(g, ClassLabel.MNAT_FN) == check_family(g, ClassLabel.MNAT_FN)
 
 
-def test_one_coding_reads_narrow_coordinates_locally(pair_scans):
+def test_one_coding_reads_narrow_coordinates_locally(pair_scans, move_tables):
     # a view codes its points once, over the difference box grown by the
-    # reach, so a point x + d of the local route has its own code even
-    # where a coordinate is narrower than the reach; over the bare
-    # difference box it would share a stored point's code and turn a
-    # member down
+    # reach, so a point x + d of the l-inf ball (L♮ and IC) has its own
+    # code even where a coordinate is narrower than the reach; over the
+    # bare difference box it would share a stored point's code and turn a
+    # member down.  The M♮ exchange reads the same coding by rows.
     for hi in ((15, 15, 1), (20, 12, 1), (1, 20, 12), (12, 1, 20)):
         box = Window((0, 0, 0), hi)
         vals = {p: sum((c - w // 2) ** 2 + k * c for k, (c, w) in enumerate(zip(p, hi))) for p in box.points()}
         f = LatticeFn(3, vals)
-        for label in (ClassLabel.LNAT_FN, ClassLabel.MNAT_FN):
+        for label in (ClassLabel.LNAT_FN, ClassLabel.IC_FN):
             assert check(f, label) == Verdict(True) and not pair_scans, (hi, label)
+        assert check(f, ClassLabel.MNAT_FN) == Verdict(True)
+        assert _read_by_rows(pair_scans, move_tables, "exchange-mnat-fn"), hi
+        del pair_scans[:]
 
 
 def test_negative_witnesses_always_replay():

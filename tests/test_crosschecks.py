@@ -985,10 +985,11 @@ def _lifted(obj, rng):
 
 
 def _large_family_cases(rng):
-    """(object, label) with 250 to 320 points, above every size rule: members of each label with their near misses, and functions of
-    the other family on the same domain (an L♮ quadratic that is not M♮,
-    and a submodular quadratic that is not L♮, which only pairs at l-inf
-    distance 2 show)."""
+    """(object, label) with 250 to 320 points, above the size rules of the
+    l-inf ball in Z^3 and of the row reading: members of each label with
+    their near misses, and functions of the other family on the same
+    domain (an L♮ quadratic that is not M♮, and a submodular quadratic that
+    is not L♮, which only pairs at l-inf distance 2 show)."""
     for _ in range(1):
         f = _lnat_member(rng)
         others = [_quadratic(f, lambda p: (p[0] - 2 * p[1]) ** 2 + p[2] * p[2])]
@@ -1005,18 +1006,24 @@ def _large_family_cases(rng):
             yield lab.m_lift(obj), ClassLabel.M_FN if isinstance(obj, LatticeFn) else ClassLabel.M_SET
 
 
-def test_family_recognizers_match_pair_scans_above_the_size_rule(pair_scans):
+def test_family_recognizers_match_pair_scans_above_the_size_rule(pair_scans, move_tables):
     cases = list(_large_family_cases(random.Random(7170)))
     assert all(250 <= len(obj) <= 321 for obj, _ in cases)
     assert {label for _, label in cases} == FAMILY_LABELS
+    rows = {ClassLabel.MNAT_FN: "exchange-mnat-fn", ClassLabel.M_FN: "exchange-m-fn"}
     members = 0
     for obj, label in cases:
-        del pair_scans[:]
+        del pair_scans[:], move_tables[:]
         got = check(obj, label)
         assert got == check_family(obj, label), (label, obj)
         assert got.member or verify_witness(obj, got.witness), (label, obj)
-        # a member above the rule is decided without a pair scan
-        assert not (got.member and pair_scans), (label, obj)
+        # a member above the rule is decided without a pair scan, but for
+        # an M♮ or M function that is not flat, which is read by rows: one
+        # pair scan from row 0 and no move table
+        if got.member and label in rows and len(set(obj.values.values())) > 1:
+            assert [args[1:] for args in pair_scans] == [(rows[label], 0)] and not move_tables, (label, obj)
+        else:
+            assert not (got.member and pair_scans), (label, obj)
         members += got.member
     assert 0.25 < members / len(cases) < 0.6
 

@@ -1,9 +1,13 @@
 import ast
+import importlib
 import os
+import re
+from types import SimpleNamespace
 
 import dconvex
 
 PACKAGE = os.path.dirname(dconvex.__file__)
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
 def test_every_export_resolves():
@@ -98,3 +102,56 @@ def test_unread_private_name_check_sees_every_read():
         "b.py": "from a import _TABLE\nimport a\n_called_too: int = a._called()\n__all__ = []\n",
     }
     assert _unread_private_names(sources) == [("a.py", 2, "_orphan"), ("a.py", 5, "_Gone"), ("b.py", 3, "_called_too")]
+
+
+def _private_doc_names(text: str):
+    """The backticked tokens of a document that are dotted names with a
+    segment starting with an underscore, such as ``_Scan`` or
+    ``classes._RECOGNIZERS``."""
+    tokens = set(re.findall(r"`([^`\n]+)`", text))
+    return sorted(
+        t for t in tokens
+        if re.fullmatch(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*", t) and any(s.startswith("_") for s in t.split("."))
+    )
+
+
+def _unresolved_names(names, modules):
+    """The names that resolve in none of ``modules`` (module name ->
+    module).  A first segment that names a module is read from that module;
+    otherwise it is a module-level name of some module.  The remaining
+    segments are attributes."""
+
+    def resolves(root, attrs) -> bool:
+        for attr in attrs:
+            if not hasattr(root, attr):
+                return False
+            root = getattr(root, attr)
+        return True
+
+    missing = []
+    for name in names:
+        first, *rest = name.split(".")
+        roots = [modules[first]] if first in modules else [getattr(m, first) for m in modules.values() if hasattr(m, first)]
+        if not any(resolves(root, rest) for root in roots):
+            missing.append(name)
+    return missing
+
+
+def test_every_private_name_the_readme_cites_resolves():
+    modules = {
+        name[:-3]: importlib.import_module(f"dconvex.{name[:-3]}")
+        for name in sorted(os.listdir(PACKAGE))
+        if name.endswith(".py") and name != "__init__.py"
+    }
+    with open(README, encoding="utf-8") as fh:
+        names = _private_doc_names(fh.read())
+    assert "classes._RECOGNIZERS" in names and "_Scan" in names
+    assert _unresolved_names(names, modules) == []
+
+
+def test_readme_name_check_reads_modules_then_attributes():
+    text = "`_Scan`, `_View.coded` and `_View.gone`; `a._T`, `b._T`, `a.public` and `_x(1)`\n```\ncode\n```"
+    assert _private_doc_names(text) == ["_Scan", "_View.coded", "_View.gone", "a._T", "b._T"]
+    view = SimpleNamespace(coded=0)
+    modules = {"a": SimpleNamespace(_View=view, _T=1), "b": SimpleNamespace(_Scan=2)}
+    assert _unresolved_names(_private_doc_names(text), modules) == ["_View.gone", "b._T"]
