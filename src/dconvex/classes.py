@@ -502,17 +502,27 @@ def _unit(step, n: int) -> Point:
 # one_s only for the kinds with the one-step exchange (``nat``), and the
 # lowest set bit is the pair scan's y; one predicate call on that pair gives
 # the step the witness records, so the witness is the pair scan's.  An
-# offset's table is built at its first use and holds |S| + 1 prefix masks,
-# about |S|^2 / 8 bytes, so the reading runs while all its tables fit in
-# ``_ROW_BYTES``, and from ``_ROW_SIZE`` points on: the per-pair scan of a
-# small object, or of a near miss that fails in its first rows, reads fewer
-# points than the tables hold.  On members and near misses of the eight
-# kinds (the even points, the cut x(N) <= c and the slice x(N) = c of boxes
-# in Z^2 to Z^4, with separable convex values) the reading broke even at
-# about 9 points on members and about 32 on near misses, and on both
-# together at about 14.
+# offset's table is built at its first use and holds |S| + 1 prefix masks
+# of up to |S| bits.  Each axis keeps one such table of the points sorted
+# by that coordinate and, per coordinate value c the points take, the masks
+# of the ys beyond c and beyond c + 1: two masks per value, as many as two
+# tables on a segment, whose points all differ in every coordinate.  Each
+# mask is counted at |S| / 8 bytes for its bits and ``_ROW_POINT_BYTES``
+# more for the rest: its int header and list slot, and its share of the
+# reading's lists of one entry per point.  Under ``tracemalloc``, whole
+# readings of members of the eight kinds (segments, boxes and even points
+# in Z to Z^4, 64 to 4096 points) peaked at |S| / 8 + 79 bytes per mask at
+# most.  The reading runs while all its masks fit in ``_ROW_BYTES``, and
+# from ``_ROW_SIZE`` points on:
+# the per-pair scan of a small object, or of a near miss that fails in its
+# first rows, reads fewer points than the tables hold.  On members and near
+# misses of the eight kinds (the even points, the cut x(N) <= c and the
+# slice x(N) = c of boxes in Z^2 to Z^4, with separable convex values) the
+# reading broke even at about 9 points on members and about 32 on near
+# misses, and on both together at about 14.
 _ROW_SIZE = 16
 _ROW_BYTES = 1 << 24
+_ROW_POINT_BYTES = 96
 
 
 class _Rows(NamedTuple):
@@ -533,9 +543,14 @@ class _Rows(NamedTuple):
         twos, ones = (2 * n * n, 2 * n) if self.jump else (n * (n - 1), n)
         return twos + ones * self.nat + n
 
-    def fits(self, n: int, size: int) -> bool:
-        """The size rule and the memory bound."""
-        return size >= _ROW_SIZE and self.tables(n) * size * size <= 8 * _ROW_BYTES
+    def fits(self, box: Window, size: int) -> bool:
+        """The size rule and the memory bound, for size points in box: the
+        masks of the tables, and the two that ``first`` keeps per axis and
+        coordinate value (at most the box's width of values), each counted
+        at size / 8 + ``_ROW_POINT_BYTES`` bytes."""
+        widths = sum(min(size, b - a + 1) for a, b in zip(box.lo, box.hi))
+        masks = self.tables(box.dim) * (size + 1) + 2 * widths
+        return size >= _ROW_SIZE and masks * (size // 8 + _ROW_POINT_BYTES) <= _ROW_BYTES
 
     def plan(self, strides: Tuple[int, ...]):
         """Per tried step s: the index of its toward mask, its code offset
@@ -637,7 +652,7 @@ class _Pair(NamedTuple):
         items = sorted(coded.items())
         violated, record = self.on_codes, self.record
         get = coded.get
-        if self.rows is not None and self.rows.fits(v.dim, len(items)):
+        if self.rows is not None and self.rows.fits(v.box, len(items)):
             hit = self.rows.first(v, items, start)
             if hit is None:
                 return None

@@ -121,8 +121,7 @@ def _cmd_induce(args) -> int:
 def _cmd_matrix(args) -> int:
     report = lab.run_closure_matrix(args.trials, args.seed, args.max_dim)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(documents.json_text(report.to_payload()))
+        documents.write_text(args.out, documents.json_text(report.to_payload()))
     sys.stdout.write(report.render_text())
     return 0 if report.passed else 1
 

@@ -290,6 +290,20 @@ class LatticeSet:
             pts = frozenset(_normalize_rep(p) for p in pts)
         object.__setattr__(self, "points", pts)
 
+    @classmethod
+    def from_checked(cls, dim: int, points: frozenset, lifted: bool = False) -> "LatticeSet":
+        """LatticeSet(dim, points, lifted) for a frozenset of tuples of dim
+        ints that the caller has checked (``documents`` checks a document's
+        rows in bulk), without reading them again.  A lifted set, whose
+        points are normalized one by one anyway, and a dimension below 1 go
+        through the constructor."""
+        if lifted or dim < 1:
+            return cls(dim, points, lifted)
+        s = object.__new__(cls)
+        for name, value in (("dim", dim), ("points", points), ("lifted", False)):
+            object.__setattr__(s, name, value)
+        return s
+
     @staticmethod
     def of(points: Iterable[Iterable[int]], lifted: bool = False) -> "LatticeSet":
         pts = [tuple(p) for p in points]
@@ -372,6 +386,22 @@ class LatticeFn:
                 raise ValueError(f"conflicting values for representative {q}")
             vals[q] = v
         return vals
+
+    @classmethod
+    def from_checked(cls, dim: int, values: Dict[Point, Fraction], lifted: bool = False, ramp=Fraction(0)) -> "LatticeFn":
+        """LatticeFn(dim, values, lifted, ramp) for a dict, which it keeps,
+        from tuples of dim ints to Fractions that the caller has checked
+        (``documents`` checks a document's entries in bulk), without reading
+        them again.  A lifted function, whose entries are normalized one by
+        one anyway, and any input the constructor rejects (an empty domain,
+        a dimension below 1, a ramp without ``lifted``) go through the
+        constructor."""
+        if lifted or dim < 1 or not values or ramp:
+            return cls(dim, values, lifted, ramp)
+        f = object.__new__(cls)
+        for name, value in (("dim", dim), ("values", values), ("lifted", False), ("ramp", Fraction(0))):
+            object.__setattr__(f, name, value)
+        return f
 
     @staticmethod
     def of(entries: Mapping, lifted: bool = False, ramp=Fraction(0)) -> "LatticeFn":

@@ -17,6 +17,8 @@ row in those bytes; ``json.dumps`` writes everything else.
 from __future__ import annotations
 
 import json
+import os
+import stat
 from fractions import Fraction
 from itertools import repeat
 from typing import Any, Dict
@@ -183,7 +185,8 @@ def from_document(doc: Dict[str, Any]) -> Any:
     Set points and function entries are checked in bulk (``_rows``), and
     each distinct value string is parsed once; only a document that fails
     the bulk check is walked entry by entry, which raises the error of its
-    first bad entry in document order."""
+    first bad entry in document order.  Either way the points are checked
+    here alone: the set or function is built by ``from_checked``."""
     _require(isinstance(doc, dict), "document must be a JSON object")
     version = doc.get("version")
     _require(type(version) is int and version == VERSION, f"unsupported document version {version!r}")
@@ -201,7 +204,7 @@ def from_document(doc: Dict[str, Any]) -> Any:
                 if p in pts:
                     raise DocumentError(f"points repeat the point {list(p)}")
                 pts.add(p)
-        return LatticeSet(dim, frozenset(pts), _lifted(doc))
+        return LatticeSet.from_checked(dim, frozenset(pts), _lifted(doc))
 
     if kind == "fn":
         dim = _int(_field(doc, "dim"), "dim")
@@ -225,7 +228,7 @@ def from_document(doc: Dict[str, Any]) -> Any:
         ramp = _finite(_field(doc, "ramp", str, default="0"), "ramp")
         lifted = _lifted(doc)
         _require(lifted or ramp == 0, "only a lifted function can have a nonzero ramp")
-        return LatticeFn(dim, vals, lifted, ramp)
+        return LatticeFn.from_checked(dim, vals, lifted, ramp)
 
     if kind == "window":
         dim = _int(_field(doc, "dim"), "dim")
@@ -317,6 +320,30 @@ def load(path: str) -> Any:
         return parse_text(fh.read())
 
 
+def write_text(path: str, text: str) -> None:
+    """text in UTF-8 at path, written in place: the text is encoded first,
+    so an encoding error leaves the file as it was; then the file is opened
+    without truncation (created if missing), the bytes are written from its
+    start, and the file is cut to their length only when it is a regular
+    file that was longer.  A rewrite thus never cuts the old output to zero
+    first, which on ext4 mounted with ``discard`` cost about ten times the
+    write itself, and a device such as /dev/null, which cannot be
+    truncated, takes the bytes as written.  This is the package's one
+    writer of files."""
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        left = memoryview(data)
+        while left:
+            left = left[os.write(fd, left):]
+        info = os.fstat(fd)
+        if stat.S_ISREG(info.st_mode) and info.st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def dump(obj: Any, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_text(obj))
+    """to_text(obj) written to path (``write_text``); an object that cannot
+    be serialized raises DocumentError before the file is opened."""
+    write_text(path, to_text(obj))

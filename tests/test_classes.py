@@ -1,9 +1,11 @@
 import dataclasses
 import itertools
+import math
 from functools import partial
 import os
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -390,25 +392,28 @@ def test_size_rules_pin_both_sides(pair_scans, move_tables, monkeypatch):
         for label in (ClassLabel.CONST_PARITY_JUMP, ClassLabel.SIMULT_EXCH_JUMP):
             assert scans(LatticeSet(1, frozenset((2 * t,) for t in range(k))), label) is scanned
     # the exchange and jump exchange kinds read by rows, with no move table,
-    # from 16 points on and while their tables fit in the memory bound: t ->
+    # from 16 points on and while their masks fit in the memory bound: t ->
     # t^2 on the even points of Z is a member of jump-m-fn, whose reading in
-    # Z builds 2 offset tables and 1 axis table of about 16^2 / 8 bytes each
+    # Z builds 2 offset tables and 1 axis table of 16 + 1 masks, and 2 masks
+    # for each of the 16 values, each counted at 16 / 8 + 96 bytes
     def jump(k: int) -> bool:
         return per_pair(LatticeFn(1, {(2 * t,): t * t for t in range(k)}), ClassLabel.JUMP_M_FN, "jump-m-fn")
 
     assert classes._ROW_SIZE == 16 and jump(15) and not jump(16)
-    assert _AXIOMS["jump-m-fn"].violated.rows.tables(1) == 3
+    assert _AXIOMS["jump-m-fn"].violated.rows.tables(1) == 3 and classes._ROW_POINT_BYTES == 96
     bound = classes._ROW_BYTES
-    monkeypatch.setattr(classes, "_ROW_BYTES", 3 * 16 * 16 // 8)
+    monkeypatch.setattr(classes, "_ROW_BYTES", (3 * 17 + 2 * 16) * (16 // 8 + 96))
     assert not jump(16)
-    monkeypatch.setattr(classes, "_ROW_BYTES", 3 * 16 * 16 // 8 - 1)
+    monkeypatch.setattr(classes, "_ROW_BYTES", (3 * 17 + 2 * 16) * (16 // 8 + 96) - 1)
     assert jump(16)
     # the bound itself, 16 MiB, read at its edge without an input of that
-    # size: a jump-mnat-fn reading in Z^3 builds 27 tables
+    # size: a jump-mnat-fn reading in Z^3 builds 27 tables, and 2 masks per
+    # coordinate value, at most the box's width or the number of points
     monkeypatch.setattr(classes, "_ROW_BYTES", bound)
     rows = _AXIOMS["jump-mnat-fn"].violated.rows
     assert bound == 1 << 24 and rows.tables(3) == 27
-    assert rows.fits(3, 2229) and not rows.fits(3, 2230)
+    assert rows.fits(cube(3, 0, 12), 1879) and not rows.fits(cube(3, 0, 12), 1880)
+    assert rows.fits(cube(3, 0, 9999), 1671) and not rows.fits(cube(3, 0, 9999), 1672)
     # the bound counts one table per offset a reading may read, and one per
     # axis
     for kind in _ROW_KINDS:
@@ -548,6 +553,44 @@ def test_exchange_rows_build_no_move_and_call_the_predicate_once(monkeypatch):
         verdict = classes._scan_pairs(_View.of(miss), kind)
         assert not verdict.member and len(calls) == 1, kind
         assert verify_witness(miss, verdict.witness), kind
+
+
+def test_row_reading_stays_within_its_memory_bound(monkeypatch):
+    # with the bound set to what an object at the edge of the rule may
+    # hold, its reading peaks within the bound under tracemalloc and answers
+    # as the per-pair scan does, verdict and witness; a segment has as many
+    # distinct values per coordinate as points, so its axes keep the most
+    # masks
+    segment = {(t, 299 - t): t * t for t in range(300)}
+    line = {(t,): t * t for t in range(300)}
+    cases = [
+        ("exchange-m-fn", segment),
+        ("exchange-m-fn", {**segment, (150, 149): 150 * 150 + 1}),
+        ("exchange-mnat-fn", line),
+        ("jump-m-fn", {(2 * t,): t * t for t in range(300)}),
+        ("jump-mnat-fn", {**line, (100,): 100 * 100 + 1}),
+    ]
+    size_rule = classes._ROW_SIZE
+    for kind, values in cases:
+        obj = LatticeFn.of(values)
+        rows = _AXIOMS[kind].violated.rows
+        view = _View.of(obj)
+        view.coded
+        masks = rows.tables(obj.dim) * (len(obj) + 1) + 2 * obj.dim * len(obj)
+        bound = masks * (len(obj) // 8 + classes._ROW_POINT_BYTES)
+        monkeypatch.setattr(classes, "_ROW_BYTES", bound)
+        assert rows.fits(view.box, len(obj)) and not rows.fits(view.box, len(obj) + 1), kind
+        tracemalloc.start()
+        try:
+            got = classes._scan_pairs(view, kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (kind, peak, bound)
+        monkeypatch.setattr(classes, "_ROW_SIZE", math.inf)
+        assert classes._scan_pairs(_View.of(obj), kind) == got, kind
+        assert got.member is (len(values) == 300), kind
+        monkeypatch.setattr(classes, "_ROW_SIZE", size_rule)
 
 
 def test_the_fixture_sees_every_pair_scan(pair_scans):

@@ -680,7 +680,7 @@ def _assert_rows_match_pair_scans(monkeypatch, objects):
             monkeypatch.setattr(classes, "_ROW_SIZE", math.inf)
             want = classes._scan_pairs(_View.of(obj), kind)
             monkeypatch.setattr(classes, "_ROW_SIZE", 1)
-            assert classes._AXIOMS[kind].violated.rows.fits(obj.dim, len(obj)), (kind, obj)
+            assert classes._AXIOMS[kind].violated.rows.fits(obj.bounding_box(), len(obj)), (kind, obj)
             got = classes._scan_pairs(_View.of(obj), kind)
             assert got == want, (kind, obj)
             scans += 1

@@ -1,13 +1,14 @@
 import json
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
-from dconvex import documents, lab
+from dconvex import core, documents, lab
 from dconvex.classes import ClassLabel, check
 from dconvex.cli import main
-from dconvex.core import LatticeFn, LatticeSet, Window
+from dconvex.core import LatticeFn, LatticeSet, Window, are_points
 from dconvex.documents import DocumentError
 from dconvex.network import Arc, ArcCost, Network
 from dconvex.ops import PartitionSpec, SplitSpec
@@ -31,6 +32,36 @@ def test_fn_roundtrip():
     assert roundtrip(f) == f
     lf = LatticeFn(2, {(1, 0): F(5, 4)}, lifted=True, ramp=F(-2, 3))
     assert roundtrip(lf) == lf
+
+
+def test_document_points_are_checked_once(monkeypatch):
+    # the bulk check of a document's rows is the only one: the set or
+    # function is built from them without a second pass over its points
+    calls = []
+
+    def counted(pts, dim, row=tuple):
+        calls.append(row)
+        return are_points(pts, dim, row)
+
+    f = LatticeFn.of({(i, j): F(i - j, 2) for i in range(4) for j in range(3)})
+    texts = [documents.to_text(obj) for obj in (LatticeSet(2, frozenset(f.values)), f)]
+    monkeypatch.setattr(documents, "are_points", counted)
+    monkeypatch.setattr(core, "are_points", counted)
+    for text in texts:
+        assert documents.to_text(documents.parse_text(text)) == text
+        assert calls == [list]
+        calls.clear()
+    # from_checked builds what the constructor builds, and sends every
+    # input the constructor normalizes or rejects through it
+    assert LatticeSet.from_checked(2, frozenset({(1, 3)}), lifted=True) == LatticeSet(2, frozenset({(-2, 0)}), True)
+    assert LatticeFn.from_checked(1, {(2,): F(1)}, True, F(1, 2)) == LatticeFn(1, {(0,): F(0)}, True, F(1, 2))
+    for make, args in (
+        (LatticeSet.from_checked, (0, frozenset())),
+        (LatticeFn.from_checked, (1, {})),
+        (LatticeFn.from_checked, (1, {(0,): F(1)}, False, F(1))),
+    ):
+        with pytest.raises(ValueError):
+            make(*args)
 
 
 def test_window_and_spec_roundtrips():
@@ -257,6 +288,77 @@ def test_cli_answers_the_same_around_a_rejected_call(docs, capsys):
     assert answers("after") == before
     assert before[0] == [1, 0]
     assert json.loads(before[1][0])["payload"]["witness"]["kind"] == "midpoint"
+
+
+# ---------------------------------------------------------------------------
+# the writer: outputs are rewritten in place and cut to length
+
+
+def _checked_text(docs, capsys, name, label):
+    """The exit code and standard output of a check without --out."""
+    code = main(["check", str(docs / name), "--class", label])
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.skipif(os.devnull != "/dev/null", reason="needs /dev/null")
+def test_cli_out_to_a_device_that_cannot_be_truncated(docs, capsys):
+    # ftruncate on /dev/null fails with EINVAL, so the writer cuts only a
+    # regular file
+    for name, label, code in (("t.json", "lnat-set", 1), ("point.json", "m-set", 0)):
+        assert main(["check", str(docs / name), "--class", label, "--out", os.devnull]) == code
+        assert capsys.readouterr() == ("", "")
+    assert main(["op", "direct-sum", str(docs / "t.json"), str(docs / "point.json"), "--out", os.devnull]) == 0
+    assert main(["matrix", "--trials", "1", "--seed", "3", "--out", os.devnull]) == 0
+
+
+def test_cli_rewrites_are_whole_and_leave_no_stale_tail(docs, capsys):
+    long_code, long_text = _checked_text(docs, capsys, "t.json", "lnat-set")
+    short_code, short_text = _checked_text(docs, capsys, "point.json", "m-set")
+    assert (long_code, short_code) == (1, 0) and len(short_text) < len(long_text)
+    out = docs / "verdict.json"
+    out.write_bytes(b"x" * 10_000)
+    for name, label, code, text in (
+        ("t.json", "lnat-set", long_code, long_text),
+        ("point.json", "m-set", short_code, short_text),
+        ("t.json", "lnat-set", long_code, long_text),
+    ):
+        assert main(["check", str(docs / name), "--class", label, "--out", str(out)]) == code
+        assert out.read_bytes() == text.encode("utf-8")
+
+
+def test_dump_writes_to_text_in_place(tmp_path, monkeypatch):
+    objects = [
+        LatticeFn.of({(i, j): F(i * j, 3) for i in range(9) for j in range(9)}),
+        LatticeSet.of([(0, 1), (2, -3)]),
+        {"name": "café", "n": 1},
+        LatticeFn.of({(i, j): F(i * j, 3) for i in range(9) for j in range(9)}),
+    ]
+    path = tmp_path / "out.json"
+    inode = None
+    for obj in objects:
+        documents.dump(obj, path)
+        assert path.read_bytes() == documents.to_text(obj).encode("utf-8")
+        inode = inode or path.stat().st_ino
+        assert path.stat().st_ino == inode
+    # a write the system takes only in part is continued until every byte
+    # is written
+    write = os.write
+    with monkeypatch.context() as m:
+        m.setattr(documents.os, "write", lambda fd, data: write(fd, data[:7]))
+        documents.dump(objects[0], tmp_path / "short-writes.json")
+    assert (tmp_path / "short-writes.json").read_bytes() == documents.to_text(objects[0]).encode("utf-8")
+
+
+def test_dump_of_an_unserializable_object_leaves_the_file(tmp_path):
+    path = tmp_path / "out.json"
+    documents.dump(LatticeSet.of([(0, 1)]), path)
+    before = path.read_bytes()
+    with pytest.raises(DocumentError, match="cannot serialize object of type object"):
+        documents.dump(object(), path)
+    assert path.read_bytes() == before
+    with pytest.raises(DocumentError):
+        documents.dump(object(), tmp_path / "never.json")
+    assert not (tmp_path / "never.json").exists()
 
 
 def test_cli_op_aggregate(docs, capsys):

@@ -155,3 +155,52 @@ def test_readme_name_check_reads_modules_then_attributes():
     view = SimpleNamespace(coded=0)
     modules = {"a": SimpleNamespace(_View=view, _T=1), "b": SimpleNamespace(_Scan=2)}
     assert _unresolved_names(_private_doc_names(text), modules) == ["_View.gone", "b._T"]
+
+
+def _file_writes(source: str):
+    """(line, call) of each call in source that may open a file for
+    writing: ``os.open``, whatever its flags, and any other ``open`` given a
+    mode that is not a literal of r, b and t alone (so w, a, x and + are
+    caught, and so is a mode held in a variable).  The mode is the second argument of ``open``, ``io.open`` and
+    ``builtins.open``, and the first of any other ``.open`` (a path's)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        func = getattr(node, "func", None)
+        if isinstance(func, ast.Name) and func.id == "open":
+            owner = None
+        elif isinstance(func, ast.Attribute) and func.attr == "open":
+            owner = getattr(func.value, "id", None)
+        else:
+            continue
+        if owner == "os":
+            found.append((node.lineno, "os.open"))
+            continue
+        at = 1 if owner in (None, "io", "builtins") else 0
+        modes = node.args[at:at + 1] + [k.value for k in node.keywords if k.arg == "mode"]
+        if modes and not (isinstance(modes[0], ast.Constant) and set(str(modes[0].value)) <= set("rbt")):
+            found.append((node.lineno, "open"))
+    return sorted(found)
+
+
+def test_only_documents_opens_files_for_writing():
+    writes = {}
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+                found = _file_writes(fh.read())
+            if found:
+                writes[name] = found
+    assert list(writes) == ["documents.py"]
+    assert [call for _, call in writes["documents.py"]] == ["os.open"]
+
+
+def test_file_write_check_sees_every_mode():
+    source = (
+        "import io, os\n"
+        "open(p)\nopen(p, 'r', encoding='utf-8')\nopen(p, mode='rb')\n"
+        "open(p, 'w')\nio.open(p, mode='ab')\nopen(p, 'x')\nopen(p, 'r+')\n"
+        "open(p, m)\nos.open(p, os.O_RDONLY)\npath.open('wb')\n"
+    )
+    assert _file_writes(source) == [
+        (5, "open"), (6, "open"), (7, "open"), (8, "open"), (9, "open"), (10, "os.open"), (11, "open"),
+    ]
