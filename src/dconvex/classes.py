@@ -161,6 +161,7 @@ from .core import (
     LiftedInputError,
     Point,
     Window,
+    are_points,
     as_rational,
     bounding_box,
     difference_point,
@@ -1406,22 +1407,19 @@ def verify_witness(obj, witness: Witness) -> bool:
         or type(witness.points) is not tuple
         or type(witness.indices) is not tuple
         or (len(witness.points), len(witness.indices)) != shape
-        or any(type(p) is not tuple or len(p) != obj.dim or not _ints(p) for p in witness.points)
-        or not _ints(witness.indices)
+        or not are_points(witness.points, obj.dim)
+        or not set(map(type, witness.indices)) <= {int}
     ):
         return False
     return _replay(_View.of(obj), witness.kind, witness.points, witness.indices)
-
-
-def _ints(entries) -> bool:
-    return all(type(c) is int for c in entries)
 
 
 def _replay(v: _View, kind: str, points: Tuple[Point, ...], indices: Tuple[int, ...]) -> bool:
     if kind in _MAPPED:
         to_view, _, label = _MAPPED[kind]
         mapped, points = to_view(v, points)
-        return _replay(mapped, _RECOGNIZERS[label].kind, points, ())
+        # the section of a 1-d object is Z^0, where a pair is one point twice
+        return mapped.dim > 0 and _replay(mapped, _RECOGNIZERS[label].kind, points, ())
     _, _, members, violated, keep = _AXIOMS[kind]
     args = points + indices
     held = [v.get(p) for p in points[:members]]

@@ -125,12 +125,12 @@ def _point(p: Iterable, dim: int) -> Point:
     return q
 
 
-def are_points(pts, dim: int, row: type = tuple) -> bool:
-    """True when every element of the collection pts is a ``row`` (a tuple,
-    or a list for JSON rows) of dim ints, decided in bulk; coordinate types
-    are read before anything is hashed."""
+def are_points(pts, dim: int) -> bool:
+    """True when every element of the collection pts is a tuple of dim
+    ints, decided in bulk; coordinate types are read before anything is
+    hashed."""
     return (
-        set(map(type, pts)) <= {row}
+        set(map(type, pts)) <= {tuple}
         and set(map(type, chain.from_iterable(pts))) <= {int}
         and set(map(len, pts)) <= {dim}
     )
@@ -290,20 +290,6 @@ class LatticeSet:
             pts = frozenset(_normalize_rep(p) for p in pts)
         object.__setattr__(self, "points", pts)
 
-    @classmethod
-    def from_checked(cls, dim: int, points: frozenset, lifted: bool = False) -> "LatticeSet":
-        """LatticeSet(dim, points, lifted) for a frozenset of tuples of dim
-        ints that the caller has checked (``documents`` checks a document's
-        rows in bulk), without reading them again.  A lifted set, whose
-        points are normalized one by one anyway, and a dimension below 1 go
-        through the constructor."""
-        if lifted or dim < 1:
-            return cls(dim, points, lifted)
-        s = object.__new__(cls)
-        for name, value in (("dim", dim), ("points", points), ("lifted", False)):
-            object.__setattr__(s, name, value)
-        return s
-
     @staticmethod
     def of(points: Iterable[Iterable[int]], lifted: bool = False) -> "LatticeSet":
         pts = [tuple(p) for p in points]
@@ -386,22 +372,6 @@ class LatticeFn:
                 raise ValueError(f"conflicting values for representative {q}")
             vals[q] = v
         return vals
-
-    @classmethod
-    def from_checked(cls, dim: int, values: Dict[Point, Fraction], lifted: bool = False, ramp=Fraction(0)) -> "LatticeFn":
-        """LatticeFn(dim, values, lifted, ramp) for a dict, which it keeps,
-        from tuples of dim ints to Fractions that the caller has checked
-        (``documents`` checks a document's entries in bulk), without reading
-        them again.  A lifted function, whose entries are normalized one by
-        one anyway, and any input the constructor rejects (an empty domain,
-        a dimension below 1, a ramp without ``lifted``) go through the
-        constructor."""
-        if lifted or dim < 1 or not values or ramp:
-            return cls(dim, values, lifted, ramp)
-        f = object.__new__(cls)
-        for name, value in (("dim", dim), ("values", values), ("lifted", False), ("ramp", Fraction(0))):
-            object.__setattr__(f, name, value)
-        return f
 
     @staticmethod
     def of(entries: Mapping, lifted: bool = False, ramp=Fraction(0)) -> "LatticeFn":

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Any, Dict
 
-from .core import LatticeFn, LatticeSet, Window, are_points
+from .core import LatticeFn, LatticeSet, Window
 from .network import Arc, ArcCost, Network
 from .ops import PartitionSpec, SplitSpec
 from .rationals import format_value, parse_value
@@ -122,17 +122,6 @@ def _ints(v, what: str) -> tuple:
     return q
 
 
-def _rows(rows: list, dim: int):
-    """rows as point tuples when every row is an array of dim integers and
-    no two rows are equal, decided in bulk (``core.are_points``); otherwise
-    None, and the caller's entry loop raises the first bad row's error."""
-    if are_points(rows, dim, list):
-        pts = list(map(tuple, rows))
-        if len(set(pts)) == len(pts):
-            return pts
-    return None
-
-
 def _objects(v: list, what: str) -> list:
     _require(all(isinstance(e, dict) for e in v), f"each {what} must be an object")
     return v
@@ -175,6 +164,14 @@ def _built(make, *args):
         raise DocumentError(str(e)) from None
 
 
+def _function(dim: int, vals: Dict, doc: Dict[str, Any]) -> LatticeFn:
+    """LatticeFn(dim, vals) with the document's ramp and lift."""
+    ramp = _finite(_field(doc, "ramp", str, default="0"), "ramp")
+    lifted = _lifted(doc)
+    _require(lifted or ramp == 0, "only a lifted function can have a nonzero ramp")
+    return LatticeFn(dim, vals, lifted, ramp)
+
+
 def from_document(doc: Dict[str, Any]) -> Any:
     """The object a document describes.  A missing field or a value of the
     wrong JSON shape raises DocumentError naming the field, and so does a
@@ -182,11 +179,15 @@ def from_document(doc: Dict[str, Any]) -> Any:
     abscissa; an arc or network that fails its own validation raises one
     with that message.
 
-    Set points and function entries are checked in bulk (``_rows``), and
-    each distinct value string is parsed once; only a document that fails
-    the bulk check is walked entry by entry, which raises the error of its
-    first bad entry in document order.  Either way the points are checked
-    here alone: the set or function is built by ``from_checked``."""
+    A set or function is built straight from its rows: the points as
+    tuples, each distinct value string parsed once, and the
+    ``LatticeSet``/``LatticeFn`` constructor, whose bulk check is the only
+    check of the points.  Only when that raises (TypeError or ValueError,
+    a bad lift or ramp included), or fewer distinct points than rows come
+    out (a repeat, or a bool or float equal to an int), is the document
+    walked entry by entry.  The walk raises the error of the first bad
+    entry in document order; when every entry is sound, the lift, the
+    ramp and the constructor raise theirs, in that order."""
     _require(isinstance(doc, dict), "document must be a JSON object")
     version = doc.get("version")
     _require(type(version) is int and version == VERSION, f"unsupported document version {version!r}")
@@ -195,40 +196,43 @@ def from_document(doc: Dict[str, Any]) -> Any:
     if kind == "set":
         dim = _int(_field(doc, "dim"), "dim")
         rows = _field(doc, "points", list)
-        pts = _rows(rows, dim)
-        if pts is None:
-            pts = set()
-            for p in rows:
-                p = _ints(p, "point")
-                _require(len(p) == dim, "point dimension disagrees with dim")
-                if p in pts:
-                    raise DocumentError(f"points repeat the point {list(p)}")
-                pts.add(p)
-        return LatticeSet.from_checked(dim, frozenset(pts), _lifted(doc))
+        try:
+            pts = frozenset(map(tuple, rows))
+            if len(pts) == len(rows):
+                return LatticeSet(dim, pts, _lifted(doc))
+        except (TypeError, ValueError):
+            pass
+        pts = set()
+        for p in rows:
+            p = _ints(p, "point")
+            _require(len(p) == dim, "point dimension disagrees with dim")
+            if p in pts:
+                raise DocumentError(f"points repeat the point {list(p)}")
+            pts.add(p)
+        return LatticeSet(dim, frozenset(pts), _lifted(doc))
 
     if kind == "fn":
         dim = _int(_field(doc, "dim"), "dim")
         entries = _objects(_field(doc, "entries", list), "entry")
-        pts = _rows(list(map(dict.get, entries, repeat("x"))), dim)
         texts = list(map(dict.get, entries, repeat("v")))
-        if pts is not None and set(map(type, texts)) <= {str}:
-            # every point is sound, so the first bad value string raises
-            parsed = dict.fromkeys(texts)
-            for v in parsed:
-                parsed[v] = _finite(v, "stored function value")
-            vals = dict(zip(pts, map(parsed.__getitem__, texts)))
-        else:
-            vals = {}
-            for e in entries:
-                p = _ints(_field(e, "x", list, "entries"), "point")
-                _require(len(p) == dim, "point dimension disagrees with dim")
-                if p in vals:
-                    raise DocumentError(f"entries repeat the point {list(p)}")
-                vals[p] = _finite(_field(e, "v", str, "entries"), "stored function value")
-        ramp = _finite(_field(doc, "ramp", str, default="0"), "ramp")
-        lifted = _lifted(doc)
-        _require(lifted or ramp == 0, "only a lifted function can have a nonzero ramp")
-        return LatticeFn.from_checked(dim, vals, lifted, ramp)
+        if set(map(type, texts)) <= {str}:
+            try:
+                parsed = dict.fromkeys(texts)
+                for v in parsed:
+                    parsed[v] = _finite(v, "stored function value")
+                vals = dict(zip(map(tuple, map(dict.get, entries, repeat("x"))), map(parsed.__getitem__, texts)))
+                if len(vals) == len(entries):
+                    return _function(dim, vals, doc)
+            except (TypeError, ValueError):
+                pass
+        vals = {}
+        for e in entries:
+            p = _ints(_field(e, "x", list, "entries"), "point")
+            _require(len(p) == dim, "point dimension disagrees with dim")
+            if p in vals:
+                raise DocumentError(f"entries repeat the point {list(p)}")
+            vals[p] = _finite(_field(e, "v", str, "entries"), "stored function value")
+        return _function(dim, vals, doc)
 
     if kind == "window":
         dim = _int(_field(doc, "dim"), "dim")
@@ -308,9 +312,11 @@ def to_text(obj: Any) -> str:
 
 
 def parse_text(text: str) -> Any:
+    """The object of a document's text; text that is not JSON, or that
+    nests deeper than the parser recurses, is a malformed document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise DocumentError(f"malformed document: {e}") from e
     return from_document(doc)
 

@@ -1208,3 +1208,12 @@ def test_l_section_witness_replays_on_a_finite_slice():
     sample = restrict_to_window(lifted, Window((1, 1), (3, 1)))
     off = Witness("l-section-midpoint", ((1, 1), (3, 1)))
     assert verify_witness(lifted, off) and verify_witness(sample, off)
+
+
+def test_l_section_witness_in_one_dimension_violates_nothing():
+    # the section of a 1-d object is Z^0, where the witness pair is one
+    # point twice, so the replay is False instead of a bounding-box error
+    w = Witness("l-section-midpoint", ((0,), (-3,)))
+    assert not verify_witness(LatticeSet(1, frozenset({(0,), (3,)})), w)
+    assert not verify_witness(LatticeSet(1, frozenset({(0,), (3,)}), lifted=True), w)
+    assert not verify_witness(LatticeFn(1, {(2,): F(1)}, lifted=True, ramp=F(1, 2)), w)

@@ -35,33 +35,21 @@ def test_fn_roundtrip():
 
 
 def test_document_points_are_checked_once(monkeypatch):
-    # the bulk check of a document's rows is the only one: the set or
-    # function is built from them without a second pass over its points
+    # the constructor's bulk check of a document's points, as tuples, is
+    # the only one
     calls = []
 
-    def counted(pts, dim, row=tuple):
-        calls.append(row)
-        return are_points(pts, dim, row)
+    def counted(pts, dim):
+        calls.append(set(map(type, pts)))
+        return are_points(pts, dim)
 
     f = LatticeFn.of({(i, j): F(i - j, 2) for i in range(4) for j in range(3)})
     texts = [documents.to_text(obj) for obj in (LatticeSet(2, frozenset(f.values)), f)]
-    monkeypatch.setattr(documents, "are_points", counted)
     monkeypatch.setattr(core, "are_points", counted)
     for text in texts:
         assert documents.to_text(documents.parse_text(text)) == text
-        assert calls == [list]
+        assert calls == [{tuple}]
         calls.clear()
-    # from_checked builds what the constructor builds, and sends every
-    # input the constructor normalizes or rejects through it
-    assert LatticeSet.from_checked(2, frozenset({(1, 3)}), lifted=True) == LatticeSet(2, frozenset({(-2, 0)}), True)
-    assert LatticeFn.from_checked(1, {(2,): F(1)}, True, F(1, 2)) == LatticeFn(1, {(0,): F(0)}, True, F(1, 2))
-    for make, args in (
-        (LatticeSet.from_checked, (0, frozenset())),
-        (LatticeFn.from_checked, (1, {})),
-        (LatticeFn.from_checked, (1, {(0,): F(1)}, False, F(1))),
-    ):
-        with pytest.raises(ValueError):
-            make(*args)
 
 
 def test_window_and_spec_roundtrips():
@@ -480,6 +468,18 @@ def test_matrix_below_three_dimensions_is_an_input_error(capsys, max_dim):
 
 # ---------------------------------------------------------------------------
 # malformed documents: exit 2 with an error line, never a traceback
+
+
+def test_deeply_nested_document_exits_2(tmp_path, capsys):
+    # nesting deeper than the JSON parser recurses is a malformed document,
+    # not a RecursionError that would read as check's non-member exit 1
+    text = "[" * 5000 + "]" * 5000
+    with pytest.raises(DocumentError, match="^malformed document: "):
+        documents.parse_text(text)
+    (tmp_path / "deep.json").write_text(text)
+    assert main(["check", str(tmp_path / "deep.json"), "--class", "lnat-set"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed document: ") and err.count("\n") == 1
 
 
 # spellings Fraction() reads but the 'p' or 'p/q' grammar does not

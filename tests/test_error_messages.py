@@ -84,6 +84,49 @@ def test_malformed_document_message(name, doc, message):
     assert str(info.value) == message
 
 
+
+def _with(doc, **fields):
+    return {**doc, **fields}
+
+
+# documents on the edge between the bulk load and the entry walk: a lift or
+# ramp that is bad together with a bad point, and the errors that only the
+# constructor raises, which keep their ValueError type and text
+EDGE_DOCUMENTS = [
+    ("set-bad-lifted-and-point", _with(_set([[0, 0], [1, True]]), lifted="yes"), DocumentError,
+     "point must be an integer"),
+    ("fn-bad-lifted-and-point", _with(_fn([_e([0, 0]), _e([1, 0.5])]), lifted=1), DocumentError,
+     "point must be an integer"),
+    ("fn-bad-ramp-and-point", _with(_fn([_e([0, 0]), _e(["1", 0])]), lifted=True, ramp="1.5"), DocumentError,
+     "point must be an integer"),
+    ("set-bad-lifted", _with(_set([[0, 0]]), lifted="yes"), DocumentError, "lifted must be a JSON boolean"),
+    ("fn-bad-ramp", _with(_fn([_e([0, 0])]), lifted=True, ramp="1.5"), DocumentError,
+     "ramp '1.5' is not a rational 'p' or 'p/q'"),
+    ("fn-finite-ramp", _with(_fn([_e([0, 0])]), ramp="1"), DocumentError,
+     "only a lifted function can have a nonzero ramp"),
+    ("fn-lifted-conflict", _with(_fn([_e([0, 0], "1"), _e([1, 1], "3")]), lifted=True, ramp="1"), ValueError,
+     "conflicting values for representative (0, 0)"),
+    ("fn-empty", _fn([]), ValueError, "function domain must be nonempty"),
+    ("set-dim0", _with(_set([]), dim=0), ValueError, "dimension must be >= 1"),
+    ("fn-dim0", _with(_fn([_e([])]), dim=0), ValueError, "dimension must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("name, doc, error, message", EDGE_DOCUMENTS, ids=[c[0] for c in EDGE_DOCUMENTS])
+def test_document_edge_message(name, doc, error, message):
+    with pytest.raises(error) as info:
+        documents.from_document(json.loads(json.dumps(doc)))
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_lifted_documents_load_as_their_normalized_objects():
+    s = documents.from_document(_with(_set([[0, 0], [1, 1], [3, 3], [2, 0]]), lifted=True))
+    assert s == LatticeSet(2, frozenset({(0, 0), (2, 0)}), lifted=True)
+    f = documents.from_document(_with(_fn([_e([0, 0], "1"), _e([1, 1], "2"), _e([3, 2], "0")]), lifted=True, ramp="1"))
+    assert f == LatticeFn(2, {(0, 0): F(1), (1, 0): F(-2)}, lifted=True, ramp=F(1))
+
+
 CONSTRUCTORS = [
     ("set-bool", lambda: LatticeSet(2, frozenset({(0, 0), (True, 1)})), ValueError,
      "point (True, 1) must have int entries"),

@@ -204,3 +204,39 @@ def test_file_write_check_sees_every_mode():
     assert _file_writes(source) == [
         (5, "open"), (6, "open"), (7, "open"), (8, "open"), (9, "open"), (10, "os.open"), (11, "open"),
     ]
+
+
+def _bare_constructions(source: str):
+    """The line of each ``object.__new__`` in source, called or taken to be
+    called later, which builds an object without running its constructor's
+    checks."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and node.attr == "__new__"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "object"
+    )
+
+
+def test_objects_are_built_only_through_their_constructors():
+    found = {}
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+                lines = _bare_constructions(fh.read())
+            if lines:
+                found[name] = lines
+    assert found == {}
+
+
+def test_bare_construction_check_sees_every_call():
+    source = (
+        "s = object.__new__(cls)\n"
+        "object.__setattr__(s, 'dim', 1)\n"
+        "t = cls.__new__(cls)\n"
+        "u = f(object.__new__(LatticeSet))\n"
+        "new = object.__new__\n"
+    )
+    assert _bare_constructions(source) == [1, 4, 5]
