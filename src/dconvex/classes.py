@@ -112,16 +112,16 @@ of x and y, and its l-inf filters are lookups in the code offsets N of
 
 One scanner, ``_scan_pairs``, reads every pair axiom: unordered pairs x < y
 for a ``_Halves``, all ordered pairs for a ``_Pair``, in code order.  The
-eight exchange and jump exchange kinds read one row x at a time, from
-``_ROW_SIZE`` points on and while their tables fit in ``_ROW_BYTES``: an
-exchange (x + e, y - e) fits exactly when
+eight exchange and jump exchange kinds read one row x at a time from
+``_ROW_SIZE`` points on: an exchange (x + e, y - e) fits exactly when
 f(y - e) - f(y) <= f(x) - f(x + e), so the ys it fits are a prefix of the
-points sorted by f(y - e) - f(y), kept as int bitsets over the points in
-code order; with bitsets of the ys that each step from x points toward, the
+ys sorted by f(y - e) - f(y), kept as int bitsets over the ys in code
+order; with bitsets of the ys that each step from x points toward, the
 violated ys of a row take a few int operations per pair of steps, the lowest
 of them is the scan's y, and one predicate call on that pair gives the step
-the witness records.  Otherwise a ``_Pair`` scan makes one predicate call
-per pair, which returns the first violated step, and builds each
+the witness records; the ys are read in blocks whose bitsets fit in
+``_ROW_BYTES``.  Below that size rule a ``_Pair`` scan makes one predicate
+call per pair, which returns the first violated step, and builds each
 difference's move once, in a table keyed by cy - cx; the table keeps at
 most C(2n, n) * |S| entries, the Rogers-Shephard bound on a convex body's
 difference body, and past it a move is built for its pair alone, so a
@@ -151,7 +151,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import accumulate, combinations, product, repeat
 from math import comb, inf, prod
-from operator import add, and_, lshift, or_, sub
+from operator import add, and_, getitem, lshift, or_, sub
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
@@ -331,8 +331,8 @@ def _moves(axiom, codes: _Codes, size: int) -> _Memo:
     entries, the Rogers-Shephard bound on the volume of a convex body's
     difference body K - K against that of K, so a sparse input, whose pairs
     can nearly all differ, holds no entry per pair.  The 2-step scan builds
-    one, and the exchange and jump exchange scans only where they do not
-    read by rows (``_Rows.fits``)."""
+    one, and the exchange and jump exchange scans only below the row
+    reading's size rule (``_ROW_SIZE``)."""
     n = len(codes.strides)
     return _Memo(lambda delta: axiom.move(codes, codes.difference(delta)), comb(2 * n, n) * size)
 
@@ -491,39 +491,47 @@ def _unit(step, n: int) -> Point:
 # lhs = f(x) + f(y) exactly when beta_e(y) = f(y - e) - f(y) is at most
 # alpha_e(x) = f(x) - f(x + e); no y with y - e absent passes, and no y at
 # all when x + e is absent.  So the ys that pass against x are a prefix of
-# the stored points sorted by beta_e: one ``bisect_right`` in that order and
-# one read of a prefix mask, an int with bit k for the k-th stored point in
-# code order.  "s points from x toward y" is a mask of the same kind, read
-# off the points sorted by coordinate i, and so is "y_i lies beyond
-# x_i + s_i", the gap of at least 2 at which s pairs with itself.  Row x's
-# violators are then
+# the ys sorted by beta_e: one ``bisect_right`` in that order and one read
+# of a prefix mask, an int with bit k for the k-th y in code order.  "s
+# points from x toward y" is a mask of the same kind, read off the ys sorted
+# by coordinate i, and so is "y_i lies beyond x_i + s_i", the gap of at
+# least 2 at which s pairs with itself.  Row x's violators are then
 #
 #     OR over tried s of  toward_s & ~(one_s | OR over t of toward_t(x + s) & two_{s + t}),
 #
 # one_s only for the kinds with the one-step exchange (``nat``), and the
 # lowest set bit is the pair scan's y; one predicate call on that pair gives
-# the step the witness records, so the witness is the pair scan's.  An
-# offset's table is built at its first use and holds |S| + 1 prefix masks
-# of up to |S| bits.  Each axis keeps one such table of the points sorted
-# by that coordinate and, per coordinate value c the points take, the masks
-# of the ys beyond c and beyond c + 1: two masks per value, as many as two
-# tables on a segment, whose points all differ in every coordinate.  Each
-# mask is counted at |S| / 8 bytes for its bits and ``_ROW_POINT_BYTES``
-# more for the rest: its int header and list slot, and its share of the
-# reading's lists of one entry per point.  Under ``tracemalloc``, whole
-# readings of members of the eight kinds (segments, boxes and even points
-# in Z to Z^4, 64 to 4096 points) peaked at |S| / 8 + 79 bytes per mask at
-# most.  The reading runs while all its masks fit in ``_ROW_BYTES``, and
-# from ``_ROW_SIZE`` points on:
-# the per-pair scan of a small object, or of a near miss that fails in its
-# first rows, reads fewer points than the tables hold.  On members and near
-# misses of the eight kinds (the even points, the cut x(N) <= c and the
-# slice x(N) = c of boxes in Z^2 to Z^4, with separable convex values) the
+# the step the witness records, so the witness is the pair scan's.  The ys
+# are read in blocks of B consecutive points in code order, each block with
+# masks of its own ys alone (``_Rows.block``), and a block's rows run up to
+# the best row an earlier block found: the lowest row wins, and in it the
+# lowest y.  The reading runs from ``_ROW_SIZE`` points on: the per-pair
+# scan of a small object, or of a near miss that fails in its first rows,
+# reads fewer points than the tables hold.  On members and near misses of
+# the eight kinds (the even points, the cut x(N) <= c and the slice
+# x(N) = c of boxes in Z^2 to Z^4, with separable convex values) the
 # reading broke even at about 9 points on members and about 32 on near
 # misses, and on both together at about 14.
 _ROW_SIZE = 16
 _ROW_BYTES = 1 << 24
 _ROW_POINT_BYTES = 96
+
+
+def _prefixes(keys):
+    """The keys other than None sorted, and the prefix masks of the ys in
+    that order: bit k for the y of the k-th key."""
+    order = sorted([k for k, b in enumerate(keys) if b is not None], key=keys.__getitem__)
+    return list(map(keys.__getitem__, order)), list(accumulate(map(lshift, repeat(1), order), or_, initial=0))
+
+
+def _beyond(col, width: int) -> _Memo:
+    """An axis's row masks over a block's coordinates ``col``, by the
+    coordinate c of x: the ys with y_i < c, y_i > c, y_i < c - 1 and
+    y_i > c + 1.  Two of them are prefix masks; the two others are kept for
+    at most ``width`` values, so the axis holds up to three tables' masks."""
+    ranks, below = _prefixes(col)
+    return _Memo(lambda c: (below[bisect_left(ranks, c)], below[-1] ^ below[bisect_right(ranks, c)],
+                            below[bisect_left(ranks, c - 1)], below[-1] ^ below[bisect_right(ranks, c + 1)]), width)
 
 
 class _Rows(NamedTuple):
@@ -537,21 +545,22 @@ class _Rows(NamedTuple):
     nat: bool
 
     def tables(self, n: int) -> int:
-        """How many prefix-mask tables a reading in Z^n may build: one per
-        offset read, the 2n^2 sums s + t (t != -s) of the jump exchange or
-        the n (n - 1) of the M♮/M exchange, and with ``nat`` its 2n or n
-        unit steps; and one per axis."""
+        """How many tables of B + 1 masks a block of B ys may build in Z^n:
+        one per offset read, the 2n^2 sums s + t (t != -s) of the jump
+        exchange or the n (n - 1) of the M♮/M exchange, and with ``nat`` its
+        2n or n unit steps; and three per axis, for ``_beyond``."""
         twos, ones = (2 * n * n, 2 * n) if self.jump else (n * (n - 1), n)
-        return twos + ones * self.nat + n
+        return twos + ones * self.nat + 3 * n
 
-    def fits(self, box: Window, size: int) -> bool:
-        """The size rule and the memory bound, for size points in box: the
-        masks of the tables, and the two that ``first`` keeps per axis and
-        coordinate value (at most the box's width of values), each counted
-        at size / 8 + ``_ROW_POINT_BYTES`` bytes."""
-        widths = sum(min(size, b - a + 1) for a, b in zip(box.lo, box.hi))
-        masks = self.tables(box.dim) * (size + 1) + 2 * widths
-        return size >= _ROW_SIZE and masks * (size // 8 + _ROW_POINT_BYTES) <= _ROW_BYTES
+    def block(self, n: int, size: int) -> int:
+        """The block width B for size points in Z^n: size, halved until the
+        masks of the tables fit in ``_ROW_BYTES``, each counted at B / 8
+        bytes for its bits and ``_ROW_POINT_BYTES`` more for its int header,
+        its list slot and its share of the block's lists."""
+        width = size
+        while width > 1 and self.tables(n) * (width + 1) * (width // 8 + _ROW_POINT_BYTES) > _ROW_BYTES:
+            width //= 2
+        return width
 
     def plan(self, strides: Tuple[int, ...]):
         """Per tried step s: the index of its toward mask, its code offset
@@ -575,49 +584,38 @@ class _Rows(NamedTuple):
 
     def first(self, v: _View, items, start: int) -> Optional[Tuple[int, int]]:
         """The first violated pair of the ordered scan from row ``start``,
-        as the indices of x and y in code order (``items``), or None."""
-        coded = v.coded[1]
-        get, size, nat = coded.get, len(items), self.nat
-        points, full = sorted(v.vals), (1 << len(items)) - 1
-        near = []
-        for col in zip(*points):
-            order = sorted(range(size), key=col.__getitem__)
-            ranks = [col[k] for k in order]
-            below = list(accumulate((1 << k for k in order), or_, initial=0))
-            near.append({
-                c: (below[bisect_left(ranks, c)], full ^ below[bisect_right(ranks, c)],
-                    below[bisect_left(ranks, c - 1)], full ^ below[bisect_right(ranks, c + 1)])
-                for c in set(col)
-            })
-
-        cys, fys = [c for c, _ in items], [f for _, f in items]
-
-        def table(offset: int):
-            read = map(get, map(sub, cys, repeat(offset)))
-            passed = sorted((g - f, k) for k, g, f in zip(range(size), read, fys) if g is not None)
-            return [b for b, _ in passed], list(accumulate((1 << k for _, k in passed), or_, initial=0))
-
-        tables = _Memo(table)
+        as the indices of x and y in code order (``items``), or None: the ys
+        a block at a time in code order (``block``), and a block's rows from
+        ``start`` up to the best row found so far."""
+        get, nat = v.coded[1].get, self.nat
+        points, size = sorted(v.vals), len(items)
+        width = self.block(v.dim, size)
         plan = self.plan(v.coded[0].strides)
-        for a in range(start, size):
-            cx, fx = items[a]
-            masks = [m for axis, c in zip(near, points[a]) for m in axis[c]]
-            violators = 0
-            for toward, step, pairs in plan:
-                if not (left := masks[toward]):
-                    continue
-                if nat and (g := get(cx + step)) is not None:
-                    betas, prefix = tables[step]
-                    left &= ~prefix[bisect_right(betas, fx - g)]
-                for admit, offset in pairs:
-                    if (m := masks[admit] & left) and (g := get(cx + offset)) is not None:
-                        betas, prefix = tables[offset]
-                        if not (left := left ^ (m & prefix[bisect_right(betas, fx - g)])):
-                            break
-                violators |= left
-            if violators:
-                return a, (violators & -violators).bit_length() - 1
-        return None
+        best, end = None, size
+        for low in range(0, size, width):
+            block = items[low : low + width]
+            tables = _Memo(lambda e: _prefixes([None if (g := get(c - e)) is None else g - f for c, f in block]))
+            near = [_beyond(col, width) for col in zip(*points[low : low + width])]
+            for a in range(start, end):
+                cx, fx = items[a]
+                masks = sum(map(getitem, near, points[a]), ())
+                violators = 0
+                for toward, step, pairs in plan:
+                    if not (left := masks[toward]):
+                        continue
+                    if nat and (g := get(cx + step)) is not None:
+                        betas, prefix = tables[step]
+                        left &= ~prefix[bisect_right(betas, fx - g)]
+                    for admit, offset in pairs:
+                        if (m := masks[admit] & left) and (g := get(cx + offset)) is not None:
+                            betas, prefix = tables[offset]
+                            if not (left := left ^ (m & prefix[bisect_right(betas, fx - g)])):
+                                break
+                    violators |= left
+                if violators:
+                    best, end = (a, low + (violators & -violators).bit_length() - 1), a
+                    break
+        return best
 
 
 class _Pair(NamedTuple):
@@ -642,18 +640,16 @@ class _Pair(NamedTuple):
 
     def scan(self, v: _View, start: int):
         """The first violated pair of the scan (``_scan_pairs``) as (cx, cy,
-        the step's record), or None.  An exchange or jump exchange kind
-        within its row reading's size rule and memory bound (``_Rows.fits``)
-        finds the pair a row at a time and builds the move of that pair
-        alone, for the one predicate call that names its step; any other
-        scan calls the predicate on every pair in turn, with each
-        difference's move built once, in a table keyed by cy - cx
-        (``_moves``)."""
+        the step's record), or None.  An exchange or jump exchange kind of
+        ``_ROW_SIZE`` points or more finds the pair a row at a time
+        (``_Rows``) and builds the move of that pair alone, for the one
+        predicate call that names its step; any other scan calls the
+        predicate on every pair in turn, with each difference's move built
+        once, in a table keyed by cy - cx (``_moves``)."""
         codes, coded = v.coded
         items = sorted(coded.items())
-        violated, record = self.on_codes, self.record
-        get = coded.get
-        if self.rows is not None and self.rows.fits(v.box, len(items)):
+        violated, record, get = self.on_codes, self.record, coded.get
+        if self.rows is not None and len(items) >= _ROW_SIZE:
             hit = self.rows.first(v, items, start)
             if hit is None:
                 return None

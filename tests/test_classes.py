@@ -392,36 +392,45 @@ def test_size_rules_pin_both_sides(pair_scans, move_tables, monkeypatch):
         for label in (ClassLabel.CONST_PARITY_JUMP, ClassLabel.SIMULT_EXCH_JUMP):
             assert scans(LatticeSet(1, frozenset((2 * t,) for t in range(k))), label) is scanned
     # the exchange and jump exchange kinds read by rows, with no move table,
-    # from 16 points on and while their masks fit in the memory bound: t ->
-    # t^2 on the even points of Z is a member of jump-m-fn, whose reading in
-    # Z builds 2 offset tables and 1 axis table of 16 + 1 masks, and 2 masks
-    # for each of the 16 values, each counted at 16 / 8 + 96 bytes
+    # from 16 points on: t -> t^2 on the even points of Z is a member of
+    # jump-m-fn
     def jump(k: int) -> bool:
         return per_pair(LatticeFn(1, {(2 * t,): t * t for t in range(k)}), ClassLabel.JUMP_M_FN, "jump-m-fn")
 
     assert classes._ROW_SIZE == 16 and jump(15) and not jump(16)
-    assert _AXIOMS["jump-m-fn"].violated.rows.tables(1) == 3 and classes._ROW_POINT_BYTES == 96
+    # they read their ys in blocks of B points, B = |S| halved until the
+    # masks fit in the bound: a jump-m-fn reading in Z builds 2 offset
+    # tables and 3 per axis, of B + 1 masks each counted at B / 8 + 96
+    # bytes, so at a bound of 5 * 17 * 98 bytes 16 points take one block
+    # and 17 two of 8, and one byte below it 16 points take two of 8; past
+    # any bound a reading still runs by rows, in blocks of one point at
+    # the least
+    rows = _AXIOMS["jump-m-fn"].violated.rows
+    assert rows.tables(1) == 5 and classes._ROW_POINT_BYTES == 96
     bound = classes._ROW_BYTES
-    monkeypatch.setattr(classes, "_ROW_BYTES", (3 * 17 + 2 * 16) * (16 // 8 + 96))
-    assert not jump(16)
-    monkeypatch.setattr(classes, "_ROW_BYTES", (3 * 17 + 2 * 16) * (16 // 8 + 96) - 1)
-    assert jump(16)
+    monkeypatch.setattr(classes, "_ROW_BYTES", 5 * 17 * (16 // 8 + 96))
+    assert [rows.block(1, k) for k in (15, 16, 17, 32, 33)] == [15, 16, 8, 16, 16]
+    monkeypatch.setattr(classes, "_ROW_BYTES", 5 * 17 * (16 // 8 + 96) - 1)
+    assert [rows.block(1, k) for k in (15, 16, 17, 32, 33)] == [15, 8, 8, 8, 8]
+    monkeypatch.setattr(classes, "_ROW_BYTES", 0)
+    assert rows.block(1, 16) == 1 and not jump(16)
     # the bound itself, 16 MiB, read at its edge without an input of that
-    # size: a jump-mnat-fn reading in Z^3 builds 27 tables, and 2 masks per
-    # coordinate value, at most the box's width or the number of points
+    # size: a jump-mnat-fn reading in Z^3 builds 24 offset tables and 3 per
+    # axis, so 1671 points take one block and 1672 two of 836; the rule reads
+    # the dimension and the size alone, not the box
     monkeypatch.setattr(classes, "_ROW_BYTES", bound)
     rows = _AXIOMS["jump-mnat-fn"].violated.rows
-    assert bound == 1 << 24 and rows.tables(3) == 27
-    assert rows.fits(cube(3, 0, 12), 1879) and not rows.fits(cube(3, 0, 12), 1880)
-    assert rows.fits(cube(3, 0, 9999), 1671) and not rows.fits(cube(3, 0, 9999), 1672)
-    # the bound counts one table per offset a reading may read, and one per
-    # axis
+    assert bound == 1 << 24 and rows.tables(3) == 24 + 3 * 3
+    assert rows.block(3, 1671) == 1671 and rows.block(3, 1672) == 836
+    assert [rows.block(3, k) for k in (3416, 6000, 12000)] == [854, 1500, 1500]
+    # the bound counts one table per offset a reading may read, and three
+    # per axis
     for kind in _ROW_KINDS:
         rows = _AXIOMS[kind].violated.rows
         for n in range(1, 6):
             plan = rows.plan(tuple(100**i for i in range(n)))
             offsets = {o for _, step, pairs in plan for o in [step] * rows.nat + [o for _, o in pairs]}
-            assert rows.tables(n) == len(offsets) + n, (kind, n)
+            assert rows.tables(n) == len(offsets) + 3 * n, (kind, n)
 
 
 def test_the_route_table_pins_every_label(monkeypatch):
@@ -556,11 +565,12 @@ def test_exchange_rows_build_no_move_and_call_the_predicate_once(monkeypatch):
 
 
 def test_row_reading_stays_within_its_memory_bound(monkeypatch):
-    # with the bound set to what an object at the edge of the rule may
-    # hold, its reading peaks within the bound under tracemalloc and answers
-    # as the per-pair scan does, verdict and witness; a segment has as many
-    # distinct values per coordinate as points, so its axes keep the most
-    # masks
+    # with the bound set to the largest at which 300 points read in blocks
+    # of 75, a reading spans 4 blocks, peaks within the bound under
+    # tracemalloc, the reading's lists of one entry per point included,
+    # and answers as the per-pair scan does, verdict and witness; a segment
+    # has as many distinct values per coordinate as points, so its axes
+    # keep the most masks
     segment = {(t, 299 - t): t * t for t in range(300)}
     line = {(t,): t * t for t in range(300)}
     cases = [
@@ -576,10 +586,9 @@ def test_row_reading_stays_within_its_memory_bound(monkeypatch):
         rows = _AXIOMS[kind].violated.rows
         view = _View.of(obj)
         view.coded
-        masks = rows.tables(obj.dim) * (len(obj) + 1) + 2 * obj.dim * len(obj)
-        bound = masks * (len(obj) // 8 + classes._ROW_POINT_BYTES)
+        bound = rows.tables(obj.dim) * (150 + 1) * (150 // 8 + classes._ROW_POINT_BYTES) - 1
         monkeypatch.setattr(classes, "_ROW_BYTES", bound)
-        assert rows.fits(view.box, len(obj)) and not rows.fits(view.box, len(obj) + 1), kind
+        assert rows.block(obj.dim, len(obj)) == 75, kind
         tracemalloc.start()
         try:
             got = classes._scan_pairs(view, kind)
@@ -668,6 +677,17 @@ def test_a_thousand_point_box_function_is_decided_locally(pair_scans, move_table
     g = LatticeFn(3, vals)
     assert check(g, ClassLabel.LNAT_FN) == check_family(g, ClassLabel.LNAT_FN)
     assert check(g, ClassLabel.MNAT_FN) == check_family(g, ClassLabel.MNAT_FN)
+
+
+def test_a_member_past_one_block_is_read_by_rows(pair_scans, move_tables):
+    # x -> sum(x_i^2) + (sum x)^2 over {x in [0, 15]^3 : sum x <= 30} is
+    # M♮-convex; its 3416 points are read in two blocks of 1708 ys, by rows
+    # with no move table, not per pair
+    pts = [p for p in cube(3, 0, 15).points() if sum(p) <= 30]
+    f = LatticeFn(3, {p: sum(c * c for c in p) + sum(p) ** 2 for p in pts})
+    assert len(f) == 3416 and _AXIOMS["exchange-mnat-fn"].violated.rows.block(3, 3416) == 1708
+    assert check(f, ClassLabel.MNAT_FN) == Verdict(True)
+    assert _read_by_rows(pair_scans, move_tables, "exchange-mnat-fn")
 
 
 def test_one_coding_reads_narrow_coordinates_locally(pair_scans, move_tables):

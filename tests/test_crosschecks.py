@@ -670,22 +670,44 @@ _EXCHANGE_KINDS = {
 }
 
 
-def _assert_rows_match_pair_scans(monkeypatch, objects):
+def _assert_rows_match_pair_scans(monkeypatch, objects, widths=(None, 16, 17, 33)):
     """The row reading of each exchange and jump exchange kind of the
     object's type equals the per-pair scan on each object, verdict and
-    witness; returns (scans, members)."""
+    witness, with the ys read in blocks of the next of ``widths`` points,
+    object by object in turn, where that is below the object's size, and
+    otherwise by the block rule (``classes._Rows.block``), as for None;
+    returns (scans, members)."""
+    rule = classes._Rows.block
     scans = members = 0
-    for obj in objects:
+    for i, obj in enumerate(objects):
+        width = widths[i % len(widths)]
+        patched = width is not None and width < len(obj)
+        monkeypatch.setattr(classes._Rows, "block", (lambda self, n, size, w=width: w) if patched else rule)
         for kind in _EXCHANGE_KINDS[type(obj)]:
             monkeypatch.setattr(classes, "_ROW_SIZE", math.inf)
             want = classes._scan_pairs(_View.of(obj), kind)
             monkeypatch.setattr(classes, "_ROW_SIZE", 1)
-            assert classes._AXIOMS[kind].violated.rows.fits(obj.bounding_box(), len(obj)), (kind, obj)
-            got = classes._scan_pairs(_View.of(obj), kind)
-            assert got == want, (kind, obj)
+            assert classes._scan_pairs(_View.of(obj), kind) == want, (kind, width, obj)
             scans += 1
-            members += got.member
+            members += want.member
+    monkeypatch.setattr(classes._Rows, "block", rule)
     return scans, members
+
+
+def _violated_pairs(obj, kind: str):
+    """Every violated ordered pair of an exchange or jump exchange kind, as
+    the indices of x and y in code order, by one predicate call per pair."""
+    view = _View.of(obj)
+    codes, coded = view.coded
+    items = sorted(coded.items())
+    axiom = classes._AXIOMS[kind].violated
+    moves = classes._moves(axiom, codes, len(items))
+    return {
+        (a, b)
+        for a, (cx, fx) in enumerate(items)
+        for b, (cy, fy) in enumerate(items)
+        if axiom.on_codes(coded.get, fx + fy, cx, cy, moves[cy - cx])
+    }
 
 
 def _exchange_functions(rng):
@@ -708,10 +730,11 @@ def _exchange_functions(rng):
 
 def test_exchange_rows_match_the_pair_scans(monkeypatch):
     # the row reading of the eight exchange and jump exchange kinds, with
-    # the size rule lowered so that it runs on every input, against their
-    # per-pair scans: on every small set and its indicator, on seeded
-    # functions, on drawn members and near misses, on the check corpus,
-    # and on spans past 2**64 and sparse inputs
+    # the size rule lowered so that it runs on every input, and its ys read
+    # by the block rule and in blocks of 16, 17 and 33 points, object by
+    # object in turn, against their per-pair scans: on every small set and
+    # its indicator, on seeded functions, on drawn members and near misses,
+    # on the check corpus, and on spans past 2**64 and sparse inputs
     small = [s for box in (cube(2, 0, 2), cube(3, 0, 1)) for s in _subsets(box)]
     scans, members = _assert_rows_match_pair_scans(monkeypatch, small + list(map(indicator_fn, small)))
     assert scans == 8 * 766 and 0.05 < members / scans < 0.5
@@ -735,6 +758,30 @@ def test_exchange_rows_match_the_pair_scans(monkeypatch):
     gap_one = LatticeSet.of([(0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (2, 1), (2, 2), (3, 0), (3, 2)])
     assert classes._scan_pairs(_View.of(gap_one), "jump-exc-nat").witness.points[:2] == ((0, 1), (3, 2))
     assert _assert_rows_match_pair_scans(monkeypatch, [gap_one]) == (4, 0)
+
+
+def test_blocked_rows_keep_the_lowest_row_and_its_lowest_y(monkeypatch):
+    # the ys read in blocks of 16, 17 and 33 points against the per-pair
+    # scan, on x -> sum(x_i^2) over [0, 4]^3 with one value raised: between
+    # them the first violated pair's y lies in the first block, a middle
+    # one and the last; in a later block while the first block holds a
+    # violated pair, of a higher row; and in a block before another that
+    # holds a violated pair of the same row
+    box = {p: sum(c * c for c in p) for p in cube(3, 0, 4).points()}
+    spiked = [LatticeFn.of({**box, p: box[p] + 100}) for p in ((4, 0, 4), (2, 2, 2), (4, 4, 3))]
+    pairs = [_violated_pairs(f, "exchange-mnat-fn") for f in spiked]
+    for width in (16, 17, 33):
+        seen = set()
+        for violated in pairs:
+            x, y = min(violated)
+            block, blocks = y // width, -(-len(box) // width)
+            seen.add("first" if block == 0 else "last" if block == blocks - 1 else "middle")
+            if block and any(b < width for _, b in violated):
+                seen.add("later")
+            if any(a == x and b // width > block for a, b in violated):
+                seen.add("same row")
+        assert seen == {"first", "middle", "last", "later", "same row"}, width
+        assert _assert_rows_match_pair_scans(monkeypatch, spiked, (width,)) == (12, 1), width
 
 
 def test_dmc_recognizers_match_oracle_on_the_check_corpus():
