@@ -7,54 +7,54 @@ witness that replays as a genuine violation through :func:`verify_witness`.
 
 Each label's recognizer is one entry of ``_RECOGNIZERS``.  A route-then-scan
 label is one ``_Scan`` row: the kind its pair scan reads and at most one
-proof route, tried first.  A route proves membership, or names the row at
-which the scan starts, 0 unless the route reads exactly the scan's rows; it
-never turns an object down, so a non-member gets the scan's
-lexicographically first witness.  The table, with the rows that take no
-route and the labels that keep their own recognizers:
+proof route, tried first.  A route answers yes or no: True proves
+membership, and otherwise the scan runs from its first row.  No route turns
+an object down, so a non-member gets the scan's lexicographically first
+witness by construction.  The table, with the rows that take no route and
+the labels that keep their own recognizers:
 
-    label                  scans                  route            size rule                   resumes at
-    integer-box            box-gap, own walk      -                -                           -
-    separable-convex       axis-convexity, own    -                -                           -
-    integrally-convex-set  hull-midpoint          L♮ or M♮, ball   flat, or |S| >= 2 (5^n - 1)  0
-    integrally-convex-fn   hull-midpoint          L♮ or M♮, ball   flat, or |S| >= 2 (5^n - 1)  0
-    lnat-set               midpoint               L♮, ball         flat, or |S| >= 2 (5^n - 1)  0
-    lnat-fn                midpoint               L♮, ball         flat, or |S| >= 2 (5^n - 1)  0
-    l-set                  as lnat-set            lifted: lnat-fn on the section x_n = 0       -
-    l-fn                   as lnat-fn, then ramp  lifted: lnat-fn on the section x_n = 0       -
-    mnat-set               exchange-mnat          M♮               flat                        0
-    mnat-fn                exchange-mnat-fn       M♮               flat                        0
-    m-set                  exchange-m             M                flat                        0
-    m-fn                   exchange-m-fn          M                flat                        0
-    multimodular-set       multimodular-midpoint  lnat-fn on the prefix sums                   -
-    multimodular-fn        multimodular-midpoint  lnat-fn on the prefix sums                   -
-    global-dmc-set         midpoint-far           L♮               flat                        0
-    global-dmc-fn          midpoint-far           L♮               flat                        0
-    local-dmc-fn           midpoint-two           sphere           |S| >= 2 (5^n - 3^n)         its row
-    jump-system            jump-2step             box counts       |S| >= 12, C(2n, n) |S|      its row
-    const-parity-jump      jump-exc               box counts       |S| >= 12, C(2n, n) |S|      0
-    simult-exch-jump       jump-exc-nat           box counts       |S| >= 12, C(2n, n) |S|      0
-    jump-m-fn              jump-m-fn              -                -                           0
-    jump-mnat-fn           jump-mnat-fn           -                -                           0
+    label                  scans                  route               size rule
+    integer-box            box-gap, own walk      -                   -
+    separable-convex       axis-convexity, own    -                   -
+    integrally-convex-set  hull-midpoint          L♮ or M♮, ball      flat, or |S| >= 2 (5^n - 1)
+    integrally-convex-fn   hull-midpoint          L♮ or M♮, ball      flat, or |S| >= 2 (5^n - 1)
+    lnat-set               midpoint               L♮, ball            flat, or |S| >= 2 (5^n - 1)
+    lnat-fn                midpoint               L♮, ball            flat, or |S| >= 2 (5^n - 1)
+    l-set                  as lnat-set            lifted: lnat-fn on the section x_n = 0
+    l-fn                   as lnat-fn, then ramp  lifted: lnat-fn on the section x_n = 0
+    mnat-set               exchange-mnat          M♮                  flat
+    mnat-fn                exchange-mnat-fn       M♮                  flat
+    m-set                  exchange-m             M                   flat
+    m-fn                   exchange-m-fn          M                   flat
+    multimodular-set       multimodular-midpoint  lnat-fn on the prefix sums
+    multimodular-fn        multimodular-midpoint  lnat-fn on the prefix sums
+    global-dmc-set         midpoint-far           L♮                  flat
+    global-dmc-fn          midpoint-far           L♮                  flat
+    local-dmc-fn           midpoint-two           -                   -
+    jump-system            jump-2step             box counts          |S| >= 12, C(2n, n) |S|
+    const-parity-jump      jump-exc               box counts, parity  |S| >= 12, C(2n, n) |S|
+    simult-exch-jump       jump-exc-nat           box counts, parity  |S| >= 12, C(2n, n) |S|
+    jump-m-fn              jump-m-fn              -                   -
+    jump-mnat-fn           jump-mnat-fn           -                   -
 
-The routes (``_Described``, ``_sphere``, ``_box_counts``): L♮, M♮ and M
-are domain descriptions read off the stored points (Murota, Discrete
-Convex Analysis, 2003, ch. 5; Frank and Tardos 1988), M being M♮ on the
-projection of a hyperplane x(N) = c; the M♮ test is taken from 2^n points
-on.  A set, or a function whose values are all equal (flat), is decided by
-its domain: L♮ and M♮ sets are integrally convex (ch. 4 and 5), and an L♮
-set is globally discrete midpoint convex (Moriguchi, Murota, Tamura and
-Tardella 2020).  Any other function of the L♮ and IC rows is read on the
-pairs x, x + d with d in the l-inf ball of radius 2, 5^n - 1 offsets
-besides its centre, from |S| >= 2 |ball| on (Murota 2003, ch. 7; for the
-hull axiom, Favati and Tardella 1990); any other function of the M♮, M
-and global DMC rows goes straight to its pair scan, which reads the M♮
-and M exchange by rows (``_Rows``).  ``local-dmc-fn`` first decides its
-domain as ``global-dmc-set`` (the ``domain-not-dmc`` kind), then reads
-``midpoint-two`` on the l-inf sphere of radius 2.  The box counts read
-each row of the 2-step scan (Bouchet and Cunningham 1995), and prove the
-other set jump labels on a set of one coordinate-sum parity (Lovász 1997;
-Murota 2006).
+The routes (``_Described``, ``_box_counts``): L♮, M♮ and M are domain
+descriptions read off the stored points (Murota, Discrete Convex Analysis,
+2003, ch. 5; Frank and Tardos 1988), M being M♮ on the projection of a
+hyperplane x(N) = c; the M♮ test is taken from 2^n points on.  A set, or a
+function whose values are all equal (flat), is decided by its domain: L♮
+and M♮ sets are integrally convex (ch. 4 and 5), and an L♮ set is globally
+discrete midpoint convex (Moriguchi, Murota, Tamura and Tardella 2020).
+Any other function of the L♮ and IC rows is read on the pairs x, x + d
+with d in the l-inf ball of radius 2, 5^n - 1 offsets besides its centre,
+from |S| >= 2 |ball| on (Murota 2003, ch. 7; for the hull axiom, Favati
+and Tardella 1990); any other function of the M♮, M and global DMC rows
+goes straight to its pair scan, which reads the M♮ and M exchange by rows
+(``_Rows``).  ``local-dmc-fn`` first decides its domain as
+``global-dmc-set`` (the ``domain-not-dmc`` kind), then scans
+``midpoint-two``, which from |S| >= 2 (5^n - 3^n) reads its pairs on the
+l-inf sphere of radius 2 (``_Halves.scan``).  The box counts prove the
+2-step axiom (Bouchet and Cunningham 1995), and the other set jump labels
+on a set of one coordinate-sum parity (Lovász 1997; Murota 2006).
 
 Each axiom is written once, as a predicate in the table ``_AXIOMS`` keyed by
 witness kind.  A predicate reads the object through a value getter in which
@@ -81,23 +81,22 @@ its rounded midpoints leave open.
 
 Every pair axiom reads int codes, in one of two shapes.  The exchange
 (M♮, M) and jump axioms are a ``_Pair``: ordered, a move of the pair's
-difference, a predicate that names the first violated step and the record
-a witness keeps of it, and for the exchange and jump exchange kinds a row
-reading (``_Rows``).  The exchange and jump axioms share one predicate:
-on an ordered pair x, y the jump exchange reads x + s + t and y - s - t
-for unit steps s, t from x toward y, and the M♮/M exchange
-x - e_i + e_j, y + e_i - e_j is its case s = -e_i, t = +e_j (Murota,
-"M-convex functions on jump systems", 2006).  The midpoint family is a
-``_Halves``, read by arithmetic on the codes with no move: the midpoint
-axioms read the rounded midpoints x + ceil(d/2) and x + floor(d/2) of x
-and y = x + d (Favati and Tardella 1990; Moriguchi, Murota, Tamura and
-Tardella 2020), and the hull axiom the local extension at (x + y)/2, after
-those rounded midpoints: they are the ends of a main diagonal of the unit
-cube around (x + y)/2, so twice the extension is at most the sum of their
-values, which decides the pair when it is at most f(x) + f(y) or when
-x + y is even, and only the other pairs solve the extension.  All those
-points lie in the pair's box [x ^ y, x v y].  A view codes its
-stored points once, by mixed radix (``_View.coded``, the codes of
+difference, a predicate that names the first violated step, the record a
+witness keeps of it, and a row reading (``_Rows``).  The exchange and jump
+exchange axioms share one predicate: on an ordered pair x, y the jump
+exchange reads x + s + t and y - s - t for unit steps s, t from x toward y,
+and the M♮/M exchange x - e_i + e_j, y + e_i - e_j is its case s = -e_i,
+t = +e_j (Murota, "M-convex functions on jump systems", 2006).  The
+midpoint family is a ``_Halves``, read by arithmetic on the codes with no
+move: the midpoint axioms read the rounded midpoints x + ceil(d/2) and
+x + floor(d/2) of x and y = x + d (Favati and Tardella 1990; Moriguchi,
+Murota, Tamura and Tardella 2020), and the hull axiom the local extension
+at (x + y)/2, after those rounded midpoints: they are the ends of a main
+diagonal of the unit cube around (x + y)/2, so twice the extension is at
+most the sum of their values, which decides the pair when it is at most
+f(x) + f(y) or when x + y is even, and only the other pairs solve the
+extension.  All those points lie in the pair's box [x ^ y, x v y].  A view
+codes its stored points once, by mixed radix (``_View.coded``, the codes of
 ``core.Codes``), over the difference box [lo, lo + 2 (hi - lo)] of their
 bounding box [lo, hi] grown by ``_REACH`` = 2 on every side, so every point
 read, even a point x + d of a local route, has its own code.  Codes sort
@@ -111,30 +110,29 @@ of x and y, and its l-inf filters are lookups in the code offsets N of
 {-1, 0, 1}^n; odd and N are built once per stride tuple (``_ring``).
 
 One scanner, ``_scan_pairs``, reads every pair axiom: unordered pairs x < y
-for a ``_Halves``, all ordered pairs for a ``_Pair``, in code order.  The
-eight exchange and jump exchange kinds read one row x at a time from
-``_ROW_SIZE`` points on: an exchange (x + e, y - e) fits exactly when
-f(y - e) - f(y) <= f(x) - f(x + e), so the ys it fits are a prefix of the
-ys sorted by f(y - e) - f(y), kept as int bitsets over the ys in code
-order; with bitsets of the ys that each step from x points toward, the
-violated ys of a row take a few int operations per pair of steps, the lowest
-of them is the scan's y, and one predicate call on that pair gives the step
-the witness records; the ys are read in blocks whose bitsets fit in
-``_ROW_BYTES``.  Below that size rule a ``_Pair`` scan makes one predicate
-call per pair, which returns the first violated step, and builds each
-difference's move once, in a table keyed by cy - cx; the table keeps at
-most C(2n, n) * |S| entries, the Rogers-Shephard bound on a convex body's
-difference body, and past it a move is built for its pair alone, so a
-sparse input, whose pairs nearly all differ, holds no entry per pair.  A
-``_Halves`` scan keeps no table: one call of its reading per point x runs
-over the points after x, each pair read with a few int operations; the hull
-memo is keyed by cx + cy and decodes x + y on a miss.  A local route
-(``_Halves.local``) reads the same coding and reading on the pairs x,
-x + d with d in a ball, x in code order, and names the first x with a
-violated pair; when it fails, the pair scan reuses the coding.  A replay codes
-the witness pair over its own difference box grown by 1 and calls the same
-reading, reading each decoded point through the object.  Values are looked
-up by code in a dict.
+for a ``_Halves``, all ordered pairs for a ``_Pair``, in code order.  A
+``_Pair`` reads one row x at a time from ``_ROW_SIZE`` points on: an
+exchange (x + e, y - e) fits exactly when f(y - e) - f(y) <= f(x) - f(x + e),
+so the ys it fits are a prefix of the ys sorted by f(y - e) - f(y), kept as
+int bitsets over the ys in code order, and a 2-step (x + s, or x + s + t)
+passes every y once its point is stored; with bitsets of the ys that each
+step from x points toward, the violated ys of a row take a few int
+operations per pair of steps, the lowest of them is the scan's y, and one
+predicate call on that pair gives the step the witness records; the ys are
+read in blocks whose bitsets fit in ``_ROW_BYTES``.  Below that size rule a
+``_Pair`` scan makes one predicate call per pair, which returns the first
+violated step, and builds each difference's move once, in a table keyed by
+cy - cx (``_moves``).  A ``_Halves`` scan keeps no table: one call of its
+reading per point x runs over the points after x, each pair read with a few
+int operations; the hull memo is keyed by cx + cy and decodes x + y on a
+miss.  ``_Halves.local`` reads the same coding and reading on the pairs x,
+x + d with d in a ball, x and then x + d in code order, and returns the
+first violated pair: the ball routes' test, and the ``midpoint-two`` scan
+on the sphere, whose pairs it reads in the scan's order; when a route
+fails, the pair scan reuses the coding.  A replay codes the witness pair
+over its own difference box grown by 1 and calls the same reading, reading
+each decoded point through the object.  Values are looked up by code in a
+dict.
 
 Conventions for infinite values inside axioms: an inequality with +infinity
 on the left-hand side holds; +infinity on the right-hand side is only
@@ -324,17 +322,12 @@ class _Memo(dict):
         return value
 
 
-def _moves(axiom, codes: _Codes, size: int) -> _Memo:
+def _moves(axiom, codes: _Codes) -> _Memo:
     """A per-pair scan's move table: ``axiom.move`` of each difference
-    y - x by its code difference cy - cx, over codes of a difference box,
-    for ``size`` stored points in Z^n.  It keeps at most C(2n, n) * size
-    entries, the Rogers-Shephard bound on the volume of a convex body's
-    difference body K - K against that of K, so a sparse input, whose pairs
-    can nearly all differ, holds no entry per pair.  The 2-step scan builds
-    one, and the exchange and jump exchange scans only below the row
-    reading's size rule (``_ROW_SIZE``)."""
-    n = len(codes.strides)
-    return _Memo(lambda delta: axiom.move(codes, codes.difference(delta)), comb(2 * n, n) * size)
+    y - x by its code difference cy - cx, over codes of a difference box.
+    Only a scan below the row reading's size rule (``_ROW_SIZE``) builds
+    one, so it holds fewer than ``_ROW_SIZE`` ** 2 moves."""
+    return _Memo(lambda delta: axiom.move(codes, codes.difference(delta)))
 
 
 class _View:
@@ -500,16 +493,17 @@ def _unit(step, n: int) -> Point:
 #     OR over tried s of  toward_s & ~(one_s | OR over t of toward_t(x + s) & two_{s + t}),
 #
 # one_s only for the kinds with the one-step exchange (``nat``), and the
-# lowest set bit is the pair scan's y; one predicate call on that pair gives
-# the step the witness records, so the witness is the pair scan's.  The ys
-# are read in blocks of B consecutive points in code order, each block with
-# masks of its own ys alone (``_Rows.block``), and a block's rows run up to
-# the best row an earlier block found: the lowest row wins, and in it the
-# lowest y.  The reading runs from ``_ROW_SIZE`` points on: the per-pair
-# scan of a small object, or of a near miss that fails in its first rows,
-# reads fewer points than the tables hold.  On members and near misses of
-# the eight kinds (the even points, the cut x(N) <= c and the slice
-# x(N) = c of boxes in Z^2 to Z^4, with separable convex values) the
+# lowest set bit is the pair scan's y (the 2-step axiom's tables pass every
+# y: its steps need only x + s or x + s + t stored); one predicate call on
+# that pair gives the step the witness records, so the witness is the pair
+# scan's.  The ys are read in blocks of B consecutive points in code order,
+# each block with masks of its own ys alone (``_Rows.block``), and a block's
+# rows run up to the best row an earlier block found: the lowest row wins,
+# and in it the lowest y.  The reading runs from ``_ROW_SIZE`` points on: the
+# per-pair scan of a small object, or of a near miss that fails in its first
+# rows, reads fewer points than the tables hold.  On members and near misses
+# of the eight exchange kinds (the even points, the cut x(N) <= c and the
+# slice x(N) = c of boxes in Z^2 to Z^4, with separable convex values) the
 # reading broke even at about 9 points on members and about 32 on near
 # misses, and on both together at about 14.
 _ROW_SIZE = 16
@@ -535,22 +529,24 @@ def _beyond(col, width: int) -> _Memo:
 
 
 class _Rows(NamedTuple):
-    """The row reading of a jump exchange kind: with ``jump``, every unit
-    step s toward y is tried, with every step t toward y from x + s as a
-    partner; without it, the M♮/M exchange, the down steps s = -e_i are
-    tried with the up steps t = +e_j as partners.  ``nat`` admits the
-    one-step exchange (x + s, y - s)."""
+    """The row reading of an ordered kind: with ``jump``, every unit step s
+    toward y is tried, with every step t toward y from x + s as a partner;
+    without it, the M♮/M exchange, the down steps s = -e_i are tried with
+    the up steps t = +e_j as partners.  ``nat`` admits the one-step
+    exchange (x + s, y - s); ``two_step`` reads the 2-step axiom, whose
+    tables pass every y, so none is built."""
 
     jump: bool
     nat: bool
+    two_step: bool = False
 
     def tables(self, n: int) -> int:
         """How many tables of B + 1 masks a block of B ys may build in Z^n:
         one per offset read, the 2n^2 sums s + t (t != -s) of the jump
         exchange or the n (n - 1) of the M♮/M exchange, and with ``nat`` its
-        2n or n unit steps; and three per axis, for ``_beyond``."""
+        2n or n unit steps (none with ``two_step``); three per axis."""
         twos, ones = (2 * n * n, 2 * n) if self.jump else (n * (n - 1), n)
-        return twos + ones * self.nat + 3 * n
+        return (twos + ones * self.nat) * (not self.two_step) + 3 * n
 
     def block(self, n: int, size: int) -> int:
         """The block width B for size points in Z^n: size, halved until the
@@ -582,11 +578,11 @@ class _Rows(NamedTuple):
                 plan.append((4 * i + up, step, pairs))
         return plan
 
-    def first(self, v: _View, items, start: int) -> Optional[Tuple[int, int]]:
-        """The first violated pair of the ordered scan from row ``start``,
-        as the indices of x and y in code order (``items``), or None: the ys
-        a block at a time in code order (``block``), and a block's rows from
-        ``start`` up to the best row found so far."""
+    def first(self, v: _View, items) -> Optional[Tuple[int, int]]:
+        """The first violated pair of the ordered scan, as the indices of x
+        and y in code order (``items``), or None: the ys a block at a time
+        in code order (``block``), and a block's rows up to the best row
+        found so far."""
         get, nat = v.coded[1].get, self.nat
         points, size = sorted(v.vals), len(items)
         width = self.block(v.dim, size)
@@ -594,9 +590,12 @@ class _Rows(NamedTuple):
         best, end = None, size
         for low in range(0, size, width):
             block = items[low : low + width]
-            tables = _Memo(lambda e: _prefixes([None if (g := get(c - e)) is None else g - f for c, f in block]))
+            if self.two_step:
+                tables = _Memo(lambda e, every=((), [(1 << len(block)) - 1]): every)
+            else:
+                tables = _Memo(lambda e: _prefixes([None if (g := get(c - e)) is None else g - f for c, f in block]))
             near = [_beyond(col, width) for col in zip(*points[low : low + width])]
-            for a in range(start, end):
+            for a in range(end):
                 cx, fx = items[a]
                 masks = sum(map(getitem, near, points[a]), ())
                 violators = 0
@@ -621,16 +620,16 @@ class _Rows(NamedTuple):
 class _Pair(NamedTuple):
     """An ordered pair axiom read through a move table: ``move(codes, d)``
     gives the steps tried on a pair x, y = x + d and their partners,
-    ``on_codes`` returns the first violated step, and ``record(step, n)``
-    is what the witness keeps of that step (``_index``, ``_unit``).  An
-    exchange or jump exchange kind has ``rows``, its row reading.  Called
-    as replay calls every axiom, it reads the pair over its own difference
-    box and tries only the steps with the witness's record."""
+    ``on_codes`` returns the first violated step, ``record(step, n)`` is
+    what the witness keeps of that step (``_index``, ``_unit``), and
+    ``rows`` is its row reading.  Called as replay calls every axiom, it
+    reads the pair over its own difference box and tries only the steps
+    with the witness's record."""
 
     move: Callable
     on_codes: Callable
     record: Callable
-    rows: Optional[_Rows] = None
+    rows: _Rows
 
     def __call__(self, v: _View, lhs, x: Point, y: Point, *record) -> bool:
         codes, get, cx, cy, d = _pair_codes(v, x, y)
@@ -638,26 +637,26 @@ class _Pair(NamedTuple):
         tried = [s for s in tried if (self.record(s, len(x)),) == record]
         return bool(self.on_codes(get, lhs, cx, cy, (tried, partners)))
 
-    def scan(self, v: _View, start: int):
+    def scan(self, v: _View):
         """The first violated pair of the scan (``_scan_pairs``) as (cx, cy,
-        the step's record), or None.  An exchange or jump exchange kind of
-        ``_ROW_SIZE`` points or more finds the pair a row at a time
-        (``_Rows``) and builds the move of that pair alone, for the one
-        predicate call that names its step; any other scan calls the
-        predicate on every pair in turn, with each difference's move built
-        once, in a table keyed by cy - cx (``_moves``)."""
+        the step's record), or None.  From ``_ROW_SIZE`` points on it finds
+        the pair a row at a time (``_Rows``) and builds the move of that
+        pair alone, for the one predicate call that names its step; below
+        it, it calls the predicate on every pair in turn, with each
+        difference's move built once, in a table keyed by cy - cx
+        (``_moves``)."""
         codes, coded = v.coded
         items = sorted(coded.items())
         violated, record, get = self.on_codes, self.record, coded.get
-        if self.rows is not None and len(items) >= _ROW_SIZE:
-            hit = self.rows.first(v, items, start)
+        if len(items) >= _ROW_SIZE:
+            hit = self.rows.first(v, items)
             if hit is None:
                 return None
             (cx, fx), (cy, fy) = items[hit[0]], items[hit[1]]
             step = violated(get, fx + fy, cx, cy, self.move(codes, codes.difference(cy - cx)))
             return cx, cy, (record(step, v.dim),)
-        moves = _moves(self, codes, len(items))
-        for cx, fx in items[start:]:
+        moves = _moves(self, codes)
+        for cx, fx in items:
             for cy, fy in items:
                 if hit := violated(get, fx + fy, cx, cy, moves[cy - cx]):
                     return cx, cy, (record(hit, v.dim),)
@@ -768,37 +767,41 @@ class _Halves(NamedTuple):
         px, py = _parities((x, y))
         return self.first(*self.readers(v, codes, get), _ring(codes.strides), cx, px, lhs, [(cy, py, 0)]) is not None
 
-    def scan(self, v: _View, start: int):
+    def scan(self, v: _View):
         """The first violated pair of the scan (``_scan_pairs``) as (cx, cy,
         ()), or None: each point x with its parity mask and the points after
-        it in one ``first`` call."""
+        it in one ``first`` call; above its size rule, ``two`` reads through
+        ``local`` the pairs x, x + d with d on the positive half of the
+        l-inf sphere of radius 2: the scan's pairs, in the scan's order."""
+        if self.two and _LINF_SPHERE.pays(v):
+            return self.local(v, _LINF_SPHERE.build(v.dim))
         codes, coded = v.coded
         # coded holds the codes in the order of the stored points
         rows = sorted(zip(coded, _parities(v.vals), coded.values()))
         get, ext = self.readers(v, codes, coded.get)
         ring, first = _ring(codes.strides), self.first
-        for a, (cx, px, fx) in enumerate(rows[start:], start):
+        for a, (cx, px, fx) in enumerate(rows):
             if (y := first(get, ext, ring, cx, px, fx, rows[a + 1 :])) is not None:
                 return cx, y[0], ()
         return None
 
-    def local(self, v: _View, ball: Sequence[Point]) -> Optional[int]:
-        """A local route's reading: the axiom on every pair of stored points
-        x, x + d with d in ``ball``, whose offsets lie within l-inf distance
-        ``_REACH`` of 0, read by the view's one coding (``_View.coded``),
-        whose box holds every x + d and every point between x and x + d, so
-        none of them shares a code.  One ``first`` call per x in code order,
-        where px ^ py is the parity mask of d, so x is read with mask 0 and
-        x + d with that of d; the index of the first x with a violated pair,
-        or None when every pair holds."""
+    def local(self, v: _View, ball: Sequence[Point]):
+        """The axiom on every pair of stored points x, x + d with d in
+        ``ball``, whose offsets lie within l-inf distance ``_REACH`` of 0,
+        read by the view's one coding (``_View.coded``), whose box holds
+        every x + d and every point between x and x + d, so none of them
+        shares a code.  One ``first`` call per x in code order, its ys in
+        the order of ``ball``, where px ^ py is the parity mask of d, so x
+        is read with mask 0 and x + d with that of d; the first violated
+        pair as (cx, cy, ()), or None when every pair holds."""
         codes, coded = v.coded
         get, ext = self.readers(v, codes, coded.get)
         ring, first = _ring(codes.strides), self.first
         steps = list(zip(map(codes.offset, ball), _parities(ball)))
-        for row, (cx, fx) in enumerate(sorted(coded.items())):
+        for cx, fx in sorted(coded.items()):
             ys = [(cy, m, fy) for delta, m in steps if (fy := get(cy := cx + delta)) is not None]
-            if first(get, ext, ring, cx, 0, fx, ys) is not None:
-                return row
+            if (y := first(get, ext, ring, cx, 0, fx, ys)) is not None:
+                return cx, y[0], ()
         return None
 
 
@@ -862,7 +865,7 @@ _AXIOMS = {
     "exchange-mnat-fn": _Axiom(2, 1, 2, _EXCHANGE_MNAT),
     "exchange-m": _Axiom(2, 1, 2, _EXCHANGE_M),
     "exchange-m-fn": _Axiom(2, 1, 2, _EXCHANGE_M),
-    "jump-2step": _Axiom(3, 0, 2, _JUMP_EXCHANGE_NAT._replace(on_codes=_jump_two_step, rows=None)),
+    "jump-2step": _Axiom(3, 0, 2, _Pair(_all_steps, _jump_two_step, _unit, _Rows(jump=True, nat=True, two_step=True))),
     "jump-exc": _Axiom(3, 0, 2, _JUMP_EXCHANGE),
     "jump-m-fn": _Axiom(3, 0, 2, _JUMP_EXCHANGE),
     "jump-exc-nat": _Axiom(3, 0, 2, _JUMP_EXCHANGE_NAT),
@@ -874,16 +877,15 @@ _AXIOMS = {
 # scanners
 
 
-def _scan_pairs(v: _View, kind: str, start: int = 0) -> Verdict:
+def _scan_pairs(v: _View, kind: str) -> Verdict:
     """Pairs of stored points, read by code over the difference box
     (``_View.coded``) in code order: x < y for a midpoint-family axiom
     (``_Halves``), every x and y for an ordered one (``_Pair``), whose move
-    of d = 0 tries no step.  The witness is the pair and, for an ordered
-    axiom, the record of the violated step, after the points or as the
-    index.  The scan begins at the ``start``-th point x in code order, for a
-    caller that knows no earlier x has a violated pair."""
+    of d = 0 tries no step.  The witness is the first violated pair and,
+    for an ordered axiom, the record of the violated step, after the points
+    or as the index."""
     axiom = _AXIOMS[kind]
-    hit = axiom.violated.scan(v, start)
+    hit = axiom.violated.scan(v)
     if hit is None:
         return _OK
     cx, cy, record = hit
@@ -1083,7 +1085,7 @@ def _m_described(points: Dict[Point, int], n: int) -> bool:
 def _half_ball(n: int, sphere: bool = False) -> List[Point]:
     """The offsets d > 0 of the l-inf ball of radius 2 in Z^n, or with
     ``sphere`` of its sphere, one of d and -d each, so that a pair is read
-    once; x + d then follows x in code order."""
+    once, in lexicographic order, so in code order, which x + d follows."""
     zero = (0,) * n
     return [d for d in product(range(-2, 3), repeat=n) if d > zero and (not sphere or 2 in map(abs, d))]
 
@@ -1120,21 +1122,11 @@ class _Described(NamedTuple):
     descriptions: Tuple[Callable, ...]
     ball: Optional[_Offsets] = None
 
-    def __call__(self, v: _View, kind: str) -> Optional[int]:
+    def __call__(self, v: _View, kind: str) -> bool:
         flat = len(set(v.vals.values())) == 1
         if (flat or self.ball is not None and self.ball.pays(v)) and any(d(v.vals, v.dim) for d in self.descriptions):
-            if flat or _AXIOMS[kind].violated.local(v, self.ball.build(v.dim)) is None:
-                return None
-        return 0
-
-
-def _sphere(v: _View, kind: str) -> Optional[int]:
-    """The sphere route: above its size rule, the kind's axiom on the pairs
-    x, x + d with d on the positive half of the l-inf sphere of radius 2.
-    The ``midpoint-two`` axiom reads only pairs at l-inf distance 2, so row
-    x there holds exactly the pairs of row x of the scan, which resumes at
-    the violated row."""
-    return _AXIOMS[kind].violated.local(v, _LINF_SPHERE.build(v.dim)) if _LINF_SPHERE.pays(v) else 0
+            return flat or _AXIOMS[kind].violated.local(v, self.ball.build(v.dim)) is None
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -1153,7 +1145,8 @@ def _sphere(v: _View, kind: str) -> Optional[int]:
 # The same-axis partner t = s bounds y_i = z_i, which is the pair scan's rule
 # that s pairs with itself only where the gap σ(y_i - x_i) exceeds 1.  So a
 # row x of the ordered pair scan holds a violated pair exactly when one of
-# its absent neighbours z has a box that meets S: one inclusion-exclusion
+# its absent neighbours z has a box that meets S, and S is a jump system
+# exactly when no absent neighbour's box does: one inclusion-exclusion
 # query, 2^n reads at most, in a summed-count table over the bounding box,
 # per absent z, and a single dict probe where the box is one cell.
 #
@@ -1164,10 +1157,10 @@ def _sphere(v: _View, kind: str) -> Optional[int]:
 # a member of all three set jump labels.
 #
 # The route runs only when the bounding box holds at most C(2n, n) * |S|
-# cells, the move table's bound, so the table stays linear in |S|, and on
-# at least ``_JUMP_SIZE`` points: on drawn members of the three labels in
-# 2 to 4 dimensions it took 1.26-1.55 of the scan's time below 8 points,
-# 1.11 at 8 to 11 and 0.59-0.70 from 12 on.
+# cells, so the summed-count table stays linear in |S|, and on at least
+# ``_JUMP_SIZE`` points: on drawn members of the three labels in 2 to 4
+# dimensions it took 1.26-1.55 of the scan's time below 8 points, 1.11 at 8
+# to 11 and 0.59-0.70 from 12 on.
 
 _JUMP_SIZE = 12
 
@@ -1212,9 +1205,8 @@ def _summed_counts(v: _View) -> Callable:
     return count
 
 
-def _jump_row(v: _View) -> Optional[int]:
-    """The first row of the ordered pair scan, the index of x in code
-    order, at which the 2-step axiom fails, or None for a jump system.
+def _two_step_holds(v: _View) -> bool:
+    """Whether the set is a jump system: no absent neighbour's box meets it.
     Neighbours are probed by code (``_View.coded``); each absent
     neighbour's box is decided once, and the summed-count table is built at
     the first box of more than one cell."""
@@ -1239,7 +1231,8 @@ def _jump_row(v: _View) -> Optional[int]:
             count = _summed_counts(v)
         return count(a, b) > 0
 
-    for row, (cx, x) in enumerate(zip(sorted(coded), sorted(v.vals))):
+    # coded holds the codes in the order of the stored points
+    for cx, x in zip(coded, v.vals):
         for k, s in axes:
             for cz, sign in ((cx - s, -1), (cx + s, 1)):
                 if cz not in coded:
@@ -1247,19 +1240,16 @@ def _jump_row(v: _View) -> Optional[int]:
                     if hit is None:
                         hit = meets[cz] = meet(_bump(x, k, sign), cz)
                     if hit:
-                        return row
-    return None
+                        return False
+    return True
 
 
-def _box_counts(v: _View, kind: str) -> Optional[int]:
-    """The box-count route, within its rules (``_jump_routed``): the first
-    row at which the 2-step axiom fails, or None for a jump system.  It
-    reads exactly the rows of the ``jump-2step`` scan, which resumes there.
-    It proves the exchange kinds only on a set of one coordinate-sum
-    parity, and they scan whole whatever it does not prove."""
-    if kind == "jump-2step":
-        return _jump_row(v) if _jump_routed(v) else 0
-    return None if _jump_routed(v) and len({sum(p) & 1 for p in v.vals}) == 1 and _jump_row(v) is None else 0
+def _box_counts(v: _View, kind: str) -> bool:
+    """The box-count route, within its rules (``_jump_routed``): whether
+    the set is a jump system, which proves ``jump-2step``, and proves the
+    exchange kinds on a set of one coordinate-sum parity."""
+    parity = kind == "jump-2step" or len({sum(p) & 1 for p in v.vals}) == 1
+    return _jump_routed(v) and parity and _two_step_holds(v)
 
 
 # ---------------------------------------------------------------------------
@@ -1303,10 +1293,10 @@ def _derived(v: _View, kind: str) -> Verdict:
 class _Scan(NamedTuple):
     """A route-then-scan recognizer.  A derived kind ``domain``
     (``_MAPPED``), when named, is decided first, and its failure is the
-    verdict.  Then the route, when there is one, proves membership (None)
-    or names the row at which the pair scan of ``kind`` starts, which is 0
-    without a route.  ``_scan_pairs`` is read from the module at each call,
-    so the one scanner can be watched in place."""
+    verdict.  Then the route, when there is one, proves membership (True),
+    and otherwise the pair scan of ``kind`` decides, from its first row.
+    ``_scan_pairs`` is read from the module at each call, so the one
+    scanner can be watched in place."""
 
     kind: str
     route: Optional[Callable] = None
@@ -1315,8 +1305,7 @@ class _Scan(NamedTuple):
     def __call__(self, v: _View) -> Verdict:
         if self.domain is not None and not (verdict := _derived(v, self.domain)).member:
             return verdict
-        row = 0 if self.route is None else self.route(v, self.kind)
-        return _OK if row is None else _scan_pairs(v, self.kind, row)
+        return _OK if self.route is not None and self.route(v, self.kind) else _scan_pairs(v, self.kind)
 
 
 _IC = _Scan("hull-midpoint", _Described((_lnat_described, _mnat_described), _LINF_BALL))
@@ -1343,7 +1332,7 @@ _RECOGNIZERS = {
     ClassLabel.MULTIMODULAR_FN: partial(_derived, kind="multimodular-midpoint"),
     ClassLabel.GLOBAL_DMC_SET: _GLOBAL_DMC,
     ClassLabel.GLOBAL_DMC_FN: _GLOBAL_DMC,
-    ClassLabel.LOCAL_DMC_FN: _Scan("midpoint-two", _sphere, "domain-not-dmc"),
+    ClassLabel.LOCAL_DMC_FN: _Scan("midpoint-two", domain="domain-not-dmc"),
     ClassLabel.JUMP_SYSTEM: _Scan("jump-2step", _box_counts),
     ClassLabel.CONST_PARITY_JUMP: _Scan("jump-exc", _box_counts),
     ClassLabel.SIMULT_EXCH_JUMP: _Scan("jump-exc-nat", _box_counts),

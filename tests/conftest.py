@@ -14,8 +14,7 @@ settings.load_profile("dconvex")
 @pytest.fixture
 def pair_scans(monkeypatch):
     """The list of calls of the recognizers' pair scanner, each its
-    argument tuple (view, kind, row the scan starts at), as they happen
-    during the test."""
+    argument tuple (view, kind), as they happen during the test."""
     calls = []
     scan = classes._scan_pairs
     monkeypatch.setattr(classes, "_scan_pairs", lambda *args: calls.append(args) or scan(*args))

@@ -352,25 +352,32 @@ def test_size_rules_pin_both_sides(pair_scans, move_tables, monkeypatch):
 
     # a function takes the local route when |S| >= 2 * |ball|: in Z the
     # l-inf ball of radius 2 has 4 points besides its centre (L♮,
-    # multimodular and IC) and its sphere 2 (local DMC)
-    for label, ball in ((ClassLabel.LNAT_FN, 4), (ClassLabel.MULTIMODULAR_FN, 4),
-                        (ClassLabel.IC_FN, 4), (ClassLabel.LOCAL_DMC_FN, 2)):
-        assert scans(_square_line(2 * ball - 1), label) and not scans(_square_line(2 * ball), label)
+    # multimodular and IC)
+    for label in (ClassLabel.LNAT_FN, ClassLabel.MULTIMODULAR_FN, ClassLabel.IC_FN):
+        assert scans(_square_line(7), label) and not scans(_square_line(8), label)
+    # local DMC takes no route: its scan reads its pairs on the l-inf sphere
+    # of radius 2, 2 points in Z, when |S| >= 2 * 2, and all pairs below
+    spheres = []
+    local = classes._Halves.local
+    monkeypatch.setattr(classes._Halves, "local", lambda self, v, ball: spheres.append(ball) or local(self, v, ball))
+    for k in (3, 4):
+        assert scans(_square_line(k), ClassLabel.LOCAL_DMC_FN)
+        assert spheres == ([[(2,)]] if k == 4 else []), k
+    monkeypatch.setattr(classes._Halves, "local", local)
     for k, scanned in ((7, True), (8, False)):
         f = LatticeFn(2, {(t, 0): t * t for t in range(k)}, lifted=True, ramp=F(1, 2))
         assert scans(f, ClassLabel.L_FN) is scanned
 
     def per_pair(f: LatticeFn, label, kind: str) -> bool:
-        """Whether a member is scanned from row 0, once, per pair rather
-        than by rows."""
+        """Whether a member is scanned once, per pair rather than by rows."""
         del pair_scans[:], move_tables[:]
         assert check(f, label).member
-        assert [args[1:] for args in pair_scans] == [(kind, 0)], (label, len(f))
+        assert [args[1:] for args in pair_scans] == [(kind,)], (label, len(f))
         return bool(move_tables)
 
     # a function of the M♮ and M rows that is not flat takes no route
-    # whatever its size: its pair scan runs from row 0, per pair below 16
-    # points and by rows from there on
+    # whatever its size: its pair scan runs per pair below 16 points and by
+    # rows from there on
     for k in (15, 16, 80):
         assert per_pair(_square_line(k), ClassLabel.MNAT_FN, "exchange-mnat-fn") is (k < 16)
         f = LatticeFn(2, {(t, -t): t * t for t in range(k)})
@@ -424,20 +431,21 @@ def test_size_rules_pin_both_sides(pair_scans, move_tables, monkeypatch):
     assert rows.block(3, 1671) == 1671 and rows.block(3, 1672) == 836
     assert [rows.block(3, k) for k in (3416, 6000, 12000)] == [854, 1500, 1500]
     # the bound counts one table per offset a reading may read, and three
-    # per axis
+    # per axis; the 2-step reading builds no offset table
     for kind in _ROW_KINDS:
         rows = _AXIOMS[kind].violated.rows
         for n in range(1, 6):
             plan = rows.plan(tuple(100**i for i in range(n)))
             offsets = {o for _, step, pairs in plan for o in [step] * rows.nat + [o for _, o in pairs]}
-            assert rows.tables(n) == len(offsets) + 3 * n, (kind, n)
+            built = 0 if kind == "jump-2step" else len(offsets)
+            assert rows.tables(n) == built + 3 * n, (kind, n)
 
 
 def test_the_route_table_pins_every_label(monkeypatch):
     # per label, the kind its pair scan reads and the one route tried
-    # first: a domain description with an optional ball, the l-inf sphere
-    # or the box counts; box, separable and L keep their own recognizers,
-    # and multimodular is decided as lnat-fn on its prefix sums
+    # first: a domain description with an optional ball or the box counts;
+    # box, separable and L keep their own recognizers, and multimodular is
+    # decided as lnat-fn on its prefix sums
     lnat, mnat, m = classes._lnat_described, classes._mnat_described, classes._m_described
     ball, sphere = classes._LINF_BALL, classes._LINF_SPHERE
     scan, described, counts = classes._Scan, classes._Described, classes._box_counts
@@ -459,7 +467,7 @@ def test_the_route_table_pins_every_label(monkeypatch):
         ClassLabel.MULTIMODULAR_FN: table[ClassLabel.MULTIMODULAR_FN],
         ClassLabel.GLOBAL_DMC_SET: scan("midpoint-far", described((lnat,))),
         ClassLabel.GLOBAL_DMC_FN: scan("midpoint-far", described((lnat,))),
-        ClassLabel.LOCAL_DMC_FN: scan("midpoint-two", classes._sphere, "domain-not-dmc"),
+        ClassLabel.LOCAL_DMC_FN: scan("midpoint-two", domain="domain-not-dmc"),
         ClassLabel.JUMP_SYSTEM: scan("jump-2step", counts),
         ClassLabel.CONST_PARITY_JUMP: scan("jump-exc", counts),
         ClassLabel.SIMULT_EXCH_JUMP: scan("jump-exc-nat", counts),
@@ -520,14 +528,15 @@ def test_the_route_table_pins_every_label(monkeypatch):
 # the kinds read a row at a time from the row size rule on
 _ROW_KINDS = (
     "exchange-mnat", "exchange-mnat-fn", "exchange-m", "exchange-m-fn",
-    "jump-exc", "jump-exc-nat", "jump-m-fn", "jump-mnat-fn",
+    "jump-exc", "jump-exc-nat", "jump-m-fn", "jump-mnat-fn", "jump-2step",
 )
 
 
 def _row_cases():
     """(kind, member, non-member) above the row rule: a box, the slice
     x(N) = 5 of [0, 4]^3 and the even points of [0, 3]^3, as sets and with
-    x -> sum(x_i^2); each non-member drops a point or raises a value."""
+    x -> sum(x_i^2), and the even points as a jump system; each non-member
+    drops a point or raises a value."""
     box = list(cube(3, 0, 2).points())
     slice_ = [p for p in cube(3, 0, 4).points() if sum(p) == 5]
     even = [p for p in cube(3, 0, 3).points() if sum(p) % 2 == 0]
@@ -537,6 +546,7 @@ def _row_cases():
         f = {p: sum(c * c for c in p) for p in pts}
         yield kinds[0], LatticeSet.of(pts), LatticeSet.of([p for p in pts if p != mid])
         yield kinds[1], LatticeFn.of(f), LatticeFn.of({**f, mid: f[mid] + 100})
+    yield "jump-2step", LatticeSet.of(even), LatticeSet.of([p for p in even if p != even[len(even) // 2]])
 
 
 def test_exchange_rows_build_no_move_and_call_the_predicate_once(monkeypatch):
@@ -602,63 +612,60 @@ def test_row_reading_stays_within_its_memory_bound(monkeypatch):
         monkeypatch.setattr(classes, "_ROW_SIZE", size_rule)
 
 
+# the set jump labels, with the kinds their pair scans read
+_JUMP_KINDS = {
+    ClassLabel.JUMP_SYSTEM: "jump-2step",
+    ClassLabel.CONST_PARITY_JUMP: "jump-exc",
+    ClassLabel.SIMULT_EXCH_JUMP: "jump-exc-nat",
+}
+
+
 def test_the_fixture_sees_every_pair_scan(pair_scans):
-    # the arguments after the view of each pair scan a set label makes on
-    # the unit square, a member of every label but M and constant parity,
-    # which the L♮ description proves L, IC and globally DMC, and on the
-    # square without its top, which is not L♮, so L♮, L, IC and global DMC
-    # scan, and which M♮ scans as it lies below the domain test's size
-    # rule; both lie below the jump route's size rule, so jump-system scans
-    # from its first row; a label that scans nothing decides without the
-    # pair scan
+    # the kind of each pair scan a set label makes on the unit square, a
+    # member of every label but M and constant parity, which the L♮
+    # description proves L, IC and globally DMC, and on the square without
+    # its top, which is not L♮, so L♮, L, IC and global DMC scan, and which
+    # M♮ scans as it lies below the domain test's size rule; both lie below
+    # the jump route's size rule, so jump-system scans; a label that scans
+    # nothing decides without the pair scan
     square = LatticeSet(2, frozenset(cube(2, 0, 1).points()))
     bent = LatticeSet(2, square.points - {(1, 1)})
-    always = {
-        ClassLabel.JUMP_SYSTEM: ("jump-2step", 0),
-        ClassLabel.CONST_PARITY_JUMP: ("jump-exc", 0),
-        ClassLabel.SIMULT_EXCH_JUMP: ("jump-exc-nat", 0),
-        ClassLabel.M_SET: ("exchange-m", 0),
-    }
+    always = {**_JUMP_KINDS, ClassLabel.M_SET: "exchange-m"}
     for obj, scanned in (
         (square, always),
-        (bent, {**always, ClassLabel.LNAT_SET: ("midpoint", 0), ClassLabel.L_SET: ("midpoint", 0),
-                ClassLabel.MNAT_SET: ("exchange-mnat", 0), ClassLabel.IC_SET: ("hull-midpoint", 0),
-                ClassLabel.GLOBAL_DMC_SET: ("midpoint-far", 0)}),
+        (bent, {**always, ClassLabel.LNAT_SET: "midpoint", ClassLabel.L_SET: "midpoint",
+                ClassLabel.MNAT_SET: "exchange-mnat", ClassLabel.IC_SET: "hull-midpoint",
+                ClassLabel.GLOBAL_DMC_SET: "midpoint-far"}),
     ):
         for label in sorted(SET_LABELS_NO_L + [ClassLabel.L_SET]):
             del pair_scans[:]
             check(obj, label)
-            want = [scanned[label]] if label in scanned else []
+            want = [(scanned[label],)] if label in scanned else []
             assert [args[1:] for args in pair_scans] == want, (sorted(obj.points), label)
     # the even points of [0, 4]^2, 13 of them, lie above it: a member of
     # the three set jump labels is decided without a scan, and a near miss
-    # resumes the jump-system scan at the row of its first violated pair,
-    # while the other two scan it whole
+    # scans whole under each label, so its witness is the scan's
     even = LatticeSet(2, frozenset(p for p in cube(2, 0, 4).points() if sum(p) % 2 == 0))
     miss = LatticeSet(2, even.points - {(2, 2)})
-    for obj, scanned in (
-        (even, {}),
-        (miss, {ClassLabel.JUMP_SYSTEM: ("jump-2step", 1), ClassLabel.CONST_PARITY_JUMP: ("jump-exc", 0),
-                ClassLabel.SIMULT_EXCH_JUMP: ("jump-exc-nat", 0)}),
-    ):
-        for label in (ClassLabel.JUMP_SYSTEM, ClassLabel.CONST_PARITY_JUMP, ClassLabel.SIMULT_EXCH_JUMP):
+    for obj, scanned in ((even, {}), (miss, _JUMP_KINDS)):
+        for label in _JUMP_KINDS:
             del pair_scans[:]
             assert check(obj, label).member is (obj is even)
-            want = [scanned[label]] if label in scanned else []
+            want = [(scanned[label],)] if label in scanned else []
             assert [args[1:] for args in pair_scans] == want, (sorted(obj.points), label)
     assert check(miss, ClassLabel.JUMP_SYSTEM).witness.points[0] == sorted(miss.points)[1]
-    # a locally d.m.c. function below the sphere's size rule proves or
-    # scans its domain, then scans its pairs at l-inf distance 2 from row 0
-    for dom, scanned in ((square, []), (bent, [("midpoint-far", 0)])):
+    # a locally d.m.c. function proves or scans its domain, then scans its
+    # pairs at l-inf distance 2
+    for dom, scanned in ((square, []), (bent, [("midpoint-far",)])):
         del pair_scans[:]
         assert check(indicator_fn(dom), ClassLabel.LOCAL_DMC_FN).member
-        assert [args[1:] for args in pair_scans] == scanned + [("midpoint-two", 0)]
+        assert [args[1:] for args in pair_scans] == scanned + [("midpoint-two",)]
 
 
 def _read_by_rows(pair_scans, move_tables, kind: str) -> bool:
-    """Whether the check just made was one pair scan of ``kind`` from row 0
-    that built no move table, so read by rows (``classes._Rows``)."""
-    return [args[1:] for args in pair_scans] == [(kind, 0)] and not move_tables
+    """Whether the check just made was one pair scan of ``kind`` that built
+    no move table, so read by rows (``classes._Rows``)."""
+    return [args[1:] for args in pair_scans] == [(kind,)] and not move_tables
 
 
 def test_a_thousand_point_box_function_is_decided_locally(pair_scans, move_tables):

@@ -22,12 +22,11 @@ tuple scanner kept in ``set_oracles``, on the benchmark's check corpus, on
 drawn members and near misses, and on spans whose codes pass 2**64.
 
 Every pair scan reads a pair by its code difference over the difference box
-of the stored points, with one move per difference kept up to a bound, so
-the verdicts of every label decided by a pair scan are compared, witness and
-all, with the oracle scans of ``set_oracles``: on sets and functions whose
-pair differences collide over the plain bounding box, on the simplex
-x >= 0, x(N) <= 8 in Z^3 and on a sparse jump system and its near miss
-(past the bound), on spans past 2**64, and for the discrete midpoint
+of the stored points, so the verdicts of every label decided by a pair scan
+are compared, witness and all, with the oracle scans of ``set_oracles``: on
+sets and functions whose pair differences collide over the plain bounding
+box, on the simplex x >= 0, x(N) <= 8 in Z^3 and on a sparse jump system
+and its near miss, on spans past 2**64, and for the discrete midpoint
 convexity labels on the benchmark's check corpus.
 
 The L♮, L, M♮, M and multimodular labels decide membership by a
@@ -39,12 +38,12 @@ of 250 to 320 points, where the local route runs, and on sets built to
 defeat each shortcut.  Above the rule a member must be decided without a
 pair scan, so a domain test that wrongly rejects shows too.
 
-The three set jump labels decide membership by a box-count route, and a
-jump-system non-member resumes its pair scan at the route's row, so their
-whole verdicts are compared with the production pair scans they fall back
-to: on every subset of [0, 2]^2 and [0, 1]^3 and on random sets of one
-parity or mixed parity in 2 to 5 dimensions, with the size rule lowered so
-that the route runs wherever the volume bound allows, on the jump sets of
+The three set jump labels decide membership by a box-count route, which
+proves membership or hands the object to the pair scan, so their whole
+verdicts are compared with the production pair scans they fall back to:
+on every subset of [0, 2]^2 and [0, 1]^3 and on random sets of one parity
+or mixed parity in 2 to 5 dimensions, with the size rule lowered so that
+the route runs wherever the volume bound allows, on the jump sets of
 the benchmark's check corpus under the real rule, and on sparse sets and
 spans past 2**64, which must not take the route.
 
@@ -55,8 +54,9 @@ every subset of [0, 2]^2 and a sample of those of [0, 2] x [0, 1]^2 and
 their indicators (DMC sets outside L♮, M♮ sets outside DMC), on M♮ split
 sets, on diagonally dominant quadratics on [0, 2]^3 with near misses, and
 for the IC labels on the check corpus; above the size rules, on 216 to 576
-points, with the pair scans the routes fall back to, and a member there
-must be decided without a pair scan.
+points, with the pair scans the routes fall back to (for local DMC, with
+every pair read), and an IC member there must be decided without a pair
+scan.
 
 The eight exchange and jump exchange kinds read their ordered scan a row at
 a time, by int bitsets, from a size rule on, so that row reading is
@@ -502,33 +502,14 @@ def _ruler_lattice():
     return LatticeSet(2, frozenset(itertools.product(a, a)))
 
 
-def test_pair_scans_match_oracles_above_the_table_bound(monkeypatch):
-    # a table scan (the 2-step kind, and the exchange and jump exchange
-    # kinds where they do not read by rows) keeps the move of at most
-    # C(2n, n) * |S| differences; past that a move is built for its pair
-    # alone.  The midpoint family keeps no table, and is checked on the
-    # same sparse inputs
-    tables = []
-    moves = classes._moves
-
-    def watched(axiom, codes, size):
-        table, builds = moves(axiom, codes, size), [0]
-        make = table.make
-
-        def counted(delta):
-            builds[0] += 1
-            return make(delta)
-
-        table.make = counted
-        tables.append((table, builds, math.comb(2 * len(codes.strides), len(codes.strides)) * size))
-        return table
-
-    monkeypatch.setattr(classes, "_moves", watched)
+def test_pair_scans_match_oracles_on_sparse_inputs():
+    # inputs with many distinct differences per point, for the ordered
+    # kinds, which read them by rows, and for the midpoint family
     simplex = LatticeSet(3, frozenset(p for p in cube(3, 0, 8).points() if sum(p) <= 8))
     assert len(simplex) == 165 and 2**3 * 165 < _differences(simplex) <= math.comb(6, 3) * 165
     sparse = _sparse_jump_system()
     assert _differences(sparse) > math.comb(4, 2) * len(sparse)
-    # a near miss of the jump-system route, which resumes the scan late
+    # a near miss whose first violated pair lies in a late row
     miss = LatticeSet(2, sparse.points - {(9, 9)})
     assert check(miss, ClassLabel.JUMP_SYSTEM).witness.points[0] == (8, 9)
     f = LatticeFn(3, {p: Fraction(sum(c * c for c in p) + p[0] * p[1], 3) for p in simplex.points})
@@ -542,15 +523,6 @@ def test_pair_scans_match_oracles_above_the_table_bound(monkeypatch):
     assert _differences(ruler) == 961 and math.comb(4, 2) * len(ruler) == 216
     cases += _labelled([ruler])
     assert len(cases) == 39 and _assert_pair_scans_match(cases) == 5
-    # the exchange and jump exchange kinds read these inputs by rows, with
-    # no table, but the ordered 2-step scan keeps one: with the box-count
-    # route off it reads every ordered pair of the sparse jump system, so
-    # it fills its table to the bound and builds past it
-    monkeypatch.setattr(classes, "_JUMP_SIZE", math.inf)
-    del tables[:]
-    assert check(sparse, ClassLabel.JUMP_SYSTEM).member
-    [(table, builds, bound)] = tables
-    assert len(table) == bound == 384 and builds[0] > bound
 
 
 def test_pair_scans_match_oracles_on_wide_spans():
@@ -637,8 +609,8 @@ def _parity_sets(rng):
 
 
 def test_jump_route_matches_the_pair_scans(monkeypatch):
-    # the box-count route, which proves a jump system or names the row at
-    # which the 2-step scan resumes, against the whole scans: first on
+    # the box-count route, which proves a jump system or hands the set to
+    # the scan, against the whole scans: first on
     # every small set and on random ones, with the size rule lowered so
     # that each takes the route where its volume allows
     monkeypatch.setattr(classes, "_JUMP_SIZE", 1)
@@ -665,18 +637,17 @@ def test_jump_route_matches_the_pair_scans(monkeypatch):
 # the kinds read a row at a time, by bitsets, from the row size rule on,
 # for sets and for functions
 _EXCHANGE_KINDS = {
-    LatticeSet: ("exchange-mnat", "exchange-m", "jump-exc", "jump-exc-nat"),
+    LatticeSet: ("exchange-mnat", "exchange-m", "jump-exc", "jump-exc-nat", "jump-2step"),
     LatticeFn: ("exchange-mnat-fn", "exchange-m-fn", "jump-m-fn", "jump-mnat-fn"),
 }
 
 
 def _assert_rows_match_pair_scans(monkeypatch, objects, widths=(None, 16, 17, 33)):
-    """The row reading of each exchange and jump exchange kind of the
-    object's type equals the per-pair scan on each object, verdict and
-    witness, with the ys read in blocks of the next of ``widths`` points,
-    object by object in turn, where that is below the object's size, and
-    otherwise by the block rule (``classes._Rows.block``), as for None;
-    returns (scans, members)."""
+    """The row reading of each ordered kind of the object's type equals the
+    per-pair scan on each object, verdict and witness, with the ys read in
+    blocks of the next of ``widths`` points, object by object in turn, where
+    that is below the object's size, and otherwise by the block rule
+    (``classes._Rows.block``), as for None; returns (scans, members)."""
     rule = classes._Rows.block
     scans = members = 0
     for i, obj in enumerate(objects):
@@ -701,7 +672,7 @@ def _violated_pairs(obj, kind: str):
     codes, coded = view.coded
     items = sorted(coded.items())
     axiom = classes._AXIOMS[kind].violated
-    moves = classes._moves(axiom, codes, len(items))
+    moves = classes._moves(axiom, codes)
     return {
         (a, b)
         for a, (cx, fx) in enumerate(items)
@@ -729,15 +700,14 @@ def _exchange_functions(rng):
 
 
 def test_exchange_rows_match_the_pair_scans(monkeypatch):
-    # the row reading of the eight exchange and jump exchange kinds, with
-    # the size rule lowered so that it runs on every input, and its ys read
-    # by the block rule and in blocks of 16, 17 and 33 points, object by
-    # object in turn, against their per-pair scans: on every small set and
+    # the row reading of the nine ordered kinds, with the size rule lowered
+    # so that it runs on every input, and its ys read by the block rule and
+    # in blocks of 16, 17 and 33 points, object by object in turn, against their per-pair scans: on every small set and
     # its indicator, on seeded functions, on drawn members and near misses,
     # on the check corpus, and on spans past 2**64 and sparse inputs
     small = [s for box in (cube(2, 0, 2), cube(3, 0, 1)) for s in _subsets(box)]
     scans, members = _assert_rows_match_pair_scans(monkeypatch, small + list(map(indicator_fn, small)))
-    assert scans == 8 * 766 and 0.05 < members / scans < 0.5
+    assert scans == 9 * 766 and 0.05 < members / scans < 0.5
     scans, members = _assert_rows_match_pair_scans(monkeypatch, _exchange_functions(random.Random(2323)))
     assert scans == 4 * 160 and 0.1 < members / scans < 0.6
     scans, members = _assert_rows_match_pair_scans(monkeypatch, _ordered_samples(random.Random(2424)))
@@ -747,17 +717,19 @@ def test_exchange_rows_match_the_pair_scans(monkeypatch):
         members, misses = build_check_corpus(seed)
         corpus += [inst.obj for inst in members + misses if not inst.obj.lifted]
     scans, members = _assert_rows_match_pair_scans(monkeypatch, corpus)
-    assert scans == 4 * 600 and 0 < members < scans / 2
+    # 300 of the corpus objects are sets, which the 2-step kind reads too
+    assert scans == 4 * 600 + 300 and 0 < members < scans / 2
     sparse = [_sparse_jump_system(), _ruler_lattice(), LatticeSet.of([(0, 0), (2, 0), (0, 2), (30, 30)])]
     sparse += [LatticeFn(2, {p: Fraction(p[0] * p[0] + 3 * p[1] * p[1], 2) for p in s.points}) for s in sparse]
-    assert _assert_rows_match_pair_scans(monkeypatch, sparse + list(_wide_spans())) == (4 * 14, 0)
+    # of these, the sparse jump system alone is a member, of the 2-step kind
+    assert _assert_rows_match_pair_scans(monkeypatch, sparse + list(_wide_spans())) == (4 * 14 + 7, 1)
     # a set whose first violated pair of jump-exc-nat, x = (0, 1) and
     # y = (3, 2) at s = e_2, a gap of 1, would pass through the partner
     # t = s, which reads (0, 3) and (3, 0), both in the set: the reading
     # admits that partner only at a gap of at least 2
     gap_one = LatticeSet.of([(0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (2, 1), (2, 2), (3, 0), (3, 2)])
     assert classes._scan_pairs(_View.of(gap_one), "jump-exc-nat").witness.points[:2] == ((0, 1), (3, 2))
-    assert _assert_rows_match_pair_scans(monkeypatch, [gap_one]) == (4, 0)
+    assert _assert_rows_match_pair_scans(monkeypatch, [gap_one]) == (5, 0)
 
 
 def test_blocked_rows_keep_the_lowest_row_and_its_lowest_y(monkeypatch):
@@ -864,9 +836,10 @@ def _large_ic_dmc_objects(rng):
     yield from (split, _spiked(split, rng), _diagonally_dominant(rng, sorted(split.values)))
 
 
-def _scanned(obj, label):
+def _scanned(obj, label, monkeypatch):
     """The verdict of an IC or DMC function label by the production pair
-    scans alone, which the oracles gate on smaller inputs."""
+    scans alone, which the oracles gate on smaller inputs, with every pair
+    read: local DMC without its reading on the sphere."""
     v = _View.of(obj)
     if label == ClassLabel.IC_FN:
         return classes._scan_pairs(v, "hull-midpoint")
@@ -875,7 +848,9 @@ def _scanned(obj, label):
     dom = classes._scan_pairs(v.domain(), "midpoint-far")
     if not dom.member:
         return classes.Verdict(False, classes.Witness("domain-not-dmc", dom.witness.points))
-    return classes._scan_pairs(v, "midpoint-two")
+    with monkeypatch.context() as m:
+        m.setattr(classes._LINF_SPHERE, "pays", lambda v: False)
+        return classes._scan_pairs(v, "midpoint-two")
 
 
 def test_ic_and_dmc_routes_match_the_oracles(pair_scans, monkeypatch):
@@ -902,20 +877,103 @@ def test_ic_and_dmc_routes_match_the_oracles(pair_scans, monkeypatch):
             members, misses = build_check_corpus(seed, sides=sides)
             cases += [(i.obj, i.label) for i in members + misses if i.label in (ClassLabel.IC_SET, ClassLabel.IC_FN)]
         assert _assert_pair_scans_match(cases) == len(cases) // 5
-    # above the size rules, against the pair scans the routes fall back to;
-    # a member above its label's rule is decided without a pair scan
-    rule = {ClassLabel.IC_FN: 2 * (5**3 - 1), ClassLabel.LOCAL_DMC_FN: 2 * (5**3 - 3**3)}
+    # above the size rules, against the pair scans the routes fall back to,
+    # and local DMC against the reading of every pair; an IC member above
+    # its rule is decided without a pair scan
     members = routed = 0
     for obj, label in _with_ic_dmc_labels(_large_ic_dmc_objects(random.Random(2525))):
         del pair_scans[:]
         got = check(obj, label)
-        if got.member and len(obj) >= rule.get(label, math.inf):
+        if got.member and label == ClassLabel.IC_FN and len(obj) >= 2 * (5**3 - 1):
             assert not pair_scans, (label, obj)
             routed += 1
-        assert got == _scanned(obj, label), (label, obj)
+        assert got == _scanned(obj, label, monkeypatch), (label, obj)
         assert got.member or verify_witness(obj, got.witness), (label, obj)
         members += got.member
-    assert members >= 8 and routed >= 5
+    assert members >= 8 and routed >= 4
+
+
+def _sphere_cases():
+    """x -> sum_i (n - i) x_i^2 + (sum x)^2, locally discrete midpoint
+    convex, on [0, 8]^2 (81 points) and [0, 6]^3 (343), above the sphere's
+    size rule, each followed by near misses whose first violated pair lies
+    in the first row, a middle row and the last row that holds a pair on
+    the sphere: a value raised at 1, at the centre, and the value at the
+    top corner lowered by 5, which its pair with the corner 2 e_n below
+    alone cannot absorb."""
+    for n, side in ((2, 8), (3, 6)):
+        f = {p: sum((n - i) * c * c for i, c in enumerate(p)) + sum(p) ** 2 for p in cube(n, 0, side).points()}
+        yield n, side, LatticeFn.of(f)
+        for p, change in (((1,) * n, 100), ((side // 2,) * n, 100), ((side,) * n, -5)):
+            yield n, side, LatticeFn.of({**f, p: f[p] + change})
+
+
+def test_the_sphere_reading_keeps_the_scan_witness(monkeypatch):
+    # above its size rule the midpoint-two scan reads only the pairs x,
+    # x + d with d on the positive half of the l-inf sphere of radius 2, in
+    # code order; it answers as the reading of every pair, verdict and
+    # witness, where the first violated row holds several violated pairs
+    seen = collections.defaultdict(set)
+    for n, side, f in _sphere_cases():
+        view = _View.of(f)
+        assert classes._LINF_SPHERE.pays(view)
+        got = classes._scan_pairs(view, "midpoint-two")
+        with monkeypatch.context() as m:
+            m.setattr(classes._LINF_SPHERE, "pays", lambda v: False)
+            assert classes._scan_pairs(_View.of(f), "midpoint-two") == got, f
+        assert check(f, ClassLabel.LOCAL_DMC_FN) == got
+        x = got.member or got.witness.points[0]
+        last = (side,) * (n - 1) + (side - 2,)
+        seen[n].add("member" if got.member else "first" if x == (0,) * n else "last" if x == last else "middle")
+    assert seen == {n: {"member", "first", "middle", "last"} for n in (2, 3)}
+
+
+def _routed_rows():
+    """(label, row) of each label whose recognizer is a ``_Scan`` row with
+    a route."""
+    return [(label, row) for label, row in classes._RECOGNIZERS.items()
+            if isinstance(row, classes._Scan) and row.route is not None]
+
+
+def _route_gate_objects(label, corpus):
+    """The corpus instances of the label, for a function label with each
+    member's domain as a flat function too, and two objects of its kind
+    above the size rules: [0, 6]^3, 343 points, as a set and without a
+    point, or with x -> sum(x_i^2), above the l-inf ball's 248 points, and
+    with a value raised."""
+    fn = label in FN_LABELS
+    for i in corpus:
+        if i.label == label:
+            yield i.obj
+            if fn and i.member:
+                yield indicator_fn(i.obj.domain())
+    box = LatticeSet(3, frozenset(cube(3, 0, 6).points()))
+    if fn:
+        f = _quadratic(indicator_fn(box), lambda p: sum(c * c for c in p))
+        yield from (f, LatticeFn(3, {**f.values, (3, 3, 3): 100}))
+    else:
+        yield from (box, LatticeSet(3, box.points - {(3, 3, 3)}))
+
+
+def test_every_route_proves_only_members_and_keeps_the_witness():
+    # generated from the route table, over the check corpus at seeds 1 and
+    # 7 and objects above the size rules: every route returns True or
+    # False, True only where the pair scan behind it finds a member, and a
+    # check equals its row with the route taken out, verdict and witness
+    corpus = [i for seed in (1, 7) for part in build_check_corpus(seed) for i in part]
+    answers = collections.Counter()
+    for label, row in _routed_rows():
+        bare = row._replace(route=None)
+        for obj in _route_gate_objects(label, corpus):
+            view = _View.of(obj)
+            proved = row.route(view, row.kind)
+            assert type(proved) is bool, (label, obj)
+            assert not proved or classes._scan_pairs(view, row.kind).member, (label, obj)
+            assert check(obj, label) == bare(_View.of(obj)), (label, obj)
+            answers[label, proved] += 1
+    # each route proves some object and hands some other to its scan
+    assert {label for label, _ in answers} == {label for label, _ in _routed_rows()}
+    assert all(answers[label, True] and answers[label, False] for label, _ in answers), answers
 
 
 def _assert_family_verdicts_match(cases):
@@ -1066,9 +1124,9 @@ def test_family_recognizers_match_pair_scans_above_the_size_rule(pair_scans, mov
         assert got.member or verify_witness(obj, got.witness), (label, obj)
         # a member above the rule is decided without a pair scan, but for
         # an M♮ or M function that is not flat, which is read by rows: one
-        # pair scan from row 0 and no move table
+        # pair scan and no move table
         if got.member and label in rows and len(set(obj.values.values())) > 1:
-            assert [args[1:] for args in pair_scans] == [(rows[label], 0)] and not move_tables, (label, obj)
+            assert [args[1:] for args in pair_scans] == [(rows[label],)] and not move_tables, (label, obj)
         else:
             assert not (got.member and pair_scans), (label, obj)
         members += got.member
