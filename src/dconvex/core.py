@@ -447,13 +447,15 @@ def rebuild(like, dim: int, values: Mapping[Point, Value], lifted: bool = False,
     """``values`` as an object of ``like``'s kind: a set keeps the domain and
     may be empty, an empty function raises ``EmptyResultError(empty)``.
     With a ``scale``, the values are ints over it (see :func:`scaled`), and
-    a function's are divided back to Fractions in bulk."""
+    a function's are divided back to Fractions in bulk (at scale 1 by the
+    one-argument ``Fraction(n)``, which takes no gcd)."""
     if isinstance(like, LatticeSet):
         return LatticeSet(dim, frozenset(values), lifted)
     if not values:
         raise EmptyResultError(empty)
     if scale:
-        values = dict(zip(values, map(Fraction, values.values(), repeat(scale))))
+        over = (values.values(),) if scale == 1 else (values.values(), repeat(scale))
+        values = dict(zip(values, map(Fraction, *over)))
     return LatticeFn(dim, values, lifted, ramp)
 
 

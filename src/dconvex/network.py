@@ -336,7 +336,8 @@ def induce_fn(f, net: Network):
         old = best.get(y)
         if old is None or total < old:
             best[y] = total
-    out = {tuple(map(neg, y)): t for y, t in best.items()}
+    # the exit points negated column by column
+    out = dict(zip(zip(*[map(neg, col) for col in zip(*best)]), best.values()))
     return rebuild(f, len(net.exit), out, empty="induced function has an empty domain", scale=scale)
 
 

@@ -19,13 +19,29 @@ integer kernel the recognizers use: values scaled once per call to ints
 lies in that box, where codes are distinct, and codes are affine, so a
 pair's sum is one int addition and the result codes are decoded together
 (``Codes.points``).
+
+When both convolution operands are flat (all values of each are equal: a
+set's indicator, or a one-valued function), the result is the sumset with
+value c1 + c2, built as one bit per cell of the sum box: one shift-OR per
+point of the first operand, of a bit mask of the second operand's codes
+taken relative to its low corner, and the set bits decoded once.  That path
+is chosen by the values, not by the kind, and only when the sum box has at
+most |S1|·|S2| cells, so the bitset is never longer than the pair loop it
+replaces; sparse operands far apart keep the pair loop.
+
+Splitting builds each block's decompositions once per (block, total) within
+a call, and a point's image is the product of its blocks' table rows.
+Aggregation adds each group's coordinate columns with ``map``: a set keeps
+the image points, a function the least value per fiber.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from operator import sub
+from functools import reduce
+from itertools import chain, compress, count, product, repeat
+from math import prod
+from operator import add, getitem, itemgetter, or_, sub
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .core import (
@@ -178,40 +194,31 @@ def _block_decompositions(total: int, lo: Sequence[int], hi: Sequence[int]):
             yield (v,) + rest
 
 
-def _split_point(x: Point, spec: SplitSpec, w: Window):
-    spans = spec.offsets()
-    per_block = []
-    for i, (a, b) in enumerate(spans):
-        lo = w.lo[a:b]
-        hi = w.hi[a:b]
-        opts = list(_block_decompositions(x[i], lo, hi))
-        if not opts:
-            return
-        per_block.append(opts)
-    for combo in itertools.product(*per_block):
-        yield tuple(c for block in combo for c in block)
-
-
 def split_fn(f, spec: SplitSpec, w: Window):
     """g(y) = f(block sums of y) on the window; for a set, all window points
-    whose block sums recover some point of the set (possibly none)."""
+    whose block sums recover some point of the set (possibly none).
+
+    Block i's decompositions are built once per total that coordinate i
+    takes: one table per block, since blocks differ in size and window."""
     (vals,) = _value_maps("splitting", f)
     if spec.input_dim != f.dim:
         raise ValueError("split spec dimension mismatch")
     if w.dim != spec.output_dim:
         raise ValueError("window dimension must equal the split output dimension")
+    tables = [
+        {t: list(_block_decompositions(t, w.lo[a:b], w.hi[a:b])) for t in set(map(itemgetter(i), vals))}
+        for i, (a, b) in enumerate(spec.offsets())
+    ]
     out: Dict[Point, Value] = {}
     for x, v in vals.items():
-        out.update(dict.fromkeys(_split_point(x, spec, w), v))
+        rows = list(map(getitem, tables, x))
+        if all(rows):
+            out.update(dict.fromkeys(map(tuple, map(chain.from_iterable, product(*rows))), v))
     return rebuild(f, spec.output_dim, out, empty="split produced an empty domain; widen the window")
 
 
 # ---------------------------------------------------------------------------
 # aggregation
-
-
-def _aggregate_point(x: Point, spec: PartitionSpec) -> Point:
-    return tuple(sum(x[i] for i in g) for g in spec.groups)
 
 
 def aggregate_fn(f, spec: PartitionSpec):
@@ -220,7 +227,14 @@ def aggregate_fn(f, spec: PartitionSpec):
     (vals,) = _value_maps("aggregation", f)
     if spec.input_dim != f.dim:
         raise ValueError("partition dimension mismatch")
-    out = _fiber_min((_aggregate_point(x, spec), v) for x, v in sorted(vals.items()))
+    sums = []
+    for g in spec.groups:
+        total = map(itemgetter(g[0]), vals)
+        for i in g[1:]:
+            total = map(add, total, map(itemgetter(i), vals))
+        sums.append(total)
+    points = zip(*sums)
+    out = _fiber_min(zip(points, vals.values())) if keeps_values(f) else dict.fromkeys(points)
     return rebuild(f, spec.output_dim, out)
 
 
@@ -228,6 +242,23 @@ def aggregate_fn(f, spec: PartitionSpec):
 # Minkowski sum and convolution.  Each equals the aggregation of a direct
 # sum by the pairing partition {i, n + i}; that identity is checked in the
 # tests, so production computes only the direct route.
+
+
+# reads the digits of bin() as bytes 0 and 1, for itertools.compress
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _sumset(codes: Codes, ys, zs, corner: Point) -> list:
+    """The points y + z, for y in ys and z in zs, in code order, with one bit
+    per cell of the sum box ``codes``: the codes of zs taken relative to
+    ``corner``, their low corner, make one bit mask, and each y ORs it in
+    shifted to code(y + corner) = code(y) + code(corner) - code(0), which
+    is nonnegative in the sum box.  The set bits are decoded together."""
+    base = codes.code(corner)
+    mask = reduce(or_, map((1).__lshift__, map(sub, codes.codes(zs), repeat(base))))
+    shift = base - codes.code((0,) * len(corner))
+    acc = reduce(or_, map(mask.__lshift__, map(add, codes.codes(ys), repeat(shift))))
+    return codes.points(list(compress(count(), bin(acc)[:1:-1].encode().translate(_BITS))))
 
 
 def convolution_fn(f1, f2):
@@ -239,20 +270,27 @@ def convolution_fn(f1, f2):
     so code(y + z) = code(y) + (code(z) - code(0)), and every sum lies in
     that box, where distinct points have distinct codes: the operands are
     coded in bulk (``Codes.codes``), the pairs are convolved on int codes
-    and the result points are decoded together."""
+    and the result points are decoded together.
+
+    When both operands are flat and the sum box has at most |S1|·|S2|
+    cells, the result is the sumset (:func:`_sumset`) with value c1 + c2."""
     v1, v2 = _value_maps("convolution", f1, f2)
     if f1.dim != f2.dim:
         raise ValueError("dimension mismatch")
     if not v1 or not v2:
         return rebuild(f1, f1.dim, {})
     b1, b2 = bounding_box(v1), bounding_box(v2)
-    codes = Codes(vadd(b1.lo, b2.lo), vadd(b1.hi, b2.hi))
-    origin = codes.code((0,) * f1.dim)
+    lo, hi = vadd(b1.lo, b2.lo), vadd(b1.hi, b2.hi)
+    codes = Codes(lo, hi)
     scale, (s1, s2) = scaled(v1, v2)
+    c1, c2 = set(s1.values()), set(s2.values())
+    if len(c1) == len(c2) == 1 and prod(b - a + 1 for a, b in zip(lo, hi)) <= len(s1) * len(s2):
+        return rebuild(f1, f1.dim, dict.fromkeys(_sumset(codes, s1, s2, b2.lo), c1.pop() + c2.pop()), scale=scale)
+    origin = codes.code((0,) * f1.dim)
     ys, vs = zip(*sorted(s1.items()))
     zs, ws = zip(*sorted(s2.items()))
     items1 = list(zip(codes.codes(ys), vs))
-    items2 = list(zip(map(sub, codes.codes(zs), itertools.repeat(origin)), ws))
+    items2 = list(zip(map(sub, codes.codes(zs), repeat(origin)), ws))
     # the least scaled sum per code, first reached first
     best = {}
     for cy, v in items1:

@@ -53,11 +53,15 @@ and all.  Its point helpers ``unit``, ``vsub`` and ``increments`` have no
 production caller; ``increments`` keeps the sorted signed unit vectors of
 each dimension across calls.
 
-The set operations (direct sums, splitting, aggregation, Minkowski sum) are
-the point-set bodies production used before each operation was written once
-over value maps (``dconvex.ops``), where a set is its indicator function.
-They build point sets directly, so comparing them with the production set
-names checks the indicator reading and the rebuilding of set results.
+The direct sums and the Minkowski sum are the point-set bodies production
+used before each operation was written once over value maps
+(``dconvex.ops``), where a set is its indicator function.  They build point
+sets directly, so comparing them with the production set names checks the
+indicator reading and the rebuilding of set results.  Splitting and
+aggregation are read from their definitions, for sets and functions alike:
+``split_fn`` visits every window point and looks up its block sums, and
+``aggregate_fn`` collects each fiber whole before taking its minimum, where
+production builds per-block decomposition tables and sums columns.
 
 ``induce_fn`` and ``convolution_fn`` are the network induction and the
 infimal convolution production ran before both moved onto the exact integer
@@ -97,7 +101,7 @@ from dconvex.core import (
     vshift,
 )
 from dconvex.network import Network
-from dconvex.ops import PartitionSpec, SplitSpec, _aggregate_point, _fiber_min, _split_point, _value_maps
+from dconvex.ops import PartitionSpec, SplitSpec, _fiber_min, _value_maps
 from dconvex.rationals import INF, is_finite
 from hull_oracle import in_local_hull_bruteforce, local_extension_value_bruteforce
 
@@ -681,25 +685,38 @@ def direct_sum_lifted_set(s1: LatticeSet, s2: LatticeSet, shift_bound: int = 2) 
     return LatticeSet(s1.dim + s2.dim, frozenset(pts), lifted=True)
 
 
-def split_set(s: LatticeSet, spec: SplitSpec, w: Window) -> LatticeSet:
-    """All window points whose block sums recover some point of the input."""
-    _require_finite(s, "splitting")
-    if spec.input_dim != s.dim:
+def split_fn(f, spec: SplitSpec, w: Window):
+    """g(y) = f(block sums of y) at every point y of the window, read from
+    the definition; a set's image is the window points whose block sums lie
+    in it."""
+    (vals,) = _value_maps("splitting", f)
+    if spec.input_dim != f.dim:
         raise ValueError("split spec dimension mismatch")
     if w.dim != spec.output_dim:
         raise ValueError("window dimension must equal the split output dimension")
-    pts = set()
-    for x in s.points:
-        pts.update(_split_point(x, spec, w))
-    return LatticeSet(spec.output_dim, frozenset(pts))
+    spans = spec.offsets()
+    out = {}
+    for y in w.points():
+        x = tuple(sum(y[a:b]) for a, b in spans)
+        if x in vals:
+            out[y] = vals[x]
+    return rebuild(f, spec.output_dim, out, empty="split produced an empty domain; widen the window")
 
 
-def aggregate_set(s: LatticeSet, spec: PartitionSpec) -> LatticeSet:
-    """Image of the set under group sums; finite, no window needed."""
-    _require_finite(s, "aggregation")
-    if spec.input_dim != s.dim:
+def aggregate_fn(f, spec: PartitionSpec):
+    """g(y) = the least value of f over the fiber of y, each fiber collected
+    whole before its minimum is taken; a set's image under group sums."""
+    (vals,) = _value_maps("aggregation", f)
+    if spec.input_dim != f.dim:
         raise ValueError("partition dimension mismatch")
-    return LatticeSet(spec.output_dim, frozenset(_aggregate_point(x, spec) for x in s.points))
+    fibers: Dict[Point, list] = {}
+    for x, v in vals.items():
+        fibers.setdefault(tuple(sum(x[i] for i in g) for g in spec.groups), []).append(v)
+    return rebuild(f, spec.output_dim, {y: min(vs) for y, vs in fibers.items()})
+
+
+split_set = split_fn
+aggregate_set = aggregate_fn
 
 
 def minkowski_sum_set(s1: LatticeSet, s2: LatticeSet) -> LatticeSet:

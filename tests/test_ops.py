@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -271,6 +273,146 @@ def test_set_operations_match_oracle():
         pspec = PartitionSpec(((0,),)) if n == 1 else lab._random_partition(rng, n)
         assert aggregate_set(s1, pspec) == set_oracles.aggregate_set(s1, pspec)
     assert empty_splits > 0
+
+
+# The bulk kernels against the oracles: the flat sumset on both sides of its
+# volume rule, the per-block split tables, and the column sums of
+# aggregation.
+
+
+def _sumset_calls(monkeypatch):
+    """A list that gets one entry per flat sumset built."""
+    calls = []
+    real = ops._sumset
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ops, "_sumset", counted)
+    return calls
+
+
+def _flat_pairs(rng):
+    """(operand, operand, takes the sumset) triples of flat sets and flat
+    functions: dense random pairs with negative and far corners, one-point
+    operands, 1-d pairs whose sum box has |S1|·|S2| cells or one more, and
+    sparse pairs far apart."""
+    line = lambda *ts: [(t,) for t in ts]
+    cases = [
+        (line(0, 1), line(0, 1), True),  # 3 cells, 4 pairs
+        (line(0, 2), line(0, 1), True),  # 4 cells, 4 pairs: on the rule
+        (line(0, 3), line(0, 1), False),  # 5 cells, 4 pairs
+        (line(5), line(-7), True),
+        ([(0, 0), (10**6, 10**6)], [(0, 0), (10**6, 10**6)], False),
+        ([(0, 0), (10**6, 10**6)], [(3, -4)], False),
+        ([(2, -3, 1)], [(x, y, z) for x in range(3) for y in range(3) for z in range(2)], True),
+    ]
+    for _ in range(30):
+        n = rng.choice((1, 2, 3))
+        pair = []
+        for _ in range(2):
+            lo = [rng.randint(-6, 6) + rng.choice((0, 0, 10**9, -(10**9))) for _ in range(n)]
+            box = list(itertools.product(*(range(a, a + 4) for a in lo)))
+            pair.append(rng.sample(box, rng.randint(len(box) // 2, len(box))))
+        cases.append((pair[0], pair[1], None))
+    for ys, zs, dense in cases:
+        yield LatticeSet.of(ys), LatticeSet.of(zs), dense
+        v, w = F(rng.randint(-9, 9), rng.randint(1, 4)), F(rng.randint(-9, 9), rng.randint(1, 4))
+        yield LatticeFn.of(dict.fromkeys(ys, v)), LatticeFn.of(dict.fromkeys(zs, w)), dense
+
+
+def _sum_box_cells(a, b):
+    lo = [p + q for p, q in zip(a.bounding_box().lo, b.bounding_box().lo)]
+    hi = [p + q for p, q in zip(a.bounding_box().hi, b.bounding_box().hi)]
+    return math.prod(h - l + 1 for l, h in zip(lo, hi))
+
+
+def test_flat_sumset_matches_the_oracles_on_both_sides_of_the_volume_rule(monkeypatch):
+    calls = _sumset_calls(monkeypatch)
+    rng = random.Random(331)
+    sides = set()
+    for a, b, dense in _flat_pairs(rng):
+        for x, y in ((a, b), (b, a)):
+            before = len(calls)
+            got = convolution_fn(x, y)
+            took = len(calls) > before
+            assert took == (_sum_box_cells(x, y) <= len(x) * len(y)), (x, y)
+            assert dense is None or took == dense, (x, y)
+            sides.add((type(x), took))
+            if isinstance(x, LatticeSet):
+                assert got == set_oracles.minkowski_sum_set(x, y), (x, y)
+            else:
+                assert got == set_oracles.convolution_fn(x, y), (x, y)
+                assert set(map(type, got.values.values())) == {Fraction}
+    assert sides == {(LatticeSet, True), (LatticeSet, False), (LatticeFn, True), (LatticeFn, False)}
+
+
+def test_the_sumset_is_chosen_by_the_values(monkeypatch):
+    calls = _sumset_calls(monkeypatch)
+    box = [(x, y) for x in range(3) for y in range(3)]
+    one = LatticeFn.of(dict.fromkeys(box, F(1, 3)))
+    two = LatticeFn.of({p: F(sum(p)) for p in box})
+    assert convolution_fn(one, one) == set_oracles.convolution_fn(one, one)
+    assert len(calls) == 1
+    for x, y in ((one, two), (two, one), (two, two)):
+        assert convolution_fn(x, y) == set_oracles.convolution_fn(x, y)
+    assert len(calls) == 1
+    assert convolution_fn(indicator_fn(LatticeSet.of(box)), one) == set_oracles.convolution_fn(
+        indicator_fn(LatticeSet.of(box)), one
+    )
+    assert len(calls) == 2
+
+
+def test_split_tables_match_the_oracles():
+    rng = random.Random(337)
+    cases = [
+        # equal totals in blocks with different windows: block 0 holds
+        # totals 0..2, block 1 totals 0..6
+        (SplitSpec((2, 2)), Window((0, 0, 0, 0), (1, 1, 3, 3)), [(t, t) for t in range(-1, 8)]),
+        # equal totals in blocks of different sizes, and totals that no
+        # window point reaches
+        (SplitSpec((1, 3, 2)), Window((0,) * 6, (2,) * 6), [(a, b, c) for a in (1, 2, 7) for b in (2, 5) for c in (2, 9)]),
+    ]
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        spec = SplitSpec(tuple(rng.randint(1, 3) for _ in range(n)))
+        lo = [rng.randint(-2, 1) for _ in range(spec.output_dim)]
+        w = Window(tuple(lo), tuple(a + rng.randint(0, 2) for a in lo))
+        axes = [rng.sample(range(-3, 6), 3) for _ in range(n)]  # points share coordinates
+        pts = rng.sample(list(itertools.product(*axes)), rng.randint(1, 3 ** n))
+        cases.append((spec, w, pts))
+    empty = 0
+    for spec, w, pts in cases:
+        s = LatticeSet.of(pts)
+        got = split_set(s, spec, w)
+        assert got == set_oracles.split_set(s, spec, w) == split_set_elementary(s, spec, w), (s, spec, w)
+        empty += not got.points
+        f = LatticeFn.of({p: F(rng.randint(-9, 9), rng.randint(1, 3)) for p in pts})
+        if got.points:
+            assert split_fn(f, spec, w) == set_oracles.split_fn(f, spec, w), (f, spec, w)
+        else:
+            with pytest.raises(EmptyResultError):
+                split_fn(f, spec, w)
+    assert empty > 0
+
+
+def test_aggregation_columns_match_the_oracles():
+    rng = random.Random(347)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        spec = PartitionSpec(((0,),)) if n == 1 else lab._random_partition(rng, n)
+        pts = {tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(1, 30))}
+        s = LatticeSet(n, frozenset(pts))
+        assert aggregate_set(s, spec) == set_oracles.aggregate_set(s, spec) == aggregate_set_elementary(s, spec)
+        # few values, so fibers collide and their least values tie
+        f = LatticeFn(n, {p: F(rng.randint(-2, 2), rng.choice((1, 2))) for p in pts})
+        assert aggregate_fn(f, spec) == set_oracles.aggregate_fn(f, spec), (f, spec)
+    # one fiber whose least value is neither its first nor its last entry,
+    # reached twice
+    f = LatticeFn.of({(0, 3): F(4), (1, 2): F(-1, 2), (2, 1): F(7), (3, 0): F(-1, 2), (4, -1): F(5)})
+    assert aggregate_fn(f, PartitionSpec(((0, 1),))) == LatticeFn.of({(3,): F(-1, 2)})
+    assert aggregate_set(LatticeSet(2, frozenset()), PartitionSpec(((1, 0),))) == LatticeSet(1, frozenset())
 
 
 def test_set_names_are_the_function_code():

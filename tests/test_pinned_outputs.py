@@ -20,7 +20,11 @@ ordered scans fall at many rows; the transform digests cover the 11
 output documents of the benchmark's
 ``transform`` requests at seeds 1, 7 and 97, written through ``cli.main``
 in request order (splits, aggregations, direct sums, Minkowski sum,
-convolution and three network inductions).
+convolution and three network inductions); the matrix trial digest covers
+``documents.to_text`` of the image of every trial of
+``run_closure_matrix(2, 7)``, in cell and trial order, read through the
+module attributes ``lab._set_trial`` and ``lab._fn_trial``, so that an
+operation that changes an image the recognizers still accept is caught.
 """
 
 import hashlib
@@ -28,7 +32,7 @@ import json
 import os
 import sys
 
-from dconvex import cli, documents
+from dconvex import cli, documents, lab
 from dconvex.classes import ClassLabel, check
 from dconvex.core import LatticeFn, LatticeSet
 from dconvex.ops import PartitionSpec, aggregate_fn
@@ -40,6 +44,7 @@ from perfbench.workloads import Transform  # noqa: E402
 CORPUS_SHA256 = "21f799b379e3c8a88e7ecf91432ec824cab9b3e839ef11a1cb670a38b832bf92"
 CROSS_LABEL_EXCHANGE_SHA256 = "984309b1c5d4e6f30627fed091e6791eda8d8b2a7bc8b864ab91972415332ae5"
 CROSS_LABEL_SHA256 = "1ac51829d4831d47041ab4333c9e4359a094809f6db7363ea5e05879f8404cd5"
+MATRIX_TRIALS_SHA256 = "95140b895b27ad0f2aaa899fd8ebf1762990a6475fd264aaf7b450b1057e7361"
 EXAMPLES_SHA256 = "e5fe2f063a7692af87f67c43be428c81949fd25faecc8ee3492317854e479f71"
 DOCUMENTS_SHA256 = "5a698fbff4bea5359f63eb621e87b18920af0e0c07bb24df8d51eeb34be1a0db"
 TRANSFORM_SHA256 = {
@@ -153,3 +158,23 @@ def test_transform_outputs_are_pinned(tmp_path):
             with open(out, "rb") as fh:
                 digest.update(fh.read())
         assert digest.hexdigest() == want, seed
+
+
+def test_matrix_trial_images_are_pinned(monkeypatch):
+    digest = hashlib.sha256()
+    images = []
+
+    def recorded(trial):
+        def run(*args):
+            passed, res = trial(*args)
+            images.append(res)
+            digest.update(documents.to_text(res).encode("utf-8"))
+            return passed, res
+
+        return run
+
+    monkeypatch.setattr(lab, "_set_trial", recorded(lab._set_trial))
+    monkeypatch.setattr(lab, "_fn_trial", recorded(lab._fn_trial))
+    assert lab.run_closure_matrix(2, 7).passed
+    assert len(images) == 96
+    assert digest.hexdigest() == MATRIX_TRIALS_SHA256
