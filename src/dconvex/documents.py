@@ -10,8 +10,11 @@ replayable artifacts.
 The written bytes are a contract: 2-space indent, keys sorted, non-ASCII
 escaped as \\uXXXX, one trailing newline -- exactly
 ``json.dumps(to_document(obj), indent=2, sort_keys=True) + "\\n"``.  The
-set and function templates write set points and function entries row by
-row in those bytes; ``json.dumps`` writes everything else.
+set and function templates write set points and function entries in those
+bytes, all rows of an array by one format of a row template repeated once
+per row; a function's values are formatted once per distinct value object
+(keyed by identity, since hashing a Fraction costs more than formatting
+it).  ``json.dumps`` writes everything else.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import json
 import os
 import stat
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Any, Dict
 
 from .core import LatticeFn, LatticeSet, Window
@@ -275,9 +278,11 @@ def from_document(doc: Dict[str, Any]) -> Any:
     raise DocumentError(f"unknown document kind {kind!r}")
 
 
-def _array(rows: list, pad: str) -> str:
-    """The array of the written elements rows, closed at indent pad."""
-    return "[\n" + ",\n".join(rows) + "\n" + pad + "]" if rows else "[]"
+def _rows(row: str, n: int, args: tuple, pad: str) -> str:
+    """The array of n elements written by the %-template row, closed at
+    indent pad: the n rows are filled from the flat tuple args by one
+    format of the template repeated n times."""
+    return "[\n" + ",\n".join([row] * n) % args + "\n" + pad + "]" if n else "[]"
 
 
 def _vector(dim: int, pad: str) -> str:
@@ -292,18 +297,27 @@ def json_text(value: Any) -> str:
 
 
 def to_text(obj: Any) -> str:
-    """json_text(to_document(obj)).  A set or function is written row by row,
-    one %-template per point or entry, without building its document; its
-    value strings ('p', 'p/q') need no escaping."""
+    """json_text(to_document(obj)).  A set or function is written without
+    building its document: one %-template per point or entry, repeated
+    once per row and filled by a single format over all rows.  A
+    function's value strings ('p', 'p/q', which need no escaping) are
+    formatted once per distinct value object, keyed by ``id``: the
+    operations share one Fraction per distinct value (``core.rebuild``),
+    ``obj.values`` keeps every object alive during the call, and hashing a
+    Fraction costs more than formatting it; equal values held by distinct
+    objects are formatted twice, to the same string."""
     if isinstance(obj, LatticeSet):
         point = "    " + _vector(obj.dim, "    ")
-        points = _array([point % p for p in obj.sorted_points()], "  ")
+        points = _rows(point, len(obj), tuple(chain.from_iterable(obj.sorted_points())), "  ")
         return '{\n  "dim": %d,\n  "kind": "set",\n  "lifted": %s,\n  "points": %s,\n  "version": %d\n}\n' % (
             obj.dim, json.dumps(obj.lifted), points, VERSION
         )
     if isinstance(obj, LatticeFn):
         entry = '    {\n      "v": "%s",\n      "x": ' + _vector(obj.dim, "      ") + "\n    }"
-        entries = _array([entry % (format_value(v), *p) for p, v in obj.sorted_items()], "  ")
+        objects = {id(v): v for v in obj.values.values()}
+        text = dict(zip(objects, map(format_value, objects.values())))
+        args = tuple(chain.from_iterable([(text[id(v)], *p) for p, v in obj.sorted_items()]))
+        entries = _rows(entry, len(obj), args, "  ")
         return (
             '{\n  "dim": %d,\n  "entries": %s,\n  "kind": "fn",\n  "lifted": %s,\n  "ramp": "%s",\n'
             '  "version": %d\n}\n' % (obj.dim, entries, json.dumps(obj.lifted), format_value(obj.ramp), VERSION)

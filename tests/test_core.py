@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dconvex import core
 from dconvex.core import (
     Codes,
     EmptyResultError,
@@ -19,6 +20,7 @@ from dconvex.core import (
     midpoint_round,
     prefix_point,
     prefix_transform,
+    rebuild,
     restrict_to_window,
     supports,
     vadd,
@@ -137,6 +139,66 @@ def test_lifted_fn_values_follow_the_ramp():
     assert f.value((-1, -1)) == Fraction(-1, 2)
     g = LatticeFn(2, {(1, 1): Fraction(5, 2)}, lifted=True, ramp=Fraction(3, 2))
     assert f == g  # same function, different representatives
+
+
+def test_lifted_objects_are_the_same_from_any_representatives(monkeypatch):
+    # representatives already normalized (last coordinate 0, as every
+    # written document has them) are kept as given, with no per-entry
+    # normalization; any other representatives give the same object
+    rng = random.Random(41)
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return core.vshift(p, -p[-1])
+
+    monkeypatch.setattr(core, "_normalize_rep", counted)
+    for dim in (1, 2, 4):
+        ramp = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        reps = {tuple(rng.randint(-6, 6) for _ in range(dim - 1)) + (0,) for _ in range(12)}
+        vals = {p: Fraction(rng.randint(-20, 20), rng.randint(1, 5)) for p in reps}
+        shifts = {p: rng.randint(-3, 3) for p in reps}
+        moved = {core.vshift(p, shifts[p]): v + shifts[p] * ramp for p, v in vals.items()}
+        calls.clear()
+        s, f = LatticeSet(dim, frozenset(reps), lifted=True), LatticeFn(dim, vals, lifted=True, ramp=ramp)
+        assert calls == []
+        assert s.points == frozenset(reps) and f.values == vals
+        assert all(type(v) is Fraction for v in f.values.values())
+        assert LatticeSet(dim, frozenset(moved), lifted=True) == s
+        assert LatticeFn(dim, moved, lifted=True, ramp=ramp) == f
+        # int values, and normalized and shifted representatives of one point
+        ints = {p: v.numerator for p, v in vals.items()}
+        both = {**ints, **{core.vshift(p, 2): n + 2 * ramp for p, n in ints.items()}}
+        assert LatticeFn(dim, both, lifted=True, ramp=ramp).values == ints
+    with pytest.raises(ValueError, match=r"conflicting values for representative \(0, 0\)"):
+        LatticeFn(2, {(0, 0): Fraction(1), (1, 1): Fraction(1)}, lifted=True, ramp=Fraction(1, 2))
+    with pytest.raises(ValueError, match=r"conflicting values for representative \(2, 0\)"):
+        LatticeFn(2, {(3, 1): Fraction(0), (2, 0): Fraction(1)}, lifted=True)
+    # a malformed point raises the per-point message before any p[-1] is read
+    for bad in [(), (1, 0.0), (1, 0, 0)]:
+        with pytest.raises(ValueError, match="point"):
+            LatticeSet(2, frozenset({(0, 0), bad}), lifted=True)
+        with pytest.raises(ValueError, match="point"):
+            LatticeFn(2, {(0, 0): Fraction(0), bad: Fraction(1)}, lifted=True)
+
+
+@pytest.mark.parametrize("scale", [1, 6, 2**70 + 3])
+def test_rebuild_divides_back_once_per_distinct_int(scale):
+    rng = random.Random(scale % 997)
+    pool = [0, 1, -1, scale, -scale, 2 * scale + 1, -(2**80) - 3, *(rng.randint(-3 * scale, 3 * scale) for _ in range(9))]
+    ints = {(i, rng.randint(-2, 2)): rng.choice(pool) for i in range(120)}
+    like = LatticeFn.of({(0,): 0})
+    got = rebuild(like, 2, ints, scale=scale)
+    assert got.values == {p: Fraction(n, scale) for p, n in ints.items()}
+    assert all(type(v) is Fraction for v in got.values.values())
+    # equal values share one Fraction object, which documents.to_text relies on
+    assert len(set(map(id, got.values.values()))) == len(set(ints.values())) < len(ints)
+    reps = {(p[0], 0): n for p, n in ints.items()}
+    lifted = rebuild(like, 2, reps, lifted=True, ramp=Fraction(1, 3), scale=scale)
+    assert lifted == LatticeFn(2, {p: Fraction(n, scale) for p, n in reps.items()}, lifted=True, ramp=Fraction(1, 3))
+    assert rebuild(LatticeSet(2), 2, dict.fromkeys(ints, 0), scale=scale) == LatticeSet(2, frozenset(ints))
+    with pytest.raises(EmptyResultError, match="nothing"):
+        rebuild(like, 2, {}, empty="nothing", scale=scale)
 
 
 def test_restrict_to_window():

@@ -86,9 +86,22 @@ def _emitted_objects(rng):
         objs.append(LatticeSet(d, frozenset(pts)))
         objs.append(LatticeFn(d, {p: F(rng.randint(-40, 40), rng.randint(1, 9)) for p in pts}))
     a, b = rng.randint(1, 4), F(rng.randint(-9, 9), rng.randint(1, 5))
+    pts = [tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(40)]
+    equal = LatticeFn(3, {p: F(-5, 3) for p in pts})  # equal values, one Fraction object each
+    assert len(set(map(id, equal.values.values()))) == len(equal) > 1
+    big = 10**20
     objs += [
+        LatticeSet(1, frozenset()),
+        LatticeSet(1, frozenset({(-4,), (0,), (7,)})),
+        LatticeFn(1, {(-4,): F(-1, 2), (0,): F(0), (7,): F(9)}),
+        equal,
+        LatticeFn(3, dict.fromkeys(pts, F(7, 2))),  # one shared object
+        LatticeFn(2, {(big, -big): F(10**30, 7), (-big, big): F(-(10**30), 7), (0, big): F(10**30)}),
+        LatticeSet(2, frozenset({(big, -big), (-big, big), (0, 0)})),
         LatticeSet(3, frozenset({(1, 0, 2), (-2, 0, 5)}), lifted=True),
         LatticeFn(2, {(1, 0): F(5, 4), (0, -3): F(-7)}, lifted=True, ramp=F(-2, 3)),
+        LatticeFn(3, {(p[0], p[1], 0): F(p[2], 4) for p in pts}, lifted=True, ramp=F(11, 6)),
+        LatticeSet(3, frozenset(tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(1500))),
         Window((-3, 0, 2), (1, 4, 2)),
         SplitSpec((2, 1, 3)),
         PartitionSpec(((0, 2), (1,), (3, 4))),
