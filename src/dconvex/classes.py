@@ -31,13 +31,13 @@ the labels that keep their own recognizers:
     global-dmc-set         midpoint-far           L♮                  flat
     global-dmc-fn          midpoint-far           L♮                  flat
     local-dmc-fn           midpoint-two           -                   -
-    jump-system            jump-2step             box counts          |S| >= 12, C(2n, n) |S|
-    const-parity-jump      jump-exc               box counts, parity  |S| >= 12, C(2n, n) |S|
-    simult-exch-jump       jump-exc-nat           box counts, parity  |S| >= 12, C(2n, n) |S|
+    jump-system            jump-2step             -                   -
+    const-parity-jump      jump-exc               parity, jump-2step  -
+    simult-exch-jump       jump-exc-nat           parity, jump-2step  -
     jump-m-fn              jump-m-fn              -                   -
     jump-mnat-fn           jump-mnat-fn           -                   -
 
-The routes (``_Described``, ``_box_counts``): L♮, M♮ and M are domain
+The routes (``_Described``, ``_one_parity_jump``): L♮, M♮ and M are domain
 descriptions read off the stored points (Murota, Discrete Convex Analysis,
 2003, ch. 5; Frank and Tardos 1988), M being M♮ on the projection of a
 hyperplane x(N) = c; the M♮ test is taken from 2^n points on.  A set, or a
@@ -52,9 +52,11 @@ goes straight to its pair scan, which reads the M♮ and M exchange by rows
 (``_Rows``).  ``local-dmc-fn`` first decides its domain as
 ``global-dmc-set`` (the ``domain-not-dmc`` kind), then scans
 ``midpoint-two``, which from |S| >= 2 (5^n - 3^n) reads its pairs on the
-l-inf sphere of radius 2 (``_Halves.scan``).  The box counts prove the
-2-step axiom (Bouchet and Cunningham 1995), and the other set jump labels
-on a set of one coordinate-sum parity (Lovász 1997; Murota 2006).
+l-inf sphere of radius 2 (``_Halves.scan``).  A set of one coordinate-sum
+parity on which the ``jump-2step`` scan finds no violation is a jump system
+(Bouchet and Cunningham 1995) of one parity, so it satisfies the exchange
+axiom (Lovász 1997; Murota 2006) and is a member of the other two set jump
+labels.
 
 Each axiom is written once, as a predicate in the table ``_AXIOMS`` keyed by
 witness kind.  A predicate reads the object through a value getter in which
@@ -114,25 +116,26 @@ for a ``_Halves``, all ordered pairs for a ``_Pair``, in code order.  A
 ``_Pair`` reads one row x at a time from ``_ROW_SIZE`` points on: an
 exchange (x + e, y - e) fits exactly when f(y - e) - f(y) <= f(x) - f(x + e),
 so the ys it fits are a prefix of the ys sorted by f(y - e) - f(y), kept as
-int bitsets over the ys in code order, and a 2-step (x + s, or x + s + t)
-passes every y once its point is stored; with bitsets of the ys that each
+int bitsets over the ys in code order; with bitsets of the ys that each
 step from x points toward, the violated ys of a row take a few int
-operations per pair of steps, the lowest of them is the scan's y, and one
-predicate call on that pair gives the step the witness records; the ys are
-read in blocks whose bitsets fit in ``_ROW_BYTES``.  Below that size rule a
-``_Pair`` scan makes one predicate call per pair, which returns the first
-violated step, and builds each difference's move once, in a table keyed by
-cy - cx (``_moves``).  A ``_Halves`` scan keeps no table: one call of its
-reading per point x runs over the points after x, each pair read with a few
-int operations; the hull memo is keyed by cx + cy and decodes x + y on a
-miss.  ``_Halves.local`` reads the same coding and reading on the pairs x,
-x + d with d in a ball, x and then x + d in code order, and returns the
-first violated pair: the ball routes' test, and the ``midpoint-two`` scan
-on the sphere, whose pairs it reads in the scan's order; when a route
-fails, the pair scan reuses the coding.  A replay codes the witness pair
-over its own difference box grown by 1 and calls the same reading, reading
-each decoded point through the object.  Values are looked up by code in a
-dict.
+operations per pair of steps.  The 2-step axiom fails at x exactly for the
+ys in the box of an absent neighbour z = x + s, read off the same bitsets
+at z (``_Rows.boxes``).  The lowest violated y of the lowest row is the
+scan's y, and one predicate call on that pair gives the step the witness
+records; the ys are read in blocks whose bitsets fit in ``_ROW_BYTES``.
+Below that size rule a ``_Pair`` scan makes one predicate call per pair,
+which returns the first violated step, and builds each difference's move
+once, in a table keyed by cy - cx (``_moves``).  A ``_Halves`` scan keeps
+no table: one call of its reading per point x runs over the points after x,
+each pair read with a few int operations; the hull memo is keyed by cx + cy
+and decodes x + y on a miss.  ``_Halves.local`` reads the same coding and
+reading on the pairs x, x + d with d in a ball, x and then x + d in code
+order, and returns the first violated pair: the ball routes' test, and the
+``midpoint-two`` scan on the sphere, whose pairs it reads in the scan's
+order; when a route fails, the pair scan reuses the coding.  A replay codes
+the witness pair over its own difference box grown by 1 and calls the same
+reading, reading each decoded point through the object.  Values are looked
+up by code in a dict.
 
 Conventions for infinite values inside axioms: an inequality with +infinity
 on the left-hand side holds; +infinity on the right-hand side is only
@@ -148,7 +151,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import accumulate, combinations, product, repeat
-from math import comb, inf, prod
+from math import inf, prod
 from operator import add, and_, getitem, lshift, or_, sub
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -493,11 +496,32 @@ def _unit(step, n: int) -> Point:
 #     OR over tried s of  toward_s & ~(one_s | OR over t of toward_t(x + s) & two_{s + t}),
 #
 # one_s only for the kinds with the one-step exchange (``nat``), and the
-# lowest set bit is the pair scan's y (the 2-step axiom's tables pass every
-# y: its steps need only x + s or x + s + t stored); one predicate call on
-# that pair gives the step the witness records, so the witness is the pair
-# scan's.  The ys are read in blocks of B consecutive points in code order,
-# each block with masks of its own ys alone (``_Rows.block``), and a block's
+# lowest set bit is the pair scan's y; one predicate call on that pair gives
+# the step the witness records, so the witness is the pair scan's.
+#
+# The 2-step axiom (Bouchet and Cunningham 1995) is read by boxes instead.
+# It fails at x in S, a unit step s = σe_i and y in S exactly when
+# z = x + s is absent, s points toward y and no step t from z toward y has
+# z + t in S, that is when y lies in the box
+#
+#     B(z) = {y : τ(y_k - z_k) <= 0 for each unit step t = τe_k with z + t in S}.
+#
+# The step t = -s back to x is one such t, and its bound σ(y_i - z_i) >= 0
+# is the condition that s points toward y, so the box depends on z alone;
+# the same-axis partner t = s bounds y_i = z_i, which is the pair scan's
+# rule that s pairs with itself only at a gap above 1.  So row x's
+# violators are the union of the boxes of its absent neighbours, each the
+# block's ys in none of the masks y_k < z_k (z - e_k in S) and y_k > z_k
+# (z + e_k in S), read at z's coordinates.  A z whose every neighbour is in
+# S has the box {z}, empty as z is absent.  A row with a violator ends its
+# block, so only empty boxes are remembered.  On a set of one coordinate-sum
+# parity a jump system also satisfies the exchange axiom (Lovász, "The
+# membership problem in jump systems", 1997; Murota, "M-convex functions on
+# jump systems", 2006), which the route of the jump exchange set labels
+# reads (``_one_parity_jump``).
+#
+# The ys are read in blocks of B consecutive points in code order, each
+# block with masks of its own ys alone (``_Rows.block``), and a block's
 # rows run up to the best row an earlier block found: the lowest row wins,
 # and in it the lowest y.  The reading runs from ``_ROW_SIZE`` points on: the
 # per-pair scan of a small object, or of a near miss that fails in its first
@@ -520,9 +544,10 @@ def _prefixes(keys):
 
 def _beyond(col, width: int) -> _Memo:
     """An axis's row masks over a block's coordinates ``col``, by the
-    coordinate c of x: the ys with y_i < c, y_i > c, y_i < c - 1 and
-    y_i > c + 1.  Two of them are prefix masks; the two others are kept for
-    at most ``width`` values, so the axis holds up to three tables' masks."""
+    coordinate c of x, or of z for a box: the ys with y_i < c, y_i > c,
+    y_i < c - 1 and y_i > c + 1.  Two of them are prefix masks; the two
+    others are kept for at most ``width`` values, so the axis holds up to
+    three tables' masks."""
     ranks, below = _prefixes(col)
     return _Memo(lambda c: (below[bisect_left(ranks, c)], below[-1] ^ below[bisect_right(ranks, c)],
                             below[bisect_left(ranks, c - 1)], below[-1] ^ below[bisect_right(ranks, c + 1)]), width)
@@ -533,8 +558,8 @@ class _Rows(NamedTuple):
     toward y is tried, with every step t toward y from x + s as a partner;
     without it, the M♮/M exchange, the down steps s = -e_i are tried with
     the up steps t = +e_j as partners.  ``nat`` admits the one-step
-    exchange (x + s, y - s); ``two_step`` reads the 2-step axiom, whose
-    tables pass every y, so none is built."""
+    exchange (x + s, y - s); ``two_step`` reads the 2-step axiom by the
+    boxes of the absent neighbours (``boxes``), so builds no table."""
 
     jump: bool
     nat: bool
@@ -544,9 +569,12 @@ class _Rows(NamedTuple):
         """How many tables of B + 1 masks a block of B ys may build in Z^n:
         one per offset read, the 2n^2 sums s + t (t != -s) of the jump
         exchange or the n (n - 1) of the M♮/M exchange, and with ``nat`` its
-        2n or n unit steps (none with ``two_step``); three per axis."""
+        2n or n unit steps; with ``two_step`` none, but the up to 2n (B + 1)
+        empty boxes it remembers count as 2n; three per axis."""
+        if self.two_step:
+            return 2 * n + 3 * n
         twos, ones = (2 * n * n, 2 * n) if self.jump else (n * (n - 1), n)
-        return (twos + ones * self.nat) * (not self.two_step) + 3 * n
+        return twos + ones * self.nat + 3 * n
 
     def block(self, n: int, size: int) -> int:
         """The block width B for size points in Z^n: size, halved until the
@@ -583,38 +611,89 @@ class _Rows(NamedTuple):
         and y in code order (``items``), or None: the ys a block at a time
         in code order (``block``), and a block's rows up to the best row
         found so far."""
-        get, nat = v.coded[1].get, self.nat
+        get, strides = v.coded[1].get, v.coded[0].strides
         points, size = sorted(v.vals), len(items)
         width = self.block(v.dim, size)
-        plan = self.plan(v.coded[0].strides)
+        plan = None if self.two_step else self.plan(strides)
         best, end = None, size
         for low in range(0, size, width):
             block = items[low : low + width]
-            if self.two_step:
-                tables = _Memo(lambda e, every=((), [(1 << len(block)) - 1]): every)
-            else:
-                tables = _Memo(lambda e: _prefixes([None if (g := get(c - e)) is None else g - f for c, f in block]))
             near = [_beyond(col, width) for col in zip(*points[low : low + width])]
+            if self.two_step:
+                row = self.boxes(get, strides, near, (1 << len(block)) - 1)
+            else:
+                row = self.exchanges(get, plan, block, near)
             for a in range(end):
-                cx, fx = items[a]
-                masks = sum(map(getitem, near, points[a]), ())
-                violators = 0
-                for toward, step, pairs in plan:
-                    if not (left := masks[toward]):
-                        continue
-                    if nat and (g := get(cx + step)) is not None:
-                        betas, prefix = tables[step]
-                        left &= ~prefix[bisect_right(betas, fx - g)]
-                    for admit, offset in pairs:
-                        if (m := masks[admit] & left) and (g := get(cx + offset)) is not None:
-                            betas, prefix = tables[offset]
-                            if not (left := left ^ (m & prefix[bisect_right(betas, fx - g)])):
-                                break
-                    violators |= left
-                if violators:
+                if violators := row(*items[a], points[a]):
                     best, end = (a, low + (violators & -violators).bit_length() - 1), a
                     break
         return best
+
+    def exchanges(self, get, plan, block, near) -> Callable:
+        """A block's row reading of the exchange kinds: row (cx, fx, x) ->
+        the mask of the block's ys whose pair with x violates the axiom,
+        by the formula above, each offset's table built at its first use."""
+        nat = self.nat
+        tables = _Memo(lambda e: _prefixes([None if (g := get(c - e)) is None else g - f for c, f in block]))
+
+        def row(cx: int, fx: int, x: Point) -> int:
+            masks = sum(map(getitem, near, x), ())
+            violators = 0
+            for toward, step, pairs in plan:
+                if not (left := masks[toward]):
+                    continue
+                if nat and (g := get(cx + step)) is not None:
+                    betas, prefix = tables[step]
+                    left &= ~prefix[bisect_right(betas, fx - g)]
+                for admit, offset in pairs:
+                    if (m := masks[admit] & left) and (g := get(cx + offset)) is not None:
+                        betas, prefix = tables[offset]
+                        if not (left := left ^ (m & prefix[bisect_right(betas, fx - g)])):
+                            break
+                violators |= left
+            return violators
+
+        return row
+
+    @staticmethod
+    def boxes(get, strides: Tuple[int, ...], near, full: int) -> Callable:
+        """A block's row reading of the 2-step axiom: row (cx, fx, x) -> the
+        union, within the block's ys (``full``), of the boxes B(z) of the
+        absent neighbours z = x +- e_i (above): the ys that break no bound
+        of a stored neighbour of z, by the axis masks at z's coordinates; a
+        z whose every neighbour is stored has the empty box {z}.  An empty
+        box is remembered for the block's later rows, up to 2n (B + 1) of
+        them (``tables``); a row with a violator ends the block."""
+        empty, remembered = set(), 2 * len(strides) * (full.bit_length() + 1)
+        steps = [(i, e, sign, 4 * i + (sign > 0)) for i, s in enumerate(strides) for e, sign in ((-s, -1), (s, 1))]
+
+        def row(cx: int, fx: int, x: Point) -> int:
+            violators = masks = 0
+            for i, step, sign, toward in steps:
+                if get(cz := cx + step) is not None or cz in empty:
+                    continue
+                # x's masks (``plan``), which are z's off the step's axis; a
+                # z with no y toward it has an empty box
+                masks = masks or sum(map(getitem, near, x), ())
+                box = 0
+                if masks[toward]:
+                    # bit 0: z - e_k is stored, which bounds y_k >= z_k;
+                    # bit 1: z + e_k is, which bounds y_k <= z_k
+                    sides = [(get(cz - s) is not None) | (get(cz + s) is not None) << 1 for s in strides]
+                    if min(sides) < 3:
+                        out = 0
+                        for k, side in enumerate(sides):
+                            if side:
+                                below, above = near[i][x[i] + sign][:2] if k == i else masks[4 * k : 4 * k + 2]
+                                out |= (below if side & 1 else 0) | (above if side & 2 else 0)
+                        box = full ^ out
+                if box:
+                    violators |= box
+                elif len(empty) < remembered:
+                    empty.add(cz)
+            return violators
+
+        return row
 
 
 class _Pair(NamedTuple):
@@ -1129,127 +1208,12 @@ class _Described(NamedTuple):
         return False
 
 
-# ---------------------------------------------------------------------------
-# jump systems by box counts
-#
-# A set S fails the 2-step axiom (Bouchet and Cunningham 1995) at x in S, a
-# unit step s = σe_i and some y in S exactly when z = x + s is not in S and
-# y lies in the box
-#
-#     B(z) = {y : τ(y_k - z_k) <= 0 for every unit step t = τe_k with z + t in S}.
-#
-# A violating y has s toward it, σ(y_i - x_i) >= 1, and no step t from z
-# toward y, τ(y_k - z_k) >= 1, with z + t in S: the box bound of each such
-# t.  Among them is t = -s, as z - s = x is in S, whose bound
-# σ(y_i - z_i) >= 0 is the first condition, so the box depends on z alone.
-# The same-axis partner t = s bounds y_i = z_i, which is the pair scan's rule
-# that s pairs with itself only where the gap σ(y_i - x_i) exceeds 1.  So a
-# row x of the ordered pair scan holds a violated pair exactly when one of
-# its absent neighbours z has a box that meets S, and S is a jump system
-# exactly when no absent neighbour's box does: one inclusion-exclusion
-# query, 2^n reads at most, in a summed-count table over the bounding box,
-# per absent z, and a single dict probe where the box is one cell.
-#
-# On a set of one coordinate-sum parity, a jump system also satisfies the
-# exchange axiom (Lovász, "The membership problem in jump systems", 1997;
-# Murota, "M-convex functions on jump systems", 2006), whose form implies
-# the simultaneous exchange axiom.  So a proven jump system of one parity is
-# a member of all three set jump labels.
-#
-# The route runs only when the bounding box holds at most C(2n, n) * |S|
-# cells, so the summed-count table stays linear in |S|, and on at least
-# ``_JUMP_SIZE`` points: on drawn members of the three labels in 2 to 4
-# dimensions it took 1.26-1.55 of the scan's time below 8 points, 1.11 at 8
-# to 11 and 0.59-0.70 from 12 on.
-
-_JUMP_SIZE = 12
-
-
-def _jump_routed(v: _View) -> bool:
-    """The route's size rule and volume bound."""
-    size, volume = len(v.vals), prod(b - a + 1 for a, b in zip(v.box.lo, v.box.hi))
-    return size >= _JUMP_SIZE and volume <= comb(2 * v.dim, v.dim) * size
-
-
-def _summed_counts(v: _View) -> Callable:
-    """count(a, b), the number of stored points in a box [a, b] within the
-    bounding box [lo, hi]: the table holds, at the code of each corner c of
-    [lo - 1, hi], the number of stored points p <= c, and a box count is the
-    signed sum of the table at its 2^n corners b or a - 1 per coordinate,
-    of which those with a_k - 1 = lo_k - 1 read 0 and are skipped."""
-    lo, hi = v.box.lo, v.box.hi
-    grid = Codes(vshift(lo, -1), hi)
-    size = grid.strides[0] * (hi[0] - lo[0] + 2)
-    table = [0] * size
-    for p in v.vals:
-        table[grid.code(p)] = 1
-    # running sums along each line of each axis k, the cells j, j + s, ...
-    # of one block of span s * extent
-    for k, s in enumerate(grid.strides):
-        span = s * (hi[k] - lo[k] + 2)
-        for block in range(0, size, span):
-            for j in range(block, block + s):
-                table[j : block + span : s] = accumulate(table[j : block + span : s])
-    axes = list(zip(grid.strides, lo))
-    read = table.__getitem__
-
-    def count(a: List[int], b: List[int]) -> int:
-        # the corners with an even and with an odd number of coordinates a_k - 1
-        even, odd = [grid.code(b)], []
-        for (s, low), ak, bk in zip(axes, a, b):
-            if ak > low:
-                gap = (bk - ak + 1) * s
-                even, odd = even + [c - gap for c in odd], odd + [c - gap for c in even]
-        return sum(map(read, even)) - sum(map(read, odd))
-
-    return count
-
-
-def _two_step_holds(v: _View) -> bool:
-    """Whether the set is a jump system: no absent neighbour's box meets it.
-    Neighbours are probed by code (``_View.coded``); each absent
-    neighbour's box is decided once, and the summed-count table is built at
-    the first box of more than one cell."""
-    codes, coded = v.coded
-    lo, hi = v.box.lo, v.box.hi
-    axes = list(enumerate(codes.strides))
-    meets, count = {}, None
-
-    def meet(z: Point, cz: int) -> bool:
-        nonlocal count
-        a, b = list(lo), list(hi)
-        for k, s in axes:
-            if cz + s in coded and z[k] < b[k]:
-                b[k] = z[k]
-            if cz - s in coded and z[k] > a[k]:
-                a[k] = z[k]
-            if a[k] > b[k]:
-                return False
-        if a == b:
-            return codes.code(a) in coded
-        if count is None:
-            count = _summed_counts(v)
-        return count(a, b) > 0
-
-    # coded holds the codes in the order of the stored points
-    for cx, x in zip(coded, v.vals):
-        for k, s in axes:
-            for cz, sign in ((cx - s, -1), (cx + s, 1)):
-                if cz not in coded:
-                    hit = meets.get(cz)
-                    if hit is None:
-                        hit = meets[cz] = meet(_bump(x, k, sign), cz)
-                    if hit:
-                        return False
-    return True
-
-
-def _box_counts(v: _View, kind: str) -> bool:
-    """The box-count route, within its rules (``_jump_routed``): whether
-    the set is a jump system, which proves ``jump-2step``, and proves the
-    exchange kinds on a set of one coordinate-sum parity."""
-    parity = kind == "jump-2step" or len({sum(p) & 1 for p in v.vals}) == 1
-    return _jump_routed(v) and parity and _two_step_holds(v)
+def _one_parity_jump(v: _View, kind: str) -> bool:
+    """The route of the jump exchange set labels: whether the set has one
+    coordinate-sum parity and the 2-step scan finds no violation.  Such a
+    jump system satisfies the exchange axiom (Lovász 1997; Murota 2006, see
+    the row reading), whose form implies the simultaneous exchange axiom."""
+    return len({sum(p) & 1 for p in v.vals}) == 1 and _scan_pairs(v, "jump-2step").member
 
 
 # ---------------------------------------------------------------------------
@@ -1333,9 +1297,9 @@ _RECOGNIZERS = {
     ClassLabel.GLOBAL_DMC_SET: _GLOBAL_DMC,
     ClassLabel.GLOBAL_DMC_FN: _GLOBAL_DMC,
     ClassLabel.LOCAL_DMC_FN: _Scan("midpoint-two", domain="domain-not-dmc"),
-    ClassLabel.JUMP_SYSTEM: _Scan("jump-2step", _box_counts),
-    ClassLabel.CONST_PARITY_JUMP: _Scan("jump-exc", _box_counts),
-    ClassLabel.SIMULT_EXCH_JUMP: _Scan("jump-exc-nat", _box_counts),
+    ClassLabel.JUMP_SYSTEM: _Scan("jump-2step"),
+    ClassLabel.CONST_PARITY_JUMP: _Scan("jump-exc", _one_parity_jump),
+    ClassLabel.SIMULT_EXCH_JUMP: _Scan("jump-exc-nat", _one_parity_jump),
     ClassLabel.JUMP_M_FN: _Scan("jump-m-fn"),
     ClassLabel.JUMP_MNAT_FN: _Scan("jump-mnat-fn"),
 }

@@ -391,13 +391,16 @@ def test_size_rules_pin_both_sides(pair_scans, move_tables, monkeypatch):
     assert scans(lab.m_lift(below), ClassLabel.M_SET) and not scans(lab.m_lift(top), ClassLabel.M_SET)
     # an L♮ set never scans as a member, whatever its size
     assert not scans(LatticeSet.of([(0, 0, 0)]), ClassLabel.LNAT_SET)
-    # the set jump labels take the box-count route from 12 points on: an
-    # interval of Z is a jump system, and the even points of one a member
-    # of all three labels
-    for k, scanned in ((11, True), (12, False)):
-        assert scans(LatticeSet(1, frozenset((t,) for t in range(k))), ClassLabel.JUMP_SYSTEM) is scanned
-        for label in (ClassLabel.CONST_PARITY_JUMP, ClassLabel.SIMULT_EXCH_JUMP):
-            assert scans(LatticeSet(1, frozenset((2 * t,) for t in range(k))), label) is scanned
+    # the set jump labels have no size rule: a set of one coordinate-sum
+    # parity, the even points of an interval of Z, is a member of all
+    # three, proved by one jump-2step scan at every size, per pair or by
+    # rows
+    for k in (1, 11, 12, 16):
+        even = LatticeSet(1, frozenset((2 * t,) for t in range(k)))
+        for label in _JUMP_KINDS:
+            del pair_scans[:]
+            assert check(even, label).member
+            assert [args[1:] for args in pair_scans] == [("jump-2step",)], (label, k)
     # the exchange and jump exchange kinds read by rows, with no move table,
     # from 16 points on: t -> t^2 on the even points of Z is a member of
     # jump-m-fn
@@ -431,24 +434,26 @@ def test_size_rules_pin_both_sides(pair_scans, move_tables, monkeypatch):
     assert rows.block(3, 1671) == 1671 and rows.block(3, 1672) == 836
     assert [rows.block(3, k) for k in (3416, 6000, 12000)] == [854, 1500, 1500]
     # the bound counts one table per offset a reading may read, and three
-    # per axis; the 2-step reading builds no offset table
+    # per axis; the 2-step reading builds no offset table, and the up to
+    # 2n (B + 1) empty boxes it remembers count as 2n tables
     for kind in _ROW_KINDS:
         rows = _AXIOMS[kind].violated.rows
         for n in range(1, 6):
             plan = rows.plan(tuple(100**i for i in range(n)))
             offsets = {o for _, step, pairs in plan for o in [step] * rows.nat + [o for _, o in pairs]}
-            built = 0 if kind == "jump-2step" else len(offsets)
+            built = 2 * n if kind == "jump-2step" else len(offsets)
             assert rows.tables(n) == built + 3 * n, (kind, n)
 
 
 def test_the_route_table_pins_every_label(monkeypatch):
     # per label, the kind its pair scan reads and the one route tried
-    # first: a domain description with an optional ball or the box counts;
-    # box, separable and L keep their own recognizers, and multimodular is
-    # decided as lnat-fn on its prefix sums
+    # first: a domain description with an optional ball, or for the jump
+    # exchange kinds one parity and the 2-step scan; box, separable and L
+    # keep their own recognizers, and multimodular is decided as lnat-fn
+    # on its prefix sums
     lnat, mnat, m = classes._lnat_described, classes._mnat_described, classes._m_described
     ball, sphere = classes._LINF_BALL, classes._LINF_SPHERE
-    scan, described, counts = classes._Scan, classes._Described, classes._box_counts
+    scan, described, parity = classes._Scan, classes._Described, classes._one_parity_jump
     table = classes._RECOGNIZERS
     assert table == {
         ClassLabel.INTEGER_BOX: classes._scan_box,
@@ -468,9 +473,9 @@ def test_the_route_table_pins_every_label(monkeypatch):
         ClassLabel.GLOBAL_DMC_SET: scan("midpoint-far", described((lnat,))),
         ClassLabel.GLOBAL_DMC_FN: scan("midpoint-far", described((lnat,))),
         ClassLabel.LOCAL_DMC_FN: scan("midpoint-two", domain="domain-not-dmc"),
-        ClassLabel.JUMP_SYSTEM: scan("jump-2step", counts),
-        ClassLabel.CONST_PARITY_JUMP: scan("jump-exc", counts),
-        ClassLabel.SIMULT_EXCH_JUMP: scan("jump-exc-nat", counts),
+        ClassLabel.JUMP_SYSTEM: scan("jump-2step"),
+        ClassLabel.CONST_PARITY_JUMP: scan("jump-exc", parity),
+        ClassLabel.SIMULT_EXCH_JUMP: scan("jump-exc-nat", parity),
         ClassLabel.JUMP_M_FN: scan("jump-m-fn"),
         ClassLabel.JUMP_MNAT_FN: scan("jump-mnat-fn"),
     }
@@ -502,12 +507,6 @@ def test_the_route_table_pins_every_label(monkeypatch):
             assert (0,) * n not in built
             assert offsets.count(n) == len(built | {tuple(-c for c in d) for d in built}), n
             assert max(max(map(abs, d)) for d in built) == _REACH, n
-    # the box counts run from 12 points on, on a bounding box of at most
-    # C(2n, n) |S| cells: 72 for 12 points in Z^2
-    assert classes._JUMP_SIZE == 12
-    line = [(t, 0) for t in range(11)]
-    for pts, routed in ((line[:10] + [(11, 5)], False), (line + [(11, 5)], True), (line + [(11, 6)], False)):
-        assert classes._jump_routed(_View.of(LatticeSet.of(pts))) is routed, pts
     # the M♮ description is read from 2^n points on: an interval of Z^3's
     # first axis is M♮, but proven only from 8 points
     for k in (7, 8):
@@ -580,19 +579,27 @@ def test_row_reading_stays_within_its_memory_bound(monkeypatch):
     # tracemalloc, the reading's lists of one entry per point included,
     # and answers as the per-pair scan does, verdict and witness; a segment
     # has as many distinct values per coordinate as points, so its axes
-    # keep the most masks
+    # keep the most masks, and its absent neighbours have the most boxes,
+    # all empty, for the 2-step reading to remember
     segment = {(t, 299 - t): t * t for t in range(300)}
     line = {(t,): t * t for t in range(300)}
+    even = [(2 * t,) for t in range(300)]
     cases = [
-        ("exchange-m-fn", segment),
-        ("exchange-m-fn", {**segment, (150, 149): 150 * 150 + 1}),
-        ("exchange-mnat-fn", line),
-        ("jump-m-fn", {(2 * t,): t * t for t in range(300)}),
-        ("jump-mnat-fn", {**line, (100,): 100 * 100 + 1}),
+        ("exchange-m-fn", LatticeFn.of(segment), True),
+        ("exchange-m-fn", LatticeFn.of({**segment, (150, 149): 150 * 150 + 1}), True),
+        ("exchange-mnat-fn", LatticeFn.of(line), True),
+        ("jump-m-fn", LatticeFn.of({(2 * t,): t * t for t in range(300)}), True),
+        ("jump-mnat-fn", LatticeFn.of({**line, (100,): 100 * 100 + 1}), True),
+        # the even points of an interval of Z, and with 300 moved to 301,
+        # a gap of 3; the segment, and with (150, 149) moved to (151, 150)
+        ("jump-2step", LatticeSet.of(even), True),
+        ("jump-2step", LatticeSet.of([p for p in even if p != (300,)] + [(301,)]), False),
+        ("jump-2step", LatticeSet.of(segment), True),
+        ("jump-2step", LatticeSet.of([p for p in segment if p != (150, 149)] + [(151, 150)]), False),
     ]
     size_rule = classes._ROW_SIZE
-    for kind, values in cases:
-        obj = LatticeFn.of(values)
+    for kind, obj, member in cases:
+        assert len(obj) == 300
         rows = _AXIOMS[kind].violated.rows
         view = _View.of(obj)
         view.coded
@@ -608,7 +615,7 @@ def test_row_reading_stays_within_its_memory_bound(monkeypatch):
         assert peak <= bound, (kind, peak, bound)
         monkeypatch.setattr(classes, "_ROW_SIZE", math.inf)
         assert classes._scan_pairs(_View.of(obj), kind) == got, kind
-        assert got.member is (len(values) == 300), kind
+        assert got.member is member, kind
         monkeypatch.setattr(classes, "_ROW_SIZE", size_rule)
 
 
@@ -625,9 +632,9 @@ def test_the_fixture_sees_every_pair_scan(pair_scans):
     # member of every label but M and constant parity, which the L♮
     # description proves L, IC and globally DMC, and on the square without
     # its top, which is not L♮, so L♮, L, IC and global DMC scan, and which
-    # M♮ scans as it lies below the domain test's size rule; both lie below
-    # the jump route's size rule, so jump-system scans; a label that scans
-    # nothing decides without the pair scan
+    # M♮ scans as it lies below the domain test's size rule; both have two
+    # coordinate-sum parities, so the jump exchange labels scan at once; a
+    # label that scans nothing decides without the pair scan
     square = LatticeSet(2, frozenset(cube(2, 0, 1).points()))
     bent = LatticeSet(2, square.points - {(1, 1)})
     always = {**_JUMP_KINDS, ClassLabel.M_SET: "exchange-m"}
@@ -642,17 +649,18 @@ def test_the_fixture_sees_every_pair_scan(pair_scans):
             check(obj, label)
             want = [(scanned[label],)] if label in scanned else []
             assert [args[1:] for args in pair_scans] == want, (sorted(obj.points), label)
-    # the even points of [0, 4]^2, 13 of them, lie above it: a member of
-    # the three set jump labels is decided without a scan, and a near miss
-    # scans whole under each label, so its witness is the scan's
+    # the even points of [0, 4]^2, of one parity: a member of the three
+    # set jump labels is decided by one jump-2step scan, and a near miss
+    # scans jump-2step and then, under a jump exchange label, whole, so its
+    # witness is the scan's
     even = LatticeSet(2, frozenset(p for p in cube(2, 0, 4).points() if sum(p) % 2 == 0))
     miss = LatticeSet(2, even.points - {(2, 2)})
-    for obj, scanned in ((even, {}), (miss, _JUMP_KINDS)):
-        for label in _JUMP_KINDS:
+    for label, kind in _JUMP_KINDS.items():
+        for obj in (even, miss):
             del pair_scans[:]
             assert check(obj, label).member is (obj is even)
-            want = [(scanned[label],)] if label in scanned else []
-            assert [args[1:] for args in pair_scans] == want, (sorted(obj.points), label)
+            want = ["jump-2step"] + [kind] * (obj is miss and kind != "jump-2step")
+            assert [args[1:] for args in pair_scans] == [(k,) for k in want], (sorted(obj.points), label)
     assert check(miss, ClassLabel.JUMP_SYSTEM).witness.points[0] == sorted(miss.points)[1]
     # a locally d.m.c. function proves or scans its domain, then scans its
     # pairs at l-inf distance 2

@@ -38,14 +38,12 @@ of 250 to 320 points, where the local route runs, and on sets built to
 defeat each shortcut.  Above the rule a member must be decided without a
 pair scan, so a domain test that wrongly rejects shows too.
 
-The three set jump labels decide membership by a box-count route, which
-proves membership or hands the object to the pair scan, so their whole
-verdicts are compared with the production pair scans they fall back to:
-on every subset of [0, 2]^2 and [0, 1]^3 and on random sets of one parity
-or mixed parity in 2 to 5 dimensions, with the size rule lowered so that
-the route runs wherever the volume bound allows, on the jump sets of
-the benchmark's check corpus under the real rule, and on sparse sets and
-spans past 2**64, which must not take the route.
+The two jump exchange set labels prove a set of one coordinate-sum parity
+by a 2-step scan that finds no violation, or hand it to their pair scan,
+so the verdicts of the three set jump labels are compared with the
+production pair scans: on every subset of [0, 2]^2 and [0, 1]^3, on random
+sets of one parity or mixed parity in 2 to 5 dimensions, on the jump sets
+of the benchmark's check corpus, and on sparse sets and spans past 2**64.
 
 The IC and DMC labels prove L♮ or M♮ domains and read local routes, and the
 hull axiom reads the rounded midpoints before the local extension, so their
@@ -565,7 +563,7 @@ def test_midpoint_scans_match_oracles_past_the_listed_dimension():
     assert len(cases) == 42 and 12 < _assert_pair_scans_match(cases) < 42
 
 
-# the set jump labels the box-count route decides, with the kinds they scan
+# the set jump labels, with the kinds their pair scans read
 _JUMP_KINDS = {
     ClassLabel.JUMP_SYSTEM: "jump-2step",
     ClassLabel.CONST_PARITY_JUMP: "jump-exc",
@@ -575,16 +573,16 @@ _JUMP_KINDS = {
 
 def _assert_jump_route_matches_scans(sets):
     """check() equals the whole pair scan of each set jump label, verdict
-    and witness; returns (checks, members, sets the route takes)."""
-    checks = members = routed = 0
+    and witness; returns (checks, members, sets the parity route proves)."""
+    checks = members = proved = 0
     for s in sets:
-        routed += classes._jump_routed(_View.of(s))
+        proved += classes._one_parity_jump(_View.of(s), "jump-exc")
         for label, kind in _JUMP_KINDS.items():
             got = check(s, label)
             assert got == classes._scan_pairs(_View.of(s), kind), (label, sorted(s.points))
             checks += 1
             members += got.member
-    return checks, members, routed
+    return checks, members, proved
 
 
 def _subsets(box: Window):
@@ -608,30 +606,36 @@ def _parity_sets(rng):
             yield LatticeSet(n, s.points - {rng.choice(sorted(s.points))})
 
 
-def test_jump_route_matches_the_pair_scans(monkeypatch):
-    # the box-count route, which proves a jump system or hands the set to
-    # the scan, against the whole scans: first on
-    # every small set and on random ones, with the size rule lowered so
-    # that each takes the route where its volume allows
-    monkeypatch.setattr(classes, "_JUMP_SIZE", 1)
+def _diagonal(k: int) -> LatticeSet:
+    """The k points t (1, 1) of Z^2, a jump system of one parity whose
+    bounding box holds k^2 cells."""
+    return LatticeSet(2, frozenset((t, t) for t in range(k)))
+
+
+def test_jump_route_matches_the_pair_scans():
+    # the parity route of the jump exchange labels, which proves a set of
+    # one coordinate-sum parity by a 2-step scan that finds no violation,
+    # or hands it to the scan, against the whole scans, at every size: on
+    # every small set, on random ones, on the check corpus's jump sets,
+    # members and near misses, and on sparse sets and spans past 2**64
     small = [s for box in (cube(2, 0, 2), cube(3, 0, 1)) for s in _subsets(box)]
-    checks, members, routed = _assert_jump_route_matches_scans(small)
-    assert (checks, routed) == (3 * 766, 766) and 0.05 < members / checks < 0.5
-    checks, members, routed = _assert_jump_route_matches_scans(_parity_sets(random.Random(2121)))
-    assert checks > 1000 and 0.05 < members / checks < 0.5 and routed > checks / 6
-    monkeypatch.undo()
-    # the check corpus's jump sets, members and near misses, under the rule
+    checks, members, proved = _assert_jump_route_matches_scans(small)
+    assert (checks, proved) == (3 * 766, 70) and 0.05 < members / checks < 0.5
+    checks, members, proved = _assert_jump_route_matches_scans(_parity_sets(random.Random(2121)))
+    assert checks > 1000 and 0.05 < members / checks < 0.5 and proved > checks / 10
     corpus = []
     for seed in (1, 7):
         members, misses = build_check_corpus(seed)
         corpus += [i.obj for i in members + misses if i.label in _JUMP_KINDS]
-    checks, members, routed = _assert_jump_route_matches_scans(corpus)
-    assert (checks, members, routed) == (270, 54, 90)
-    # sparse sets past the volume bound, and spans past 2**64, fall back
+    assert _assert_jump_route_matches_scans(corpus) == (270, 54, 18)
+    # sparse sets, among them a diagonal whose bounding box holds more than
+    # C(2n, n) |S| cells and its near miss, and spans past 2**64
+    diagonal = _diagonal(40)
     sparse = [LatticeSet.of([(0, 0), (2, 0), (0, 2), (30, 30)]), LatticeSet.of([(0, 0, 0), (9, 9, 9), (9, 0, 9)])]
+    sparse += [diagonal, LatticeSet(2, diagonal.points - {(20, 20)})]
     sparse += [s for s in _wide_spans() if isinstance(s, LatticeSet)]
-    monkeypatch.setattr(classes, "_JUMP_SIZE", 1)
-    assert _assert_jump_route_matches_scans(sparse)[2] == 0
+    assert len(diagonal) ** 2 > math.comb(4, 2) * len(diagonal)
+    assert _assert_jump_route_matches_scans(sparse)[1:] == (3, 1)
 
 
 # the kinds read a row at a time, by bitsets, from the row size rule on,
@@ -730,6 +734,24 @@ def test_exchange_rows_match_the_pair_scans(monkeypatch):
     gap_one = LatticeSet.of([(0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (2, 1), (2, 2), (3, 0), (3, 2)])
     assert classes._scan_pairs(_View.of(gap_one), "jump-exc-nat").witness.points[:2] == ((0, 1), (3, 2))
     assert _assert_rows_match_pair_scans(monkeypatch, [gap_one]) == (5, 0)
+    # the 2-step reading of boxes: a sparse jump system, the diagonal
+    # t (1, 1), whose bounding box holds more than C(2n, n) |S| cells, a
+    # member of the three jump kinds, and its near miss
+    diagonal = _diagonal(40)
+    assert len(diagonal) ** 2 > math.comb(4, 2) * len(diagonal)
+    assert _assert_rows_match_pair_scans(monkeypatch, [diagonal, LatticeSet(2, diagonal.points - {(20, 20)})]) == (10, 3)
+    # a set whose first violated 2-step pair, x = (0, 0) and y = (1, 10) at
+    # s = e_1, reads the box of z = (1, 0), and whose y lies, in blocks of
+    # 16 or 17 points, in a block whose ys all have a second coordinate
+    # above z's, so z lies outside that block's bounding box
+    column = LatticeSet.of([(0, b) for b in range(21)] + [(1, b) for b in range(10, 30)])
+    witness = classes._scan_pairs(_View.of(column), "jump-2step").witness
+    assert witness.points == ((0, 0), (1, 10), (1, 0))
+    points = sorted(column.points)
+    for width in (16, 17):
+        low = points.index((1, 10)) // width * width
+        assert min(p[1] for p in points[low : low + width]) > 0
+        assert _assert_rows_match_pair_scans(monkeypatch, [column], (width,)) == (5, 0)
 
 
 def test_blocked_rows_keep_the_lowest_row_and_its_lowest_y(monkeypatch):
