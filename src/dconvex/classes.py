@@ -113,29 +113,27 @@ of x and y, and its l-inf filters are lookups in the code offsets N of
 
 One scanner, ``_scan_pairs``, reads every pair axiom: unordered pairs x < y
 for a ``_Halves``, all ordered pairs for a ``_Pair``, in code order.  A
-``_Pair`` reads one row x at a time from ``_ROW_SIZE`` points on: an
-exchange (x + e, y - e) fits exactly when f(y - e) - f(y) <= f(x) - f(x + e),
-so the ys it fits are a prefix of the ys sorted by f(y - e) - f(y), kept as
-int bitsets over the ys in code order; with bitsets of the ys that each
-step from x points toward, the violated ys of a row take a few int
-operations per pair of steps.  The 2-step axiom fails at x exactly for the
-ys in the box of an absent neighbour z = x + s, read off the same bitsets
-at z (``_Rows.boxes``).  The lowest violated y of the lowest row is the
-scan's y, and one predicate call on that pair gives the step the witness
-records; the ys are read in blocks whose bitsets fit in ``_ROW_BYTES``.
-Below that size rule a ``_Pair`` scan makes one predicate call per pair,
-which returns the first violated step, and builds each difference's move
-once, in a table keyed by cy - cx (``_moves``).  A ``_Halves`` scan keeps
-no table: one call of its reading per point x runs over the points after x,
-each pair read with a few int operations; the hull memo is keyed by cx + cy
-and decodes x + y on a miss.  ``_Halves.local`` reads the same coding and
-reading on the pairs x, x + d with d in a ball, x and then x + d in code
-order, and returns the first violated pair: the ball routes' test, and the
-``midpoint-two`` scan on the sphere, whose pairs it reads in the scan's
-order; when a route fails, the pair scan reuses the coding.  A replay codes
-the witness pair over its own difference box grown by 1 and calls the same
-reading, reading each decoded point through the object.  Values are looked
-up by code in a dict.
+``_Pair`` reads one row x at a time, at every size: an exchange
+(x + e, y - e) fits exactly when f(y - e) - f(y) <= f(x) - f(x + e), so the
+ys it fits are a prefix of the ys sorted by f(y - e) - f(y), kept as int
+bitsets over the ys in code order, one per distinct key; with bitsets of
+the ys that each step from x points toward, the violated ys of a row take a
+few int operations per pair of steps.  The 2-step axiom fails at x exactly
+for the ys in the box of an absent neighbour z = x + s, read off the same
+bitsets at z (``_Rows.boxes``).  The lowest violated y of the lowest row is
+the scan's y, and one predicate call on that pair, with that pair's move
+alone, gives the step the witness records; the ys are read in blocks whose
+bitsets fit in ``_ROW_BYTES``, counted by the distinct coordinates of each
+axis (``_Rows.spare``).  A ``_Halves`` scan keeps no table: one call of its
+reading per point x runs over the points after x, each pair read with a few
+int operations; the hull memo is keyed by cx + cy and decodes x + y on a
+miss.  ``_Halves.local`` reads the same coding and reading on the pairs
+x, x + d with d in a ball, x and then x + d in code order, and returns the
+first violated pair: the ball routes' test, and the ``midpoint-two`` scan on
+the sphere, whose pairs it reads in the scan's order; when a route fails,
+the pair scan reuses the coding.  A replay codes the witness pair over its
+own difference box grown by 1 and calls the same reading, reading each
+decoded point through the object.  Values are looked up by code in a dict.
 
 Conventions for infinite values inside axioms: an inequality with +infinity
 on the left-hand side holds; +infinity on the right-hand side is only
@@ -265,19 +263,19 @@ def _bump(p: Point, i: int, d: int) -> Point:
 _REACH = 2
 
 
-def _doubled(box: Window, pad: int = 0) -> Window:
-    """The difference box [lo, lo + 2 (hi - lo)] of a box [lo, hi], grown
-    by ``pad`` on every side."""
-    return Window(vshift(box.lo, -pad), tuple(2 * b - a + pad for a, b in zip(box.lo, box.hi)))
+def _doubled(box: Window, pad: int = 0) -> Tuple[Point, Point]:
+    """The corners of the difference box [lo, lo + 2 (hi - lo)] of a box
+    [lo, hi], grown by ``pad`` on every side."""
+    return vshift(box.lo, -pad), tuple(2 * b - a + pad for a, b in zip(box.lo, box.hi))
 
 
 class _Codes(Codes):
-    """Point codes over a box (``core.Codes``) with the offsets and the
-    step lists that scans and replays read, by difference."""
+    """Point codes over a box [lo, hi] (``core.Codes``) with the offsets
+    and the step lists that scans and replays read, by difference."""
 
-    def __init__(self, box: Window):
-        super().__init__(box.lo, box.hi)
-        self.axes = tuple(range(box.dim))
+    def __init__(self, lo: Point, hi: Point):
+        super().__init__(lo, hi)
+        self.axes = tuple(range(len(lo)))
 
     def offset(self, d) -> int:
         """code(x + d) - code(x)."""
@@ -315,7 +313,6 @@ class _Memo(dict):
     fewer than ``bound`` entries; past it, made again on every miss."""
 
     def __init__(self, make: Callable, bound: float = inf):
-        super().__init__()
         self.make, self.bound = make, bound
 
     def __missing__(self, key):
@@ -323,14 +320,6 @@ class _Memo(dict):
         if len(self) < self.bound:
             self[key] = value
         return value
-
-
-def _moves(axiom, codes: _Codes) -> _Memo:
-    """A per-pair scan's move table: ``axiom.move`` of each difference
-    y - x by its code difference cy - cx, over codes of a difference box.
-    Only a scan below the row reading's size rule (``_ROW_SIZE``) builds
-    one, so it holds fewer than ``_ROW_SIZE`` ** 2 moves."""
-    return _Memo(lambda delta: axiom.move(codes, codes.difference(delta)))
 
 
 class _View:
@@ -365,7 +354,7 @@ class _View:
         """The view's one coding, which the pair scan and the local route
         read: the codes over the difference box of the bounding box grown
         by ``_REACH``, and the stored values by code."""
-        codes = _Codes(_doubled(self.box, _REACH))
+        codes = _Codes(*_doubled(self.box, _REACH))
         return codes, dict(zip(codes.codes(self.vals), self.vals.values()))
 
     def domain(self) -> "_View":
@@ -408,7 +397,7 @@ def _pair_codes(v: _View, x: Point, y: Point):
     and gives every coordinate an extent of at least 3, so that the offsets
     of {-1, 0, 1}^n are differences too (``_ring``); a getter reading each
     code's point through the view, cx, cy and y - x."""
-    codes = _Codes(_doubled(bounding_box((x, y)), 1))
+    codes = _Codes(*_doubled(bounding_box((x, y)), 1))
     d = tuple(b - a for a, b in zip(x, y))
     return codes, (lambda c: v.get(codes.point(c))), codes.code(x), codes.code(y), d
 
@@ -487,17 +476,19 @@ def _unit(step, n: int) -> Point:
 # lhs = f(x) + f(y) exactly when beta_e(y) = f(y - e) - f(y) is at most
 # alpha_e(x) = f(x) - f(x + e); no y with y - e absent passes, and no y at
 # all when x + e is absent.  So the ys that pass against x are a prefix of
-# the ys sorted by beta_e: one ``bisect_right`` in that order and one read
-# of a prefix mask, an int with bit k for the k-th y in code order.  "s
-# points from x toward y" is a mask of the same kind, read off the ys sorted
-# by coordinate i, and so is "y_i lies beyond x_i + s_i", the gap of at
-# least 2 at which s pairs with itself.  Row x's violators are then
+# the ys sorted by beta_e: one ``bisect_right`` among the distinct values of
+# beta_e and one read of a prefix mask, an int with bit k for the k-th y in
+# code order, kept once per distinct value.  "s points from x toward y" is a
+# mask of the same kind, read off the ys sorted by coordinate i, and so is
+# "y_i lies beyond x_i + s_i", the gap of at least 2 at which s pairs with
+# itself.  Row x's violators are then
 #
 #     OR over tried s of  toward_s & ~(one_s | OR over t of toward_t(x + s) & two_{s + t}),
 #
 # one_s only for the kinds with the one-step exchange (``nat``), and the
-# lowest set bit is the pair scan's y; one predicate call on that pair gives
-# the step the witness records, so the witness is the pair scan's.
+# lowest set bit is the scan's y; one predicate call on that pair gives the
+# step the witness records, so the witness is the one a call of the
+# predicate on every pair in scan order would give.
 #
 # The 2-step axiom (Bouchet and Cunningham 1995) is read by boxes instead.
 # It fails at x in S, a unit step s = σe_i and y in S exactly when
@@ -508,7 +499,7 @@ def _unit(step, n: int) -> Point:
 #
 # The step t = -s back to x is one such t, and its bound σ(y_i - z_i) >= 0
 # is the condition that s points toward y, so the box depends on z alone;
-# the same-axis partner t = s bounds y_i = z_i, which is the pair scan's
+# the same-axis partner t = s bounds y_i = z_i, which is the predicate's
 # rule that s pairs with itself only at a gap above 1.  So row x's
 # violators are the union of the boxes of its absent neighbours, each the
 # block's ys in none of the masks y_k < z_k (z - e_k in S) and y_k > z_k
@@ -523,31 +514,32 @@ def _unit(step, n: int) -> Point:
 # The ys are read in blocks of B consecutive points in code order, each
 # block with masks of its own ys alone (``_Rows.block``), and a block's
 # rows run up to the best row an earlier block found: the lowest row wins,
-# and in it the lowest y.  The reading runs from ``_ROW_SIZE`` points on: the
-# per-pair scan of a small object, or of a near miss that fails in its first
-# rows, reads fewer points than the tables hold.  On members and near misses
-# of the eight exchange kinds (the even points, the cut x(N) <= c and the
-# slice x(N) = c of boxes in Z^2 to Z^4, with separable convex values) the
-# reading broke even at about 9 points on members and about 32 on near
-# misses, and on both together at about 14.
-_ROW_SIZE = 16
+# and in it the lowest y.  ``_ROW_BYTES`` bounds a block's masks and the
+# empty boxes it remembers; the reading's lists of one entry per point (the
+# sorted points and codes, the view's coded dict) stay linear in |S|.
 _ROW_BYTES = 1 << 24
 _ROW_POINT_BYTES = 96
 
 
 def _prefixes(keys):
-    """The keys other than None sorted, and the prefix masks of the ys in
-    that order: bit k for the y of the k-th key."""
-    order = sorted([k for k, b in enumerate(keys) if b is not None], key=keys.__getitem__)
-    return list(map(keys.__getitem__, order)), list(accumulate(map(lshift, repeat(1), order), or_, initial=0))
+    """The distinct keys other than None sorted, and one prefix mask per
+    distinct key and one more: mask j has bit k for each y whose key is
+    among the first j, so ``bisect_left`` and ``bisect_right`` of c in the
+    keys read the ys below c and those at most c."""
+    own, bit = {}, 1
+    for key in keys:
+        if key is not None:
+            own[key] = own.get(key, 0) | bit
+        bit <<= 1
+    ranks = sorted(own)
+    return ranks, list(accumulate(map(own.pop, ranks), or_, initial=0))
 
 
 def _beyond(col, width: int) -> _Memo:
     """An axis's row masks over a block's coordinates ``col``, by the
     coordinate c of x, or of z for a box: the ys with y_i < c, y_i > c,
-    y_i < c - 1 and y_i > c + 1.  Two of them are prefix masks; the two
-    others are kept for at most ``width`` values, so the axis holds up to
-    three tables' masks."""
+    y_i < c - 1 and y_i > c + 1, read off the prefix masks and kept for at
+    most ``width`` values of c."""
     ranks, below = _prefixes(col)
     return _Memo(lambda c: (below[bisect_left(ranks, c)], below[-1] ^ below[bisect_right(ranks, c)],
                             below[bisect_left(ranks, c - 1)], below[-1] ^ below[bisect_right(ranks, c + 1)]), width)
@@ -559,39 +551,52 @@ class _Rows(NamedTuple):
     without it, the M♮/M exchange, the down steps s = -e_i are tried with
     the up steps t = +e_j as partners.  ``nat`` admits the one-step
     exchange (x + s, y - s); ``two_step`` reads the 2-step axiom by the
-    boxes of the absent neighbours (``boxes``), so builds no table."""
+    boxes of the absent neighbours (``boxes``), so builds no offset table."""
 
     jump: bool
     nat: bool
     two_step: bool = False
 
     def tables(self, n: int) -> int:
-        """How many tables of B + 1 masks a block of B ys may build in Z^n:
-        one per offset read, the 2n^2 sums s + t (t != -s) of the jump
-        exchange or the n (n - 1) of the M♮/M exchange, and with ``nat`` its
-        2n or n unit steps; with ``two_step`` none, but the up to 2n (B + 1)
-        empty boxes it remembers count as 2n; three per axis."""
+        """How many offset tables a block may build in Z^n: one per offset
+        read, the 2n^2 sums s + t (t != -s) of the jump exchange or the
+        n (n - 1) of the M♮/M exchange, and with ``nat`` its 2n or n unit
+        steps; none with ``two_step``."""
         if self.two_step:
-            return 2 * n + 3 * n
+            return 0
         twos, ones = (2 * n * n, 2 * n) if self.jump else (n * (n - 1), n)
-        return twos + ones * self.nat + 3 * n
+        return twos + ones * self.nat
 
-    def block(self, n: int, size: int) -> int:
-        """The block width B for size points in Z^n: size, halved until the
-        masks of the tables fit in ``_ROW_BYTES``, each counted at B / 8
-        bytes for its bits and ``_ROW_POINT_BYTES`` more for its int header,
-        its list slot and its share of the block's lists."""
+    def spare(self, width: int, distinct: Sequence[int]) -> int:
+        """The bytes of ``_ROW_BYTES`` left by the masks of a block of
+        B = ``width`` ys whose axes hold ``distinct`` coordinates each, each
+        mask counted at B / 8 bytes and ``_ROW_POINT_BYTES`` for its header,
+        list slot and share of the block's lists: B + 1 per offset table,
+        and per axis of d coordinates at most min(B, d) + 1 prefix masks
+        and two per coordinate a row asks for (``_beyond``), at most
+        min(B, d), or min(B, 3 d) with the 2-step reading's x_i +- 1."""
+        reach = 3 if self.two_step else 1
+        masks = self.tables(len(distinct)) * (width + 1)
+        masks += sum(min(width, d) + 1 + 2 * min(width, reach * d) for d in distinct)
+        return _ROW_BYTES - masks * (width // 8 + _ROW_POINT_BYTES)
+
+    def block(self, size: int, distinct: Sequence[int]) -> int:
+        """The block width B for size points whose axes hold ``distinct``
+        coordinates each: size, halved until a block's masks fit in
+        ``_ROW_BYTES`` (``spare``)."""
         width = size
-        while width > 1 and self.tables(n) * (width + 1) * (width // 8 + _ROW_POINT_BYTES) > _ROW_BYTES:
+        while width > 1 and self.spare(width, distinct) < 0:
             width //= 2
         return width
 
+    @lru_cache(maxsize=64)
     def plan(self, strides: Tuple[int, ...]):
         """Per tried step s: the index of its toward mask, its code offset
         and, per partner t, the index of the mask that admits t and the code
         offset of s + t.  A row's masks hold at 4i, 4i + 1, 4i + 2 and
         4i + 3 the ys with y_i < x_i, y_i > x_i, y_i < x_i - 1 and
-        y_i > x_i + 1, so the partner t = s is admitted by the last two."""
+        y_i > x_i + 1, so the partner t = s is admitted by the last two.
+        Built once per stride tuple."""
         axes = range(len(strides))
         partners = [(k, t) for k in axes for t in ((-1, 1) if self.jump else (1,))]
         plan = []
@@ -613,16 +618,18 @@ class _Rows(NamedTuple):
         found so far."""
         get, strides = v.coded[1].get, v.coded[0].strides
         points, size = sorted(v.vals), len(items)
-        width = self.block(v.dim, size)
-        plan = None if self.two_step else self.plan(strides)
+        cols = list(zip(*points))
+        distinct = [len(set(col)) for col in cols]
+        width = self.block(size, distinct)
         best, end = None, size
         for low in range(0, size, width):
             block = items[low : low + width]
-            near = [_beyond(col, width) for col in zip(*points[low : low + width])]
+            near = [_beyond(col[low : low + width], width) for col in cols]
             if self.two_step:
-                row = self.boxes(get, strides, near, (1 << len(block)) - 1)
+                room = self.spare(width, distinct) // _ROW_POINT_BYTES
+                row = self.boxes(get, strides, near, (1 << len(block)) - 1, room)
             else:
-                row = self.exchanges(get, plan, block, near)
+                row = self.exchanges(get, self.plan(strides), block, near)
             for a in range(end):
                 if violators := row(*items[a], points[a]):
                     best, end = (a, low + (violators & -violators).bit_length() - 1), a
@@ -656,15 +663,17 @@ class _Rows(NamedTuple):
         return row
 
     @staticmethod
-    def boxes(get, strides: Tuple[int, ...], near, full: int) -> Callable:
+    def boxes(get, strides: Tuple[int, ...], near, full: int, room: int) -> Callable:
         """A block's row reading of the 2-step axiom: row (cx, fx, x) -> the
         union, within the block's ys (``full``), of the boxes B(z) of the
         absent neighbours z = x +- e_i (above): the ys that break no bound
         of a stored neighbour of z, by the axis masks at z's coordinates; a
         z whose every neighbour is stored has the empty box {z}.  An empty
-        box is remembered for the block's later rows, up to 2n (B + 1) of
-        them (``tables``); a row with a violator ends the block."""
-        empty, remembered = set(), 2 * len(strides) * (full.bit_length() + 1)
+        box is remembered for the block's later rows, as z's code in a set,
+        in what the block's masks leave of the bound (``spare``): ``room``
+        of them at ``_ROW_POINT_BYTES`` each.  A row with a violator ends
+        the block."""
+        empty = set()
         steps = [(i, e, sign, 4 * i + (sign > 0)) for i, s in enumerate(strides) for e, sign in ((-s, -1), (s, 1))]
 
         def row(cx: int, fx: int, x: Point) -> int:
@@ -689,7 +698,7 @@ class _Rows(NamedTuple):
                         box = full ^ out
                 if box:
                     violators |= box
-                elif len(empty) < remembered:
+                elif len(empty) < room:
                     empty.add(cz)
             return violators
 
@@ -697,13 +706,12 @@ class _Rows(NamedTuple):
 
 
 class _Pair(NamedTuple):
-    """An ordered pair axiom read through a move table: ``move(codes, d)``
-    gives the steps tried on a pair x, y = x + d and their partners,
-    ``on_codes`` returns the first violated step, ``record(step, n)`` is
-    what the witness keeps of that step (``_index``, ``_unit``), and
-    ``rows`` is its row reading.  Called as replay calls every axiom, it
-    reads the pair over its own difference box and tries only the steps
-    with the witness's record."""
+    """An ordered pair axiom: ``move(codes, d)`` gives the steps tried on a
+    pair x, y = x + d and their partners, ``on_codes`` returns the first
+    violated step, ``record(step, n)`` is what the witness keeps of that
+    step (``_index``, ``_unit``), and ``rows`` is its one scan reading.
+    Called as replay calls every axiom, it reads the pair over its own
+    difference box and tries only the steps with the witness's record."""
 
     move: Callable
     on_codes: Callable
@@ -718,28 +726,17 @@ class _Pair(NamedTuple):
 
     def scan(self, v: _View):
         """The first violated pair of the scan (``_scan_pairs``) as (cx, cy,
-        the step's record), or None.  From ``_ROW_SIZE`` points on it finds
-        the pair a row at a time (``_Rows``) and builds the move of that
-        pair alone, for the one predicate call that names its step; below
-        it, it calls the predicate on every pair in turn, with each
-        difference's move built once, in a table keyed by cy - cx
-        (``_moves``)."""
+        the step's record), or None: the pair a row at a time (``_Rows``),
+        and the move of that pair alone, for the one predicate call that
+        names its step."""
         codes, coded = v.coded
         items = sorted(coded.items())
-        violated, record, get = self.on_codes, self.record, coded.get
-        if len(items) >= _ROW_SIZE:
-            hit = self.rows.first(v, items)
-            if hit is None:
-                return None
-            (cx, fx), (cy, fy) = items[hit[0]], items[hit[1]]
-            step = violated(get, fx + fy, cx, cy, self.move(codes, codes.difference(cy - cx)))
-            return cx, cy, (record(step, v.dim),)
-        moves = _moves(self, codes)
-        for cx, fx in items:
-            for cy, fy in items:
-                if hit := violated(get, fx + fy, cx, cy, moves[cy - cx]):
-                    return cx, cy, (record(hit, v.dim),)
-        return None
+        hit = self.rows.first(v, items)
+        if hit is None:
+            return None
+        (cx, fx), (cy, fy) = items[hit[0]], items[hit[1]]
+        step = self.on_codes(coded.get, fx + fy, cx, cy, self.move(codes, codes.difference(cy - cx)))
+        return cx, cy, (self.record(step, v.dim),)
 
 
 # The midpoint family reads a pair by arithmetic on its codes, with no move:
@@ -921,7 +918,7 @@ class _Axiom(NamedTuple):
 
 
 def _exchange(jump: bool, nat: bool) -> _Pair:
-    """The jump exchange axiom read per pair and by rows: with ``jump``
+    """The jump exchange axiom, read by rows: with ``jump``
     every step tried and paired, else the M♮/M exchange of the down steps
     with the up steps; with ``nat`` the one-step exchange too."""
     violated = _jump_exchange if nat else partial(_jump_exchange, nat=False)
@@ -960,11 +957,11 @@ def _scan_pairs(v: _View, kind: str) -> Verdict:
     """Pairs of stored points, read by code over the difference box
     (``_View.coded``) in code order: x < y for a midpoint-family axiom
     (``_Halves``), every x and y for an ordered one (``_Pair``), whose move
-    of d = 0 tries no step.  The witness is the first violated pair and,
-    for an ordered axiom, the record of the violated step, after the points
-    or as the index."""
+    of d = 0 tries no step, so one point holds every pair axiom.  The
+    witness is the first violated pair and, for an ordered axiom, the
+    record of the violated step, after the points or as the index."""
     axiom = _AXIOMS[kind]
-    hit = axiom.violated.scan(v)
+    hit = axiom.violated.scan(v) if len(v.vals) > 1 else None
     if hit is None:
         return _OK
     cx, cy, record = hit

@@ -1,3 +1,5 @@
+from functools import partial
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -22,11 +24,15 @@ def pair_scans(monkeypatch):
 
 
 @pytest.fixture
-def move_tables(monkeypatch):
-    """The list of per-pair move tables built (``classes._moves``), each
-    its argument tuple, as they happen during the test: a scan read by
-    rows builds none."""
+def predicate_calls(monkeypatch):
+    """The list of calls of the ordered kinds' predicates (``on_codes`` of
+    each ``classes._Pair``), each its argument tuple, as they happen during
+    the test: a scan of a member reads its rows alone and calls none, and a
+    scan of a non-member calls one, for the step its witness records."""
     calls = []
-    moves = classes._moves
-    monkeypatch.setattr(classes, "_moves", lambda *args: calls.append(args) or moves(*args))
+    for kind, axiom in classes._AXIOMS.items():
+        if isinstance(axiom.violated, classes._Pair):
+            read = axiom.violated.on_codes
+            counted = partial(lambda read, *args: calls.append(args) or read(*args), read)
+            monkeypatch.setitem(classes._AXIOMS, kind, axiom._replace(violated=axiom.violated._replace(on_codes=counted)))
     return calls

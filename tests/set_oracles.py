@@ -53,6 +53,13 @@ and all.  Its point helpers ``unit``, ``vsub`` and ``increments`` have no
 production caller; ``increments`` keeps the sorted signed unit vectors of
 each dimension across calls.
 
+``pair_scan`` is the per-pair scan of one production ordered kind, the
+other reading of the same predicate: production reads those kinds by rows
+at every size (``classes._Rows``), and this calls the kind's predicate on
+every ordered pair in code order (``violated_pairs``), with each
+difference's move built once, so comparing the two checks the row
+reading's bitsets, blocks and boxes against the axiom itself.
+
 The direct sums and the Minkowski sum are the point-set bodies production
 used before each operation was written once over value maps
 (``dconvex.ops``), where a set is its indicator function.  They build point
@@ -79,7 +86,7 @@ from functools import lru_cache
 from operator import sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from dconvex.classes import SET_LABELS, ClassLabel, Verdict, Witness, _View, verify_witness
+from dconvex.classes import _AXIOMS, SET_LABELS, ClassLabel, Verdict, Witness, _View, verify_witness
 from dconvex.core import (
     LatticeFn,
     LatticeSet,
@@ -581,6 +588,38 @@ def ordered_verdicts(obj) -> Dict[ClassLabel, Verdict]:
 def check_ordered(obj, label: ClassLabel) -> Verdict:
     """The exchange or jump verdict of a finite set or function."""
     return _scan_ordered(_View.of(obj), [label])[label]
+
+
+def violated_pairs(v: _View, kind: str):
+    """Every violated pair of the production ordered kind ``kind`` (an
+    exchange, jump exchange or 2-step kind of ``classes._AXIOMS``) on the
+    view, as (a, b, step): the indices of x and y in code order, x and then
+    y ascending, and the first violated step the kind's predicate names.
+    One predicate call per ordered pair, with each difference's move built
+    once, keyed by cy - cx."""
+    pair = _AXIOMS[kind].violated
+    codes, coded = v.coded
+    items = sorted(coded.items())
+    moves = {}
+    for a, (cx, fx) in enumerate(items):
+        for b, (cy, fy) in enumerate(items):
+            if cy - cx not in moves:
+                moves[cy - cx] = pair.move(codes, codes.difference(cy - cx))
+            if step := pair.on_codes(coded.get, fx + fy, cx, cy, moves[cy - cx]):
+                yield a, b, step
+
+
+def pair_scan(v: _View, kind: str) -> Verdict:
+    """The per-pair scan of a production ordered kind: the first of
+    ``violated_pairs``, with the witness ``classes._scan_pairs`` builds
+    from it, the points and then the step's record."""
+    axiom = _AXIOMS[kind]
+    codes, coded = v.coded
+    order = sorted(coded)
+    for a, b, step in violated_pairs(v, kind):
+        found = (codes.point(order[a]), codes.point(order[b]), axiom.violated.record(step, v.dim))
+        return _fail(kind, found[: axiom.points], found[axiom.points :])
+    return _OK
 
 
 def _midpoint_pair(vals, keep=lambda x, y: True) -> Optional[Tuple[Point, Point]]:

@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import math
 from functools import partial
 import os
 import random
@@ -44,7 +43,7 @@ from dconvex.core import (
     vshift,
 )
 from dconvex import lab
-from set_oracles import check_family, increments
+from set_oracles import check_family, increments, pair_scan
 
 sys.path.append(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 from perfbench.corpus import build_check_corpus  # noqa: E402
@@ -344,7 +343,7 @@ def _square_line(k: int) -> LatticeFn:
     return LatticeFn(1, {(t,): t * t for t in range(k)})
 
 
-def test_size_rules_pin_both_sides(pair_scans, move_tables, monkeypatch):
+def test_size_rules_pin_both_sides(pair_scans, predicate_calls, monkeypatch):
     def scans(obj, label) -> bool:
         del pair_scans[:]
         assert check(obj, label).member, (label, obj)
@@ -368,20 +367,18 @@ def test_size_rules_pin_both_sides(pair_scans, move_tables, monkeypatch):
         f = LatticeFn(2, {(t, 0): t * t for t in range(k)}, lifted=True, ramp=F(1, 2))
         assert scans(f, ClassLabel.L_FN) is scanned
 
-    def per_pair(f: LatticeFn, label, kind: str) -> bool:
-        """Whether a member is scanned once, per pair rather than by rows."""
-        del pair_scans[:], move_tables[:]
+    def by_rows(f, label, kind: str) -> bool:
+        """Whether a member is decided by one pair scan of ``kind`` that
+        reads its rows alone, with no predicate call."""
+        del pair_scans[:], predicate_calls[:]
         assert check(f, label).member
-        assert [args[1:] for args in pair_scans] == [(kind,)], (label, len(f))
-        return bool(move_tables)
+        return [args[1:] for args in pair_scans] == [(kind,)] and not predicate_calls
 
     # a function of the M♮ and M rows that is not flat takes no route
-    # whatever its size: its pair scan runs per pair below 16 points and by
-    # rows from there on
-    for k in (15, 16, 80):
-        assert per_pair(_square_line(k), ClassLabel.MNAT_FN, "exchange-mnat-fn") is (k < 16)
-        f = LatticeFn(2, {(t, -t): t * t for t in range(k)})
-        assert per_pair(f, ClassLabel.M_FN, "exchange-m-fn") is (k < 16)
+    # whatever its size: its pair scan reads it by rows at every size
+    for k in (2, 15, 16, 80):
+        assert by_rows(_square_line(k), ClassLabel.MNAT_FN, "exchange-mnat-fn"), k
+        assert by_rows(LatticeFn(2, {(t, -t): t * t for t in range(k)}), ClassLabel.M_FN, "exchange-m-fn"), k
     # the M♮ domain test runs when 2^n <= |S|, n the dimension it reads: a
     # cube {0,1}^3 without its top has 7 points, with it 8
     cube01 = cube(3, 0, 1)
@@ -393,56 +390,58 @@ def test_size_rules_pin_both_sides(pair_scans, move_tables, monkeypatch):
     assert not scans(LatticeSet.of([(0, 0, 0)]), ClassLabel.LNAT_SET)
     # the set jump labels have no size rule: a set of one coordinate-sum
     # parity, the even points of an interval of Z, is a member of all
-    # three, proved by one jump-2step scan at every size, per pair or by
-    # rows
+    # three, proved by one jump-2step scan at every size
     for k in (1, 11, 12, 16):
         even = LatticeSet(1, frozenset((2 * t,) for t in range(k)))
         for label in _JUMP_KINDS:
-            del pair_scans[:]
-            assert check(even, label).member
-            assert [args[1:] for args in pair_scans] == [("jump-2step",)], (label, k)
-    # the exchange and jump exchange kinds read by rows, with no move table,
-    # from 16 points on: t -> t^2 on the even points of Z is a member of
-    # jump-m-fn
-    def jump(k: int) -> bool:
-        return per_pair(LatticeFn(1, {(2 * t,): t * t for t in range(k)}), ClassLabel.JUMP_M_FN, "jump-m-fn")
+            assert by_rows(even, label, "jump-2step"), (label, k)
 
-    assert classes._ROW_SIZE == 16 and jump(15) and not jump(16)
-    # they read their ys in blocks of B points, B = |S| halved until the
-    # masks fit in the bound: a jump-m-fn reading in Z builds 2 offset
-    # tables and 3 per axis, of B + 1 masks each counted at B / 8 + 96
-    # bytes, so at a bound of 5 * 17 * 98 bytes 16 points take one block
-    # and 17 two of 8, and one byte below it 16 points take two of 8; past
-    # any bound a reading still runs by rows, in blocks of one point at
-    # the least
+    # the ordered kinds read their ys in blocks of B points, B = |S| halved
+    # until the masks fit in the bound, each counted at B / 8 + 96 bytes:
+    # a jump-m-fn reading in Z builds 2 offset tables of B + 1 masks, and
+    # its axis one mask per distinct coordinate of the block and one more,
+    # and two per coordinate of a row, so 16 points with 16 coordinates
+    # count 2 * 17 + 17 + 2 * 16 = 83 masks; at a bound of 83 * 98 bytes
+    # they take one block and 17 two of 8, and one byte below it 16 take
+    # two of 8; with 2 distinct coordinates 17 points count 2 * 18 + 3 + 4
+    # masks and 33 points 2 * 34 + 3 + 4, both within the bound, so each
+    # takes one block
+    def jump(k: int) -> bool:
+        return by_rows(LatticeFn(1, {(2 * t,): t * t for t in range(k)}), ClassLabel.JUMP_M_FN, "jump-m-fn")
+
     rows = _AXIOMS["jump-m-fn"].violated.rows
-    assert rows.tables(1) == 5 and classes._ROW_POINT_BYTES == 96
+    assert rows.tables(1) == 2 and classes._ROW_POINT_BYTES == 96
     bound = classes._ROW_BYTES
-    monkeypatch.setattr(classes, "_ROW_BYTES", 5 * 17 * (16 // 8 + 96))
-    assert [rows.block(1, k) for k in (15, 16, 17, 32, 33)] == [15, 16, 8, 16, 16]
-    monkeypatch.setattr(classes, "_ROW_BYTES", 5 * 17 * (16 // 8 + 96) - 1)
-    assert [rows.block(1, k) for k in (15, 16, 17, 32, 33)] == [15, 8, 8, 8, 8]
+    monkeypatch.setattr(classes, "_ROW_BYTES", 83 * (16 // 8 + 96))
+    assert [rows.block(k, [k]) for k in (15, 16, 17, 32, 33)] == [15, 16, 8, 16, 16]
+    assert [rows.block(k, [2]) for k in (15, 16, 17, 32, 33)] == [15, 16, 17, 32, 33]
+    monkeypatch.setattr(classes, "_ROW_BYTES", 83 * (16 // 8 + 96) - 1)
+    assert [rows.block(k, [k]) for k in (15, 16, 17, 32, 33)] == [15, 8, 8, 8, 8]
+    # past any bound a reading still runs by rows, in blocks of one point
+    # at the least
     monkeypatch.setattr(classes, "_ROW_BYTES", 0)
-    assert rows.block(1, 16) == 1 and not jump(16)
+    assert rows.block(16, [16]) == 1 and jump(16)
     # the bound itself, 16 MiB, read at its edge without an input of that
-    # size: a jump-mnat-fn reading in Z^3 builds 24 offset tables and 3 per
-    # axis, so 1671 points take one block and 1672 two of 836; the rule reads
-    # the dimension and the size alone, not the box
+    # size: a jump-mnat-fn reading in Z^3 builds 24 offset tables, so with
+    # as many coordinates per axis as points 1671 points take one block
+    # and 1672 two of 836; with 16 coordinates per axis, 3 * 49 axis
+    # masks, 3416 points take two blocks of 1708, and one block for the M♮
+    # exchange, which builds 9 offset tables
     monkeypatch.setattr(classes, "_ROW_BYTES", bound)
     rows = _AXIOMS["jump-mnat-fn"].violated.rows
-    assert bound == 1 << 24 and rows.tables(3) == 24 + 3 * 3
-    assert rows.block(3, 1671) == 1671 and rows.block(3, 1672) == 836
-    assert [rows.block(3, k) for k in (3416, 6000, 12000)] == [854, 1500, 1500]
-    # the bound counts one table per offset a reading may read, and three
-    # per axis; the 2-step reading builds no offset table, and the up to
-    # 2n (B + 1) empty boxes it remembers count as 2n tables
+    assert bound == 1 << 24 and rows.tables(3) == 24
+    assert rows.block(1671, [1671] * 3) == 1671 and rows.block(1672, [1672] * 3) == 836
+    assert [rows.block(k, [16] * 3) for k in (3416, 6000, 12000)] == [1708, 1500, 1500]
+    assert _AXIOMS["exchange-mnat-fn"].violated.rows.block(3416, [16] * 3) == 3416
+    # the bound counts one table per offset a reading may read; the 2-step
+    # reading builds none, and remembers its empty boxes in what its axes
+    # leave of the bound
     for kind in _ROW_KINDS:
         rows = _AXIOMS[kind].violated.rows
         for n in range(1, 6):
             plan = rows.plan(tuple(100**i for i in range(n)))
             offsets = {o for _, step, pairs in plan for o in [step] * rows.nat + [o for _, o in pairs]}
-            built = 2 * n if kind == "jump-2step" else len(offsets)
-            assert rows.tables(n) == built + 3 * n, (kind, n)
+            assert rows.tables(n) == (0 if kind == "jump-2step" else len(offsets)), (kind, n)
 
 
 def test_the_route_table_pins_every_label(monkeypatch):
@@ -532,8 +531,7 @@ _ROW_KINDS = (
 
 
 def _row_cases():
-    """(kind, member, non-member) above the row rule: a box, the slice
-    x(N) = 5 of [0, 4]^3 and the even points of [0, 3]^3, as sets and with
+    """(kind, member, non-member): a box, the slice x(N) = 5 of [0, 4]^3 and the even points of [0, 3]^3, as sets and with
     x -> sum(x_i^2), and the even points as a jump system; each non-member
     drops a point or raises a value."""
     box = list(cube(3, 0, 2).points())
@@ -548,42 +546,51 @@ def _row_cases():
     yield "jump-2step", LatticeSet.of(even), LatticeSet.of([p for p in even if p != even[len(even) // 2]])
 
 
-def test_exchange_rows_build_no_move_and_call_the_predicate_once(monkeypatch):
-    # above the rule a member is read by rows alone, with no move table and
-    # no predicate call, and a non-member makes one predicate call, on the
-    # pair the rows name, for the step its witness records
-    def built(*args):
-        raise AssertionError("a row reading built a move table")
-
-    monkeypatch.setattr(classes, "_moves", built)
-    calls = []
+def test_exchange_rows_build_no_move_and_call_the_predicate_once(predicate_calls, monkeypatch):
+    # a member is read by rows alone, with no move and no predicate call,
+    # and a non-member makes one predicate call, on the pair the rows name,
+    # for the step its witness records, and builds that pair's move alone
+    moves = []
     for kind in _ROW_KINDS:
         axiom = _AXIOMS[kind]
-        on_codes = axiom.violated.on_codes
-        counted = partial(lambda read, *args: calls.append(args) or read(*args), on_codes)
-        monkeypatch.setitem(_AXIOMS, kind, axiom._replace(violated=axiom.violated._replace(on_codes=counted)))
+        counted = partial(lambda move, *args: moves.append(args) or move(*args), axiom.violated.move)
+        monkeypatch.setitem(_AXIOMS, kind, axiom._replace(violated=axiom.violated._replace(move=counted)))
     cases = list(_row_cases())
     assert sorted(kind for kind, _, _ in cases) == sorted(_ROW_KINDS)
     for kind, member, miss in cases:
-        assert len(member) >= classes._ROW_SIZE
-        del calls[:]
-        assert classes._scan_pairs(_View.of(member), kind).member and not calls, kind
+        del predicate_calls[:], moves[:]
+        assert classes._scan_pairs(_View.of(member), kind).member and not predicate_calls and not moves, kind
         verdict = classes._scan_pairs(_View.of(miss), kind)
-        assert not verdict.member and len(calls) == 1, kind
+        assert not verdict.member and len(predicate_calls) == len(moves) == 1, kind
         assert verify_witness(miss, verdict.witness), kind
+
+
+def _row_masks(rows, width: int, distinct) -> int:
+    """The masks the block rule counts for a block of ``width`` ys whose
+    axes hold ``distinct`` coordinates: B + 1 per offset table, and per
+    axis one per distinct coordinate and one more, and two per coordinate
+    a row asks, x_i, or for the 2-step reading x_i and x_i +- 1."""
+    reach = 3 if rows.two_step else 1
+    axes = sum(min(width, d) + 1 + 2 * min(width, reach * d) for d in distinct)
+    return rows.tables(len(distinct)) * (width + 1) + axes
 
 
 def test_row_reading_stays_within_its_memory_bound(monkeypatch):
     # with the bound set to the largest at which 300 points read in blocks
     # of 75, a reading spans 4 blocks, peaks within the bound under
     # tracemalloc, the reading's lists of one entry per point included,
-    # and answers as the per-pair scan does, verdict and witness; a segment
-    # has as many distinct values per coordinate as points, so its axes
-    # keep the most masks, and its absent neighbours have the most boxes,
-    # all empty, for the 2-step reading to remember
+    # and answers as the per-pair scan does, verdict and witness.  The rule
+    # counts each axis by its distinct coordinates: a segment, a line, the
+    # even points of Z and a sparse set have as many as points, so their
+    # axes keep the most masks, and the absent neighbours of a segment and
+    # of the sparse set have the most boxes, all empty, for the 2-step
+    # reading to remember; a function of distinct values on a box has 10,
+    # 10 and 3, and offset tables of one mask per y
     segment = {(t, 299 - t): t * t for t in range(300)}
     line = {(t,): t * t for t in range(300)}
     even = [(2 * t,) for t in range(300)]
+    sparse = [(t, 7 * t % 300, 13 * t % 300) for t in range(300)]
+    grid = {p: (p[0] * 31 + p[1] * 7 + p[2] * 101) ** 2 for p in Window((0, 0, 0), (9, 9, 2)).points()}
     cases = [
         ("exchange-m-fn", LatticeFn.of(segment), True),
         ("exchange-m-fn", LatticeFn.of({**segment, (150, 149): 150 * 150 + 1}), True),
@@ -596,16 +603,25 @@ def test_row_reading_stays_within_its_memory_bound(monkeypatch):
         ("jump-2step", LatticeSet.of([p for p in even if p != (300,)] + [(301,)]), False),
         ("jump-2step", LatticeSet.of(segment), True),
         ("jump-2step", LatticeSet.of([p for p in segment if p != (150, 149)] + [(151, 150)]), False),
+        ("jump-2step", LatticeSet.of(sparse), False),
+        ("exchange-mnat", LatticeSet.of(sparse), False),
+        ("exchange-mnat-fn", LatticeFn.of(grid), False),
+        ("jump-mnat-fn", LatticeFn.of(grid), False),
     ]
-    size_rule = classes._ROW_SIZE
     for kind, obj, member in cases:
         assert len(obj) == 300
         rows = _AXIOMS[kind].violated.rows
         view = _View.of(obj)
         view.coded
-        bound = rows.tables(obj.dim) * (150 + 1) * (150 // 8 + classes._ROW_POINT_BYTES) - 1
+        distinct = [len({p[i] for p in view.vals}) for i in range(obj.dim)]
+        assert distinct == [10, 10, 3] or min(distinct) >= 299, kind
+        # the rule reads the distinct counts: at the bytes it counts for one
+        # block the 300 points take one block
+        monkeypatch.setattr(classes, "_ROW_BYTES", _row_masks(rows, 300, distinct) * (300 // 8 + classes._ROW_POINT_BYTES))
+        assert rows.block(len(obj), distinct) == 300, kind
+        bound = _row_masks(rows, 150, distinct) * (150 // 8 + classes._ROW_POINT_BYTES) - 1
         monkeypatch.setattr(classes, "_ROW_BYTES", bound)
-        assert rows.block(obj.dim, len(obj)) == 75, kind
+        assert rows.block(len(obj), distinct) == 75, kind
         tracemalloc.start()
         try:
             got = classes._scan_pairs(view, kind)
@@ -613,10 +629,8 @@ def test_row_reading_stays_within_its_memory_bound(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak <= bound, (kind, peak, bound)
-        monkeypatch.setattr(classes, "_ROW_SIZE", math.inf)
-        assert classes._scan_pairs(_View.of(obj), kind) == got, kind
+        assert pair_scan(_View.of(obj), kind) == got, kind
         assert got.member is member, kind
-        monkeypatch.setattr(classes, "_ROW_SIZE", size_rule)
 
 
 # the set jump labels, with the kinds their pair scans read
@@ -670,13 +684,13 @@ def test_the_fixture_sees_every_pair_scan(pair_scans):
         assert [args[1:] for args in pair_scans] == scanned + [("midpoint-two",)]
 
 
-def _read_by_rows(pair_scans, move_tables, kind: str) -> bool:
-    """Whether the check just made was one pair scan of ``kind`` that built
-    no move table, so read by rows (``classes._Rows``)."""
-    return [args[1:] for args in pair_scans] == [(kind,)] and not move_tables
+def _read_by_rows(pair_scans, predicate_calls, kind: str) -> bool:
+    """Whether the check just made was one pair scan of ``kind`` that made
+    no predicate call, so was decided by its rows (``classes._Rows``)."""
+    return [args[1:] for args in pair_scans] == [(kind,)] and not predicate_calls
 
 
-def test_a_thousand_point_box_function_is_decided_locally(pair_scans, move_tables):
+def test_a_thousand_point_box_function_is_decided_locally(pair_scans, predicate_calls):
     box = list(cube(3, 0, 9).points())
     f = LatticeFn(3, {p: sum(c * c for c in p) for p in box})
     # a separable convex function is L♮-, M♮- and multimodular-convex, the
@@ -685,7 +699,7 @@ def test_a_thousand_point_box_function_is_decided_locally(pair_scans, move_table
     for label in (ClassLabel.LNAT_FN, ClassLabel.MULTIMODULAR_FN):
         assert check(f, label) == Verdict(True) and not pair_scans, label
     assert check(f, ClassLabel.MNAT_FN) == Verdict(True)
-    assert _read_by_rows(pair_scans, move_tables, "exchange-mnat-fn")
+    assert _read_by_rows(pair_scans, predicate_calls, "exchange-mnat-fn")
     # a spike makes a non-member, and the pair scan then finds its witness
     vals = dict(f.values)
     vals[(1, 1, 1)] += 10**4
@@ -694,18 +708,18 @@ def test_a_thousand_point_box_function_is_decided_locally(pair_scans, move_table
     assert check(g, ClassLabel.MNAT_FN) == check_family(g, ClassLabel.MNAT_FN)
 
 
-def test_a_member_past_one_block_is_read_by_rows(pair_scans, move_tables):
-    # x -> sum(x_i^2) + (sum x)^2 over {x in [0, 15]^3 : sum x <= 30} is
-    # M♮-convex; its 3416 points are read in two blocks of 1708 ys, by rows
-    # with no move table, not per pair
-    pts = [p for p in cube(3, 0, 15).points() if sum(p) <= 30]
+def test_a_member_past_one_block_is_read_by_rows(pair_scans, predicate_calls):
+    # x -> sum(x_i^2) + (sum x)^2 over {x in [0, 16]^3 : sum x <= 32} is
+    # M♮-convex; its 4097 points, 17 coordinates per axis, are read in
+    # blocks of 2048 ys, by rows with no predicate call
+    pts = [p for p in cube(3, 0, 16).points() if sum(p) <= 32]
     f = LatticeFn(3, {p: sum(c * c for c in p) + sum(p) ** 2 for p in pts})
-    assert len(f) == 3416 and _AXIOMS["exchange-mnat-fn"].violated.rows.block(3, 3416) == 1708
+    assert len(f) == 4097 and _AXIOMS["exchange-mnat-fn"].violated.rows.block(4097, [17] * 3) == 2048
     assert check(f, ClassLabel.MNAT_FN) == Verdict(True)
-    assert _read_by_rows(pair_scans, move_tables, "exchange-mnat-fn")
+    assert _read_by_rows(pair_scans, predicate_calls, "exchange-mnat-fn")
 
 
-def test_one_coding_reads_narrow_coordinates_locally(pair_scans, move_tables):
+def test_one_coding_reads_narrow_coordinates_locally(pair_scans, predicate_calls):
     # a view codes its points once, over the difference box grown by the
     # reach, so a point x + d of the l-inf ball (L♮ and IC) has its own
     # code even where a coordinate is narrower than the reach; over the
@@ -718,7 +732,7 @@ def test_one_coding_reads_narrow_coordinates_locally(pair_scans, move_tables):
         for label in (ClassLabel.LNAT_FN, ClassLabel.IC_FN):
             assert check(f, label) == Verdict(True) and not pair_scans, (hi, label)
         assert check(f, ClassLabel.MNAT_FN) == Verdict(True)
-        assert _read_by_rows(pair_scans, move_tables, "exchange-mnat-fn"), hi
+        assert _read_by_rows(pair_scans, predicate_calls, "exchange-mnat-fn"), hi
         del pair_scans[:]
 
 
@@ -1011,7 +1025,7 @@ def test_codes_round_trip_sort_and_step():
     rng = random.Random(1010)
     boxes = [Window((-3,), (-3,)), Window((2, -1, 0), (2, -1, 0))] + [_random_box(rng) for _ in range(150)]
     for box in boxes:
-        codes = _Codes(box)
+        codes = _Codes(box.lo, box.hi)
         pts = list(box.points())
         rng.shuffle(pts)
         assert [codes.point(codes.code(p)) for p in pts] == pts, box
@@ -1032,7 +1046,7 @@ def test_codes_round_trip_sort_and_step():
         assert all(abs(d) == codes.strides[i] and gap == abs(x[i] - y[i]) for i, d, gap in steps)
         # over the difference box, cy - cx identifies y - x and cx + cy
         # identifies x + y
-        wide = _Codes(_doubled(box))
+        wide = _Codes(*_doubled(box))
         assert wide.point(wide.code(box.hi)) == box.hi
         diffs, sums = {}, {}
         for x in pts:
@@ -1089,7 +1103,7 @@ def test_midpoint_codes_read_the_rounded_midpoints_and_the_linf_rule(monkeypatch
         for box in boxes:
             pts = list(box.points())
             assert _parities(pts) == [_odd_mask(p) for p in pts]
-            for codes in (_Codes(_doubled(box, _REACH)), _Codes(_doubled(box, 1))):
+            for codes in (_Codes(*_doubled(box, _REACH)), _Codes(*_doubled(box, 1))):
                 ring = _ring(codes.strides)
                 for x, y in itertools.product(pts, repeat=2):
                     d = tuple(b - a for a, b in zip(x, y))
@@ -1123,7 +1137,6 @@ def test_midpoint_family_scans_read_no_move(monkeypatch, pair_scans):
     def built(*args):
         raise AssertionError("a midpoint-family reading built a move")
 
-    monkeypatch.setattr(classes, "_moves", built)
     monkeypatch.setattr(classes._Codes, "difference", built)
     labels = (
         ClassLabel.IC_SET, ClassLabel.IC_FN, ClassLabel.LNAT_SET, ClassLabel.LNAT_FN, ClassLabel.L_SET,

@@ -56,14 +56,15 @@ points, with the pair scans the routes fall back to (for local DMC, with
 every pair read), and an IC member there must be decided without a pair
 scan.
 
-The eight exchange and jump exchange kinds read their ordered scan a row at
-a time, by int bitsets, from a size rule on, so that row reading is
-compared, verdict and witness, with the per-pair scan that runs below
-the rule: on every subset of [0, 2]^2 and [0, 1]^3 and its indicator, on
-seeded functions in 1 to 5 dimensions with Fraction values and absent
-neighbours, on drawn members and near misses, on the check corpus at seeds
-1 and 7, on sparse inputs and spans past 2**64, and on a set whose first
-violated pair has a gap of 1 where the same-axis partner would fit.
+The exchange, jump exchange and 2-step kinds read their ordered scan a row
+at a time, by int bitsets, at every size, so that row reading is compared,
+verdict and witness, with the per-pair scan of the same predicate kept in
+``set_oracles`` (``pair_scan``): on every subset of [0, 2]^2 and [0, 1]^3
+and its indicator, on seeded functions in 1 to 5 dimensions with Fraction
+values and absent neighbours, on drawn members and near misses, on the
+check corpus at seeds 1 and 7, on sparse inputs and spans past 2**64, and
+on a set whose first violated pair has a gap of 1 where the same-axis
+partner would fit.
 
 Network induction and infimal convolution run on int-scaled values and
 point codes too, so their results, and the documents of their results, are
@@ -116,7 +117,9 @@ from set_oracles import (
     check_l,
     check_ordered,
     ordered_verdicts,
+    pair_scan,
     replays_l,
+    violated_pairs,
 )
 
 sys.path.append(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -638,8 +641,7 @@ def test_jump_route_matches_the_pair_scans():
     assert _assert_jump_route_matches_scans(sparse)[1:] == (3, 1)
 
 
-# the kinds read a row at a time, by bitsets, from the row size rule on,
-# for sets and for functions
+# the kinds read a row at a time, by bitsets, for sets and for functions
 _EXCHANGE_KINDS = {
     LatticeSet: ("exchange-mnat", "exchange-m", "jump-exc", "jump-exc-nat", "jump-2step"),
     LatticeFn: ("exchange-mnat-fn", "exchange-m-fn", "jump-m-fn", "jump-mnat-fn"),
@@ -648,41 +650,24 @@ _EXCHANGE_KINDS = {
 
 def _assert_rows_match_pair_scans(monkeypatch, objects, widths=(None, 16, 17, 33)):
     """The row reading of each ordered kind of the object's type equals the
-    per-pair scan on each object, verdict and witness, with the ys read in
-    blocks of the next of ``widths`` points, object by object in turn, where
-    that is below the object's size, and otherwise by the block rule
-    (``classes._Rows.block``), as for None; returns (scans, members)."""
+    per-pair scan (``set_oracles.pair_scan``) on each object, verdict and
+    witness, with the ys read in blocks of the next of ``widths`` points,
+    object by object in turn, where that is below the object's size, and
+    otherwise by the block rule (``classes._Rows.block``), as for None;
+    returns (scans, members)."""
     rule = classes._Rows.block
     scans = members = 0
     for i, obj in enumerate(objects):
         width = widths[i % len(widths)]
         patched = width is not None and width < len(obj)
-        monkeypatch.setattr(classes._Rows, "block", (lambda self, n, size, w=width: w) if patched else rule)
+        monkeypatch.setattr(classes._Rows, "block", (lambda self, size, distinct, w=width: w) if patched else rule)
         for kind in _EXCHANGE_KINDS[type(obj)]:
-            monkeypatch.setattr(classes, "_ROW_SIZE", math.inf)
-            want = classes._scan_pairs(_View.of(obj), kind)
-            monkeypatch.setattr(classes, "_ROW_SIZE", 1)
+            want = pair_scan(_View.of(obj), kind)
             assert classes._scan_pairs(_View.of(obj), kind) == want, (kind, width, obj)
             scans += 1
             members += want.member
     monkeypatch.setattr(classes._Rows, "block", rule)
     return scans, members
-
-
-def _violated_pairs(obj, kind: str):
-    """Every violated ordered pair of an exchange or jump exchange kind, as
-    the indices of x and y in code order, by one predicate call per pair."""
-    view = _View.of(obj)
-    codes, coded = view.coded
-    items = sorted(coded.items())
-    axiom = classes._AXIOMS[kind].violated
-    moves = classes._moves(axiom, codes)
-    return {
-        (a, b)
-        for a, (cx, fx) in enumerate(items)
-        for b, (cy, fy) in enumerate(items)
-        if axiom.on_codes(coded.get, fx + fy, cx, cy, moves[cy - cx])
-    }
 
 
 def _exchange_functions(rng):
@@ -704,11 +689,11 @@ def _exchange_functions(rng):
 
 
 def test_exchange_rows_match_the_pair_scans(monkeypatch):
-    # the row reading of the nine ordered kinds, with the size rule lowered
-    # so that it runs on every input, and its ys read by the block rule and
-    # in blocks of 16, 17 and 33 points, object by object in turn, against their per-pair scans: on every small set and
-    # its indicator, on seeded functions, on drawn members and near misses,
-    # on the check corpus, and on spans past 2**64 and sparse inputs
+    # the row reading of the nine ordered kinds, its ys read by the block
+    # rule and in blocks of 16, 17 and 33 points, object by object in turn,
+    # against the per-pair scan: on every small set and its indicator, on
+    # seeded functions, on drawn members and near misses, on the check
+    # corpus, and on spans past 2**64 and sparse inputs
     small = [s for box in (cube(2, 0, 2), cube(3, 0, 1)) for s in _subsets(box)]
     scans, members = _assert_rows_match_pair_scans(monkeypatch, small + list(map(indicator_fn, small)))
     assert scans == 9 * 766 and 0.05 < members / scans < 0.5
@@ -763,7 +748,7 @@ def test_blocked_rows_keep_the_lowest_row_and_its_lowest_y(monkeypatch):
     # holds a violated pair of the same row
     box = {p: sum(c * c for c in p) for p in cube(3, 0, 4).points()}
     spiked = [LatticeFn.of({**box, p: box[p] + 100}) for p in ((4, 0, 4), (2, 2, 2), (4, 4, 3))]
-    pairs = [_violated_pairs(f, "exchange-mnat-fn") for f in spiked]
+    pairs = [{(a, b) for a, b, _ in violated_pairs(_View.of(f), "exchange-mnat-fn")} for f in spiked]
     for width in (16, 17, 33):
         seen = set()
         for violated in pairs:
@@ -1133,22 +1118,22 @@ def _large_family_cases(rng):
             yield lab.m_lift(obj), ClassLabel.M_FN if isinstance(obj, LatticeFn) else ClassLabel.M_SET
 
 
-def test_family_recognizers_match_pair_scans_above_the_size_rule(pair_scans, move_tables):
+def test_family_recognizers_match_pair_scans_above_the_size_rule(pair_scans, predicate_calls):
     cases = list(_large_family_cases(random.Random(7170)))
     assert all(250 <= len(obj) <= 321 for obj, _ in cases)
     assert {label for _, label in cases} == FAMILY_LABELS
     rows = {ClassLabel.MNAT_FN: "exchange-mnat-fn", ClassLabel.M_FN: "exchange-m-fn"}
     members = 0
     for obj, label in cases:
-        del pair_scans[:], move_tables[:]
+        del pair_scans[:], predicate_calls[:]
         got = check(obj, label)
         assert got == check_family(obj, label), (label, obj)
         assert got.member or verify_witness(obj, got.witness), (label, obj)
         # a member above the rule is decided without a pair scan, but for
         # an M♮ or M function that is not flat, which is read by rows: one
-        # pair scan and no move table
+        # pair scan and no predicate call
         if got.member and label in rows and len(set(obj.values.values())) > 1:
-            assert [args[1:] for args in pair_scans] == [(rows[label],)] and not move_tables, (label, obj)
+            assert [args[1:] for args in pair_scans] == [(rows[label],)] and not predicate_calls, (label, obj)
         else:
             assert not (got.member and pair_scans), (label, obj)
         members += got.member
